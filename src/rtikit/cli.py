@@ -22,7 +22,8 @@ import numpy as np
 
 from .calibration import RssFrame, calibrate
 from .geometry import VoxelGrid, enumerate_links
-from .harness import VARIANTS, PipelineConfig, benchmark, crosscheck_models, run_pipeline
+from .harness import (VARIANTS, PipelineConfig, VariantPipeline, benchmark,
+                      crosscheck_models, run_pipeline)
 from .ingest import (
     load_fade_table,
     load_ground_truth,
@@ -37,7 +38,6 @@ from .ingest import (
     save_trace,
     save_track_csv,
 )
-from .reconstruction import reconstruct
 from .simulator import generate_trace
 
 __all__ = ["main"]
@@ -72,35 +72,30 @@ def _load_config(path) -> PipelineConfig:
         raise SystemExit(f"config error: {exc}")
 
 
+def _channel_columns(have, channels, what) -> list:
+    """Columns of the given channels (order as given) among those `what` has."""
+    have = [int(c) for c in have]
+    missing = [c for c in channels if c not in have]
+    if missing:
+        raise SystemExit(f"{what} lacks channels {missing}; it has {have}")
+    return [have.index(c) for c in channels]
+
+
 def _subset_frames(frames, channels):
     """Restrict every frame to the given channels (order as given)."""
     if not frames:
         return frames
-    have = list(frames[0].channels)
-    missing = [c for c in channels if c not in have]
-    if missing:
-        raise SystemExit(
-            f"trace lacks channels {missing}; it has {have}"
-        )
-    cols = [have.index(c) for c in channels]
+    cols = _channel_columns(frames[0].channels, channels, "trace")
     chan = np.asarray(channels, dtype=int)
     return [RssFrame(k=f.k, rss=f.rss[:, cols], channels=chan) for f in frames]
 
 
 def _subset_fades(fades, channels):
     """Restrict a fade table to the given channels (order as given)."""
-    from dataclasses import replace as dc_replace
-
-    have = list(fades.channels)
-    missing = [c for c in channels if c not in have]
-    if missing:
-        raise SystemExit(
-            f"fade table lacks channels {missing}; it has {have}"
-        )
-    cols = [have.index(c) for c in channels]
-    return dc_replace(fades, values=fades.values[:, cols],
-                      mean_rss=fades.mean_rss[:, cols],
-                      channels=np.asarray(channels, dtype=int))
+    cols = _channel_columns(fades.channels, channels, "fade table")
+    return replace(fades, values=fades.values[:, cols],
+                   mean_rss=fades.mean_rss[:, cols],
+                   channels=np.asarray(channels, dtype=int))
 
 
 def _cmd_calibrate(args) -> int:
@@ -122,55 +117,47 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _cmd_reconstruct(args) -> int:
+def _load_run_inputs(args, config):
+    """(layout, fades, frames to image) for reconstruct and track: fades
+    from --fades, or calibrated on the trace prefix, which is then dropped."""
     layout = load_layout(args.layout)
     table = enumerate_links(layout)
     frames = load_trace(args.trace, table)
-    if args.channels:
-        frames = _subset_frames(frames, _parse_channels(args.channels))
-    config = _load_config(args.config)
-
-    from .harness import build_pipeline
-
+    channels = _parse_channels(args.channels) if args.channels else None
+    if channels:
+        frames = _subset_frames(frames, channels)
     if args.fades:
         fades = load_fade_table(args.fades, table)
-        if args.channels:
-            fades = _subset_fades(fades, _parse_channels(args.channels))
-        person = frames
-    else:
-        if len(frames) <= config.calibration_frames:
-            raise SystemExit(
-                f"trace has {len(frames)} frames but the first "
-                f"{config.calibration_frames} are needed for calibration; "
-                "pass --fades to reconstruct every frame"
-            )
-        fades = calibrate(frames[:config.calibration_frames], table)
-        person = frames[config.calibration_frames:]
+        if channels:
+            fades = _subset_fades(fades, channels)
+        return layout, fades, frames
+    if len(frames) <= config.calibration_frames:
+        raise SystemExit(
+            f"trace has {len(frames)} frames but the first "
+            f"{config.calibration_frames} are needed for calibration; "
+            "pass --fades to use every frame"
+        )
+    fades = calibrate(frames[:config.calibration_frames], table)
+    return layout, fades, frames[config.calibration_frames:]
+
+
+def _cmd_reconstruct(args) -> int:
+    config = _load_config(args.config)
+    layout, fades, frames = _load_run_inputs(args, config)
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
-    pipeline = build_pipeline(args.variant, fades, layout, grid, config)
+    pipeline = VariantPipeline(args.variant, fades, layout, grid, config)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for frame in person:
-        image = pipeline.image(frame)
+    for frame, image in zip(frames, pipeline.images(frames)):
         save_image(image, grid, os.path.join(args.out_dir, f"image_{frame.k:06d}.txt"))
-    print(f"wrote {len(person)} images ({grid.nx}x{grid.ny} voxels) to {args.out_dir}")
+    print(f"wrote {len(frames)} images ({grid.nx}x{grid.ny} voxels) to {args.out_dir}")
     return 0
 
 
 def _cmd_track(args) -> int:
-    layout = load_layout(args.layout)
-    table = enumerate_links(layout)
-    frames = load_trace(args.trace, table)
-    if args.channels:
-        frames = _subset_frames(frames, _parse_channels(args.channels))
     config = replace(_load_config(args.config), kalman=not args.no_kalman)
+    layout, fades, frames = _load_run_inputs(args, config)
     truth = load_ground_truth(args.truth) if args.truth else None
-
-    fades = None
-    if args.fades:
-        fades = load_fade_table(args.fades, table)
-        if args.channels:
-            fades = _subset_fades(fades, _parse_channels(args.channels))
     result = run_pipeline(args.variant, frames, layout, config,
                           truth=truth, fades=fades)
     save_track_csv(result.rows, args.out, with_truth=truth is not None)

@@ -1,7 +1,10 @@
 """End-to-end pipelines, benchmark orchestration, and model cross-checks.
 
 Four estimator variants share one reconstruction core and differ only in
-the weight matrix and measurement vector fed to it:
+the weight matrix and measurement vector fed to it, one (weights, measure)
+entry per variant in _VARIANT_TABLE. VariantPipeline.images images a frame
+sequence with one Π·Y product, and run_pipeline and benchmark localize its
+rows; VariantPipeline.image serves one frame at a time for streaming.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every channel treated as an independent link — stacked RSS
@@ -18,6 +21,7 @@ targets attenuation for every variant.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .calibration import FadeLevelTable, calibrate
 from .geometry import NodeLayout, VoxelGrid, enumerate_links
@@ -35,7 +39,6 @@ from .reconstruction import (
     reconstruct,
 )
 from .simulator import (
-    DEFAULT_CHANNELS,
     ScenarioSpec,
     generate_trace,
     stationary_trajectory,
@@ -61,13 +64,10 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "VariantPipeline",
-    "build_pipeline",
     "run_pipeline",
     "benchmark",
     "crosscheck_models",
 ]
-
-VARIANTS = ("rti", "cdrti", "flrti", "msrti")
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ class PipelineConfig:
         kalman: smooth positions with the Kalman filter.
         kalman_q: process-noise intensity (white-noise jerk).
         kalman_r_scale: measurement variance = scale * voxel_width².
-        dt: frame period in seconds (Kalman only).
+        dt: frame period in seconds (Kalman only); a Kalman step across
+            a gap in k spans the k difference times dt.
     """
 
     voxel_width: float = 0.1524
@@ -169,6 +170,67 @@ class PipelineConfig:
         )
 
 
+def _loss(frame, fades, hold) -> np.ndarray:
+    """Per-(link, channel) RSS loss s = −Δr, positive under attenuation."""
+    return -np.nan_to_num(rss_change(frame, fades, hold), nan=0.0)
+
+
+def _classic_weights(table, layout, grid, fades, config) -> WeightMatrix:
+    return build_classic_weights(table, layout, grid, config.classic_lambda)
+
+
+def _stacked_weights(table, layout, grid, fades, config) -> WeightMatrix:
+    """cdrti treats each (channel, link) pair as its own link: per-channel
+    copies of the fixed-width weights, stacked channel-major."""
+    classic = _classic_weights(table, layout, grid, fades, config)
+    stacked = sparse.vstack([classic.matrix] * fades.channels.size, format="csr")
+    keys = tuple(
+        (int(c), l) for c in fades.channels for l in range(table.n_links)
+    )
+    return WeightMatrix(matrix=stacked, row_keys=keys)
+
+
+def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:
+    return build_multiscale_weights(table, layout, grid, fades, config.ellipse)
+
+
+def _rti_channel(fades: FadeLevelTable, config: PipelineConfig) -> int:
+    return (config.rti_channel if config.rti_channel is not None
+            else int(fades.channels[0]))
+
+
+def _rti_measure(fades, config, weights, hold):
+    col = fades.channel_column(_rti_channel(fades, config))
+    return lambda frame: _loss(frame, fades, hold)[:, col]
+
+
+def _cdrti_measure(fades, config, weights, hold):
+    # channel-major, links within channel, like the stacked weight rows
+    return lambda frame: _loss(frame, fades, hold).T.reshape(-1)
+
+
+def _flrti_measure(fades, config, weights, hold):
+    selection = _flrti_selection(fades.values, config.flrti_m)
+    return lambda frame: (_loss(frame, fades, hold) * selection).sum(axis=1)
+
+
+def _msrti_measure(fades, config, weights, hold):
+    assembler = MeasurementAssembler(fades, config.measurement, weights)
+    return lambda frame: assembler(frame, hold)
+
+
+# variant -> (weights(table, layout, grid, fades, config) -> WeightMatrix,
+#             measure(fades, config, weights, hold) -> (frame -> y),
+#             whether the weights, hence the operator, depend on the fades)
+_VARIANT_TABLE = {
+    "rti": (_classic_weights, _rti_measure, False),
+    "cdrti": (_stacked_weights, _cdrti_measure, False),
+    "flrti": (_classic_weights, _flrti_measure, False),
+    "msrti": (_multiscale_weights, _msrti_measure, True),
+}
+VARIANTS = tuple(_VARIANT_TABLE)
+
+
 class VariantPipeline:
     """One variant's frame-to-image machinery, state included.
 
@@ -183,83 +245,45 @@ class VariantPipeline:
                  operator=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
+        weights, measure, _ = _VARIANT_TABLE[variant]
         self.variant = variant
         self.fades = fades
         self.grid = grid
         self.config = config
         table = enumerate_links(layout)
-        self.table = table
-        self._hold = (
+        if operator is None:
+            operator = build_operator(
+                weights(table, layout, grid, fades, config),
+                grid, config.reconstruction, precision_term,
+            )
+        self.operator = operator
+        hold = (
             HoldBuffer(table.n_links, fades.channels.size,
                        config.measurement.hold_frames)
             if config.hold else None
         )
+        self._measure = measure(fades, config, operator.weights, hold)
 
-        if variant == "msrti":
-            # Multi-scale weights depend on the fade levels, so a prebuilt
-            # operator is only valid for this exact calibration.
-            if operator is None:
-                weights = build_multiscale_weights(
-                    table, layout, grid, fades, config.ellipse
-                )
-                operator = build_operator(
-                    weights, grid, config.reconstruction, precision_term
-                )
-            self._assembler = MeasurementAssembler(
-                fades, config.measurement, operator.weights
-            )
-            self.operator = operator
-            return
-
-        if variant == "rti":
-            channel = (config.rti_channel if config.rti_channel is not None
-                       else int(fades.channels[0]))
-            self._rti_col = fades.channel_column(channel)
-            self.channel = channel
-        elif variant == "flrti":
-            self._selection = _flrti_selection(fades.values, config.flrti_m)
-
-        if operator is None:
-            operator = build_operator(
-                _baseline_weights(variant, table, layout, grid, config,
-                                  fades.channels),
-                grid, config.reconstruction, precision_term,
-            )
-        self.operator = operator
+    @property
+    def channel(self) -> int:
+        """Channel the single-channel variant (rti) images."""
+        return _rti_channel(self.fades, self.config)
 
     def measurement(self, frame) -> np.ndarray:
         """Per-frame measurement vector in this variant's row order."""
-        if self.variant == "msrti":
-            return self._assembler(frame, self._hold)
-        delta = rss_change(frame, self.fades, self._hold)
-        loss = -np.nan_to_num(delta, nan=0.0)  # positive under attenuation
-        if self.variant == "rti":
-            return loss[:, self._rti_col]
-        if self.variant == "cdrti":
-            return loss.T.reshape(-1)  # channel-major, links within channel
-        return (loss * self._selection).sum(axis=1)  # flrti
+        return self._measure(frame)
 
     def image(self, frame) -> np.ndarray:
+        """(N,) image of one frame, for streaming use."""
         return reconstruct(self.operator, self.measurement(frame))
 
-
-def _baseline_weights(variant, table, layout, grid, config,
-                      channels) -> WeightMatrix:
-    """Fixed-width weights for a baseline variant.
-
-    rti and flrti use one row per link; cdrti treats each (channel, link)
-    pair as its own link, stacking per-channel copies channel-major.
-    """
-    classic = build_classic_weights(table, layout, grid, config.classic_lambda)
-    if variant != "cdrti":
-        return classic
-    from scipy import sparse
-
-    stacked = sparse.vstack([classic.matrix] * len(channels), format="csr")
-    keys = tuple(
-        (int(c), l) for c in channels for l in range(table.n_links)
-    )
-    return WeightMatrix(matrix=stacked, row_keys=keys)
+    def images(self, frames) -> np.ndarray:
+        """(K, N) images of a frame sequence: measured in order, as the hold
+        buffer is sequential, then imaged together by one Π·Y product."""
+        y = np.empty((self.operator.pi.shape[1], len(frames)), order="F")
+        for i, frame in enumerate(frames):
+            y[:, i] = self.measurement(frame)
+        return reconstruct(self.operator, y).T
 
 
 def _flrti_selection(fade_values: np.ndarray, m: int) -> np.ndarray:
@@ -279,14 +303,6 @@ def _flrti_selection(fade_values: np.ndarray, m: int) -> np.ndarray:
         if chosen:
             selection[l, chosen] = 1.0 / len(chosen)
     return selection
-
-
-def build_pipeline(variant: str, fades: FadeLevelTable, layout: NodeLayout,
-                   grid: VoxelGrid, config: PipelineConfig,
-                   precision_term: np.ndarray | None = None) -> VariantPipeline:
-    """Construct a ready-to-run pipeline for one variant."""
-    return VariantPipeline(variant, fades, layout, grid, config,
-                           precision_term=precision_term)
 
 
 @dataclass(frozen=True)
@@ -343,21 +359,26 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
     if grid is None:
         grid = VoxelGrid.from_layout(layout, config.voxel_width,
                                      config.grid_margin)
-    pipeline = build_pipeline(variant, fades, layout, grid, config)
+    pipeline = VariantPipeline(variant, fades, layout, grid, config)
+    return _track(pipeline, frames, truth, config.kalman)
 
-    estimates = []
-    for frame in frames:
-        estimates.append(localize(pipeline.image(frame), grid, k=frame.k))
+
+def _track(pipeline: VariantPipeline, frames, truth: dict | None,
+           kalman: bool) -> PipelineResult:
+    """Localize each row of pipeline.images(frames), optionally through the
+    Kalman filter, whose step spans the k difference times config.dt."""
+    grid, config = pipeline.grid, pipeline.config
+    estimates = [localize(image, grid, k=frame.k)
+                 for frame, image in zip(frames, pipeline.images(frames))]
 
     positions = [est.xy for est in estimates]
-    if config.kalman and estimates:
+    if kalman and estimates:
         r = config.kalman_r_scale * config.voxel_width**2
         track = init_track(estimates[0])
-        positions = [estimates[0].xy]
-        for est in estimates[1:]:
-            track = kalman_step(track, est, dt=config.dt,
+        for i, est in enumerate(estimates[1:], start=1):
+            track = kalman_step(track, est, dt=(est.k - track.k) * config.dt,
                                 q=config.kalman_q, r=r)
-            positions.append(tuple(track.position))
+            positions[i] = tuple(track.position)
 
     rows = []
     errors = []
@@ -373,11 +394,11 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
             # keep row widths uniform when truth covers only part of the run
             rows.append((est.k, x, y, float("nan"), float("nan"), float("nan")))
     return PipelineResult(
-        variant=variant,
+        variant=pipeline.variant,
         rows=tuple(rows),
         summary=error_summary(errors) if errors else None,
         grid=grid,
-        channels=tuple(int(c) for c in fades.channels),
+        channels=tuple(int(c) for c in pipeline.fades.channels),
     )
 
 
@@ -391,9 +412,10 @@ def benchmark(layout: NodeLayout, positions, seeds,
 
     For each seed, one synthetic trace places the person at every given
     position for frames_per_position frames after a calibration prefix;
-    each variant then runs on the identical trace. Expensive pieces that
-    do not depend on the seed (grid, prior term, fixed-width operator) are
-    shared across runs.
+    each variant then runs on the identical trace and is scored on its raw
+    per-frame estimates (no Kalman). Expensive pieces that do not depend
+    on the seed (grid, prior term, fixed-width operators) are shared
+    across runs.
 
     Args:
         layout: sensor deployment.
@@ -431,18 +453,9 @@ def benchmark(layout: NodeLayout, positions, seeds,
     precision_term = prior_precision_term(grid, config.reconstruction)
     table = enumerate_links(layout)
 
-    # Baseline operators don't depend on the calibration, so build each
-    # once and reuse it for every seed. The multi-scale operator must be
-    # rebuilt per seed from that seed's fade levels.
-    channels = tuple(scenario_kwargs.get("channels", DEFAULT_CHANNELS))
-    cached = {
-        v: build_operator(
-            _baseline_weights(v, table, layout, grid, config, channels),
-            grid, config.reconstruction, precision_term,
-        )
-        for v in variants if v != "msrti"
-    }
-
+    # Operators whose weights do not depend on the calibration are built
+    # for the first seed and reused for the rest.
+    reusable = {}
     rows = []
     for seed in seeds:
         spec = ScenarioSpec(layout=layout, trajectory=trajectory,
@@ -455,15 +468,12 @@ def benchmark(layout: NodeLayout, positions, seeds,
         for variant in variants:
             pipeline = VariantPipeline(variant, fades, layout, grid, config,
                                        precision_term=precision_term,
-                                       operator=cached.get(variant))
-            estimates = [
-                localize(pipeline.image(f), grid, k=f.k) for f in person_frames
-            ]
-            errors = [
-                localization_error(est.xy, truth[est.k]) for est in estimates
-            ]
-            rows.append((variant, scenario_name, int(seed),
-                         error_summary(errors)))
+                                       operator=reusable.get(variant))
+            _, _, per_calibration = _VARIANT_TABLE[variant]
+            if not per_calibration:
+                reusable[variant] = pipeline.operator
+            result = _track(pipeline, person_frames, truth, kalman=False)
+            rows.append((variant, scenario_name, int(seed), result.summary))
     return rows
 
 

@@ -8,6 +8,7 @@ fold onto the same undirected link.
 
 import csv
 import warnings
+from itertools import chain
 
 import numpy as np
 
@@ -88,7 +89,6 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
     raise with the line number.
     """
     records = {}  # (k, link, channel) -> rss or nan
-    channels = set()
     for lineno, line in _data_lines(path):
         parts = line.split()
         if len(parts) != 5:
@@ -111,20 +111,19 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
                 f"link=({tx},{rx}) channel={channel}; last wins"
             )
         records[key] = rss
-        channels.add(channel)
 
     if not records:
         return []
-    channel_list = np.array(sorted(channels), dtype=int)
-    col = {c: i for i, c in enumerate(channel_list)}
-    frames = []
-    for k in sorted({key[0] for key in records}):
-        rss = np.full((table.n_links, channel_list.size), np.nan)
-        for (kk, link, channel), value in records.items():
-            if kk == k:
-                rss[link, col[channel]] = value
-        frames.append(RssFrame(k=k, rss=rss, channels=channel_list))
-    return frames
+    keys = np.fromiter(chain.from_iterable(records), dtype=np.int64,
+                       count=3 * len(records)).reshape(-1, 3)  # k, link, channel
+    values = np.fromiter(records.values(), dtype=float, count=len(records))
+    del records  # the arrays hold everything from here on
+    channel_list = np.unique(keys[:, 2])
+    ks, frame_of = np.unique(keys[:, 0], return_inverse=True)
+    rss = np.full((ks.size, table.n_links, channel_list.size), np.nan)
+    rss[frame_of, keys[:, 1], np.searchsorted(channel_list, keys[:, 2])] = values
+    return [RssFrame(k=int(k), rss=r, channels=channel_list)
+            for k, r in zip(ks, rss)]
 
 
 def save_trace(frames, table: LinkTable, path) -> None:

@@ -151,15 +151,16 @@ def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:
 
     Args:
         op: precomputed operator.
-        y: measurement vector, length = operator row count, ordered like
-            the operator's weight matrix rows.
+        y: measurement vector (rows,) or K stacked measurement columns
+            (rows, K), ordered like the operator's weight matrix rows.
 
     Returns:
-        (N,) attenuation-change image in the operator's voxel order.
+        (N,) attenuation-change image, or (N, K) for stacked columns, in
+        the operator's voxel order.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (op.pi.shape[1],):
+    if y.ndim not in (1, 2) or y.shape[0] != op.pi.shape[1]:
         raise ValueError(
-            f"measurement length {y.shape} != operator rows ({op.pi.shape[1]},)"
+            f"measurement shape {y.shape} != operator rows ({op.pi.shape[1]},)"
         )
     return op.pi @ y

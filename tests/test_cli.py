@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rtikit.calibration import RssFrame
 from rtikit.cli import main
-from rtikit.geometry import enumerate_links
+from rtikit.geometry import VoxelGrid, enumerate_links
+from rtikit.harness import PipelineConfig, VariantPipeline
 from rtikit.ingest import (
     load_fade_table,
     load_image,
@@ -84,6 +88,35 @@ def test_reconstruct_writes_loadable_images(workspace):
     assert len(images) == 8
     image, grid = load_image(images[0])
     assert image.shape == (grid.n_voxels,)
+
+
+def test_reconstruct_with_fades_images_every_frame(workspace):
+    tmp_path, layout, layout_path, _, config = workspace
+    trace_path, _ = _simulate(workspace)
+    fades_path = tmp_path / "fades.txt"
+    assert main(["calibrate", "--layout", str(layout_path),
+                 "--trace", str(trace_path), "--out", str(fades_path)]) == 0
+    out_dir = tmp_path / "imgs"
+    rc = main(["reconstruct", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--config", str(config),
+               "--fades", str(fades_path), "--channels", "11,21",
+               "--variant", "flrti", "--out-dir", str(out_dir)])
+    assert rc == 0
+    table = enumerate_links(layout)
+    cols, channels = [0, 2], np.array([11, 21])
+    frames = [RssFrame(k=f.k, rss=f.rss[:, cols], channels=channels)
+              for f in load_trace(trace_path, table)]
+    fades = load_fade_table(fades_path, table)
+    fades = replace(fades, values=fades.values[:, cols],
+                    mean_rss=fades.mean_rss[:, cols], channels=channels)
+    assert len(list(out_dir.iterdir())) == len(frames) == 38
+    grid = VoxelGrid.from_layout(layout, PipelineConfig().voxel_width)
+    pipeline = VariantPipeline("flrti", fades, layout, grid,
+                               PipelineConfig(calibration_frames=30))
+    for frame, expected in zip(frames, pipeline.images(frames)):
+        image, image_grid = load_image(out_dir / f"image_{frame.k:06d}.txt")
+        assert (image_grid.nx, image_grid.ny) == (grid.nx, grid.ny)
+        np.testing.assert_array_equal(image, expected)
 
 
 def test_simulate_seed_override_changes_trace(workspace):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rtikit.calibration import FadeLevelTable, PathLossFit
+from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
 from rtikit.geometry import VoxelGrid, enumerate_links
 from rtikit.harness import (
     VARIANTS,
@@ -12,6 +12,7 @@ from rtikit.harness import (
     crosscheck_models,
     run_pipeline,
 )
+from rtikit.tracking import PositionEstimate, init_track, kalman_step
 from rtikit.simulator import (
     ScenarioSpec,
     generate_trace,
@@ -180,6 +181,60 @@ def test_flrti_m1_matches_rti_when_one_channel_dominates():
         PipelineConfig(rti_channel=21, hold=False))
     np.testing.assert_allclose(fl.measurement(frame),
                                single.measurement(frame))
+
+
+def test_images_match_per_frame_images_with_missing_samples():
+    layout, trace = _small_trace()
+    table = enumerate_links(layout)
+    fades = calibrate(trace.frames[:trace.calibration_frames], table)
+    grid = VoxelGrid.from_layout(layout, 0.2)
+    config = PipelineConfig(calibration_frames=trace.calibration_frames)
+    rng = np.random.default_rng(8)
+    frames = []
+    for i, f in enumerate(trace.frames[trace.calibration_frames:]):
+        rss = np.where(rng.random(f.rss.shape) < 0.2, np.nan, f.rss)
+        rss[:3] = np.nan  # an outage longer than the hold window
+        if i < 2:
+            rss[:3] = f.rss[:3]
+        frames.append(RssFrame(k=f.k, rss=rss, channels=f.channels))
+    for variant in VARIANTS:
+        batch = VariantPipeline(variant, fades, layout, grid, config)
+        single = VariantPipeline(variant, fades, layout, grid, config,
+                                 operator=batch.operator)
+        images = batch.images(frames)
+        assert images.shape == (len(frames), grid.n_voxels)
+        np.testing.assert_allclose(
+            images, np.array([single.image(f) for f in frames]),
+            rtol=0, atol=1e-12, err_msg=variant)
+    assert batch.images([]).shape == (0, grid.n_voxels)
+
+
+def test_kalman_step_spans_dropped_frames():
+    layout = perimeter_layout(12, 4.0, 4.0)
+    t = np.arange(60)
+    traj = np.column_stack((100 + t, 2.0 + 1.2 * np.sin(t / 9),
+                            2.0 + 1.2 * np.cos(t / 7)))
+    trace = generate_trace(ScenarioSpec(layout=layout, trajectory=traj,
+                                        seed=3, calibration_frames=100))
+    frames = [f for f in trace.frames if not 120 <= f.k <= 139]
+    config = PipelineConfig(calibration_frames=100, kalman=True, dt=0.5)
+    raw = run_pipeline("msrti", frames, layout,
+                       PipelineConfig(calibration_frames=100)).rows
+    smooth = run_pipeline("msrti", frames, layout, config).rows
+    assert [r[0] for r in smooth] == [r[0] for r in raw]
+
+    r = config.kalman_r_scale * config.voxel_width**2
+    estimates = [PositionEstimate(k=k, xy=(x, y), peak=0.0, voxel=0)
+                 for k, x, y in raw]
+    track = init_track(estimates[0])
+    expected = {estimates[0].k: estimates[0].xy}
+    for est in estimates[1:]:
+        dt = 21 * config.dt if est.k == 140 else config.dt
+        track = kalman_step(track, est, dt=dt, q=config.kalman_q, r=r)
+        expected[est.k] = tuple(track.position)
+    row = next(row for row in smooth if row[0] == 140)
+    assert row[1:] == expected[140]
+    assert {row[0]: row[1:] for row in smooth} == expected
 
 
 def test_benchmark_rows_and_reuse():

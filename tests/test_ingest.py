@@ -104,6 +104,34 @@ def test_trace_duplicate_last_wins_with_warning(tmp_path, layout):
     assert frames[0].value(table.link_index(1, 2), 15) == -55.0
 
 
+def test_trace_out_of_order_interleaved_k(tmp_path, layout):
+    table = enumerate_links(layout)
+    path = tmp_path / "trace.txt"
+    path.write_text(
+        "9 1 2 11 -50.0\n"
+        "2 1 3 17 -61.5\n"
+        "9 3 1 17 NA\n"
+        "5 2 1 11 -70.25\n"
+        "2 2 1 11 -62.0\n"
+        "9 1 3 11 -51.0\n"
+        "5 1 2 17 -71.0\n"
+    )
+    frames = load_trace(path, table)
+    assert [f.k for f in frames] == [2, 5, 9]
+    l12, l13 = table.link_index(1, 2), table.link_index(1, 3)
+    expected = {
+        2: {(l13, 17): -61.5, (l12, 11): -62.0},
+        5: {(l12, 11): -70.25, (l12, 17): -71.0},
+        9: {(l12, 11): -50.0, (l13, 11): -51.0},
+    }
+    for frame in frames:
+        np.testing.assert_array_equal(frame.channels, [11, 17])
+        want = np.full((table.n_links, 2), np.nan)
+        for (link, channel), value in expected[frame.k].items():
+            want[link, [11, 17].index(channel)] = value
+        np.testing.assert_array_equal(frame.rss, want)
+
+
 def test_trace_errors(tmp_path, layout):
     table = enumerate_links(layout)
     path = tmp_path / "trace.txt"

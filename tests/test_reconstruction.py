@@ -146,3 +146,19 @@ def test_reconstruct_linearity():
     )
     with pytest.raises(ValueError):
         reconstruct(op, y1[:-1])
+
+
+def test_reconstruct_stacked_columns():
+    layout, table = octagon()
+    grid = VoxelGrid.from_layout(layout, p=0.7)
+    wm = build_classic_weights(table, layout, grid, lam=0.8)
+    op = build_operator(wm, grid)
+    y = np.random.default_rng(2).uniform(0, 1, size=(wm.n_rows, 3))
+    x = reconstruct(op, y)
+    assert x.shape == (grid.n_voxels, 3)
+    for j in range(3):
+        np.testing.assert_allclose(x[:, j], reconstruct(op, y[:, j]),
+                                   rtol=0, atol=1e-12)
+    for bad in (y[:-1], y[:-1, 0], y.T, y[:, :, None], np.float64(1.0)):
+        with pytest.raises(ValueError, match="operator rows"):
+            reconstruct(op, bad)
