@@ -195,8 +195,14 @@ def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:
 
 
 def _rti_channel(fades: FadeLevelTable, config: PipelineConfig) -> int:
-    return (config.rti_channel if config.rti_channel is not None
-            else int(fades.channels[0]))
+    if config.rti_channel is None:
+        return int(fades.channels[0])
+    if config.rti_channel not in fades.channels:
+        raise ValueError(
+            f"rti_channel {config.rti_channel} is not a calibrated channel "
+            f"{fades.channels.tolist()}"
+        )
+    return config.rti_channel
 
 
 def _rti_measure(fades, config, weights, hold):

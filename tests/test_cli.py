@@ -119,6 +119,19 @@ def test_reconstruct_with_fades_images_every_frame(workspace):
         np.testing.assert_array_equal(image, expected)
 
 
+def test_rti_channel_outside_calibrated_set_is_an_error(workspace, capsys):
+    tmp_path, _, layout_path, _, _ = workspace
+    trace_path, _ = _simulate(workspace)
+    config = tmp_path / "rti.txt"
+    config.write_text("calibration_frames 30\nrti_channel 12\n")
+    rc = main(["track", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--config", str(config),
+               "--channels", "11,16", "--variant", "rti",
+               "--out", str(tmp_path / "track.csv")])
+    assert rc == 2
+    assert "error: rti_channel 12" in capsys.readouterr().err
+
+
 def test_simulate_seed_override_changes_trace(workspace):
     tmp_path, layout, layout_path, scenario, _ = workspace
     a, _ = _simulate(workspace)

@@ -142,6 +142,15 @@ def test_rti_channel_selection():
     assert default.channel == int(fades.channels[0])
 
 
+def test_rti_channel_outside_calibrated_set_is_rejected():
+    layout, _ = _small_trace()
+    fades = _uniform_fades(enumerate_links(layout), (11, 16))
+    grid = VoxelGrid.from_layout(layout, 0.4)
+    with pytest.raises(ValueError, match=r"rti_channel 12 .*\[11, 16\]"):
+        VariantPipeline("rti", fades, layout, grid,
+                        PipelineConfig(rti_channel=12, hold=False))
+
+
 def test_flrti_selection_all_channels_when_m_large():
     values = np.array([[1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
     sel = _flrti_selection(values, m=7)

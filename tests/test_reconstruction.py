@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
+from rtikit import reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.reconstruction import (
@@ -115,8 +116,75 @@ def test_operator_deterministic_and_precision_reuse():
     term = prior_precision_term(grid, params)
     c = build_operator(wm, grid, params, precision_term=term)
     np.testing.assert_allclose(c.pi, a.pi, atol=1e-12)
+    # only the upper triangle of the precision term is read
+    upper = build_operator(wm, grid, params, precision_term=np.triu(term))
+    assert np.array_equal(upper.pi, c.pi)
     with pytest.raises(ValueError):
         build_operator(wm, grid, params, precision_term=np.eye(3))
+
+
+def test_precision_term_is_symmetric_inverse_of_prior():
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7)
+    params = ReconstructionParams()
+    term = prior_precision_term(grid, params)
+    assert np.array_equal(term, term.T)
+    want = params.sigma_n**2 * np.eye(grid.n_voxels)
+    np.testing.assert_allclose(term @ prior_covariance(grid, params), want,
+                               rtol=0, atol=1e-8 * params.sigma_n**2)
+
+
+def test_prior_covariance_not_spd_raises(monkeypatch):
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=4, ny=3)
+    indefinite = np.eye(grid.n_voxels)
+    indefinite[5, 5] = -1.0
+    monkeypatch.setattr(reconstruction, "prior_covariance",
+                        lambda grid, params: indefinite.copy())
+    with pytest.raises(linalg.LinAlgError,
+                       match=r"prior covariance is not SPD.*N=12, delta_c=4.0"):
+        prior_precision_term(grid, ReconstructionParams())
+
+
+def test_normal_matrix_not_spd_raises():
+    layout, table = octagon()
+    grid = VoxelGrid.from_layout(layout, p=0.7)
+    wm = build_classic_weights(table, layout, grid, lam=0.8)
+    n = grid.n_voxels
+    with pytest.raises(linalg.LinAlgError,
+                       match=rf"regularized normal matrix is not SPD.*"
+                             rf"N={n}, rows={wm.n_rows}"):
+        build_operator(wm, grid, precision_term=-1e3 * np.eye(n))
+
+
+def test_shared_build_leaves_inputs_untouched():
+    """msrti and cdrti built from one precision term, as a recalibration
+    does: the term and every W buffer stay bit-identical."""
+    layout, table = octagon()
+    grid = VoxelGrid.from_layout(layout, p=0.7)
+    params = ReconstructionParams()
+    vals = np.random.default_rng(4).uniform(-8, 8, size=(table.n_links, 2))
+    fades = FadeLevelTable(
+        values=vals, mean_rss=np.zeros_like(vals),
+        channels=np.array([11, 12]),
+        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
+    )
+    classic = build_classic_weights(table, layout, grid, lam=0.8).matrix
+    stacked = sparse.vstack([classic, classic], format="csr")
+    weights = [
+        build_multiscale_weights(table, layout, grid, fades),
+        WeightMatrix(matrix=stacked, row_keys=tuple(range(stacked.shape[0]))),
+    ]
+    term = prior_precision_term(grid, params)
+    term_before = term.copy()
+    before = [(w.matrix.data.copy(), w.matrix.indices.copy(),
+               w.matrix.indptr.copy()) for w in weights]
+    for wm, (data, indices, indptr) in zip(weights, before):
+        op = build_operator(wm, grid, params, precision_term=term)
+        assert op.pi.shape == (grid.n_voxels, wm.n_rows)
+        assert op.pi.flags.f_contiguous
+        assert np.array_equal(wm.matrix.data, data)
+        assert np.array_equal(wm.matrix.indices, indices)
+        assert np.array_equal(wm.matrix.indptr, indptr)
+        assert np.array_equal(term, term_before)
 
 
 def test_operator_grid_mismatch():
