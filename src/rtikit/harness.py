@@ -7,8 +7,11 @@ sequence with one Π·Y product, and run_pipeline and benchmark localize its
 rows; VariantPipeline.image serves one frame at a time for streaming.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
-- ``cdrti``: every channel treated as an independent link — stacked RSS
-  losses over per-channel copies of the fixed-width weights.
+- ``cdrti``: every (link, channel) pair treated as an independent link
+  (Kaltiokallio, Bocca & Patwari, IEEE MASS 2012). C stacked copies of the
+  fixed-width weights W give the Gram matrix C·WᵀW and the back-projection
+  Wᵀ Σ_c s_c, so the same image comes from one copy, √C·W, fed the
+  channel-summed loss Σ_c s_c / √C.
 - ``flrti``: per link, the m most anti-fade channels averaged into one
   RSS-loss measurement over the fixed-width weights.
 - ``msrti``: direction-resolved in-ellipse probabilities over the
@@ -21,7 +24,6 @@ targets attenuation for every variant.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .calibration import FadeLevelTable, calibrate
 from .geometry import NodeLayout, VoxelGrid, enumerate_links
@@ -85,7 +87,6 @@ class PipelineConfig:
             calibrated channel.
         flrti_m: how many most-anti-fade channels each link averages.
         ellipse / measurement / reconstruction: model parameter sets.
-        hold: apply the missing-sample hold policy during the run.
         kalman: smooth positions with the Kalman filter.
         kalman_q: process-noise intensity (white-noise jerk).
         kalman_r_scale: measurement variance = scale * voxel_width².
@@ -102,7 +103,6 @@ class PipelineConfig:
     ellipse: EllipseModelParams = field(default_factory=EllipseModelParams)
     measurement: MeasurementModelParams = field(default_factory=MeasurementModelParams)
     reconstruction: ReconstructionParams = field(default_factory=ReconstructionParams)
-    hold: bool = True
     kalman: bool = False
     kalman_q: float = 1.0
     kalman_r_scale: float = 4.0
@@ -139,7 +139,7 @@ class PipelineConfig:
         top_float = {"voxel_width", "grid_margin", "classic_lambda",
                      "kalman_q", "kalman_r_scale", "dt"}
         top_int = {"calibration_frames", "rti_channel", "flrti_m"}
-        top_bool = {"hold", "kalman"}
+        top_bool = {"kalman"}
 
         ellipse, measurement, recon, top = {}, {}, {}, {}
         for key, values in kv.items():
@@ -179,15 +179,11 @@ def _classic_weights(table, layout, grid, fades, config) -> WeightMatrix:
     return build_classic_weights(table, layout, grid, config.classic_lambda)
 
 
-def _stacked_weights(table, layout, grid, fades, config) -> WeightMatrix:
-    """cdrti treats each (channel, link) pair as its own link: per-channel
-    copies of the fixed-width weights, stacked channel-major."""
+def _scaled_weights(table, layout, grid, fades, config) -> WeightMatrix:
+    """cdrti: the fixed-width weights times √C, one row per link."""
     classic = _classic_weights(table, layout, grid, fades, config)
-    stacked = sparse.vstack([classic.matrix] * fades.channels.size, format="csr")
-    keys = tuple(
-        (int(c), l) for c in fades.channels for l in range(table.n_links)
-    )
-    return WeightMatrix(matrix=stacked, row_keys=keys)
+    return WeightMatrix(matrix=classic.matrix * np.sqrt(fades.channels.size),
+                        row_keys=classic.row_keys)
 
 
 def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:
@@ -211,8 +207,8 @@ def _rti_measure(fades, config, weights, hold):
 
 
 def _cdrti_measure(fades, config, weights, hold):
-    # channel-major, links within channel, like the stacked weight rows
-    return lambda frame: _loss(frame, fades, hold).T.reshape(-1)
+    root_c = np.sqrt(fades.channels.size)
+    return lambda frame: _loss(frame, fades, hold).sum(axis=1) / root_c
 
 
 def _flrti_measure(fades, config, weights, hold):
@@ -227,10 +223,11 @@ def _msrti_measure(fades, config, weights, hold):
 
 # variant -> (weights(table, layout, grid, fades, config) -> WeightMatrix,
 #             measure(fades, config, weights, hold) -> (frame -> y),
-#             whether the weights, hence the operator, depend on the fades)
+#             whether the weights, hence the operator, depend on the
+#             calibration beyond its channel count)
 _VARIANT_TABLE = {
     "rti": (_classic_weights, _rti_measure, False),
-    "cdrti": (_stacked_weights, _cdrti_measure, False),
+    "cdrti": (_scaled_weights, _cdrti_measure, False),
     "flrti": (_classic_weights, _flrti_measure, False),
     "msrti": (_multiscale_weights, _msrti_measure, True),
 }
@@ -251,24 +248,23 @@ class VariantPipeline:
                  operator=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-        weights, measure, _ = _VARIANT_TABLE[variant]
+        build_weights, measure, _ = _VARIANT_TABLE[variant]
         self.variant = variant
         self.fades = fades
         self.grid = grid
         self.config = config
         table = enumerate_links(layout)
+        weights = (operator.weights if operator is not None
+                   else build_weights(table, layout, grid, fades, config))
+        hold = HoldBuffer(table.n_links, fades.channels.size,
+                          config.measurement.hold_frames)
+        # the measure function validates the variant's inputs, so a bad
+        # input is reported before the expensive operator build
+        self._measure = measure(fades, config, weights, hold)
         if operator is None:
-            operator = build_operator(
-                weights(table, layout, grid, fades, config),
-                grid, config.reconstruction, precision_term,
-            )
+            operator = build_operator(weights, grid, config.reconstruction,
+                                      precision_term)
         self.operator = operator
-        hold = (
-            HoldBuffer(table.n_links, fades.channels.size,
-                       config.measurement.hold_frames)
-            if config.hold else None
-        )
-        self._measure = measure(fades, config, operator.weights, hold)
 
     @property
     def channel(self) -> int:

@@ -9,7 +9,7 @@ with tight ellipses localize sharply while deep-fade links spread their
 evidence widely.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -108,16 +108,12 @@ class WeightMatrix:
     matrix: sparse.csr_matrix
     row_keys: tuple
     excluded: tuple = ()
-    row_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.row_keys) != self.matrix.shape[0]:
             raise ValueError("row_keys length must match matrix row count")
         if self.matrix.nnz and self.matrix.data.min() < 0:
             raise ValueError("weights must be >= 0")
-        object.__setattr__(
-            self, "row_index", {k: r for r, k in enumerate(self.row_keys)}
-        )
 
     @property
     def n_rows(self) -> int:
@@ -126,17 +122,6 @@ class WeightMatrix:
     @property
     def n_voxels(self) -> int:
         return self.matrix.shape[1]
-
-    def row_of(self, key) -> int:
-        """Row number for a row key; KeyError if absent (e.g. excluded)."""
-        try:
-            return self.row_index[key]
-        except KeyError:
-            raise KeyError(f"no weight row for {key!r}") from None
-
-    def row_support(self, row: int) -> np.ndarray:
-        """Voxel indices with nonzero weight in one row."""
-        return self.matrix.indices[self.matrix.indptr[row]:self.matrix.indptr[row + 1]]
 
 
 def build_classic_weights(table: LinkTable, layout: NodeLayout,

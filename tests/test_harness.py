@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
+from rtikit import harness
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
 from rtikit.geometry import VoxelGrid, enumerate_links
 from rtikit.harness import (
@@ -12,6 +14,8 @@ from rtikit.harness import (
     crosscheck_models,
     run_pipeline,
 )
+from rtikit.measurement_model import HoldBuffer, rss_change
+from rtikit.reconstruction import build_operator, reconstruct
 from rtikit.tracking import PositionEstimate, init_track, kalman_step
 from rtikit.simulator import (
     ScenarioSpec,
@@ -19,7 +23,11 @@ from rtikit.simulator import (
     perimeter_layout,
     stationary_trajectory,
 )
-from rtikit.spatial_model import EllipseModelParams
+from rtikit.spatial_model import (
+    EllipseModelParams,
+    WeightMatrix,
+    build_classic_weights,
+)
 
 
 def _small_trace(seed=3, calibration_frames=40, n_nodes=10, side=4.0):
@@ -97,26 +105,44 @@ def test_measurement_length_matches_operator_rows():
         assert img.shape == (grid.n_voxels,)
 
 
-def test_cdrti_measurement_is_channel_major_stack():
+def test_cdrti_matches_stacked_reference():
+    # cdrti treats each (link, channel) pair as its own link; the reference
+    # stacks C copies of the fixed-width weights, channel-major, and feeds
+    # them the per-channel losses in the same order
     layout, trace = _small_trace()
-    config = PipelineConfig(calibration_frames=trace.calibration_frames,
-                            hold=False)
     table = enumerate_links(layout)
-    from rtikit.calibration import calibrate
-    from rtikit.measurement_model import rss_change
-
+    config = PipelineConfig(calibration_frames=trace.calibration_frames)
     fades = calibrate(trace.frames[:trace.calibration_frames], table)
-    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    values, mean_rss = fades.values.copy(), fades.mean_rss.copy()
+    values[5, 1] = mean_rss[5, 1] = np.nan  # one uncalibrated pair
+    fades = FadeLevelTable(values=values, mean_rss=mean_rss,
+                           channels=fades.channels, fit=fades.fit)
+    grid = VoxelGrid.from_layout(layout, 0.2)
+    rng = np.random.default_rng(5)
+    frames = []
+    for f in trace.frames[trace.calibration_frames:]:
+        rss = np.where(rng.random(f.rss.shape) < 0.2, np.nan, f.rss)
+        frames.append(RssFrame(k=f.k, rss=rss, channels=f.channels))
+
+    classic = build_classic_weights(table, layout, grid, config.classic_lambda)
+    n_channels = fades.channels.size
+    stacked = sparse.vstack([classic.matrix] * n_channels, format="csr")
+    reference_op = build_operator(
+        WeightMatrix(matrix=stacked, row_keys=tuple(range(stacked.shape[0]))),
+        grid, config.reconstruction)
+    hold = HoldBuffer(table.n_links, n_channels,
+                      config.measurement.hold_frames)
+    y = np.column_stack([
+        -np.nan_to_num(rss_change(f, fades, hold), nan=0.0).T.reshape(-1)
+        for f in frames])
+    reference = reconstruct(reference_op, y).T
+
     pipe = VariantPipeline("cdrti", fades, layout, grid, config)
-    frame = trace.frames[-1]
-    y = pipe.measurement(frame)
-    delta = rss_change(frame, fades)
-    for ci in range(fades.channels.size):
-        block = y[ci * table.n_links:(ci + 1) * table.n_links]
-        np.testing.assert_allclose(block, -np.nan_to_num(delta[:, ci]))
-    # row keys agree with the stacking order
-    assert pipe.operator.weights.row_keys[table.n_links] == (
-        int(fades.channels[1]), 0)
+    assert pipe.operator.pi.shape == (grid.n_voxels, table.n_links)
+    images = pipe.images(frames)
+    scale = np.abs(reference).max()
+    assert scale > 0
+    np.testing.assert_allclose(images, reference, rtol=0, atol=1e-9 * scale)
 
 
 def test_rti_channel_selection():
@@ -129,7 +155,7 @@ def test_rti_channel_selection():
     grid = VoxelGrid.from_layout(layout, 0.2)
     chan = int(fades.channels[2])
     config = PipelineConfig(calibration_frames=trace.calibration_frames,
-                            rti_channel=chan, hold=False)
+                            rti_channel=chan)
     pipe = VariantPipeline("rti", fades, layout, grid, config)
     assert pipe.channel == chan
     frame = trace.frames[-1]
@@ -142,13 +168,18 @@ def test_rti_channel_selection():
     assert default.channel == int(fades.channels[0])
 
 
-def test_rti_channel_outside_calibrated_set_is_rejected():
+def test_rti_channel_outside_calibrated_set_is_rejected(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("operator built before the channel was checked")
+
+    # the channel is rejected before any operator is built
+    monkeypatch.setattr(harness, "build_operator", no_build)
     layout, _ = _small_trace()
     fades = _uniform_fades(enumerate_links(layout), (11, 16))
     grid = VoxelGrid.from_layout(layout, 0.4)
     with pytest.raises(ValueError, match=r"rti_channel 12 .*\[11, 16\]"):
         VariantPipeline("rti", fades, layout, grid,
-                        PipelineConfig(rti_channel=12, hold=False))
+                        PipelineConfig(rti_channel=12))
 
 
 def test_flrti_selection_all_channels_when_m_large():
@@ -184,10 +215,10 @@ def test_flrti_m1_matches_rti_when_one_channel_dominates():
     frame = trace.frames[-1]
     fl = VariantPipeline(
         "flrti", fades, layout, grid,
-        PipelineConfig(flrti_m=1, hold=False))
+        PipelineConfig(flrti_m=1))
     single = VariantPipeline(
         "rti", fades, layout, grid,
-        PipelineConfig(rti_channel=21, hold=False))
+        PipelineConfig(rti_channel=21))
     np.testing.assert_allclose(fl.measurement(frame),
                                single.measurement(frame))
 
@@ -316,7 +347,6 @@ def test_config_from_dict_roundtrip():
         "calibration_frames": [["60"]],
         "flrti_m": [["2"]],
         "kalman": [["true"]],
-        "hold": [["0"]],
         "k_lambda_minus": [["-5.0"]],
         "b_lambda_minus": [["0.25"]],
         "lambda_max": [["2.5"]],
@@ -330,7 +360,6 @@ def test_config_from_dict_roundtrip():
     assert config.calibration_frames == 60
     assert config.flrti_m == 2
     assert config.kalman is True
-    assert config.hold is False
     assert config.ellipse.k_down == -5.0
     assert config.ellipse.b_down == 0.25
     assert config.ellipse.lambda_max == 2.5
@@ -343,6 +372,8 @@ def test_config_from_dict_roundtrip():
 def test_config_from_dict_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown config key"):
         PipelineConfig.from_dict({"sigma_z": [["1.0"]]})
+    with pytest.raises(ValueError, match="unknown config key 'hold'"):
+        PipelineConfig.from_dict({"hold": [["0"]]})
     with pytest.raises(ValueError, match="exactly one value"):
         PipelineConfig.from_dict({"sigma_x": [["1.0", "2.0"]]})
 

@@ -185,7 +185,7 @@ def test_assemble_single_change_placement():
     assert weights.row_keys[nz[0]] == (11, 2, DIR_DOWN)
     assert y[nz[0]] == pytest.approx(0.69, abs=5e-3)
     # plus slot for the same pair stays zero
-    assert y[weights.row_of((11, 2, DIR_UP))] == 0.0
+    assert y[weights.row_keys.index((11, 2, DIR_UP))] == 0.0
 
 
 def test_assemble_zero_frame_and_length():
@@ -224,8 +224,8 @@ def test_assemble_matches_scalar_model_everywhere():
         # exclusive slot occupancy
         for c, l, d in weights.row_keys:
             if d == DIR_UP:
-                up = y[weights.row_of((c, l, DIR_UP))]
-                down = y[weights.row_of((c, l, DIR_DOWN))]
+                up = y[weights.row_keys.index((c, l, DIR_UP))]
+                down = y[weights.row_keys.index((c, l, DIR_DOWN))]
                 assert up == 0.0 or down == 0.0
         assert np.all((y >= 0) & (y < 1))
 

@@ -90,7 +90,7 @@ def test_classic_weights_value_and_oracle():
         for j in range(grid.n_voxels):
             inside = excess_path_length(l, grid.center_of(j), table, layout) < lam
             assert dense[l, j] == pytest.approx(val if inside else 0.0)
-    assert wm.row_of(3) == 3
+    assert wm.row_keys.index(3) == 3
     assert wm.excluded == ()
 
 
@@ -158,8 +158,8 @@ def test_multiscale_antifade_asymmetry():
     fades = flat_fades(table, [11], 8.0)
     wm = build_multiscale_weights(table, layout, grid, fades)
     for l in range(table.n_links):
-        n_up = wm.matrix.getrow(wm.row_of((11, l, DIR_UP))).nnz
-        n_down = wm.matrix.getrow(wm.row_of((11, l, DIR_DOWN))).nnz
+        n_up = wm.matrix.getrow(wm.row_keys.index((11, l, DIR_UP))).nnz
+        n_down = wm.matrix.getrow(wm.row_keys.index((11, l, DIR_DOWN))).nnz
         assert n_down <= n_up
 
 
@@ -178,11 +178,11 @@ def test_multiscale_excluded_pairs():
     wm = build_multiscale_weights(table, layout, grid, fades)
     assert wm.n_rows == 2 * (table.n_links * 2 - 2)
     assert set(wm.excluded) == {(4, 11), (7, 12)}
-    assert (11, 4, DIR_UP) not in wm.row_index
-    assert (11, 4, DIR_DOWN) not in wm.row_index
-    assert (12, 4, DIR_UP) in wm.row_index
-    with pytest.raises(KeyError):
-        wm.row_of((11, 4, DIR_UP))
+    assert (11, 4, DIR_UP) not in wm.row_keys
+    assert (11, 4, DIR_DOWN) not in wm.row_keys
+    assert (12, 4, DIR_UP) in wm.row_keys
+    with pytest.raises(ValueError):
+        wm.row_keys.index((11, 4, DIR_UP))
 
 
 def test_multiscale_matches_independent_loop():
