@@ -5,7 +5,8 @@ pooled over all links and channels, after removing the known per-channel
 transmit-power offset. The residual of each link/channel mean against the
 fitted model is its fade level: positive in anti-fade (constructive
 multipath), negative in deep fade. Missing link/channel combinations stay
-NaN and are excluded everywhere downstream.
+NaN; downstream they get all-zero multi-scale weight rows, a zero
+measurement and no place in the flrti channel choice.
 """
 
 from dataclasses import dataclass
@@ -185,7 +186,7 @@ def calibrate(frames, table: LinkTable, d0: float = 1.0) -> FadeLevelTable:
 
     Averages each (link, channel)'s available samples across frames, then
     fits the pooled path-loss model (see calibrate_means). Pairs with zero
-    samples stay NaN and are excluded downstream.
+    samples stay NaN and contribute nothing downstream.
 
     Args:
         frames: iterable of RssFrame, all sharing one channel set.

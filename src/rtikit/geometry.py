@@ -65,9 +65,6 @@ class NodeLayout:
         except KeyError:
             raise KeyError(f"unknown node id {node_id}") from None
 
-    def position(self, node_id: int) -> np.ndarray:
-        return self.xy[self.index_of(node_id)]
-
 
 @dataclass(frozen=True)
 class LinkTable:

@@ -132,7 +132,7 @@ class PipelineConfig:
         }
         measurement_keys = {
             "beta_minus": "beta_minus", "k_beta_plus": "k_beta_plus",
-            "b_beta_plus": "b_beta_plus", "dead_zone_db": "dead_zone_db",
+            "b_beta_plus": "b_beta_plus",
         }
         recon_keys = {"sigma_x": "sigma_x", "sigma_n": "sigma_n",
                       "delta_c": "delta_c"}
@@ -201,28 +201,28 @@ def _rti_channel(fades: FadeLevelTable, config: PipelineConfig) -> int:
     return config.rti_channel
 
 
-def _rti_measure(fades, config, weights, hold):
+def _rti_measure(fades, config, hold):
     col = fades.channel_column(_rti_channel(fades, config))
     return lambda frame: _loss(frame, fades, hold)[:, col]
 
 
-def _cdrti_measure(fades, config, weights, hold):
+def _cdrti_measure(fades, config, hold):
     root_c = np.sqrt(fades.channels.size)
     return lambda frame: _loss(frame, fades, hold).sum(axis=1) / root_c
 
 
-def _flrti_measure(fades, config, weights, hold):
+def _flrti_measure(fades, config, hold):
     selection = _flrti_selection(fades.values, config.flrti_m)
     return lambda frame: (_loss(frame, fades, hold) * selection).sum(axis=1)
 
 
-def _msrti_measure(fades, config, weights, hold):
-    assembler = MeasurementAssembler(fades, config.measurement, weights)
+def _msrti_measure(fades, config, hold):
+    assembler = MeasurementAssembler(fades, config.measurement)
     return lambda frame: assembler(frame, hold)
 
 
 # variant -> (weights(table, layout, grid, fades, config) -> WeightMatrix,
-#             measure(fades, config, weights, hold) -> (frame -> y),
+#             measure(fades, config, hold) -> (frame -> y),
 #             whether the weights, hence the operator, depend on the
 #             calibration beyond its channel count)
 _VARIANT_TABLE = {
@@ -254,14 +254,13 @@ class VariantPipeline:
         self.grid = grid
         self.config = config
         table = enumerate_links(layout)
-        weights = (operator.weights if operator is not None
-                   else build_weights(table, layout, grid, fades, config))
         hold = HoldBuffer(table.n_links, fades.channels.size,
                           config.measurement.hold_frames)
         # the measure function validates the variant's inputs, so a bad
-        # input is reported before the expensive operator build
-        self._measure = measure(fades, config, weights, hold)
+        # input is reported before the expensive weights and operator build
+        self._measure = measure(fades, config, hold)
         if operator is None:
+            weights = build_weights(table, layout, grid, fades, config)
             operator = build_operator(weights, grid, config.reconstruction,
                                       precision_term)
         self.operator = operator
@@ -368,33 +367,45 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
 def _track(pipeline: VariantPipeline, frames, truth: dict | None,
            kalman: bool) -> PipelineResult:
     """Localize each row of pipeline.images(frames), optionally through the
-    Kalman filter, whose step spans the k difference times config.dt."""
+    Kalman filter, whose step spans the k difference times config.dt.
+
+    An identically zero image (y = 0, which an outage longer than the hold
+    window gives) is no detection: its row has a NaN position and error,
+    the summary leaves it out and the Kalman filter takes no update.
+    """
     grid, config = pipeline.grid, pipeline.config
-    estimates = [localize(image, grid, k=frame.k)
+    estimates = [localize(image, grid, k=frame.k) if image.any() else None
                  for frame, image in zip(frames, pipeline.images(frames))]
 
-    positions = [est.xy for est in estimates]
-    if kalman and estimates:
+    nan = float("nan")
+    positions = [(nan, nan) if est is None else est.xy for est in estimates]
+    if kalman:
         r = config.kalman_r_scale * config.voxel_width**2
-        track = init_track(estimates[0])
-        for i, est in enumerate(estimates[1:], start=1):
-            track = kalman_step(track, est, dt=(est.k - track.k) * config.dt,
-                                q=config.kalman_q, r=r)
-            positions[i] = tuple(track.position)
+        track = None
+        for i, est in enumerate(estimates):
+            if est is None:
+                continue
+            if track is None:
+                track = init_track(est)
+            else:
+                track = kalman_step(track, est, dt=(est.k - track.k) * config.dt,
+                                    q=config.kalman_q, r=r)
+                positions[i] = tuple(track.position)
 
     rows = []
     errors = []
-    for est, (x, y) in zip(estimates, positions):
+    for frame, est, (x, y) in zip(frames, estimates, positions):
         if truth is None:
-            rows.append((est.k, x, y))
-        elif est.k in truth:
-            tx, ty = truth[est.k]
+            rows.append((frame.k, x, y))
+        elif frame.k in truth:
+            tx, ty = truth[frame.k]
             err = localization_error((x, y), (tx, ty))
-            errors.append(err)
-            rows.append((est.k, x, y, tx, ty, err))
+            if est is not None:
+                errors.append(err)
+            rows.append((frame.k, x, y, tx, ty, err))
         else:
             # keep row widths uniform when truth covers only part of the run
-            rows.append((est.k, x, y, float("nan"), float("nan"), float("nan")))
+            rows.append((frame.k, x, y, nan, nan, nan))
     return PipelineResult(
         variant=pipeline.variant,
         rows=tuple(rows),

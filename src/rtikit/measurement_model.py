@@ -4,8 +4,9 @@ Each (link, channel) RSS change Δr is mapped to the probability that the
 person is inside the corresponding direction-dependent ellipse:
 p = 1 − exp(−β^δ |Δr|), where the loss-direction rate β⁻ is constant and
 the gain-direction rate β⁺ grows with fade level. Probabilities are then
-stacked into the measurement vector matching the multi-scale weight-matrix
-row order, with the non-matching direction slot left at zero.
+stacked as one (channel, direction, link) array, the multi-scale
+weight-matrix row order, with the non-matching direction slot left at zero
+and both slots of an uncalibrated pair at zero.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import FadeLevelTable, RssFrame
-from .spatial_model import DIR_DOWN, DIR_UP, WeightMatrix
+from .spatial_model import DIR_DOWN, DIR_UP
 
 __all__ = [
     "MeasurementModelParams",
@@ -22,7 +23,6 @@ __all__ = [
     "beta_plus",
     "inside_probability",
     "rss_change",
-    "assemble_measurement",
 ]
 
 
@@ -36,24 +36,18 @@ class MeasurementModelParams:
         b_beta_plus: gain-direction rate at F = 0, 1/dB.
         hold_frames: missing samples repeat the last Δr for at most this
             many consecutive frames, then count as 0.
-        dead_zone_db: |Δr| at or below this threshold contributes nothing
-            (0 disables thresholding; the exponential model already
-            suppresses small changes smoothly).
     """
 
     beta_minus: float = 0.1172
     k_beta_plus: float = 13.0018
     b_beta_plus: float = 0.1839
     hold_frames: int = 5
-    dead_zone_db: float = 0.0
 
     def __post_init__(self):
         if self.beta_minus <= 0 or self.k_beta_plus <= 0 or self.b_beta_plus <= 0:
             raise ValueError("rate parameters must be strictly positive")
         if self.hold_frames < 0:
             raise ValueError("hold_frames must be >= 0")
-        if self.dead_zone_db < 0:
-            raise ValueError("dead_zone_db must be >= 0")
 
 
 def beta_plus(fade_level: float, params: MeasurementModelParams) -> float:
@@ -75,13 +69,13 @@ def inside_probability(delta_r: float, fade_level: float,
     Returns:
         (direction, probability): direction is "+" for Δr > 0 and "-"
         otherwise; probability is 1 − exp(−β^δ |Δr|), which is 0 at
-        Δr = 0 and within the dead zone (direction then "-" by
-        convention; both slots would be zero either way).
+        Δr = 0 (direction then "-" by convention; both slots would be
+        zero either way).
     """
     if not np.isfinite(delta_r):
         raise ValueError("delta_r must be finite")
     mag = abs(delta_r)
-    if mag <= params.dead_zone_db or delta_r == 0.0:
+    if delta_r == 0.0:
         return DIR_DOWN, 0.0
     if delta_r > 0:
         rate = beta_plus(fade_level, params)
@@ -162,32 +156,17 @@ def rss_change(frame: RssFrame, fades: FadeLevelTable,
 
 
 class MeasurementAssembler:
-    """Maps frames to measurement vectors aligned with a weight matrix.
+    """Maps frames to msrti measurement vectors.
 
-    Precomputes, once, the (link, channel-column, direction) lookup for
-    every weight row so per-frame assembly is pure array indexing.
+    The vector is the C-order of a (C, 2, L) array of in-ellipse
+    probabilities — channel, then direction ("+" before "-"), then link —
+    the row order of build_multiscale_weights. Uncalibrated pairs read 0
+    in both slots, as do their all-zero weight rows.
     """
 
-    def __init__(self, fades: FadeLevelTable, params: MeasurementModelParams,
-                 weights: WeightMatrix):
+    def __init__(self, fades: FadeLevelTable, params: MeasurementModelParams):
         self.fades = fades
         self.params = params
-        self.weights = weights
-        col_of = {int(c): i for i, c in enumerate(fades.channels)}
-        n = weights.n_rows
-        self._links = np.empty(n, dtype=np.int64)
-        self._cols = np.empty(n, dtype=np.int64)
-        self._is_up = np.empty(n, dtype=bool)
-        for r, key in enumerate(weights.row_keys):
-            if not (isinstance(key, tuple) and len(key) == 3):
-                raise ValueError(
-                    "weights must be a multi-scale matrix keyed by "
-                    "(channel, link, direction)"
-                )
-            channel, link, direction = key
-            self._links[r] = link
-            self._cols[r] = col_of[int(channel)]
-            self._is_up[r] = direction == DIR_UP
         # fade-dependent gain rate, fixed per (link, channel)
         with np.errstate(invalid="ignore"):
             self._beta_up = params.b_beta_plus * np.exp(
@@ -196,35 +175,13 @@ class MeasurementAssembler:
 
     def __call__(self, frame: RssFrame,
                  hold: HoldBuffer | None = None) -> np.ndarray:
-        """Measurement vector for one frame, same length/order as W rows."""
+        """(2·C·L,) probabilities in [0, 1); the entry of (c, δ, l) is the
+        in-ellipse probability when δ matches the sign of Δr_cl, else 0."""
         delta = rss_change(frame, self.fades, hold)
         mag = np.abs(delta)
-        active = mag > self.params.dead_zone_db
         with np.errstate(invalid="ignore"):
-            p_up = np.where(
-                (delta > 0) & active,
-                1.0 - np.exp(-self._beta_up * mag), 0.0,
-            )
+            p_up = np.where(delta > 0, 1.0 - np.exp(-self._beta_up * mag), 0.0)
             p_down = np.where(
-                (delta < 0) & active,
-                1.0 - np.exp(-self.params.beta_minus * mag), 0.0,
+                delta < 0, 1.0 - np.exp(-self.params.beta_minus * mag), 0.0
             )
-        return np.where(
-            self._is_up,
-            p_up[self._links, self._cols],
-            p_down[self._links, self._cols],
-        )
-
-
-def assemble_measurement(frame: RssFrame, fades: FadeLevelTable,
-                         params: MeasurementModelParams,
-                         weights: WeightMatrix,
-                         hold: HoldBuffer | None = None) -> np.ndarray:
-    """One-shot measurement assembly (see MeasurementAssembler).
-
-    Returns:
-        (rows,) vector of probabilities in [0, 1); the entry at row
-        (c, l, δ) is the in-ellipse probability when δ matches the sign of
-        Δr_cl, 0 otherwise.
-    """
-    return MeasurementAssembler(fades, params, weights)(frame, hold)
+        return np.stack((p_up.T, p_down.T), axis=1).reshape(-1)

@@ -6,7 +6,8 @@ The multi-scale model sizes each ellipse from the link's calibrated fade
 level — separately per channel and per direction of RSS change — and
 weights member voxels uniformly by the inverse ellipse area n·p², so links
 with tight ellipses localize sharply while deep-fade links spread their
-evidence widely.
+evidence widely. Its rows form one (channel, direction, link) array; an
+uncalibrated (link, channel) pair keeps its two rows, all zero.
 """
 
 from dataclasses import dataclass
@@ -101,13 +102,10 @@ class WeightMatrix:
         matrix: scipy CSR of shape (rows, N), all entries >= 0.
         row_keys: tuple keying each row — link index for the classic
             matrix, (channel, link, direction) for the multi-scale one.
-        excluded: (link, channel) pairs skipped for missing calibration
-            (always empty for the classic matrix).
     """
 
     matrix: sparse.csr_matrix
     row_keys: tuple
-    excluded: tuple = ()
 
     def __post_init__(self):
         if len(self.row_keys) != self.matrix.shape[0]:
@@ -124,6 +122,26 @@ class WeightMatrix:
         return self.matrix.shape[1]
 
 
+def _ellipse_rows(excess: np.ndarray, lam: np.ndarray,
+                  value) -> sparse.csr_matrix:
+    """CSR rows of ellipse weights over the links of `excess`, repeated.
+
+    Args:
+        excess: (L, N) excess path length of every voxel center per link.
+        lam: (R,) ellipse widths, R a multiple of L; row r belongs to link
+            r mod L. A NaN width gives an empty row.
+        value: maps the (R,) member counts to the (R,) weight each row
+            puts on its members.
+    """
+    n_links, n_voxels = excess.shape
+    mask = (excess < lam.reshape(-1, n_links, 1)).reshape(-1, n_voxels)
+    rows, cols = np.nonzero(mask)
+    counts = mask.sum(axis=1)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sparse.csr_matrix((value(counts)[rows], cols, indptr),
+                             shape=mask.shape)
+
+
 def build_classic_weights(table: LinkTable, layout: NodeLayout,
                           grid: VoxelGrid, lam: float = 0.02) -> WeightMatrix:
     """Fixed-width ellipse weights: 1/√d on member voxels, one row per link.
@@ -138,14 +156,8 @@ def build_classic_weights(table: LinkTable, layout: NodeLayout,
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
-    mask = excess < lam
-    rows, cols = np.nonzero(mask)
-    counts = mask.sum(axis=1)
-    data = 1.0 / np.sqrt(table.lengths[rows])
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    matrix = sparse.csr_matrix(
-        (data, cols, indptr), shape=(table.n_links, grid.n_voxels)
-    )
+    matrix = _ellipse_rows(excess, np.full(table.n_links, lam),
+                           lambda counts: 1.0 / np.sqrt(table.lengths))
     return WeightMatrix(matrix=matrix, row_keys=tuple(range(table.n_links)))
 
 
@@ -153,15 +165,14 @@ def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
                              grid: VoxelGrid, fades: FadeLevelTable,
                              params: EllipseModelParams | None = None,
                              ) -> WeightMatrix:
-    """Fade-level-scaled ellipse weights, one row per (channel, link, direction).
+    """Fade-level-scaled ellipse weights, one row per (channel, direction, link).
 
-    Each row carries the constant weight 1/(n·p²) on the n voxels inside
-    the link's ellipse of width λ^δ(F_{c,l}); rows whose ellipse captures
-    no voxel center stay all-zero. Uncalibrated (link, channel) pairs are
-    skipped entirely and reported in `excluded`.
-
-    Row order groups by channel ascending, then direction ("+" block before
-    "-" block), then link order — matching the measurement stacking.
+    Row order is the C-order of a (C, 2, L) array: channel ascending, then
+    the "+" block before the "-" block, then link order — the order in
+    which MeasurementAssembler stacks its probabilities. Each row carries
+    the constant weight 1/(n·p²) on the n voxels inside the link's ellipse
+    of width λ^δ(F_{c,l}). Rows whose ellipse captures no voxel center,
+    and both rows of an uncalibrated (link, channel) pair, stay all-zero.
     """
     if params is None:
         params = EllipseModelParams()
@@ -170,40 +181,12 @@ def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
             f"fade table covers {fades.n_links} links, table has {table.n_links}"
         )
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
+    directions = (DIR_UP, DIR_DOWN)
+    lam = np.stack([_lambda_array(fades.values.T, d, params)
+                    for d in directions], axis=1)  # (C, 2, L)
     inv_area = 1.0 / grid.p**2
-
-    indptr_parts = [np.zeros(1, dtype=np.int64)]
-    indices_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    row_keys: list[tuple[int, int, str]] = []
-    excluded: list[tuple[int, int]] = []
-
-    for ci, channel in enumerate(fades.channels):
-        fade_col = fades.values[:, ci]
-        keep = np.nonzero(~np.isnan(fade_col))[0]
-        excluded.extend((int(l), int(channel)) for l in np.nonzero(np.isnan(fade_col))[0])
-        for direction in (DIR_UP, DIR_DOWN):
-            lam = _lambda_array(fade_col[keep], direction, params)
-            mask = excess[keep] < lam[:, None]  # (L', N)
-            link_rows, cols = np.nonzero(mask)
-            counts = mask.sum(axis=1)
-            with np.errstate(divide="ignore"):
-                row_value = np.where(counts > 0, inv_area / np.maximum(counts, 1), 0.0)
-            data_parts.append(row_value[link_rows])
-            indices_parts.append(cols)
-            prev = indptr_parts[-1][-1]
-            indptr_parts.append(prev + np.cumsum(counts))
-            row_keys.extend(
-                (int(channel), int(l), direction) for l in keep
-            )
-
-    indptr = np.concatenate(indptr_parts)
-    indices = (np.concatenate(indices_parts) if indices_parts
-               else np.zeros(0, dtype=np.int64))
-    data = np.concatenate(data_parts) if data_parts else np.zeros(0)
-    matrix = sparse.csr_matrix(
-        (data, indices, indptr), shape=(len(row_keys), grid.n_voxels)
-    )
-    return WeightMatrix(
-        matrix=matrix, row_keys=tuple(row_keys), excluded=tuple(excluded)
-    )
+    matrix = _ellipse_rows(excess, lam,
+                           lambda counts: inv_area / np.maximum(counts, 1))
+    row_keys = tuple((int(c), l, d) for c in fades.channels
+                     for d in directions for l in range(table.n_links))
+    return WeightMatrix(matrix=matrix, row_keys=row_keys)

@@ -93,14 +93,7 @@ def _ca_matrices(dt: float, q: float):
         [dt**3 / 6, dt**2 / 2, dt],
     ])
     # interleaved state ordering (x, y, vx, vy, ax, ay)
-    idx = np.array([0, 2, 4])
-    f = np.eye(6)
-    qm = np.zeros((6, 6))
-    for axis in (0, 1):
-        rows = idx + axis
-        f[np.ix_(rows, rows)] = f1
-        qm[np.ix_(rows, rows)] = q1
-    return f, qm
+    return np.kron(f1, np.eye(2)), np.kron(q1, np.eye(2))
 
 
 def kalman_step(track: TrackState, z: PositionEstimate, dt: float,

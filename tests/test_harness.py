@@ -277,6 +277,96 @@ def test_kalman_step_spans_dropped_frames():
     assert {row[0]: row[1:] for row in smooth} == expected
 
 
+def test_outage_beyond_hold_window_is_no_detection():
+    # Every sample of k = 108-115 is lost. The hold window (5 frames) covers
+    # k = 108-112; after it y = 0 and the image is identically zero, which
+    # is no detection, not a confident position at voxel 0.
+    layout = perimeter_layout(12, 4.0, 4.0)
+    t = np.arange(40)
+    traj = np.column_stack((100 + t, 2.0 + 1.2 * np.sin(t / 9),
+                            2.0 + 1.2 * np.cos(t / 7)))
+    trace = generate_trace(ScenarioSpec(layout=layout, trajectory=traj,
+                                        seed=3, calibration_frames=100))
+    frames = [RssFrame(k=f.k, rss=np.full_like(f.rss, np.nan),
+                       channels=f.channels) if 108 <= f.k <= 115 else f
+              for f in trace.frames]
+    truth = {int(k): (x, y) for k, x, y in trace.truth}
+    config = PipelineConfig(calibration_frames=100, kalman=True, dt=0.5)
+    raw = run_pipeline("msrti", frames, layout,
+                       PipelineConfig(calibration_frames=100), truth=truth)
+    smooth = run_pipeline("msrti", frames, layout, config, truth=truth)
+    for result in (raw, smooth):
+        assert [r[0] for r in result.rows] == list(range(100, 140))
+        for k, x, y, tx, ty, err in result.rows:
+            lost = 113 <= k <= 115
+            assert np.isnan([x, y, err]).all() == lost
+            assert (tx, ty) == truth[k]
+        errors = [r[5] for r in result.rows if not 113 <= r[0] <= 115]
+        assert result.summary["mean"] == pytest.approx(np.mean(errors))
+        assert len(result.summary["cdf"]) == 37
+
+    # the Kalman filter skips k = 113-115 and steps from 112 to 116
+    r = config.kalman_r_scale * config.voxel_width**2
+    detected = [PositionEstimate(k=k, xy=(x, y), peak=0.0, voxel=0)
+                for k, x, y, *_ in raw.rows if not np.isnan(x)]
+    track = init_track(detected[0])
+    expected = {detected[0].k: detected[0].xy}
+    for est in detected[1:]:
+        dt = 4 * config.dt if est.k == 116 else config.dt
+        track = kalman_step(track, est, dt=dt, q=config.kalman_q, r=r)
+        expected[est.k] = tuple(track.position)
+    row = next(row for row in smooth.rows if row[0] == 116)
+    assert row[1:3] == expected[116]
+    assert {r[0]: r[1:3] for r in smooth.rows if r[0] in expected} == expected
+
+
+def test_never_observed_pairs_get_zero_rows():
+    # Pairs with no calibration sample keep their two multi-scale rows, all
+    # zero. Their columns of Π are then zero and every other column equals
+    # that of an operator built from W with those rows dropped.
+    layout, trace = _small_trace()
+    table = enumerate_links(layout)
+    n_cal = trace.calibration_frames
+    lost = [(0, 0), (3, 1), (7, 2), (12, 0), (20, 3), (33, 1)]
+    rng = np.random.default_rng(5)
+    frames = []
+    for f in trace.frames:
+        rss = f.rss.copy()
+        if f.k < n_cal:
+            for l, c in lost:
+                rss[l, c] = np.nan
+        else:
+            rss[rng.random(rss.shape) < 0.15] = np.nan
+        frames.append(RssFrame(k=f.k, rss=rss, channels=f.channels))
+    fades = calibrate(frames[:n_cal], table)
+    assert {tuple(p) for p in np.argwhere(np.isnan(fades.values))} == set(lost)
+    person = frames[n_cal:]
+    grid = VoxelGrid.from_layout(layout, 0.3)
+    config = PipelineConfig(calibration_frames=n_cal)
+    pipeline = VariantPipeline("msrti", fades, layout, grid, config)
+    weights = pipeline.operator.weights
+    n_links, n_channels = fades.values.shape
+    assert weights.n_rows == 2 * n_channels * n_links
+    dead = {(int(fades.channels[c]), l) for l, c in lost}
+    keep = [i for i, (c, l, _) in enumerate(weights.row_keys)
+            if (c, l) not in dead]
+    assert len(keep) == weights.n_rows - 2 * len(lost)
+    nnz = np.diff(weights.matrix.indptr)
+    assert all(nnz[i] == 0 for i in set(range(weights.n_rows)) - set(keep))
+
+    reference = build_operator(
+        WeightMatrix(matrix=weights.matrix[keep],
+                     row_keys=tuple(weights.row_keys[i] for i in keep)),
+        grid, config.reconstruction)
+    replay = VariantPipeline("msrti", fades, layout, grid, config,
+                             operator=pipeline.operator)
+    y = np.column_stack([replay.measurement(f) for f in person])
+    images = pipeline.images(person)
+    expected = reconstruct(reference, y[keep]).T
+    np.testing.assert_allclose(images, expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
 def test_benchmark_rows_and_reuse():
     layout = perimeter_layout(10, 4.0, 4.0)
     config = PipelineConfig(calibration_frames=30)
@@ -374,6 +464,8 @@ def test_config_from_dict_rejects_unknown_key():
         PipelineConfig.from_dict({"sigma_z": [["1.0"]]})
     with pytest.raises(ValueError, match="unknown config key 'hold'"):
         PipelineConfig.from_dict({"hold": [["0"]]})
+    with pytest.raises(ValueError, match="unknown config key 'dead_zone_db'"):
+        PipelineConfig.from_dict({"dead_zone_db": [["0"]]})
     with pytest.raises(ValueError, match="exactly one value"):
         PipelineConfig.from_dict({"sigma_x": [["1.0", "2.0"]]})
 

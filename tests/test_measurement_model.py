@@ -9,7 +9,6 @@ from rtikit.measurement_model import (
     HoldBuffer,
     MeasurementAssembler,
     MeasurementModelParams,
-    assemble_measurement,
     beta_plus,
     inside_probability,
     rss_change,
@@ -82,21 +81,11 @@ def test_inside_probability_properties():
         inside_probability(np.nan, 0.0, params)
 
 
-def test_dead_zone():
-    params = MeasurementModelParams(dead_zone_db=2.0)
-    assert inside_probability(1.5, 0.0, params) == (DIR_DOWN, 0.0)
-    assert inside_probability(-2.0, 0.0, params) == (DIR_DOWN, 0.0)  # at threshold
-    d, p = inside_probability(-2.5, 0.0, params)
-    assert d == DIR_DOWN and p > 0
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         MeasurementModelParams(beta_minus=0.0)
     with pytest.raises(ValueError):
         MeasurementModelParams(hold_frames=-1)
-    with pytest.raises(ValueError):
-        MeasurementModelParams(dead_zone_db=-0.5)
 
 
 def test_rss_change_basic_and_uncalibrated():
@@ -177,7 +166,7 @@ def test_assemble_single_change_placement():
     rss = fades.mean_rss.copy()
     rss[2, 0] -= 10.0  # single shadowing event on link 2, channel 11
     frame = RssFrame(k=5, rss=rss, channels=np.array(channels))
-    y = assemble_measurement(frame, fades, params, weights)
+    y = MeasurementAssembler(fades, params)(frame)
 
     assert y.shape == (weights.n_rows,)
     nz = np.nonzero(y)[0]
@@ -195,8 +184,8 @@ def test_assemble_zero_frame_and_length():
     fades = fade_table(table, channels, np.zeros((table.n_links, 3)))
     weights = build_multiscale_weights(table, layout, grid, fades)
     frame = RssFrame(k=0, rss=fades.mean_rss.copy(), channels=np.array(channels))
-    y = assemble_measurement(frame, fades, MeasurementModelParams(), weights)
-    assert y.shape == (2 * table.n_links * 3,)
+    y = MeasurementAssembler(fades, MeasurementModelParams())(frame)
+    assert y.shape == (weights.n_rows,) == (2 * table.n_links * 3,)
     assert np.all(y == 0.0)
 
 
@@ -211,7 +200,7 @@ def test_assemble_matches_scalar_model_everywhere():
     fades = fade_table(table, channels, vals)
     weights = build_multiscale_weights(table, layout, grid, fades)
     params = MeasurementModelParams()
-    asm = MeasurementAssembler(fades, params, weights)
+    asm = MeasurementAssembler(fades, params)
     for k in range(4):
         rss = fades.mean_rss + rng.normal(0, 6.0, size=fades.mean_rss.shape)
         frame = RssFrame(k=k, rss=rss, channels=np.array(channels))
@@ -230,18 +219,9 @@ def test_assemble_matches_scalar_model_everywhere():
         assert np.all((y >= 0) & (y < 1))
 
 
-def test_assembler_rejects_classic_weights():
-    from rtikit.spatial_model import build_classic_weights
-
-    layout, table = small_net()
-    grid = VoxelGrid.from_layout(layout, p=0.3)
-    fades = fade_table(table, [11], np.zeros((table.n_links, 1)))
-    classic = build_classic_weights(table, layout, grid, lam=0.5)
-    with pytest.raises(ValueError):
-        MeasurementAssembler(fades, MeasurementModelParams(), classic)
-
-
 def test_assemble_excluded_rows_absent():
+    # An uncalibrated pair keeps both of its slots, and both read zero
+    # whatever its RSS does, like its two all-zero weight rows.
     layout, table = small_net()
     grid = VoxelGrid.from_layout(layout, p=0.3)
     channels = [11]
@@ -252,6 +232,8 @@ def test_assemble_excluded_rows_absent():
     rss = fades.mean_rss.copy()
     rss[4, 0] -= 20.0  # change on the uncalibrated pair: nowhere to go
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
-    y = assemble_measurement(frame, fades, MeasurementModelParams(), weights)
-    assert y.shape[0] == 2 * (table.n_links - 1)
+    y = MeasurementAssembler(fades, MeasurementModelParams())(frame)
+    assert y.shape == (weights.n_rows,) == (2 * table.n_links,)
     assert np.all(y == 0.0)
+    for d in (DIR_UP, DIR_DOWN):
+        assert weights.matrix.getrow(weights.row_keys.index((11, 4, d))).nnz == 0

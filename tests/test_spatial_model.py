@@ -91,7 +91,6 @@ def test_classic_weights_value_and_oracle():
             inside = excess_path_length(l, grid.center_of(j), table, layout) < lam
             assert dense[l, j] == pytest.approx(val if inside else 0.0)
     assert wm.row_keys.index(3) == 3
-    assert wm.excluded == ()
 
 
 def test_classic_weights_distance_value():
@@ -176,13 +175,21 @@ def test_multiscale_excluded_pairs():
         fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=10, rmse=0.0),
     )
     wm = build_multiscale_weights(table, layout, grid, fades)
-    assert wm.n_rows == 2 * (table.n_links * 2 - 2)
-    assert set(wm.excluded) == {(4, 11), (7, 12)}
-    assert (11, 4, DIR_UP) not in wm.row_keys
-    assert (11, 4, DIR_DOWN) not in wm.row_keys
-    assert (12, 4, DIR_UP) in wm.row_keys
-    with pytest.raises(ValueError):
-        wm.row_keys.index((11, 4, DIR_UP))
+    # uncalibrated pairs keep their two rows, all zero; the row layout
+    # stays (channel, direction, link)
+    assert wm.n_rows == 2 * table.n_links * 2
+    calibrated = build_multiscale_weights(table, layout, grid, flat_fades(
+        table, channels, 0.0))
+    assert wm.row_keys == calibrated.row_keys
+    empty = {(11, 4, DIR_UP), (11, 4, DIR_DOWN), (12, 7, DIR_UP),
+             (12, 7, DIR_DOWN)}
+    for row, key in enumerate(wm.row_keys):
+        got = wm.matrix.getrow(row)
+        if key in empty:
+            assert got.nnz == 0
+        else:
+            assert (got != calibrated.matrix.getrow(row)).nnz == 0
+    assert wm.matrix.getrow(wm.row_keys.index((12, 4, DIR_UP))).nnz > 0
 
 
 def test_multiscale_matches_independent_loop():
