@@ -3,8 +3,9 @@
 Four estimator variants share one reconstruction core and differ only in
 the weight matrix and measurement vector fed to it, one (weights, measure)
 entry per variant in _VARIANT_TABLE. VariantPipeline.images images a frame
-sequence with one Π·Y product, and run_pipeline and benchmark localize its
-rows; VariantPipeline.image serves one frame at a time for streaming.
+sequence with one batched reconstruction, and run_pipeline and benchmark
+localize its rows; VariantPipeline.image serves one frame at a time for
+streaming.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every (link, channel) pair treated as an independent link
@@ -280,8 +281,11 @@ class VariantPipeline:
 
     def images(self, frames) -> np.ndarray:
         """(K, N) images of a frame sequence: measured in order, as the hold
-        buffer is sequential, then imaged together by one Π·Y product."""
-        y = np.empty((self.operator.pi.shape[1], len(frames)), order="F")
+        buffer is sequential, then imaged together by one batched
+        `reconstruct` of the (rows, K) block, Π·Y on a short operator and
+        M·(WᵀY) on a tall one. The block is in C order, in which the sparse
+        WᵀY product runs faster than in Fortran order."""
+        y = np.empty((self.operator.weights.n_rows, len(frames)))
         for i, frame in enumerate(frames):
             y[:, i] = self.measurement(frame)
         return reconstruct(self.operator, y).T
@@ -369,21 +373,22 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
     """Localize each row of pipeline.images(frames), optionally through the
     Kalman filter, whose step spans the k difference times config.dt.
 
-    An identically zero image (y = 0, which an outage longer than the hold
-    window gives) is no detection: its row has a NaN position and error,
-    the summary leaves it out and the Kalman filter takes no update.
+    A frame `localize` reports as no detection (an identically zero image,
+    which an outage longer than the hold window gives) keeps its NaN
+    position and gets a NaN error; the summary leaves it out and the
+    Kalman filter takes no update.
     """
     grid, config = pipeline.grid, pipeline.config
-    estimates = [localize(image, grid, k=frame.k) if image.any() else None
+    estimates = [localize(image, grid, k=frame.k)
                  for frame, image in zip(frames, pipeline.images(frames))]
 
     nan = float("nan")
-    positions = [(nan, nan) if est is None else est.xy for est in estimates]
+    positions = [est.xy for est in estimates]
     if kalman:
         r = config.kalman_r_scale * config.voxel_width**2
         track = None
         for i, est in enumerate(estimates):
-            if est is None:
+            if not est.detected:
                 continue
             if track is None:
                 track = init_track(est)
@@ -400,7 +405,7 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
         elif frame.k in truth:
             tx, ty = truth[frame.k]
             err = localization_error((x, y), (tx, ty))
-            if est is not None:
+            if est.detected:
                 errors.append(err)
             rows.append((frame.k, x, y, tx, ty, err))
         else:

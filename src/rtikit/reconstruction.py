@@ -6,20 +6,27 @@ where C_x is an exponentially decaying spatial prior over voxel centers
 (Wilson & Patwari, "Radio Tomographic Imaging with Wireless Networks",
 IEEE TMC 2010).
 
-Building Π is the expensive step and happens once per weight matrix; each
-frame is then a single matrix-vector product. The build is dense
-LAPACK/BLAS throughout: C_x from pairwise center distances, σ_N² C_x⁻¹
-from its Cholesky factor (potrf, potri), the Gram matrix WᵀW from one
-dense copy of W, and Π from one Cholesky solve written into that copy's
-transpose. W is about one sixth nonzero at the reference deployments,
-where the sparse WᵀW took four to eight times as long as the dense one.
+The build is the expensive step and happens once per weight matrix; each
+frame is then one or two products. The build is dense LAPACK/BLAS
+throughout: C_x from pairwise center distances, σ_N² C_x⁻¹ from its
+Cholesky factor (potrf, potri), the Gram matrix WᵀW from one dense copy
+of W, and a Cholesky factorization of A = WᵀW + σ_N² C_x⁻¹. W is about
+one sixth nonzero at the reference deployments, where the sparse WᵀW took
+four to eight times as long as the dense one.
+
+What is stored depends on the shape of W alone, whichever is smaller:
+- W with more rows than voxels (the multi-scale weights): M = A⁻¹ from
+  potri on the factor, N × N, applied as x̂ = M·(Wᵀy), a sparse product
+  and then a symmetric one. No solve against the rows of Wᵀ is made.
+- otherwise (the fixed-width weights, one row per link): Π itself,
+  N × rows, from one Cholesky solve written into the dense Wᵀ.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.spatial.distance import cdist
 
 from .geometry import VoxelGrid
@@ -100,37 +107,67 @@ def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.nd
 
 @dataclass(frozen=True)
 class ReconstructionOperator:
-    """Precomputed Π bound to the weight matrix it was built from.
+    """The regularized inverse of one weight matrix, in its stored form.
+
+    `apply` images measurements from whichever form is stored. `pi` gives
+    Π for either form; a tall operator computes it on each access, which
+    holds a dense Wᵀ and the (N, rows) result for the duration.
 
     Attributes:
-        pi: (N, rows) dense operator.
-        weights: the WeightMatrix Π inverts; measurement vectors must use
-            its row ordering.
+        stored: for a tall W (more rows than voxels), M = (WᵀW + σ_N² C_x⁻¹)⁻¹
+            as an (N, N) Fortran-order array whose lower triangle holds M
+            (the other is zero); otherwise Π, (N, rows), Fortran order.
+        weights: the WeightMatrix the operator inverts; measurement vectors
+            must use its row ordering.
         grid: voxel grid of the image space.
     """
 
-    pi: np.ndarray
+    stored: np.ndarray
     weights: WeightMatrix
     grid: VoxelGrid
 
     @property
-    def n_voxels(self) -> int:
-        return self.pi.shape[0]
+    def tall(self) -> bool:
+        """Whether W has more rows than voxels, so that M is stored."""
+        return self.weights.n_rows > self.grid.n_voxels
+
+    @property
+    def pi(self) -> np.ndarray:
+        """Π, (N, rows) in Fortran order: the stored array of a short
+        operator, and M Wᵀ computed anew, not cached, for a tall one."""
+        if not self.tall:
+            return self.stored
+        return blas.dsymm(1.0, self.stored, self.weights.matrix.toarray().T,
+                          lower=1)
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """x̂ = Π y for a float y of shape (rows,) or (rows, K), unchecked:
+        M·(Wᵀy) on a tall operator, one dense product on a short one."""
+        if not self.tall:
+            return self.stored @ y
+        back = self.weights.matrix.T @ y
+        if y.ndim == 1:
+            return blas.dsymv(1.0, self.stored, back, lower=1)
+        return blas.dsymm(1.0, self.stored, back, lower=1)
 
 
 def build_operator(weights: WeightMatrix, grid: VoxelGrid,
                    params: ReconstructionParams | None = None,
                    precision_term: np.ndarray | None = None,
                    ) -> ReconstructionOperator:
-    """Compute Π = (WᵀW + σ_N² C_x⁻¹)⁻¹ Wᵀ for a weight matrix.
+    """Factor A = WᵀW + σ_N² C_x⁻¹ for a weight matrix and store its inverse
+    or Π = A⁻¹Wᵀ, whichever is smaller.
 
-    W is densified once; WᵀW is one BLAS product of that copy with itself,
-    the normal matrix is Cholesky-factored in place, and the solve against
-    Wᵀ overwrites the dense copy's transpose, which becomes Π. No explicit
-    inverse of the normal matrix is formed. Transient memory is one dense
-    W (rows × N) plus the N × N normal matrix, besides the N × N
-    precision term. Π is (N, rows) in Fortran order. Neither `weights`
-    nor `precision_term` is written to.
+    W is densified once; WᵀW is one BLAS product of that copy with itself
+    and A is Cholesky-factored in place. When W has more rows than voxels,
+    the dense copy is freed after the Gram product and potri turns the
+    factor into M = A⁻¹, (N, N), in place: transient memory is one dense W
+    (rows × N) plus the N × N normal matrix, and `pi` is then computed on
+    demand. Otherwise the solve against Wᵀ overwrites the dense copy's
+    transpose, which becomes the stored Π, (N, rows): no explicit inverse
+    is formed, and transient memory is the same. Besides these, the N × N
+    precision term is held. The stored array is in Fortran order. Neither
+    `weights` nor `precision_term` is written to.
 
     Args:
         weights: link/voxel weight operator (classic or multi-scale).
@@ -160,25 +197,31 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
             f"precision_term shape {precision_term.shape} != ({n}, {n})"
         )
 
+    tall = weights.n_rows > n
     dense = weights.matrix.toarray()
     normal = dense.T @ dense
+    if tall:
+        del dense  # M needs no dense W
     normal += precision_term
     # normal's transpose is a Fortran-order view, which LAPACK factors in
     # place; its lower triangle is normal's upper one.
-    try:
-        chol = linalg.cho_factor(normal.T, lower=True, overwrite_a=True,
-                                 check_finite=False)
-    except linalg.LinAlgError as e:
+    factor, info = lapack.dpotrf(normal.T, lower=1, overwrite_a=1)
+    if info == 0 and tall:
+        factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
+    if info != 0:
         raise linalg.LinAlgError(
             f"regularized normal matrix is not SPD to working precision "
-            f"(N={n}, rows={weights.n_rows}): {e}"
-        ) from None
-    pi = linalg.cho_solve(chol, dense.T, overwrite_b=True, check_finite=False)
-    return ReconstructionOperator(pi=pi, weights=weights, grid=grid)
+            f"(N={n}, rows={weights.n_rows}): LAPACK info {info}"
+        )
+    if tall:
+        return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
+    pi = linalg.cho_solve((factor, True), dense.T, overwrite_b=True,
+                          check_finite=False)
+    return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
 
 def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:
-    """Image estimate x̂ = Π y.
+    """Image estimate x̂ = Π y, through `op.apply`.
 
     Args:
         op: precomputed operator.
@@ -190,8 +233,9 @@ def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:
         the operator's voxel order.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (1, 2) or y.shape[0] != op.pi.shape[1]:
+    rows = op.weights.n_rows
+    if y.ndim not in (1, 2) or y.shape[0] != rows:
         raise ValueError(
-            f"measurement shape {y.shape} != operator rows ({op.pi.shape[1]},)"
+            f"measurement shape {y.shape} != operator rows ({rows},)"
         )
-    return op.pi @ y
+    return op.apply(y)

@@ -1,10 +1,11 @@
 """Argmax localization, Kalman position tracking, and error metrics.
 
 Localization picks the voxel with the maximum image value (lowest index on
-ties) and reports its center. The optional Kalman filter smooths the
-per-frame estimates with a constant-acceleration kinematic model per axis
-driven by white-noise jerk. Error metrics are plain Euclidean distances
-with standard order statistics.
+ties) and reports its center; an identically zero image is no detection.
+The optional Kalman filter smooths the per-frame estimates with a
+constant-acceleration kinematic model per axis driven by white-noise jerk.
+Error metrics are plain Euclidean distances with standard order
+statistics.
 """
 
 from dataclasses import dataclass
@@ -31,15 +32,21 @@ class PositionEstimate:
 
     Attributes:
         k: time index.
-        xy: estimated position = winning voxel's center, meters.
-        peak: image value at the winning voxel.
-        voxel: winning voxel index.
+        xy: estimated position = winning voxel's center, meters; (nan, nan)
+            for no detection.
+        peak: image value at the winning voxel; 0.0 for no detection.
+        voxel: winning voxel index; -1 for no detection.
     """
 
     k: int
     xy: tuple[float, float]
     peak: float
     voxel: int
+
+    @property
+    def detected(self) -> bool:
+        """False for the no-detection estimate of an identically zero image."""
+        return self.voxel >= 0
 
 
 @dataclass(frozen=True)
@@ -62,14 +69,24 @@ class TrackState:
 
 
 def localize(image: np.ndarray, grid: VoxelGrid, k: int = 0) -> PositionEstimate:
-    """Position of the maximum-value voxel; ties go to the lowest index."""
+    """Position of the maximum-value voxel; ties go to the lowest index.
+
+    An identically zero image, which is what a frame with no measured
+    change gives, is no detection: the estimate has xy = (nan, nan),
+    peak 0.0 and voxel -1 (`detected` is False). It is not a position, so
+    a tracker should skip it rather than pass it to `kalman_step`.
+    """
     image = np.asarray(image, dtype=float)
     if image.shape != (grid.n_voxels,):
         raise ValueError(
             f"image length {image.shape} != grid voxel count ({grid.n_voxels},)"
         )
     j = int(np.argmax(image))  # first occurrence wins on ties
-    return PositionEstimate(k=k, xy=grid.center_of(j), peak=float(image[j]), voxel=j)
+    peak = float(image[j])
+    if peak == 0.0 and not image.any():
+        nan = float("nan")
+        return PositionEstimate(k=k, xy=(nan, nan), peak=0.0, voxel=-1)
+    return PositionEstimate(k=k, xy=grid.center_of(j), peak=peak, voxel=j)
 
 
 def init_track(z: PositionEstimate, initial_var: float = 10.0) -> TrackState:

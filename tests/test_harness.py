@@ -16,7 +16,7 @@ from rtikit.harness import (
 )
 from rtikit.measurement_model import HoldBuffer, rss_change
 from rtikit.reconstruction import build_operator, reconstruct
-from rtikit.tracking import PositionEstimate, init_track, kalman_step
+from rtikit.tracking import PositionEstimate, init_track, kalman_step, localize
 from rtikit.simulator import (
     ScenarioSpec,
     generate_trace,
@@ -277,10 +277,10 @@ def test_kalman_step_spans_dropped_frames():
     assert {row[0]: row[1:] for row in smooth} == expected
 
 
-def test_outage_beyond_hold_window_is_no_detection():
-    # Every sample of k = 108-115 is lost. The hold window (5 frames) covers
-    # k = 108-112; after it y = 0 and the image is identically zero, which
-    # is no detection, not a confident position at voxel 0.
+def _outage_walk():
+    """A 12-node walk, k = 100-139, with every sample of k = 108-115 lost.
+    The hold window (5 frames) covers k = 108-112; after it y = 0 and the
+    image is identically zero."""
     layout = perimeter_layout(12, 4.0, 4.0)
     t = np.arange(40)
     traj = np.column_stack((100 + t, 2.0 + 1.2 * np.sin(t / 9),
@@ -291,6 +291,12 @@ def test_outage_beyond_hold_window_is_no_detection():
                        channels=f.channels) if 108 <= f.k <= 115 else f
               for f in trace.frames]
     truth = {int(k): (x, y) for k, x, y in trace.truth}
+    return layout, frames, truth
+
+
+def test_outage_beyond_hold_window_is_no_detection():
+    # A zero image is no detection, not a confident position at voxel 0.
+    layout, frames, truth = _outage_walk()
     config = PipelineConfig(calibration_frames=100, kalman=True, dt=0.5)
     raw = run_pipeline("msrti", frames, layout,
                        PipelineConfig(calibration_frames=100), truth=truth)
@@ -318,6 +324,25 @@ def test_outage_beyond_hold_window_is_no_detection():
     row = next(row for row in smooth.rows if row[0] == 116)
     assert row[1:3] == expected[116]
     assert {r[0]: r[1:3] for r in smooth.rows if r[0] in expected} == expected
+
+
+def test_streaming_outage_beyond_hold_window_is_no_detection():
+    # The same walk handed over one frame at a time, image then localize.
+    layout, frames, _ = _outage_walk()
+    config = PipelineConfig(calibration_frames=100)
+    fades = calibrate(frames[:100], enumerate_links(layout))
+    raw = run_pipeline("msrti", frames[100:], layout, config, fades=fades)
+    pipeline = VariantPipeline("msrti", fades, layout, raw.grid, config)
+    for frame, row in zip(frames[100:], raw.rows):
+        est = localize(pipeline.image(frame), raw.grid, k=frame.k)
+        assert est.k == frame.k
+        if 113 <= frame.k <= 115:
+            assert (est.voxel, est.peak) == (-1, 0.0)
+            assert np.isnan(est.xy).all()
+            assert not est.detected
+        else:
+            assert est.xy == row[1:3]
+            assert est.detected
 
 
 def test_never_observed_pairs_get_zero_rows():

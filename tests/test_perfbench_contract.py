@@ -1,30 +1,42 @@
-"""The benchmark's tracer contract with rtikit.
+"""The benchmark's contract with rtikit.
 
 perfbench/spans.py wraps rtikit entry points by module and attribute name,
-so a rename or a call path that bypasses them must fail here, not only in
-a benchmark run.
+and perfbench/checks.py tests the operator through its `pi`, so a rename,
+a call path that bypasses them or a wrong Π must fail here, not only in a
+benchmark run.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from rtikit import harness
+from rtikit.calibration import calibrate
+from rtikit.geometry import VoxelGrid, enumerate_links
 from rtikit.harness import PipelineConfig
+from rtikit.reconstruction import ReconstructionParams, build_operator
 from rtikit.simulator import (
     ScenarioSpec,
     generate_trace,
     perimeter_layout,
     stationary_trajectory,
 )
+from rtikit.spatial_model import build_classic_weights, build_multiscale_weights
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans_module():
+    return _perfbench_module("spans")
 
 
 def test_layer_points_hold_callables():
@@ -57,3 +69,25 @@ def test_traced_round_records_layer_spans():
     weights = [s["attrs"] for s in tracer.spans
                if s["name"] == "spatial_model.weights"]
     assert weights and weights[0]["rows"] > 0
+
+
+def test_operator_identity_holds_for_both_stored_forms():
+    # The benchmark's correctness gate reads operator.pi, which a tall
+    # operator (more weight rows than voxels) computes from its stored M.
+    checks = _perfbench_module("checks")
+    layout = perimeter_layout(8, 3.0, 3.0)
+    table = enumerate_links(layout)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.3, nx=10, ny=10)
+    trace = generate_trace(ScenarioSpec(
+        layout=layout, trajectory=stationary_trajectory((1.5, 1.5), 30, 1),
+        seed=2, calibration_frames=30))
+    fades = calibrate(trace.frames[:30], table)
+    params = ReconstructionParams()
+    tall = build_operator(build_multiscale_weights(table, layout, grid, fades),
+                          grid, params)
+    short = build_operator(build_classic_weights(table, layout, grid, 0.02),
+                           grid, params)
+    assert tall.tall and not short.tall
+    for operator in (tall, short):
+        assert checks.operator_identity(operator, params,
+                                        np.random.default_rng(1)) == []

@@ -7,6 +7,7 @@ from scipy import linalg, sparse
 from rtikit import reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
+from rtikit.harness import PipelineConfig, VariantPipeline
 from rtikit.reconstruction import (
     ReconstructionParams,
     build_operator,
@@ -22,6 +23,30 @@ def octagon():
     ang = 2 * np.pi * np.arange(8) / 8
     layout = NodeLayout(ids=ids, xy=3.0 * np.column_stack((np.cos(ang), np.sin(ang))))
     return layout, enumerate_links(layout)
+
+
+def synthetic_fades(table, seed):
+    vals = np.random.default_rng(seed).uniform(-8, 8, size=(table.n_links, 2))
+    return FadeLevelTable(
+        values=vals, mean_rss=np.zeros_like(vals),
+        channels=np.array([11, 12]),
+        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
+    )
+
+
+def octagon_forms():
+    """One grid with weights of both stored forms: the two-channel
+    multi-scale W is tall (112 rows > N = 64), the fixed-width one short
+    (28 rows)."""
+    layout, table = octagon()
+    grid = VoxelGrid.from_layout(layout, p=1.0)
+    fades = synthetic_fades(table, seed=9)
+    weights = {
+        "tall": build_multiscale_weights(table, layout, grid, fades),
+        "short": build_classic_weights(table, layout, grid, lam=0.8),
+    }
+    assert weights["tall"].n_rows > grid.n_voxels > weights["short"].n_rows
+    return layout, grid, fades, weights
 
 
 def test_prior_covariance_entries():
@@ -75,13 +100,7 @@ def test_operator_matches_dense_oracle_multiscale():
     layout, table = octagon()
     grid = VoxelGrid.from_layout(layout, p=0.7)
     params = ReconstructionParams()
-    rng = np.random.default_rng(9)
-    vals = rng.uniform(-8, 8, size=(table.n_links, 2))
-    fades = FadeLevelTable(
-        values=vals, mean_rss=np.zeros_like(vals),
-        channels=np.array([11, 12]),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
-    )
+    fades = synthetic_fades(table, seed=9)
     wm = build_multiscale_weights(table, layout, grid, fades)
     op = build_operator(wm, grid, params)
     want = brute_force_pi(wm.matrix.toarray(), grid, params)
@@ -105,22 +124,51 @@ def test_operator_large_noise_shrinks_pi():
     assert np.abs(big.pi).max() < 1e-6 * np.abs(small.pi).max()
 
 
-def test_operator_deterministic_and_precision_reuse():
-    layout, table = octagon()
-    grid = VoxelGrid.from_layout(layout, p=0.7)
+@pytest.mark.parametrize("form", ["tall", "short"])
+def test_operator_stored_form_and_apply_match_dense_oracle(form):
+    _, grid, _, weights = octagon_forms()
+    wm = weights[form]
     params = ReconstructionParams()
-    wm = build_classic_weights(table, layout, grid, lam=0.8)
-    a = build_operator(wm, grid, params)
-    b = build_operator(wm, grid, params)
-    assert np.array_equal(a.pi, b.pi)
+    op = build_operator(wm, grid, params)
+    n = grid.n_voxels
+    assert op.tall == (form == "tall")
+    assert op.stored.shape == ((n, n) if form == "tall" else (n, wm.n_rows))
+    assert op.stored.flags.f_contiguous
+    want = brute_force_pi(wm.matrix.toarray(), grid, params)
+    assert op.pi.shape == (n, wm.n_rows)
+    np.testing.assert_allclose(op.pi, want, atol=1e-8)
+    y = np.random.default_rng(5).uniform(0, 1, size=(wm.n_rows, 4))
+    for columns in (y, y[:, 0]):
+        expected = want @ columns
+        for got in (op.apply(columns), reconstruct(op, columns)):
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-10 * np.abs(expected).max())
+
+
+def test_images_of_no_frames_on_tall_operator():
+    layout, grid, fades, weights = octagon_forms()
+    op = build_operator(weights["tall"], grid)
+    pipeline = VariantPipeline("msrti", fades, layout, grid, PipelineConfig(),
+                               operator=op)
+    assert pipeline.images([]).shape == (0, grid.n_voxels)
+
+
+def test_operator_deterministic_and_precision_reuse():
+    _, grid, _, weights = octagon_forms()
+    params = ReconstructionParams()
     term = prior_precision_term(grid, params)
-    c = build_operator(wm, grid, params, precision_term=term)
-    np.testing.assert_allclose(c.pi, a.pi, atol=1e-12)
-    # only the upper triangle of the precision term is read
-    upper = build_operator(wm, grid, params, precision_term=np.triu(term))
-    assert np.array_equal(upper.pi, c.pi)
-    with pytest.raises(ValueError):
-        build_operator(wm, grid, params, precision_term=np.eye(3))
+    for wm in weights.values():
+        a = build_operator(wm, grid, params)
+        b = build_operator(wm, grid, params)
+        assert np.array_equal(a.stored, b.stored)
+        c = build_operator(wm, grid, params, precision_term=term)
+        np.testing.assert_allclose(c.pi, a.pi, atol=1e-12)
+        # only the upper triangle of the precision term is read
+        upper = build_operator(wm, grid, params, precision_term=np.triu(term))
+        assert np.array_equal(upper.stored, c.stored)
+        with pytest.raises(ValueError):
+            build_operator(wm, grid, params, precision_term=np.eye(3))
 
 
 def test_precision_term_is_symmetric_inverse_of_prior():
@@ -145,28 +193,23 @@ def test_prior_covariance_not_spd_raises(monkeypatch):
 
 
 def test_normal_matrix_not_spd_raises():
-    layout, table = octagon()
-    grid = VoxelGrid.from_layout(layout, p=0.7)
-    wm = build_classic_weights(table, layout, grid, lam=0.8)
+    _, grid, _, weights = octagon_forms()
     n = grid.n_voxels
-    with pytest.raises(linalg.LinAlgError,
-                       match=rf"regularized normal matrix is not SPD.*"
-                             rf"N={n}, rows={wm.n_rows}"):
-        build_operator(wm, grid, precision_term=-1e3 * np.eye(n))
+    for wm in weights.values():
+        with pytest.raises(linalg.LinAlgError,
+                           match=rf"regularized normal matrix is not SPD.*"
+                                 rf"N={n}, rows={wm.n_rows}"):
+            build_operator(wm, grid, precision_term=-1e3 * np.eye(n))
 
 
 def test_shared_build_leaves_inputs_untouched():
-    """msrti and cdrti built from one precision term, as a recalibration
-    does: the term and every W buffer stay bit-identical."""
+    """msrti (tall) and stacked cdrti (short) built from one precision
+    term, as a recalibration does: the term and every W buffer stay
+    bit-identical."""
     layout, table = octagon()
-    grid = VoxelGrid.from_layout(layout, p=0.7)
+    grid = VoxelGrid.from_layout(layout, p=1.0)
     params = ReconstructionParams()
-    vals = np.random.default_rng(4).uniform(-8, 8, size=(table.n_links, 2))
-    fades = FadeLevelTable(
-        values=vals, mean_rss=np.zeros_like(vals),
-        channels=np.array([11, 12]),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
-    )
+    fades = synthetic_fades(table, seed=4)
     classic = build_classic_weights(table, layout, grid, lam=0.8).matrix
     stacked = sparse.vstack([classic, classic], format="csr")
     weights = [
@@ -177,10 +220,13 @@ def test_shared_build_leaves_inputs_untouched():
     term_before = term.copy()
     before = [(w.matrix.data.copy(), w.matrix.indices.copy(),
                w.matrix.indptr.copy()) for w in weights]
-    for wm, (data, indices, indptr) in zip(weights, before):
+    n = grid.n_voxels
+    for wm, (data, indices, indptr), cols in zip(weights, before,
+                                                 (n, stacked.shape[0])):
         op = build_operator(wm, grid, params, precision_term=term)
-        assert op.pi.shape == (grid.n_voxels, wm.n_rows)
-        assert op.pi.flags.f_contiguous
+        assert op.stored.shape == (n, cols)
+        assert op.stored.flags.f_contiguous
+        assert op.pi.shape == (n, wm.n_rows)
         assert np.array_equal(wm.matrix.data, data)
         assert np.array_equal(wm.matrix.indices, indices)
         assert np.array_equal(wm.matrix.indptr, indptr)

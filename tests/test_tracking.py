@@ -32,6 +32,14 @@ def test_localize_one_hot_and_ties():
     # two equal peaks -> lower index
     img[3] = 1.0
     assert localize(img, GRID).voxel == 3
+    # a zero maximum over a nonzero image is still a position
+    assert localize(-img, GRID).voxel == 0
+    assert localize(-img, GRID).detected
+    # an identically zero image is no detection
+    none = localize(np.zeros(GRID.n_voxels), GRID, k=4)
+    assert (none.k, none.voxel, none.peak) == (4, -1, 0.0)
+    assert np.isnan(none.xy).all()
+    assert not none.detected
 
 
 def test_localize_scale_invariance():
