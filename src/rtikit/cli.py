@@ -213,9 +213,14 @@ def _cmd_benchmark(args) -> int:
                      scenario_kwargs=scenario_kwargs)
     save_benchmark_csv(rows, args.out)
     for variant in variants:
-        means = [r[3]["mean"] for r in rows if r[0] == variant]
-        print(f"{variant}: mean error {np.mean(means):.3f} m "
-              f"over {len(seeds)} seeds x {len(positions)} positions")
+        summaries = [r[3] for r in rows if r[0] == variant]
+        means = [s["mean"] for s in summaries if s is not None]
+        mean = f"{np.mean(means):.3f} m" if means else "n/a"
+        left_out = len(summaries) - len(means)
+        print(f"{variant}: mean error {mean} "
+              f"over {len(seeds)} seeds x {len(positions)} positions"
+              + (f" ({left_out} of {len(summaries)} seeds left out: "
+                 f"no detection)" if left_out else ""))
     print(f"benchmark written to {args.out}")
     return 0
 

@@ -22,7 +22,7 @@ Baseline variants image the *loss* s = −Δr so that the argmax localizer
 targets attenuation for every variant.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -183,8 +183,9 @@ def _classic_weights(table, layout, grid, fades, config) -> WeightMatrix:
 def _scaled_weights(table, layout, grid, fades, config) -> WeightMatrix:
     """cdrti: the fixed-width weights times √C, one row per link."""
     classic = _classic_weights(table, layout, grid, fades, config)
-    return WeightMatrix(matrix=classic.matrix * np.sqrt(fades.channels.size),
-                        row_keys=classic.row_keys)
+    root_c = np.sqrt(fades.channels.size)
+    return replace(classic, matrix=classic.matrix * root_c,
+                   band_sums=classic.band_sums * root_c)
 
 
 def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:
@@ -283,8 +284,7 @@ class VariantPipeline:
         """(K, N) images of a frame sequence: measured in order, as the hold
         buffer is sequential, then imaged together by one batched
         `reconstruct` of the (rows, K) block, Π·Y on a short operator and
-        M·(WᵀY) on a tall one. The block is in C order, in which the sparse
-        WᵀY product runs faster than in Fortran order."""
+        M·(U·(S·Y)) on a tall one."""
         y = np.empty((self.operator.weights.n_rows, len(frames)))
         for i, frame in enumerate(frames):
             y[:, i] = self.measurement(frame)

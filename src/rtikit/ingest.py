@@ -337,17 +337,20 @@ def load_track_csv(path) -> list[tuple]:
 
 
 def save_benchmark_csv(rows, path) -> None:
-    """Write benchmark results: one row per (variant, scenario, seed)."""
+    """Write benchmark results: one row per (variant, scenario, seed).
+
+    A row whose summary is None (no frame of the run was a detection)
+    gets nan in the four error columns.
+    """
+    nan = float("nan")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["variant", "scenario", "seed",
                          "mean_m", "median_m", "p95_m", "max_m"])
         for variant, scenario, seed, summary in rows:
-            writer.writerow([
-                variant, scenario, int(seed),
-                repr(summary["mean"]), repr(summary["median"]),
-                repr(summary["p95"]), repr(summary["max"]),
-            ])
+            writer.writerow([variant, scenario, int(seed)] + [
+                repr(nan if summary is None else summary[key])
+                for key in ("mean", "median", "p95", "max")])
 
 
 # -------------------------------------------------------- key-value text

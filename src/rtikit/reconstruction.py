@@ -16,8 +16,11 @@ four to eight times as long as the dense one.
 
 What is stored depends on the shape of W alone, whichever is smaller:
 - W with more rows than voxels (the multi-scale weights): M = A⁻¹ from
-  potri on the factor, N × N, applied as x̂ = M·(Wᵀy), a sparse product
-  and then a symmetric one. No solve against the rows of Wᵀ is made.
+  potri on the factor, N × N, applied as x̂ = M·(Wᵀy). No solve against
+  the rows of Wᵀ is made. Wᵀy is the weights' band back-projection
+  U·(S·y): S sums each link's nested ellipse rows from the widest down
+  and U adds one of those sums per (link, voxel), so it reads about a
+  sixth of the nonzeros of W. A symmetric product with M follows.
 - otherwise (the fixed-width weights, one row per link): Π itself,
   N × rows, from one Cholesky solve written into the dense Wᵀ.
 """
@@ -142,10 +145,11 @@ class ReconstructionOperator:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """x̂ = Π y for a float y of shape (rows,) or (rows, K), unchecked:
-        M·(Wᵀy) on a tall operator, one dense product on a short one."""
+        M·(U·(S·y)) on a tall operator, with Wᵀ = U·S the weights' band
+        factors, and one dense product on a short one."""
         if not self.tall:
             return self.stored @ y
-        back = self.weights.matrix.T @ y
+        back = self.weights.back_project(y)
         if y.ndim == 1:
             return blas.dsymv(1.0, self.stored, back, lower=1)
         return blas.dsymm(1.0, self.stored, back, lower=1)

@@ -8,6 +8,11 @@ weights member voxels uniformly by the inverse ellipse area n·p², so links
 with tight ellipses localize sharply while deep-fade links spread their
 evidence widely. Its rows form one (channel, direction, link) array; an
 uncalibrated (link, channel) pair keeps its two rows, all zero.
+
+The rows of a link are nested ellipses around one line, so both builders
+also give Wᵀ as two sparse factors U·S (see WeightMatrix), which
+back-project a measurement reading about a sixth of the nonzeros of the
+multi-scale W.
 """
 
 from dataclasses import dataclass
@@ -96,22 +101,48 @@ def _lambda_array(fades: np.ndarray, direction: str,
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Sparse link-by-voxel weight operator.
+    """Sparse link-by-voxel weight operator, with Wᵀ = U·S as two sparse
+    factors for back-projection.
+
+    For ellipse weights, a voxel's band on a link is R minus the number of
+    the link's R rows that hold it, and those rows are its widest ones. A
+    row of S sums v_r·y_r over one link's rows from the widest down to its
+    band's narrowest member; U, 0/1, adds each voxel's band sums over the
+    links. U has one nonzero per (link, voxel) pair inside any ellipse,
+    where W has one per (row, voxel) pair.
 
     Attributes:
         matrix: scipy CSR of shape (rows, N), all entries >= 0.
         row_keys: tuple keying each row — link index for the classic
             matrix, (channel, link, direction) for the multi-scale one.
+        bands: U, CSR (N, B).
+        band_sums: S, CSR (B, rows). Given neither factor, the pair is the
+            trivial (Wᵀ, I).
     """
 
     matrix: sparse.csr_matrix
     row_keys: tuple
+    bands: sparse.csr_matrix | None = None
+    band_sums: sparse.csr_matrix | None = None
 
     def __post_init__(self):
         if len(self.row_keys) != self.matrix.shape[0]:
             raise ValueError("row_keys length must match matrix row count")
         if self.matrix.nnz and self.matrix.data.min() < 0:
             raise ValueError("weights must be >= 0")
+        if (self.bands is None) != (self.band_sums is None):
+            raise ValueError(
+                "bands and band_sums are given together or not at all")
+        if self.bands is None:
+            object.__setattr__(self, "bands", self.matrix.T.tocsr())
+            object.__setattr__(self, "band_sums",
+                               sparse.identity(self.n_rows, format="csr"))
+        if (self.bands.shape[0] != self.n_voxels
+                or self.band_sums.shape != (self.bands.shape[1], self.n_rows)):
+            raise ValueError(
+                f"factor shapes {self.bands.shape} and {self.band_sums.shape} "
+                f"do not compose to Wᵀ, ({self.n_voxels}, {self.n_rows})"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -121,25 +152,68 @@ class WeightMatrix:
     def n_voxels(self) -> int:
         return self.matrix.shape[1]
 
+    def back_project(self, y: np.ndarray) -> np.ndarray:
+        """Wᵀy as U·(S·y), for y of shape (rows,) or (rows, K)."""
+        return self.bands @ (self.band_sums @ y)
 
-def _ellipse_rows(excess: np.ndarray, lam: np.ndarray,
-                  value) -> sparse.csr_matrix:
-    """CSR rows of ellipse weights over the links of `excess`, repeated.
+
+def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
+                  row_keys: tuple) -> WeightMatrix:
+    """Ellipse weights over the links of `excess`, each link repeated R
+    times, with their band factors.
 
     Args:
         excess: (L, N) excess path length of every voxel center per link.
-        lam: (R,) ellipse widths, R a multiple of L; row r belongs to link
-            r mod L. A NaN width gives an empty row.
-        value: maps the (R,) member counts to the (R,) weight each row
+        lam: (R·L,) ellipse widths; row r belongs to link r mod L. A NaN
+            width gives an empty row.
+        value: maps the (R·L,) member counts to the (R·L,) weight each row
             puts on its members.
+        row_keys: the key of each row.
+
+    Returns:
+        WeightMatrix whose band factors come from the same (R, L, N)
+        membership mask as its rows, with one band per row. Band b of link
+        l is column l·R + b of U; its row of S holds the values of the
+        link's rows from sorted position b up, rows sorted by ascending
+        width with NaN first. Rows with no member are left out of S.
     """
     n_links, n_voxels = excess.shape
-    mask = (excess < lam.reshape(-1, n_links, 1)).reshape(-1, n_voxels)
-    rows, cols = np.nonzero(mask)
-    counts = mask.sum(axis=1)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return sparse.csr_matrix((value(counts)[rows], cols, indptr),
-                             shape=mask.shape)
+    lam = lam.reshape(-1, n_links)
+    n_per_link, n_rows = lam.shape[0], lam.size
+    mask = excess < lam[:, :, np.newaxis]  # (R, L, N)
+    counts = np.count_nonzero(mask.reshape(-1, n_voxels), axis=1)
+    values = value(counts)
+    matrix = sparse.csr_matrix(
+        (np.repeat(values, counts), np.flatnonzero(mask) % n_voxels,
+         _indptr(counts)),
+        shape=(n_rows, n_voxels))
+
+    # U: a voxel inside `count` of a link's rows is inside its widest ones
+    count = mask.sum(axis=0, dtype=np.min_scalar_type(n_per_link)).T.copy()
+    pairs = np.flatnonzero(count)  # (voxel, link) pairs, voxel-major
+    bands = sparse.csr_matrix(
+        (np.ones(pairs.size),
+         pairs % n_links * n_per_link + (n_per_link - count.ravel()[pairs]),
+         _indptr(np.count_nonzero(count, axis=1))),
+        shape=(n_voxels, n_rows))
+
+    # S: band b of a link sums its rows at sorted positions b..R-1
+    order = np.argsort(np.nan_to_num(lam, nan=-np.inf), axis=0, kind="stable")
+    band, position = np.triu_indices(n_per_link)
+    band = (np.arange(n_links)[:, np.newaxis] * n_per_link + band).ravel()
+    row = (order[position] * n_links + np.arange(n_links)).T.ravel()
+    keep = counts[row] > 0
+    band, row = band[keep], row[keep]
+    band_sums = sparse.csr_matrix(
+        (values[row], row, _indptr(np.bincount(band, minlength=n_rows))),
+        shape=(n_rows, n_rows))
+    return WeightMatrix(matrix=matrix, row_keys=row_keys, bands=bands,
+                        band_sums=band_sums)
+
+
+def _indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR row pointers of rows holding `counts` entries each."""
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 def build_classic_weights(table: LinkTable, layout: NodeLayout,
@@ -156,9 +230,9 @@ def build_classic_weights(table: LinkTable, layout: NodeLayout,
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
-    matrix = _ellipse_rows(excess, np.full(table.n_links, lam),
-                           lambda counts: 1.0 / np.sqrt(table.lengths))
-    return WeightMatrix(matrix=matrix, row_keys=tuple(range(table.n_links)))
+    return _ellipse_rows(excess, np.full(table.n_links, lam),
+                         lambda counts: 1.0 / np.sqrt(table.lengths),
+                         tuple(range(table.n_links)))
 
 
 def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
@@ -185,8 +259,8 @@ def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
     lam = np.stack([_lambda_array(fades.values.T, d, params)
                     for d in directions], axis=1)  # (C, 2, L)
     inv_area = 1.0 / grid.p**2
-    matrix = _ellipse_rows(excess, lam,
-                           lambda counts: inv_area / np.maximum(counts, 1))
     row_keys = tuple((int(c), l, d) for c in fades.channels
                      for d in directions for l in range(table.n_links))
-    return WeightMatrix(matrix=matrix, row_keys=row_keys)
+    return _ellipse_rows(excess, lam,
+                         lambda counts: inv_area / np.maximum(counts, 1),
+                         row_keys)

@@ -3,9 +3,9 @@
 Localization picks the voxel with the maximum image value (lowest index on
 ties) and reports its center; an identically zero image is no detection.
 The optional Kalman filter smooths the per-frame estimates with a
-constant-acceleration kinematic model per axis driven by white-noise jerk.
-Error metrics are plain Euclidean distances with standard order
-statistics.
+constant-acceleration kinematic model per axis driven by white-noise jerk;
+a no-detection estimate gives it a predict-only step. Error metrics are
+plain Euclidean distances with standard order statistics.
 """
 
 from dataclasses import dataclass
@@ -73,8 +73,8 @@ def localize(image: np.ndarray, grid: VoxelGrid, k: int = 0) -> PositionEstimate
 
     An identically zero image, which is what a frame with no measured
     change gives, is no detection: the estimate has xy = (nan, nan),
-    peak 0.0 and voxel -1 (`detected` is False). It is not a position, so
-    a tracker should skip it rather than pass it to `kalman_step`.
+    peak 0.0 and voxel -1 (`detected` is False). It is not a position:
+    `kalman_step` only predicts through it and `init_track` rejects it.
     """
     image = np.asarray(image, dtype=float)
     if image.shape != (grid.n_voxels,):
@@ -91,7 +91,13 @@ def localize(image: np.ndarray, grid: VoxelGrid, k: int = 0) -> PositionEstimate
 
 def init_track(z: PositionEstimate, initial_var: float = 10.0) -> TrackState:
     """Seed a track from the first estimate: zero velocity/acceleration,
-    wide diagonal covariance."""
+    wide diagonal covariance.
+
+    Raises:
+        ValueError: z is no detection, which has no position to start from.
+    """
+    if not z.detected:
+        raise ValueError(f"cannot start a track from no detection at k={z.k}")
     state = np.array([z.xy[0], z.xy[1], 0.0, 0.0, 0.0, 0.0])
     return TrackState(state=state, covariance=np.eye(6) * initial_var, k=z.k)
 
@@ -115,11 +121,17 @@ def _ca_matrices(dt: float, q: float):
 
 def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
                 q: float = 1.0, r: np.ndarray | float = 0.1) -> TrackState:
-    """One predict-update cycle against a position measurement.
+    """One predict-update cycle against a position measurement, or a
+    predict-only step when z is no detection.
+
+    The constant-acceleration transition and noise compose over time, so
+    predict-only steps followed by an update give, up to rounding, the
+    state of one update step spanning their total dt.
 
     Args:
         track: previous state.
-        z: position measurement (voxel center).
+        z: position measurement (voxel center); with `z.detected` False the
+            state and covariance are only advanced by dt, to time z.k.
         dt: time step in seconds, > 0.
         q: white-noise-jerk intensity, m²/s⁵.
         r: measurement covariance — scalar variance or full 2x2 matrix.
@@ -141,6 +153,8 @@ def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
 
     x = f @ track.state
     p = f @ track.covariance @ f.T + qm
+    if not z.detected:
+        return TrackState(state=x, covariance=0.5 * (p + p.T), k=z.k)
 
     innovation = np.asarray(z.xy) - h @ x
     s = h @ p @ h.T + r

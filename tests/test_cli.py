@@ -160,6 +160,35 @@ def test_benchmark_csv(workspace):
     assert lines[1].startswith("msrti,stationary-grid,1,")
 
 
+def test_benchmark_rows_without_detection(workspace, monkeypatch, capsys):
+    # A run with no detected frame has summary None: its CSV row carries
+    # nan errors and the printed mean leaves it out, saying so.
+    tmp_path, _, layout_path, _, config = workspace
+
+    def summary(mean):
+        return {"mean": mean, "median": mean, "p95": mean, "max": mean,
+                "cdf": []}
+
+    rows = [("msrti", "stationary-grid", 1, summary(0.2)),
+            ("cdrti", "stationary-grid", 1, None),
+            ("msrti", "stationary-grid", 2, summary(0.4)),
+            ("cdrti", "stationary-grid", 2, None)]
+    monkeypatch.setattr("rtikit.cli.benchmark", lambda *a, **kw: rows)
+    out = tmp_path / "bench.csv"
+    rc = main(["benchmark", "--layout", str(layout_path),
+               "--config", str(config), "--seeds", "1,2",
+               "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[2] == "cdrti,stationary-grid,1,nan,nan,nan,nan"
+    assert lines[3].startswith("msrti,stationary-grid,2,0.4,")
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("msrti: mean error 0.300 m over 2 seeds")
+    assert "left out" not in printed[0]
+    assert printed[1].startswith("cdrti: mean error n/a over 2 seeds")
+    assert printed[1].endswith("(2 of 2 seeds left out: no detection)")
+
+
 def test_crosscheck_exit_codes(tmp_path, capsys):
     assert main(["crosscheck"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import blas
 
 from rtikit import harness
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
@@ -143,6 +144,12 @@ def test_cdrti_matches_stacked_reference():
     scale = np.abs(reference).max()
     assert scale > 0
     np.testing.assert_allclose(images, reference, rtol=0, atol=1e-9 * scale)
+    # the band factors carry the same √C as the weights
+    weights = pipe.operator.weights
+    z = rng.standard_normal((table.n_links, 3))
+    back = weights.matrix.T @ z
+    np.testing.assert_allclose(weights.back_project(z), back, rtol=0,
+                               atol=1e-12 * np.abs(back).max())
 
 
 def test_rti_channel_selection():
@@ -343,6 +350,78 @@ def test_streaming_outage_beyond_hold_window_is_no_detection():
         else:
             assert est.xy == row[1:3]
             assert est.detected
+
+
+def test_streaming_kalman_predicts_through_no_detection():
+    # One frame at a time through image -> localize -> kalman_step, every
+    # estimate passed on: k = 113-115 are predict-only steps, and at every
+    # detected frame the track equals the batched one, which skips them
+    # and spans the gap with one step.
+    layout, frames, _ = _outage_walk()
+    config = PipelineConfig(calibration_frames=100, kalman=True, dt=0.5)
+    smooth = run_pipeline("msrti", frames, layout, config)
+    fades = calibrate(frames[:100], enumerate_links(layout))
+    pipeline = VariantPipeline("msrti", fades, layout, smooth.grid, config)
+    r = config.kalman_r_scale * config.voxel_width**2
+    track = None
+    for frame, (k, x, y) in zip(frames[100:], smooth.rows):
+        est = localize(pipeline.image(frame), smooth.grid, k=frame.k)
+        track = (init_track(est) if track is None else
+                 kalman_step(track, est, dt=config.dt, q=config.kalman_q,
+                             r=r))
+        assert track.k == k
+        assert np.isfinite(track.state).all()
+        assert np.isfinite(track.covariance).all()
+        if 113 <= k <= 115:
+            assert not est.detected
+            assert np.isnan([x, y]).all()
+        else:
+            np.testing.assert_allclose(track.position, (x, y), rtol=0,
+                                       atol=1e-9)
+
+
+# The deployments and grids of the benchmark's three workloads: side of
+# the square perimeter of 30 nodes, and the grid or the voxel width of a
+# grid over the nodes' bounding box.
+WORKLOAD_GRIDS = {
+    "recalibrate": (7.0, 0.1524),
+    "stream": (8.4, VoxelGrid(origin=(-0.15, -0.15), p=0.1524, nx=55, ny=55)),
+    "files": (7.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_GRIDS))
+def test_tall_images_match_per_frame_and_csr_back_projection(workload):
+    side, grid = WORKLOAD_GRIDS[workload]
+    layout = perimeter_layout(30, side, side)
+    if not isinstance(grid, VoxelGrid):
+        grid = VoxelGrid.from_layout(layout, grid)
+    t = np.arange(12)
+    traj = np.column_stack((100 + t, side / 2 + side / 3 * np.sin(t / 2),
+                            side / 2 + side / 3 * np.cos(t / 3)))
+    trace = generate_trace(ScenarioSpec(layout=layout, trajectory=traj,
+                                        seed=1, calibration_frames=100))
+    fades = calibrate(trace.frames[:100], enumerate_links(layout))
+    frames = trace.frames[100:]
+    config = PipelineConfig(calibration_frames=100)
+    batch = VariantPipeline("msrti", fades, layout, grid, config)
+    op = batch.operator
+    assert op.tall
+    images = batch.images(frames)
+
+    def fresh():
+        return VariantPipeline("msrti", fades, layout, grid, config,
+                               operator=op)
+
+    single = fresh()
+    per_frame = np.array([single.image(f) for f in frames])
+    measure = fresh()
+    y = np.array([measure.measurement(f) for f in frames]).T
+    csr = blas.dsymm(1.0, op.stored, op.weights.matrix.T @ y, lower=1).T
+    scale = np.abs(csr).max()
+    for got in (images, per_frame):
+        np.testing.assert_allclose(got, csr, rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(got.argmax(axis=1), csr.argmax(axis=1))
 
 
 def test_never_observed_pairs_get_zero_rows():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rtikit import harness
 from rtikit.calibration import calibrate
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.ingest import (
@@ -227,6 +228,18 @@ def test_benchmark_csv(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "variant,scenario,seed,mean_m,median_m,p95_m,max_m"
     assert text[1].startswith("msrti,scene,1,0.3,")
+
+
+def test_benchmark_csv_row_without_detection(tmp_path, monkeypatch):
+    # benchmark() gives summary None for a run with no detected frame
+    summary = {"mean": 0.3, "median": 0.25, "p95": 0.6, "max": 1.0, "cdf": []}
+    monkeypatch.setattr(harness, "benchmark", lambda *a, **kw: [
+        ("msrti", "scene", 1, summary), ("msrti", "scene", 2, None)])
+    path = tmp_path / "bench.csv"
+    save_benchmark_csv(harness.benchmark(), path)
+    text = path.read_text().splitlines()
+    assert text[1] == "msrti,scene,1,0.3,0.25,0.6,1.0"
+    assert text[2] == "msrti,scene,2,nan,nan,nan,nan"
 
 
 def test_key_value_parsing(tmp_path):

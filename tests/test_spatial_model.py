@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from rtikit.calibration import FadeLevelTable, PathLossFit, calibrate, path_loss
@@ -16,6 +17,7 @@ from rtikit.spatial_model import (
     DIR_DOWN,
     DIR_UP,
     EllipseModelParams,
+    WeightMatrix,
     build_classic_weights,
     build_multiscale_weights,
     lambda_for,
@@ -230,3 +232,83 @@ def test_multiscale_deterministic():
     b = build_multiscale_weights(table, layout, grid, fades)
     assert a.row_keys == b.row_keys
     assert (a.matrix != b.matrix).nnz == 0
+
+
+# Fade levels that give: an uncalibrated pair (NaN), a down-direction
+# width clamped at lambda_max (-40), a down-direction row too thin to hold
+# a voxel center (40), and an up-direction width clamped too (400). Drawn
+# repeatedly, they also tie widths across channels.
+FADE_SPECIALS = (np.nan, -40.0, 0.0, 40.0, 400.0)
+PROPERTY_LAYOUT = ring(6, radius=3.0)
+PROPERTY_TABLE = enumerate_links(PROPERTY_LAYOUT)
+PROPERTY_GRID = VoxelGrid.from_layout(PROPERTY_LAYOUT, p=0.5)
+
+
+def assert_back_projection(wm, seed, n_columns):
+    """U·(S·y) equals Wᵀy within 1e-12 of its largest entry, for a 1-D y
+    and a (rows, K) block; U is 0/1 with one band per (voxel, link)."""
+    u, s = wm.bands, wm.band_sums
+    assert np.array_equal(u.data, np.ones(u.nnz))
+    per_link = u.shape[1] // PROPERTY_TABLE.n_links
+    for voxel in range(u.shape[0]):
+        links = u.indices[u.indptr[voxel]:u.indptr[voxel + 1]] // per_link
+        assert np.unique(links).size == links.size
+    rng = np.random.default_rng(seed)
+    for y in (rng.standard_normal(wm.n_rows),
+              rng.standard_normal((wm.n_rows, n_columns))):
+        expect = wm.matrix.T @ y
+        got = u @ (s @ y)
+        assert got.shape == expect.shape
+        np.testing.assert_allclose(got, expect, rtol=0,
+                                   atol=1e-12 * np.abs(expect).max())
+        np.testing.assert_array_equal(wm.back_project(y), got)
+
+
+@st.composite
+def fade_tables(draw):
+    n_channels = draw(st.integers(1, 4))
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(FADE_SPECIALS),
+                  st.floats(-20.0, 20.0, allow_nan=False)),
+        min_size=PROPERTY_TABLE.n_links * n_channels,
+        max_size=PROPERTY_TABLE.n_links * n_channels))
+    values = np.reshape(values, (PROPERTY_TABLE.n_links, n_channels))
+    return FadeLevelTable(
+        values=values, mean_rss=np.zeros_like(values),
+        channels=np.arange(11, 11 + n_channels),
+        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=10, rmse=0.0),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(fades=fade_tables(), lambda_max=st.sampled_from([0.3, 3.0]),
+       seed=st.integers(0, 2**32 - 1), n_columns=st.integers(1, 4))
+def test_multiscale_band_factors_back_project_like_w(fades, lambda_max, seed,
+                                                     n_columns):
+    params = EllipseModelParams(lambda_max=lambda_max)
+    wm = build_multiscale_weights(PROPERTY_TABLE, PROPERTY_LAYOUT,
+                                  PROPERTY_GRID, fades, params)
+    assert_back_projection(wm, seed, n_columns)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.sampled_from([0.0, 1e-4, 0.3, 2.0]) | st.floats(0.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_classic_band_factors_back_project_like_w(lam, seed):
+    wm = build_classic_weights(PROPERTY_TABLE, PROPERTY_LAYOUT, PROPERTY_GRID,
+                               lam)
+    assert_back_projection(wm, seed, 2)
+
+
+def test_bare_weight_matrix_gets_trivial_factors():
+    matrix = sparse.csr_matrix(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
+    wm = WeightMatrix(matrix=matrix, row_keys=(0, 1))
+    assert (wm.bands != matrix.T).nnz == 0
+    assert (wm.band_sums != sparse.identity(2)).nnz == 0
+    np.testing.assert_array_equal(wm.back_project(np.array([1.0, -1.0])),
+                                  [-3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="together"):
+        WeightMatrix(matrix=matrix, row_keys=(0, 1), bands=matrix.T.tocsr())
+    with pytest.raises(ValueError, match="compose"):
+        WeightMatrix(matrix=matrix, row_keys=(0, 1), bands=matrix.tocsr(),
+                     band_sums=sparse.identity(2, format="csr"))

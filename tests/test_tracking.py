@@ -119,6 +119,36 @@ def test_kalman_matrix_r():
     assert out.state.shape == (6,)
 
 
+def test_kalman_no_detection_is_predict_only():
+    nan = float("nan")
+    z0 = PositionEstimate(k=0, xy=(1.0, 2.0), peak=1.0, voxel=0)
+    z1 = PositionEstimate(k=1, xy=(1.3, 1.9), peak=1.0, voxel=0)
+    track = kalman_step(init_track(z0), z1, dt=0.5, q=2.0, r=0.1)
+    none = PositionEstimate(k=3, xy=(nan, nan), peak=0.0, voxel=-1)
+    pred = kalman_step(track, none, dt=1.0, q=2.0, r=0.1)
+    assert pred.k == 3
+    pos, vel, acc = track.state[:2], track.state[2:4], track.state[4:]
+    np.testing.assert_allclose(pred.state, np.concatenate(
+        (pos + vel + 0.5 * acc, vel + acc, acc)), rtol=1e-14, atol=1e-14)
+    assert np.array_equal(pred.covariance, pred.covariance.T)
+    assert np.trace(pred.covariance) > np.trace(track.covariance)
+    # two half-steps of prediction and an update equal one spanning update
+    z4 = PositionEstimate(k=4, xy=(1.8, 1.5), peak=1.0, voxel=0)
+    half = kalman_step(track, PositionEstimate(k=2, xy=(nan, nan), peak=0.0,
+                                               voxel=-1), dt=0.5, q=2.0, r=0.1)
+    chained = kalman_step(half, z4, dt=0.5, q=2.0, r=0.1)
+    spanning = kalman_step(track, z4, dt=1.0, q=2.0, r=0.1)
+    np.testing.assert_allclose(chained.state, spanning.state, rtol=1e-12)
+    np.testing.assert_allclose(chained.covariance, spanning.covariance,
+                               rtol=1e-12, atol=1e-15)
+
+
+def test_init_track_rejects_no_detection():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="no detection"):
+        init_track(PositionEstimate(k=5, xy=(nan, nan), peak=0.0, voxel=-1))
+
+
 def test_track_state_validation():
     with pytest.raises(ValueError):
         TrackState(state=np.zeros(4), covariance=np.eye(6), k=0)
