@@ -261,8 +261,9 @@ class VoxelGrid:
                     margin: float | None = None) -> "VoxelGrid":
         """Grid over the node bounding box padded by `margin` per side.
 
-        The default margin is one voxel width. Cell counts are rounded up
-        so the padded box is fully covered.
+        The default margin is one voxel width; a negative one shrinks the
+        box, and one that empties it on either axis (or NaN) raises. Cell
+        counts are rounded up so the padded box is fully covered.
         """
         if p <= 0:
             raise ValueError("voxel width p must be > 0")
@@ -270,6 +271,8 @@ class VoxelGrid:
             margin = p
         lo = layout.xy.min(axis=0) - margin
         hi = layout.xy.max(axis=0) + margin
+        if not (hi > lo).all():
+            raise ValueError(f"grid margin {margin} leaves an empty box")
         nx = max(1, int(np.ceil((hi[0] - lo[0]) / p)))
         ny = max(1, int(np.ceil((hi[1] - lo[1]) / p)))
         return cls(origin=(float(lo[0]), float(lo[1])), p=float(p), nx=nx, ny=ny)

@@ -110,21 +110,24 @@ class PipelineConfig:
     dt: float = 1.0
 
     def __post_init__(self):
-        if self.voxel_width <= 0:
-            raise ValueError("voxel_width must be > 0")
-        if self.calibration_frames < 1:
-            raise ValueError("calibration_frames must be >= 1")
-        if self.flrti_m < 1:
-            raise ValueError("flrti_m must be >= 1")
-        if self.classic_lambda < 0:
-            raise ValueError("classic_lambda must be >= 0")
+        for name, bound, ok in (  # each test is False for NaN
+                ("voxel_width", "> 0", self.voxel_width > 0),
+                ("calibration_frames", ">= 1", self.calibration_frames >= 1),
+                ("flrti_m", ">= 1", self.flrti_m >= 1),
+                ("classic_lambda", ">= 0", self.classic_lambda >= 0),
+                ("kalman_q", ">= 0", self.kalman_q >= 0),
+                ("kalman_r_scale", ">= 0", self.kalman_r_scale >= 0),
+                ("dt", "> 0", self.dt > 0)):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}")
 
     @classmethod
     def from_dict(cls, kv: dict) -> "PipelineConfig":
         """Build from flat key-value pairs (see load_key_value).
 
         Unknown keys raise; parameter-set keys map onto their dataclasses
-        (k_lambda_minus, beta_minus, sigma_x, ...).
+        (k_lambda_minus, beta_minus, sigma_x, ...). `kalman` is not a key:
+        the caller decides whether to smooth (`rtikit track --no-kalman`).
         """
         ellipse_keys = {
             "k_lambda_minus": "k_down", "b_lambda_minus": "b_down",
@@ -140,7 +143,6 @@ class PipelineConfig:
         top_float = {"voxel_width", "grid_margin", "classic_lambda",
                      "kalman_q", "kalman_r_scale", "dt"}
         top_int = {"calibration_frames", "rti_channel", "flrti_m"}
-        top_bool = {"kalman"}
 
         ellipse, measurement, recon, top = {}, {}, {}, {}
         for key, values in kv.items():
@@ -159,8 +161,6 @@ class PipelineConfig:
                 top[key] = float(value)
             elif key in top_int:
                 top[key] = int(value)
-            elif key in top_bool:
-                top[key] = value.lower() in ("1", "true", "yes", "on")
             else:
                 raise ValueError(f"unknown config key {key!r}")
         return cls(
@@ -184,8 +184,7 @@ def _scaled_weights(table, layout, grid, fades, config) -> WeightMatrix:
     """cdrti: the fixed-width weights times √C, one row per link."""
     classic = _classic_weights(table, layout, grid, fades, config)
     root_c = np.sqrt(fades.channels.size)
-    return replace(classic, matrix=classic.matrix * root_c,
-                   band_sums=classic.band_sums * root_c)
+    return replace(classic, band_sums=classic.band_sums * root_c)
 
 
 def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:

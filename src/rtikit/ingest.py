@@ -378,10 +378,11 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
     """Build a ScenarioSpec from a key-value scenario file.
 
     Recognized keys: channels, eta, p0, d0, calibration_frames,
-    noise_sigma, fade_sigma, quantize, seed; trajectory as repeated
-    `waypoint k x y` lines or one `stationary x y start_k n_frames`;
-    optional repeated `fade_offset link_tx link_rx channel value` lines
-    give explicit offsets (links without a line default to 0).
+    noise_sigma, fade_sigma, quantize (1/0, true/false, yes/no or on/off,
+    anything else raises), seed; trajectory as repeated `waypoint k x y`
+    lines or one `stationary x y start_k n_frames`; optional repeated
+    `fade_offset link_tx link_rx channel value` lines give explicit
+    offsets (links without a line default to 0).
     """
     kv = load_key_value(path)
     kwargs = {"layout": layout}
@@ -396,7 +397,10 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
             kwargs[key] = cast(value)
     if "quantize" in kv:
         (value,) = _single(kv, "quantize", path)
-        kwargs["quantize"] = value.lower() in ("1", "true", "yes", "on")
+        on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+        if value.lower() not in on + off:
+            raise ValueError(f"{path}: quantize {value!r} is not one of {on + off}")
+        kwargs["quantize"] = value.lower() in on
     if "channels" in kv:
         kwargs["channels"] = tuple(int(c) for c in _single(kv, "channels", path))
 

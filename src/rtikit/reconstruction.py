@@ -10,7 +10,8 @@ The build is the expensive step and happens once per weight matrix; each
 frame is then one or two products. The build is dense LAPACK/BLAS
 throughout: C_x from pairwise center distances, σ_N² C_x⁻¹ from its
 Cholesky factor (potrf, potri), the Gram matrix WᵀW from one dense copy
-of W, and a Cholesky factorization of A = WᵀW + σ_N² C_x⁻¹. W is about
+of W, made from a transient CSR that the weights form from their band
+factors, and a Cholesky factorization of A = WᵀW + σ_N² C_x⁻¹. W is about
 one sixth nonzero at the reference deployments, where the sparse WᵀW took
 four to eight times as long as the dense one.
 
@@ -114,7 +115,7 @@ class ReconstructionOperator:
 
     `apply` images measurements from whichever form is stored. `pi` gives
     Π for either form; a tall operator computes it on each access, which
-    holds a dense Wᵀ and the (N, rows) result for the duration.
+    holds a formed W, its dense Wᵀ and the (N, rows) result while it runs.
 
     Attributes:
         stored: for a tall W (more rows than voxels), M = (WᵀW + σ_N² C_x⁻¹)⁻¹
@@ -162,16 +163,17 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     """Factor A = WᵀW + σ_N² C_x⁻¹ for a weight matrix and store its inverse
     or Π = A⁻¹Wᵀ, whichever is smaller.
 
-    W is densified once; WᵀW is one BLAS product of that copy with itself
-    and A is Cholesky-factored in place. When W has more rows than voxels,
-    the dense copy is freed after the Gram product and potri turns the
-    factor into M = A⁻¹, (N, N), in place: transient memory is one dense W
-    (rows × N) plus the N × N normal matrix, and `pi` is then computed on
-    demand. Otherwise the solve against Wᵀ overwrites the dense copy's
-    transpose, which becomes the stored Π, (N, rows): no explicit inverse
-    is formed, and transient memory is the same. Besides these, the N × N
-    precision term is held. The stored array is in Fortran order. Neither
-    `weights` nor `precision_term` is written to.
+    W is formed once as CSR from the weights' factors and densified; WᵀW
+    is one BLAS product of that copy with itself and A is Cholesky-factored
+    in place. When W has more rows than voxels, the dense copy is freed
+    after the Gram product and potri turns the factor into M = A⁻¹, (N, N),
+    in place: transient memory is one dense W (rows × N), with its CSR
+    while it is densified, plus the N × N normal matrix, and `pi` is then
+    computed on demand. Otherwise the solve against Wᵀ overwrites the dense
+    copy's transpose, which becomes the stored Π, (N, rows): no explicit
+    inverse is formed, and transient memory is the same. Besides these, the
+    N × N precision term is held. The stored array is in Fortran order.
+    Neither `weights` nor `precision_term` is written to.
 
     Args:
         weights: link/voxel weight operator (classic or multi-scale).

@@ -10,9 +10,8 @@ evidence widely. Its rows form one (channel, direction, link) array; an
 uncalibrated (link, channel) pair keeps its two rows, all zero.
 
 The rows of a link are nested ellipses around one line, so both builders
-also give Wᵀ as two sparse factors U·S (see WeightMatrix), which
-back-project a measurement reading about a sixth of the nonzeros of the
-multi-scale W.
+store W only as the two sparse factors of Wᵀ = U·S (see WeightMatrix),
+which hold about a sixth of the multi-scale W's nonzeros.
 """
 
 from dataclasses import dataclass
@@ -101,8 +100,8 @@ def _lambda_array(fades: np.ndarray, direction: str,
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Sparse link-by-voxel weight operator, with Wᵀ = U·S as two sparse
-    factors for back-projection.
+    """Sparse link-by-voxel weight operator W, stored as the two sparse
+    factors of Wᵀ = U·S.
 
     For ellipse weights, a voxel's band on a link is R minus the number of
     the link's R rows that hold it, and those rows are its widest ones. A
@@ -112,45 +111,39 @@ class WeightMatrix:
     where W has one per (row, voxel) pair.
 
     Attributes:
-        matrix: scipy CSR of shape (rows, N), all entries >= 0.
+        bands: U, CSR (N, B).
+        band_sums: S, CSR (B, rows).
         row_keys: tuple keying each row — link index for the classic
             matrix, (channel, link, direction) for the multi-scale one.
-        bands: U, CSR (N, B).
-        band_sums: S, CSR (B, rows). Given neither factor, the pair is the
-            trivial (Wᵀ, I).
     """
 
-    matrix: sparse.csr_matrix
+    bands: sparse.csr_matrix
+    band_sums: sparse.csr_matrix
     row_keys: tuple
-    bands: sparse.csr_matrix | None = None
-    band_sums: sparse.csr_matrix | None = None
 
     def __post_init__(self):
-        if len(self.row_keys) != self.matrix.shape[0]:
-            raise ValueError("row_keys length must match matrix row count")
-        if self.matrix.nnz and self.matrix.data.min() < 0:
-            raise ValueError("weights must be >= 0")
-        if (self.bands is None) != (self.band_sums is None):
-            raise ValueError(
-                "bands and band_sums are given together or not at all")
-        if self.bands is None:
-            object.__setattr__(self, "bands", self.matrix.T.tocsr())
-            object.__setattr__(self, "band_sums",
-                               sparse.identity(self.n_rows, format="csr"))
-        if (self.bands.shape[0] != self.n_voxels
-                or self.band_sums.shape != (self.bands.shape[1], self.n_rows)):
-            raise ValueError(
-                f"factor shapes {self.bands.shape} and {self.band_sums.shape} "
-                f"do not compose to Wᵀ, ({self.n_voxels}, {self.n_rows})"
-            )
+        if self.bands.shape[1] != self.band_sums.shape[0]:
+            raise ValueError(f"factor shapes {self.bands.shape} and "
+                             f"{self.band_sums.shape} do not compose")
+        if len(self.row_keys) != self.n_rows:
+            raise ValueError("row_keys length must match the row count")
+        for factor in (self.bands, self.band_sums):
+            if factor.nnz and factor.data.min() < 0:
+                raise ValueError("weights must be >= 0")
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return self.band_sums.shape[1]
 
     @property
     def n_voxels(self) -> int:
-        return self.matrix.shape[1]
+        return self.bands.shape[0]
+
+    @property
+    def matrix(self) -> sparse.csr_matrix:
+        """W = (U·S)ᵀ, (rows, N) CSR with sorted indices, formed anew on
+        each access and not cached."""
+        return (self.bands @ self.band_sums).T.tocsr()
 
     def back_project(self, y: np.ndarray) -> np.ndarray:
         """Wᵀy as U·(S·y), for y of shape (rows,) or (rows, K)."""
@@ -160,7 +153,7 @@ class WeightMatrix:
 def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
                   row_keys: tuple) -> WeightMatrix:
     """Ellipse weights over the links of `excess`, each link repeated R
-    times, with their band factors.
+    times, as the band factors of Wᵀ.
 
     Args:
         excess: (L, N) excess path length of every voxel center per link.
@@ -171,11 +164,11 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
         row_keys: the key of each row.
 
     Returns:
-        WeightMatrix whose band factors come from the same (R, L, N)
-        membership mask as its rows, with one band per row. Band b of link
-        l is column l·R + b of U; its row of S holds the values of the
-        link's rows from sorted position b up, rows sorted by ascending
-        width with NaN first. Rows with no member are left out of S.
+        WeightMatrix whose factors come from one (R, L, N) membership mask,
+        with one band per row; no W is built. Band b of link l is column
+        l·R + b of U; its row of S holds the values of the link's rows from
+        sorted position b up, rows sorted by ascending width with NaN
+        first. Rows with no member are left out of S.
     """
     n_links, n_voxels = excess.shape
     lam = lam.reshape(-1, n_links)
@@ -183,10 +176,6 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
     mask = excess < lam[:, :, np.newaxis]  # (R, L, N)
     counts = np.count_nonzero(mask.reshape(-1, n_voxels), axis=1)
     values = value(counts)
-    matrix = sparse.csr_matrix(
-        (np.repeat(values, counts), np.flatnonzero(mask) % n_voxels,
-         _indptr(counts)),
-        shape=(n_rows, n_voxels))
 
     # U: a voxel inside `count` of a link's rows is inside its widest ones
     count = mask.sum(axis=0, dtype=np.min_scalar_type(n_per_link)).T.copy()
@@ -207,8 +196,7 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
     band_sums = sparse.csr_matrix(
         (values[row], row, _indptr(np.bincount(band, minlength=n_rows))),
         shape=(n_rows, n_rows))
-    return WeightMatrix(matrix=matrix, row_keys=row_keys, bands=bands,
-                        band_sums=band_sums)
+    return WeightMatrix(bands=bands, band_sums=band_sums, row_keys=row_keys)
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:

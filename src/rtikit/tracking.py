@@ -120,7 +120,7 @@ def _ca_matrices(dt: float, q: float):
 
 
 def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
-                q: float = 1.0, r: np.ndarray | float = 0.1) -> TrackState:
+                q: float = 1.0, r: float = 0.1) -> TrackState:
     """One predict-update cycle against a position measurement, or a
     predict-only step when z is no detection.
 
@@ -134,7 +134,7 @@ def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
             state and covariance are only advanced by dt, to time z.k.
         dt: time step in seconds, > 0.
         q: white-noise-jerk intensity, m²/s⁵.
-        r: measurement covariance — scalar variance or full 2x2 matrix.
+        r: measurement variance per axis, m² (covariance r·I).
 
     Returns:
         Updated TrackState; covariance stays symmetric PSD (Joseph-form
@@ -149,7 +149,7 @@ def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
     f, qm = _ca_matrices(dt, q)
     h = np.zeros((2, 6))
     h[0, 0] = h[1, 1] = 1.0
-    r = np.eye(2) * float(r) if np.isscalar(r) else np.asarray(r, dtype=float)
+    r = np.eye(2) * float(r)
 
     x = f @ track.state
     p = f @ track.covariance @ f.T + qm

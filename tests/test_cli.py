@@ -220,6 +220,44 @@ def test_bad_config_key_reported(workspace):
               "--out", str(tmp_path / "t.csv")])
 
 
+@pytest.mark.parametrize("line", [
+    "dt 0", "kalman_q -1", "kalman_r_scale nan", "voxel_width nan",
+    "kalman true",
+])
+def test_bad_config_value_reported(workspace, line):
+    tmp_path, _, layout_path, _, _ = workspace
+    trace_path, _ = _simulate(workspace)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"calibration_frames 30\n{line}\n")
+    with pytest.raises(SystemExit, match="config error"):
+        main(["track", "--layout", str(layout_path),
+              "--trace", str(trace_path), "--config", str(bad),
+              "--out", str(tmp_path / "t.csv")])
+
+
+def test_empty_grid_is_an_error(workspace, capsys):
+    tmp_path, _, layout_path, _, _ = workspace
+    trace_path, _ = _simulate(workspace)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("calibration_frames 30\ngrid_margin -5\n")
+    rc = main(["track", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--config", str(bad),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "empty box" in capsys.readouterr().err
+
+
+def test_bad_scenario_quantize_reported(workspace, capsys):
+    tmp_path, _, layout_path, scenario, _ = workspace
+    scenario.write_text(scenario.read_text() + "quantize maybe\n")
+    rc = main(["simulate", "--layout", str(layout_path),
+               "--scenario", str(scenario),
+               "--out-trace", str(tmp_path / "trace.txt"),
+               "--out-truth", str(tmp_path / "truth.txt")])
+    assert rc == 2
+    assert "is not one of" in capsys.readouterr().err
+
+
 def test_missing_file_is_an_error_not_a_crash(tmp_path, capsys):
     rc = main(["calibrate", "--layout", str(tmp_path / "nope.txt"),
                "--trace", str(tmp_path / "nope2.txt"),

@@ -182,6 +182,18 @@ def test_grid_from_layout_margin():
     assert explicit.nx == 12
 
 
+def test_grid_from_layout_rejects_empty_box():
+    # A margin of -5 crosses a 7 m box over; unchecked it gave a 1x1 grid
+    # at (5, 5), outside the nodes.
+    layout = square_layout(7.0)
+    for margin in (-5.0, -3.5, float("nan")):
+        with pytest.raises(ValueError, match="empty box"):
+            VoxelGrid.from_layout(layout, p=0.5, margin=margin)
+    shrunk = VoxelGrid.from_layout(layout, p=0.5, margin=-1.0)
+    assert shrunk.origin == pytest.approx((1.0, 1.0))
+    assert shrunk.nx == shrunk.ny == 10
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         VoxelGrid(origin=(0, 0), p=0.0, nx=4, ny=4)

@@ -27,7 +27,11 @@ from rtikit.simulator import (
 from rtikit.spatial_model import (
     EllipseModelParams,
     WeightMatrix,
-    build_classic_weights,
+)
+from weight_reference import (
+    assert_same_csr,
+    classic_reference,
+    multiscale_reference,
 )
 
 
@@ -125,11 +129,13 @@ def test_cdrti_matches_stacked_reference():
         rss = np.where(rng.random(f.rss.shape) < 0.2, np.nan, f.rss)
         frames.append(RssFrame(k=f.k, rss=rss, channels=f.channels))
 
-    classic = build_classic_weights(table, layout, grid, config.classic_lambda)
+    classic = classic_reference(table, layout, grid, config.classic_lambda)
     n_channels = fades.channels.size
-    stacked = sparse.vstack([classic.matrix] * n_channels, format="csr")
+    stacked = sparse.vstack([classic] * n_channels, format="csr")
     reference_op = build_operator(
-        WeightMatrix(matrix=stacked, row_keys=tuple(range(stacked.shape[0]))),
+        WeightMatrix(bands=stacked.T.tocsr(),
+                     band_sums=sparse.identity(stacked.shape[0], format="csr"),
+                     row_keys=tuple(range(stacked.shape[0]))),
         grid, config.reconstruction)
     hold = HoldBuffer(table.n_links, n_channels,
                       config.measurement.hold_frames)
@@ -144,10 +150,12 @@ def test_cdrti_matches_stacked_reference():
     scale = np.abs(reference).max()
     assert scale > 0
     np.testing.assert_allclose(images, reference, rtol=0, atol=1e-9 * scale)
-    # the band factors carry the same √C as the weights
+    # the weights are √C·W, and their band factors back-project like it
     weights = pipe.operator.weights
+    scaled = classic * np.sqrt(n_channels)
+    assert_same_csr(weights.matrix, scaled)
     z = rng.standard_normal((table.n_links, 3))
-    back = weights.matrix.T @ z
+    back = scaled.T @ z
     np.testing.assert_allclose(weights.back_project(z), back, rtol=0,
                                atol=1e-12 * np.abs(back).max())
 
@@ -417,7 +425,10 @@ def test_tall_images_match_per_frame_and_csr_back_projection(workload):
     per_frame = np.array([single.image(f) for f in frames])
     measure = fresh()
     y = np.array([measure.measurement(f) for f in frames]).T
-    csr = blas.dsymm(1.0, op.stored, op.weights.matrix.T @ y, lower=1).T
+    reference = multiscale_reference(enumerate_links(layout), layout, grid,
+                                     fades, config.ellipse)
+    assert_same_csr(op.weights.matrix, reference)
+    csr = blas.dsymm(1.0, op.stored, reference.T @ y, lower=1).T
     scale = np.abs(csr).max()
     for got in (images, per_frame):
         np.testing.assert_allclose(got, csr, rtol=0, atol=1e-12 * scale)
@@ -455,11 +466,14 @@ def test_never_observed_pairs_get_zero_rows():
     keep = [i for i, (c, l, _) in enumerate(weights.row_keys)
             if (c, l) not in dead]
     assert len(keep) == weights.n_rows - 2 * len(lost)
-    nnz = np.diff(weights.matrix.indptr)
+    w = multiscale_reference(table, layout, grid, fades, config.ellipse)
+    assert_same_csr(weights.matrix, w)
+    nnz = np.diff(w.indptr)
     assert all(nnz[i] == 0 for i in set(range(weights.n_rows)) - set(keep))
 
     reference = build_operator(
-        WeightMatrix(matrix=weights.matrix[keep],
+        WeightMatrix(bands=w[keep].T.tocsr(),
+                     band_sums=sparse.identity(len(keep), format="csr"),
                      row_keys=tuple(weights.row_keys[i] for i in keep)),
         grid, config.reconstruction)
     replay = VariantPipeline("msrti", fades, layout, grid, config,
@@ -540,7 +554,6 @@ def test_config_from_dict_roundtrip():
         "voxel_width": [["0.2"]],
         "calibration_frames": [["60"]],
         "flrti_m": [["2"]],
-        "kalman": [["true"]],
         "k_lambda_minus": [["-5.0"]],
         "b_lambda_minus": [["0.25"]],
         "lambda_max": [["2.5"]],
@@ -553,7 +566,6 @@ def test_config_from_dict_roundtrip():
     assert config.voxel_width == 0.2
     assert config.calibration_frames == 60
     assert config.flrti_m == 2
-    assert config.kalman is True
     assert config.ellipse.k_down == -5.0
     assert config.ellipse.b_down == 0.25
     assert config.ellipse.lambda_max == 2.5
@@ -570,8 +582,20 @@ def test_config_from_dict_rejects_unknown_key():
         PipelineConfig.from_dict({"hold": [["0"]]})
     with pytest.raises(ValueError, match="unknown config key 'dead_zone_db'"):
         PipelineConfig.from_dict({"dead_zone_db": [["0"]]})
+    with pytest.raises(ValueError, match="unknown config key 'kalman'"):
+        PipelineConfig.from_dict({"kalman": [["true"]]})
     with pytest.raises(ValueError, match="exactly one value"):
         PipelineConfig.from_dict({"sigma_x": [["1.0", "2.0"]]})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt", "0"), ("dt", "-1"), ("dt", "nan"), ("kalman_q", "-1"),
+    ("kalman_q", "nan"), ("kalman_r_scale", "-2"), ("kalman_r_scale", "nan"),
+    ("voxel_width", "nan"), ("classic_lambda", "nan"),
+])
+def test_config_rejects_out_of_range_values(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        PipelineConfig.from_dict({key: [[value]]})
 
 
 def test_config_validation():

@@ -275,6 +275,17 @@ def test_scenario_round_trip(tmp_path, layout):
         np.testing.assert_array_equal(fa.rss, fb.rss)
 
 
+def test_scenario_quantize_values(tmp_path, layout):
+    path = tmp_path / "scenario.txt"
+    base = "calibration_frames 10\nstationary 2.0 1.5 10 5\n"
+    for value, want in (("Off", False), ("YES", True), ("0", False)):
+        path.write_text(f"{base}quantize {value}\n")
+        assert load_scenario(path, layout).quantize is want
+    path.write_text(f"{base}quantize maybe\n")
+    with pytest.raises(ValueError, match="quantize .maybe. is not one of"):
+        load_scenario(path, layout)
+
+
 def test_scenario_stationary_form(tmp_path, layout):
     path = tmp_path / "scenario.txt"
     path.write_text(

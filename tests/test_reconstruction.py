@@ -109,8 +109,9 @@ def test_operator_matches_dense_oracle_multiscale():
 
 def test_operator_zero_weights_gives_zero_pi():
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=6, ny=6)
-    empty = sparse.csr_matrix((4, grid.n_voxels))
-    wm = WeightMatrix(matrix=empty, row_keys=(0, 1, 2, 3))
+    wm = WeightMatrix(bands=sparse.csr_matrix((grid.n_voxels, 4)),
+                      band_sums=sparse.identity(4, format="csr"),
+                      row_keys=(0, 1, 2, 3))
     op = build_operator(wm, grid)
     assert np.allclose(op.pi, 0.0)
 
@@ -204,8 +205,8 @@ def test_normal_matrix_not_spd_raises():
 
 def test_shared_build_leaves_inputs_untouched():
     """msrti (tall) and stacked cdrti (short) built from one precision
-    term, as a recalibration does: the term and every W buffer stay
-    bit-identical."""
+    term, as a recalibration does: the term and every buffer of the
+    weights' band factors stay bit-identical."""
     layout, table = octagon()
     grid = VoxelGrid.from_layout(layout, p=1.0)
     params = ReconstructionParams()
@@ -214,22 +215,27 @@ def test_shared_build_leaves_inputs_untouched():
     stacked = sparse.vstack([classic, classic], format="csr")
     weights = [
         build_multiscale_weights(table, layout, grid, fades),
-        WeightMatrix(matrix=stacked, row_keys=tuple(range(stacked.shape[0]))),
+        WeightMatrix(bands=stacked.T.tocsr(),
+                     band_sums=sparse.identity(stacked.shape[0], format="csr"),
+                     row_keys=tuple(range(stacked.shape[0]))),
     ]
     term = prior_precision_term(grid, params)
     term_before = term.copy()
-    before = [(w.matrix.data.copy(), w.matrix.indices.copy(),
-               w.matrix.indptr.copy()) for w in weights]
+
+    def buffers(wm):
+        return [getattr(factor, name).copy()
+                for factor in (wm.bands, wm.band_sums)
+                for name in ("data", "indices", "indptr")]
+
+    before = [buffers(w) for w in weights]
     n = grid.n_voxels
-    for wm, (data, indices, indptr), cols in zip(weights, before,
-                                                 (n, stacked.shape[0])):
+    for wm, snapshot, cols in zip(weights, before, (n, stacked.shape[0])):
         op = build_operator(wm, grid, params, precision_term=term)
         assert op.stored.shape == (n, cols)
         assert op.stored.flags.f_contiguous
         assert op.pi.shape == (n, wm.n_rows)
-        assert np.array_equal(wm.matrix.data, data)
-        assert np.array_equal(wm.matrix.indices, indices)
-        assert np.array_equal(wm.matrix.indptr, indptr)
+        for got, want in zip(buffers(wm), snapshot):
+            assert np.array_equal(got, want)
         assert np.array_equal(term, term_before)
 
 

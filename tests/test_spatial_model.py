@@ -22,6 +22,11 @@ from rtikit.spatial_model import (
     build_multiscale_weights,
     lambda_for,
 )
+from weight_reference import (
+    assert_same_csr,
+    classic_reference,
+    multiscale_reference,
+)
 
 
 def ring(n=8, radius=4.0):
@@ -244,9 +249,11 @@ PROPERTY_TABLE = enumerate_links(PROPERTY_LAYOUT)
 PROPERTY_GRID = VoxelGrid.from_layout(PROPERTY_LAYOUT, p=0.5)
 
 
-def assert_back_projection(wm, seed, n_columns):
-    """U·(S·y) equals Wᵀy within 1e-12 of its largest entry, for a 1-D y
+def assert_back_projection(wm, reference, seed, n_columns):
+    """W equals the reference in data, indices and indptr; U·(S·y) equals
+    Wᵀy from the reference within 1e-12 of its largest entry, for a 1-D y
     and a (rows, K) block; U is 0/1 with one band per (voxel, link)."""
+    assert_same_csr(wm.matrix, reference)
     u, s = wm.bands, wm.band_sums
     assert np.array_equal(u.data, np.ones(u.nnz))
     per_link = u.shape[1] // PROPERTY_TABLE.n_links
@@ -256,12 +263,11 @@ def assert_back_projection(wm, seed, n_columns):
     rng = np.random.default_rng(seed)
     for y in (rng.standard_normal(wm.n_rows),
               rng.standard_normal((wm.n_rows, n_columns))):
-        expect = wm.matrix.T @ y
-        got = u @ (s @ y)
+        expect = reference.T @ y
+        got = wm.back_project(y)
         assert got.shape == expect.shape
         np.testing.assert_allclose(got, expect, rtol=0,
                                    atol=1e-12 * np.abs(expect).max())
-        np.testing.assert_array_equal(wm.back_project(y), got)
 
 
 @st.composite
@@ -288,7 +294,9 @@ def test_multiscale_band_factors_back_project_like_w(fades, lambda_max, seed,
     params = EllipseModelParams(lambda_max=lambda_max)
     wm = build_multiscale_weights(PROPERTY_TABLE, PROPERTY_LAYOUT,
                                   PROPERTY_GRID, fades, params)
-    assert_back_projection(wm, seed, n_columns)
+    reference = multiscale_reference(PROPERTY_TABLE, PROPERTY_LAYOUT,
+                                     PROPERTY_GRID, fades, params)
+    assert_back_projection(wm, reference, seed, n_columns)
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,18 +305,30 @@ def test_multiscale_band_factors_back_project_like_w(fades, lambda_max, seed,
 def test_classic_band_factors_back_project_like_w(lam, seed):
     wm = build_classic_weights(PROPERTY_TABLE, PROPERTY_LAYOUT, PROPERTY_GRID,
                                lam)
-    assert_back_projection(wm, seed, 2)
+    reference = classic_reference(PROPERTY_TABLE, PROPERTY_LAYOUT,
+                                  PROPERTY_GRID, lam)
+    assert_back_projection(wm, reference, seed, 2)
 
 
-def test_bare_weight_matrix_gets_trivial_factors():
-    matrix = sparse.csr_matrix(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
-    wm = WeightMatrix(matrix=matrix, row_keys=(0, 1))
-    assert (wm.bands != matrix.T).nnz == 0
-    assert (wm.band_sums != sparse.identity(2)).nnz == 0
+def test_weight_matrix_validates_factors():
+    # W = [[0, 2, 1], [3, 0, 0]] as its trivial factors (Wᵀ, I)
+    w = sparse.csr_matrix(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
+    wm = WeightMatrix(bands=w.T.tocsr(), band_sums=sparse.identity(2, format="csr"),
+                      row_keys=(0, 1))
+    assert (wm.n_rows, wm.n_voxels) == (2, 3)
+    assert_same_csr(wm.matrix, w)
     np.testing.assert_array_equal(wm.back_project(np.array([1.0, -1.0])),
                                   [-3.0, 2.0, 1.0])
-    with pytest.raises(ValueError, match="together"):
-        WeightMatrix(matrix=matrix, row_keys=(0, 1), bands=matrix.T.tocsr())
     with pytest.raises(ValueError, match="compose"):
-        WeightMatrix(matrix=matrix, row_keys=(0, 1), bands=matrix.tocsr(),
-                     band_sums=sparse.identity(2, format="csr"))
+        WeightMatrix(bands=w.tocsr(), band_sums=sparse.identity(2, format="csr"),
+                     row_keys=(0, 1))
+    with pytest.raises(ValueError, match=">= 0"):
+        WeightMatrix(bands=w.T.tocsr(),
+                     band_sums=sparse.csr_matrix(np.diag([1.0, -1.0])),
+                     row_keys=(0, 1))
+    with pytest.raises(ValueError, match=">= 0"):
+        WeightMatrix(bands=-w.T.tocsr(),
+                     band_sums=sparse.identity(2, format="csr"), row_keys=(0, 1))
+    with pytest.raises(ValueError, match="row_keys"):
+        WeightMatrix(bands=w.T.tocsr(), band_sums=sparse.identity(2, format="csr"),
+                     row_keys=(0, 1, 2))

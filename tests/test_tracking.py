@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rtikit.geometry import VoxelGrid
 from rtikit.tracking import (
@@ -110,37 +111,48 @@ def test_kalman_update_reduces_uncertainty():
     assert stepped.covariance[0, 0] < track.covariance[0, 0]
 
 
-def test_kalman_matrix_r():
-    z0 = PositionEstimate(k=0, xy=(0.0, 0.0), peak=1.0, voxel=0)
-    track = init_track(z0)
-    r = np.array([[0.2, 0.05], [0.05, 0.3]])
-    out = kalman_step(track, PositionEstimate(k=1, xy=(0.5, 0.2), peak=1.0, voxel=0),
-                      dt=0.5, r=r)
-    assert out.state.shape == (6,)
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-def test_kalman_no_detection_is_predict_only():
+@settings(max_examples=100, deadline=None)
+@given(gaps=st.lists(st.floats(0.01, 5.0), min_size=1, max_size=5),
+       last=st.floats(0.01, 5.0), q=st.floats(0.01, 10.0),
+       r=st.floats(1e-3, 1.0))
+@example(gaps=[0.5], last=0.5, q=2.0, r=0.1)
+def test_kalman_no_detection_is_predict_only(gaps, last, q, r):
+    # Predict-only steps over arbitrary positive gaps, then an update,
+    # equal one update spanning the summed gap.
     nan = float("nan")
     z0 = PositionEstimate(k=0, xy=(1.0, 2.0), peak=1.0, voxel=0)
     z1 = PositionEstimate(k=1, xy=(1.3, 1.9), peak=1.0, voxel=0)
-    track = kalman_step(init_track(z0), z1, dt=0.5, q=2.0, r=0.1)
-    none = PositionEstimate(k=3, xy=(nan, nan), peak=0.0, voxel=-1)
-    pred = kalman_step(track, none, dt=1.0, q=2.0, r=0.1)
-    assert pred.k == 3
-    pos, vel, acc = track.state[:2], track.state[2:4], track.state[4:]
-    np.testing.assert_allclose(pred.state, np.concatenate(
-        (pos + vel + 0.5 * acc, vel + acc, acc)), rtol=1e-14, atol=1e-14)
-    assert np.array_equal(pred.covariance, pred.covariance.T)
-    assert np.trace(pred.covariance) > np.trace(track.covariance)
-    # two half-steps of prediction and an update equal one spanning update
-    z4 = PositionEstimate(k=4, xy=(1.8, 1.5), peak=1.0, voxel=0)
-    half = kalman_step(track, PositionEstimate(k=2, xy=(nan, nan), peak=0.0,
-                                               voxel=-1), dt=0.5, q=2.0, r=0.1)
-    chained = kalman_step(half, z4, dt=0.5, q=2.0, r=0.1)
-    spanning = kalman_step(track, z4, dt=1.0, q=2.0, r=0.1)
-    np.testing.assert_allclose(chained.state, spanning.state, rtol=1e-12)
-    np.testing.assert_allclose(chained.covariance, spanning.covariance,
-                               rtol=1e-12, atol=1e-15)
+    track = kalman_step(init_track(z0), z1, dt=0.5, q=q, r=r)
+    chained = track
+    for i, dt in enumerate(gaps):
+        none = PositionEstimate(k=2 + i, xy=(nan, nan), peak=0.0, voxel=-1)
+        pred = kalman_step(chained, none, dt=dt, q=q, r=r)
+        assert pred.k == none.k
+        pos, vel, acc = (chained.state[:2], chained.state[2:4],
+                         chained.state[4:])
+        want = np.concatenate((pos + vel * dt + 0.5 * acc * dt**2,
+                               vel + acc * dt, acc))
+        np.testing.assert_allclose(pred.state, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+        p = pred.covariance
+        assert np.array_equal(p, p.T)
+        eigenvalues = np.linalg.eigvalsh(p)
+        assert eigenvalues.min() >= -1e-12 * eigenvalues.max()
+        assert np.trace(p) > np.trace(chained.covariance)
+        chained = pred
+    z = PositionEstimate(k=2 + len(gaps), xy=(1.8, 1.5), peak=1.0, voxel=0)
+    chained = kalman_step(chained, z, dt=last, q=q, r=r)
+    spanning = kalman_step(track, z, dt=sum(gaps) + last, q=q, r=r)
+    assert chained.k == spanning.k == z.k
+    assert _relative_error(chained.state, spanning.state) <= 1e-9
+    assert _relative_error(chained.covariance, spanning.covariance) <= 1e-9
+    p = chained.covariance
+    assert np.array_equal(p, p.T)
+    assert np.linalg.eigvalsh(p).min() >= -1e-12 * np.linalg.eigvalsh(p).max()
 
 
 def test_init_track_rejects_no_detection():
