@@ -102,6 +102,28 @@ class LinkTable:
         except KeyError:
             raise KeyError(f"no link between nodes {node_a} and {node_b}") from None
 
+    def link_indices(self, node_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
+        """link_index over arrays of node ids: the link of each (a, b) pair
+        in either order, or -1 where the pair has no link (an unknown id or
+        a self-pair).
+
+        The lookup is a dense symmetric table over the sorted ids that
+        appear in a link, reached through searchsorted. Its last row and
+        column stand for every other id.
+        """
+        pairs = np.array(list(self._pair_index), dtype=np.int64).reshape(-1, 2)
+        ids = np.unique(pairs)
+        n = ids.size
+        lookup = np.full((n + 1, n + 1), -1, dtype=np.int64)
+        lo, hi = np.searchsorted(ids, pairs.T)
+        lookup[lo, hi] = lookup[hi, lo] = list(self._pair_index.values())
+        slots = []
+        for nodes in (node_a, node_b):
+            nodes = np.asarray(nodes, dtype=np.int64)
+            i = np.searchsorted(ids, nodes)
+            slots.append(np.where(np.append(ids, 0)[i] == nodes, i, n))
+        return lookup[slots[0], slots[1]]
+
 
 def enumerate_links(layout: NodeLayout, mode: str = "all_pairs",
                     pairs=None) -> LinkTable:

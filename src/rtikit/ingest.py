@@ -4,15 +4,23 @@ Every on-disk format of the toolkit is implemented here, with load/save
 round-trip fidelity. All formats are line-oriented text with `#` comments;
 parse errors carry `path:lineno:` prefixes. Records for (a, b) and (b, a)
 fold onto the same undirected link.
+
+Traces are the one format that grows with the recording (one record per
+link, channel and frame), so they are read and written a block at a time:
+load_trace parses a well-formed file in one np.loadtxt call and keeps a
+per-line parser for every diagnostic, and save_trace formats each frame
+as one string.
 """
 
 import csv
+import os
 import warnings
 from itertools import chain
 
 import numpy as np
 
-from .calibration import FadeLevelTable, PathLossFit, RssFrame
+from .calibration import (CHANNEL_MAX, CHANNEL_MIN, FadeLevelTable, PathLossFit,
+                          RssFrame)
 from .geometry import LinkTable, NodeLayout, VoxelGrid
 from .simulator import DEFAULT_CHANNELS, ScenarioSpec
 
@@ -80,14 +88,78 @@ def save_layout(layout: NodeLayout, path) -> None:
 
 # ----------------------------------------------------------------- trace
 
+_TRACE_RECORD = np.dtype([("k", np.int64), ("tx", np.int64), ("rx", np.int64),
+                          ("channel", np.int64), ("rss", np.float64)])
+_INT64 = np.iinfo(np.int64)
+# np.loadtxt opens a path through np.lib._datasource, which decompresses
+# these suffixes and fetches URLs; open() does neither
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _rss_token(token: str) -> float:
+    return np.nan if token == "NA" else float(token)
+
+
 def load_trace(path, table: LinkTable) -> list[RssFrame]:
     """Read an RSS trace: `k tx_id rx_id channel rss_dbm` records.
 
-    Records are grouped into frames by time index k (ascending). `NA`
-    marks a dropped packet. Duplicate (k, link, channel) records keep the
-    last value and emit a warning. Unknown node pairs and malformed lines
-    raise with the line number.
+    Records are grouped into frames by time index k (ascending); each
+    frame holds the channels seen anywhere in the trace, ascending, and
+    NaN where a (link, channel) has no record. `NA` marks a dropped
+    packet. (a, b) and (b, a) fold onto one link.
+
+    A well-formed trace is parsed as one block by np.loadtxt and scattered
+    into a (K, L, C) array. Anything that block path does not accept (a
+    token np.loadtxt cannot read, an unknown or self pair, a channel
+    outside [11, 26], an infinite rss, a repeated (k, link, channel) key)
+    sends the whole file through the per-line parser, which gives the
+    same frames for every file the block path accepts and is the one that
+    reports: malformed or out-of-range lines raise ValueError with
+    `path:lineno:`, and a repeated key keeps the last value with a
+    line-numbered warning.
     """
+    frames = _load_trace_block(path, table)
+    return _load_trace_lines(path, table) if frames is None else frames
+
+
+def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
+    """The trace from one np.loadtxt call, or None to defer to the
+    per-line parser."""
+    name = os.fspath(path)
+    if not (isinstance(name, str) and os.path.isfile(name)
+            and not name.endswith(_COMPRESSED)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.23 and later 1.x read `1.0` as an integer with a
+            # DeprecationWarning; int() rejects it
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rec = np.loadtxt(name, dtype=_TRACE_RECORD, comments="#", ndmin=1,
+                             converters={4: _rss_token})
+    except (OSError, ValueError, DeprecationWarning):
+        return None
+    if not rec.size:
+        return []
+    link = table.link_indices(rec["tx"], rec["rx"])
+    channel, rss = rec["channel"], rec["rss"]
+    if (link < 0).any() or np.isinf(rss).any() or not (
+            CHANNEL_MIN <= channel.min() and channel.max() <= CHANNEL_MAX):
+        return None
+    ks, frame_of = np.unique(rec["k"], return_inverse=True)
+    channels, column = np.unique(channel, return_inverse=True)
+    flat = (frame_of * table.n_links + link) * channels.size + column
+    flat_sorted = np.sort(flat)  # np.unique(flat) hashes on numpy >= 2.3, far slower
+    if (flat_sorted[1:] == flat_sorted[:-1]).any():  # a repeated key
+        return None
+    block = np.full((ks.size, table.n_links, channels.size), np.nan)
+    block.reshape(-1)[flat] = rss
+    return [RssFrame(k=int(k), rss=r, channels=channels)
+            for k, r in zip(ks, block)]
+
+
+def _load_trace_lines(path, table: LinkTable) -> list[RssFrame]:
+    """The per-line trace parser: every diagnostic of load_trace."""
     records = {}  # (k, link, channel) -> rss or nan
     for lineno, line in _data_lines(path):
         parts = line.split()
@@ -97,9 +169,15 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
             k = int(parts[0])
             tx, rx = int(parts[1]), int(parts[2])
             channel = int(parts[3])
-            rss = np.nan if parts[4] == "NA" else float(parts[4])
+            rss = _rss_token(parts[4])
         except ValueError:
             _fail(path, lineno, f"unparseable trace line: {line!r}")
+        if not _INT64.min <= k <= _INT64.max:
+            _fail(path, lineno, f"time index {k} outside the 64-bit range")
+        if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
+            _fail(path, lineno, f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
+        if np.isinf(rss):
+            _fail(path, lineno, f"rss {parts[4]!r} is infinite; write NA for a dropped packet")
         try:
             link = table.link_index(tx, rx)
         except KeyError as e:
@@ -128,16 +206,28 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
 
 def save_trace(frames, table: LinkTable, path) -> None:
     """Write frames as trace records, including explicit NA rows so the
-    frame shape survives a round trip."""
+    frame shape survives a round trip.
+
+    Each frame is formatted as one string: the `tx rx channel ` middle of
+    every (link, channel) record is built once, and each value is `repr`
+    of the float or `NA`.
+    """
+    middles, frame_channels = None, None
     with open(path, "w") as fh:
         fh.write("# rss trace: k tx_id rx_id channel rss_dbm\n")
         for frame in frames:
-            for l in range(table.n_links):
-                tx, rx = int(table.tx_ids[l]), int(table.rx_ids[l])
-                for ci, c in enumerate(frame.channels):
-                    v = frame.rss[l, ci]
-                    text = "NA" if np.isnan(v) else repr(float(v))
-                    fh.write(f"{frame.k} {tx} {rx} {int(c)} {text}\n")
+            if frame.rss.shape[0] != table.n_links:
+                raise ValueError(f"frame k={frame.k} has {frame.rss.shape[0]} "
+                                 f"links, the table {table.n_links}")
+            if not np.array_equal(frame.channels, frame_channels):
+                frame_channels = frame.channels
+                middles = [f" {int(tx)} {int(rx)} {int(c)} "
+                           for tx, rx in zip(table.tx_ids, table.rx_ids)
+                           for c in frame_channels]
+            lead = str(frame.k)
+            fh.write("".join([
+                f"{lead}{middle}{'NA' if v != v else repr(v)}\n"
+                for middle, v in zip(middles, frame.rss.ravel().tolist())]))
 
 
 # ---------------------------------------------------------- ground truth

@@ -44,7 +44,8 @@ class MeasurementModelParams:
     hold_frames: int = 5
 
     def __post_init__(self):
-        if self.beta_minus <= 0 or self.k_beta_plus <= 0 or self.b_beta_plus <= 0:
+        if not (self.beta_minus > 0 and self.k_beta_plus > 0
+                and self.b_beta_plus > 0):  # False for NaN
             raise ValueError("rate parameters must be strictly positive")
         if self.hold_frames < 0:
             raise ValueError("hold_frames must be >= 0")

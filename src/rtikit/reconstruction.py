@@ -61,7 +61,8 @@ class ReconstructionParams:
     delta_c: float = 4.0
 
     def __post_init__(self):
-        if self.sigma_x <= 0 or self.sigma_n <= 0 or self.delta_c <= 0:
+        if not (self.sigma_x > 0 and self.sigma_n > 0
+                and self.delta_c > 0):  # False for NaN
             raise ValueError("reconstruction parameters must be strictly positive")
 
 

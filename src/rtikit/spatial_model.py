@@ -56,13 +56,14 @@ class EllipseModelParams:
     lambda_max: float = 3.0
 
     def __post_init__(self):
-        if self.b_down <= 0 or self.b_up <= 0:
+        # each test is False for NaN
+        if not (self.b_down > 0 and self.b_up > 0):
             raise ValueError("ellipse scale parameters b must be > 0")
         if not self.k_down < 0:
             raise ValueError("k_down must be < 0 (width decays with fade level)")
         if not self.k_up > 0:
             raise ValueError("k_up must be > 0 (width grows with fade level)")
-        if self.lambda_max <= 0:
+        if not self.lambda_max > 0:
             raise ValueError("lambda_max must be > 0")
 
 

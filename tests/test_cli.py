@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -222,7 +223,9 @@ def test_bad_config_key_reported(workspace):
 
 @pytest.mark.parametrize("line", [
     "dt 0", "kalman_q -1", "kalman_r_scale nan", "voxel_width nan",
-    "kalman true",
+    "kalman true", "b_lambda_minus nan", "b_lambda_plus nan", "lambda_max nan",
+    "sigma_x nan", "sigma_n nan", "delta_c nan", "beta_minus nan",
+    "k_beta_plus nan", "b_beta_plus nan",
 ])
 def test_bad_config_value_reported(workspace, line):
     tmp_path, _, layout_path, _, _ = workspace
@@ -233,6 +236,22 @@ def test_bad_config_value_reported(workspace, line):
         main(["track", "--layout", str(layout_path),
               "--trace", str(trace_path), "--config", str(bad),
               "--out", str(tmp_path / "t.csv")])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("99999999999999999999 1 2 15 -60.0",
+     "time index 99999999999999999999 outside the 64-bit range"),
+    ("0 1 2 27 -60.0", r"channel 27 outside \[11, 26\]"),
+])
+def test_trace_field_out_of_range_reported(workspace, capsys, line, message):
+    tmp_path, _, layout_path, _, _ = workspace
+    trace_path = tmp_path / "trace.txt"
+    trace_path.write_text(f"0 1 3 15 -61.0\n{line}\n")
+    rc = main(["calibrate", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--out", str(tmp_path / "f.txt")])
+    assert rc == 2
+    assert re.search(rf"^error: .*trace.txt:2: {message}$",
+                     capsys.readouterr().err, re.M)
 
 
 def test_empty_grid_is_an_error(workspace, capsys):

@@ -77,6 +77,26 @@ def test_link_lengths_and_lookup():
         table.link_index(1, 99)
 
 
+@pytest.mark.parametrize("pairs", [[(30, 10), (20, 40), (10, 40)], []])
+def test_link_indices_match_link_index(pairs):
+    """Vectorized lookup, ids with gaps, unknown ids on every side of the
+    known ones, self-pairs, and a table with no links."""
+    layout = NodeLayout(ids=np.array([10, 20, 30, 40]),
+                        xy=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
+    table = enumerate_links(layout, mode="explicit_list", pairs=pairs)
+    ids = [-5, 0, 10, 15, 20, 30, 40, 41]
+    a, b = np.meshgrid(ids, ids, indexing="ij")
+
+    def scalar(x, y):
+        try:
+            return table.link_index(x, y)
+        except KeyError:
+            return -1
+
+    want = [[scalar(x, y) for y in ids] for x in ids]
+    np.testing.assert_array_equal(table.link_indices(a, b), want)
+
+
 def test_excess_path_known_value():
     # Endpoints (0,0)-(4,0), point (2,1): 2*sqrt(5) - 4.
     ids = np.array([1, 2, 3])

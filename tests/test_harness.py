@@ -598,6 +598,22 @@ def test_config_rejects_out_of_range_values(key, value):
         PipelineConfig.from_dict({key: [[value]]})
 
 
+@pytest.mark.parametrize("key, message", [
+    ("b_lambda_minus", "ellipse scale parameters b must be > 0"),
+    ("b_lambda_plus", "ellipse scale parameters b must be > 0"),
+    ("lambda_max", "lambda_max must be > 0"),
+    ("sigma_x", "reconstruction parameters must be strictly positive"),
+    ("sigma_n", "reconstruction parameters must be strictly positive"),
+    ("delta_c", "reconstruction parameters must be strictly positive"),
+    ("beta_minus", "rate parameters must be strictly positive"),
+    ("k_beta_plus", "rate parameters must be strictly positive"),
+    ("b_beta_plus", "rate parameters must be strictly positive"),
+])
+def test_config_rejects_nan_model_parameters(key, message):
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_dict({key: [["nan"]]})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(voxel_width=0.0)

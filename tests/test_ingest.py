@@ -1,10 +1,13 @@
 """File formats: parsing, validation errors, round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rtikit import harness
-from rtikit.calibration import calibrate
+from rtikit import harness, ingest
+from rtikit.calibration import RssFrame, calibrate
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.ingest import (
     load_fade_table,
@@ -145,6 +148,200 @@ def test_trace_errors(tmp_path, layout):
     path.write_text("zero 1 2 15 -60.0\n")
     with pytest.raises(ValueError, match=r"trace.txt:1"):
         load_trace(path, table)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("99999999999999999999 1 2 15 -60.0",
+     "time index 99999999999999999999 outside the 64-bit range"),
+    ("-99999999999999999999 1 2 15 -60.0",
+     "time index -99999999999999999999 outside the 64-bit range"),
+    ("0 1 2 27 -60.0", r"channel 27 outside \[11, 26\]"),
+    ("0 1 2 10 -60.0", r"channel 10 outside \[11, 26\]"),
+    ("0 1 2 15 inf", "rss 'inf' is infinite"),
+    ("0 1 2 15 -Infinity", "rss '-Infinity' is infinite"),
+])
+def test_trace_fields_out_of_range(tmp_path, layout, line, message):
+    table = enumerate_links(layout)
+    path = tmp_path / "trace.txt"
+    path.write_text(f"# header\n0 1 3 15 -61.0\n{line}\n")
+    with pytest.raises(ValueError, match=rf"trace.txt:3: {message}"):
+        load_trace(path, table)
+
+
+# A 4-node layout (ids 1-4) has 6 links; ids 0 and 9 are unknown.
+SMALL_TABLE = enumerate_links(perimeter_layout(4, 3.0, 3.0))
+SMALL_PAIRS = list(zip(SMALL_TABLE.tx_ids.tolist(), SMALL_TABLE.rx_ids.tolist()))
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+# Spellings np.loadtxt and int() or float() read alike ...
+CLEAN_INT = ["{}", "{}", "{}", "+{}", "0{}"]
+CLEAN_RSS = ["-60.5", "-71.25", "-0.0", "0", "+5", "1_0", "1e1", "NA", "nan",
+             "-nan", "-88.12345678901234"]
+# ... and ones only int() reads (`1_0`, full-width digits), or neither does.
+ODD_INT = ["{}.0", "{}_0", "{}e0", "full-width"]
+ODD_RSS = ["-NA", "na", "inf", "-inf", "Infinity", "１", "1,5", "0x10"]
+# One bad record, added to clean ones.
+FAULTS = {
+    "repeat": lambda k, tx, rx, c: [k, rx, tx, c],
+    "unknown id 0": lambda k, tx, rx, c: [k, tx, 0, c],
+    "unknown id 9": lambda k, tx, rx, c: [k, 9, rx, c],
+    "self pair": lambda k, tx, rx, c: [k, tx, tx, c],
+    "channel 10": lambda k, tx, rx, c: [k, tx, rx, 10],
+    "channel 27": lambda k, tx, rx, c: [k, tx, rx, 27],
+    "huge k": lambda k, tx, rx, c: [2**63 + k, tx, rx, c],
+    "4 fields": lambda k, tx, rx, c: [k, tx, rx],
+}
+
+
+def _int_token(form, value):
+    if form == "full-width":
+        return str(value).translate(FULL_WIDTH)
+    return form.format(value)
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text: clean records, which the block parser should take, with
+    at most one oddity that only the per-line parser judges: a bad record
+    (FAULTS), or one odd integer or rss token."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from([0, 1, 2, 5, 9, 3]),  # gaps, any order
+                  st.integers(0, len(SMALL_PAIRS) - 1),
+                  st.sampled_from([11, 15, 26])),
+        unique=True, max_size=14))
+    records = []
+    for k, link, channel in keys:
+        tx, rx = SMALL_PAIRS[link]
+        if draw(st.booleans()):
+            tx, rx = rx, tx
+        records.append([k, tx, rx, channel])
+    oddity = draw(st.sampled_from([None, None, "int token", "rss token",
+                                   *FAULTS]))
+    if oddity in FAULTS:
+        base = draw(st.sampled_from(records or [[0, 1, 2, 11]]))
+        records.insert(draw(st.integers(0, len(records))), FAULTS[oddity](*base))
+    rows = [[_int_token(draw(st.sampled_from(CLEAN_INT)), v) for v in record]
+            for record in records]
+    for row in rows:
+        if len(row) == 4:
+            row.append(draw(st.sampled_from(CLEAN_RSS)
+                            | st.floats(-100, 0).map(repr)))
+    if rows and oddity == "int token":
+        j = draw(st.integers(0, len(rows) - 1))
+        i = draw(st.integers(0, len(records[j]) - 1))
+        rows[j][i] = _int_token(draw(st.sampled_from(ODD_INT)), records[j][i])
+    if rows and oddity == "rss token":
+        draw(st.sampled_from(rows))[-1] = draw(st.sampled_from(ODD_RSS))
+    seps = st.sampled_from([" ", " ", "\t", "  ", " \t "])
+    lines = []
+    for row in rows:
+        line = draw(st.sampled_from(["", "", " ", "\t"]))
+        for token in row:
+            line += token + draw(seps)
+        line += draw(st.sampled_from(["", "", "# note", "#x 1 2 3 4"]))
+        lines.append(line)
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "#"]),
+                               max_size=1))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(load, path, table):
+    """(frames as (k, channels, rss) or (exception type, message), warnings)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            frames = load(path, table)
+        except Exception as exc:  # compared by type and message
+            result = (type(exc), str(exc))
+        else:
+            result = [(f.k, f.channels.tolist(), f.rss) for f in frames]
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_outcome(a, b):
+    (result_a, warned_a), (result_b, warned_b) = a, b
+    assert warned_a == warned_b
+    if isinstance(result_a, tuple) or isinstance(result_b, tuple):
+        assert result_a == result_b
+        return
+    assert len(result_a) == len(result_b)
+    for (k_a, ch_a, rss_a), (k_b, ch_b, rss_b) in zip(result_a, result_b):
+        assert (k_a, ch_a) == (k_b, ch_b)
+        np.testing.assert_array_equal(rss_a, rss_b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=trace_texts())
+def test_trace_block_parser_matches_per_line_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("trace") / "trace.txt"
+    path.write_text(text)
+    _assert_same_outcome(_outcome(load_trace, path, SMALL_TABLE),
+                         _outcome(ingest._load_trace_lines, path, SMALL_TABLE))
+
+
+def test_trace_block_parser_takes_clean_traces(tmp_path, monkeypatch):
+    """Comments, blank lines, tabs, NA, reversed pairs, gaps and unsorted k
+    need no per-line fallback, and the frames are the per-line ones."""
+    path = tmp_path / "trace.txt"
+    path.write_text(
+        "# rss trace\n\n"
+        "9\t1 2 11 -50.0  # trailing note\n"
+        "+2 3 1 26 NA\n"
+        "   \n"
+        "2 2 1 11 nan\n"
+        "009 4 3 26 -0.0\n"
+        "5 2 4\t11 +5\n"
+    )
+    want = _outcome(ingest._load_trace_lines, path, SMALL_TABLE)
+
+    def no_fallback(*args):
+        raise AssertionError("per-line parser called")
+
+    monkeypatch.setattr(ingest, "_load_trace_lines", no_fallback)
+    got = _outcome(load_trace, path, SMALL_TABLE)
+    _assert_same_outcome(got, want)
+    assert [k for k, _, _ in got[0]] == [2, 5, 9]
+    for text in ("", "# comment only\n\n"):
+        path.write_text(text)
+        assert _outcome(load_trace, path, SMALL_TABLE) == ([], [])
+
+
+def _save_trace_by_record(frames, table, path):
+    """save_trace's format, written one record at a time."""
+    with open(path, "w") as fh:
+        fh.write("# rss trace: k tx_id rx_id channel rss_dbm\n")
+        for frame in frames:
+            for l in range(table.n_links):
+                tx, rx = int(table.tx_ids[l]), int(table.rx_ids[l])
+                for ci, c in enumerate(frame.channels):
+                    v = frame.rss[l, ci]
+                    text = "NA" if np.isnan(v) else repr(float(v))
+                    fh.write(f"{frame.k} {tx} {rx} {int(c)} {text}\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_save_trace_matches_record_by_record_writer(tmp_path_factory, data):
+    channel_sets = st.lists(st.integers(11, 26), min_size=1, max_size=3,
+                            unique=True).map(sorted)
+    values = st.floats(allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, 1e300, -60.0, np.nan])
+    frames = []
+    for k in data.draw(st.lists(st.integers(-3, 10**12), max_size=4)):
+        channels = data.draw(channel_sets)
+        rss = data.draw(st.lists(values, min_size=SMALL_TABLE.n_links * len(channels),
+                                 max_size=SMALL_TABLE.n_links * len(channels)))
+        frames.append(RssFrame(k=k, rss=np.reshape(rss, (SMALL_TABLE.n_links, -1)),
+                               channels=channels))
+    out = tmp_path_factory.mktemp("save")
+    save_trace(frames, SMALL_TABLE, out / "block.txt")
+    _save_trace_by_record(frames, SMALL_TABLE, out / "record.txt")
+    assert (out / "block.txt").read_bytes() == (out / "record.txt").read_bytes()
+
+
+def test_save_trace_rejects_frame_of_other_link_count(tmp_path):
+    frame = RssFrame(k=0, rss=np.zeros((SMALL_TABLE.n_links + 1, 1)), channels=[11])
+    with pytest.raises(ValueError, match="has 7 links, the table 6"):
+        save_trace([frame], SMALL_TABLE, tmp_path / "trace.txt")
 
 
 def test_ground_truth_round_trip_and_errors(tmp_path):
