@@ -9,11 +9,16 @@ IEEE TMC 2010).
 The build is the expensive step and happens once per weight matrix; each
 frame is then one or two products. The build is dense LAPACK/BLAS
 throughout: C_x from pairwise center distances, σ_N² C_x⁻¹ from its
-Cholesky factor (potrf, potri), the Gram matrix WᵀW from one dense copy
-of W, made from a transient CSR that the weights form from their band
-factors, and a Cholesky factorization of A = WᵀW + σ_N² C_x⁻¹. W is about
-one sixth nonzero at the reference deployments, where the sparse WᵀW took
-four to eight times as long as the dense one.
+Cholesky factor (potrf, potri), and A = WᵀW + σ_N² C_x⁻¹ in one N × N
+buffer. A starts as a copy of the precision term, and WᵀW is added to it
+by symmetric rank-k updates (syrk), each over a block of _BLOCK rows of W
+formed dense from the weights' band factors, so no whole W exists in any
+form; A is then Cholesky-factored in place. Besides the stored result,
+the build therefore holds one (N, _BLOCK) block, the N × N buffer when
+it stores Π (a tall build keeps the buffer as M), and the N × N precision
+term, which callers may share across builds. W is about one sixth nonzero
+at the reference deployments, where the sparse WᵀW took four to eight
+times as long as the dense one.
 
 What is stored depends on the shape of W alone, whichever is smaller:
 - W with more rows than voxels (the multi-scale weights): M = A⁻¹ from
@@ -44,6 +49,10 @@ __all__ = [
     "build_operator",
     "reconstruct",
 ]
+
+# Rows of W per dense block of the Gram update, and rows of C_x⁻¹ per
+# block of its mirroring: bounds the build's transients to (N, _BLOCK).
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,7 @@ def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.nd
         LinAlgError: C_x is not SPD to working precision; the message
             carries N and δ_c.
     """
+    n = grid.n_voxels
     c_x = prior_covariance(grid, params)
     # C_x is symmetric, so its transpose is the same matrix in the Fortran
     # order that LAPACK factors and inverts in place.
@@ -99,13 +109,19 @@ def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.nd
     if info != 0:
         raise linalg.LinAlgError(
             f"prior covariance is not SPD to working precision "
-            f"(N={grid.n_voxels}, delta_c={params.delta_c}): "
+            f"(N={n}, delta_c={params.delta_c}): "
             f"LAPACK info {info}"
         )
-    # potri wrote one triangle of C_x⁻¹ and potrf zeroed the other: adding
-    # the transpose mirrors it exactly, doubling only the diagonal.
-    term = factor + factor.T
-    np.fill_diagonal(term, factor.diagonal())
+    # potri wrote the upper triangle of factor and potrf zeroed the lower
+    # one, which makes factor.T the C-order view whose lower triangle holds
+    # C_x⁻¹. Mirror that triangle in place, a block of rows at a time.
+    term = factor.T
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        term[:start, start:stop] = term[start:stop, :start].T
+        diagonal = term[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        diagonal[upper] = diagonal.T[upper]
     term *= params.sigma_n**2
     return term
 
@@ -164,17 +180,19 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     """Factor A = WᵀW + σ_N² C_x⁻¹ for a weight matrix and store its inverse
     or Π = A⁻¹Wᵀ, whichever is smaller.
 
-    W is formed once as CSR from the weights' factors and densified; WᵀW
-    is one BLAS product of that copy with itself and A is Cholesky-factored
-    in place. When W has more rows than voxels, the dense copy is freed
-    after the Gram product and potri turns the factor into M = A⁻¹, (N, N),
-    in place: transient memory is one dense W (rows × N), with its CSR
-    while it is densified, plus the N × N normal matrix, and `pi` is then
-    computed on demand. Otherwise the solve against Wᵀ overwrites the dense
-    copy's transpose, which becomes the stored Π, (N, rows): no explicit
-    inverse is formed, and transient memory is the same. Besides these, the
-    N × N precision term is held. The stored array is in Fortran order.
-    Neither `weights` nor `precision_term` is written to.
+    A lives in one Fortran-order N × N buffer. It starts as a copy of the
+    precision term, and WᵀW is added to its lower triangle by one syrk per
+    block of _BLOCK rows of W, each block formed dense as W[a:b]ᵀ =
+    U·S[:, a:b] from the weights' band factors: no whole W is formed, as
+    CSR or dense. A is then Cholesky-factored in place. When W has more
+    rows than voxels, potri turns the factor into M = A⁻¹, (N, N), in place,
+    and `pi` is computed on demand. Otherwise the dense Wᵀ, (N, rows), is
+    formed once and the solve against it overwrites it with the stored Π:
+    no explicit inverse is formed. Transient memory is the N × N buffer,
+    which a tall build keeps as M, and one (N, _BLOCK) block, besides the
+    N × N precision term, which is held throughout and computed here when
+    it is not given. The stored array is in Fortran order. Neither
+    `weights` nor `precision_term` is written to.
 
     Args:
         weights: link/voxel weight operator (classic or multi-scale).
@@ -205,14 +223,18 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         )
 
     tall = weights.n_rows > n
-    dense = weights.matrix.toarray()
-    normal = dense.T @ dense
-    if tall:
-        del dense  # M needs no dense W
-    normal += precision_term
-    # normal's transpose is a Fortran-order view, which LAPACK factors in
-    # place; its lower triangle is normal's upper one.
-    factor, info = lapack.dpotrf(normal.T, lower=1, overwrite_a=1)
+    # The transpose of the (symmetric) term is a Fortran-order view whose
+    # lower triangle is its upper one; LAPACK factors the copy in place.
+    normal = np.array(precision_term.T, order="F")
+    band_sums = weights.band_sums.tocsc()
+    for start in range(0, weights.n_rows, _BLOCK):
+        # U·S[:, a:b] is W[a:b]ᵀ; the transpose of its C-order dense form
+        # is W[a:b] in Fortran order, of which syrk adds W[a:b]ᵀW[a:b].
+        # (A Fortran-order toarray would first copy the CSR block to CSC.)
+        blas.dsyrk(1.0, (weights.bands @ band_sums[:, start:start + _BLOCK]
+                         ).toarray().T,
+                   beta=1.0, c=normal, trans=1, lower=1, overwrite_c=1)
+    factor, info = lapack.dpotrf(normal, lower=1, overwrite_a=1)
     if info == 0 and tall:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
@@ -222,7 +244,8 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         )
     if tall:
         return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
-    pi = linalg.cho_solve((factor, True), dense.T, overwrite_b=True,
+    w_t = (weights.bands @ weights.band_sums).toarray(order="F")
+    pi = linalg.cho_solve((factor, True), w_t, overwrite_b=True,
                           check_finite=False)
     return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 

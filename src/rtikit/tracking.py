@@ -8,6 +8,7 @@ a no-detection estimate gives it a predict-only step. Error metrics are
 plain Euclidean distances with standard order statistics.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +103,11 @@ def init_track(z: PositionEstimate, initial_var: float = 10.0) -> TrackState:
     return TrackState(state=state, covariance=np.eye(6) * initial_var, k=z.k)
 
 
+@functools.lru_cache(maxsize=64)
 def _ca_matrices(dt: float, q: float):
     """Constant-acceleration transition and white-noise-jerk process noise
-    for one axis; the 6-state versions interleave x and y."""
+    for one axis; the 6-state versions interleave x and y. Cached per
+    (dt, q) and returned read-only, since every caller shares them."""
     f1 = np.array([
         [1.0, dt, 0.5 * dt**2],
         [0.0, 1.0, dt],
@@ -116,7 +119,9 @@ def _ca_matrices(dt: float, q: float):
         [dt**3 / 6, dt**2 / 2, dt],
     ])
     # interleaved state ordering (x, y, vx, vy, ax, ay)
-    return np.kron(f1, np.eye(2)), np.kron(q1, np.eye(2))
+    f, qm = np.kron(f1, np.eye(2)), np.kron(q1, np.eye(2))
+    f.flags.writeable = qm.flags.writeable = False
+    return f, qm
 
 
 def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
@@ -146,28 +151,29 @@ def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    f, qm = _ca_matrices(dt, q)
-    h = np.zeros((2, 6))
-    h[0, 0] = h[1, 1] = 1.0
-    r = np.eye(2) * float(r)
+    f, qm = _ca_matrices(float(dt), float(q))
+    r = float(r)
 
     x = f @ track.state
     p = f @ track.covariance @ f.T + qm
     if not z.detected:
         return TrackState(state=x, covariance=0.5 * (p + p.T), k=z.k)
 
-    innovation = np.asarray(z.xy) - h @ x
-    s = h @ p @ h.T + r
-    s = 0.5 * (s + s.T)
-    try:
-        s_chol = linalg.cho_factor(s, check_finite=False)
-    except linalg.LinAlgError as e:
-        raise linalg.LinAlgError(f"innovation covariance not SPD: {e}") from None
-    gain = linalg.cho_solve(s_chol, h @ p.T, check_finite=False).T
+    # H picks the position (x, y), the first two states: the innovation
+    # covariance S = H P Hᵀ + r·I is P's leading 2 × 2 block, symmetrized,
+    # plus r·I, and the gain P Hᵀ S⁻¹ uses its closed-form inverse.
+    s00, s11 = p[0, 0] + r, p[1, 1] + r
+    s01 = 0.5 * (p[0, 1] + p[1, 0])
+    det = s00 * s11 - s01 * s01
+    if not (s00 > 0 and det > 0):  # False for NaN
+        raise linalg.LinAlgError(
+            f"innovation covariance not SPD: s00={s00}, det={det}")
+    gain = p[:, :2] @ (np.array([[s11, -s01], [-s01, s00]]) / det)
 
-    x = x + gain @ innovation
-    joseph = np.eye(6) - gain @ h
-    p = joseph @ p @ joseph.T + gain @ r @ gain.T
+    x = x + gain @ (np.asarray(z.xy) - x[:2])
+    joseph = np.eye(6)
+    joseph[:, :2] -= gain
+    p = joseph @ p @ joseph.T + r * (gain @ gain.T)
     p = 0.5 * (p + p.T)
     return TrackState(state=x, covariance=p, k=z.k)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rtikit.calibration import (
     FadeLevelTable,
@@ -157,6 +158,82 @@ def test_calibrate_errors():
     tbl2 = enumerate_links(sq, mode="explicit_list", pairs=pairs)
     with pytest.raises(ValueError):
         calibrate_means(np.zeros((2, 4)), np.array([14, 13, 12, 11]), tbl2)
+
+
+RING = enumerate_links(ring_layout())  # 28 links in 4 length classes
+
+
+@st.composite
+def sparse_means(draw):
+    """(L, C) means on RING for 1-4 channels, most pairs unobserved (NaN)."""
+    channels = sorted(draw(st.sets(st.integers(11, 26), min_size=1,
+                                   max_size=4)))
+    shape = (RING.n_links, len(channels))
+    observed = draw(st.lists(st.booleans(), min_size=shape[0] * shape[1],
+                             max_size=shape[0] * shape[1]))
+    values = draw(st.lists(st.floats(-100.0, -20.0),
+                           min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]))
+    mean = np.where(np.reshape(observed, shape), np.reshape(values, shape),
+                    np.nan)
+    # NaN-heavy: only the first `keep` pairs in C order may stay observed
+    keep = draw(st.integers(0, shape[0] * shape[1]))
+    mean.ravel()[keep:] = np.nan
+    return mean, np.array(channels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_means())
+@example((np.where(np.isin(np.arange(28), [0, 6])[:, None], -50.0, np.nan),
+          np.array([11])))  # single channel, two adjacent links: one length
+@example((np.where(np.isin(np.arange(28), [0, 1])[:, None], -50.0, np.nan),
+          np.array([26])))  # single channel, two lengths
+def test_calibrate_means_sparse_inputs_defined_or_rejected(case):
+    # Any NaN pattern gives a table that is NaN exactly where unobserved,
+    # or the documented ValueError: fewer than two observed pairs, or
+    # every observed link of one length (no slope to fit).
+    mean, channels = case
+    observed = ~np.isnan(mean)
+    lengths = RING.lengths[np.nonzero(observed)[0]]
+    if observed.sum() < 2:
+        with pytest.raises(ValueError, match="at least 2 observed"):
+            calibrate_means(mean, channels, RING)
+        return
+    if np.allclose(lengths, lengths[0], rtol=1e-9):
+        with pytest.raises(ValueError, match="share one length"):
+            calibrate_means(mean, channels, RING)
+        return
+    fades = calibrate_means(mean, channels, RING)
+    assert np.array_equal(np.isnan(fades.values), ~observed)
+    assert np.isfinite(fades.values[observed]).all()
+    assert np.array_equal(fades.mean_rss, mean, equal_nan=True)
+    assert fades.fit.n_pairs == observed.sum()
+    assert np.isfinite([fades.fit.p0, fades.fit.eta, fades.fit.rmse]).all()
+    # least-squares residuals of a fit with an intercept: zero sum, and
+    # orthogonal to the regressor -10 log10(d / d0)
+    residual = fades.values[observed]
+    x = -10.0 * np.log10(lengths)
+    scale = np.abs(mean[observed]).max() * residual.size
+    assert abs(residual.sum()) <= 1e-9 * scale
+    assert abs(residual @ x) <= 1e-9 * scale * np.abs(x).max()
+    assert fades.fit.rmse == pytest.approx(
+        np.sqrt(np.mean(residual**2)), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(length_class=st.integers(0, 3), n_channels=st.integers(1, 4),
+       values=st.lists(st.floats(-100.0, -20.0), min_size=28 * 4,
+                       max_size=28 * 4))
+def test_calibrate_means_one_observed_length_raises(length_class, n_channels,
+                                                    values):
+    # Every observed link the same length, on any number of channels.
+    classes = np.unique(np.round(RING.lengths, 9))
+    on = np.isclose(RING.lengths, classes[length_class])
+    assert on.sum() >= 4
+    mean = np.reshape(values, (RING.n_links, 4))[:, :n_channels].copy()
+    mean[~on] = np.nan
+    with pytest.raises(ValueError, match="share one length"):
+        calibrate_means(mean, np.arange(11, 11 + n_channels), RING)
 
 
 def test_calibrate_from_frames_matches_means_path():

@@ -1,5 +1,7 @@
 """Reconstruction: prior covariance, operator build, linearity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg, sparse
@@ -8,6 +10,7 @@ from rtikit import reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.harness import PipelineConfig, VariantPipeline
+from rtikit.simulator import perimeter_layout
 from rtikit.reconstruction import (
     ReconstructionParams,
     build_operator,
@@ -237,6 +240,78 @@ def test_shared_build_leaves_inputs_untouched():
         for got, want in zip(buffers(wm), snapshot):
             assert np.array_equal(got, want)
         assert np.array_equal(term, term_before)
+
+
+def _forbid_formed_w(monkeypatch):
+    def formed(self):
+        raise AssertionError("build_operator formed the whole W")
+    monkeypatch.setattr(WeightMatrix, "matrix", property(formed))
+
+
+def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
+    """N = 1024 and a tall multi-scale W of 3024 rows: with a shared
+    precision term, the build's traced peak is the N × N buffer that
+    becomes M, one (N, 512) dense block and a little slack for the sparse
+    product of that block (about 1.3 MB here) and the factors' copies. A
+    whole W would not fit in the slack: 24.8 MB dense, about 7.6 MB as CSR."""
+    layout = perimeter_layout(28, 5.0, 5.0)
+    table = enumerate_links(layout)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=5.0 / 32, nx=32, ny=32)
+    vals = np.random.default_rng(3).uniform(-8, 8, size=(table.n_links, 4))
+    fades = FadeLevelTable(
+        values=vals, mean_rss=np.zeros_like(vals),
+        channels=np.arange(11, 15),
+        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
+    )
+    wm = build_multiscale_weights(table, layout, grid, fades)
+    n = grid.n_voxels
+    assert (n, wm.n_rows) == (1024, 3024)
+    term = prior_precision_term(grid, ReconstructionParams())
+    _forbid_formed_w(monkeypatch)
+    build_operator(wm, grid, precision_term=term)  # first-call set-up
+    tracemalloc.start()
+    try:
+        op = build_operator(wm, grid, precision_term=term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.tall
+    block = n * reconstruction._BLOCK * 8
+    assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
+
+
+def _random_weights(n_voxels, n_rows, seed):
+    """Band factors with 0/1 U of density 0.2 and S the identity plus
+    about two entries per column: W is well conditioned enough for a
+    1e-12 comparison against a dense solve."""
+    rng = np.random.default_rng(seed)
+    bands = sparse.random(n_voxels, n_rows, density=0.2, random_state=rng,
+                          data_rvs=np.ones, format="csr")
+    band_sums = sparse.random(n_rows, n_rows, density=2.0 / n_rows,
+                              random_state=rng) + sparse.identity(n_rows)
+    return WeightMatrix(bands=bands, band_sums=band_sums.tocsr(),
+                        row_keys=tuple(range(n_rows)))
+
+
+@pytest.mark.parametrize("rows, side", [
+    (100, 20), (512, 20), (1025, 20),  # tall but the first (N = 400)
+    (512, 33), (1025, 33),             # short (N = 1089)
+])
+def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, side):
+    # Row counts below, at and one past a multiple of the 512-row block.
+    assert reconstruction._BLOCK == 512
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=side, ny=side)
+    params = ReconstructionParams()
+    wm = _random_weights(grid.n_voxels, rows, seed=rows + side)
+    dense = wm.matrix.toarray()
+    term = prior_precision_term(grid, params)
+    _forbid_formed_w(monkeypatch)
+    op = build_operator(wm, grid, params, precision_term=term)
+    normal = dense.T @ dense + term
+    assert op.tall == (rows > grid.n_voxels)
+    want = (np.tril(np.linalg.inv(normal)) if op.tall
+            else np.linalg.solve(normal, dense.T))
+    assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_operator_grid_mismatch():

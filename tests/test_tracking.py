@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import linalg
 
 from rtikit.geometry import VoxelGrid
 from rtikit.tracking import (
@@ -153,6 +154,75 @@ def test_kalman_no_detection_is_predict_only(gaps, last, q, r):
     p = chained.covariance
     assert np.array_equal(p, p.T)
     assert np.linalg.eigvalsh(p).min() >= -1e-12 * np.linalg.eigvalsh(p).max()
+
+
+def reference_kalman_step(track, z, dt, q, r):
+    """The filter as first written, for comparison: F and Q built with
+    np.kron on every call, explicit H and R, and a Cholesky solve of the
+    2 × 2 innovation covariance. Returns (state, covariance)."""
+    f1 = np.array([[1.0, dt, 0.5 * dt**2], [0.0, 1.0, dt], [0.0, 0.0, 1.0]])
+    q1 = q * np.array([
+        [dt**5 / 20, dt**4 / 8, dt**3 / 6],
+        [dt**4 / 8, dt**3 / 3, dt**2 / 2],
+        [dt**3 / 6, dt**2 / 2, dt],
+    ])
+    f, qm = np.kron(f1, np.eye(2)), np.kron(q1, np.eye(2))
+    h = np.zeros((2, 6))
+    h[0, 0] = h[1, 1] = 1.0
+    r = np.eye(2) * r
+    x = f @ track.state
+    p = f @ track.covariance @ f.T + qm
+    if not z.detected:
+        return x, 0.5 * (p + p.T)
+    s = h @ p @ h.T + r
+    s = 0.5 * (s + s.T)
+    gain = linalg.cho_solve(linalg.cho_factor(s), h @ p.T).T
+    x = x + gain @ (np.asarray(z.xy) - h @ x)
+    joseph = np.eye(6) - gain @ h
+    p = joseph @ p @ joseph.T + gain @ r @ gain.T
+    return x, 0.5 * (p + p.T)
+
+
+_coordinate = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=st.lists(_coordinate, min_size=6, max_size=6),
+       root=st.lists(st.floats(-2.0, 2.0), min_size=36, max_size=36),
+       xy=st.tuples(_coordinate, _coordinate),
+       detected=st.booleans(), dt=st.floats(0.01, 5.0),
+       q=st.floats(0.01, 10.0), r=st.floats(1e-3, 1.0))
+@example(state=[0.0] * 6, root=[0.0] * 36, xy=(1.0, 2.0), detected=True,
+         dt=0.5, q=1.0, r=0.1)
+def test_kalman_step_matches_reference(state, root, xy, detected, dt, q, r):
+    root = np.reshape(root, (6, 6))
+    track = TrackState(state=np.array(state),
+                       covariance=root @ root.T + 1e-3 * np.eye(6), k=0)
+    z = (PositionEstimate(k=1, xy=xy, peak=1.0, voxel=0) if detected else
+         PositionEstimate(k=1, xy=(float("nan"),) * 2, peak=0.0, voxel=-1))
+    got = kalman_step(track, z, dt=dt, q=q, r=r)
+    want_state, want_covariance = reference_kalman_step(track, z, dt, q, r)
+    assert got.k == 1
+    for got_array, want in ((got.state, want_state),
+                            (got.covariance, want_covariance)):
+        assert (np.linalg.norm(got_array - want)
+                <= 1e-12 * np.linalg.norm(want))
+    assert np.array_equal(got.covariance, got.covariance.T)
+
+
+@pytest.mark.parametrize("leading", [
+    [[-1.0, 0.0], [0.0, 1.0]],  # s00 <= 0
+    [[1.0, 3.0], [3.0, 1.0]],   # s00 > 0, det <= 0
+    [[np.nan, 0.0], [0.0, 1.0]],
+])
+def test_kalman_innovation_covariance_not_spd(leading):
+    covariance = np.eye(6)
+    covariance[:2, :2] = leading
+    track = TrackState(state=np.zeros(6), covariance=covariance, k=0)
+    z = PositionEstimate(k=1, xy=(1.0, 1.0), peak=1.0, voxel=0)
+    with pytest.raises(linalg.LinAlgError,
+                       match="innovation covariance not SPD"):
+        kalman_step(track, z, dt=1e-3, q=1e-3, r=1e-3)
 
 
 def test_init_track_rejects_no_detection():
