@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "NodeLayout",
@@ -199,9 +200,10 @@ def excess_path_field(table: LinkTable, layout: NodeLayout,
         cannot produce negative values for on-segment points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d_tx = np.linalg.norm(points[None, :, :] - layout.xy[table.tx_idx][:, None, :], axis=2)
-    d_rx = np.linalg.norm(points[None, :, :] - layout.xy[table.rx_idx][:, None, :], axis=2)
-    return np.maximum(d_tx + d_rx - table.lengths[:, None], 0.0)
+    # One node-to-point distance table; each link gathers its two rows.
+    dist = cdist(layout.xy, points)
+    return np.maximum(dist[table.tx_idx] + dist[table.rx_idx]
+                      - table.lengths[:, None], 0.0)
 
 
 def excess_path_length(link: int, point, table: LinkTable,

@@ -223,14 +223,12 @@ def _msrti_measure(fades, config, hold):
 
 
 # variant -> (weights(table, layout, grid, fades, config) -> WeightMatrix,
-#             measure(fades, config, hold) -> (frame -> y),
-#             whether the weights, hence the operator, depend on the
-#             calibration beyond its channel count)
+#             measure(fades, config, hold) -> (frame -> y))
 _VARIANT_TABLE = {
-    "rti": (_classic_weights, _rti_measure, False),
-    "cdrti": (_scaled_weights, _cdrti_measure, False),
-    "flrti": (_classic_weights, _flrti_measure, False),
-    "msrti": (_multiscale_weights, _msrti_measure, True),
+    "rti": (_classic_weights, _rti_measure),
+    "cdrti": (_scaled_weights, _cdrti_measure),
+    "flrti": (_classic_weights, _flrti_measure),
+    "msrti": (_multiscale_weights, _msrti_measure),
 }
 VARIANTS = tuple(_VARIANT_TABLE)
 
@@ -238,9 +236,13 @@ VARIANTS = tuple(_VARIANT_TABLE)
 class VariantPipeline:
     """One variant's frame-to-image machinery, state included.
 
-    Construction does the expensive work (weights + operator); measurement
-    and image assembly per frame are array operations. The hold buffer
-    makes a pipeline single-pass — build a fresh one per trace.
+    Construction does the expensive work (weights + operator) unless an
+    operator built for the same weights is given; measurement and image
+    assembly per frame are array operations. An optional precision term
+    σ_N² C_x⁻¹ for the grid is passed to build_operator, which reads it
+    only for the tall multi-scale W; the fixed-width variants build Π in
+    push-through form from C_x itself. The hold buffer makes a pipeline
+    single-pass — build a fresh one per trace.
     """
 
     def __init__(self, variant: str, fades: FadeLevelTable, layout: NodeLayout,
@@ -249,7 +251,7 @@ class VariantPipeline:
                  operator=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-        build_weights, measure, _ = _VARIANT_TABLE[variant]
+        build_weights, measure = _VARIANT_TABLE[variant]
         self.variant = variant
         self.fades = fades
         self.grid = grid
@@ -430,9 +432,9 @@ def benchmark(layout: NodeLayout, positions, seeds,
     For each seed, one synthetic trace places the person at every given
     position for frames_per_position frames after a calibration prefix;
     each variant then runs on the identical trace and is scored on its raw
-    per-frame estimates (no Kalman). Expensive pieces that do not depend
-    on the seed (grid, prior term, fixed-width operators) are shared
-    across runs.
+    per-frame estimates (no Kalman). Every pipeline, operator included, is
+    built per seed; only the grid and the precision term σ_N² C_x⁻¹, which
+    the multi-scale (tall) builds read, are shared across runs.
 
     Args:
         layout: sensor deployment.
@@ -470,9 +472,6 @@ def benchmark(layout: NodeLayout, positions, seeds,
     precision_term = prior_precision_term(grid, config.reconstruction)
     table = enumerate_links(layout)
 
-    # Operators whose weights do not depend on the calibration are built
-    # for the first seed and reused for the rest.
-    reusable = {}
     rows = []
     for seed in seeds:
         spec = ScenarioSpec(layout=layout, trajectory=trajectory,
@@ -484,11 +483,7 @@ def benchmark(layout: NodeLayout, positions, seeds,
         person_frames = trace.frames[config.calibration_frames:]
         for variant in variants:
             pipeline = VariantPipeline(variant, fades, layout, grid, config,
-                                       precision_term=precision_term,
-                                       operator=reusable.get(variant))
-            _, _, per_calibration = _VARIANT_TABLE[variant]
-            if not per_calibration:
-                reusable[variant] = pipeline.operator
+                                       precision_term=precision_term)
             result = _track(pipeline, person_frames, truth, kalman=False)
             rows.append((variant, scenario_name, int(seed), result.summary))
     return rows

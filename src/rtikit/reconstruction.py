@@ -8,27 +8,27 @@ IEEE TMC 2010).
 
 The build is the expensive step and happens once per weight matrix; each
 frame is then one or two products. The build is dense LAPACK/BLAS
-throughout: C_x from pairwise center distances, σ_N² C_x⁻¹ from its
-Cholesky factor (potrf, potri), and A = WᵀW + σ_N² C_x⁻¹ in one N × N
-buffer. A starts as a copy of the precision term, and WᵀW is added to it
-by symmetric rank-k updates (syrk), each over a block of _BLOCK rows of W
-formed dense from the weights' band factors, so no whole W exists in any
-form; A is then Cholesky-factored in place. Besides the stored result,
-the build therefore holds one (N, _BLOCK) block, the N × N buffer when
-it stores Π (a tall build keeps the buffer as M), and the N × N precision
-term, which callers may share across builds. W is about one sixth nonzero
-at the reference deployments, where the sparse WᵀW took four to eight
-times as long as the dense one.
-
-What is stored depends on the shape of W alone, whichever is smaller:
-- W with more rows than voxels (the multi-scale weights): M = A⁻¹ from
-  potri on the factor, N × N, applied as x̂ = M·(Wᵀy). No solve against
-  the rows of Wᵀ is made. Wᵀy is the weights' band back-projection
-  U·(S·y): S sums each link's nested ellipse rows from the widest down
-  and U adds one of those sums per (link, voxel), so it reads about a
-  sixth of the nonzeros of W. A symmetric product with M follows.
+throughout, and its form depends on the shape of W alone:
+- W with more rows than voxels (the multi-scale weights): A = WᵀW +
+  σ_N² C_x⁻¹ in one N × N buffer. The buffer starts as the precision term
+  σ_N² C_x⁻¹, from C_x's Cholesky factor (potrf, potri), and WᵀW is added
+  to it by symmetric rank-k updates (syrk), each over a block of _BLOCK
+  rows of W formed dense from the weights' band factors, so no whole W
+  exists in any form. A is then Cholesky-factored and inverted in place,
+  and M = A⁻¹ is stored, N × N, applied as x̂ = M·(Wᵀy). Wᵀy is the
+  weights' band back-projection U·(S·y): S sums each link's nested ellipse
+  rows from the widest down and U adds one of those sums per (link,
+  voxel), so it reads about a sixth of the nonzeros of W. A symmetric
+  product with M follows. Besides M the build holds one (N, _BLOCK) block,
+  and a precision term that the caller shares across builds.
 - otherwise (the fixed-width weights, one row per link): Π itself,
-  N × rows, from one Cholesky solve written into the dense Wᵀ.
+  N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
+  which is the same matrix. C_x Wᵀ is formed from _BLOCK rows of C_x at a
+  time times the sparse Wᵀ, and only the rows × rows matrix W C_x Wᵀ +
+  σ_N² I is factored, so the build holds no N × N array and takes no
+  inverse of the ill-conditioned C_x.
+W is about one sixth nonzero at the reference deployments, where the
+sparse WᵀW took four to eight times as long as the dense one.
 """
 
 from dataclasses import dataclass
@@ -50,8 +50,9 @@ __all__ = [
     "reconstruct",
 ]
 
-# Rows of W per dense block of the Gram update, and rows of C_x⁻¹ per
-# block of its mirroring: bounds the build's transients to (N, _BLOCK).
+# Rows of W per dense block of the Gram update, rows of C_x per block of
+# C_x Wᵀ, and rows of C_x⁻¹ per block of its mirroring: bounds the build's
+# transients to (N, _BLOCK).
 _BLOCK = 512
 
 
@@ -75,25 +76,32 @@ class ReconstructionParams:
             raise ValueError("reconstruction parameters must be strictly positive")
 
 
+def _covariance_rows(centers: np.ndarray, start: int, stop: int,
+                     params: ReconstructionParams) -> np.ndarray:
+    """Rows start:stop of C_x over the given voxel centers, in C order."""
+    rows = cdist(centers[start:stop], centers)
+    rows /= -params.delta_c
+    np.exp(rows, out=rows)
+    rows *= params.sigma_x**2
+    return rows
+
+
 def prior_covariance(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
     """Exponential spatial prior: [C_x]_ji = σ_x² exp(−d_ji / δ_c).
 
     Symmetric positive definite for any voxel layout, diagonal σ_x².
     """
     centers = grid.centers()
-    c_x = cdist(centers, centers)
-    c_x /= -params.delta_c
-    np.exp(c_x, out=c_x)
-    c_x *= params.sigma_x**2
-    return c_x
+    return _covariance_rows(centers, 0, len(centers), params)
 
 
 def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
     """σ_N² C_x⁻¹, from one Cholesky factorization and inversion of C_x.
 
-    This is the regularization term shared by every operator built on the
+    This is the regularization term of every tall operator built on the
     same grid and parameters, so callers may compute it once and reuse it.
-    The result is exactly symmetric.
+    The result is exactly symmetric, a C-order view of a Fortran-order
+    array.
 
     Raises:
         LinAlgError: C_x is not SPD to working precision; the message
@@ -137,7 +145,8 @@ class ReconstructionOperator:
     Attributes:
         stored: for a tall W (more rows than voxels), M = (WᵀW + σ_N² C_x⁻¹)⁻¹
             as an (N, N) Fortran-order array whose lower triangle holds M
-            (the other is zero); otherwise Π, (N, rows), Fortran order.
+            (the other is zero); otherwise Π, (N, rows), Fortran order,
+            built as C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹.
         weights: the WeightMatrix the operator inverts; measurement vectors
             must use its row ordering.
         grid: voxel grid of the image space.
@@ -173,26 +182,68 @@ class ReconstructionOperator:
         return blas.dsymm(1.0, self.stored, back, lower=1)
 
 
+def _not_spd(n: int, rows: int, info: int) -> linalg.LinAlgError:
+    return linalg.LinAlgError(
+        f"regularized normal matrix is not SPD to working precision "
+        f"(N={n}, rows={rows}): LAPACK info {info}"
+    )
+
+
+def _short_pi(weights: WeightMatrix, grid: VoxelGrid,
+              params: ReconstructionParams) -> np.ndarray:
+    """Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, (N, rows) in Fortran order.
+
+    By the push-through identity (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ = C_x Wᵀ (W C_x Wᵀ +
+    σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer from _BLOCK rows of
+    C_x at a time times the sparse Wᵀ = U·S, then K = W·(C_x Wᵀ) + σ_N² I,
+    rows × rows, is Cholesky-factored, and two triangular solves from the
+    right overwrite the buffer with Π.
+    """
+    n, rows = grid.n_voxels, weights.n_rows
+    w_t = weights.bands @ weights.band_sums
+    centers = grid.centers()
+    pi = np.empty((n, rows), order="F")
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        pi[start:stop] = _covariance_rows(centers, start, stop, params) @ w_t
+    gram = w_t.T @ pi
+    gram.flat[::rows + 1] += params.sigma_n**2
+    # gram.T is the Fortran-order view that LAPACK factors in place; potrf
+    # reads its lower triangle, which is gram's upper one.
+    factor, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise _not_spd(n, rows, info)
+    # Π L Lᵀ = C_x Wᵀ: solve against Lᵀ, then against L.
+    pi = blas.dtrsm(1.0, factor, pi, side=1, lower=1, trans_a=1,
+                    overwrite_b=1)
+    return blas.dtrsm(1.0, factor, pi, side=1, lower=1, overwrite_b=1)
+
+
 def build_operator(weights: WeightMatrix, grid: VoxelGrid,
                    params: ReconstructionParams | None = None,
                    precision_term: np.ndarray | None = None,
                    ) -> ReconstructionOperator:
-    """Factor A = WᵀW + σ_N² C_x⁻¹ for a weight matrix and store its inverse
-    or Π = A⁻¹Wᵀ, whichever is smaller.
+    """Store M = (WᵀW + σ_N² C_x⁻¹)⁻¹ for a weight matrix with more rows
+    than voxels, and Π = M Wᵀ otherwise: whichever is smaller.
 
-    A lives in one Fortran-order N × N buffer. It starts as a copy of the
-    precision term, and WᵀW is added to its lower triangle by one syrk per
-    block of _BLOCK rows of W, each block formed dense as W[a:b]ᵀ =
-    U·S[:, a:b] from the weights' band factors: no whole W is formed, as
-    CSR or dense. A is then Cholesky-factored in place. When W has more
-    rows than voxels, potri turns the factor into M = A⁻¹, (N, N), in place,
-    and `pi` is computed on demand. Otherwise the dense Wᵀ, (N, rows), is
-    formed once and the solve against it overwrites it with the stored Π:
-    no explicit inverse is formed. Transient memory is the N × N buffer,
-    which a tall build keeps as M, and one (N, _BLOCK) block, besides the
-    N × N precision term, which is held throughout and computed here when
-    it is not given. The stored array is in Fortran order. Neither
-    `weights` nor `precision_term` is written to.
+    Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer.
+    The buffer is a copy of the given precision term, or, when none is
+    given, the term computed here, used in place. WᵀW is added to its lower
+    triangle by one syrk per block of _BLOCK rows of W, each block formed
+    dense as W[a:b]ᵀ = U·S[:, a:b] from the weights' band factors: no whole
+    W is formed, as CSR or dense. A is then Cholesky-factored and potri
+    turns the factor into M = A⁻¹ in place; `pi` is computed on demand.
+    Transient memory is one (N, _BLOCK) block besides the buffer, and the
+    given term, which is held throughout.
+
+    Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
+    σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed from blocks of _BLOCK rows
+    of C_x and the sparse Wᵀ, and only the rows × rows matrix W C_x Wᵀ +
+    σ_N² I is Cholesky-factored: no N × N array is formed and C_x is not
+    inverted. The precision term is not read.
+
+    The stored array is in Fortran order. Neither `weights` nor
+    `precision_term` is written to.
 
     Args:
         weights: link/voxel weight operator (classic or multi-scale).
@@ -200,8 +251,9 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         params: regularization parameters (defaults are the standard set).
         precision_term: optional precomputed σ_N² C_x⁻¹ for this grid and
             params (see `prior_precision_term`), to share across several
-            operator builds. It must be symmetric: only its upper triangle
-            is read.
+            tall builds; its shape is checked on every build, but only a
+            tall one reads it. It must be symmetric: only its upper
+            triangle is read.
 
     Raises:
         ValueError: grid/matrix column mismatch or wrong precision_term shape.
@@ -215,17 +267,20 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         raise ValueError(
             f"weight matrix has {weights.n_voxels} columns, grid has {n} voxels"
         )
-    if precision_term is None:
-        precision_term = prior_precision_term(grid, params)
-    elif precision_term.shape != (n, n):
+    if precision_term is not None and precision_term.shape != (n, n):
         raise ValueError(
             f"precision_term shape {precision_term.shape} != ({n}, {n})"
         )
+    if weights.n_rows <= n:
+        return ReconstructionOperator(stored=_short_pi(weights, grid, params),
+                                      weights=weights, grid=grid)
 
-    tall = weights.n_rows > n
     # The transpose of the (symmetric) term is a Fortran-order view whose
-    # lower triangle is its upper one; LAPACK factors the copy in place.
-    normal = np.array(precision_term.T, order="F")
+    # lower triangle is its upper one; LAPACK factors the buffer in place.
+    if precision_term is None:
+        normal = prior_precision_term(grid, params).T
+    else:
+        normal = np.array(precision_term.T, order="F")
     band_sums = weights.band_sums.tocsc()
     for start in range(0, weights.n_rows, _BLOCK):
         # U·S[:, a:b] is W[a:b]ᵀ; the transpose of its C-order dense form
@@ -235,19 +290,11 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
                          ).toarray().T,
                    beta=1.0, c=normal, trans=1, lower=1, overwrite_c=1)
     factor, info = lapack.dpotrf(normal, lower=1, overwrite_a=1)
-    if info == 0 and tall:
+    if info == 0:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
-        raise linalg.LinAlgError(
-            f"regularized normal matrix is not SPD to working precision "
-            f"(N={n}, rows={weights.n_rows}): LAPACK info {info}"
-        )
-    if tall:
-        return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
-    w_t = (weights.bands @ weights.band_sums).toarray(order="F")
-    pi = linalg.cho_solve((factor, True), w_t, overwrite_b=True,
-                          check_finite=False)
-    return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
+        raise _not_spd(n, weights.n_rows, info)
+    return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
 
 
 def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtikit.geometry import (
     LinkTable,
@@ -125,6 +126,38 @@ def test_excess_path_field_matches_scalar():
                 excess_path_length(l, pts[m], table, layout), abs=1e-12
             )
     assert np.all(field >= 0)
+
+
+def _broadcast_excess_path_field(table, layout, points):
+    """Reference: each link's two focal distances by broadcasting."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    d_tx = np.linalg.norm(points[None, :, :] - layout.xy[table.tx_idx][:, None, :], axis=2)
+    d_rx = np.linalg.norm(points[None, :, :] - layout.xy[table.rx_idx][:, None, :], axis=2)
+    return np.maximum(d_tx + d_rx - table.lengths[:, None], 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(3, 12),
+       n_points=st.integers(1, 50), scale=st.sampled_from([1e-3, 1.0, 40.0]))
+def test_excess_path_field_equals_broadcast_formula(seed, n_nodes, n_points,
+                                                    scale):
+    rng = np.random.default_rng(seed)
+    layout = NodeLayout(ids=rng.permutation(100)[:n_nodes] + 1,
+                        xy=scale * rng.uniform(-1, 1, size=(n_nodes, 2)))
+    table = enumerate_links(layout)
+    # random points, the nodes themselves and every link's midpoint
+    pts = np.vstack([scale * rng.uniform(-1.5, 1.5, size=(n_points, 2)),
+                     layout.xy,
+                     (layout.xy[table.tx_idx] + layout.xy[table.rx_idx]) / 2])
+    got = excess_path_field(table, layout, pts)
+    assert got.shape == (table.n_links, len(pts))
+    assert np.array_equal(got, _broadcast_excess_path_field(table, layout, pts))
+    # the single nested-list point the simulator passes
+    point = [[float(pts[0, 0]), float(pts[0, 1])]]
+    single = excess_path_field(table, layout, point)
+    assert single.shape == (table.n_links, 1)
+    assert np.array_equal(single,
+                          _broadcast_excess_path_field(table, layout, point))
 
 
 def test_membership_strict_inequality_and_oracle():

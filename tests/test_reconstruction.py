@@ -196,14 +196,57 @@ def test_prior_covariance_not_spd_raises(monkeypatch):
         prior_precision_term(grid, ReconstructionParams())
 
 
-def test_normal_matrix_not_spd_raises():
+def test_normal_matrix_not_spd_raises(monkeypatch):
     _, grid, _, weights = octagon_forms()
     n = grid.n_voxels
-    for wm in weights.values():
-        with pytest.raises(linalg.LinAlgError,
-                           match=rf"regularized normal matrix is not SPD.*"
-                                 rf"N={n}, rows={wm.n_rows}"):
-            build_operator(wm, grid, precision_term=-1e3 * np.eye(n))
+    tall, short = weights["tall"], weights["short"]
+    with pytest.raises(linalg.LinAlgError,
+                       match=rf"regularized normal matrix is not SPD.*"
+                             rf"N={n}, rows={tall.n_rows}"):
+        build_operator(tall, grid, precision_term=-1e3 * np.eye(n))
+    # A short build does not read the precision term ...
+    assert np.array_equal(
+        build_operator(short, grid, precision_term=-1e3 * np.eye(n)).stored,
+        build_operator(short, grid).stored)
+    # ... and fails when W C_x Wᵀ + σ_N² I is not SPD, here through an
+    # indefinite C_x = −1e3·I.
+    monkeypatch.setattr(reconstruction, "_covariance_rows",
+                        lambda centers, start, stop, params:
+                        -1e3 * np.eye(len(centers))[start:stop])
+    with pytest.raises(linalg.LinAlgError,
+                       match=rf"regularized normal matrix is not SPD.*"
+                             rf"N={n}, rows={short.n_rows}\): LAPACK info \d+"):
+        build_operator(short, grid)
+
+
+def test_short_operator_matches_explicit_inverse_route():
+    """The criterion-3 deployment with the fixed-width weights: the
+    push-through Π against (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ from explicit inverses."""
+    layout = perimeter_layout(8, 3.0, 3.0)
+    table = enumerate_links(layout)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.3, nx=10, ny=10)
+    params = ReconstructionParams()
+    wm = build_classic_weights(table, layout, grid, lam=0.2)
+    op = build_operator(wm, grid, params)
+    assert not op.tall
+    a = wm.matrix.toarray()
+    c_x = prior_covariance(grid, params)
+    pi_ref = np.linalg.inv(a.T @ a + np.linalg.inv(c_x) * params.sigma_n**2) @ a.T
+    assert np.max(np.abs(op.pi - pi_ref)) <= 1e-8
+
+
+def test_short_operator_empty_row_gives_zero_column():
+    """A link whose ellipse holds no voxel center has an all-zero row of W,
+    and its column of Π is exactly zero."""
+    layout, table = octagon()
+    grid = VoxelGrid.from_layout(layout, p=1.0)
+    wm = build_classic_weights(table, layout, grid, lam=0.05)
+    empty = np.diff(wm.matrix.tocsr().indptr) == 0
+    assert empty.any() and not empty.all()
+    op = build_operator(wm, grid)
+    assert not op.tall
+    assert np.all(op.stored[:, empty] == 0.0)
+    assert np.all(np.abs(op.stored[:, ~empty]).max(axis=0) > 0.0)
 
 
 def test_shared_build_leaves_inputs_untouched():
@@ -248,12 +291,21 @@ def _forbid_formed_w(monkeypatch):
     monkeypatch.setattr(WeightMatrix, "matrix", property(formed))
 
 
-def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
-    """N = 1024 and a tall multi-scale W of 3024 rows: with a shared
-    precision term, the build's traced peak is the N × N buffer that
-    becomes M, one (N, 512) dense block and a little slack for the sparse
-    product of that block (about 1.3 MB here) and the factors' copies. A
-    whole W would not fit in the slack: 24.8 MB dense, about 7.6 MB as CSR."""
+def _traced_peak(build):
+    """The result of build() and the peak of tracemalloc while it ran;
+    build() runs once untraced first, for first-call set-up."""
+    build()
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _tall_weights_n1024():
+    """N = 1024 and a tall multi-scale W of 3024 rows."""
     layout = perimeter_layout(28, 5.0, 5.0)
     table = enumerate_links(layout)
     grid = VoxelGrid(origin=(0.0, 0.0), p=5.0 / 32, nx=32, ny=32)
@@ -264,20 +316,59 @@ def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
         fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
     )
     wm = build_multiscale_weights(table, layout, grid, fades)
+    assert (grid.n_voxels, wm.n_rows) == (1024, 3024)
+    return wm, grid
+
+
+def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
+    """With a shared precision term, the build's traced peak is the N × N
+    buffer that becomes M, one (N, 512) dense block and a little slack for
+    the sparse product of that block (about 1.3 MB here) and the factors'
+    copies. A whole W would not fit in the slack: 24.8 MB dense, about
+    7.6 MB as CSR."""
+    wm, grid = _tall_weights_n1024()
     n = grid.n_voxels
-    assert (n, wm.n_rows) == (1024, 3024)
     term = prior_precision_term(grid, ReconstructionParams())
     _forbid_formed_w(monkeypatch)
-    build_operator(wm, grid, precision_term=term)  # first-call set-up
-    tracemalloc.start()
-    try:
-        op = build_operator(wm, grid, precision_term=term)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    op, peak = _traced_peak(
+        lambda: build_operator(wm, grid, precision_term=term))
     assert op.tall
     block = n * reconstruction._BLOCK * 8
     assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
+
+
+def test_tall_build_without_term_uses_it_as_the_buffer(monkeypatch):
+    """With no precision term given, the term computed in the build is the
+    N × N buffer: the same bound as with a shared term, which a copy of the
+    term (another 8 MB here) would exceed."""
+    wm, grid = _tall_weights_n1024()
+    n = grid.n_voxels
+    _forbid_formed_w(monkeypatch)
+    op, peak = _traced_peak(lambda: build_operator(wm, grid))
+    assert op.tall
+    block = n * reconstruction._BLOCK * 8
+    assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
+    shared = build_operator(
+        wm, grid, precision_term=prior_precision_term(grid,
+                                                      ReconstructionParams()))
+    assert np.array_equal(op.stored, shared.stored)
+
+
+def test_short_build_memory_holds_no_n_by_n_array(monkeypatch):
+    """The criterion-5 grid (N = 2304) and the fixed-width weights, one row
+    per link: the build's traced peak stays below one N × N array (42.5 MB).
+    Forming A = WᵀW + σ_N² C_x⁻¹ would exceed it."""
+    layout = perimeter_layout(30, 7.0, 7.0)
+    config = PipelineConfig()
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    wm = build_classic_weights(enumerate_links(layout), layout, grid,
+                               config.classic_lambda)
+    n = grid.n_voxels
+    assert (n, wm.n_rows) == (2304, 435)
+    _forbid_formed_w(monkeypatch)
+    op, peak = _traced_peak(lambda: build_operator(wm, grid))
+    assert not op.tall
+    assert peak < n * n * 8, peak / 2**20
 
 
 def _random_weights(n_voxels, n_rows, seed):
@@ -293,25 +384,44 @@ def _random_weights(n_voxels, n_rows, seed):
                         row_keys=tuple(range(n_rows)))
 
 
-@pytest.mark.parametrize("rows, side", [
-    (100, 20), (512, 20), (1025, 20),  # tall but the first (N = 400)
-    (512, 33), (1025, 33),             # short (N = 1089)
+def _edge_case(rows, nx, ny=None, rtol=1e-12):
+    ny = nx if ny is None else ny
+    return pytest.param(rows, nx, ny, rtol,
+                        id=f"{rows}-{nx}" if nx == ny else f"{rows}-{nx}x{ny}")
+
+
+@pytest.mark.parametrize("rows, nx, ny, rtol", [
+    # tall but the first (N = 400): W's row blocks
+    _edge_case(100, 20), _edge_case(512, 20), _edge_case(1025, 20),
+    # short, N = 1089, 512 and 513: C_x's row blocks
+    _edge_case(512, 33),
+    # W C_x Wᵀ + σ_N² I has condition number 2.1e4 here, which puts any
+    # float64 solve about 1e-12 from the exact Π: against an extended-
+    # precision reference, the oracle below is off by 0.86e-12 relative
+    # and the build by 1.19e-12.
+    _edge_case(1025, 33, rtol=2e-12),
+    _edge_case(512, 32, 16), _edge_case(300, 27, 19),
 ])
-def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, side):
-    # Row counts below, at and one past a multiple of the 512-row block.
+def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
+                                                 rtol):
+    # Counts below, at and one past a multiple of the 512-row block: rows
+    # of W on a tall build, voxels on a short one.
     assert reconstruction._BLOCK == 512
-    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=side, ny=side)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     params = ReconstructionParams()
-    wm = _random_weights(grid.n_voxels, rows, seed=rows + side)
+    wm = _random_weights(grid.n_voxels, rows, seed=rows + nx)
     dense = wm.matrix.toarray()
     term = prior_precision_term(grid, params)
     _forbid_formed_w(monkeypatch)
     op = build_operator(wm, grid, params, precision_term=term)
-    normal = dense.T @ dense + term
     assert op.tall == (rows > grid.n_voxels)
-    want = (np.tril(np.linalg.inv(normal)) if op.tall
-            else np.linalg.solve(normal, dense.T))
-    assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
+    if op.tall:
+        want = np.tril(np.linalg.inv(dense.T @ dense + term))
+    else:
+        w_c = dense @ prior_covariance(grid, params)
+        want = np.linalg.solve(w_c @ dense.T
+                               + params.sigma_n**2 * np.eye(rows), w_c).T
+    assert np.abs(op.stored - want).max() <= rtol * np.abs(want).max()
 
 
 def test_operator_grid_mismatch():
