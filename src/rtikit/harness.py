@@ -240,9 +240,10 @@ class VariantPipeline:
     operator built for the same weights is given; measurement and image
     assembly per frame are array operations. An optional precision term
     σ_N² C_x⁻¹ for the grid is passed to build_operator, which reads it
-    only for the tall multi-scale W; the fixed-width variants build Π in
-    push-through form from C_x itself. The hold buffer makes a pipeline
-    single-pass — build a fresh one per trace.
+    for the tall multi-scale W; the fixed-width variants build Π in
+    push-through form from C_x itself, and read the term only when their
+    W C_x Wᵀ + σ_N² I is too ill-conditioned for that form. The hold
+    buffer makes a pipeline single-pass — build a fresh one per trace.
     """
 
     def __init__(self, variant: str, fades: FadeLevelTable, layout: NodeLayout,
@@ -433,8 +434,9 @@ def benchmark(layout: NodeLayout, positions, seeds,
     position for frames_per_position frames after a calibration prefix;
     each variant then runs on the identical trace and is scored on its raw
     per-frame estimates (no Kalman). Every pipeline, operator included, is
-    built per seed; only the grid and the precision term σ_N² C_x⁻¹, which
-    the multi-scale (tall) builds read, are shared across runs.
+    built per seed; only the grid and, when msrti is among the variants,
+    the precision term σ_N² C_x⁻¹ that its tall builds read are shared
+    across runs.
 
     Args:
         layout: sensor deployment.
@@ -469,7 +471,10 @@ def benchmark(layout: NodeLayout, positions, seeds,
     trajectory = np.vstack(trajectory_parts)
 
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
-    precision_term = prior_precision_term(grid, config.reconstruction)
+    # Only the multi-scale W is tall, and only a tall build needs the term;
+    # a short build that falls back to the A route computes its own.
+    precision_term = (prior_precision_term(grid, config.reconstruction)
+                      if "msrti" in variants else None)
     table = enumerate_links(layout)
 
     rows = []

@@ -8,7 +8,8 @@ IEEE TMC 2010).
 
 The build is the expensive step and happens once per weight matrix; each
 frame is then one or two products. The build is dense LAPACK/BLAS
-throughout, and its form depends on the shape of W alone:
+throughout, and its form depends on the shape of W and, for a short W, on
+the conditioning of W C_x Wᵀ + σ_N² I:
 - W with more rows than voxels (the multi-scale weights): A = WᵀW +
   σ_N² C_x⁻¹ in one N × N buffer. The buffer starts as the precision term
   σ_N² C_x⁻¹, from C_x's Cholesky factor (potrf, potri), and WᵀW is added
@@ -26,7 +27,10 @@ throughout, and its form depends on the shape of W alone:
   which is the same matrix. C_x Wᵀ is formed from _BLOCK rows of C_x at a
   time times the sparse Wᵀ, and only the rows × rows matrix W C_x Wᵀ +
   σ_N² I is factored, so the build holds no N × N array and takes no
-  inverse of the ill-conditioned C_x.
+  inverse of the ill-conditioned C_x. This form's error grows with the
+  condition number of that rows × rows matrix, so when LAPACK estimates it
+  above _PUSH_THROUGH_MAX_COND, Π is instead solved from A, formed as for
+  a tall W.
 W is about one sixth nonzero at the reference deployments, where the
 sparse WᵀW took four to eight times as long as the dense one.
 """
@@ -54,6 +58,13 @@ __all__ = [
 # C_x Wᵀ, and rows of C_x⁻¹ per block of its mirroring: bounds the build's
 # transients to (N, _BLOCK).
 _BLOCK = 512
+
+# The largest condition number of W C_x Wᵀ + σ_N² I, as LAPACK's pocon
+# estimates it (1-norm), at which a short W is built in push-through form.
+# On random W that form's relative error stayed below 0.3·cond·eps (3.4e-13
+# at an estimate of 1.2e4, 1.1e-12 at 2.4e5), while the A route stayed
+# near 1e-14; the shipped fixed-width weights estimate 40 to 3200.
+_PUSH_THROUGH_MAX_COND = 1e4
 
 
 @dataclass(frozen=True)
@@ -146,7 +157,8 @@ class ReconstructionOperator:
         stored: for a tall W (more rows than voxels), M = (WᵀW + σ_N² C_x⁻¹)⁻¹
             as an (N, N) Fortran-order array whose lower triangle holds M
             (the other is zero); otherwise Π, (N, rows), Fortran order,
-            built as C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹.
+            built as C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, or from A when that
+            rows × rows matrix is too ill-conditioned.
         weights: the WeightMatrix the operator inverts; measurement vectors
             must use its row ordering.
         grid: voxel grid of the image space.
@@ -189,15 +201,18 @@ def _not_spd(n: int, rows: int, info: int) -> linalg.LinAlgError:
     )
 
 
-def _short_pi(weights: WeightMatrix, grid: VoxelGrid,
-              params: ReconstructionParams) -> np.ndarray:
-    """Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, (N, rows) in Fortran order.
+def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
+                     params: ReconstructionParams) -> np.ndarray | None:
+    """Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, (N, rows) in Fortran order, or
+    None when that matrix is too ill-conditioned for this form.
 
     By the push-through identity (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ = C_x Wᵀ (W C_x Wᵀ +
     σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer from _BLOCK rows of
     C_x at a time times the sparse Wᵀ = U·S, then K = W·(C_x Wᵀ) + σ_N² I,
     rows × rows, is Cholesky-factored, and two triangular solves from the
-    right overwrite the buffer with Π.
+    right overwrite the buffer with Π. None is returned, before the solves,
+    when LAPACK's estimate of K's condition number exceeds
+    _PUSH_THROUGH_MAX_COND.
     """
     n, rows = grid.n_voxels, weights.n_rows
     w_t = weights.bands @ weights.band_sums
@@ -208,11 +223,15 @@ def _short_pi(weights: WeightMatrix, grid: VoxelGrid,
         pi[start:stop] = _covariance_rows(centers, start, stop, params) @ w_t
     gram = w_t.T @ pi
     gram.flat[::rows + 1] += params.sigma_n**2
+    norm = np.abs(gram).sum(axis=0).max()  # K's 1-norm, for pocon
     # gram.T is the Fortran-order view that LAPACK factors in place; potrf
     # reads its lower triangle, which is gram's upper one.
     factor, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1)
     if info != 0:
         raise _not_spd(n, rows, info)
+    rcond, _ = lapack.dpocon(factor, norm, uplo="L")
+    if rcond * _PUSH_THROUGH_MAX_COND < 1.0:
+        return None
     # Π L Lᵀ = C_x Wᵀ: solve against Lᵀ, then against L.
     pi = blas.dtrsm(1.0, factor, pi, side=1, lower=1, trans_a=1,
                     overwrite_b=1)
@@ -239,8 +258,11 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
     σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed from blocks of _BLOCK rows
     of C_x and the sparse Wᵀ, and only the rows × rows matrix W C_x Wᵀ +
-    σ_N² I is Cholesky-factored: no N × N array is formed and C_x is not
-    inverted. The precision term is not read.
+    σ_N² I is Cholesky-factored: no N × N array is formed, C_x is not
+    inverted and the precision term is not read. When LAPACK's estimate of
+    that matrix's condition number exceeds _PUSH_THROUGH_MAX_COND, where
+    this form loses accuracy, A is formed and factored as for a tall W and
+    Π is its Cholesky solve against the dense Wᵀ.
 
     The stored array is in Fortran order. Neither `weights` nor
     `precision_term` is written to.
@@ -252,7 +274,7 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         precision_term: optional precomputed σ_N² C_x⁻¹ for this grid and
             params (see `prior_precision_term`), to share across several
             tall builds; its shape is checked on every build, but only a
-            tall one reads it. It must be symmetric: only its upper
+            build through A reads it. It must be symmetric: only its upper
             triangle is read.
 
     Raises:
@@ -271,9 +293,11 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         raise ValueError(
             f"precision_term shape {precision_term.shape} != ({n}, {n})"
         )
-    if weights.n_rows <= n:
-        return ReconstructionOperator(stored=_short_pi(weights, grid, params),
-                                      weights=weights, grid=grid)
+    tall = weights.n_rows > n
+    if not tall:
+        pi = _push_through_pi(weights, grid, params)
+        if pi is not None:
+            return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
     # The transpose of the (symmetric) term is a Fortran-order view whose
     # lower triangle is its upper one; LAPACK factors the buffer in place.
@@ -290,11 +314,16 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
                          ).toarray().T,
                    beta=1.0, c=normal, trans=1, lower=1, overwrite_c=1)
     factor, info = lapack.dpotrf(normal, lower=1, overwrite_a=1)
-    if info == 0:
+    if info == 0 and tall:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise _not_spd(n, weights.n_rows, info)
-    return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
+    if tall:
+        return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
+    w_t = (weights.bands @ weights.band_sums).toarray(order="F")
+    pi = linalg.cho_solve((factor, True), w_t, overwrite_b=True,
+                          check_finite=False)
+    return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
 
 def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:

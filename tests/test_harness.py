@@ -497,6 +497,24 @@ def test_benchmark_rows_and_reuse():
     assert all(np.isfinite(r[3]["mean"]) for r in rows)
 
 
+def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):
+    """The term is computed once per benchmark when msrti, whose W is tall,
+    is among the variants, and not at all for fixed-width variants alone."""
+    calls = []
+    term = harness.prior_precision_term
+    monkeypatch.setattr(harness, "prior_precision_term",
+                        lambda *args: calls.append(args) or term(*args))
+    layout = perimeter_layout(8, 4.0, 4.0)
+    config = PipelineConfig(calibration_frames=30)
+    for variants, expected in ((("cdrti", "rti"), 0), (("msrti", "cdrti"), 1)):
+        calls.clear()
+        rows = benchmark(layout, [(2.0, 2.0)], seeds=(1, 2), config=config,
+                         variants=variants, frames_per_position=2,
+                         scenario_kwargs={"calibration_frames": 30})
+        assert len(rows) == 2 * len(variants)
+        assert len(calls) == expected
+
+
 def test_benchmark_rejects_mismatched_calibration():
     layout = perimeter_layout(8, 4.0, 4.0)
     config = PipelineConfig(calibration_frames=30)

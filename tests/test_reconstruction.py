@@ -89,14 +89,22 @@ def brute_force_pi(w_dense, grid, params):
 
 
 def test_operator_matches_dense_oracle_classic():
-    layout, table = octagon()
-    grid = VoxelGrid.from_layout(layout, p=0.7)
+    """The octagon, and the criterion-3 deployment (8 nodes, a 3 m square,
+    0.3 m voxels): both short, so Π is built in push-through form."""
+    octagon_layout, _ = octagon()
+    criterion3 = perimeter_layout(8, 3.0, 3.0)
     params = ReconstructionParams()
-    wm = build_classic_weights(table, layout, grid, lam=0.8)
-    op = build_operator(wm, grid, params)
-    want = brute_force_pi(wm.matrix.toarray(), grid, params)
-    assert op.pi.shape == (grid.n_voxels, table.n_links)
-    np.testing.assert_allclose(op.pi, want, atol=1e-8)
+    for layout, grid, lam in (
+            (octagon_layout, VoxelGrid.from_layout(octagon_layout, p=0.7), 0.8),
+            (criterion3, VoxelGrid(origin=(0.0, 0.0), p=0.3, nx=10, ny=10),
+             0.2)):
+        table = enumerate_links(layout)
+        wm = build_classic_weights(table, layout, grid, lam=lam)
+        op = build_operator(wm, grid, params)
+        assert not op.tall
+        want = brute_force_pi(wm.matrix.toarray(), grid, params)
+        assert op.pi.shape == (grid.n_voxels, table.n_links)
+        np.testing.assert_allclose(op.pi, want, atol=1e-8)
 
 
 def test_operator_matches_dense_oracle_multiscale():
@@ -204,7 +212,7 @@ def test_normal_matrix_not_spd_raises(monkeypatch):
                        match=rf"regularized normal matrix is not SPD.*"
                              rf"N={n}, rows={tall.n_rows}"):
         build_operator(tall, grid, precision_term=-1e3 * np.eye(n))
-    # A short build does not read the precision term ...
+    # A well-conditioned short build does not read the precision term ...
     assert np.array_equal(
         build_operator(short, grid, precision_term=-1e3 * np.eye(n)).stored,
         build_operator(short, grid).stored)
@@ -217,22 +225,6 @@ def test_normal_matrix_not_spd_raises(monkeypatch):
                        match=rf"regularized normal matrix is not SPD.*"
                              rf"N={n}, rows={short.n_rows}\): LAPACK info \d+"):
         build_operator(short, grid)
-
-
-def test_short_operator_matches_explicit_inverse_route():
-    """The criterion-3 deployment with the fixed-width weights: the
-    push-through Π against (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ from explicit inverses."""
-    layout = perimeter_layout(8, 3.0, 3.0)
-    table = enumerate_links(layout)
-    grid = VoxelGrid(origin=(0.0, 0.0), p=0.3, nx=10, ny=10)
-    params = ReconstructionParams()
-    wm = build_classic_weights(table, layout, grid, lam=0.2)
-    op = build_operator(wm, grid, params)
-    assert not op.tall
-    a = wm.matrix.toarray()
-    c_x = prior_covariance(grid, params)
-    pi_ref = np.linalg.inv(a.T @ a + np.linalg.inv(c_x) * params.sigma_n**2) @ a.T
-    assert np.max(np.abs(op.pi - pi_ref)) <= 1e-8
 
 
 def test_short_operator_empty_row_gives_zero_column():
@@ -384,44 +376,79 @@ def _random_weights(n_voxels, n_rows, seed):
                         row_keys=tuple(range(n_rows)))
 
 
-def _edge_case(rows, nx, ny=None, rtol=1e-12):
+def _edge_case(rows, nx, ny=None, route="tall"):
     ny = nx if ny is None else ny
-    return pytest.param(rows, nx, ny, rtol,
+    return pytest.param(rows, nx, ny, route,
                         id=f"{rows}-{nx}" if nx == ny else f"{rows}-{nx}x{ny}")
 
 
-@pytest.mark.parametrize("rows, nx, ny, rtol", [
-    # tall but the first (N = 400): W's row blocks
-    _edge_case(100, 20), _edge_case(512, 20), _edge_case(1025, 20),
-    # short, N = 1089, 512 and 513: C_x's row blocks
-    _edge_case(512, 33),
-    # W C_x Wᵀ + σ_N² I has condition number 2.1e4 here, which puts any
-    # float64 solve about 1e-12 from the exact Π: against an extended-
-    # precision reference, the oracle below is off by 0.86e-12 relative
-    # and the build by 1.19e-12.
-    _edge_case(1025, 33, rtol=2e-12),
-    _edge_case(512, 32, 16), _edge_case(300, 27, 19),
+@pytest.mark.parametrize("rows, nx, ny, route", [
+    # N = 400, tall: W's row blocks
+    _edge_case(512, 20), _edge_case(1025, 20),
+    # short, N = 400, 1089, 512 and 513: C_x's row blocks in push-through
+    # form (estimated condition 2.4e3 to 3.5e3)
+    _edge_case(100, 20, route="push"), _edge_case(50, 33, route="push"),
+    _edge_case(100, 32, 16, route="push"),
+    _edge_case(100, 27, 19, route="push"),
+    # short, but W C_x Wᵀ + σ_N² I is too ill-conditioned for the push-
+    # through form (estimated condition 2.3e4 to 2.4e5): W's row blocks on
+    # the A route
+    _edge_case(512, 33, route="A"), _edge_case(1025, 33, route="A"),
+    _edge_case(512, 32, 16, route="A"), _edge_case(512, 27, 19, route="A"),
 ])
 def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
-                                                 rtol):
+                                                 route):
     # Counts below, at and one past a multiple of the 512-row block: rows
-    # of W on a tall build, voxels on a short one.
+    # of W through A, voxels in push-through form.
     assert reconstruction._BLOCK == 512
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     params = ReconstructionParams()
     wm = _random_weights(grid.n_voxels, rows, seed=rows + nx)
     dense = wm.matrix.toarray()
     term = prior_precision_term(grid, params)
+    pushed = []
+    push_through = reconstruction._push_through_pi
+    monkeypatch.setattr(reconstruction, "_push_through_pi",
+                        lambda *args: pushed.append(push_through(*args))
+                        or pushed[-1])
     _forbid_formed_w(monkeypatch)
     op = build_operator(wm, grid, params, precision_term=term)
-    assert op.tall == (rows > grid.n_voxels)
+    assert op.tall == (route == "tall")
+    assert [pi is not None for pi in pushed] == {
+        "tall": [], "push": [True], "A": [False]}[route]
     if op.tall:
-        want = np.tril(np.linalg.inv(dense.T @ dense + term))
+        wants = [np.tril(np.linalg.inv(dense.T @ dense + term))]
     else:
-        w_c = dense @ prior_covariance(grid, params)
-        want = np.linalg.solve(w_c @ dense.T
-                               + params.sigma_n**2 * np.eye(rows), w_c).T
-    assert np.abs(op.stored - want).max() <= rtol * np.abs(want).max()
+        # (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ, about 1e-14 from an extended-precision
+        # reference on all of these inputs, and in push-through form that
+        # form's own dense solve
+        wants = [np.linalg.solve(dense.T @ dense + term, dense.T)]
+        if route == "push":
+            w_c = dense @ prior_covariance(grid, params)
+            wants.append(np.linalg.solve(
+                w_c @ dense.T + params.sigma_n**2 * np.eye(rows), w_c).T)
+    for want in wants:
+        assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_near_square_short_operator_is_built_through_a():
+    """Fixed-width weights of 780 rows over N = 841 voxels (40 nodes, a
+    7 m square, λ = 2): W C_x Wᵀ + σ_N² I has an estimated condition number
+    of 1.9e4, and the build goes through A = WᵀW + σ_N² C_x⁻¹, which keeps Π
+    about 5e-15 from the dense solve with A. The push-through form would
+    be 2.1e-13 from it."""
+    layout = perimeter_layout(40, 7.0, 7.0)
+    table = enumerate_links(layout)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=7.0 / 29, nx=29, ny=29)
+    params = ReconstructionParams()
+    wm = build_classic_weights(table, layout, grid, lam=2.0)
+    assert (grid.n_voxels, wm.n_rows) == (841, 780)
+    op = build_operator(wm, grid, params)
+    assert not op.tall and op.stored.flags.f_contiguous
+    dense = wm.matrix.toarray()
+    want = np.linalg.solve(
+        dense.T @ dense + prior_precision_term(grid, params), dense.T)
+    assert np.abs(op.stored - want).max() <= 5e-14 * np.abs(want).max()
 
 
 def test_operator_grid_mismatch():
