@@ -12,15 +12,19 @@ throughout, and its form depends on the shape of W and, for a short W, on
 the conditioning of W C_x Wᵀ + σ_N² I:
 - W with more rows than voxels (the multi-scale weights): A = WᵀW +
   σ_N² C_x⁻¹ in one N × N buffer. The buffer starts as the precision term
-  σ_N² C_x⁻¹, from C_x's Cholesky factor (potrf, potri), and WᵀW is added
-  to it by symmetric rank-k updates (syrk), each over a block of _BLOCK
-  rows of W formed dense from the weights' band factors, so no whole W
-  exists in any form. A is then Cholesky-factored and inverted in place,
-  and M = A⁻¹ is stored, N × N, applied as x̂ = M·(Wᵀy). Wᵀy is the
-  weights' band back-projection U·(S·y): S sums each link's nested ellipse
-  rows from the widest down and U adds one of those sums per (link,
-  voxel), so it reads about a sixth of the nonzeros of W. A symmetric
-  product with M follows. Besides M the build holds one (N, _BLOCK) block,
+  σ_N² C_x⁻¹. C_x does not change when the grid is mirrored in x or in y,
+  so in a basis of vectors even or odd under each mirror it is block
+  diagonal; the term is assembled from the Cholesky inverses (potrf,
+  potri) of its four blocks of about N/4 voxels, formed from quarter-grid
+  distances without forming C_x, at about a sixteenth of the flops of
+  inverting C_x whole. WᵀW is added to it by symmetric rank-k updates
+  (syrk), each over a block of _BLOCK rows of W formed dense from the
+  weights' band factors, so no whole W exists in any form. A is then
+  Cholesky-factored and inverted in place, and M = A⁻¹ is stored, N × N,
+  applied as x̂ = M·(Wᵀy). Wᵀy is the weights' band back-projection
+  U·(S·y): S sums each link's nested ellipse rows from the widest down and
+  U adds one of those sums per (link, voxel), so it reads about a sixth of
+  the nonzeros of W. A symmetric product with M follows. Besides M the build holds one (N, _BLOCK) block,
   and a precision term that the caller shares across builds.
 - otherwise (the fixed-width weights, one row per link): Π itself,
   N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
@@ -55,8 +59,8 @@ __all__ = [
 ]
 
 # Rows of W per dense block of the Gram update, rows of C_x per block of
-# C_x Wᵀ, and rows of C_x⁻¹ per block of its mirroring: bounds the build's
-# transients to (N, _BLOCK).
+# C_x Wᵀ, and rows of an inverted prior block per block of its mirroring:
+# bounds the build's transients to (N, _BLOCK).
 _BLOCK = 512
 
 # The largest condition number of W C_x Wᵀ + σ_N² I, as LAPACK's pocon
@@ -106,42 +110,158 @@ def prior_covariance(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarra
     return _covariance_rows(centers, 0, len(centers), params)
 
 
+def _quarter_axis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets, in voxel widths, among the ⌈n/2⌉ cells on the upper side of
+    an axis of n cells, counted from the centre out (the centre cell first
+    on an odd axis): (⌈n/2⌉, ⌈n/2⌉) arrays of |a − c| from cell a to cell c,
+    and of a + c + 1 (even axis) or a + c (odd axis) from a to c's mirror
+    image."""
+    half = np.arange((n + 1) // 2)
+    return np.abs(half[:, None] - half), half[:, None] + half + (1 - n % 2)
+
+
+def _lone_cells(grid: VoxelGrid, sy: int, sx: int) -> np.ndarray:
+    """Flat indices of the quarter voxels whose (sx, sy) vector of Q is
+    zero: those on the centre line of an odd axis whose parity is odd."""
+    lone = np.zeros(((grid.ny + 1) // 2, (grid.nx + 1) // 2), dtype=bool)
+    lone[:sy * (grid.ny % 2)] = True
+    lone[:, :sx * (grid.nx % 2)] = True
+    return np.flatnonzero(lone)
+
+
+def _mirror_blocks(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
+    """The diagonal blocks of ¼ QᵀC_xQ, (2, 2, M, M) indexed [sy, sx], over
+    the M = ⌈ny/2⌉⌈nx/2⌉ voxels of the grid's upper right quarter in
+    row-major order.
+
+    Q's column for a quarter voxel and parities (sx, sy) is +1 on each
+    distinct mirror image of that voxel, negated on the images mirrored in
+    x when sx is 1 and on those mirrored in y when sy is 1. C_x depends only
+    on the distance between centres, so it commutes with both mirrors, and
+    QᵀC_xQ has no block between different parities. Entry [(b, a), (d, c)]
+    of block (sx, sy) is the signed sum of k(u_a ∓ u_c, v_b ∓ v_d) over the
+    four images, with u, v the centres' coordinates relative to the grid
+    centre. Those offsets are whole multiples of p, so each block is exactly
+    symmetric. A cell on an odd axis's centre line is its own mirror image,
+    which the sum counts twice: its rows and columns are halved, so every
+    scale factor is a power of two. Its odd-parity vector is zero, and so
+    are its rows and columns in an odd block, which take a unit diagonal
+    that keeps the block SPD and decoupled (see `_lone_cells`).
+    """
+    direct_y, mirror_y = _quarter_axis(grid.ny)
+    direct_x, mirror_x = _quarter_axis(grid.nx)
+    my, mx = len(direct_y), len(direct_x)
+    offset = np.hypot(*np.ogrid[:2 * my, :2 * mx]) * grid.p
+    kernel = np.exp(offset / -params.delta_c) * params.sigma_x**2
+    blocks = np.empty((2, 2, my * mx, my * mx))
+    for sx in (0, 1):
+        # (y offset, a, c): the kernel summed over the x images
+        sign = np.subtract if sx else np.add
+        fold = sign(kernel[:, direct_x], kernel[:, mirror_x])
+        if grid.nx % 2:
+            fold[:, 0] *= 0.5
+            fold[:, :, 0] *= 0.5
+        for sy in (0, 1):
+            block = blocks[sy, sx].reshape(my, mx, my, mx)
+            sign = np.subtract if sy else np.add
+            sign(fold[direct_y], fold[mirror_y], out=block.transpose(0, 2, 1, 3))
+            if grid.ny % 2:
+                block[0] *= 0.5
+                block[:, :, 0] *= 0.5
+            lone = _lone_cells(grid, sy, sx)
+            blocks[sy, sx, lone, lone] = 1.0
+    return blocks
+
+
+def _mirror_lower(x: np.ndarray) -> None:
+    """Copy the lower triangle of the square C-order x onto its upper one
+    in place, a block of _BLOCK rows at a time."""
+    for start in range(0, len(x), _BLOCK):
+        stop = min(start + _BLOCK, len(x))
+        x[:start, start:stop] = x[start:stop, :start].T
+        diagonal = x[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        diagonal[upper] = diagonal.T[upper]
+
+
+def _side_pairs(n: int) -> tuple[list, list]:
+    """(row cells, column cells, their quarter rows, quarter columns) for
+    each pair of sides of an axis of n cells: pairs on the same side, then
+    pairs on opposite sides. The upper side's cells are the quarter's in
+    order; the lower side's, where there is one, are the mirror images of
+    the quarter's last ⌊n/2⌋, and so reversed."""
+    h, m = n // 2, (n + 1) // 2
+    sides = [(slice(h, n), slice(0, m))]
+    if h:
+        sides.append((slice(h - 1, None, -1), slice(m - h, m)))
+    pairs = ([], [])
+    for i, (rows, quarter_rows) in enumerate(sides):
+        for j, (cols, quarter_cols) in enumerate(sides):
+            pairs[i != j].append((rows, cols, quarter_rows, quarter_cols))
+    return pairs
+
+
 def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
-    """σ_N² C_x⁻¹, from one Cholesky factorization and inversion of C_x.
+    """σ_N² C_x⁻¹, inverted block by block through the grid's mirrors.
 
     This is the regularization term of every tall operator built on the
     same grid and parameters, so callers may compute it once and reuse it.
-    The result is exactly symmetric, a C-order view of a Fortran-order
-    array.
+
+    C_x does not change when the grid is mirrored in x or in y, and in the
+    basis Q of `_mirror_blocks` it is block diagonal: four blocks of about
+    N/4 voxels. Each block is Cholesky-factored and inverted (potrf, potri),
+    about N³/16 flops in all, against N³ for C_x itself, and C_x⁻¹ =
+    ¼ Q diag(blocks⁻¹) Qᵀ. Entry (i, j) is then ¼ Σ ±block⁻¹[i', j'] over
+    the four parities, with i', j' the quarter voxels of which i and j are
+    images, and a minus for each odd parity whose axis has i and j on
+    opposite sides of the centre. The result is written from 16 views, some
+    reversed, of the four signed combinations. C_x is never formed, and
+    besides the result the work holds quarter-size arrays only.
+
+    The result is exactly symmetric and in C order, so that its transpose
+    is a Fortran-order view of the same matrix.
 
     Raises:
-        LinAlgError: C_x is not SPD to working precision; the message
-            carries N and δ_c.
+        LinAlgError: C_x is not SPD to working precision (one of its blocks
+            is not); the message carries N and δ_c.
     """
-    n = grid.n_voxels
-    c_x = prior_covariance(grid, params)
-    # C_x is symmetric, so its transpose is the same matrix in the Fortran
-    # order that LAPACK factors and inverts in place.
-    factor, info = lapack.dpotrf(c_x.T, overwrite_a=1)
-    if info == 0:
-        factor, info = lapack.dpotri(factor, overwrite_c=1)
-    if info != 0:
-        raise linalg.LinAlgError(
-            f"prior covariance is not SPD to working precision "
-            f"(N={n}, delta_c={params.delta_c}): "
-            f"LAPACK info {info}"
-        )
-    # potri wrote the upper triangle of factor and potrf zeroed the lower
-    # one, which makes factor.T the C-order view whose lower triangle holds
-    # C_x⁻¹. Mirror that triangle in place, a block of rows at a time.
-    term = factor.T
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        term[:start, start:stop] = term[start:stop, :start].T
-        diagonal = term[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        diagonal[upper] = diagonal.T[upper]
-    term *= params.sigma_n**2
+    blocks = _mirror_blocks(grid, params)
+    for sy in (0, 1):
+        for sx in (0, 1):
+            # The block is symmetric, so its transpose is the same matrix
+            # in the Fortran order that LAPACK factors and inverts in place.
+            factor, info = lapack.dpotrf(blocks[sy, sx].T, overwrite_a=1)
+            if info == 0:
+                factor, info = lapack.dpotri(factor, overwrite_c=1)
+            if info != 0:
+                raise linalg.LinAlgError(
+                    f"prior covariance is not SPD to working precision "
+                    f"(N={grid.n_voxels}, delta_c={params.delta_c}): "
+                    f"LAPACK info {info}"
+                )
+            # potri wrote the upper triangle of factor and potrf zeroed the
+            # lower one: the block's lower triangle holds its inverse.
+            _mirror_lower(blocks[sy, sx])
+            lone = _lone_cells(grid, sy, sx)
+            blocks[sy, sx, lone, lone] = 0.0
+
+    term = np.empty((grid.n_voxels, grid.n_voxels))
+    images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
+    pairs_y, pairs_x = _side_pairs(grid.ny), _side_pairs(grid.nx)
+    combined = np.empty_like(blocks[0, 0])
+    quarter = combined.reshape(2 * ((grid.ny + 1) // 2, (grid.nx + 1) // 2))
+    for flip_y in (0, 1):
+        for flip_x in (0, 1):
+            np.copyto(combined, blocks[0, 0])
+            for sy, sx in ((0, 1), (1, 0), (1, 1)):
+                sign = np.subtract if (sy & flip_y) ^ (sx & flip_x) else np.add
+                sign(combined, blocks[sy, sx], out=combined)
+            combined *= params.sigma_n**2 / 4
+            for rows_y, cols_y, quarter_rows_y, quarter_cols_y in pairs_y[flip_y]:
+                for rows_x, cols_x, quarter_rows_x, quarter_cols_x in pairs_x[flip_x]:
+                    images[rows_y, rows_x, cols_y, cols_x] = quarter[
+                        quarter_rows_y, quarter_rows_x,
+                        quarter_cols_y, quarter_cols_x]
     return term
 
 

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import linalg, sparse
+from scipy.linalg import lapack
 
 from rtikit import reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit
@@ -193,12 +195,49 @@ def test_precision_term_is_symmetric_inverse_of_prior():
                                rtol=0, atol=1e-8 * params.sigma_n**2)
 
 
+def dense_precision_term(grid, params):
+    """σ_N² C_x⁻¹ from potrf and potri of the whole C_x: the reference for
+    the block-by-block route."""
+    factor, info = lapack.dpotrf(prior_covariance(grid, params))
+    assert info == 0
+    inverse, info = lapack.dpotri(factor)
+    assert info == 0
+    return params.sigma_n**2 * (np.triu(inverse) + np.triu(inverse, 1).T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(nx=st.integers(1, 16), ny=st.integers(1, 16),
+       p=st.floats(0.05, 1.0), delta_c=st.floats(0.1, 10.0),
+       sigma_x=st.floats(0.01, 1.0))
+@example(nx=1, ny=1, p=0.5, delta_c=4.0, sigma_x=0.0316)
+@example(nx=1, ny=16, p=0.15, delta_c=4.0, sigma_x=0.0316)
+@example(nx=15, ny=1, p=0.15, delta_c=4.0, sigma_x=0.0316)
+@example(nx=16, ny=15, p=0.05, delta_c=10.0, sigma_x=0.0316)
+@example(nx=15, ny=16, p=1.0, delta_c=0.1, sigma_x=0.0316)
+@example(nx=15, ny=15, p=0.15, delta_c=4.0, sigma_x=1.0)
+@example(nx=16, ny=16, p=0.15, delta_c=4.0, sigma_x=0.0316)
+def test_precision_term_matches_whole_matrix_inverse(nx, ny, p, delta_c,
+                                                     sigma_x):
+    """Even and odd axes, 1-wide ones and 1 × 1, to δ_c/p = 200 (where C_x's
+    condition number on 16 × 16 is about 1.2e5 and the two routes differ
+    by about 4e-13)."""
+    grid = VoxelGrid(origin=(-1.0, 2.0), p=p, nx=nx, ny=ny)
+    params = ReconstructionParams(sigma_x=sigma_x, delta_c=delta_c)
+    term = prior_precision_term(grid, params)
+    want = dense_precision_term(grid, params)
+    assert np.array_equal(term, term.T)
+    assert term.T.flags.f_contiguous
+    assert np.abs(term - want).max() <= 1e-11 * np.abs(want).max()
+
+
 def test_prior_covariance_not_spd_raises(monkeypatch):
+    # N = 12 has 2 × 2 quarter voxels; the (even x, odd y) block is
+    # indefinite.
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=4, ny=3)
-    indefinite = np.eye(grid.n_voxels)
-    indefinite[5, 5] = -1.0
-    monkeypatch.setattr(reconstruction, "prior_covariance",
-                        lambda grid, params: indefinite.copy())
+    blocks = np.tile(np.eye(4), (2, 2, 1, 1))
+    blocks[1, 0, 3, 3] = -1.0
+    monkeypatch.setattr(reconstruction, "_mirror_blocks",
+                        lambda grid, params: blocks.copy())
     with pytest.raises(linalg.LinAlgError,
                        match=r"prior covariance is not SPD.*N=12, delta_c=4.0"):
         prior_precision_term(grid, ReconstructionParams())
@@ -327,6 +366,16 @@ def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
     assert op.tall
     block = n * reconstruction._BLOCK * 8
     assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
+
+
+def test_precision_term_memory_is_the_result_and_quarters():
+    """N = 1024: the traced peak is the N × N result and quarter-size
+    arrays. Forming C_x alongside the result would take 2·N²·8 bytes."""
+    _, grid = _tall_weights_n1024()
+    n = grid.n_voxels
+    _, peak = _traced_peak(
+        lambda: prior_precision_term(grid, ReconstructionParams()))
+    assert peak <= 1.5 * n * n * 8, peak / 2**20
 
 
 def test_tall_build_without_term_uses_it_as_the_buffer(monkeypatch):
