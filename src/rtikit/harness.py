@@ -36,6 +36,7 @@ from .measurement_model import (
     rss_change,
 )
 from .reconstruction import (
+    PrecisionTerm,
     ReconstructionParams,
     build_operator,
     prior_precision_term,
@@ -239,16 +240,17 @@ class VariantPipeline:
     Construction does the expensive work (weights + operator) unless an
     operator built for the same weights is given; measurement and image
     assembly per frame are array operations. An optional precision term
-    σ_N² C_x⁻¹ for the grid is passed to build_operator, which reads it
-    for the tall multi-scale W; the fixed-width variants build Π in
-    push-through form from C_x itself, and read the term only when their
-    W C_x Wᵀ + σ_N² I is too ill-conditioned for that form. The hold
+    σ_N² C_x⁻¹ for the grid and config.reconstruction, from
+    `prior_precision_term`, is passed unchanged to build_operator, which
+    expands it for the tall multi-scale W; the fixed-width variants build
+    Π in push-through form from C_x itself, and read the term only when
+    their W C_x Wᵀ + σ_N² I is too ill-conditioned for that form. The hold
     buffer makes a pipeline single-pass — build a fresh one per trace.
     """
 
     def __init__(self, variant: str, fades: FadeLevelTable, layout: NodeLayout,
                  grid: VoxelGrid, config: PipelineConfig,
-                 precision_term: np.ndarray | None = None,
+                 precision_term: PrecisionTerm | None = None,
                  operator=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
@@ -471,8 +473,9 @@ def benchmark(layout: NodeLayout, positions, seeds,
     trajectory = np.vstack(trajectory_parts)
 
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
-    # Only the multi-scale W is tall, and only a tall build needs the term;
-    # a short build that falls back to the A route computes its own.
+    # Only the multi-scale W is tall, and only a tall build needs the term.
+    # It is shared in its compact form (the four inverted mirror blocks),
+    # and each build expands it into its own buffer.
     precision_term = (prior_precision_term(grid, config.reconstruction)
                       if "msrti" in variants else None)
     table = enumerate_links(layout)

@@ -12,26 +12,28 @@ throughout, and its form depends on the shape of W and, for a short W, on
 the conditioning of W C_x Wᵀ + σ_N² I:
 - W with more rows than voxels (the multi-scale weights): A = WᵀW +
   σ_N² C_x⁻¹ in one N × N buffer. The buffer starts as the precision term
-  σ_N² C_x⁻¹. C_x does not change when the grid is mirrored in x or in y,
+  σ_N² C_x⁻¹, expanded into it. C_x does not change when the grid is mirrored in x or in y,
   so in a basis of vectors even or odd under each mirror it is block
-  diagonal; the term is assembled from the Cholesky inverses (potrf,
-  potri) of its four blocks of about N/4 voxels, formed from quarter-grid
-  distances without forming C_x, at about a sixteenth of the flops of
-  inverting C_x whole. WᵀW is added to it by symmetric rank-k updates
-  (syrk), each over a block of _BLOCK rows of W formed dense from the
-  weights' band factors, so no whole W exists in any form. A is then
-  Cholesky-factored and inverted in place, and M = A⁻¹ is stored, N × N,
-  applied as x̂ = M·(Wᵀy). Wᵀy is the weights' band back-projection
-  U·(S·y): S sums each link's nested ellipse rows from the widest down and
-  U adds one of those sums per (link, voxel), so it reads about a sixth of
-  the nonzeros of W. A symmetric product with M follows. Besides M the build holds one (N, _BLOCK) block,
-  and a precision term that the caller shares across builds.
+  diagonal; the term is held as the Cholesky inverses (potrf, potri) of
+  its four blocks of about N/4 voxels (`PrecisionTerm`), formed from
+  quarter-grid distances without forming C_x, at about a sixteenth of the
+  flops of inverting C_x whole and about a quarter of the memory of the
+  N × N term. WᵀW is added to the buffer by
+  symmetric rank-k updates (syrk), each over a block of _BLOCK rows of W
+  formed dense from the weights' band factors, so no whole W exists in
+  any form. A is then Cholesky-factored and inverted in place, and
+  M = A⁻¹ is stored, N × N, applied as x̂ = M·(Wᵀy). Wᵀy is the weights'
+  band back-projection U·(S·y): S sums each link's nested ellipse rows
+  from the widest down and U adds one of those sums per (link, voxel), so
+  it reads about a sixth of the nonzeros of W. A symmetric product with M
+  follows. Besides M the build holds one (N, _BLOCK) block, and the
+  compact term when the caller shares one across builds.
 - otherwise (the fixed-width weights, one row per link): Π itself,
   N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
-  which is the same matrix. C_x Wᵀ is formed from _BLOCK rows of C_x at a
-  time times the sparse Wᵀ, and only the rows × rows matrix W C_x Wᵀ +
-  σ_N² I is factored, so the build holds no N × N array and takes no
-  inverse of the ill-conditioned C_x. This form's error grows with the
+  which is the same matrix. C_x Wᵀ is formed from the sparse W times
+  _BLOCK columns of C_x at a time, and only the rows × rows matrix
+  W C_x Wᵀ + σ_N² I is factored, so the build holds no N × N array and
+  takes no inverse of the ill-conditioned C_x. This form's error grows with the
   condition number of that rows × rows matrix, so when LAPACK estimates it
   above _PUSH_THROUGH_MAX_COND, Π is instead solved from A, formed as for
   a tall W.
@@ -52,14 +54,15 @@ from .spatial_model import WeightMatrix
 __all__ = [
     "ReconstructionParams",
     "ReconstructionOperator",
+    "PrecisionTerm",
     "prior_covariance",
     "prior_precision_term",
     "build_operator",
     "reconstruct",
 ]
 
-# Rows of W per dense block of the Gram update, rows of C_x per block of
-# C_x Wᵀ, and rows of an inverted prior block per block of its mirroring:
+# Rows of W per dense block of the Gram update, columns of C_x per block
+# of C_x Wᵀ, and rows of an inverted prior block per block of its mirroring:
 # bounds the build's transients to (N, _BLOCK).
 _BLOCK = 512
 
@@ -91,14 +94,14 @@ class ReconstructionParams:
             raise ValueError("reconstruction parameters must be strictly positive")
 
 
-def _covariance_rows(centers: np.ndarray, start: int, stop: int,
-                     params: ReconstructionParams) -> np.ndarray:
-    """Rows start:stop of C_x over the given voxel centers, in C order."""
-    rows = cdist(centers[start:stop], centers)
-    rows /= -params.delta_c
-    np.exp(rows, out=rows)
-    rows *= params.sigma_x**2
-    return rows
+def _covariance(distances: np.ndarray,
+                params: ReconstructionParams) -> np.ndarray:
+    """C_x entries σ_x² exp(−d / δ_c) from the distances d between voxel
+    centers, computed in place in the given array."""
+    distances /= -params.delta_c
+    np.exp(distances, out=distances)
+    distances *= params.sigma_x**2
+    return distances
 
 
 def prior_covariance(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
@@ -107,7 +110,7 @@ def prior_covariance(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarra
     Symmetric positive definite for any voxel layout, diagonal σ_x².
     """
     centers = grid.centers()
-    return _covariance_rows(centers, 0, len(centers), params)
+    return _covariance(cdist(centers, centers), params)
 
 
 def _quarter_axis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +154,8 @@ def _mirror_blocks(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
     direct_y, mirror_y = _quarter_axis(grid.ny)
     direct_x, mirror_x = _quarter_axis(grid.nx)
     my, mx = len(direct_y), len(direct_x)
-    offset = np.hypot(*np.ogrid[:2 * my, :2 * mx]) * grid.p
-    kernel = np.exp(offset / -params.delta_c) * params.sigma_x**2
+    kernel = _covariance(np.hypot(*np.ogrid[:2 * my, :2 * mx]) * grid.p,
+                         params)
     blocks = np.empty((2, 2, my * mx, my * mx))
     for sx in (0, 1):
         # (y offset, a, c): the kernel summed over the x images
@@ -201,25 +204,78 @@ def _side_pairs(n: int) -> tuple[list, list]:
     return pairs
 
 
-def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
-    """σ_N² C_x⁻¹, inverted block by block through the grid's mirrors.
+@dataclass(frozen=True, eq=False)
+class PrecisionTerm:
+    """σ_N² C_x⁻¹ for one grid and parameter set, held as the inverses of
+    its four mirror blocks: about a quarter of the N × N term's memory.
+
+    Made by `prior_precision_term`, and shared by the tall builds on the
+    same grid and parameters, each of which expands it with `toarray`.
+    Compared by identity (eq=False), since it holds an array.
+
+    Attributes:
+        grid: the voxel grid the term is for.
+        params: the regularization parameters it is for.
+        blocks: (2, 2, M, M), indexed [sy, sx]: the inverses of the
+            diagonal blocks of ¼ QᵀC_xQ (see `_mirror_blocks`) over the
+            M = ⌈ny/2⌉⌈nx/2⌉ quarter voxels, each exactly symmetric and
+            stored whole, zero on the rows and columns of the quarter
+            voxels whose vector of Q is zero.
+    """
+
+    grid: VoxelGrid
+    params: ReconstructionParams
+    blocks: np.ndarray
+
+    def toarray(self) -> np.ndarray:
+        """σ_N² C_x⁻¹ as an exactly symmetric, C-order N × N array, so that
+        its transpose is a Fortran-order view of the same matrix.
+
+        C_x⁻¹ = ¼ Q diag(blocks) Qᵀ. Entry (i, j) is ¼ Σ ±block[i', j']
+        over the four parities, with i', j' the quarter voxels of which i
+        and j are images, and a minus for each odd parity whose axis has i
+        and j on opposite sides of the centre. The array is written from 16
+        views, some reversed, of the four signed combinations of the blocks,
+        one quarter-size combination at a time.
+        """
+        grid, blocks = self.grid, self.blocks
+        term = np.empty((grid.n_voxels, grid.n_voxels))
+        images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
+        pairs_y, pairs_x = _side_pairs(grid.ny), _side_pairs(grid.nx)
+        combined = np.empty_like(blocks[0, 0])
+        quarter = combined.reshape(2 * ((grid.ny + 1) // 2, (grid.nx + 1) // 2))
+        for flip_y in (0, 1):
+            for flip_x in (0, 1):
+                np.copyto(combined, blocks[0, 0])
+                for sy, sx in ((0, 1), (1, 0), (1, 1)):
+                    sign = (np.subtract if (sy & flip_y) ^ (sx & flip_x)
+                            else np.add)
+                    sign(combined, blocks[sy, sx], out=combined)
+                combined *= self.params.sigma_n**2 / 4
+                for rows_y, cols_y, quarter_rows_y, quarter_cols_y in pairs_y[flip_y]:
+                    for rows_x, cols_x, quarter_rows_x, quarter_cols_x in pairs_x[flip_x]:
+                        images[rows_y, rows_x, cols_y, cols_x] = quarter[
+                            quarter_rows_y, quarter_rows_x,
+                            quarter_cols_y, quarter_cols_x]
+        return term
+
+
+def prior_precision_term(grid: VoxelGrid,
+                         params: ReconstructionParams) -> PrecisionTerm:
+    """σ_N² C_x⁻¹, inverted block by block through the grid's mirrors and
+    kept in that compact form.
 
     This is the regularization term of every tall operator built on the
-    same grid and parameters, so callers may compute it once and reuse it.
+    same grid and parameters, so callers may compute it once and pass it to
+    each `build_operator`.
 
     C_x does not change when the grid is mirrored in x or in y, and in the
     basis Q of `_mirror_blocks` it is block diagonal: four blocks of about
     N/4 voxels. Each block is Cholesky-factored and inverted (potrf, potri),
     about N³/16 flops in all, against N³ for C_x itself, and C_x⁻¹ =
-    ¼ Q diag(blocks⁻¹) Qᵀ. Entry (i, j) is then ¼ Σ ±block⁻¹[i', j'] over
-    the four parities, with i', j' the quarter voxels of which i and j are
-    images, and a minus for each odd parity whose axis has i and j on
-    opposite sides of the centre. The result is written from 16 views, some
-    reversed, of the four signed combinations. C_x is never formed, and
-    besides the result the work holds quarter-size arrays only.
-
-    The result is exactly symmetric and in C order, so that its transpose
-    is a Fortran-order view of the same matrix.
+    ¼ Q diag(blocks⁻¹) Qᵀ. C_x is never formed, and neither is the N × N
+    term: the result holds the four inverted blocks, about N²/4 values,
+    and `PrecisionTerm.toarray` expands them.
 
     Raises:
         LinAlgError: C_x is not SPD to working precision (one of its blocks
@@ -244,25 +300,7 @@ def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams) -> np.nd
             _mirror_lower(blocks[sy, sx])
             lone = _lone_cells(grid, sy, sx)
             blocks[sy, sx, lone, lone] = 0.0
-
-    term = np.empty((grid.n_voxels, grid.n_voxels))
-    images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
-    pairs_y, pairs_x = _side_pairs(grid.ny), _side_pairs(grid.nx)
-    combined = np.empty_like(blocks[0, 0])
-    quarter = combined.reshape(2 * ((grid.ny + 1) // 2, (grid.nx + 1) // 2))
-    for flip_y in (0, 1):
-        for flip_x in (0, 1):
-            np.copyto(combined, blocks[0, 0])
-            for sy, sx in ((0, 1), (1, 0), (1, 1)):
-                sign = np.subtract if (sy & flip_y) ^ (sx & flip_x) else np.add
-                sign(combined, blocks[sy, sx], out=combined)
-            combined *= params.sigma_n**2 / 4
-            for rows_y, cols_y, quarter_rows_y, quarter_cols_y in pairs_y[flip_y]:
-                for rows_x, cols_x, quarter_rows_x, quarter_cols_x in pairs_x[flip_x]:
-                    images[rows_y, rows_x, cols_y, cols_x] = quarter[
-                        quarter_rows_y, quarter_rows_x,
-                        quarter_cols_y, quarter_cols_x]
-    return term
+    return PrecisionTerm(grid=grid, params=params, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -327,21 +365,26 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     None when that matrix is too ill-conditioned for this form.
 
     By the push-through identity (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ = C_x Wᵀ (W C_x Wᵀ +
-    σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer from _BLOCK rows of
-    C_x at a time times the sparse Wᵀ = U·S, then K = W·(C_x Wᵀ) + σ_N² I,
+    σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer, _BLOCK of its rows
+    at a time: rows a:b are the transpose of W·C_x[:, a:b], the sparse W
+    times a C-order block of C_x's columns. Then K = W·(C_x Wᵀ) + σ_N² I,
     rows × rows, is Cholesky-factored, and two triangular solves from the
     right overwrite the buffer with Π. None is returned, before the solves,
     when LAPACK's estimate of K's condition number exceeds
     _PUSH_THROUGH_MAX_COND.
     """
     n, rows = grid.n_voxels, weights.n_rows
-    w_t = weights.bands @ weights.band_sums
+    w = (weights.bands @ weights.band_sums).T.tocsr()
     centers = grid.centers()
     pi = np.empty((n, rows), order="F")
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        pi[start:stop] = _covariance_rows(centers, start, stop, params) @ w_t
-    gram = w_t.T @ pi
+        # C_x[:, a:b] (C_x is symmetric); a dense C-order right operand is
+        # read in place by scipy's sparse product, where a dense left one
+        # would be transposed and copied.
+        columns = _covariance(cdist(centers, centers[start:stop]), params)
+        pi[start:stop] = (w @ columns).T
+    gram = w @ pi
     gram.flat[::rows + 1] += params.sigma_n**2
     norm = np.abs(gram).sum(axis=0).max()  # K's 1-norm, for pocon
     # gram.T is the Fortran-order view that LAPACK factors in place; potrf
@@ -360,29 +403,30 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
 
 def build_operator(weights: WeightMatrix, grid: VoxelGrid,
                    params: ReconstructionParams | None = None,
-                   precision_term: np.ndarray | None = None,
+                   precision_term: PrecisionTerm | None = None,
                    ) -> ReconstructionOperator:
     """Store M = (WᵀW + σ_N² C_x⁻¹)⁻¹ for a weight matrix with more rows
     than voxels, and Π = M Wᵀ otherwise: whichever is smaller.
 
-    Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer.
-    The buffer is a copy of the given precision term, or, when none is
-    given, the term computed here, used in place. WᵀW is added to its lower
-    triangle by one syrk per block of _BLOCK rows of W, each block formed
-    dense as W[a:b]ᵀ = U·S[:, a:b] from the weights' band factors: no whole
-    W is formed, as CSR or dense. A is then Cholesky-factored and potri
+    Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer:
+    the precision term, given or else computed here, expanded by
+    `PrecisionTerm.toarray`. WᵀW is added to its lower triangle by one
+    syrk per block of _BLOCK rows of W, each block formed dense as
+    W[a:b]ᵀ = U·S[:, a:b] from the weights' band factors: no whole W is
+    formed, as CSR or dense. A is then Cholesky-factored and potri
     turns the factor into M = A⁻¹ in place; `pi` is computed on demand.
     Transient memory is one (N, _BLOCK) block besides the buffer, and the
-    given term, which is held throughout.
+    given term's four quarter-size blocks, which the caller holds.
 
     Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
-    σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed from blocks of _BLOCK rows
-    of C_x and the sparse Wᵀ, and only the rows × rows matrix W C_x Wᵀ +
-    σ_N² I is Cholesky-factored: no N × N array is formed, C_x is not
-    inverted and the precision term is not read. When LAPACK's estimate of
-    that matrix's condition number exceeds _PUSH_THROUGH_MAX_COND, where
-    this form loses accuracy, A is formed and factored as for a tall W and
-    Π is its Cholesky solve against the dense Wᵀ.
+    σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed from the sparse W and
+    blocks of _BLOCK columns of C_x, and only the rows × rows matrix
+    W C_x Wᵀ + σ_N² I is Cholesky-factored: no N × N array is formed, C_x
+    is not inverted and the precision term is not read. When LAPACK's
+    estimate of that matrix's condition number exceeds
+    _PUSH_THROUGH_MAX_COND, where this form loses accuracy, A is formed and
+    factored as for a tall W and Π is its Cholesky solve against the dense
+    Wᵀ.
 
     The stored array is in Fortran order. Neither `weights` nor
     `precision_term` is written to.
@@ -391,14 +435,15 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         weights: link/voxel weight operator (classic or multi-scale).
         grid: voxel grid; must match the weight matrix column count.
         params: regularization parameters (defaults are the standard set).
-        precision_term: optional precomputed σ_N² C_x⁻¹ for this grid and
-            params (see `prior_precision_term`), to share across several
-            tall builds; its shape is checked on every build, but only a
-            build through A reads it. It must be symmetric: only its upper
-            triangle is read.
+        precision_term: optional σ_N² C_x⁻¹ from `prior_precision_term`,
+            to share across several tall builds; that it is one, for this
+            grid and params, is checked on every build, but only a build
+            through A reads it.
 
     Raises:
-        ValueError: grid/matrix column mismatch or wrong precision_term shape.
+        TypeError: precision_term is not a PrecisionTerm.
+        ValueError: grid/matrix column mismatch, or a precision_term for
+            another grid or other params.
         LinAlgError: C_x or the regularized normal matrix is not SPD
             numerically; the message carries size diagnostics.
     """
@@ -409,22 +454,29 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         raise ValueError(
             f"weight matrix has {weights.n_voxels} columns, grid has {n} voxels"
         )
-    if precision_term is not None and precision_term.shape != (n, n):
-        raise ValueError(
-            f"precision_term shape {precision_term.shape} != ({n}, {n})"
-        )
+    if precision_term is not None:
+        if not isinstance(precision_term, PrecisionTerm):
+            raise TypeError(
+                f"precision_term must be a PrecisionTerm from "
+                f"prior_precision_term, not {type(precision_term).__name__}"
+            )
+        if precision_term.grid != grid:
+            raise ValueError(
+                f"precision_term is for {precision_term.grid}, not {grid}")
+        if precision_term.params != params:
+            raise ValueError(
+                f"precision_term is for {precision_term.params}, not {params}")
     tall = weights.n_rows > n
     if not tall:
         pi = _push_through_pi(weights, grid, params)
         if pi is not None:
             return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
-    # The transpose of the (symmetric) term is a Fortran-order view whose
-    # lower triangle is its upper one; LAPACK factors the buffer in place.
-    if precision_term is None:
-        normal = prior_precision_term(grid, params).T
-    else:
-        normal = np.array(precision_term.T, order="F")
+    # The transpose of the exactly symmetric C-order term is a Fortran-order
+    # view of it, which LAPACK factors in place. A computed term is not
+    # kept past its expansion.
+    normal = (prior_precision_term(grid, params) if precision_term is None
+              else precision_term).toarray().T
     band_sums = weights.band_sums.tocsc()
     for start in range(0, weights.n_rows, _BLOCK):
         # U·S[:, a:b] is W[a:b]ᵀ; the transpose of its C-order dense form

@@ -168,27 +168,54 @@ def test_images_of_no_frames_on_tall_operator():
     assert pipeline.images([]).shape == (0, grid.n_voxels)
 
 
-def test_operator_deterministic_and_precision_reuse():
+def test_operator_deterministic_and_precision_reuse(monkeypatch):
     _, grid, _, weights = octagon_forms()
     params = ReconstructionParams()
     term = prior_precision_term(grid, params)
-    for wm in weights.values():
+    shared = {}
+    for form, wm in weights.items():
         a = build_operator(wm, grid, params)
         b = build_operator(wm, grid, params)
         assert np.array_equal(a.stored, b.stored)
-        c = build_operator(wm, grid, params, precision_term=term)
+        c = shared[form] = build_operator(wm, grid, params, precision_term=term)
         np.testing.assert_allclose(c.pi, a.pi, atol=1e-12)
-        # only the upper triangle of the precision term is read
-        upper = build_operator(wm, grid, params, precision_term=np.triu(term))
-        assert np.array_equal(upper.stored, c.stored)
-        with pytest.raises(ValueError):
-            build_operator(wm, grid, params, precision_term=np.eye(3))
+    # only the upper triangle of the expanded term is read
+    toarray = reconstruction.PrecisionTerm.toarray
+    monkeypatch.setattr(reconstruction.PrecisionTerm, "toarray",
+                        lambda self: np.triu(toarray(self)))
+    for form, wm in weights.items():
+        upper = build_operator(wm, grid, params, precision_term=term)
+        assert np.array_equal(upper.stored, shared[form].stored)
+
+
+def test_build_rejects_a_term_for_another_grid_or_params():
+    """Both grids have 120 voxels, so the two terms expand to the same
+    shape; tall and short builds alike check the term they are given."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=10, ny=12)
+    transposed = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=12, ny=10)
+    params = ReconstructionParams()
+    for rows in (200, 60):
+        wm = _random_weights(grid.n_voxels, rows, seed=rows)
+        with pytest.raises(ValueError, match=r"precision_term is for VoxelGrid"
+                                             r".*nx=12, ny=10.*not VoxelGrid"):
+            build_operator(wm, grid, params, precision_term=
+                           prior_precision_term(transposed, params))
+        with pytest.raises(ValueError,
+                           match=r"precision_term is for Reconstruction"
+                                 r"Params.*delta_c=2.0.*not Reconstruction"):
+            build_operator(wm, grid, params, precision_term=
+                           prior_precision_term(
+                               grid, ReconstructionParams(delta_c=2.0)))
+        with pytest.raises(TypeError, match="must be a PrecisionTerm.*"
+                                            "not ndarray"):
+            build_operator(wm, grid, params, precision_term=
+                           prior_precision_term(grid, params).toarray())
 
 
 def test_precision_term_is_symmetric_inverse_of_prior():
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7)
     params = ReconstructionParams()
-    term = prior_precision_term(grid, params)
+    term = prior_precision_term(grid, params).toarray()
     assert np.array_equal(term, term.T)
     want = params.sigma_n**2 * np.eye(grid.n_voxels)
     np.testing.assert_allclose(term @ prior_covariance(grid, params), want,
@@ -203,6 +230,33 @@ def dense_precision_term(grid, params):
     inverse, info = lapack.dpotri(factor)
     assert info == 0
     return params.sigma_n**2 * (np.triu(inverse) + np.triu(inverse, 1).T)
+
+
+def assembled_precision_term(term):
+    """σ_N² C_x⁻¹ from the term's blocks entry by entry, by the same
+    floating-point operations in the same order as `toarray`: the reference
+    for its 16 views. Voxel i takes block row qy·⌈nx/2⌉ + qx, with qy, qx
+    its cells' distances in cells from the centre line (rounded down), and
+    i, j use a minus for an odd parity whose axis has them on opposite
+    sides (the centre cell of an odd axis is on the upper side)."""
+    grid = term.grid
+
+    def quarter_and_lower(n, cells):
+        return np.maximum(cells, n - 1 - cells) - n // 2, cells < n // 2
+
+    iy, ix = np.divmod(np.arange(grid.n_voxels), grid.nx)
+    qy, lower_y = quarter_and_lower(grid.ny, iy)
+    qx, lower_x = quarter_and_lower(grid.nx, ix)
+    q = qy * ((grid.nx + 1) // 2) + qx
+    i, j = q[:, None], q[None, :]
+    opposite_y = lower_y[:, None] != lower_y[None, :]
+    opposite_x = lower_x[:, None] != lower_x[None, :]
+    total = term.blocks[0, 0][i, j]
+    for sy, sx in ((0, 1), (1, 0), (1, 1)):
+        part = term.blocks[sy, sx][i, j]
+        minus = (opposite_y & bool(sy)) ^ (opposite_x & bool(sx))
+        total = np.where(minus, total - part, total + part)
+    return total * (term.params.sigma_n**2 / 4)
 
 
 @settings(max_examples=120, deadline=None)
@@ -220,10 +274,14 @@ def test_precision_term_matches_whole_matrix_inverse(nx, ny, p, delta_c,
                                                      sigma_x):
     """Even and odd axes, 1-wide ones and 1 × 1, to δ_c/p = 200 (where C_x's
     condition number on 16 × 16 is about 1.2e5 and the two routes differ
-    by about 4e-13)."""
+    by about 4e-13). The expansion is also exactly the entry-by-entry
+    assembly of the compact term's blocks."""
     grid = VoxelGrid(origin=(-1.0, 2.0), p=p, nx=nx, ny=ny)
     params = ReconstructionParams(sigma_x=sigma_x, delta_c=delta_c)
-    term = prior_precision_term(grid, params)
+    compact = prior_precision_term(grid, params)
+    assert (compact.grid, compact.params) == (grid, params)
+    term = compact.toarray()
+    assert np.array_equal(term, assembled_precision_term(compact))
     want = dense_precision_term(grid, params)
     assert np.array_equal(term, term.T)
     assert term.T.flags.f_contiguous
@@ -247,19 +305,22 @@ def test_normal_matrix_not_spd_raises(monkeypatch):
     _, grid, _, weights = octagon_forms()
     n = grid.n_voxels
     tall, short = weights["tall"], weights["short"]
+    # −σ_N² C_x⁻¹, negative definite
+    term = prior_precision_term(grid, ReconstructionParams())
+    negated = reconstruction.PrecisionTerm(grid=term.grid, params=term.params,
+                                           blocks=-term.blocks)
     with pytest.raises(linalg.LinAlgError,
                        match=rf"regularized normal matrix is not SPD.*"
                              rf"N={n}, rows={tall.n_rows}"):
-        build_operator(tall, grid, precision_term=-1e3 * np.eye(n))
+        build_operator(tall, grid, precision_term=negated)
     # A well-conditioned short build does not read the precision term ...
     assert np.array_equal(
-        build_operator(short, grid, precision_term=-1e3 * np.eye(n)).stored,
+        build_operator(short, grid, precision_term=negated).stored,
         build_operator(short, grid).stored)
     # ... and fails when W C_x Wᵀ + σ_N² I is not SPD, here through an
     # indefinite C_x = −1e3·I.
-    monkeypatch.setattr(reconstruction, "_covariance_rows",
-                        lambda centers, start, stop, params:
-                        -1e3 * np.eye(len(centers))[start:stop])
+    monkeypatch.setattr(reconstruction, "_covariance",
+                        lambda distances, params: -1e3 * (distances == 0))
     with pytest.raises(linalg.LinAlgError,
                        match=rf"regularized normal matrix is not SPD.*"
                              rf"N={n}, rows={short.n_rows}\): LAPACK info \d+"):
@@ -297,7 +358,7 @@ def test_shared_build_leaves_inputs_untouched():
                      row_keys=tuple(range(stacked.shape[0]))),
     ]
     term = prior_precision_term(grid, params)
-    term_before = term.copy()
+    term_before = term.blocks.copy()
 
     def buffers(wm):
         return [getattr(factor, name).copy()
@@ -313,7 +374,7 @@ def test_shared_build_leaves_inputs_untouched():
         assert op.pi.shape == (n, wm.n_rows)
         for got, want in zip(buffers(wm), snapshot):
             assert np.array_equal(got, want)
-        assert np.array_equal(term, term_before)
+        assert np.array_equal(term.blocks, term_before)
 
 
 def _forbid_formed_w(monkeypatch):
@@ -322,17 +383,18 @@ def _forbid_formed_w(monkeypatch):
     monkeypatch.setattr(WeightMatrix, "matrix", property(formed))
 
 
-def _traced_peak(build):
-    """The result of build() and the peak of tracemalloc while it ran;
-    build() runs once untraced first, for first-call set-up."""
+def _traced_memory(build):
+    """The result of build(), the traced memory it holds and the peak of
+    tracemalloc while it ran; build() runs once untraced first, for
+    first-call set-up."""
     build()
     tracemalloc.start()
     try:
         result = build()
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, current, peak
 
 
 def _tall_weights_n1024():
@@ -361,7 +423,7 @@ def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
     n = grid.n_voxels
     term = prior_precision_term(grid, ReconstructionParams())
     _forbid_formed_w(monkeypatch)
-    op, peak = _traced_peak(
+    op, _, peak = _traced_memory(
         lambda: build_operator(wm, grid, precision_term=term))
     assert op.tall
     block = n * reconstruction._BLOCK * 8
@@ -369,13 +431,40 @@ def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
 
 
 def test_precision_term_memory_is_the_result_and_quarters():
-    """N = 1024: the traced peak is the N × N result and quarter-size
-    arrays. Forming C_x alongside the result would take 2·N²·8 bytes."""
+    """N = 1024: the traced peak of computing and expanding the term is the
+    N × N result and quarter-size arrays. Forming C_x alongside the result
+    would take 2·N²·8 bytes."""
     _, grid = _tall_weights_n1024()
     n = grid.n_voxels
-    _, peak = _traced_peak(
-        lambda: prior_precision_term(grid, ReconstructionParams()))
+    _, _, peak = _traced_memory(
+        lambda: prior_precision_term(grid, ReconstructionParams()).toarray())
     assert peak <= 1.5 * n * n * 8, peak / 2**20
+
+
+def test_precision_term_holds_its_blocks_only():
+    """N = 1024: the compact term holds its four blocks, N²/4 values, and
+    computing it forms no N × N array (the expanded term is N²·8 bytes)."""
+    _, grid = _tall_weights_n1024()
+    n = grid.n_voxels
+    _, current, peak = _traced_memory(
+        lambda: prior_precision_term(grid, ReconstructionParams()))
+    assert current <= 0.3 * n * n * 8, current / 2**20
+    assert peak <= 0.5 * n * n * 8, peak / 2**20
+
+
+@pytest.mark.parametrize("rows, nx", [(112, 8), (512, 33)],
+                         ids=["tall", "short-through-A"])
+def test_build_with_shared_or_computed_term_is_bit_identical(rows, nx):
+    """A build given the compact term stores exactly what a build that
+    computes its own stores, on a tall W and on a short W whose push-through
+    system is too ill-conditioned (so it is built through A)."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=nx)
+    wm = _random_weights(grid.n_voxels, rows, seed=rows)
+    term = prior_precision_term(grid, ReconstructionParams())
+    shared = build_operator(wm, grid, precision_term=term)
+    computed = build_operator(wm, grid)
+    assert shared.tall == (rows > grid.n_voxels)
+    assert np.array_equal(shared.stored, computed.stored)
 
 
 def test_tall_build_without_term_uses_it_as_the_buffer(monkeypatch):
@@ -385,7 +474,7 @@ def test_tall_build_without_term_uses_it_as_the_buffer(monkeypatch):
     wm, grid = _tall_weights_n1024()
     n = grid.n_voxels
     _forbid_formed_w(monkeypatch)
-    op, peak = _traced_peak(lambda: build_operator(wm, grid))
+    op, _, peak = _traced_memory(lambda: build_operator(wm, grid))
     assert op.tall
     block = n * reconstruction._BLOCK * 8
     assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
@@ -407,7 +496,7 @@ def test_short_build_memory_holds_no_n_by_n_array(monkeypatch):
     n = grid.n_voxels
     assert (n, wm.n_rows) == (2304, 435)
     _forbid_formed_w(monkeypatch)
-    op, peak = _traced_peak(lambda: build_operator(wm, grid))
+    op, _, peak = _traced_memory(lambda: build_operator(wm, grid))
     assert not op.tall
     assert peak < n * n * 8, peak / 2**20
 
@@ -455,6 +544,7 @@ def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
     wm = _random_weights(grid.n_voxels, rows, seed=rows + nx)
     dense = wm.matrix.toarray()
     term = prior_precision_term(grid, params)
+    full = term.toarray()
     pushed = []
     push_through = reconstruction._push_through_pi
     monkeypatch.setattr(reconstruction, "_push_through_pi",
@@ -466,12 +556,12 @@ def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
     assert [pi is not None for pi in pushed] == {
         "tall": [], "push": [True], "A": [False]}[route]
     if op.tall:
-        wants = [np.tril(np.linalg.inv(dense.T @ dense + term))]
+        wants = [np.tril(np.linalg.inv(dense.T @ dense + full))]
     else:
         # (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ, about 1e-14 from an extended-precision
         # reference on all of these inputs, and in push-through form that
         # form's own dense solve
-        wants = [np.linalg.solve(dense.T @ dense + term, dense.T)]
+        wants = [np.linalg.solve(dense.T @ dense + full, dense.T)]
         if route == "push":
             w_c = dense @ prior_covariance(grid, params)
             wants.append(np.linalg.solve(
@@ -496,7 +586,8 @@ def test_near_square_short_operator_is_built_through_a():
     assert not op.tall and op.stored.flags.f_contiguous
     dense = wm.matrix.toarray()
     want = np.linalg.solve(
-        dense.T @ dense + prior_precision_term(grid, params), dense.T)
+        dense.T @ dense + prior_precision_term(grid, params).toarray(),
+        dense.T)
     assert np.abs(op.stored - want).max() <= 5e-14 * np.abs(want).max()
 
 
