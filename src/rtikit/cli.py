@@ -43,24 +43,16 @@ from .simulator import generate_trace
 __all__ = ["main"]
 
 
-def _parse_channels(text: str) -> tuple:
+def _parse_ints(text: str, flag: str) -> tuple:
+    """The integers of a comma-separated --channels or --seeds value."""
     try:
-        channels = tuple(int(tok) for tok in text.split(",") if tok)
+        values = tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError:
-        raise SystemExit(f"bad --channels value {text!r}: expected e.g. 11,16,21,26")
-    if not channels:
-        raise SystemExit("--channels needs at least one channel")
-    return channels
-
-
-def _parse_seeds(text: str) -> tuple:
-    try:
-        seeds = tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise SystemExit(f"bad --seeds value {text!r}: expected e.g. 1,2,3")
-    if not seeds:
-        raise SystemExit("--seeds needs at least one seed")
-    return seeds
+        example = {"--channels": "11,16,21,26", "--seeds": "1,2,3"}[flag]
+        raise SystemExit(f"bad {flag} value {text!r}: expected e.g. {example}")
+    if not values:
+        raise SystemExit(f"{flag} needs at least one {flag[2:-1]}")
+    return values
 
 
 def _load_config(path) -> PipelineConfig:
@@ -103,7 +95,7 @@ def _cmd_calibrate(args) -> int:
     table = enumerate_links(layout)
     frames = load_trace(args.trace, table)
     if args.channels:
-        frames = _subset_frames(frames, _parse_channels(args.channels))
+        frames = _subset_frames(frames, _parse_ints(args.channels, "--channels"))
     if not frames:
         raise SystemExit(f"no frames in {args.trace}")
     fades = calibrate(frames, table, d0=args.d0)
@@ -123,7 +115,7 @@ def _load_run_inputs(args, config):
     layout = load_layout(args.layout)
     table = enumerate_links(layout)
     frames = load_trace(args.trace, table)
-    channels = _parse_channels(args.channels) if args.channels else None
+    channels = _parse_ints(args.channels, "--channels") if args.channels else None
     if channels:
         frames = _subset_frames(frames, channels)
     if args.fades:
@@ -194,7 +186,7 @@ def _cmd_benchmark(args) -> int:
     for v in variants:
         if v not in VARIANTS:
             raise SystemExit(f"unknown variant {v!r}; pick from {VARIANTS}")
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_ints(args.seeds, "--seeds")
 
     xy = layout.xy
     x0, y0 = xy.min(axis=0)
@@ -206,7 +198,7 @@ def _cmd_benchmark(args) -> int:
 
     scenario_kwargs = {"calibration_frames": config.calibration_frames}
     if args.channels:
-        scenario_kwargs["channels"] = _parse_channels(args.channels)
+        scenario_kwargs["channels"] = _parse_ints(args.channels, "--channels")
     rows = benchmark(layout, positions, seeds, config=config,
                      variants=variants,
                      frames_per_position=args.frames_per_position,

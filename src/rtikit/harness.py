@@ -111,14 +111,17 @@ class PipelineConfig:
     dt: float = 1.0
 
     def __post_init__(self):
+        inf = np.inf
         for name, bound, ok in (  # each test is False for NaN
-                ("voxel_width", "> 0", self.voxel_width > 0),
+                ("voxel_width", "finite and > 0", 0 < self.voxel_width < inf),
+                ("grid_margin", "finite or None",
+                 self.grid_margin is None or abs(self.grid_margin) < inf),
                 ("calibration_frames", ">= 1", self.calibration_frames >= 1),
                 ("flrti_m", ">= 1", self.flrti_m >= 1),
-                ("classic_lambda", ">= 0", self.classic_lambda >= 0),
-                ("kalman_q", ">= 0", self.kalman_q >= 0),
-                ("kalman_r_scale", ">= 0", self.kalman_r_scale >= 0),
-                ("dt", "> 0", self.dt > 0)):
+                ("classic_lambda", "finite and >= 0", 0 <= self.classic_lambda < inf),
+                ("kalman_q", "finite and >= 0", 0 <= self.kalman_q < inf),
+                ("kalman_r_scale", "finite and >= 0", 0 <= self.kalman_r_scale < inf),
+                ("dt", "finite and > 0", 0 < self.dt < inf)):
             if not ok:
                 raise ValueError(f"{name} must be {bound}")
 

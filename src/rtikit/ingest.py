@@ -1,8 +1,11 @@
 """File I/O: traces, layouts, ground truth, fade tables, images, configs.
 
 Every on-disk format of the toolkit is implemented here, with load/save
-round-trip fidelity. All formats are line-oriented text with `#` comments;
-parse errors carry `path:lineno:` prefixes. Records for (a, b) and (b, a)
+round-trip fidelity. All formats are line-oriented text read by `_read`:
+`#` comments, keyed lines (`p0 40.1`) and bare rows (`3 1.5 2.0`), typed
+fields with `NA` for a missing number, unknown or repeated keys rejected
+(only `pair`, `waypoint` and `fade_offset` repeat), and `path:lineno:` on
+every error (`path:` for a missing key). Records for (a, b) and (b, a)
 fold onto the same undirected link.
 
 Traces are the one format that grows with the recording (one record per
@@ -13,6 +16,7 @@ as one string.
 """
 
 import csv
+import math
 import os
 import warnings
 from itertools import chain
@@ -21,8 +25,8 @@ import numpy as np
 
 from .calibration import (CHANNEL_MAX, CHANNEL_MIN, FadeLevelTable, PathLossFit,
                           RssFrame)
-from .geometry import LinkTable, NodeLayout, VoxelGrid
-from .simulator import DEFAULT_CHANNELS, ScenarioSpec
+from .geometry import LinkTable, NodeLayout, VoxelGrid, enumerate_links
+from .simulator import DEFAULT_CHANNELS, ScenarioSpec, stationary_trajectory
 
 __all__ = [
     "load_layout",
@@ -44,37 +48,117 @@ __all__ = [
 ]
 
 
-def _data_lines(path):
-    """Yield (lineno, stripped line) skipping blanks and # comments."""
+def _data_lines(path, commas=False):
+    """Yield (lineno, tokens) per data line, cut at `#`, split at blanks (and commas)."""
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+            text = raw.split("#", 1)[0]
+            tokens = (text.replace(",", " ") if commas else text).split()
+            if tokens:
+                yield lineno, tokens
 
 
 def _fail(path, lineno, msg):
     raise ValueError(f"{path}:{lineno}: {msg}")
 
 
+def _na_float(token: str) -> float:
+    """A finite float, or NaN for `NA`."""
+    try:
+        value = np.nan if token == "NA" else float(token)
+    except ValueError:
+        raise ValueError("is not a number or NA") from None
+    if math.isinf(value):
+        raise ValueError("is infinite; write NA for a missing value")
+    return value
+
+
+def _on_off(token: str) -> bool:
+    on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+    if token.lower() not in on + off:
+        raise ValueError(f"is not one of {on + off}")
+    return token.lower() in on
+
+
+# Why int and float reject a token; the other casts raise their own reason.
+_REJECTS = {int: "is not an integer", float: "is not a number"}
+
+
+def _scalars(cast, count, *keys):
+    """Grammar entries for keywords that take one value."""
+    return {key: (f"{key} value", (cast,), count) for key in keys}
+
+
+def _read(path, grammar, commas=False):
+    """Yield (lineno, key, fields) for each data line of path.
+
+    grammar maps each keyword a line may start with, and None for a bare
+    row, to (form, casts, count): the line spelled out for messages, one
+    cast per field (a trailing `...` repeats the last for one or more), and
+    the keyword's number of lines: "1" one, "?" at most one, "*" any.
+    fields is the list of cast values, or the value itself for one cast.
+    Errors raise ValueError with `path:lineno:` (`path:` for a missing key).
+    """
+    first = {}  # keyword -> its first line
+    for lineno, tokens in _data_lines(path, commas):
+        key = tokens[0] if tokens[0] in grammar else None
+        if key not in grammar:
+            _fail(path, lineno, f"unknown key {tokens[0]!r}")
+        form, casts, count = grammar[key]
+        if count != "*" and key in first:
+            _fail(path, lineno, f"{key} repeats line {first[key]}")
+        first.setdefault(key, lineno)
+        values = tokens[1:] if key else tokens
+        one = len(casts) == 1
+        if casts[-1] is ...:
+            casts = casts[:-1] + casts[-2:-1] * (len(values) - len(casts) + 1)
+        if len(values) != len(casts):
+            _fail(path, lineno, f"expected `{form}`, got {len(tokens)} fields")
+        fields = []
+        for cast, value in zip(casts, values):
+            try:
+                fields.append(cast(value))
+            except ValueError as exc:
+                names = form.split()  # a bare row names the field, else the key
+                label = key or names[min(len(fields), len(names) - 1)]
+                _fail(path, lineno, f"{label} {value!r} {_REJECTS.get(cast, exc)}")
+        yield lineno, key, fields[0] if one else fields
+    for key, (_, _, count) in grammar.items():
+        if count == "1" and key not in first:
+            raise ValueError(f"{path}: missing header key {key!r}")
+
+
+def _link(path, lineno, table: LinkTable, tx: int, rx: int) -> int:
+    try:
+        return table.link_index(tx, rx)
+    except KeyError as e:
+        _fail(path, lineno, e.args[0])
+
+
+def _cells(path, table: LinkTable, channels, records):
+    """(links, columns) of (lineno, tx, rx, channel, ...) records in an (L, C)
+    array; an unknown link or channel or a repeated cell raises ValueError."""
+    column = {c: i for i, c in enumerate(channels)}
+    seen = {}  # (link, column) -> line
+    for lineno, tx, rx, channel, *_ in records:
+        if channel not in column:
+            _fail(path, lineno, f"channel {channel} not among channels {list(channels)}")
+        cell = (_link(path, lineno, table, tx, rx), column[channel])
+        if cell in seen:
+            _fail(path, lineno, f"link ({tx},{rx}) channel {channel} repeats line {seen[cell]}")
+        seen[cell] = lineno
+    return tuple(np.array(list(seen), dtype=int).reshape(-1, 2).T)
+
+
 # ---------------------------------------------------------------- layout
 
 def load_layout(path) -> NodeLayout:
     """Read a node layout: one `id x y` line per node."""
-    ids, xs, ys = [], [], []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 3:
-            _fail(path, lineno, f"expected `id x y`, got {len(parts)} fields")
-        try:
-            ids.append(int(parts[0]))
-            xs.append(float(parts[1]))
-            ys.append(float(parts[2]))
-        except ValueError:
-            _fail(path, lineno, f"unparseable node line: {line!r}")
+    grammar = {None: ("id x y", (int, float, float), "*")}
+    rows = [fields for _, _, fields in _read(path, grammar)]
     try:
-        return NodeLayout(ids=np.array(ids, dtype=int),
-                          xy=np.column_stack((xs, ys)) if ids else np.zeros((0, 2)))
+        return NodeLayout(ids=np.array([r[0] for r in rows], dtype=int),
+                          xy=np.array([r[1:] for r in rows], dtype=float).reshape(-1, 2))
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from None
 
@@ -160,29 +244,14 @@ def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
 
 def _load_trace_lines(path, table: LinkTable) -> list[RssFrame]:
     """The per-line trace parser: every diagnostic of load_trace."""
+    grammar = {None: ("k tx rx channel rss", (int, int, int, int, _na_float), "*")}
     records = {}  # (k, link, channel) -> rss or nan
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 5:
-            _fail(path, lineno, f"expected `k tx rx channel rss`, got {len(parts)} fields")
-        try:
-            k = int(parts[0])
-            tx, rx = int(parts[1]), int(parts[2])
-            channel = int(parts[3])
-            rss = _rss_token(parts[4])
-        except ValueError:
-            _fail(path, lineno, f"unparseable trace line: {line!r}")
+    for lineno, _, (k, tx, rx, channel, rss) in _read(path, grammar):
         if not _INT64.min <= k <= _INT64.max:
             _fail(path, lineno, f"time index {k} outside the 64-bit range")
         if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
             _fail(path, lineno, f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-        if np.isinf(rss):
-            _fail(path, lineno, f"rss {parts[4]!r} is infinite; write NA for a dropped packet")
-        try:
-            link = table.link_index(tx, rx)
-        except KeyError as e:
-            _fail(path, lineno, str(e))
-        key = (k, link, channel)
+        key = (k, _link(path, lineno, table, tx, rx), channel)
         if key in records:
             warnings.warn(
                 f"{path}:{lineno}: duplicate record for k={k} "
@@ -233,18 +302,11 @@ def save_trace(frames, table: LinkTable, path) -> None:
 # ---------------------------------------------------------- ground truth
 
 def load_ground_truth(path) -> dict[int, tuple[float, float]]:
-    """Read `k x y` truth rows into a k -> position map; k must ascend."""
+    """Read `k x y` (or `k,x,y`) truth rows into a k -> position map; k must ascend."""
+    grammar = {None: ("k x y", (int, float, float), "*")}
     truth = {}
-    last_k = None
-    for lineno, line in _data_lines(path):
-        parts = line.replace(",", " ").split()
-        if len(parts) != 3:
-            _fail(path, lineno, f"expected `k x y`, got {len(parts)} fields")
-        try:
-            k, x, y = int(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError:
-            _fail(path, lineno, f"unparseable truth line: {line!r}")
-        if last_k is not None and k <= last_k:
+    for lineno, _, (k, x, y) in _read(path, grammar, commas=True):
+        if truth and k <= last_k:
             _fail(path, lineno, f"time index {k} not increasing (after {last_k})")
         last_k = k
         truth[k] = (x, y)
@@ -286,48 +348,30 @@ def save_fade_table(fades: FadeLevelTable, table: LinkTable, path) -> None:
 
 
 def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
-    """Read a fade table saved by save_fade_table."""
-    header = {}
-    pairs = []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if parts[0] == "pair":
-            if len(parts) != 6:
-                _fail(path, lineno, "expected `pair tx rx channel mean fade`")
-            try:
-                tx, rx, channel = int(parts[1]), int(parts[2]), int(parts[3])
-                mean = np.nan if parts[4] == "NA" else float(parts[4])
-                fade = np.nan if parts[5] == "NA" else float(parts[5])
-            except ValueError:
-                _fail(path, lineno, f"unparseable pair line: {line!r}")
-            try:
-                link = table.link_index(tx, rx)
-            except KeyError as e:
-                _fail(path, lineno, str(e))
-            pairs.append((link, channel, mean, fade))
-        elif parts[0] == "channels":
-            header["channels"] = [int(c) for c in parts[1:]]
-        elif len(parts) == 2:
-            header[parts[0]] = parts[1]
+    """Read a fade table saved by save_fade_table; channels must ascend."""
+    grammar = {
+        **_scalars(float, "1", "p0", "eta", "d0", "rmse"),
+        **_scalars(int, "1", "n_pairs"),
+        "channels": ("channels channel...", (int, ...), "1"),
+        "pair": ("pair tx rx channel mean fade",
+                 (int, int, int, _na_float, _na_float), "*"),
+    }
+    header, pairs = {}, []
+    for lineno, key, fields in _read(path, grammar):
+        if key == "pair":
+            pairs.append((lineno, *fields))
+        elif key == "channels" and any(b <= a for a, b in zip(fields, fields[1:])):
+            _fail(path, lineno, "channels must be strictly ascending")
         else:
-            _fail(path, lineno, f"unrecognized line: {line!r}")
-    for key in ("p0", "eta", "d0", "n_pairs", "rmse", "channels"):
-        if key not in header:
-            raise ValueError(f"{path}: missing header key {key!r}")
-    channels = np.array(header["channels"], dtype=int)
-    col = {c: i for i, c in enumerate(channels)}
-    values = np.full((table.n_links, channels.size), np.nan)
+            header[key] = fields
+    channels = header.pop("channels")
+    values = np.full((table.n_links, len(channels)), np.nan)
     mean_rss = np.full_like(values, np.nan)
-    for link, channel, mean, fade in pairs:
-        if channel not in col:
-            raise ValueError(f"{path}: pair channel {channel} not in header")
-        values[link, col[channel]] = fade
-        mean_rss[link, col[channel]] = mean
-    fit = PathLossFit(
-        p0=float(header["p0"]), eta=float(header["eta"]), d0=float(header["d0"]),
-        n_pairs=int(header["n_pairs"]), rmse=float(header["rmse"]),
-    )
-    return FadeLevelTable(values=values, mean_rss=mean_rss, channels=channels, fit=fit)
+    cells = _cells(path, table, channels, pairs)
+    mean_rss[cells] = [pair[4] for pair in pairs]
+    values[cells] = [pair[5] for pair in pairs]
+    return FadeLevelTable(values=values, mean_rss=mean_rss,
+                          channels=np.array(channels, dtype=int), fit=PathLossFit(**header))
 
 
 # ----------------------------------------------------------------- image
@@ -349,43 +393,25 @@ def save_image(image: np.ndarray, grid: VoxelGrid, path) -> None:
 
 def load_image(path) -> tuple[np.ndarray, VoxelGrid]:
     """Read an image saved by save_image; returns (values, grid)."""
-    header = {}
-    rows = []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if not _looks_numeric(parts[0]):
-            if parts[0] == "origin":
-                if len(parts) != 3:
-                    _fail(path, lineno, "origin needs two values")
-                header["origin"] = (float(parts[1]), float(parts[2]))
-            elif len(parts) == 2:
-                header[parts[0]] = parts[1]
-            else:
-                _fail(path, lineno, f"unrecognized header line: {line!r}")
+    grammar = {
+        **_scalars(int, "1", "nx", "ny"),
+        **_scalars(float, "1", "p"),
+        "origin": ("origin x y", (float, float), "1"),
+        None: ("value", (float, ...), "*"),
+    }
+    header, rows = {}, []
+    for _, key, fields in _read(path, grammar):
+        if key is None:
+            rows.extend(fields)
         else:
-            try:
-                rows.extend(float(v) for v in parts)
-            except ValueError:
-                _fail(path, lineno, f"unparseable values: {line!r}")
-    for key in ("nx", "ny", "p", "origin"):
-        if key not in header:
-            raise ValueError(f"{path}: missing header key {key!r}")
-    grid = VoxelGrid(origin=header["origin"], p=float(header["p"]),
-                     nx=int(header["nx"]), ny=int(header["ny"]))
+            header[key] = fields
+    grid = VoxelGrid(**header)
     values = np.array(rows)
     if values.size != grid.n_voxels:
         raise ValueError(
             f"{path}: {values.size} values for {grid.n_voxels}-voxel grid"
         )
     return values, grid
-
-
-def _looks_numeric(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 # ------------------------------------------------------------- track CSV
@@ -452,76 +478,51 @@ def load_key_value(path) -> dict[str, list[list[str]]]:
     key -> list of token lists, preserving order of appearance.
     """
     out: dict[str, list[list[str]]] = {}
-    for _lineno, line in _data_lines(path):
-        parts = line.split()
-        out.setdefault(parts[0], []).append(parts[1:])
+    for _lineno, (key, *tokens) in _data_lines(path):
+        out.setdefault(key, []).append(tokens)
     return out
-
-
-def _single(kv, key, path):
-    if len(kv[key]) != 1:
-        raise ValueError(f"{path}: key {key!r} given {len(kv[key])} times")
-    return kv[key][0]
 
 
 def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
     """Build a ScenarioSpec from a key-value scenario file.
 
-    Recognized keys: channels, eta, p0, d0, calibration_frames,
-    noise_sigma, fade_sigma, quantize (1/0, true/false, yes/no or on/off,
-    anything else raises), seed; trajectory as repeated `waypoint k x y`
-    lines or one `stationary x y start_k n_frames`; optional repeated
-    `fade_offset link_tx link_rx channel value` lines give explicit
-    offsets (links without a line default to 0).
+    Keys, each optional: channels, eta, p0, d0, calibration_frames,
+    noise_sigma, fade_sigma, quantize (1/0, true/false, yes/no or on/off),
+    seed; trajectory as repeated `waypoint k x y` lines (integer k) or one
+    `stationary x y start_k n_frames`; repeated `fade_offset link_tx
+    link_rx channel value` lines give explicit offsets, at most one per
+    (link, channel); links without a line default to 0.
     """
-    kv = load_key_value(path)
-    kwargs = {"layout": layout}
-    scalar_keys = {
-        "eta": float, "p0": float, "d0": float,
-        "calibration_frames": int, "noise_sigma": float,
-        "fade_sigma": float, "seed": int,
+    grammar = {
+        **_scalars(float, "?", "eta", "p0", "d0", "noise_sigma", "fade_sigma"),
+        **_scalars(int, "?", "calibration_frames", "seed"),
+        **_scalars(_on_off, "?", "quantize"),
+        "channels": ("channels channel...", (int, ...), "?"),
+        "waypoint": ("waypoint k x y", (int, float, float), "*"),
+        "stationary": ("stationary x y start_k n_frames", (float, float, int, int), "?"),
+        "fade_offset": ("fade_offset tx rx channel value", (int, int, int, float), "*"),
     }
-    for key, cast in scalar_keys.items():
-        if key in kv:
-            (value,) = _single(kv, key, path)
-            kwargs[key] = cast(value)
-    if "quantize" in kv:
-        (value,) = _single(kv, "quantize", path)
-        on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
-        if value.lower() not in on + off:
-            raise ValueError(f"{path}: quantize {value!r} is not one of {on + off}")
-        kwargs["quantize"] = value.lower() in on
-    if "channels" in kv:
-        kwargs["channels"] = tuple(int(c) for c in _single(kv, "channels", path))
-
-    if "waypoint" in kv and "stationary" in kv:
-        raise ValueError(f"{path}: give either waypoint lines or stationary, not both")
-    if "waypoint" in kv:
-        kwargs["trajectory"] = np.array(
-            [[float(t[0]), float(t[1]), float(t[2])] for t in kv["waypoint"]]
-        )
-    elif "stationary" in kv:
-        x, y, start_k, n = _single(kv, "stationary", path)
-        from .simulator import stationary_trajectory
-
-        kwargs["trajectory"] = stationary_trajectory(
-            (float(x), float(y)), int(start_k), int(n)
-        )
-
-    if "fade_offset" in kv:
-        from .geometry import enumerate_links
-
+    kwargs = {"layout": layout}
+    waypoints, offsets = [], []
+    for lineno, key, fields in _read(path, grammar):
+        if key == "waypoint":
+            waypoints.append(fields)
+        elif key == "fade_offset":
+            offsets.append((lineno, *fields))
+        elif key == "stationary":  # x y start_k n_frames
+            kwargs["trajectory"] = stationary_trajectory(fields[:2], *fields[2:])
+        else:
+            kwargs[key] = fields
+    if waypoints:
+        if "trajectory" in kwargs:
+            raise ValueError(f"{path}: give either waypoint lines or stationary, not both")
+        kwargs["trajectory"] = np.array(waypoints, dtype=float)
+    if offsets:
         table = enumerate_links(layout)
         channels = kwargs.get("channels", DEFAULT_CHANNELS)
-        col = {int(c): i for i, c in enumerate(channels)}
-        offsets = np.zeros((table.n_links, len(channels)))
-        for tokens in kv["fade_offset"]:
-            if len(tokens) != 4:
-                raise ValueError(f"{path}: fade_offset needs `tx rx channel value`")
-            tx, rx, channel, value = tokens
-            link = table.link_index(int(tx), int(rx))
-            offsets[link, col[int(channel)]] = float(value)
-        kwargs["fade_offsets"] = offsets
+        kwargs["fade_offsets"] = np.zeros((table.n_links, len(channels)))
+        kwargs["fade_offsets"][_cells(path, table, channels, offsets)] = [
+            offset[4] for offset in offsets]
     return ScenarioSpec(**kwargs)
 
 
@@ -538,8 +539,6 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
         for k, x, y in spec.trajectory:
             fh.write(f"waypoint {int(k)} {float(x)!r} {float(y)!r}\n")
         if spec.fade_offsets is not None:
-            from .geometry import enumerate_links
-
             table = enumerate_links(spec.layout)
             for l in range(table.n_links):
                 tx, rx = int(table.tx_ids[l]), int(table.rx_ids[l])

@@ -89,9 +89,9 @@ class ReconstructionParams:
     delta_c: float = 4.0
 
     def __post_init__(self):
-        if not (self.sigma_x > 0 and self.sigma_n > 0
-                and self.delta_c > 0):  # False for NaN
-            raise ValueError("reconstruction parameters must be strictly positive")
+        if not all(0 < v < np.inf for v in (self.sigma_x, self.sigma_n,
+                                            self.delta_c)):  # False for NaN
+            raise ValueError("reconstruction parameters must be strictly positive and finite")
 
 
 def _covariance(distances: np.ndarray,

@@ -277,6 +277,17 @@ def test_bad_scenario_quantize_reported(workspace, capsys):
     assert "is not one of" in capsys.readouterr().err
 
 
+def test_bad_scenario_fade_offset_reported(workspace, capsys):
+    tmp_path, _, layout_path, scenario, _ = workspace
+    scenario.write_text(scenario.read_text() + "fade_offset 1 2 13 1.0\n")
+    rc = main(["simulate", "--layout", str(layout_path),
+               "--scenario", str(scenario),
+               "--out-trace", str(tmp_path / "trace.txt")])
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(scenario))}:5: channel 13 .*\n",
+                        capsys.readouterr().err)
+
+
 def test_missing_file_is_an_error_not_a_crash(tmp_path, capsys):
     rc = main(["calibrate", "--layout", str(tmp_path / "nope.txt"),
                "--trace", str(tmp_path / "nope2.txt"),

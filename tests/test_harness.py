@@ -610,6 +610,9 @@ def test_config_from_dict_rejects_unknown_key():
     ("dt", "0"), ("dt", "-1"), ("dt", "nan"), ("kalman_q", "-1"),
     ("kalman_q", "nan"), ("kalman_r_scale", "-2"), ("kalman_r_scale", "nan"),
     ("voxel_width", "nan"), ("classic_lambda", "nan"),
+    ("voxel_width", "inf"), ("grid_margin", "inf"), ("grid_margin", "-inf"),
+    ("grid_margin", "nan"), ("classic_lambda", "inf"), ("kalman_q", "inf"),
+    ("kalman_r_scale", "inf"), ("dt", "inf"),
 ])
 def test_config_rejects_out_of_range_values(key, value):
     with pytest.raises(ValueError, match=f"{key} must be"):

@@ -1,5 +1,6 @@
 """File formats: parsing, validation errors, round trips."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtikit import harness, ingest
-from rtikit.calibration import RssFrame, calibrate
+from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.ingest import (
     load_fade_table,
@@ -27,7 +28,8 @@ from rtikit.ingest import (
     save_trace,
     save_track_csv,
 )
-from rtikit.simulator import ScenarioSpec, generate_trace, perimeter_layout
+from rtikit.simulator import (ScenarioSpec, generate_trace, perimeter_layout,
+                              stationary_trajectory)
 
 
 @pytest.fixture
@@ -494,3 +496,152 @@ def test_scenario_stationary_form(tmp_path, layout):
     path.write_text("stationary 1 1 5 2\nwaypoint 6 1.0 1.0\n")
     with pytest.raises(ValueError, match="not both"):
         load_scenario(path, layout)
+
+
+# Every text format, saved and loaded again, bit for bit. SMALL_TABLE's
+# 4-node layout carries the fade tables and scenarios.
+SMALL_LAYOUT = perimeter_layout(4, 3.0, 3.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NA_HOLES = FINITE | st.just(np.nan)  # the NaN that `NA` loads as
+CHANNEL_SETS = st.lists(st.integers(11, 26), min_size=1, max_size=4,
+                        unique=True).map(sorted)
+
+
+def _bits(obj):
+    """obj with every float and array spelled out bit for bit."""
+    if isinstance(obj, np.ndarray):
+        return "array", obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, float):
+        return type(obj).__name__, obj.hex()
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__, [(f.name, _bits(getattr(obj, f.name)))
+                                    for f in dataclasses.fields(obj)]
+    if isinstance(obj, dict):
+        return "dict", [(_bits(k), _bits(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return type(obj).__name__, [_bits(v) for v in obj]
+    return type(obj).__name__, obj
+
+
+def _array(draw, cells, shape):
+    size = int(np.prod(shape))
+    return np.reshape(np.array(draw(st.lists(cells, min_size=size, max_size=size)),
+                               dtype=float), shape)
+
+
+@st.composite
+def layouts(draw):
+    ids = draw(st.lists(st.integers(-10**9, 10**9), min_size=3, max_size=6,
+                        unique=True))
+    return NodeLayout(ids=np.array(ids), xy=_array(draw, FINITE, (len(ids), 2)))
+
+
+@st.composite
+def truths(draw):
+    truth = draw(st.dictionaries(st.integers(-10**12, 10**12),
+                                 st.tuples(FINITE, FINITE), max_size=5))
+    return dict(sorted(truth.items()))
+
+
+@st.composite
+def fade_tables(draw):
+    channels = draw(CHANNEL_SETS)
+    shape = (SMALL_TABLE.n_links, len(channels))
+    fit = PathLossFit(p0=draw(FINITE), eta=draw(FINITE), d0=draw(FINITE),
+                      n_pairs=draw(st.integers(0, 10**6)), rmse=draw(FINITE))
+    return FadeLevelTable(values=_array(draw, NA_HOLES, shape),
+                          mean_rss=_array(draw, NA_HOLES, shape),
+                          channels=np.array(channels), fit=fit)
+
+
+@st.composite
+def images(draw):
+    nx, ny = draw(st.sampled_from([(1, 1), (3, 3), (5, 5), (2, 2), (4, 4),
+                                   (4, 1), (2, 5), (6, 3)]))
+    grid = VoxelGrid(origin=(draw(FINITE), draw(FINITE)),
+                     p=draw(st.floats(1e-3, 10.0)), nx=nx, ny=ny)
+    values = st.floats(allow_nan=False) | st.just(np.nan)
+    return _array(draw, values, (grid.n_voxels,)), grid
+
+
+@st.composite
+def scenarios(draw):
+    channels = tuple(draw(CHANNEL_SETS))
+    calibration_frames = draw(st.integers(1, 50))
+    trajectory = np.zeros((0, 3))
+    form = draw(st.sampled_from(["waypoint", "stationary", "none"]))
+    if form == "waypoint":
+        ks = draw(st.lists(st.integers(calibration_frames, 10**6), min_size=1,
+                           max_size=5, unique=True))
+        trajectory = np.array([[k, draw(FINITE), draw(FINITE)] for k in sorted(ks)])
+    elif form == "stationary":
+        trajectory = stationary_trajectory(
+            (draw(FINITE), draw(FINITE)),
+            draw(st.integers(calibration_frames, 10**6)), draw(st.integers(1, 4)))
+    offsets = draw(st.none() | st.just((SMALL_TABLE.n_links, len(channels))))
+    if offsets is not None:
+        offsets = _array(draw, FINITE, offsets)
+    sigmas = st.floats(0.0, 1e6)
+    return ScenarioSpec(
+        layout=SMALL_LAYOUT, channels=channels, eta=draw(FINITE), p0=draw(FINITE),
+        d0=draw(st.floats(0.0, 1e6, exclude_min=True)),
+        calibration_frames=calibration_frames, trajectory=trajectory,
+        fade_offsets=offsets, fade_sigma=draw(sigmas), noise_sigma=draw(sigmas),
+        quantize=draw(st.booleans()), seed=draw(st.integers(0, 2**63)))
+
+
+ROUND_TRIPS = {  # objects, save(obj, path), load(path)
+    "layout": (layouts(), save_layout, load_layout),
+    "ground truth": (truths(), save_ground_truth, load_ground_truth),
+    "fade table": (fade_tables(),
+                   lambda fades, path: save_fade_table(fades, SMALL_TABLE, path),
+                   lambda path: load_fade_table(path, SMALL_TABLE)),
+    "image": (images(), lambda image, path: save_image(*image, path), load_image),
+    "scenario": (scenarios(), save_scenario,
+                 lambda path: load_scenario(path, SMALL_LAYOUT)),
+}
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIPS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_text_formats_round_trip_bit_for_bit(tmp_path_factory, kind, data):
+    objects, save, load = ROUND_TRIPS[kind]
+    obj = data.draw(objects)
+    path = tmp_path_factory.mktemp("round_trip") / "file.txt"
+    save(obj, path)
+    assert _bits(load(path)) == _bits(obj)
+
+
+SCENARIO_HEAD = "channels 11 16\ncalibration_frames 10\n"
+FADE_HEAD = "p0 40.0\neta 2.0\nd0 1.0\nn_pairs 2\nrmse 0.5\n"
+MALFORMED_LOADERS = {
+    "scenario": lambda path: load_scenario(path, perimeter_layout(6, 5.0, 4.0)),
+    "fade table": lambda path: load_fade_table(path, SMALL_TABLE),
+    "image": load_image,
+}
+
+
+@pytest.mark.parametrize("loader, text, prefix", [
+    ("scenario", SCENARIO_HEAD + "fade_offset 1 2 13 1.0\n", "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "fade_offset 1 99 11 1.0\n", "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "waypoint 100 1\n", "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "sead 1\n", "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "waypoint 100.2 1 1\nwaypoint 100.7 1 1\n",
+     "bad.txt:3:"),
+    ("fade table", "p0 x37.7\n", "bad.txt:1:"),
+    ("fade table", FADE_HEAD + "eta 2.5\nchannels 11\n", "bad.txt:6:"),
+    ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 1.0\n"
+     "pair 1 2 11 -50.0 2.0\n", "bad.txt:8:"),
+    ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:6:"),
+    ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:6:"),
+    ("fade table", FADE_HEAD + "channels 11\npair 1 2 16 -50.0 1.0\n",
+     "bad.txt:7:"),
+    ("image", "nx two\nny 1\np 1.0\norigin 0.0 0.0\n1.0 2.0\n", "bad.txt:1:"),
+])
+def test_malformed_input_error_names_its_line(tmp_path, loader, text, prefix):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        MALFORMED_LOADERS[loader](path)
+    assert str(info.value).startswith(str(tmp_path / prefix))

@@ -82,6 +82,9 @@ def test_params_validation():
         ReconstructionParams(sigma_n=-1.0)
     with pytest.raises(ValueError):
         ReconstructionParams(delta_c=0.0)
+    for name in ("sigma_x", "sigma_n", "delta_c"):
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            ReconstructionParams(**{name: np.inf})
 
 
 def brute_force_pi(w_dense, grid, params):
