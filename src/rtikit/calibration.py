@@ -105,13 +105,6 @@ class RssFrame:
         object.__setattr__(self, "channels", channels)
         object.__setattr__(self, "k", int(self.k))
 
-    def value(self, link: int, channel: int) -> float:
-        """RSS of one (link, channel); NaN if missing."""
-        col = np.nonzero(self.channels == int(channel))[0]
-        if col.size == 0:
-            raise KeyError(f"channel {channel} not in frame")
-        return float(self.rss[link, col[0]])
-
 
 @dataclass(frozen=True)
 class PathLossFit:
@@ -130,14 +123,6 @@ class PathLossFit:
     d0: float
     n_pairs: int
     rmse: float
-
-    def predict(self, distance, channel: int):
-        """Vectorized path-loss prediction for one channel."""
-        distance = np.asarray(distance, dtype=float)
-        if np.any(distance <= 0):
-            raise ValueError("distance must be > 0")
-        return (normalized_tx_power(channel) - self.p0
-                - 10.0 * self.eta * np.log10(distance / self.d0))
 
 
 @dataclass(frozen=True)
@@ -171,10 +156,6 @@ class FadeLevelTable:
         if cols.size == 0:
             raise KeyError(f"channel {channel} not in fade table")
         return int(cols[0])
-
-    def fade_level(self, link: int, channel: int) -> float:
-        """Fade level of one link on one channel (NaN if unobserved)."""
-        return float(self.values[link, self.channel_column(channel)])
 
     def observed(self) -> np.ndarray:
         """(L, C) boolean mask of link/channel pairs that were measured."""

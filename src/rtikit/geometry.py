@@ -10,7 +10,6 @@ workers.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -53,26 +52,21 @@ class NodeLayout:
             raise ValueError("node coordinates must be finite")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "_index", {int(i): k for k, i in enumerate(ids)})
 
     @property
     def n_nodes(self) -> int:
         return self.ids.size
 
-    def index_of(self, node_id: int) -> int:
-        """Row index of a node id; KeyError for unknown ids."""
-        try:
-            return self._index[int(node_id)]
-        except KeyError:
-            raise KeyError(f"unknown node id {node_id}") from None
-
 
 @dataclass(frozen=True)
 class LinkTable:
-    """Undirected links over a node layout, in a fixed deterministic order.
+    """Every undirected link of a node layout, in all-pairs order.
 
-    Link l runs between layout rows tx_idx[l] and rx_idx[l]; lengths[l] is
-    the TX-RX distance d in meters (always > 0).
+    With the n node ids sorted, link l joins the nodes whose ranks are the
+    l-th pair (i, j) of np.triu_indices(n, 1), so tx_ids[l] < rx_ids[l]
+    and the links ascend by (tx_id, rx_id). Link l runs between layout
+    rows tx_idx[l] and rx_idx[l]; lengths[l] is the TX-RX distance d in
+    meters (always > 0).
     """
 
     tx_idx: np.ndarray
@@ -81,91 +75,55 @@ class LinkTable:
     rx_ids: np.ndarray
     lengths: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "_pair_index",
-            {
-                (min(int(a), int(b)), max(int(a), int(b))): l
-                for l, (a, b) in enumerate(zip(self.tx_ids, self.rx_ids))
-            },
-        )
-
     @property
     def n_links(self) -> int:
         return self.lengths.size
 
     def link_index(self, node_a: int, node_b: int) -> int:
-        """Index of the undirected link between two node ids."""
-        key = (min(int(node_a), int(node_b)), max(int(node_a), int(node_b)))
+        """Index of the undirected link between two node ids; KeyError for
+        an unknown id or a self-pair."""
         try:
-            return self._pair_index[key]
-        except KeyError:
-            raise KeyError(f"no link between nodes {node_a} and {node_b}") from None
+            link = int(self.link_indices(node_a, node_b))
+        except OverflowError:  # an id outside int64 names no node
+            link = -1
+        if link < 0:
+            raise KeyError(f"no link between nodes {node_a} and {node_b}")
+        return link
 
     def link_indices(self, node_a: np.ndarray, node_b: np.ndarray) -> np.ndarray:
         """link_index over arrays of node ids: the link of each (a, b) pair
         in either order, or -1 where the pair has no link (an unknown id or
         a self-pair).
 
-        The lookup is a dense symmetric table over the sorted ids that
-        appear in a link, reached through searchsorted. Its last row and
-        column stand for every other id.
+        Each id becomes its rank among the n sorted node ids, or n when it
+        is unknown, and the two ranks pick the link from an (n + 1, n + 1)
+        table of the all-pairs order, -1 on its diagonal and last row and
+        column.
         """
-        pairs = np.array(list(self._pair_index), dtype=np.int64).reshape(-1, 2)
-        ids = np.unique(pairs)
+        ids = np.union1d(self.tx_ids, self.rx_ids)
         n = ids.size
         lookup = np.full((n + 1, n + 1), -1, dtype=np.int64)
-        lo, hi = np.searchsorted(ids, pairs.T)
-        lookup[lo, hi] = lookup[hi, lo] = list(self._pair_index.values())
-        slots = []
+        lo, hi = np.triu_indices(n, 1)
+        lookup[lo, hi] = lookup[hi, lo] = np.arange(lo.size)
+        ranks = []
         for nodes in (node_a, node_b):
             nodes = np.asarray(nodes, dtype=np.int64)
-            i = np.searchsorted(ids, nodes)
-            slots.append(np.where(np.append(ids, 0)[i] == nodes, i, n))
-        return lookup[slots[0], slots[1]]
+            rank = np.searchsorted(ids, nodes)
+            ranks.append(np.where(np.append(ids, 0)[rank] == nodes, rank, n))
+        return lookup[ranks[0], ranks[1]]
 
 
-def enumerate_links(layout: NodeLayout, mode: str = "all_pairs",
-                    pairs=None) -> LinkTable:
-    """Build the link table for a layout.
-
-    Args:
-        layout: node deployment.
-        mode: "all_pairs" enumerates every unordered node pair, ordered by
-            (min_id, max_id); "explicit_list" uses `pairs` in the given
-            order.
-        pairs: iterable of (tx_id, rx_id), required for explicit_list mode.
-
-    Returns:
-        LinkTable with L = n(n-1)/2 links in all_pairs mode.
+def enumerate_links(layout: NodeLayout) -> LinkTable:
+    """The link table of every unordered node pair, ordered by
+    (min_id, max_id): L = n(n-1)/2 links.
 
     Raises:
-        ValueError: fewer than 2 nodes, self-links, coincident endpoints,
-            or an unknown mode.
+        ValueError: two nodes coincide, so their link has zero length.
     """
-    if layout.n_nodes < 2:
-        raise ValueError("link enumeration needs at least 2 nodes")
-    if mode == "all_pairs":
-        sorted_ids = sorted(int(i) for i in layout.ids)
-        id_pairs = list(combinations(sorted_ids, 2))
-    elif mode == "explicit_list":
-        if pairs is None:
-            raise ValueError("explicit_list mode requires pairs")
-        id_pairs = [(int(a), int(b)) for a, b in pairs]
-    else:
-        raise ValueError(f"unknown link enumeration mode {mode!r}")
-
-    tx_ids, rx_ids, tx_idx, rx_idx = [], [], [], []
-    for a, b in id_pairs:
-        if a == b:
-            raise ValueError(f"self-link on node {a}")
-        tx_ids.append(a)
-        rx_ids.append(b)
-        tx_idx.append(layout.index_of(a))
-        rx_idx.append(layout.index_of(b))
-    tx_idx = np.asarray(tx_idx, dtype=int)
-    rx_idx = np.asarray(rx_idx, dtype=int)
+    rows = np.argsort(layout.ids)  # layout row of each id rank
+    tx_rank, rx_rank = np.triu_indices(layout.n_nodes, 1)
+    tx_idx, rx_idx = rows[tx_rank], rows[rx_rank]
+    tx_ids, rx_ids = layout.ids[tx_idx], layout.ids[rx_idx]
     lengths = np.linalg.norm(layout.xy[rx_idx] - layout.xy[tx_idx], axis=1)
     if np.any(lengths <= 0.0):
         bad = int(np.argmin(lengths))
@@ -173,13 +131,8 @@ def enumerate_links(layout: NodeLayout, mode: str = "all_pairs",
             f"link ({tx_ids[bad]}, {rx_ids[bad]}) has zero length: "
             "endpoints coincide"
         )
-    return LinkTable(
-        tx_idx=tx_idx,
-        rx_idx=rx_idx,
-        tx_ids=np.asarray(tx_ids, dtype=int),
-        rx_ids=np.asarray(rx_ids, dtype=int),
-        lengths=lengths,
-    )
+    return LinkTable(tx_idx=tx_idx, rx_idx=rx_idx, tx_ids=tx_ids,
+                     rx_ids=rx_ids, lengths=lengths)
 
 
 def excess_path_field(table: LinkTable, layout: NodeLayout,
@@ -269,11 +222,6 @@ class VoxelGrid:
         if not 0 <= j < self.n_voxels:
             raise IndexError(f"voxel index {j} out of range")
         return j % self.nx, j // self.nx
-
-    def cell_to_index(self, ix: int, iy: int) -> int:
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise IndexError(f"cell ({ix}, {iy}) out of range")
-        return iy * self.nx + ix
 
     def center_of(self, j: int) -> tuple[float, float]:
         ix, iy = self.index_to_cell(j)

@@ -274,11 +274,6 @@ class VariantPipeline:
                                       precision_term)
         self.operator = operator
 
-    @property
-    def channel(self) -> int:
-        """Channel the single-channel variant (rti) images."""
-        return _rti_channel(self.fades, self.config)
-
     def measurement(self, frame) -> np.ndarray:
         """Per-frame measurement vector in this variant's row order."""
         return self._measure(frame)
@@ -327,20 +322,17 @@ class PipelineResult:
             y_true, error_m) when truth was given.
         summary: error statistics dict, or None without truth.
         grid: image grid used.
-        channels: channel set of the calibration.
     """
 
     variant: str
     rows: tuple
     summary: dict | None
     grid: VoxelGrid
-    channels: tuple
 
 
 def run_pipeline(variant: str, frames, layout: NodeLayout,
                  config: PipelineConfig, truth: dict | None = None,
-                 fades: FadeLevelTable | None = None,
-                 grid: VoxelGrid | None = None) -> PipelineResult:
+                 fades: FadeLevelTable | None = None) -> PipelineResult:
     """Calibrate on the trace prefix, then localize every following frame.
 
     Args:
@@ -353,7 +345,6 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
             summary.
         fades: skip calibration and use these fade levels (the trace
             prefix is then not consumed).
-        grid: override the default node-bounding-box grid.
 
     Returns:
         PipelineResult; deterministic for identical inputs.
@@ -368,9 +359,7 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
         table = enumerate_links(layout)
         fades = calibrate(frames[:config.calibration_frames], table)
         frames = frames[config.calibration_frames:]
-    if grid is None:
-        grid = VoxelGrid.from_layout(layout, config.voxel_width,
-                                     config.grid_margin)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
     pipeline = VariantPipeline(variant, fades, layout, grid, config)
     return _track(pipeline, frames, truth, config.kalman)
 
@@ -423,7 +412,6 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
         rows=tuple(rows),
         summary=error_summary(errors) if errors else None,
         grid=grid,
-        channels=tuple(int(c) for c in pipeline.fades.channels),
     )
 
 
@@ -431,7 +419,6 @@ def benchmark(layout: NodeLayout, positions, seeds,
               config: PipelineConfig | None = None,
               variants=("msrti", "cdrti"),
               frames_per_position: int = 10,
-              scenario_name: str = "stationary-grid",
               scenario_kwargs: dict | None = None):
     """Stationary-target benchmark over seeds and estimator variants.
 
@@ -450,13 +437,12 @@ def benchmark(layout: NodeLayout, positions, seeds,
         config: pipeline configuration (defaults if None).
         variants: estimator variants to compare.
         frames_per_position: person frames per position.
-        scenario_name: label for the report rows.
         scenario_kwargs: extra ScenarioSpec fields (channels, noise_sigma,
             quantize, fade_sigma, ...).
 
     Returns:
-        list of (variant, scenario_name, seed, summary) rows, seeds outer,
-        variants inner.
+        list of (variant, "stationary-grid", seed, summary) rows, seeds
+        outer, variants inner.
     """
     if config is None:
         config = PipelineConfig()
@@ -496,7 +482,7 @@ def benchmark(layout: NodeLayout, positions, seeds,
             pipeline = VariantPipeline(variant, fades, layout, grid, config,
                                        precision_term=precision_term)
             result = _track(pipeline, person_frames, truth, kalman=False)
-            rows.append((variant, scenario_name, int(seed), result.summary))
+            rows.append((variant, "stationary-grid", int(seed), result.summary))
     return rows
 
 

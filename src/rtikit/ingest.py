@@ -19,7 +19,7 @@ import csv
 import math
 import os
 import warnings
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 
+_INT64 = range(-2**63, 2**63)  # the values an np.int64 holds
+
+
 def _data_lines(path, commas=False):
     """Yield (lineno, tokens) per data line, cut at `#`, split at blanks (and commas)."""
     with open(path) as fh:
@@ -70,6 +73,17 @@ def _na_float(token: str) -> float:
         raise ValueError("is not a number or NA") from None
     if math.isinf(value):
         raise ValueError("is infinite; write NA for a missing value")
+    return value
+
+
+def _node_id(token: str) -> int:
+    """An integer in the 64-bit range that node ids are held in."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError("is not an integer") from None
+    if value not in _INT64:
+        raise ValueError("is outside the 64-bit range")
     return value
 
 
@@ -128,22 +142,19 @@ def _read(path, grammar, commas=False):
             raise ValueError(f"{path}: missing header key {key!r}")
 
 
-def _link(path, lineno, table: LinkTable, tx: int, rx: int) -> int:
-    try:
-        return table.link_index(tx, rx)
-    except KeyError as e:
-        _fail(path, lineno, e.args[0])
-
-
 def _cells(path, table: LinkTable, channels, records):
     """(links, columns) of (lineno, tx, rx, channel, ...) records in an (L, C)
     array; an unknown link or channel or a repeated cell raises ValueError."""
     column = {c: i for i, c in enumerate(channels)}
     seen = {}  # (link, column) -> line
-    for lineno, tx, rx, channel, *_ in records:
+    links = table.link_indices([record[1] for record in records],
+                               [record[2] for record in records]).tolist()
+    for (lineno, tx, rx, channel, *_), link in zip(records, links):
         if channel not in column:
             _fail(path, lineno, f"channel {channel} not among channels {list(channels)}")
-        cell = (_link(path, lineno, table, tx, rx), column[channel])
+        if link < 0:
+            _fail(path, lineno, f"no link between nodes {tx} and {rx}")
+        cell = (link, column[channel])
         if cell in seen:
             _fail(path, lineno, f"link ({tx},{rx}) channel {channel} repeats line {seen[cell]}")
         seen[cell] = lineno
@@ -154,7 +165,7 @@ def _cells(path, table: LinkTable, channels, records):
 
 def load_layout(path) -> NodeLayout:
     """Read a node layout: one `id x y` line per node."""
-    grammar = {None: ("id x y", (int, float, float), "*")}
+    grammar = {None: ("id x y", (_node_id, float, float), "*")}
     rows = [fields for _, _, fields in _read(path, grammar)]
     try:
         return NodeLayout(ids=np.array([r[0] for r in rows], dtype=int),
@@ -174,7 +185,6 @@ def save_layout(layout: NodeLayout, path) -> None:
 
 _TRACE_RECORD = np.dtype([("k", np.int64), ("tx", np.int64), ("rx", np.int64),
                           ("channel", np.int64), ("rss", np.float64)])
-_INT64 = np.iinfo(np.int64)
 # np.loadtxt opens a path through np.lib._datasource, which decompresses
 # these suffixes and fetches URLs; open() does neither
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -243,21 +253,40 @@ def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
 
 
 def _load_trace_lines(path, table: LinkTable) -> list[RssFrame]:
-    """The per-line trace parser: every diagnostic of load_trace."""
-    grammar = {None: ("k tx rx channel rss", (int, int, int, int, _na_float), "*")}
+    """The per-line trace parser: every diagnostic of load_trace, for the
+    first line at fault. Lines are parsed a chunk at a time, and a chunk's
+    links are found in one lookup before its lines are checked in order."""
+    grammar = {None: ("k tx rx channel rss",
+                      (int, _node_id, _node_id, int, _na_float), "*")}
+    lines = _read(path, grammar)
     records = {}  # (k, link, channel) -> rss or nan
-    for lineno, _, (k, tx, rx, channel, rss) in _read(path, grammar):
-        if not _INT64.min <= k <= _INT64.max:
-            _fail(path, lineno, f"time index {k} outside the 64-bit range")
-        if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
-            _fail(path, lineno, f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-        key = (k, _link(path, lineno, table, tx, rx), channel)
-        if key in records:
-            warnings.warn(
-                f"{path}:{lineno}: duplicate record for k={k} "
-                f"link=({tx},{rx}) channel={channel}; last wins"
-            )
-        records[key] = rss
+    while True:
+        chunk, malformed = [], None
+        try:
+            chunk.extend(islice(lines, 4096))
+        except ValueError as exc:  # the lines read before it are kept
+            malformed = exc
+        links = table.link_indices([fields[1] for _, _, fields in chunk],
+                                   [fields[2] for _, _, fields in chunk]).tolist()
+        for (lineno, _, (k, tx, rx, channel, rss)), link in zip(chunk, links):
+            if k not in _INT64:
+                _fail(path, lineno, f"time index {k} outside the 64-bit range")
+            if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
+                _fail(path, lineno,
+                      f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
+            if link < 0:
+                _fail(path, lineno, f"no link between nodes {tx} and {rx}")
+            key = (k, link, channel)
+            if key in records:
+                warnings.warn(
+                    f"{path}:{lineno}: duplicate record for k={k} "
+                    f"link=({tx},{rx}) channel={channel}; last wins"
+                )
+            records[key] = rss
+        if malformed is not None:  # no line before it is at fault
+            raise malformed
+        if not chunk:
+            break
 
     if not records:
         return []
@@ -354,7 +383,7 @@ def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
         **_scalars(int, "1", "n_pairs"),
         "channels": ("channels channel...", (int, ...), "1"),
         "pair": ("pair tx rx channel mean fade",
-                 (int, int, int, _na_float, _na_float), "*"),
+                 (_node_id, _node_id, int, _na_float, _na_float), "*"),
     }
     header, pairs = {}, []
     for lineno, key, fields in _read(path, grammar):
@@ -500,7 +529,8 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
         "channels": ("channels channel...", (int, ...), "?"),
         "waypoint": ("waypoint k x y", (int, float, float), "*"),
         "stationary": ("stationary x y start_k n_frames", (float, float, int, int), "?"),
-        "fade_offset": ("fade_offset tx rx channel value", (int, int, int, float), "*"),
+        "fade_offset": ("fade_offset tx rx channel value",
+                        (_node_id, _node_id, int, float), "*"),
     }
     kwargs = {"layout": layout}
     waypoints, offsets = [], []

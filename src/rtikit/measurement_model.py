@@ -44,11 +44,11 @@ class MeasurementModelParams:
     hold_frames: int = 5
 
     def __post_init__(self):
-        if not (self.beta_minus > 0 and self.k_beta_plus > 0
-                and self.b_beta_plus > 0):  # False for NaN
-            raise ValueError("rate parameters must be strictly positive")
-        if self.hold_frames < 0:
-            raise ValueError("hold_frames must be >= 0")
+        if not all(0 < v < np.inf for v in (self.beta_minus, self.k_beta_plus,
+                                            self.b_beta_plus)):  # False for NaN
+            raise ValueError("rate parameters must be strictly positive and finite")
+        if not 0 <= self.hold_frames < np.inf:
+            raise ValueError("hold_frames must be >= 0 and finite")
 
 
 def beta_plus(fade_level: float, params: MeasurementModelParams) -> float:
@@ -128,14 +128,15 @@ class HoldBuffer:
 
 
 def rss_change(frame: RssFrame, fades: FadeLevelTable,
-               hold: HoldBuffer | None = None) -> np.ndarray:
+               hold: HoldBuffer) -> np.ndarray:
     """Per-(link, channel) RSS change relative to the empty-room mean.
 
     Args:
         frame: current snapshot; channel set must match the fade table.
         fades: calibration result supplying the baselines.
-        hold: optional hold-policy state; without it missing samples of
-            calibrated pairs count as Δr = 0 immediately.
+        hold: hold-policy state, advanced by this frame; with
+            hold_frames = 0 a missing sample of a calibrated pair counts
+            as Δr = 0 at once.
 
     Returns:
         (L, C) Δr in dB; NaN exactly on uncalibrated pairs.
@@ -147,13 +148,7 @@ def rss_change(frame: RssFrame, fades: FadeLevelTable,
             f"frame rss shape {frame.rss.shape} != fade table "
             f"{fades.mean_rss.shape}"
         )
-    delta_obs = frame.rss - fades.mean_rss
-    calibrated = fades.observed()
-    if hold is not None:
-        return hold.update(delta_obs, calibrated)
-    out = np.where(calibrated, delta_obs, np.nan)
-    out[calibrated & np.isnan(delta_obs)] = 0.0
-    return out
+    return hold.update(frame.rss - fades.mean_rss, fades.observed())
 
 
 class MeasurementAssembler:
@@ -174,8 +169,7 @@ class MeasurementAssembler:
                 fades.values / params.k_beta_plus
             )
 
-    def __call__(self, frame: RssFrame,
-                 hold: HoldBuffer | None = None) -> np.ndarray:
+    def __call__(self, frame: RssFrame, hold: HoldBuffer) -> np.ndarray:
         """(2·C·L,) probabilities in [0, 1); the entry of (c, δ, l) is the
         in-ellipse probability when δ matches the sign of Δr_cl, else 0."""
         delta = rss_change(frame, self.fades, hold)

@@ -307,9 +307,10 @@ def prior_precision_term(grid: VoxelGrid,
 class ReconstructionOperator:
     """The regularized inverse of one weight matrix, in its stored form.
 
-    `apply` images measurements from whichever form is stored. `pi` gives
-    Π for either form; a tall operator computes it on each access, which
-    holds a formed W, its dense Wᵀ and the (N, rows) result while it runs.
+    `reconstruct` images measurements from whichever form is stored. `pi`
+    gives Π for either form; a tall operator computes it on each access,
+    which holds a formed W, its dense Wᵀ and the (N, rows) result while it
+    runs.
 
     Attributes:
         stored: for a tall W (more rows than voxels), M = (WᵀW + σ_N² C_x⁻¹)⁻¹
@@ -339,17 +340,6 @@ class ReconstructionOperator:
             return self.stored
         return blas.dsymm(1.0, self.stored, self.weights.matrix.toarray().T,
                           lower=1)
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """x̂ = Π y for a float y of shape (rows,) or (rows, K), unchecked:
-        M·(U·(S·y)) on a tall operator, with Wᵀ = U·S the weights' band
-        factors, and one dense product on a short one."""
-        if not self.tall:
-            return self.stored @ y
-        back = self.weights.back_project(y)
-        if y.ndim == 1:
-            return blas.dsymv(1.0, self.stored, back, lower=1)
-        return blas.dsymm(1.0, self.stored, back, lower=1)
 
 
 def _not_spd(n: int, rows: int, info: int) -> linalg.LinAlgError:
@@ -499,7 +489,9 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
 
 
 def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:
-    """Image estimate x̂ = Π y, through `op.apply`.
+    """Image estimate x̂ = Π y: M·(U·(S·y)) on a tall operator, with
+    Wᵀ = U·S the weights' band factors, and one dense product on a short
+    one.
 
     Args:
         op: precomputed operator.
@@ -516,4 +508,9 @@ def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"measurement shape {y.shape} != operator rows ({rows},)"
         )
-    return op.apply(y)
+    if not op.tall:
+        return op.stored @ y
+    back = op.weights.back_project(y)
+    if y.ndim == 1:
+        return blas.dsymv(1.0, op.stored, back, lower=1)
+    return blas.dsymm(1.0, op.stored, back, lower=1)

@@ -32,9 +32,9 @@ __all__ = [
 DEFAULT_CHANNELS = (11, 16, 21, 26)
 
 
-def perimeter_layout(n_nodes: int, width: float, height: float,
-                     origin: tuple[float, float] = (0.0, 0.0)) -> NodeLayout:
-    """Nodes evenly spaced along the perimeter of a rectangle.
+def perimeter_layout(n_nodes: int, width: float, height: float) -> NodeLayout:
+    """Nodes evenly spaced along the perimeter of the rectangle
+    [0, width] × [0, height].
 
     Node ids are 1..n_nodes, walking counter-clockwise from the origin
     corner.
@@ -55,7 +55,6 @@ def perimeter_layout(n_nodes: int, width: float, height: float,
             xy[i] = (width - (s - width - height), height)
         else:
             xy[i] = (0.0, height - (s - 2 * width - height))
-    xy += np.asarray(origin)
     return NodeLayout(ids=np.arange(1, n_nodes + 1), xy=xy)
 
 

@@ -56,15 +56,17 @@ class EllipseModelParams:
     lambda_max: float = 3.0
 
     def __post_init__(self):
-        # each test is False for NaN
-        if not (self.b_down > 0 and self.b_up > 0):
-            raise ValueError("ellipse scale parameters b must be > 0")
-        if not self.k_down < 0:
-            raise ValueError("k_down must be < 0 (width decays with fade level)")
-        if not self.k_up > 0:
-            raise ValueError("k_up must be > 0 (width grows with fade level)")
-        if not self.lambda_max > 0:
-            raise ValueError("lambda_max must be > 0")
+        inf = np.inf  # each test is False for NaN
+        if not (0 < self.b_down < inf and 0 < self.b_up < inf):
+            raise ValueError("ellipse scale parameters b must be > 0 and finite")
+        if not -inf < self.k_down < 0:
+            raise ValueError("k_down must be < 0 and finite "
+                             "(width decays with fade level)")
+        if not 0 < self.k_up < inf:
+            raise ValueError("k_up must be > 0 and finite "
+                             "(width grows with fade level)")
+        if not 0 < self.lambda_max < inf:
+            raise ValueError("lambda_max must be > 0 and finite")
 
 
 def lambda_for(fade_level: float, direction: str,

@@ -90,9 +90,9 @@ def localize(image: np.ndarray, grid: VoxelGrid, k: int = 0) -> PositionEstimate
     return PositionEstimate(k=k, xy=grid.center_of(j), peak=peak, voxel=j)
 
 
-def init_track(z: PositionEstimate, initial_var: float = 10.0) -> TrackState:
+def init_track(z: PositionEstimate) -> TrackState:
     """Seed a track from the first estimate: zero velocity/acceleration,
-    wide diagonal covariance.
+    wide diagonal covariance 10·I.
 
     Raises:
         ValueError: z is no detection, which has no position to start from.
@@ -100,7 +100,7 @@ def init_track(z: PositionEstimate, initial_var: float = 10.0) -> TrackState:
     if not z.detected:
         raise ValueError(f"cannot start a track from no detection at k={z.k}")
     state = np.array([z.xy[0], z.xy[1], 0.0, 0.0, 0.0, 0.0])
-    return TrackState(state=state, covariance=np.eye(6) * initial_var, k=z.k)
+    return TrackState(state=state, covariance=np.eye(6) * 10.0, k=z.k)
 
 
 @functools.lru_cache(maxsize=64)

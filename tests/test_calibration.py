@@ -97,7 +97,8 @@ def test_calibrate_matches_lstsq_oracle_with_noise():
     assert fades.fit.eta == pytest.approx(coef[0], abs=1e-8)
     assert fades.fit.p0 == pytest.approx(-coef[1], abs=1e-8)
     # residual definition: F = mean - P(d, c)
-    pred01 = fades.fit.predict(table.lengths[0], channels[1])
+    fit = fades.fit
+    pred01 = path_loss(table.lengths[0], channels[1], fit.p0, fit.eta, fit.d0)
     assert fades.values[0, 1] == pytest.approx(mean[0, 1] - pred01, abs=1e-9)
 
 
@@ -146,18 +147,17 @@ def test_calibrate_errors():
     full = np.full((table.n_links, channels.size), np.nan)
     with pytest.raises(ValueError):
         calibrate_means(full, channels, table)
-    # all same distance -> slope unidentifiable
+    # only one link observed -> one length, slope unidentifiable
     ids = np.array([1, 2, 3, 4])
     sq = NodeLayout(ids=ids, xy=np.array([[0, 0], [1, 0], [0.5, 2], [0.5, -2]], dtype=float))
-    pairs = [(1, 2), (3, 4)]  # lengths 1 and 4 -> fine; now degenerate:
-    tbl = enumerate_links(sq, mode="explicit_list", pairs=[(1, 2)])
-    one = np.array([[path_loss(1.0, c, 40.0, 2.0) for c in channels]])
-    with pytest.raises(ValueError):
+    tbl = enumerate_links(sq)
+    one = np.full((tbl.n_links, channels.size), np.nan)
+    one[tbl.link_index(1, 2)] = [path_loss(1.0, c, 40.0, 2.0) for c in channels]
+    with pytest.raises(ValueError, match="share one length"):
         calibrate_means(one, channels, tbl)
     # non-ascending channels rejected
-    tbl2 = enumerate_links(sq, mode="explicit_list", pairs=pairs)
-    with pytest.raises(ValueError):
-        calibrate_means(np.zeros((2, 4)), np.array([14, 13, 12, 11]), tbl2)
+    with pytest.raises(ValueError, match="ascending"):
+        calibrate_means(np.zeros((tbl.n_links, 4)), np.array([14, 13, 12, 11]), tbl)
 
 
 RING = enumerate_links(ring_layout())  # 28 links in 4 length classes
@@ -291,10 +291,8 @@ def test_calibrate_frames_never_observed_pair_is_nan():
 def test_rss_frame_validation():
     channels = np.array([11, 12])
     frame = RssFrame(k=3, rss=np.array([[-50.0, np.nan]]), channels=channels)
-    assert frame.value(0, 11) == -50.0
-    assert np.isnan(frame.value(0, 12))
-    with pytest.raises(KeyError):
-        frame.value(0, 13)
+    assert frame.rss[0, 0] == -50.0
+    assert np.isnan(frame.rss[0, 1])
     with pytest.raises(ValueError):
         RssFrame(k=0, rss=np.zeros((2, 2)), channels=np.array([10, 11]))
     with pytest.raises(ValueError):
@@ -313,6 +311,6 @@ def test_fade_table_lookup():
     fades = calibrate_means(mean, channels, table)
     assert fades.channel_column(11) == 0
     assert fades.channel_column(26) == 15
-    assert fades.fade_level(0, 11) == pytest.approx(0.0, abs=1e-9)
+    assert fades.values[0, fades.channel_column(11)] == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(KeyError):
         fades.channel_column(27)

@@ -225,7 +225,11 @@ def test_bad_config_key_reported(workspace):
     "dt 0", "kalman_q -1", "kalman_r_scale nan", "voxel_width nan",
     "kalman true", "b_lambda_minus nan", "b_lambda_plus nan", "lambda_max nan",
     "sigma_x nan", "sigma_n nan", "delta_c nan", "beta_minus nan",
-    "k_beta_plus nan", "b_beta_plus nan",
+    "k_beta_plus nan", "b_beta_plus nan", "k_lambda_minus nan",
+    "k_lambda_plus nan", "b_lambda_minus inf", "b_lambda_plus inf",
+    "lambda_max inf", "k_lambda_minus -inf", "k_lambda_plus inf",
+    "sigma_x inf", "sigma_n inf", "delta_c inf", "beta_minus inf",
+    "k_beta_plus inf", "b_beta_plus inf",
 ])
 def test_bad_config_value_reported(workspace, line):
     tmp_path, _, layout_path, _, _ = workspace
@@ -252,6 +256,18 @@ def test_trace_field_out_of_range_reported(workspace, capsys, line, message):
     assert rc == 2
     assert re.search(rf"^error: .*trace.txt:2: {message}$",
                      capsys.readouterr().err, re.M)
+
+
+def test_layout_node_id_out_of_range_reported(workspace, capsys):
+    tmp_path, _, _, _, _ = workspace
+    trace_path, _ = _simulate(workspace)
+    layout_path = tmp_path / "big_ids.txt"
+    layout_path.write_text("99999999999999999999 0 0\n2 4 0\n3 4 4\n")
+    rc = main(["calibrate", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--out", str(tmp_path / "f.txt")])
+    assert rc == 2
+    assert re.search(r"^error: .*big_ids.txt:1: id '99999999999999999999' "
+                     r"is outside the 64-bit range$", capsys.readouterr().err, re.M)
 
 
 def test_empty_grid_is_an_error(workspace, capsys):

@@ -1,11 +1,12 @@
 """Geometry: link enumeration, excess path length, ellipse membership, grids."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtikit.geometry import (
-    LinkTable,
     NodeLayout,
     VoxelGrid,
     ellipse_membership,
@@ -51,15 +52,6 @@ def test_all_pairs_order_is_id_sorted_not_row_sorted():
     assert got == [(3, 5), (3, 7), (5, 7)]
 
 
-def test_explicit_list_keeps_order_and_rejects_self_links():
-    layout = square_layout()
-    table = enumerate_links(layout, mode="explicit_list", pairs=[(3, 1), (2, 4)])
-    assert list(table.tx_ids) == [3, 2]
-    assert list(table.rx_ids) == [1, 4]
-    with pytest.raises(ValueError):
-        enumerate_links(layout, mode="explicit_list", pairs=[(2, 2)])
-
-
 def test_coincident_nodes_rejected():
     ids = np.array([1, 2, 3])
     xy = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
@@ -74,28 +66,57 @@ def test_link_lengths_and_lookup():
     assert table.lengths[table.link_index(1, 2)] == pytest.approx(4.0)
     assert table.lengths[table.link_index(1, 3)] == pytest.approx(4 * np.sqrt(2))
     assert table.link_index(2, 1) == table.link_index(1, 2)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="no link between nodes 1 and 99"):
         table.link_index(1, 99)
 
 
-@pytest.mark.parametrize("pairs", [[(30, 10), (20, 40), (10, 40)], []])
-def test_link_indices_match_link_index(pairs):
-    """Vectorized lookup, ids with gaps, unknown ids on every side of the
-    known ones, self-pairs, and a table with no links."""
-    layout = NodeLayout(ids=np.array([10, 20, 30, 40]),
-                        xy=np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0]]))
-    table = enumerate_links(layout, mode="explicit_list", pairs=pairs)
-    ids = [-5, 0, 10, 15, 20, 30, 40, 41]
-    a, b = np.meshgrid(ids, ids, indexing="ij")
+INT64 = st.integers(-2**63, 2**63 - 1)
 
-    def scalar(x, y):
-        try:
-            return table.link_index(x, y)
-        except KeyError:
-            return -1
 
-    want = [[scalar(x, y) for y in ids] for x in ids]
-    np.testing.assert_array_equal(table.link_indices(a, b), want)
+@st.composite
+def id_layouts(draw):
+    """3 to 40 nodes on a circle, with unique int64 ids in any order, so
+    ids may be negative and have gaps."""
+    n = draw(st.integers(3, 40))
+    ids = draw(st.lists(INT64, min_size=n, max_size=n, unique=True))
+    ang = 2 * np.pi * np.arange(n) / n
+    return NodeLayout(ids=np.array(ids), xy=np.column_stack((np.cos(ang), np.sin(ang))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=id_layouts(), data=st.data())
+def test_links_are_the_sorted_id_pairs(layout, data):
+    ids = layout.ids.tolist()
+    pairs = list(combinations(sorted(ids), 2))
+    row = {node: i for i, node in enumerate(ids)}
+    table = enumerate_links(layout)
+    assert list(zip(table.tx_ids.tolist(), table.rx_ids.tolist())) == pairs
+    assert table.tx_idx.tolist() == [row[a] for a, _ in pairs]
+    assert table.rx_idx.tolist() == [row[b] for _, b in pairs]
+    np.testing.assert_allclose(
+        table.lengths,
+        [np.linalg.norm(layout.xy[row[b]] - layout.xy[row[a]]) for a, b in pairs],
+        rtol=1e-12)
+
+    # either order of a link's ids finds it; an unknown id or a self-pair
+    # finds none
+    node = st.one_of(st.sampled_from(ids), INT64)
+    a = data.draw(st.lists(node, max_size=50)) + ids
+    b = data.draw(st.lists(node, min_size=len(a) - len(ids),
+                           max_size=len(a) - len(ids))) + ids
+    link = {pair: l for l, pair in enumerate(pairs)}
+    want = [link.get((min(x, y), max(x, y)), -1) for x, y in zip(a, b)]
+    np.testing.assert_array_equal(
+        table.link_indices(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)),
+        want)
+    for x, y, l in zip(a, b, want):
+        if l < 0:
+            with pytest.raises(KeyError, match=f"no link between nodes {x} and {y}"):
+                table.link_index(x, y)
+        else:
+            assert table.link_index(x, y) == l
+    with pytest.raises(KeyError):
+        table.link_index(ids[0], 2**64)  # no int64, so no node
 
 
 def test_excess_path_known_value():
@@ -207,7 +228,7 @@ def test_grid_round_trip_and_centers():
     assert grid.n_voxels == 35
     for j in range(grid.n_voxels):
         ix, iy = grid.index_to_cell(j)
-        assert grid.cell_to_index(ix, iy) == j
+        assert iy * grid.nx + ix == j
     assert grid.center_of(0) == pytest.approx((-1.0 + 0.125, 2.0 + 0.125))
     assert grid.index_to_cell(1) == (1, 0)  # x varies fastest
     centers = grid.centers()
@@ -216,8 +237,6 @@ def test_grid_round_trip_and_centers():
     assert centers[1, 1] == centers[0, 1]
     with pytest.raises(IndexError):
         grid.index_to_cell(35)
-    with pytest.raises(IndexError):
-        grid.cell_to_index(7, 0)
 
 
 def test_grid_from_layout_margin():

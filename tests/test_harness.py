@@ -164,7 +164,6 @@ def test_rti_channel_selection():
     layout, trace = _small_trace()
     table = enumerate_links(layout)
     from rtikit.calibration import calibrate
-    from rtikit.measurement_model import rss_change
 
     fades = calibrate(trace.frames[:trace.calibration_frames], table)
     grid = VoxelGrid.from_layout(layout, 0.2)
@@ -172,15 +171,16 @@ def test_rti_channel_selection():
     config = PipelineConfig(calibration_frames=trace.calibration_frames,
                             rti_channel=chan)
     pipe = VariantPipeline("rti", fades, layout, grid, config)
-    assert pipe.channel == chan
     frame = trace.frames[-1]
-    delta = rss_change(frame, fades)
+    # a first frame has no history to hold, so no hold window is the same
+    delta = rss_change(frame, fades, HoldBuffer(table.n_links, fades.channels.size, 0))
     np.testing.assert_allclose(pipe.measurement(frame),
                                -np.nan_to_num(delta[:, 2]))
     default = VariantPipeline(
         "rti", fades, layout, grid,
         PipelineConfig(calibration_frames=trace.calibration_frames))
-    assert default.channel == int(fades.channels[0])
+    np.testing.assert_allclose(default.measurement(frame),
+                               -np.nan_to_num(delta[:, 0]))
 
 
 def test_rti_channel_outside_calibrated_set_is_rejected(monkeypatch):
@@ -620,19 +620,22 @@ def test_config_rejects_out_of_range_values(key, value):
 
 
 @pytest.mark.parametrize("key, message", [
-    ("b_lambda_minus", "ellipse scale parameters b must be > 0"),
-    ("b_lambda_plus", "ellipse scale parameters b must be > 0"),
-    ("lambda_max", "lambda_max must be > 0"),
-    ("sigma_x", "reconstruction parameters must be strictly positive"),
-    ("sigma_n", "reconstruction parameters must be strictly positive"),
-    ("delta_c", "reconstruction parameters must be strictly positive"),
-    ("beta_minus", "rate parameters must be strictly positive"),
-    ("k_beta_plus", "rate parameters must be strictly positive"),
-    ("b_beta_plus", "rate parameters must be strictly positive"),
+    ("b_lambda_minus", "ellipse scale parameters b must be > 0 and finite"),
+    ("b_lambda_plus", "ellipse scale parameters b must be > 0 and finite"),
+    ("k_lambda_minus", "k_down must be < 0 and finite"),
+    ("k_lambda_plus", "k_up must be > 0 and finite"),
+    ("lambda_max", "lambda_max must be > 0 and finite"),
+    ("sigma_x", "reconstruction parameters must be strictly positive and finite"),
+    ("sigma_n", "reconstruction parameters must be strictly positive and finite"),
+    ("delta_c", "reconstruction parameters must be strictly positive and finite"),
+    ("beta_minus", "rate parameters must be strictly positive and finite"),
+    ("k_beta_plus", "rate parameters must be strictly positive and finite"),
+    ("b_beta_plus", "rate parameters must be strictly positive and finite"),
 ])
-def test_config_rejects_nan_model_parameters(key, message):
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_model_parameters(key, message, value):
     with pytest.raises(ValueError, match=message):
-        PipelineConfig.from_dict({key: [["nan"]]})
+        PipelineConfig.from_dict({key: [[value]]})
 
 
 def test_config_validation():

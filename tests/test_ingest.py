@@ -84,7 +84,7 @@ def test_trace_single_record_and_empty(tmp_path, layout):
     frames = load_trace(path, table)
     assert len(frames) == 1
     assert frames[0].k == 0
-    assert frames[0].value(table.link_index(1, 2), 15) == -61.0
+    assert frames[0].rss[table.link_index(1, 2)].tolist() == [-61.0]
     assert np.isnan(frames[0].rss).sum() == frames[0].rss.size - 1
     path.write_text("")
     assert load_trace(path, table) == []
@@ -98,7 +98,7 @@ def test_trace_direction_folding(tmp_path, layout):
     path = tmp_path / "trace.txt"
     path.write_text("0 2 1 15 -60.0\n")  # reversed direction
     frames = load_trace(path, table)
-    assert frames[0].value(table.link_index(1, 2), 15) == -60.0
+    assert frames[0].rss[table.link_index(1, 2)].tolist() == [-60.0]
 
 
 def test_trace_duplicate_last_wins_with_warning(tmp_path, layout):
@@ -107,7 +107,7 @@ def test_trace_duplicate_last_wins_with_warning(tmp_path, layout):
     path.write_text("0 1 2 15 -60.0\n0 2 1 15 -55.0\n")
     with pytest.warns(UserWarning, match="duplicate"):
         frames = load_trace(path, table)
-    assert frames[0].value(table.link_index(1, 2), 15) == -55.0
+    assert frames[0].rss[table.link_index(1, 2)].tolist() == [-55.0]
 
 
 def test_trace_out_of_order_interleaved_k(tmp_path, layout):
@@ -157,6 +157,8 @@ def test_trace_errors(tmp_path, layout):
      "time index 99999999999999999999 outside the 64-bit range"),
     ("-99999999999999999999 1 2 15 -60.0",
      "time index -99999999999999999999 outside the 64-bit range"),
+    ("0 1 99999999999999999999 15 -60.0",
+     "rx '99999999999999999999' is outside the 64-bit range"),
     ("0 1 2 27 -60.0", r"channel 27 outside \[11, 26\]"),
     ("0 1 2 10 -60.0", r"channel 10 outside \[11, 26\]"),
     ("0 1 2 15 inf", "rss 'inf' is infinite"),
@@ -616,6 +618,7 @@ def test_text_formats_round_trip_bit_for_bit(tmp_path_factory, kind, data):
 SCENARIO_HEAD = "channels 11 16\ncalibration_frames 10\n"
 FADE_HEAD = "p0 40.0\neta 2.0\nd0 1.0\nn_pairs 2\nrmse 0.5\n"
 MALFORMED_LOADERS = {
+    "layout": load_layout,
     "scenario": lambda path: load_scenario(path, perimeter_layout(6, 5.0, 4.0)),
     "fade table": lambda path: load_fade_table(path, SMALL_TABLE),
     "image": load_image,
@@ -637,7 +640,11 @@ MALFORMED_LOADERS = {
     ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 16 -50.0 1.0\n",
      "bad.txt:7:"),
+    ("fade table", FADE_HEAD + "channels 11\npair 1 99999999999999999999 11 -50.0 1.0\n",
+     "bad.txt:7:"),
     ("image", "nx two\nny 1\np 1.0\norigin 0.0 0.0\n1.0 2.0\n", "bad.txt:1:"),
+    ("layout", "99999999999999999999 0 0\n2 1 0\n3 0 1\n", "bad.txt:1:"),
+    ("layout", "1 0 0\n-99999999999999999999 1 0\n3 0 1\n", "bad.txt:2:"),
 ])
 def test_malformed_input_error_names_its_line(tmp_path, loader, text, prefix):
     path = tmp_path / "bad.txt"

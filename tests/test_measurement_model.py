@@ -88,6 +88,11 @@ def test_params_validation():
         MeasurementModelParams(hold_frames=-1)
 
 
+def no_hold(fades):
+    """A hold buffer with no window: a missing sample counts as Δr = 0."""
+    return HoldBuffer(fades.n_links, fades.channels.size, hold_frames=0)
+
+
 def test_rss_change_basic_and_uncalibrated():
     _, table = small_net()
     channels = [11, 12]
@@ -97,9 +102,9 @@ def test_rss_change_basic_and_uncalibrated():
     rss = np.full((table.n_links, 2), -55.0)
     rss[0, 0] = -65.0  # shadowing: dr = -10
     rss[1, 1] = -50.0  # gain: dr = +5
-    rss[3, 0] = np.nan  # missing, no hold -> 0
+    rss[3, 0] = np.nan  # missing, no hold window -> 0
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
-    dr = rss_change(frame, fades)
+    dr = rss_change(frame, fades, no_hold(fades))
     assert dr[0, 0] == pytest.approx(-10.0)
     assert dr[1, 1] == pytest.approx(5.0)
     assert dr[3, 0] == 0.0
@@ -113,7 +118,7 @@ def test_rss_change_channel_mismatch():
     frame = RssFrame(k=0, rss=np.zeros((table.n_links, 2)),
                      channels=np.array([11, 13]))
     with pytest.raises(ValueError):
-        rss_change(frame, fades)
+        rss_change(frame, fades, no_hold(fades))
 
 
 def test_hold_buffer_window_then_zero():
@@ -166,7 +171,7 @@ def test_assemble_single_change_placement():
     rss = fades.mean_rss.copy()
     rss[2, 0] -= 10.0  # single shadowing event on link 2, channel 11
     frame = RssFrame(k=5, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, params)(frame)
+    y = MeasurementAssembler(fades, params)(frame, no_hold(fades))
 
     assert y.shape == (weights.n_rows,)
     nz = np.nonzero(y)[0]
@@ -184,7 +189,7 @@ def test_assemble_zero_frame_and_length():
     fades = fade_table(table, channels, np.zeros((table.n_links, 3)))
     weights = build_multiscale_weights(table, layout, grid, fades)
     frame = RssFrame(k=0, rss=fades.mean_rss.copy(), channels=np.array(channels))
-    y = MeasurementAssembler(fades, MeasurementModelParams())(frame)
+    y = MeasurementAssembler(fades, MeasurementModelParams())(frame, no_hold(fades))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links * 3,)
     assert np.all(y == 0.0)
 
@@ -204,8 +209,8 @@ def test_assemble_matches_scalar_model_everywhere():
     for k in range(4):
         rss = fades.mean_rss + rng.normal(0, 6.0, size=fades.mean_rss.shape)
         frame = RssFrame(k=k, rss=rss, channels=np.array(channels))
-        y = asm(frame)
-        dr = rss_change(frame, fades)
+        y = asm(frame, no_hold(fades))
+        dr = rss_change(frame, fades, no_hold(fades))
         for r, (c, l, d) in enumerate(weights.row_keys):
             ci = 0 if c == 11 else 1
             want_d, want_p = inside_probability(dr[l, ci], vals[l, ci], params)
@@ -232,7 +237,7 @@ def test_assemble_excluded_rows_absent():
     rss = fades.mean_rss.copy()
     rss[4, 0] -= 20.0  # change on the uncalibrated pair: nowhere to go
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, MeasurementModelParams())(frame)
+    y = MeasurementAssembler(fades, MeasurementModelParams())(frame, no_hold(fades))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links,)
     assert np.all(y == 0.0)
     for d in (DIR_UP, DIR_DOWN):

@@ -105,10 +105,10 @@ def test_classic_weights_distance_value():
     ids = np.array([1, 2, 3])
     xy = np.array([[0.0, 0.0], [4.0, 0.0], [2.0, 3.0]])
     layout = NodeLayout(ids=ids, xy=xy)
-    table = enumerate_links(layout, mode="explicit_list", pairs=[(1, 2)])
+    table = enumerate_links(layout)
     grid = VoxelGrid(origin=(0.0, -1.0), p=0.5, nx=8, ny=4)
     wm = build_classic_weights(table, layout, grid, lam=0.6)
-    row = wm.matrix.getrow(0)
+    row = wm.matrix.getrow(table.link_index(1, 2))
     assert row.nnz > 0
     assert np.allclose(row.data, 0.5)
 

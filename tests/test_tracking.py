@@ -106,7 +106,7 @@ def test_kalman_update_reduces_uncertainty():
     # An update with informative measurements shrinks the position block
     # relative to the predicted covariance.
     z0 = PositionEstimate(k=0, xy=(1.0, 1.0), peak=1.0, voxel=0)
-    track = init_track(z0, initial_var=10.0)
+    track = init_track(z0)
     stepped = kalman_step(track, PositionEstimate(k=1, xy=(1.0, 1.0), peak=1.0, voxel=0),
                           dt=0.5, q=1.0, r=0.1)
     assert stepped.covariance[0, 0] < track.covariance[0, 0]
