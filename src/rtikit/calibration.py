@@ -46,9 +46,12 @@ def channel_frequency(channel: int) -> float:
 
 
 def normalized_tx_power(channel: int) -> float:
-    """Relative transmit power of a channel in dB, linear in channel number."""
-    channel = int(channel)
-    if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
+    """Relative transmit power of a channel in dB, linear in channel number.
+
+    Elementwise on an array of channels; any channel outside 11..26 raises.
+    """
+    channel = np.asarray(channel).astype(int)
+    if np.any((channel < CHANNEL_MIN) | (channel > CHANNEL_MAX)):
         raise ValueError(f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
     return _TX_POWER_SLOPE * channel + _TX_POWER_INTERCEPT
 
@@ -57,7 +60,8 @@ def path_loss(distance: float, channel: int, p0: float, eta: float,
               d0: float = 1.0) -> float:
     """Predicted obstruction-free RSS in dBm at a TX-RX distance.
 
-    P(d, c) = P_T(c) - p0 - 10 eta log10(d / d0).
+    P(d, c) = P_T(c) - p0 - 10 eta log10(d / d0), elementwise over
+    distance and channel arrays, which broadcast against each other.
 
     Args:
         distance: TX-RX separation in meters, > 0.
@@ -69,7 +73,7 @@ def path_loss(distance: float, channel: int, p0: float, eta: float,
     Returns:
         Predicted RSS in dBm.
     """
-    if distance <= 0:
+    if np.any(np.asarray(distance) <= 0):
         raise ValueError("distance must be > 0")
     if d0 <= 0:
         raise ValueError("reference distance d0 must be > 0")
@@ -239,7 +243,7 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable,
     if d0 <= 0:
         raise ValueError("reference distance d0 must be > 0")
 
-    tx_power = np.array([normalized_tx_power(c) for c in channels])
+    tx_power = normalized_tx_power(channels)
     log_term = -10.0 * np.log10(table.lengths / d0)  # (L,)
 
     mask = ~np.isnan(mean_rss)
@@ -255,8 +259,7 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable,
     eta, neg_p0 = np.polyfit(x, y, 1)
     p0 = -neg_p0
 
-    predicted = (tx_power[None, :] - p0 + eta * log_term[:, None])
-    residual = mean_rss - predicted
+    residual = mean_rss - path_loss(table.lengths[:, None], channels, p0, eta, d0)
     rmse = float(np.sqrt(np.mean(residual[mask] ** 2)))
     fade = np.where(mask, residual, np.nan)
     return FadeLevelTable(

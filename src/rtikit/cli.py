@@ -38,7 +38,7 @@ from .ingest import (
     save_trace,
     save_track_csv,
 )
-from .simulator import generate_trace
+from .simulator import DEFAULT_CHANNELS, generate_trace
 
 __all__ = ["main"]
 
@@ -196,13 +196,12 @@ def _cmd_benchmark(args) -> int:
     positions = [(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
                  for fy in side for fx in side]
 
-    scenario_kwargs = {"calibration_frames": config.calibration_frames}
-    if args.channels:
-        scenario_kwargs["channels"] = _parse_ints(args.channels, "--channels")
+    channels = (_parse_ints(args.channels, "--channels") if args.channels
+                else DEFAULT_CHANNELS)
     rows = benchmark(layout, positions, seeds, config=config,
                      variants=variants,
                      frames_per_position=args.frames_per_position,
-                     scenario_kwargs=scenario_kwargs)
+                     channels=channels)
     save_benchmark_csv(rows, args.out)
     for variant in variants:
         summaries = [r[3] for r in rows if r[0] == variant]

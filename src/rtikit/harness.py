@@ -43,6 +43,7 @@ from .reconstruction import (
     reconstruct,
 )
 from .simulator import (
+    DEFAULT_CHANNELS,
     ScenarioSpec,
     generate_trace,
     stationary_trajectory,
@@ -321,13 +322,11 @@ class PipelineResult:
         rows: track rows (k, x_hat, y_hat) or (k, x_hat, y_hat, x_true,
             y_true, error_m) when truth was given.
         summary: error statistics dict, or None without truth.
-        grid: image grid used.
     """
 
     variant: str
     rows: tuple
     summary: dict | None
-    grid: VoxelGrid
 
 
 def run_pipeline(variant: str, frames, layout: NodeLayout,
@@ -374,28 +373,22 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
     position and gets a NaN error; the summary leaves it out and the
     Kalman filter takes no update.
     """
-    grid, config = pipeline.grid, pipeline.config
-    estimates = [localize(image, grid, k=frame.k)
-                 for frame, image in zip(frames, pipeline.images(frames))]
-
+    config = pipeline.config
+    r = config.kalman_r_scale * config.voxel_width**2
     nan = float("nan")
-    positions = [est.xy for est in estimates]
-    if kalman:
-        r = config.kalman_r_scale * config.voxel_width**2
-        track = None
-        for i, est in enumerate(estimates):
-            if not est.detected:
-                continue
+    track = None
+    rows = []
+    errors = []
+    for frame, image in zip(frames, pipeline.images(frames)):
+        est = localize(image, pipeline.grid, k=frame.k)
+        x, y = est.xy
+        if kalman and est.detected:
             if track is None:
                 track = init_track(est)
             else:
                 track = kalman_step(track, est, dt=(est.k - track.k) * config.dt,
                                     q=config.kalman_q, r=r)
-                positions[i] = tuple(track.position)
-
-    rows = []
-    errors = []
-    for frame, est, (x, y) in zip(frames, estimates, positions):
+                x, y = track.position
         if truth is None:
             rows.append((frame.k, x, y))
         elif frame.k in truth:
@@ -411,7 +404,6 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
         variant=pipeline.variant,
         rows=tuple(rows),
         summary=error_summary(errors) if errors else None,
-        grid=grid,
     )
 
 
@@ -419,7 +411,7 @@ def benchmark(layout: NodeLayout, positions, seeds,
               config: PipelineConfig | None = None,
               variants=("msrti", "cdrti"),
               frames_per_position: int = 10,
-              scenario_kwargs: dict | None = None):
+              channels=DEFAULT_CHANNELS):
     """Stationary-target benchmark over seeds and estimator variants.
 
     For each seed, one synthetic trace places the person at every given
@@ -437,8 +429,8 @@ def benchmark(layout: NodeLayout, positions, seeds,
         config: pipeline configuration (defaults if None).
         variants: estimator variants to compare.
         frames_per_position: person frames per position.
-        scenario_kwargs: extra ScenarioSpec fields (channels, noise_sigma,
-            quantize, fade_sigma, ...).
+        channels: channels to simulate; the calibration prefix is
+            config.calibration_frames long.
 
     Returns:
         list of (variant, "stationary-grid", seed, summary) rows, seeds
@@ -449,11 +441,6 @@ def benchmark(layout: NodeLayout, positions, seeds,
     positions = [(float(x), float(y)) for x, y in positions]
     if not positions:
         raise ValueError("benchmark needs at least one position")
-    scenario_kwargs = dict(scenario_kwargs or {})
-    scenario_kwargs.setdefault("calibration_frames", config.calibration_frames)
-    if scenario_kwargs["calibration_frames"] != config.calibration_frames:
-        raise ValueError("scenario calibration_frames must match config")
-
     trajectory_parts = []
     k = config.calibration_frames
     for x, y in positions:
@@ -471,8 +458,9 @@ def benchmark(layout: NodeLayout, positions, seeds,
 
     rows = []
     for seed in seeds:
-        spec = ScenarioSpec(layout=layout, trajectory=trajectory,
-                            seed=int(seed), **scenario_kwargs)
+        spec = ScenarioSpec(layout=layout, channels=channels,
+                            calibration_frames=config.calibration_frames,
+                            trajectory=trajectory, seed=int(seed))
         trace = generate_trace(spec, ellipse=config.ellipse,
                                measurement=config.measurement)
         fades = calibrate(trace.frames[:config.calibration_frames], table)

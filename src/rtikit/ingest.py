@@ -76,6 +76,17 @@ def _na_float(token: str) -> float:
     return value
 
 
+def _finite(token: str) -> float:
+    """A finite float."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError("is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError("is not finite")
+    return value
+
+
 def _node_id(token: str) -> int:
     """An integer in the 64-bit range that node ids are held in."""
     try:
@@ -332,7 +343,7 @@ def save_trace(frames, table: LinkTable, path) -> None:
 
 def load_ground_truth(path) -> dict[int, tuple[float, float]]:
     """Read `k x y` (or `k,x,y`) truth rows into a k -> position map; k must ascend."""
-    grammar = {None: ("k x y", (int, float, float), "*")}
+    grammar = {None: ("k x y", (int, _finite, _finite), "*")}
     truth = {}
     for lineno, _, (k, x, y) in _read(path, grammar, commas=True):
         if truth and k <= last_k:
@@ -527,8 +538,8 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
         **_scalars(int, "?", "calibration_frames", "seed"),
         **_scalars(_on_off, "?", "quantize"),
         "channels": ("channels channel...", (int, ...), "?"),
-        "waypoint": ("waypoint k x y", (int, float, float), "*"),
-        "stationary": ("stationary x y start_k n_frames", (float, float, int, int), "?"),
+        "waypoint": ("waypoint k x y", (int, _finite, _finite), "*"),
+        "stationary": ("stationary x y start_k n_frames", (_finite, _finite, int, int), "?"),
         "fade_offset": ("fade_offset tx rx channel value",
                         (_node_id, _node_id, int, float), "*"),
     }

@@ -52,10 +52,27 @@ class MeasurementModelParams:
 
 
 def beta_plus(fade_level: float, params: MeasurementModelParams) -> float:
-    """Gain-direction decay rate in 1/dB: b_β⁺ · exp(F / k_β⁺)."""
-    if not np.isfinite(fade_level):
+    """Gain-direction decay rate in 1/dB: b_β⁺ · exp(F / k_β⁺).
+
+    fade_level is a finite scalar, or an array, elementwise, where a NaN
+    entry (an unobserved pair) gives a NaN rate.
+    """
+    if np.ndim(fade_level) == 0 and not np.isfinite(fade_level):
         raise ValueError("fade level must be finite")
     return params.b_beta_plus * np.exp(fade_level / params.k_beta_plus)
+
+
+def _slot_probabilities(delta_r, rate_up, beta_minus):
+    """The "+" and "-" slots of RSS changes Δr, elementwise.
+
+    The slot whose direction δ matches the sign of Δr holds the in-ellipse
+    probability 1 − exp(−β^δ |Δr|), with β⁺ = rate_up and β⁻ = beta_minus;
+    the other slot holds 0, and both do where Δr is 0 or NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        up = delta_r > 0
+        p = 1.0 - np.exp(-np.where(up, rate_up, beta_minus) * np.abs(delta_r))
+        return np.where(up, p, 0.0), np.where(delta_r < 0, p, 0.0)
 
 
 def inside_probability(delta_r: float, fade_level: float,
@@ -75,13 +92,11 @@ def inside_probability(delta_r: float, fade_level: float,
     """
     if not np.isfinite(delta_r):
         raise ValueError("delta_r must be finite")
-    mag = abs(delta_r)
-    if delta_r == 0.0:
-        return DIR_DOWN, 0.0
+    p_up, p_down = _slot_probabilities(
+        delta_r, beta_plus(fade_level, params), params.beta_minus)
     if delta_r > 0:
-        rate = beta_plus(fade_level, params)
-        return DIR_UP, 1.0 - np.exp(-rate * mag)
-    return DIR_DOWN, 1.0 - np.exp(-params.beta_minus * mag)
+        return DIR_UP, float(p_up)
+    return DIR_DOWN, float(p_down)
 
 
 class HoldBuffer:
@@ -92,7 +107,7 @@ class HoldBuffer:
     sequential pass over a trace.
     """
 
-    def __init__(self, n_links: int, n_channels: int, hold_frames: int = 5):
+    def __init__(self, n_links: int, n_channels: int, hold_frames: int):
         if hold_frames < 0:
             raise ValueError("hold_frames must be >= 0")
         self.hold_frames = int(hold_frames)
@@ -163,20 +178,11 @@ class MeasurementAssembler:
     def __init__(self, fades: FadeLevelTable, params: MeasurementModelParams):
         self.fades = fades
         self.params = params
-        # fade-dependent gain rate, fixed per (link, channel)
-        with np.errstate(invalid="ignore"):
-            self._beta_up = params.b_beta_plus * np.exp(
-                fades.values / params.k_beta_plus
-            )
+        self._beta_up = beta_plus(fades.values, params)  # fixed per (link, channel)
 
     def __call__(self, frame: RssFrame, hold: HoldBuffer) -> np.ndarray:
         """(2·C·L,) probabilities in [0, 1); the entry of (c, δ, l) is the
         in-ellipse probability when δ matches the sign of Δr_cl, else 0."""
-        delta = rss_change(frame, self.fades, hold)
-        mag = np.abs(delta)
-        with np.errstate(invalid="ignore"):
-            p_up = np.where(delta > 0, 1.0 - np.exp(-self._beta_up * mag), 0.0)
-            p_down = np.where(
-                delta < 0, 1.0 - np.exp(-self.params.beta_minus * mag), 0.0
-            )
+        p_up, p_down = _slot_probabilities(rss_change(frame, self.fades, hold),
+                                           self._beta_up, self.params.beta_minus)
         return np.stack((p_up.T, p_down.T), axis=1).reshape(-1)

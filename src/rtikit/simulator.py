@@ -17,8 +17,8 @@ import numpy as np
 
 from .calibration import CHANNEL_MAX, CHANNEL_MIN, RssFrame, path_loss
 from .geometry import LinkTable, NodeLayout, enumerate_links, excess_path_field
-from .measurement_model import MeasurementModelParams
-from .spatial_model import DIR_DOWN, DIR_UP, EllipseModelParams, _lambda_array
+from .measurement_model import MeasurementModelParams, beta_plus
+from .spatial_model import DIR_DOWN, DIR_UP, EllipseModelParams, lambda_for
 
 __all__ = [
     "DEFAULT_CHANNELS",
@@ -78,8 +78,8 @@ class ScenarioSpec:
         p0: true reference loss at d0, dB.
         d0: reference distance, meters.
         calibration_frames: person-absent frames at the start (k = 0...).
-        trajectory: (T, 3) rows (k, x, y); times strictly increasing and
-            after the calibration segment. Empty for a person-free trace.
+        trajectory: (T, 3) finite rows (k, x, y); times strictly increasing
+            and after the calibration segment. Empty for a person-free trace.
         fade_offsets: explicit (L, C) per-link/channel dB offsets, or None
             to draw them Gaussian(0, fade_sigma) from the seed.
         fade_sigma: std of generated fade offsets, dB.
@@ -115,6 +115,8 @@ class ScenarioSpec:
         if traj.size and (traj.ndim != 2 or traj.shape[1] != 3):
             raise ValueError("trajectory must be (T, 3) rows of (k, x, y)")
         if traj.size:
+            if not np.all(np.isfinite(traj)):
+                raise ValueError("trajectory (k, x, y) values must be finite")
             if np.any(np.diff(traj[:, 0]) <= 0):
                 raise ValueError("trajectory times must be strictly increasing")
             if traj[0, 0] < self.calibration_frames:
@@ -193,17 +195,13 @@ def generate_trace(spec: ScenarioSpec,
     else:
         offsets = rng.normal(0.0, spec.fade_sigma, size=shape)
 
-    baseline = np.empty(shape)
-    for ci, c in enumerate(channels):
-        baseline[:, ci] = [
-            path_loss(d, int(c), spec.p0, spec.eta, spec.d0) for d in table.lengths
-        ]
-    baseline = baseline + offsets
+    baseline = path_loss(table.lengths[:, None], channels, spec.p0, spec.eta,
+                         spec.d0) + offsets
 
     prob_down = _sign_probability_down(offsets)
-    lam_down = _lambda_array(offsets, DIR_DOWN, ellipse)
-    lam_up = _lambda_array(offsets, DIR_UP, ellipse)
-    beta_up = measurement.b_beta_plus * np.exp(offsets / measurement.k_beta_plus)
+    lam_down = lambda_for(offsets, DIR_DOWN, ellipse)
+    lam_up = lambda_for(offsets, DIR_UP, ellipse)
+    beta_up = beta_plus(offsets, measurement)
 
     def emit(k: int, delta: np.ndarray) -> RssFrame:
         rss = baseline + delta

@@ -71,17 +71,19 @@ class EllipseModelParams:
 
 def lambda_for(fade_level: float, direction: str,
                params: EllipseModelParams) -> float:
-    """Ellipse width in meters for one fade level and RSS-change direction.
+    """Ellipse width in meters for a fade level and RSS-change direction.
 
     Args:
-        fade_level: calibrated fade level F in dB, finite.
+        fade_level: calibrated fade level F in dB: a finite scalar, or an
+            array, elementwise, where a NaN entry (an unobserved pair)
+            gives a NaN width.
         direction: "-" for RSS loss, "+" for RSS gain.
         params: width model parameters.
 
     Returns:
         b^δ · exp(F / k^δ), clamped to params.lambda_max.
     """
-    if not np.isfinite(fade_level):
+    if np.ndim(fade_level) == 0 and not np.isfinite(fade_level):
         raise ValueError("fade level must be finite")
     if direction == DIR_DOWN:
         b, k = params.b_down, params.k_down
@@ -89,16 +91,8 @@ def lambda_for(fade_level: float, direction: str,
         b, k = params.b_up, params.k_up
     else:
         raise ValueError(f"direction must be '+' or '-', got {direction!r}")
-    return min(b * np.exp(fade_level / k), params.lambda_max)
-
-
-def _lambda_array(fades: np.ndarray, direction: str,
-                  params: EllipseModelParams) -> np.ndarray:
-    """Vectorized lambda_for; NaN fade levels propagate to NaN widths."""
-    b, k = ((params.b_down, params.k_down) if direction == DIR_DOWN
-            else (params.b_up, params.k_up))
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.minimum(b * np.exp(fades / k), params.lambda_max)
+        return np.minimum(b * np.exp(fade_level / k), params.lambda_max)
 
 
 @dataclass(frozen=True)
@@ -247,7 +241,7 @@ def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
         )
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
     directions = (DIR_UP, DIR_DOWN)
-    lam = np.stack([_lambda_array(fades.values.T, d, params)
+    lam = np.stack([lambda_for(fades.values.T, d, params)
                     for d in directions], axis=1)  # (C, 2, L)
     inv_area = 1.0 / grid.p**2
     row_keys = tuple((int(c), l, d) for c in fades.channels

@@ -54,6 +54,23 @@ def test_path_loss_shape():
         path_loss(0.0, 11, p0=40.0, eta=2.3)
 
 
+def test_path_loss_and_tx_power_arrays_are_their_scalar_calls():
+    channels = np.arange(11, 27)
+    distances = np.geomspace(0.3, 20.0, 9)[:, np.newaxis]
+    power = normalized_tx_power(channels)
+    predicted = path_loss(distances, channels, p0=41.3, eta=2.17, d0=1.5)
+    assert predicted.shape == (9, 16)
+    for ci, c in enumerate(channels):
+        assert power[ci] == normalized_tx_power(int(c))
+        for li, d in enumerate(distances[:, 0]):
+            assert predicted[li, ci] == path_loss(float(d), int(c), p0=41.3,
+                                                  eta=2.17, d0=1.5)
+    with pytest.raises(ValueError, match=r"channel \[11 27\] outside"):
+        normalized_tx_power([11, 27])
+    with pytest.raises(ValueError, match="distance"):
+        path_loss(np.array([1.0, 0.0]), 11, p0=40.0, eta=2.0)
+
+
 def test_calibrate_recovers_exact_model():
     # Synthetic means built from a known model must be recovered exactly.
     layout = ring_layout()

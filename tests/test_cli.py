@@ -161,6 +161,18 @@ def test_benchmark_csv(workspace):
     assert lines[1].startswith("msrti,stationary-grid,1,")
 
 
+def test_benchmark_channels(workspace, monkeypatch):
+    tmp_path, _, layout_path, _, config = workspace
+    calls = []
+    monkeypatch.setattr("rtikit.cli.benchmark",
+                        lambda *a, **kw: calls.append(kw["channels"]) or [])
+    for extra in ([], ["--channels", "11,26"]):
+        assert main(["benchmark", "--layout", str(layout_path),
+                     "--config", str(config), *extra,
+                     "--out", str(tmp_path / "bench.csv")]) == 0
+    assert calls == [(11, 16, 21, 26), (11, 26)]
+
+
 def test_benchmark_rows_without_detection(workspace, monkeypatch, capsys):
     # A run with no detected frame has summary None: its CSV row carries
     # nan errors and the printed mean leaves it out, saying so.
@@ -301,6 +313,36 @@ def test_bad_scenario_fade_offset_reported(workspace, capsys):
                "--out-trace", str(tmp_path / "trace.txt")])
     assert rc == 2
     assert re.fullmatch(rf"error: {re.escape(str(scenario))}:5: channel 13 .*\n",
+                        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_scenario_position_is_an_error(workspace, capsys, bad):
+    # A NaN waypoint would simulate a frame with nobody in it and write a
+    # truth row of NaN for it.
+    tmp_path, _, layout_path, scenario, _ = workspace
+    scenario.write_text("calibration_frames 30\n"
+                        f"waypoint 30 1.0 1.0\nwaypoint 31 {bad} 2.0\n")
+    rc = main(["simulate", "--layout", str(layout_path),
+               "--scenario", str(scenario),
+               "--out-trace", str(tmp_path / "trace.txt"),
+               "--out-truth", str(tmp_path / "truth.txt")])
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(scenario))}:3: .*not finite\n",
+                        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_truth_position_is_an_error(workspace, capsys, bad):
+    # A NaN truth row would make the mean error NaN.
+    tmp_path, _, layout_path, _, config = workspace
+    trace_path, truth_path = _simulate(workspace)
+    truth_path.write_text(f"30 2.0 2.0\n31 2.0 {bad}\n")
+    rc = main(["track", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--truth", str(truth_path),
+               "--config", str(config), "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(truth_path))}:2: .*not finite\n",
                         capsys.readouterr().err)
 
 

@@ -347,9 +347,10 @@ def test_streaming_outage_beyond_hold_window_is_no_detection():
     config = PipelineConfig(calibration_frames=100)
     fades = calibrate(frames[:100], enumerate_links(layout))
     raw = run_pipeline("msrti", frames[100:], layout, config, fades=fades)
-    pipeline = VariantPipeline("msrti", fades, layout, raw.grid, config)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
+    pipeline = VariantPipeline("msrti", fades, layout, grid, config)
     for frame, row in zip(frames[100:], raw.rows):
-        est = localize(pipeline.image(frame), raw.grid, k=frame.k)
+        est = localize(pipeline.image(frame), grid, k=frame.k)
         assert est.k == frame.k
         if 113 <= frame.k <= 115:
             assert (est.voxel, est.peak) == (-1, 0.0)
@@ -369,11 +370,12 @@ def test_streaming_kalman_predicts_through_no_detection():
     config = PipelineConfig(calibration_frames=100, kalman=True, dt=0.5)
     smooth = run_pipeline("msrti", frames, layout, config)
     fades = calibrate(frames[:100], enumerate_links(layout))
-    pipeline = VariantPipeline("msrti", fades, layout, smooth.grid, config)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
+    pipeline = VariantPipeline("msrti", fades, layout, grid, config)
     r = config.kalman_r_scale * config.voxel_width**2
     track = None
     for frame, (k, x, y) in zip(frames[100:], smooth.rows):
-        est = localize(pipeline.image(frame), smooth.grid, k=frame.k)
+        est = localize(pipeline.image(frame), grid, k=frame.k)
         track = (init_track(est) if track is None else
                  kalman_step(track, est, dt=config.dt, q=config.kalman_q,
                              r=r))
@@ -489,8 +491,7 @@ def test_benchmark_rows_and_reuse():
     layout = perimeter_layout(10, 4.0, 4.0)
     config = PipelineConfig(calibration_frames=30)
     rows = benchmark(layout, [(1.5, 2.0), (2.5, 2.5)], seeds=(1, 2),
-                     config=config, frames_per_position=4,
-                     scenario_kwargs={"calibration_frames": 30})
+                     config=config, frames_per_position=4)
     assert [(r[0], r[2]) for r in rows] == [
         ("msrti", 1), ("cdrti", 1), ("msrti", 2), ("cdrti", 2)]
     assert all(r[1] == "stationary-grid" for r in rows)
@@ -509,26 +510,16 @@ def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):
     for variants, expected in ((("cdrti", "rti"), 0), (("msrti", "cdrti"), 1)):
         calls.clear()
         rows = benchmark(layout, [(2.0, 2.0)], seeds=(1, 2), config=config,
-                         variants=variants, frames_per_position=2,
-                         scenario_kwargs={"calibration_frames": 30})
+                         variants=variants, frames_per_position=2)
         assert len(rows) == 2 * len(variants)
         assert len(calls) == expected
-
-
-def test_benchmark_rejects_mismatched_calibration():
-    layout = perimeter_layout(8, 4.0, 4.0)
-    config = PipelineConfig(calibration_frames=30)
-    with pytest.raises(ValueError, match="calibration_frames"):
-        benchmark(layout, [(2.0, 2.0)], seeds=(1,), config=config,
-                  scenario_kwargs={"calibration_frames": 10})
 
 
 def test_benchmark_multiscale_beats_stacked_baseline():
     layout = perimeter_layout(12, 5.0, 5.0)
     config = PipelineConfig(calibration_frames=40)
     rows = benchmark(layout, [(1.5, 1.5), (2.5, 3.5), (3.5, 2.0)],
-                     seeds=(1, 2, 3), config=config, frames_per_position=5,
-                     scenario_kwargs={"calibration_frames": 40})
+                     seeds=(1, 2, 3), config=config, frames_per_position=5)
     means = {}
     for variant, _, seed, summary in rows:
         means.setdefault(variant, []).append(summary["mean"])

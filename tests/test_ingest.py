@@ -622,6 +622,7 @@ MALFORMED_LOADERS = {
     "scenario": lambda path: load_scenario(path, perimeter_layout(6, 5.0, 4.0)),
     "fade table": lambda path: load_fade_table(path, SMALL_TABLE),
     "image": load_image,
+    "ground truth": load_ground_truth,
 }
 
 
@@ -632,6 +633,11 @@ MALFORMED_LOADERS = {
     ("scenario", SCENARIO_HEAD + "sead 1\n", "bad.txt:3:"),
     ("scenario", SCENARIO_HEAD + "waypoint 100.2 1 1\nwaypoint 100.7 1 1\n",
      "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "waypoint 100 1 1\nwaypoint 101 nan 2\n",
+     "bad.txt:4:"),
+    ("scenario", SCENARIO_HEAD + "stationary 1 -inf 100 5\n", "bad.txt:3:"),
+    ("ground truth", "100 1.0 1.0\n101 nan 2.0\n", "bad.txt:2:"),
+    ("ground truth", "100 inf 1.0\n", "bad.txt:1:"),
     ("fade table", "p0 x37.7\n", "bad.txt:1:"),
     ("fade table", FADE_HEAD + "eta 2.5\nchannels 11\n", "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 1.0\n"

@@ -1,6 +1,9 @@
-"""Package surface: every module's __all__ names only what the module has."""
+"""Package surface: every module's __all__ names only what the module has,
+and no module reaches into another's private names."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -20,3 +23,13 @@ def test_all_names_only_existing_attributes(name):
     assert module.__all__, f"{name} exports nothing"
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_private_name_imported_from_another_module(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("rtikit"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"{name} imports private names {private}"

@@ -51,6 +51,13 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ScenarioSpec(layout=layout, calibration_frames=2,
                      trajectory=np.array([[5.0, 1.0, 1.0], [5.0, 1.0, 2.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioSpec(layout=layout, calibration_frames=2,
+                         trajectory=np.array([[5.0, 1.0, 1.0], [6.0, bad, 2.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioSpec(layout=layout, calibration_frames=2,
+                         trajectory=np.array([[5.0, 1.0, bad]]))
 
 
 def test_deterministic_given_seed():

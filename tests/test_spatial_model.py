@@ -72,6 +72,23 @@ def test_lambda_for_monotonicity_and_clamp():
         lambda_for(0.0, "x", params)
 
 
+def test_lambda_for_array_is_its_scalar_call_entry_by_entry():
+    # The weights and the simulator call lambda_for on (L, C) fade tables;
+    # each entry is bit for bit the scalar call, and NaN (an unobserved
+    # pair) gives NaN where a scalar NaN raises.
+    params = EllipseModelParams()
+    fades = np.linspace(-30.0, 30.0, 63).reshape(-1, 3)  # clamp included
+    fades[4, 1] = np.nan
+    for direction in (DIR_UP, DIR_DOWN):
+        widths = lambda_for(fades, direction, params)
+        assert widths.shape == fades.shape
+        for f, w in zip(fades.ravel(), widths.ravel()):
+            if np.isnan(f):
+                assert np.isnan(w)
+            else:
+                assert w == lambda_for(float(f), direction, params)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         EllipseModelParams(k_down=1.0)
