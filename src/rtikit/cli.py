@@ -61,7 +61,7 @@ def _load_config(path) -> PipelineConfig:
     try:
         return PipelineConfig.from_dict(load_key_value(path))
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"config error: {exc}")
+        raise SystemExit(f"config error: {path}: {exc}")
 
 
 def _channel_columns(have, channels, what) -> list:

@@ -2,8 +2,8 @@
 
 Plain 2-D Euclidean primitives shared by every weight model: the sensor
 deployment, the undirected link table with cached link lengths, the
-row-major square-voxel grid, and the excess-path-length / ellipse
-membership predicates that decide which voxels a link can see.
+row-major square-voxel grid, and the excess path length of every link at
+every point, which decides which voxels a link's ellipse holds.
 
 All types are immutable after construction and safe to share across
 workers.
@@ -19,9 +19,7 @@ __all__ = [
     "LinkTable",
     "VoxelGrid",
     "enumerate_links",
-    "excess_path_length",
     "excess_path_field",
-    "ellipse_membership",
 ]
 
 
@@ -157,31 +155,6 @@ def excess_path_field(table: LinkTable, layout: NodeLayout,
     dist = cdist(layout.xy, points)
     return np.maximum(dist[table.tx_idx] + dist[table.rx_idx]
                       - table.lengths[:, None], 0.0)
-
-
-def excess_path_length(link: int, point, table: LinkTable,
-                       layout: NodeLayout) -> float:
-    """Excess path length of one link at one point (meters, >= 0)."""
-    if not 0 <= link < table.n_links:
-        raise IndexError(f"link index {link} out of range")
-    point = np.asarray(point, dtype=float)
-    d_tx = float(np.linalg.norm(point - layout.xy[table.tx_idx[link]]))
-    d_rx = float(np.linalg.norm(point - layout.xy[table.rx_idx[link]]))
-    return max(d_tx + d_rx - float(table.lengths[link]), 0.0)
-
-
-def ellipse_membership(link: int, lam: float, grid: "VoxelGrid",
-                       table: LinkTable, layout: NodeLayout) -> np.ndarray:
-    """Indices of voxels whose centers fall strictly inside a link's ellipse.
-
-    A voxel center z belongs iff d_tx(z) + d_rx(z) < d + lam, i.e. excess
-    path length strictly below lam; centers exactly on the boundary are
-    excluded.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    field = excess_path_field(table, layout, grid.centers())[link]
-    return np.nonzero(field < lam)[0]
 
 
 @dataclass(frozen=True)

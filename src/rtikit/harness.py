@@ -130,9 +130,11 @@ class PipelineConfig:
     def from_dict(cls, kv: dict) -> "PipelineConfig":
         """Build from flat key-value pairs (see load_key_value).
 
-        Unknown keys raise; parameter-set keys map onto their dataclasses
-        (k_lambda_minus, beta_minus, sigma_x, ...). `kalman` is not a key:
-        the caller decides whether to smooth (`rtikit track --no-kalman`).
+        Unknown keys raise, and so does a value its key's type cannot
+        read, naming the key and the value; parameter-set keys map onto
+        their dataclasses (k_lambda_minus, beta_minus, sigma_x, ...).
+        `kalman` is not a key: the caller decides whether to smooth
+        (`rtikit track --no-kalman`).
         """
         ellipse_keys = {
             "k_lambda_minus": "k_down", "b_lambda_minus": "b_down",
@@ -155,19 +157,25 @@ class PipelineConfig:
                 raise ValueError(f"config key {key!r} needs exactly one value")
             value = values[0][0]
             if key in ellipse_keys:
-                ellipse[ellipse_keys[key]] = float(value)
+                group, name, cast = ellipse, ellipse_keys[key], float
             elif key in measurement_keys:
-                measurement[measurement_keys[key]] = float(value)
+                group, name, cast = measurement, measurement_keys[key], float
             elif key == "hold_frames":
-                measurement["hold_frames"] = int(value)
+                group, name, cast = measurement, key, int
             elif key in recon_keys:
-                recon[recon_keys[key]] = float(value)
+                group, name, cast = recon, recon_keys[key], float
             elif key in top_float:
-                top[key] = float(value)
+                group, name, cast = top, key, float
             elif key in top_int:
-                top[key] = int(value)
+                group, name, cast = top, key, int
             else:
                 raise ValueError(f"unknown config key {key!r}")
+            try:
+                group[name] = cast(value)
+            except ValueError:
+                kind = "an integer" if cast is int else "a number"
+                raise ValueError(
+                    f"config key {key!r}: {value!r} is not {kind}") from None
         return cls(
             ellipse=EllipseModelParams(**ellipse),
             measurement=MeasurementModelParams(**measurement),

@@ -1,7 +1,8 @@
 """File I/O: traces, layouts, ground truth, fade tables, images, configs.
 
 Every on-disk format of the toolkit is implemented here, with load/save
-round-trip fidelity. All formats are line-oriented text read by `_read`:
+round-trip fidelity. All formats but the flat config file, which
+`load_key_value` reads, are line-oriented text read by `_read`:
 `#` comments, keyed lines (`p0 40.1`) and bare rows (`3 1.5 2.0`), typed
 fields with `NA` for a missing number, unknown or repeated keys rejected
 (only `pair`, `waypoint` and `fade_offset` repeat), and `path:lineno:` on
@@ -541,7 +542,7 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
         "waypoint": ("waypoint k x y", (int, _finite, _finite), "*"),
         "stationary": ("stationary x y start_k n_frames", (_finite, _finite, int, int), "?"),
         "fade_offset": ("fade_offset tx rx channel value",
-                        (_node_id, _node_id, int, float), "*"),
+                        (_node_id, _node_id, int, _finite), "*"),
     }
     kwargs = {"layout": layout}
     waypoints, offsets = [], []

@@ -55,7 +55,6 @@ __all__ = [
     "ReconstructionParams",
     "ReconstructionOperator",
     "PrecisionTerm",
-    "prior_covariance",
     "prior_precision_term",
     "build_operator",
     "reconstruct",
@@ -102,15 +101,6 @@ def _covariance(distances: np.ndarray,
     np.exp(distances, out=distances)
     distances *= params.sigma_x**2
     return distances
-
-
-def prior_covariance(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
-    """Exponential spatial prior: [C_x]_ji = σ_x² exp(−d_ji / δ_c).
-
-    Symmetric positive definite for any voxel layout, diagonal σ_x².
-    """
-    centers = grid.centers()
-    return _covariance(cdist(centers, centers), params)
 
 
 def _quarter_axis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +354,7 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     _PUSH_THROUGH_MAX_COND.
     """
     n, rows = grid.n_voxels, weights.n_rows
-    w = (weights.bands @ weights.band_sums).T.tocsr()
+    w = weights.matrix
     centers = grid.centers()
     pi = np.empty((n, rows), order="F")
     for start in range(0, n, _BLOCK):
@@ -482,7 +472,7 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         raise _not_spd(n, weights.n_rows, info)
     if tall:
         return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
-    w_t = (weights.bands @ weights.band_sums).toarray(order="F")
+    w_t = weights.matrix.T.toarray(order="F")
     pi = linalg.cho_solve((factor, True), w_t, overwrite_b=True,
                           check_finite=False)
     return ReconstructionOperator(stored=pi, weights=weights, grid=grid)

@@ -80,8 +80,8 @@ class ScenarioSpec:
         calibration_frames: person-absent frames at the start (k = 0...).
         trajectory: (T, 3) finite rows (k, x, y); times strictly increasing
             and after the calibration segment. Empty for a person-free trace.
-        fade_offsets: explicit (L, C) per-link/channel dB offsets, or None
-            to draw them Gaussian(0, fade_sigma) from the seed.
+        fade_offsets: explicit finite (L, C) per-link/channel dB offsets,
+            or None to draw them Gaussian(0, fade_sigma) from the seed.
         fade_sigma: std of generated fade offsets, dB.
         noise_sigma: sensor noise std, dB.
         quantize: round final RSS to whole dB steps.
@@ -129,6 +129,9 @@ class ScenarioSpec:
             raise ValueError("d0 must be > 0")
         if not np.isfinite(self.eta) or not np.isfinite(self.p0):
             raise ValueError("eta and p0 must be finite")
+        if (self.fade_offsets is not None
+                and not np.isfinite(self.fade_offsets).all()):
+            raise ValueError("fade_offsets must be finite")
         object.__setattr__(self, "channels", tuple(int(c) for c in channels))
         object.__setattr__(self, "trajectory", traj.reshape(-1, 3))
 

@@ -110,20 +110,15 @@ class WeightMatrix:
     Attributes:
         bands: U, CSR (N, B).
         band_sums: S, CSR (B, rows).
-        row_keys: tuple keying each row — link index for the classic
-            matrix, (channel, link, direction) for the multi-scale one.
     """
 
     bands: sparse.csr_matrix
     band_sums: sparse.csr_matrix
-    row_keys: tuple
 
     def __post_init__(self):
         if self.bands.shape[1] != self.band_sums.shape[0]:
             raise ValueError(f"factor shapes {self.bands.shape} and "
                              f"{self.band_sums.shape} do not compose")
-        if len(self.row_keys) != self.n_rows:
-            raise ValueError("row_keys length must match the row count")
         for factor in (self.bands, self.band_sums):
             if factor.nnz and factor.data.min() < 0:
                 raise ValueError("weights must be >= 0")
@@ -147,8 +142,7 @@ class WeightMatrix:
         return self.bands @ (self.band_sums @ y)
 
 
-def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
-                  row_keys: tuple) -> WeightMatrix:
+def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
     """Ellipse weights over the links of `excess`, each link repeated R
     times, as the band factors of Wᵀ.
 
@@ -158,7 +152,6 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
             width gives an empty row.
         value: maps the (R·L,) member counts to the (R·L,) weight each row
             puts on its members.
-        row_keys: the key of each row.
 
     Returns:
         WeightMatrix whose factors come from one (R, L, N) membership mask,
@@ -193,7 +186,7 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value,
     band_sums = sparse.csr_matrix(
         (values[row], row, _indptr(np.bincount(band, minlength=n_rows))),
         shape=(n_rows, n_rows))
-    return WeightMatrix(bands=bands, band_sums=band_sums, row_keys=row_keys)
+    return WeightMatrix(bands=bands, band_sums=band_sums)
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:
@@ -216,8 +209,7 @@ def build_classic_weights(table: LinkTable, layout: NodeLayout,
         raise ValueError("lambda must be >= 0")
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
     return _ellipse_rows(excess, np.full(table.n_links, lam),
-                         lambda counts: 1.0 / np.sqrt(table.lengths),
-                         tuple(range(table.n_links)))
+                         lambda counts: 1.0 / np.sqrt(table.lengths))
 
 
 def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
@@ -240,12 +232,8 @@ def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
             f"fade table covers {fades.n_links} links, table has {table.n_links}"
         )
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
-    directions = (DIR_UP, DIR_DOWN)
     lam = np.stack([lambda_for(fades.values.T, d, params)
-                    for d in directions], axis=1)  # (C, 2, L)
+                    for d in (DIR_UP, DIR_DOWN)], axis=1)  # (C, 2, L)
     inv_area = 1.0 / grid.p**2
-    row_keys = tuple((int(c), l, d) for c in fades.channels
-                     for d in directions for l in range(table.n_links))
     return _ellipse_rows(excess, lam,
-                         lambda counts: inv_area / np.maximum(counts, 1),
-                         row_keys)
+                         lambda counts: inv_area / np.maximum(counts, 1))

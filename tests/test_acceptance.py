@@ -16,7 +16,7 @@ from rtikit.calibration import (
     channel_frequency,
     normalized_tx_power,
 )
-from rtikit.geometry import VoxelGrid, ellipse_membership, enumerate_links
+from rtikit.geometry import VoxelGrid, enumerate_links
 from rtikit.harness import PipelineConfig, benchmark, crosscheck_models
 from rtikit.ingest import (
     load_fade_table,
@@ -35,20 +35,20 @@ from rtikit.ingest import (
     save_track_csv,
 )
 from rtikit.measurement_model import MeasurementModelParams, inside_probability
-from rtikit.reconstruction import (
-    ReconstructionParams,
-    build_operator,
-    prior_covariance,
-    reconstruct,
-)
+from rtikit.reconstruction import ReconstructionParams, build_operator, reconstruct
 from rtikit.simulator import (
     ScenarioSpec,
     generate_trace,
     perimeter_layout,
     stationary_trajectory,
 )
-from rtikit.spatial_model import build_multiscale_weights
+from rtikit.spatial_model import (
+    EllipseModelParams,
+    build_classic_weights,
+    build_multiscale_weights,
+)
 from rtikit.tracking import PositionEstimate, init_track, kalman_step, localize
+import reference_pipeline
 
 
 def _synthetic_fades(table, channels=(11, 16, 21, 26), sigma=5.0, seed=0):
@@ -90,10 +90,10 @@ def test_criterion_3_reconstruction_oracle():
     params = ReconstructionParams()
     op = build_operator(weights, grid, params)
 
-    # independent dense route: explicit inverses, no Cholesky
-    a = weights.matrix.toarray()
-    c_x = prior_covariance(grid, params)
-    pi_ref = np.linalg.inv(a.T @ a + np.linalg.inv(c_x) * params.sigma_n**2) @ a.T
+    # independent dense route: the reference pipeline's W, C_x and solve
+    a = reference_pipeline.multiscale_weights(layout, grid, fades,
+                                              EllipseModelParams())
+    pi_ref = reference_pipeline.pi(a, grid, params)
     max_err = np.max(np.abs(op.pi - pi_ref))
     assert max_err <= 1e-8, max_err
 
@@ -189,13 +189,13 @@ def test_criterion_7_property_suites(tmp_path):
     table = enumerate_links(layout)
     grid = VoxelGrid.from_layout(layout, 0.25)
 
-    # ellipse membership grows monotonically with the width parameter
+    # a fixed-width weight row's voxels grow monotonically with the width
     for _ in range(20):
         link = int(rng.integers(table.n_links))
         lam1, lam2 = sorted(rng.uniform(0.0, 2.0, size=2))
-        inner = ellipse_membership(link, lam1, grid, table, layout)
-        outer = ellipse_membership(link, lam2, grid, table, layout)
-        assert set(inner) <= set(outer)
+        inner = build_classic_weights(table, layout, grid, lam1).matrix[link]
+        outer = build_classic_weights(table, layout, grid, lam2).matrix[link]
+        assert set(inner.indices) <= set(outer.indices)
 
     # multi-scale rows carry the constant weight 1/(n p^2) on their support
     fades = _synthetic_fades(table, seed=5)

@@ -255,6 +255,18 @@ def test_bad_config_value_reported(workspace, line):
 
 
 @pytest.mark.parametrize("line, message", [
+    ("voxel_width abc", "config key 'voxel_width': 'abc' is not a number"),
+    ("hold_frames 1.5", "config key 'hold_frames': '1.5' is not an integer"),
+])
+def test_unreadable_config_value_names_file_and_key(tmp_path, line, message):
+    bad = tmp_path / "c.txt"
+    bad.write_text(f"{line}\n")
+    with pytest.raises(SystemExit) as raised:
+        main(["crosscheck", "--config", str(bad)])
+    assert str(raised.value) == f"config error: {bad}: {message}"
+
+
+@pytest.mark.parametrize("line, message", [
     ("99999999999999999999 1 2 15 -60.0",
      "time index 99999999999999999999 outside the 64-bit range"),
     ("0 1 2 27 -60.0", r"channel 27 outside \[11, 26\]"),
@@ -313,6 +325,20 @@ def test_bad_scenario_fade_offset_reported(workspace, capsys):
                "--out-trace", str(tmp_path / "trace.txt")])
     assert rc == 2
     assert re.fullmatch(rf"error: {re.escape(str(scenario))}:5: channel 13 .*\n",
+                        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_scenario_fade_offset_is_an_error(workspace, capsys, bad):
+    # A NaN offset made the pair's baseline NaN, and the trace wrote it as
+    # NA in every frame.
+    tmp_path, _, layout_path, scenario, _ = workspace
+    scenario.write_text(scenario.read_text() + f"fade_offset 1 2 11 {bad}\n")
+    rc = main(["simulate", "--layout", str(layout_path),
+               "--scenario", str(scenario),
+               "--out-trace", str(tmp_path / "trace.txt")])
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(scenario))}:5: .*not finite\n",
                         capsys.readouterr().err)
 
 

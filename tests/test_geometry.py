@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from rtikit.geometry import (
     NodeLayout,
     VoxelGrid,
-    ellipse_membership,
     enumerate_links,
     excess_path_field,
-    excess_path_length,
 )
+from rtikit.spatial_model import build_classic_weights
+import reference_pipeline
 
 
 def square_layout(side=4.0):
@@ -126,42 +126,17 @@ def test_excess_path_known_value():
     layout = NodeLayout(ids=ids, xy=xy)
     table = enumerate_links(layout)
     l = table.link_index(1, 2)
-    val = excess_path_length(l, (2.0, 1.0), table, layout)
-    assert val == pytest.approx(2 * np.sqrt(5) - 4, abs=1e-12)
+    field = excess_path_field(table, layout, [[2.0, 1.0], [2.0, 0.0],
+                                              [0.0, 0.0], [4.0, 0.0]])[l]
+    assert field[0] == pytest.approx(2 * np.sqrt(5) - 4, abs=1e-12)
     # Zero on the segment, including endpoints.
-    assert excess_path_length(l, (2.0, 0.0), table, layout) == 0.0
-    assert excess_path_length(l, (0.0, 0.0), table, layout) == 0.0
-    assert excess_path_length(l, (4.0, 0.0), table, layout) == 0.0
-
-
-def test_excess_path_field_matches_scalar():
-    rng = np.random.default_rng(7)
-    layout = square_layout(5.0)
-    table = enumerate_links(layout)
-    pts = rng.uniform(-1, 6, size=(40, 2))
-    field = excess_path_field(table, layout, pts)
-    assert field.shape == (table.n_links, 40)
-    for l in range(table.n_links):
-        for m in range(40):
-            assert field[l, m] == pytest.approx(
-                excess_path_length(l, pts[m], table, layout), abs=1e-12
-            )
-    assert np.all(field >= 0)
-
-
-def _broadcast_excess_path_field(table, layout, points):
-    """Reference: each link's two focal distances by broadcasting."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d_tx = np.linalg.norm(points[None, :, :] - layout.xy[table.tx_idx][:, None, :], axis=2)
-    d_rx = np.linalg.norm(points[None, :, :] - layout.xy[table.rx_idx][:, None, :], axis=2)
-    return np.maximum(d_tx + d_rx - table.lengths[:, None], 0.0)
+    assert np.array_equal(field[1:], np.zeros(3))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(3, 12),
        n_points=st.integers(1, 50), scale=st.sampled_from([1e-3, 1.0, 40.0]))
-def test_excess_path_field_equals_broadcast_formula(seed, n_nodes, n_points,
-                                                    scale):
+def test_excess_path_field_matches_reference(seed, n_nodes, n_points, scale):
     rng = np.random.default_rng(seed)
     layout = NodeLayout(ids=rng.permutation(100)[:n_nodes] + 1,
                         xy=scale * rng.uniform(-1, 1, size=(n_nodes, 2)))
@@ -172,42 +147,45 @@ def test_excess_path_field_equals_broadcast_formula(seed, n_nodes, n_points,
                      (layout.xy[table.tx_idx] + layout.xy[table.rx_idx]) / 2])
     got = excess_path_field(table, layout, pts)
     assert got.shape == (table.n_links, len(pts))
-    assert np.array_equal(got, _broadcast_excess_path_field(table, layout, pts))
+    assert np.all(got >= 0)
+    want = reference_pipeline.excess(layout, pts)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale)
     # the single nested-list point the simulator passes
     point = [[float(pts[0, 0]), float(pts[0, 1])]]
     single = excess_path_field(table, layout, point)
     assert single.shape == (table.n_links, 1)
-    assert np.array_equal(single,
-                          _broadcast_excess_path_field(table, layout, point))
+    assert np.array_equal(single, got[:, :1])
+
+
+def _support(table, layout, grid, lam):
+    """The voxels of each link's fixed-width ellipse of width lam, from the
+    rows of build_classic_weights."""
+    w = build_classic_weights(table, layout, grid, lam).matrix
+    return [set(w.indices[w.indptr[l]:w.indptr[l + 1]].tolist())
+            for l in range(table.n_links)]
 
 
 def test_membership_strict_inequality_and_oracle():
     layout = square_layout(4.0)
     table = enumerate_links(layout)
     grid = VoxelGrid(origin=(-1.0, -1.0), p=0.5, nx=12, ny=12)
+    field = reference_pipeline.excess(layout, reference_pipeline.centres(grid))
     rng = np.random.default_rng(3)
-    for l in range(table.n_links):
-        for lam in (0.0, 0.1, 0.5, 1.0, rng.uniform(0.0, 2.0)):
-            got = set(ellipse_membership(l, lam, grid, table, layout).tolist())
-            # brute-force oracle straight from the definition
-            want = {
-                j for j in range(grid.n_voxels)
-                if excess_path_length(l, grid.center_of(j), table, layout) < lam
-            }
-            assert got == want
+    for lam in (0.0, 0.1, 0.5, 1.0, *rng.uniform(0.0, 2.0, size=4)):
+        for l, got in enumerate(_support(table, layout, grid, lam)):
+            assert got == set(np.flatnonzero(field[l] < lam).tolist())
 
 
 def test_membership_lambda_zero_empty_and_monotone():
     layout = square_layout(4.0)
     table = enumerate_links(layout)
     grid = VoxelGrid(origin=(-1.0, -1.0), p=0.5, nx=12, ny=12)
-    for l in range(table.n_links):
-        assert ellipse_membership(l, 0.0, grid, table, layout).size == 0
-        prev: set = set()
-        for lam in (0.05, 0.2, 0.6, 1.5):
-            cur = set(ellipse_membership(l, lam, grid, table, layout).tolist())
-            assert prev <= cur
-            prev = cur
+    assert not any(_support(table, layout, grid, 0.0))
+    prev = _support(table, layout, grid, 0.05)
+    for lam in (0.2, 0.6, 1.5):
+        cur = _support(table, layout, grid, lam)
+        assert all(a <= b for a, b in zip(prev, cur))
+        prev = cur
 
 
 def test_membership_boundary_center_excluded():
@@ -219,8 +197,8 @@ def test_membership_boundary_center_excluded():
     l = table.link_index(1, 2)
     grid = VoxelGrid(origin=(1.5, 0.5), p=1.0, nx=1, ny=1)  # center (2.0, 1.0)
     lam = 2 * np.sqrt(5) - 4
-    assert ellipse_membership(l, lam, grid, table, layout).size == 0
-    assert ellipse_membership(l, lam + 1e-9, grid, table, layout).size == 1
+    assert _support(table, layout, grid, lam)[l] == set()
+    assert _support(table, layout, grid, lam + 1e-9)[l] == {0}
 
 
 def test_grid_round_trip_and_centers():

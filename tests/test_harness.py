@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy import sparse
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import blas
 
 from rtikit import harness
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
-from rtikit.geometry import VoxelGrid, enumerate_links
+from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.harness import (
     VARIANTS,
     PipelineConfig,
@@ -15,8 +15,7 @@ from rtikit.harness import (
     crosscheck_models,
     run_pipeline,
 )
-from rtikit.measurement_model import HoldBuffer, rss_change
-from rtikit.reconstruction import build_operator, reconstruct
+from rtikit.measurement_model import MeasurementModelParams
 from rtikit.tracking import PositionEstimate, init_track, kalman_step, localize
 from rtikit.simulator import (
     ScenarioSpec,
@@ -24,15 +23,9 @@ from rtikit.simulator import (
     perimeter_layout,
     stationary_trajectory,
 )
-from rtikit.spatial_model import (
-    EllipseModelParams,
-    WeightMatrix,
-)
-from weight_reference import (
-    assert_same_csr,
-    classic_reference,
-    multiscale_reference,
-)
+from rtikit.spatial_model import DIR_DOWN, DIR_UP, EllipseModelParams
+import reference_pipeline
+from reference_pipeline import assert_same_weights, row
 
 
 def _small_trace(seed=3, calibration_frames=40, n_nodes=10, side=4.0):
@@ -112,8 +105,8 @@ def test_measurement_length_matches_operator_rows():
 
 def test_cdrti_matches_stacked_reference():
     # cdrti treats each (link, channel) pair as its own link; the reference
-    # stacks C copies of the fixed-width weights, channel-major, and feeds
-    # them the per-channel losses in the same order
+    # pipeline stacks C copies of the fixed-width weights, channel-major,
+    # and feeds them the per-channel losses in the same order
     layout, trace = _small_trace()
     table = enumerate_links(layout)
     config = PipelineConfig(calibration_frames=trace.calibration_frames)
@@ -129,20 +122,8 @@ def test_cdrti_matches_stacked_reference():
         rss = np.where(rng.random(f.rss.shape) < 0.2, np.nan, f.rss)
         frames.append(RssFrame(k=f.k, rss=rss, channels=f.channels))
 
-    classic = classic_reference(table, layout, grid, config.classic_lambda)
-    n_channels = fades.channels.size
-    stacked = sparse.vstack([classic] * n_channels, format="csr")
-    reference_op = build_operator(
-        WeightMatrix(bands=stacked.T.tocsr(),
-                     band_sums=sparse.identity(stacked.shape[0], format="csr"),
-                     row_keys=tuple(range(stacked.shape[0]))),
-        grid, config.reconstruction)
-    hold = HoldBuffer(table.n_links, n_channels,
-                      config.measurement.hold_frames)
-    y = np.column_stack([
-        -np.nan_to_num(rss_change(f, fades, hold), nan=0.0).T.reshape(-1)
-        for f in frames])
-    reference = reconstruct(reference_op, y).T
+    reference = reference_pipeline.images("cdrti", frames, layout, grid,
+                                          fades, config)
 
     pipe = VariantPipeline("cdrti", fades, layout, grid, config)
     assert pipe.operator.pi.shape == (grid.n_voxels, table.n_links)
@@ -152,8 +133,9 @@ def test_cdrti_matches_stacked_reference():
     np.testing.assert_allclose(images, reference, rtol=0, atol=1e-9 * scale)
     # the weights are √C·W, and their band factors back-project like it
     weights = pipe.operator.weights
-    scaled = classic * np.sqrt(n_channels)
-    assert_same_csr(weights.matrix, scaled)
+    scaled = reference_pipeline.classic_weights(
+        layout, grid, config.classic_lambda) * np.sqrt(fades.channels.size)
+    assert_same_weights(weights, scaled)
     z = rng.standard_normal((table.n_links, 3))
     back = scaled.T @ z
     np.testing.assert_allclose(weights.back_project(z), back, rtol=0,
@@ -172,15 +154,13 @@ def test_rti_channel_selection():
                             rti_channel=chan)
     pipe = VariantPipeline("rti", fades, layout, grid, config)
     frame = trace.frames[-1]
-    # a first frame has no history to hold, so no hold window is the same
-    delta = rss_change(frame, fades, HoldBuffer(table.n_links, fades.channels.size, 0))
-    np.testing.assert_allclose(pipe.measurement(frame),
-                               -np.nan_to_num(delta[:, 2]))
     default = VariantPipeline(
         "rti", fades, layout, grid,
         PipelineConfig(calibration_frames=trace.calibration_frames))
-    np.testing.assert_allclose(default.measurement(frame),
-                               -np.nan_to_num(delta[:, 0]))
+    for got in (pipe, default):
+        want = reference_pipeline.measurements("rti", [frame], fades,
+                                               got.config)
+        np.testing.assert_array_equal(got.measurement(frame), want[0])
 
 
 def test_rti_channel_outside_calibrated_set_is_rejected(monkeypatch):
@@ -262,6 +242,83 @@ def test_images_match_per_frame_images_with_missing_samples():
             images, np.array([single.image(f) for f in frames]),
             rtol=0, atol=1e-12, err_msg=variant)
     assert batch.images([]).shape == (0, grid.n_voxels)
+
+
+# Largest difference allowed between a pipeline's images and the reference
+# pipeline's, relative to the largest reference value. Both compute
+# Π = (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ by backward-stable dense factorizations, so
+# each is within about cond·eps of it: cond(C_x) stays below about 1e5 on
+# these grids (2e-11), and the push-through form is used only below an
+# estimated condition of 1e4. A modelling fault (a row, a channel, a sign
+# or a held sample out of place) moves an image by a share of its peak.
+IMAGE_BOUND = 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(4, 10),
+       nx=st.integers(3, 14), ny=st.integers(3, 14),
+       n_channels=st.integers(1, 4), variant=st.sampled_from(VARIANTS),
+       hold_frames=st.integers(0, 3), nan_rate=st.sampled_from([0.0, 0.2]))
+# a tall msrti W (120 rows over N = 49) and a short one (24 over 196)
+@example(seed=1, n_nodes=6, nx=7, ny=7, n_channels=4, variant="msrti",
+         hold_frames=2, nan_rate=0.2)
+@example(seed=2, n_nodes=4, nx=14, ny=14, n_channels=2, variant="msrti",
+         hold_frames=1, nan_rate=0.2)
+def test_images_and_positions_match_reference_pipeline(
+        seed, n_nodes, nx, ny, n_channels, variant, hold_frames, nan_rate):
+    """Random deployments, not only perimeters, on odd, even and
+    non-square grids, with uncalibrated pairs, missing samples, an outage
+    longer than the hold window, RSS changes of exactly 0 and gaps in k:
+    `VariantPipeline.images` equals the reference pipeline's images within
+    IMAGE_BOUND, and `localize` picks the reference's voxel wherever the
+    top two reference values are further apart than the two images may
+    differ."""
+    rng = np.random.default_rng(seed)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=rng.uniform(0.2, 0.6), nx=nx, ny=ny)
+    extent = grid.p * np.array([nx, ny])
+    layout = NodeLayout(ids=rng.permutation(100)[:n_nodes] + 1,
+                        xy=rng.uniform(0.0, 1.0, size=(n_nodes, 2)) * extent)
+    n_links = n_nodes * (n_nodes - 1) // 2
+    shape = (n_links, n_channels)
+    channels = np.sort(rng.choice(np.arange(11, 27), n_channels,
+                                  replace=False))
+    uncalibrated = rng.random(shape) < nan_rate
+    fades = FadeLevelTable(
+        values=np.where(uncalibrated, np.nan, rng.uniform(-15, 15, shape)),
+        mean_rss=np.where(uncalibrated, np.nan, rng.uniform(-80, -40, shape)),
+        channels=channels,
+        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=1, rmse=0.0))
+    n_frames = int(rng.integers(1, 13))
+    ks = 100 + np.cumsum(rng.integers(1, 4, size=n_frames))
+    change = rng.normal(0.0, 6.0, size=(n_frames, *shape))
+    change[rng.random(change.shape) < 0.2] = 0.0
+    change[rng.random(change.shape) < nan_rate] = np.nan
+    outage = rng.random(shape) < 0.3
+    start = int(rng.integers(n_frames))
+    change[start:start + hold_frames + 2, outage] = np.nan
+    frames = [RssFrame(k=k, rss=fades.mean_rss + dr, channels=channels)
+              for k, dr in zip(ks, change)]
+    config = PipelineConfig(
+        classic_lambda=float(rng.choice([0.02, 0.3, 1.0])),
+        rti_channel=None if rng.random() < 0.5 else int(rng.choice(channels)),
+        flrti_m=int(rng.integers(1, 4)),
+        measurement=MeasurementModelParams(hold_frames=hold_frames))
+
+    images = VariantPipeline(variant, fades, layout, grid, config).images(frames)
+    want = reference_pipeline.images(variant, frames, layout, grid, fades,
+                                     config)
+    bound = IMAGE_BOUND * np.abs(want).max()
+    np.testing.assert_allclose(images, want, rtol=0, atol=bound)
+    centres = reference_pipeline.centres(grid)
+    for frame, image, reference in zip(frames, images, want):
+        est = localize(image, grid, k=frame.k)
+        assert est.k == frame.k
+        voxel = reference_pipeline.argmax(reference)
+        second, first = np.sort(reference)[-2:]
+        if voxel < 0:
+            assert not est.detected
+        elif first - second > 2 * bound:
+            assert (est.voxel, est.xy) == (voxel, tuple(centres[voxel]))
 
 
 def test_kalman_step_spans_dropped_frames():
@@ -427,9 +484,9 @@ def test_tall_images_match_per_frame_and_csr_back_projection(workload):
     per_frame = np.array([single.image(f) for f in frames])
     measure = fresh()
     y = np.array([measure.measurement(f) for f in frames]).T
-    reference = multiscale_reference(enumerate_links(layout), layout, grid,
-                                     fades, config.ellipse)
-    assert_same_csr(op.weights.matrix, reference)
+    reference = reference_pipeline.multiscale_weights(layout, grid, fades,
+                                                      config.ellipse)
+    assert_same_weights(op.weights, reference)
     csr = blas.dsymm(1.0, op.stored, reference.T @ y, lower=1).T
     scale = np.abs(csr).max()
     for got in (images, per_frame):
@@ -464,25 +521,19 @@ def test_never_observed_pairs_get_zero_rows():
     weights = pipeline.operator.weights
     n_links, n_channels = fades.values.shape
     assert weights.n_rows == 2 * n_channels * n_links
-    dead = {(int(fades.channels[c]), l) for l, c in lost}
-    keep = [i for i, (c, l, _) in enumerate(weights.row_keys)
-            if (c, l) not in dead]
-    assert len(keep) == weights.n_rows - 2 * len(lost)
-    w = multiscale_reference(table, layout, grid, fades, config.ellipse)
-    assert_same_csr(weights.matrix, w)
-    nnz = np.diff(w.indptr)
-    assert all(nnz[i] == 0 for i in set(range(weights.n_rows)) - set(keep))
+    dead = {row(c, d, l, n_links) for l, c in lost for d in (DIR_UP, DIR_DOWN)}
+    keep = sorted(set(range(weights.n_rows)) - dead)
+    w = reference_pipeline.multiscale_weights(layout, grid, fades,
+                                              config.ellipse)
+    assert_same_weights(weights, w)
+    assert not w[sorted(dead)].any()
 
-    reference = build_operator(
-        WeightMatrix(bands=w[keep].T.tocsr(),
-                     band_sums=sparse.identity(len(keep), format="csr"),
-                     row_keys=tuple(weights.row_keys[i] for i in keep)),
-        grid, config.reconstruction)
+    pi = reference_pipeline.pi(w[keep], grid, config.reconstruction)
     replay = VariantPipeline("msrti", fades, layout, grid, config,
                              operator=pipeline.operator)
     y = np.column_stack([replay.measurement(f) for f in person])
     images = pipeline.images(person)
-    expected = reconstruct(reference, y[keep]).T
+    expected = (pi @ y[keep]).T
     np.testing.assert_allclose(images, expected, rtol=0,
                                atol=1e-12 * np.abs(expected).max())
 

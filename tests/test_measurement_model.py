@@ -5,6 +5,7 @@ import pytest
 
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
+from rtikit.harness import PipelineConfig
 from rtikit.measurement_model import (
     HoldBuffer,
     MeasurementAssembler,
@@ -14,6 +15,8 @@ from rtikit.measurement_model import (
     rss_change,
 )
 from rtikit.spatial_model import DIR_DOWN, DIR_UP, build_multiscale_weights
+import reference_pipeline
+from reference_pipeline import row
 
 
 def small_net():
@@ -189,10 +192,8 @@ def test_assemble_single_change_placement():
     assert y.shape == (weights.n_rows,)
     nz = np.nonzero(y)[0]
     assert nz.size == 1
-    assert weights.row_keys[nz[0]] == (11, 2, DIR_DOWN)
+    assert nz[0] == row(0, DIR_DOWN, 2, table.n_links)
     assert y[nz[0]] == pytest.approx(0.69, abs=5e-3)
-    # plus slot for the same pair stays zero
-    assert y[weights.row_keys.index((11, 2, DIR_UP))] == 0.0
 
 
 def test_assemble_zero_frame_and_length():
@@ -207,33 +208,28 @@ def test_assemble_zero_frame_and_length():
     assert np.all(y == 0.0)
 
 
-def test_assemble_matches_scalar_model_everywhere():
-    # Vectorized assembly must agree bit for bit with the scalar
-    # inside_probability on every row, for random frames including gains
-    # and losses: both go through one kernel.
+def test_assemble_matches_reference_everywhere():
+    # Vectorized assembly must agree bit for bit with the reference
+    # pipeline's per-sample loop on every row, for random frames including
+    # gains and losses.
     rng = np.random.default_rng(23)
-    layout, table = small_net()
-    grid = VoxelGrid.from_layout(layout, p=0.3)
+    _, table = small_net()
     channels = [11, 12]
     vals = rng.uniform(-9, 9, size=(table.n_links, 2))
     fades = fade_table(table, channels, vals)
-    weights = build_multiscale_weights(table, layout, grid, fades)
-    params = MeasurementModelParams()
-    asm = MeasurementAssembler(fades, params)
+    config = PipelineConfig()
+    asm = MeasurementAssembler(fades, config.measurement)
     for k in range(4):
         rss = fades.mean_rss + rng.normal(0, 6.0, size=fades.mean_rss.shape)
         frame = RssFrame(k=k, rss=rss, channels=np.array(channels))
         y = asm(frame, no_hold(fades))
-        dr = rss_change(frame, fades, no_hold(fades))
-        for r, (c, l, d) in enumerate(weights.row_keys):
-            ci = 0 if c == 11 else 1
-            want_d, want_p = inside_probability(dr[l, ci], vals[l, ci], params)
-            assert y[r] == (want_p if want_d == d else 0.0)
+        want = reference_pipeline.measurements("msrti", [frame], fades, config)
+        np.testing.assert_array_equal(y, want[0])
         # exclusive slot occupancy
-        for c, l, d in weights.row_keys:
-            if d == DIR_UP:
-                up = y[weights.row_keys.index((c, l, DIR_UP))]
-                down = y[weights.row_keys.index((c, l, DIR_DOWN))]
+        for c in range(len(channels)):
+            for l in range(table.n_links):
+                up = y[row(c, DIR_UP, l, table.n_links)]
+                down = y[row(c, DIR_DOWN, l, table.n_links)]
                 assert up == 0.0 or down == 0.0
         assert np.all((y >= 0) & (y < 1))
 
@@ -255,4 +251,4 @@ def test_assemble_excluded_rows_absent():
     assert y.shape == (weights.n_rows,) == (2 * table.n_links,)
     assert np.all(y == 0.0)
     for d in (DIR_UP, DIR_DOWN):
-        assert weights.matrix.getrow(weights.row_keys.index((11, 4, d))).nnz == 0
+        assert weights.matrix.getrow(row(0, d, 4, table.n_links)).nnz == 0

@@ -1,9 +1,11 @@
 """Package surface: every module's __all__ names only what the module has,
-and no module reaches into another's private names."""
+no module reaches into another's private names, and the tests' reference
+pipeline shares no routine with the library."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -33,3 +35,29 @@ def test_no_private_name_imported_from_another_module(name):
                and (node.level or (node.module or "").startswith("rtikit"))
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"{name} imports private names {private}"
+
+
+# What the reference pipeline may take from rtikit: data types, parameter
+# dataclasses and the two model equations that the published anchors check.
+# A builder, kernel or geometry routine there would let a fault in it pass
+# every test that compares against the reference.
+REFERENCE_MAY_IMPORT = {
+    "NodeLayout", "LinkTable", "VoxelGrid", "RssFrame", "FadeLevelTable",
+    "PathLossFit", "EllipseModelParams", "MeasurementModelParams",
+    "ReconstructionParams", "PipelineConfig", "lambda_for", "beta_plus",
+}
+
+
+def test_reference_pipeline_imports_no_library_routine():
+    path = pathlib.Path(__file__).with_name("reference_pipeline.py")
+    tree = ast.parse(path.read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "rtikit"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rtikit"):
+            imported += [alias.name for alias in node.names]
+    assert imported, "the reference takes nothing from rtikit"
+    assert set(imported) <= REFERENCE_MAY_IMPORT, imported

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import linalg, sparse
-from scipy.linalg import lapack
 
 from rtikit import reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit
@@ -16,11 +15,16 @@ from rtikit.simulator import perimeter_layout
 from rtikit.reconstruction import (
     ReconstructionParams,
     build_operator,
-    prior_covariance,
     prior_precision_term,
     reconstruct,
 )
-from rtikit.spatial_model import WeightMatrix, build_classic_weights, build_multiscale_weights
+from rtikit.spatial_model import (
+    EllipseModelParams,
+    WeightMatrix,
+    build_classic_weights,
+    build_multiscale_weights,
+)
+import reference_pipeline
 
 
 def octagon():
@@ -54,27 +58,6 @@ def octagon_forms():
     return layout, grid, fades, weights
 
 
-def test_prior_covariance_entries():
-    grid = VoxelGrid(origin=(0.0, 0.0), p=1.0, nx=3, ny=3)
-    params = ReconstructionParams()
-    c = prior_covariance(grid, params)
-    assert c.shape == (9, 9)
-    assert np.allclose(np.diag(c), 0.0316**2)
-    assert np.diag(c)[0] == pytest.approx(9.986e-4, abs=1e-6)
-    # brute force over center pairs
-    for j in range(9):
-        for i in range(9):
-            d = np.linalg.norm(np.subtract(grid.center_of(j), grid.center_of(i)))
-            assert c[j, i] == pytest.approx(0.0316**2 * np.exp(-d / 4.0), abs=1e-15)
-    assert np.allclose(c, c.T)
-    # SPD: smallest eigenvalue strictly positive
-    assert np.linalg.eigvalsh(c).min() > 0
-    # entry at distance delta_c equals sigma_x^2 / e
-    g2 = VoxelGrid(origin=(0.0, 0.0), p=4.0, nx=2, ny=1)
-    c2 = prior_covariance(g2, params)
-    assert c2[0, 1] == pytest.approx(0.0316**2 / np.e)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         ReconstructionParams(sigma_x=0.0)
@@ -85,12 +68,6 @@ def test_params_validation():
     for name in ("sigma_x", "sigma_n", "delta_c"):
         with pytest.raises(ValueError, match="strictly positive and finite"):
             ReconstructionParams(**{name: np.inf})
-
-
-def brute_force_pi(w_dense, grid, params):
-    c_x = prior_covariance(grid, params)
-    normal = w_dense.T @ w_dense + np.linalg.inv(c_x) * params.sigma_n**2
-    return np.linalg.solve(normal, w_dense.T)
 
 
 def test_operator_matches_dense_oracle_classic():
@@ -107,7 +84,8 @@ def test_operator_matches_dense_oracle_classic():
         wm = build_classic_weights(table, layout, grid, lam=lam)
         op = build_operator(wm, grid, params)
         assert not op.tall
-        want = brute_force_pi(wm.matrix.toarray(), grid, params)
+        want = reference_pipeline.pi(
+            reference_pipeline.classic_weights(layout, grid, lam), grid, params)
         assert op.pi.shape == (grid.n_voxels, table.n_links)
         np.testing.assert_allclose(op.pi, want, atol=1e-8)
 
@@ -119,15 +97,15 @@ def test_operator_matches_dense_oracle_multiscale():
     fades = synthetic_fades(table, seed=9)
     wm = build_multiscale_weights(table, layout, grid, fades)
     op = build_operator(wm, grid, params)
-    want = brute_force_pi(wm.matrix.toarray(), grid, params)
+    want = reference_pipeline.pi(reference_pipeline.multiscale_weights(
+        layout, grid, fades, EllipseModelParams()), grid, params)
     np.testing.assert_allclose(op.pi, want, atol=1e-8)
 
 
 def test_operator_zero_weights_gives_zero_pi():
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=6, ny=6)
     wm = WeightMatrix(bands=sparse.csr_matrix((grid.n_voxels, 4)),
-                      band_sums=sparse.identity(4, format="csr"),
-                      row_keys=(0, 1, 2, 3))
+                      band_sums=sparse.identity(4, format="csr"))
     op = build_operator(wm, grid)
     assert np.allclose(op.pi, 0.0)
 
@@ -143,7 +121,7 @@ def test_operator_large_noise_shrinks_pi():
 
 @pytest.mark.parametrize("form", ["tall", "short"])
 def test_operator_stored_form_and_reconstruct_match_dense_oracle(form):
-    _, grid, _, weights = octagon_forms()
+    layout, grid, fades, weights = octagon_forms()
     wm = weights[form]
     params = ReconstructionParams()
     op = build_operator(wm, grid, params)
@@ -151,7 +129,11 @@ def test_operator_stored_form_and_reconstruct_match_dense_oracle(form):
     assert op.tall == (form == "tall")
     assert op.stored.shape == ((n, n) if form == "tall" else (n, wm.n_rows))
     assert op.stored.flags.f_contiguous
-    want = brute_force_pi(wm.matrix.toarray(), grid, params)
+    # the octagon's fixed-width weights are the rti (and flrti) W
+    w = reference_pipeline.weights({"tall": "msrti", "short": "rti"}[form],
+                                   layout, grid, fades,
+                                   PipelineConfig(classic_lambda=0.8))
+    want = reference_pipeline.pi(w, grid, params)
     assert op.pi.shape == (n, wm.n_rows)
     np.testing.assert_allclose(op.pi, want, atol=1e-8)
     y = np.random.default_rng(5).uniform(0, 1, size=(wm.n_rows, 4))
@@ -221,18 +203,8 @@ def test_precision_term_is_symmetric_inverse_of_prior():
     term = prior_precision_term(grid, params).toarray()
     assert np.array_equal(term, term.T)
     want = params.sigma_n**2 * np.eye(grid.n_voxels)
-    np.testing.assert_allclose(term @ prior_covariance(grid, params), want,
+    np.testing.assert_allclose(term @ reference_pipeline.covariance(grid, params), want,
                                rtol=0, atol=1e-8 * params.sigma_n**2)
-
-
-def dense_precision_term(grid, params):
-    """σ_N² C_x⁻¹ from potrf and potri of the whole C_x: the reference for
-    the block-by-block route."""
-    factor, info = lapack.dpotrf(prior_covariance(grid, params))
-    assert info == 0
-    inverse, info = lapack.dpotri(factor)
-    assert info == 0
-    return params.sigma_n**2 * (np.triu(inverse) + np.triu(inverse, 1).T)
 
 
 def assembled_precision_term(term):
@@ -285,7 +257,7 @@ def test_precision_term_matches_whole_matrix_inverse(nx, ny, p, delta_c,
     assert (compact.grid, compact.params) == (grid, params)
     term = compact.toarray()
     assert np.array_equal(term, assembled_precision_term(compact))
-    want = dense_precision_term(grid, params)
+    want = reference_pipeline.precision(grid, params)
     assert np.array_equal(term, term.T)
     assert term.T.flags.f_contiguous
     assert np.abs(term - want).max() <= 1e-11 * np.abs(want).max()
@@ -357,8 +329,7 @@ def test_shared_build_leaves_inputs_untouched():
     weights = [
         build_multiscale_weights(table, layout, grid, fades),
         WeightMatrix(bands=stacked.T.tocsr(),
-                     band_sums=sparse.identity(stacked.shape[0], format="csr"),
-                     row_keys=tuple(range(stacked.shape[0]))),
+                     band_sums=sparse.identity(stacked.shape[0], format="csr")),
     ]
     term = prior_precision_term(grid, params)
     term_before = term.blocks.copy()
@@ -487,7 +458,7 @@ def test_tall_build_without_term_uses_it_as_the_buffer(monkeypatch):
     assert np.array_equal(op.stored, shared.stored)
 
 
-def test_short_build_memory_holds_no_n_by_n_array(monkeypatch):
+def test_short_build_memory_holds_no_n_by_n_array():
     """The criterion-5 grid (N = 2304) and the fixed-width weights, one row
     per link: the build's traced peak stays below one N × N array (42.5 MB).
     Forming A = WᵀW + σ_N² C_x⁻¹ would exceed it."""
@@ -498,7 +469,6 @@ def test_short_build_memory_holds_no_n_by_n_array(monkeypatch):
                                config.classic_lambda)
     n = grid.n_voxels
     assert (n, wm.n_rows) == (2304, 435)
-    _forbid_formed_w(monkeypatch)
     op, _, peak = _traced_memory(lambda: build_operator(wm, grid))
     assert not op.tall
     assert peak < n * n * 8, peak / 2**20
@@ -513,8 +483,7 @@ def _random_weights(n_voxels, n_rows, seed):
                           data_rvs=np.ones, format="csr")
     band_sums = sparse.random(n_rows, n_rows, density=2.0 / n_rows,
                               random_state=rng) + sparse.identity(n_rows)
-    return WeightMatrix(bands=bands, band_sums=band_sums.tocsr(),
-                        row_keys=tuple(range(n_rows)))
+    return WeightMatrix(bands=bands, band_sums=band_sums.tocsr())
 
 
 def _edge_case(rows, nx, ny=None, route="tall"):
@@ -545,28 +514,29 @@ def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     params = ReconstructionParams()
     wm = _random_weights(grid.n_voxels, rows, seed=rows + nx)
-    dense = wm.matrix.toarray()
+    dense = (wm.bands @ wm.band_sums).T.toarray()  # W from its factors
     term = prior_precision_term(grid, params)
-    full = term.toarray()
     pushed = []
     push_through = reconstruction._push_through_pi
     monkeypatch.setattr(reconstruction, "_push_through_pi",
                         lambda *args: pushed.append(push_through(*args))
                         or pushed[-1])
-    _forbid_formed_w(monkeypatch)
+    if route == "tall":  # a short build reads the sparse W by design
+        _forbid_formed_w(monkeypatch)
     op = build_operator(wm, grid, params, precision_term=term)
     assert op.tall == (route == "tall")
     assert [pi is not None for pi in pushed] == {
         "tall": [], "push": [True], "A": [False]}[route]
     if op.tall:
-        wants = [np.tril(np.linalg.inv(dense.T @ dense + full))]
+        wants = [np.tril(np.linalg.inv(
+            dense.T @ dense + reference_pipeline.precision(grid, params)))]
     else:
         # (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ, about 1e-14 from an extended-precision
         # reference on all of these inputs, and in push-through form that
         # form's own dense solve
-        wants = [np.linalg.solve(dense.T @ dense + full, dense.T)]
+        wants = [reference_pipeline.pi(dense, grid, params)]
         if route == "push":
-            w_c = dense @ prior_covariance(grid, params)
+            w_c = dense @ reference_pipeline.covariance(grid, params)
             wants.append(np.linalg.solve(
                 w_c @ dense.T + params.sigma_n**2 * np.eye(rows), w_c).T)
     for want in wants:
@@ -587,10 +557,8 @@ def test_near_square_short_operator_is_built_through_a():
     assert (grid.n_voxels, wm.n_rows) == (841, 780)
     op = build_operator(wm, grid, params)
     assert not op.tall and op.stored.flags.f_contiguous
-    dense = wm.matrix.toarray()
-    want = np.linalg.solve(
-        dense.T @ dense + prior_precision_term(grid, params).toarray(),
-        dense.T)
+    want = reference_pipeline.pi(
+        reference_pipeline.classic_weights(layout, grid, 2.0), grid, params)
     assert np.abs(op.stored - want).max() <= 5e-14 * np.abs(want).max()
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rtikit.calibration import calibrate, path_loss
-from rtikit.geometry import excess_path_field
 from rtikit.measurement_model import MeasurementModelParams
 from rtikit.simulator import (
     ScenarioSpec,
@@ -13,6 +12,7 @@ from rtikit.simulator import (
     stationary_trajectory,
 )
 from rtikit.spatial_model import EllipseModelParams
+import reference_pipeline
 
 
 def test_perimeter_layout_geometry():
@@ -58,6 +58,10 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="finite"):
             ScenarioSpec(layout=layout, calibration_frames=2,
                          trajectory=np.array([[5.0, 1.0, bad]]))
+        offsets = np.zeros((15, 4))
+        offsets[3, 2] = bad
+        with pytest.raises(ValueError, match="fade_offsets must be finite"):
+            ScenarioSpec(layout=layout, fade_offsets=offsets)
 
 
 def test_deterministic_given_seed():
@@ -193,7 +197,7 @@ def test_person_inside_thin_ellipse_only():
     trace = generate_trace(spec)
     near = trace.table.link_index(1, 2)  # along y=0
     far = trace.table.link_index(3, 4)   # along y=6
-    lam_p = excess_path_field(trace.table, layout, [[3.0, 0.05]])[:, 0]
+    lam_p = reference_pipeline.excess(layout, [[3.0, 0.05]])[:, 0]
     params = EllipseModelParams()
     assert lam_p[near] < min(params.b_down, params.b_up)
     assert lam_p[far] > params.lambda_max

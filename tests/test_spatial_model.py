@@ -6,13 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from rtikit.calibration import FadeLevelTable, PathLossFit, calibrate, path_loss
-from rtikit.geometry import (
-    NodeLayout,
-    VoxelGrid,
-    ellipse_membership,
-    enumerate_links,
-    excess_path_length,
-)
+from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.spatial_model import (
     DIR_DOWN,
     DIR_UP,
@@ -22,11 +16,8 @@ from rtikit.spatial_model import (
     build_multiscale_weights,
     lambda_for,
 )
-from weight_reference import (
-    assert_same_csr,
-    classic_reference,
-    multiscale_reference,
-)
+import reference_pipeline
+from reference_pipeline import assert_same_weights, row
 
 
 def ring(n=8, radius=4.0):
@@ -107,14 +98,7 @@ def test_classic_weights_value_and_oracle():
     lam = 0.5
     wm = build_classic_weights(table, layout, grid, lam=lam)
     assert wm.matrix.shape == (table.n_links, grid.n_voxels)
-    dense = wm.matrix.toarray()
-    # brute force straight from the definition
-    for l in range(table.n_links):
-        val = 1.0 / np.sqrt(table.lengths[l])
-        for j in range(grid.n_voxels):
-            inside = excess_path_length(l, grid.center_of(j), table, layout) < lam
-            assert dense[l, j] == pytest.approx(val if inside else 0.0)
-    assert wm.row_keys.index(3) == 3
+    assert_same_weights(wm, reference_pipeline.classic_weights(layout, grid, lam))
 
 
 def test_classic_weights_distance_value():
@@ -149,23 +133,11 @@ def test_multiscale_row_order_and_values():
     params = EllipseModelParams()
     wm = build_multiscale_weights(table, layout, grid, fades, params)
 
-    L = table.n_links
-    assert wm.n_rows == 2 * L * len(channels)
-    # ordering: channel asc, then "+" block, then "-" block, links in order
-    expect = []
-    for c in channels:
-        expect += [(c, l, DIR_UP) for l in range(L)]
-        expect += [(c, l, DIR_DOWN) for l in range(L)]
-    assert list(wm.row_keys) == expect
-
+    assert wm.n_rows == 2 * table.n_links * len(channels)
+    # ordering: channel asc, then "+" block, then "-" block, links in order;
     # each row: constant value 1/(n p^2) on exactly its membership set
-    for row, (c, l, d) in enumerate(wm.row_keys):
-        lam = lambda_for(0.0, d, params)
-        members = ellipse_membership(l, lam, grid, table, layout)
-        got = wm.matrix.getrow(row)
-        assert set(got.indices.tolist()) == set(members.tolist())
-        if members.size:
-            assert np.allclose(got.data, 1.0 / (members.size * grid.p**2))
+    assert_same_weights(wm, reference_pipeline.multiscale_weights(
+        layout, grid, fades, params))
 
 
 def test_multiscale_weight_value_example():
@@ -180,9 +152,10 @@ def test_multiscale_antifade_asymmetry():
     grid = VoxelGrid.from_layout(layout, p=0.25)
     fades = flat_fades(table, [11], 8.0)
     wm = build_multiscale_weights(table, layout, grid, fades)
-    for l in range(table.n_links):
-        n_up = wm.matrix.getrow(wm.row_keys.index((11, l, DIR_UP))).nnz
-        n_down = wm.matrix.getrow(wm.row_keys.index((11, l, DIR_DOWN))).nnz
+    n = table.n_links
+    for l in range(n):
+        n_up = wm.matrix.getrow(row(0, DIR_UP, l, n)).nnz
+        n_down = wm.matrix.getrow(row(0, DIR_DOWN, l, n)).nnz
         assert n_down <= n_up
 
 
@@ -201,24 +174,24 @@ def test_multiscale_excluded_pairs():
     wm = build_multiscale_weights(table, layout, grid, fades)
     # uncalibrated pairs keep their two rows, all zero; the row layout
     # stays (channel, direction, link)
-    assert wm.n_rows == 2 * table.n_links * 2
+    n = table.n_links
+    assert wm.n_rows == 2 * n * 2
     calibrated = build_multiscale_weights(table, layout, grid, flat_fades(
         table, channels, 0.0))
-    assert wm.row_keys == calibrated.row_keys
-    empty = {(11, 4, DIR_UP), (11, 4, DIR_DOWN), (12, 7, DIR_UP),
-             (12, 7, DIR_DOWN)}
-    for row, key in enumerate(wm.row_keys):
-        got = wm.matrix.getrow(row)
-        if key in empty:
+    empty = {row(c, d, l, n) for c, l in ((0, 4), (1, 7))
+             for d in (DIR_UP, DIR_DOWN)}
+    for r in range(wm.n_rows):
+        got = wm.matrix.getrow(r)
+        if r in empty:
             assert got.nnz == 0
         else:
-            assert (got != calibrated.matrix.getrow(row)).nnz == 0
-    assert wm.matrix.getrow(wm.row_keys.index((12, 4, DIR_UP))).nnz > 0
+            assert (got != calibrated.matrix.getrow(r)).nnz == 0
+    assert wm.matrix.getrow(row(1, DIR_UP, 4, n)).nnz > 0
 
 
 def test_multiscale_matches_independent_loop():
-    # Full cross-check of the vectorized builder against a per-row loop
-    # built only from lambda_for + ellipse_membership, with varied fades.
+    # Full cross-check of the vectorized builder against the reference's
+    # per-row loop, with varied fades.
     rng = np.random.default_rng(11)
     layout = ring(5, radius=3.0)
     table = enumerate_links(layout)
@@ -231,18 +204,8 @@ def test_multiscale_matches_independent_loop():
     )
     params = EllipseModelParams()
     wm = build_multiscale_weights(table, layout, grid, fades, params)
-    dense = wm.matrix.toarray()
-    for row, (c, l, d) in enumerate(wm.row_keys):
-        ci = int(np.nonzero(channels == c)[0][0])
-        lam = lambda_for(vals[l, ci], d, params)
-        members = set(
-            j for j in range(grid.n_voxels)
-            if excess_path_length(l, grid.center_of(j), table, layout) < lam
-        )
-        expect = np.zeros(grid.n_voxels)
-        if members:
-            expect[sorted(members)] = 1.0 / (len(members) * grid.p**2)
-        np.testing.assert_allclose(dense[row], expect, atol=1e-12)
+    assert_same_weights(wm, reference_pipeline.multiscale_weights(
+        layout, grid, fades, params))
 
 
 def test_multiscale_deterministic():
@@ -252,7 +215,6 @@ def test_multiscale_deterministic():
     fades = flat_fades(table, [11, 12], -3.0)
     a = build_multiscale_weights(table, layout, grid, fades)
     b = build_multiscale_weights(table, layout, grid, fades)
-    assert a.row_keys == b.row_keys
     assert (a.matrix != b.matrix).nnz == 0
 
 
@@ -267,10 +229,10 @@ PROPERTY_GRID = VoxelGrid.from_layout(PROPERTY_LAYOUT, p=0.5)
 
 
 def assert_back_projection(wm, reference, seed, n_columns):
-    """W equals the reference in data, indices and indptr; U·(S·y) equals
+    """W equals the reference (see assert_same_weights); U·(S·y) equals
     Wᵀy from the reference within 1e-12 of its largest entry, for a 1-D y
     and a (rows, K) block; U is 0/1 with one band per (voxel, link)."""
-    assert_same_csr(wm.matrix, reference)
+    assert_same_weights(wm, reference)
     u, s = wm.bands, wm.band_sums
     assert np.array_equal(u.data, np.ones(u.nnz))
     per_link = u.shape[1] // PROPERTY_TABLE.n_links
@@ -311,8 +273,8 @@ def test_multiscale_band_factors_back_project_like_w(fades, lambda_max, seed,
     params = EllipseModelParams(lambda_max=lambda_max)
     wm = build_multiscale_weights(PROPERTY_TABLE, PROPERTY_LAYOUT,
                                   PROPERTY_GRID, fades, params)
-    reference = multiscale_reference(PROPERTY_TABLE, PROPERTY_LAYOUT,
-                                     PROPERTY_GRID, fades, params)
+    reference = reference_pipeline.multiscale_weights(
+        PROPERTY_LAYOUT, PROPERTY_GRID, fades, params)
     assert_back_projection(wm, reference, seed, n_columns)
 
 
@@ -322,30 +284,24 @@ def test_multiscale_band_factors_back_project_like_w(fades, lambda_max, seed,
 def test_classic_band_factors_back_project_like_w(lam, seed):
     wm = build_classic_weights(PROPERTY_TABLE, PROPERTY_LAYOUT, PROPERTY_GRID,
                                lam)
-    reference = classic_reference(PROPERTY_TABLE, PROPERTY_LAYOUT,
-                                  PROPERTY_GRID, lam)
+    reference = reference_pipeline.classic_weights(PROPERTY_LAYOUT,
+                                                   PROPERTY_GRID, lam)
     assert_back_projection(wm, reference, seed, 2)
 
 
 def test_weight_matrix_validates_factors():
     # W = [[0, 2, 1], [3, 0, 0]] as its trivial factors (Wᵀ, I)
     w = sparse.csr_matrix(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
-    wm = WeightMatrix(bands=w.T.tocsr(), band_sums=sparse.identity(2, format="csr"),
-                      row_keys=(0, 1))
+    wm = WeightMatrix(bands=w.T.tocsr(), band_sums=sparse.identity(2, format="csr"))
     assert (wm.n_rows, wm.n_voxels) == (2, 3)
-    assert_same_csr(wm.matrix, w)
+    assert_same_weights(wm, w.toarray())
     np.testing.assert_array_equal(wm.back_project(np.array([1.0, -1.0])),
                                   [-3.0, 2.0, 1.0])
     with pytest.raises(ValueError, match="compose"):
-        WeightMatrix(bands=w.tocsr(), band_sums=sparse.identity(2, format="csr"),
-                     row_keys=(0, 1))
+        WeightMatrix(bands=w.tocsr(), band_sums=sparse.identity(2, format="csr"))
     with pytest.raises(ValueError, match=">= 0"):
         WeightMatrix(bands=w.T.tocsr(),
-                     band_sums=sparse.csr_matrix(np.diag([1.0, -1.0])),
-                     row_keys=(0, 1))
+                     band_sums=sparse.csr_matrix(np.diag([1.0, -1.0])))
     with pytest.raises(ValueError, match=">= 0"):
         WeightMatrix(bands=-w.T.tocsr(),
-                     band_sums=sparse.identity(2, format="csr"), row_keys=(0, 1))
-    with pytest.raises(ValueError, match="row_keys"):
-        WeightMatrix(bands=w.T.tocsr(), band_sums=sparse.identity(2, format="csr"),
-                     row_keys=(0, 1, 2))
+                     band_sums=sparse.identity(2, format="csr"))
