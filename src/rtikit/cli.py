@@ -11,6 +11,9 @@ Subcommands:
 All file formats are the plain-text ones in rtikit.ingest. The optional
 --config file is flat `key value` text (see PipelineConfig.from_dict for
 the key set).
+
+Exit codes: 0 on success, 1 when crosscheck finds an anchor off, and 2 on
+bad input (a file, flag or config value), with an `error:` line on stderr.
 """
 
 import argparse
@@ -49,9 +52,10 @@ def _parse_ints(text: str, flag: str) -> tuple:
         values = tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError:
         example = {"--channels": "11,16,21,26", "--seeds": "1,2,3"}[flag]
-        raise SystemExit(f"bad {flag} value {text!r}: expected e.g. {example}")
+        raise ValueError(
+            f"bad {flag} value {text!r}: expected e.g. {example}") from None
     if not values:
-        raise SystemExit(f"{flag} needs at least one {flag[2:-1]}")
+        raise ValueError(f"{flag} needs at least one {flag[2:-1]}")
     return values
 
 
@@ -60,8 +64,8 @@ def _load_config(path) -> PipelineConfig:
         return PipelineConfig()
     try:
         return PipelineConfig.from_dict(load_key_value(path))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"config error: {path}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _channel_columns(have, channels, what) -> list:
@@ -69,7 +73,7 @@ def _channel_columns(have, channels, what) -> list:
     have = [int(c) for c in have]
     missing = [c for c in channels if c not in have]
     if missing:
-        raise SystemExit(f"{what} lacks channels {missing}; it has {have}")
+        raise ValueError(f"{what} lacks channels {missing}; it has {have}")
     return [have.index(c) for c in channels]
 
 
@@ -97,7 +101,7 @@ def _cmd_calibrate(args) -> int:
     if args.channels:
         frames = _subset_frames(frames, _parse_ints(args.channels, "--channels"))
     if not frames:
-        raise SystemExit(f"no frames in {args.trace}")
+        raise ValueError(f"no frames in {args.trace}")
     fades = calibrate(frames, table, d0=args.d0)
     save_fade_table(fades, table, args.out)
     fit = fades.fit
@@ -124,7 +128,7 @@ def _load_run_inputs(args, config):
             fades = _subset_fades(fades, channels)
         return layout, fades, frames
     if len(frames) <= config.calibration_frames:
-        raise SystemExit(
+        raise ValueError(
             f"trace has {len(frames)} frames but the first "
             f"{config.calibration_frames} are needed for calibration; "
             "pass --fades to use every frame"
@@ -185,7 +189,7 @@ def _cmd_benchmark(args) -> int:
     variants = tuple(v for v in args.variants.split(",") if v)
     for v in variants:
         if v not in VARIANTS:
-            raise SystemExit(f"unknown variant {v!r}; pick from {VARIANTS}")
+            raise ValueError(f"unknown variant {v!r}; pick from {VARIANTS}")
     seeds = _parse_ints(args.seeds, "--seeds")
 
     xy = layout.xy

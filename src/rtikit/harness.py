@@ -131,10 +131,11 @@ class PipelineConfig:
         """Build from flat key-value pairs (see load_key_value).
 
         Unknown keys raise, and so does a value its key's type cannot
-        read, naming the key and the value; parameter-set keys map onto
-        their dataclasses (k_lambda_minus, beta_minus, sigma_x, ...).
-        `kalman` is not a key: the caller decides whether to smooth
-        (`rtikit track --no-kalman`).
+        read or a parameter set's range rejects; each error names the key
+        and the value. Parameter-set keys map onto their dataclasses
+        (k_lambda_minus onto EllipseModelParams.k_down, beta_minus,
+        sigma_x, ...). `kalman` is not a key: the caller decides whether
+        to smooth (`rtikit track --no-kalman`).
         """
         ellipse_keys = {
             "k_lambda_minus": "k_down", "b_lambda_minus": "b_down",
@@ -151,37 +152,56 @@ class PipelineConfig:
                      "kalman_q", "kalman_r_scale", "dt"}
         top_int = {"calibration_frames", "rti_channel", "flrti_m"}
 
-        ellipse, measurement, recon, top = {}, {}, {}, {}
+        fields = {}  # config key -> (parameter set or None, field, value)
         for key, values in kv.items():
             if len(values) != 1 or len(values[0]) != 1:
                 raise ValueError(f"config key {key!r} needs exactly one value")
             value = values[0][0]
             if key in ellipse_keys:
-                group, name, cast = ellipse, ellipse_keys[key], float
+                group, name, cast = "ellipse", ellipse_keys[key], float
             elif key in measurement_keys:
-                group, name, cast = measurement, measurement_keys[key], float
+                group, name, cast = "measurement", measurement_keys[key], float
             elif key == "hold_frames":
-                group, name, cast = measurement, key, int
+                group, name, cast = "measurement", key, int
             elif key in recon_keys:
-                group, name, cast = recon, recon_keys[key], float
+                group, name, cast = "reconstruction", recon_keys[key], float
             elif key in top_float:
-                group, name, cast = top, key, float
+                group, name, cast = None, key, float
             elif key in top_int:
-                group, name, cast = top, key, int
+                group, name, cast = None, key, int
             else:
                 raise ValueError(f"unknown config key {key!r}")
             try:
-                group[name] = cast(value)
+                fields[key] = (group, name, cast(value))
             except ValueError:
                 kind = "an integer" if cast is int else "a number"
                 raise ValueError(
                     f"config key {key!r}: {value!r} is not {kind}") from None
-        return cls(
-            ellipse=EllipseModelParams(**ellipse),
-            measurement=MeasurementModelParams(**measurement),
-            reconstruction=ReconstructionParams(**recon),
-            **top,
-        )
+        sets = {"ellipse": EllipseModelParams,
+                "measurement": MeasurementModelParams,
+                "reconstruction": ReconstructionParams}
+
+        def build(settings):
+            """The config with these settings and defaults elsewhere."""
+            kwargs = {group: {} for group in (*sets, None)}
+            for group, name, value in settings:
+                kwargs[group][name] = value
+            return cls(**{group: params(**kwargs[group])
+                          for group, params in sets.items()}, **kwargs[None])
+
+        try:
+            return build(fields.values())
+        except ValueError:
+            # every range check reads one field, so the first key rejected
+            # on its own is at fault
+            for key, setting in fields.items():
+                try:
+                    build([setting])
+                except ValueError as exc:
+                    reason = str(exc).replace(setting[1], key)
+                    raise ValueError(f"config key {key!r}: {kv[key][0][0]!r} "
+                                     f"is out of range: {reason}") from None
+            raise
 
 
 def _loss(frame, fades, hold) -> np.ndarray:

@@ -11,14 +11,17 @@ fold onto the same undirected link.
 
 Traces are the one format that grows with the recording (one record per
 link, channel and frame), so they are read and written a block at a time:
-load_trace parses a well-formed file in one np.loadtxt call and keeps a
-per-line parser for every diagnostic, and save_trace formats each frame
-as one string.
+load_trace parses a well-formed file in one np.loadtxt call, fed 64 KiB
+reads cut at line ends with each whole `NA` token rewritten as `nan`, so
+numpy's C parser reads every field with no Python call per record; a
+per-line parser gives every diagnostic. save_trace formats each frame as
+one string.
 """
 
 import csv
 import math
 import os
+import re
 import warnings
 from itertools import chain, islice
 
@@ -197,13 +200,11 @@ def save_layout(layout: NodeLayout, path) -> None:
 
 _TRACE_RECORD = np.dtype([("k", np.int64), ("tx", np.int64), ("rx", np.int64),
                           ("channel", np.int64), ("rss", np.float64)])
-# np.loadtxt opens a path through np.lib._datasource, which decompresses
-# these suffixes and fetches URLs; open() does neither
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _rss_token(token: str) -> float:
-    return np.nan if token == "NA" else float(token)
+# The block parser reads this many characters at a time, and rewrites each
+# whole `NA` token (after a blank or a line start, before a blank, `#` or
+# the end) as `nan`, which the C parser of np.loadtxt reads as the same NaN.
+_CHUNK_CHARS = 1 << 16
+_NA_TOKEN = re.compile(r"NA(?<!\SNA)(?![^\s#])")
 
 
 def load_trace(path, table: LinkTable) -> list[RssFrame]:
@@ -215,12 +216,15 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
     packet. (a, b) and (b, a) fold onto one link.
 
     A well-formed trace is parsed as one block by np.loadtxt and scattered
-    into a (K, L, C) array. Anything that block path does not accept (a
-    token np.loadtxt cannot read, an unknown or self pair, a channel
-    outside [11, 26], an infinite rss, a repeated (k, link, channel) key)
-    sends the whole file through the per-line parser, which gives the
-    same frames for every file the block path accepts and is the one that
-    reports: malformed or out-of-range lines raise ValueError with
+    into a (K, L, C) array. The file is read 64 KiB at a time, each read
+    taken on to its line end, and every whole `NA` token becomes `nan`,
+    which np.loadtxt reads natively, so no Python function runs per record
+    and the text is never held whole. Anything that block path does not
+    accept (a token np.loadtxt cannot read, an unknown or self pair, a
+    channel outside [11, 26], an infinite rss, a repeated (k, link,
+    channel) key) sends the whole file through the per-line parser, which
+    gives the same frames for every file the block path accepts and is the
+    one that reports: malformed or out-of-range lines raise ValueError with
     `path:lineno:`, and a repeated key keeps the last value with a
     line-numbered warning.
     """
@@ -232,17 +236,20 @@ def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
     """The trace from one np.loadtxt call, or None to defer to the
     per-line parser."""
     name = os.fspath(path)
-    if not (isinstance(name, str) and os.path.isfile(name)
-            and not name.endswith(_COMPRESSED)):
+    if not (isinstance(name, str) and os.path.isfile(name)):
         return None
     try:
-        with warnings.catch_warnings():
+        with open(name) as fh, warnings.catch_warnings():
             # numpy 1.23 and later 1.x read `1.0` as an integer with a
             # DeprecationWarning; int() rejects it
             warnings.simplefilter("error", DeprecationWarning)
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rec = np.loadtxt(name, dtype=_TRACE_RECORD, comments="#", ndmin=1,
-                             converters={4: _rss_token})
+            # split at "\n" alone, the one line end of a text-mode read;
+            # splitlines() would also cut at \f, \v and other separators
+            lines = chain.from_iterable(
+                _NA_TOKEN.sub("nan", chunk + fh.readline()).split("\n")
+                for chunk in iter(lambda: fh.read(_CHUNK_CHARS), ""))
+            rec = np.loadtxt(lines, dtype=_TRACE_RECORD, comments="#", ndmin=1)
     except (OSError, ValueError, DeprecationWarning):
         return None
     if not rec.size:
@@ -253,10 +260,13 @@ def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
             CHANNEL_MIN <= channel.min() and channel.max() <= CHANNEL_MAX):
         return None
     ks, frame_of = np.unique(rec["k"], return_inverse=True)
-    channels, column = np.unique(channel, return_inverse=True)
+    offset = channel - CHANNEL_MIN
+    seen = np.zeros(CHANNEL_MAX - CHANNEL_MIN + 1, dtype=bool)
+    seen[offset] = True
+    channels = np.flatnonzero(seen) + CHANNEL_MIN
+    column = (np.cumsum(seen) - 1)[offset]
     flat = (frame_of * table.n_links + link) * channels.size + column
-    flat_sorted = np.sort(flat)  # np.unique(flat) hashes on numpy >= 2.3, far slower
-    if (flat_sorted[1:] == flat_sorted[:-1]).any():  # a repeated key
+    if np.bincount(flat).max() > 1:  # a repeated key
         return None
     block = np.full((ks.size, table.n_links, channels.size), np.nan)
     block.reshape(-1)[flat] = rss

@@ -213,24 +213,28 @@ def test_crosscheck_exit_codes(tmp_path, capsys):
     assert "FAIL" in out and "crosscheck FAILED" in out
 
 
-def test_channel_subset_must_exist(workspace):
+def test_channel_subset_must_exist(workspace, capsys):
     tmp_path, _, layout_path, _, _ = workspace
     trace_path, _ = _simulate(workspace)
-    with pytest.raises(SystemExit):
-        main(["calibrate", "--layout", str(layout_path),
-              "--trace", str(trace_path), "--channels", "12",
-              "--out", str(tmp_path / "fades.txt")])
+    rc = main(["calibrate", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--channels", "12",
+               "--out", str(tmp_path / "fades.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: trace lacks channels [12]; it has [11, 16, 21, 26]\n")
 
 
-def test_bad_config_key_reported(workspace):
+def test_bad_config_key_reported(workspace, capsys):
     tmp_path, _, layout_path, _, _ = workspace
     trace_path, _ = _simulate(workspace)
     bad = tmp_path / "bad.txt"
     bad.write_text("sigma_q 1.0\n")
-    with pytest.raises(SystemExit, match="config error"):
-        main(["track", "--layout", str(layout_path),
-              "--trace", str(trace_path), "--config", str(bad),
-              "--out", str(tmp_path / "t.csv")])
+    rc = main(["track", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--config", str(bad),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: unknown config key 'sigma_q'\n")
 
 
 @pytest.mark.parametrize("line", [
@@ -243,27 +247,60 @@ def test_bad_config_key_reported(workspace):
     "sigma_x inf", "sigma_n inf", "delta_c inf", "beta_minus inf",
     "k_beta_plus inf", "b_beta_plus inf",
 ])
-def test_bad_config_value_reported(workspace, line):
+def test_bad_config_value_reported(workspace, capsys, line):
     tmp_path, _, layout_path, _, _ = workspace
     trace_path, _ = _simulate(workspace)
     bad = tmp_path / "bad.txt"
     bad.write_text(f"calibration_frames 30\n{line}\n")
-    with pytest.raises(SystemExit, match="config error"):
-        main(["track", "--layout", str(layout_path),
-              "--trace", str(trace_path), "--config", str(bad),
-              "--out", str(tmp_path / "t.csv")])
+    rc = main(["track", "--layout", str(layout_path),
+               "--trace", str(trace_path), "--config", str(bad),
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert f"config key '{line.split()[0]}'" in err
 
 
 @pytest.mark.parametrize("line, message", [
     ("voxel_width abc", "config key 'voxel_width': 'abc' is not a number"),
     ("hold_frames 1.5", "config key 'hold_frames': '1.5' is not an integer"),
+    ("k_lambda_minus 1", "config key 'k_lambda_minus': '1' is out of range: "
+     "k_lambda_minus must be < 0 and finite (width decays with fade level)"),
+    ("b_lambda_plus 0", "config key 'b_lambda_plus': '0' is out of range: "
+     "ellipse scale parameters b must be > 0 and finite"),
+    ("hold_frames -1", "config key 'hold_frames': '-1' is out of range: "
+     "hold_frames must be >= 0 and finite"),
 ])
-def test_unreadable_config_value_names_file_and_key(tmp_path, line, message):
+def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     bad = tmp_path / "c.txt"
-    bad.write_text(f"{line}\n")
-    with pytest.raises(SystemExit) as raised:
-        main(["crosscheck", "--config", str(bad)])
-    assert str(raised.value) == f"config error: {bad}: {message}"
+    bad.write_text(f"sigma_x 0.03\n{line}\n")
+    assert main(["crosscheck", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["benchmark", "--seeds", "x"],
+     "bad --seeds value 'x': expected e.g. 1,2,3"),
+    (["benchmark", "--seeds", ","], "--seeds needs at least one seed"),
+    (["benchmark", "--channels", "11,a"],
+     "bad --channels value '11,a': expected e.g. 11,16,21,26"),
+    (["benchmark", "--variants", "msrti,nope"],
+     "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
+    (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
+    (["track", "--trace", "{trace}"],
+     "trace has 38 frames but the first 100 are needed for calibration; "
+     "pass --fades to use every frame"),
+], ids=["seeds", "no seeds", "channels", "variant", "no frames", "few frames"])
+def test_input_errors_exit_2(workspace, capsys, argv, message):
+    tmp_path, _, layout_path, _, _ = workspace
+    trace_path, _ = _simulate(workspace)
+    (tmp_path / "empty.txt").write_text("# no records\n")
+    paths = {"empty": tmp_path / "empty.txt", "trace": trace_path}
+    argv = [arg.format(**paths) for arg in argv]
+    rc = main([*argv, "--layout", str(layout_path),
+               "--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
 
 
 @pytest.mark.parametrize("line, message", [

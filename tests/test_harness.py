@@ -664,8 +664,8 @@ def test_config_rejects_out_of_range_values(key, value):
 @pytest.mark.parametrize("key, message", [
     ("b_lambda_minus", "ellipse scale parameters b must be > 0 and finite"),
     ("b_lambda_plus", "ellipse scale parameters b must be > 0 and finite"),
-    ("k_lambda_minus", "k_down must be < 0 and finite"),
-    ("k_lambda_plus", "k_up must be > 0 and finite"),
+    ("k_lambda_minus", "k_lambda_minus must be < 0 and finite"),
+    ("k_lambda_plus", "k_lambda_plus must be > 0 and finite"),
     ("lambda_max", "lambda_max must be > 0 and finite"),
     ("sigma_x", "reconstruction parameters must be strictly positive and finite"),
     ("sigma_n", "reconstruction parameters must be strictly positive and finite"),
