@@ -41,7 +41,8 @@ from .ingest import (
     save_trace,
     save_track_csv,
 )
-from .simulator import DEFAULT_CHANNELS, generate_trace
+from .simulator import (DEFAULT_CHANNELS, ScenarioSpec, generate_trace,
+                        stationary_trajectory)
 
 __all__ = ["main"]
 
@@ -187,6 +188,8 @@ def _cmd_benchmark(args) -> int:
     layout = load_layout(args.layout)
     config = _load_config(args.config)
     variants = tuple(v for v in args.variants.split(",") if v)
+    if not variants:
+        raise ValueError("--variants needs at least one variant")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; pick from {VARIANTS}")
@@ -202,13 +205,14 @@ def _cmd_benchmark(args) -> int:
 
     channels = (_parse_ints(args.channels, "--channels") if args.channels
                 else DEFAULT_CHANNELS)
-    rows = benchmark(layout, positions, seeds, config=config,
-                     variants=variants,
-                     frames_per_position=args.frames_per_position,
-                     channels=channels)
+    k0 = config.calibration_frames
+    spec = ScenarioSpec(layout=layout, channels=channels, calibration_frames=k0,
+                        trajectory=stationary_trajectory(
+                            positions, k0, args.frames_per_position))
+    rows = benchmark(spec, seeds, config=config, variants=variants)
     save_benchmark_csv(rows, args.out)
     for variant in variants:
-        summaries = [r[3] for r in rows if r[0] == variant]
+        summaries = [r[2] for r in rows if r[0] == variant]
         means = [s["mean"] for s in summaries if s is not None]
         mean = f"{np.mean(means):.3f} m" if means else "n/a"
         left_out = len(summaries) - len(means)

@@ -3,9 +3,10 @@
 Four estimator variants share one reconstruction core and differ only in
 the weight matrix and measurement vector fed to it, one (weights, measure)
 entry per variant in _VARIANT_TABLE. VariantPipeline.images images a frame
-sequence with one batched reconstruction, and run_pipeline and benchmark
-localize its rows; VariantPipeline.image serves one frame at a time for
-streaming.
+sequence with one batched reconstruction, and one frame loop localizes
+its rows for both run_pipeline, on a given trace, and benchmark, on
+seeded synthetic traces of any ScenarioSpec; VariantPipeline.image serves
+one frame at a time for streaming.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every (link, channel) pair treated as an independent link
@@ -42,12 +43,7 @@ from .reconstruction import (
     prior_precision_term,
     reconstruct,
 )
-from .simulator import (
-    DEFAULT_CHANNELS,
-    ScenarioSpec,
-    generate_trace,
-    stationary_trajectory,
-)
+from .simulator import ScenarioSpec, generate_trace
 from .spatial_model import (
     DIR_DOWN,
     EllipseModelParams,
@@ -388,13 +384,13 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
         frames = frames[config.calibration_frames:]
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
     pipeline = VariantPipeline(variant, fades, layout, grid, config)
-    return _track(pipeline, frames, truth, config.kalman)
+    return _track(pipeline, frames, truth)
 
 
-def _track(pipeline: VariantPipeline, frames, truth: dict | None,
-           kalman: bool) -> PipelineResult:
-    """Localize each row of pipeline.images(frames), optionally through the
-    Kalman filter, whose step spans the k difference times config.dt.
+def _track(pipeline: VariantPipeline, frames, truth: dict | None) -> PipelineResult:
+    """Localize each row of pipeline.images(frames), through the Kalman
+    filter when pipeline.config.kalman is set; its step spans the k
+    difference times config.dt.
 
     A frame `localize` reports as no detection (an identically zero image,
     which an outage longer than the hold window gives) keeps its NaN
@@ -410,7 +406,7 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
     for frame, image in zip(frames, pipeline.images(frames)):
         est = localize(image, pipeline.grid, k=frame.k)
         x, y = est.xy
-        if kalman and est.detected:
+        if config.kalman and est.detected:
             if track is None:
                 track = init_track(est)
             else:
@@ -435,70 +431,57 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None,
     )
 
 
-def benchmark(layout: NodeLayout, positions, seeds,
-              config: PipelineConfig | None = None,
-              variants=("msrti", "cdrti"),
-              frames_per_position: int = 10,
-              channels=DEFAULT_CHANNELS):
-    """Stationary-target benchmark over seeds and estimator variants.
+def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
+              variants=("msrti", "cdrti")):
+    """Score estimator variants over seeded synthetic runs of one scenario.
 
-    For each seed, one synthetic trace places the person at every given
-    position for frames_per_position frames after a calibration prefix;
-    each variant then runs on the identical trace and is scored on its raw
-    per-frame estimates (no Kalman). Every pipeline, operator included, is
-    built per seed; only the grid and, when msrti is among the variants,
-    the precision term σ_N² C_x⁻¹ that its tall builds read are shared
-    across runs.
+    For each seed, one trace of `spec` with that seed, drawn with config's
+    ellipse and measurement models, is calibrated on its own person-free
+    prefix; each variant then runs on the rest of that identical trace
+    through the same `_track` as run_pipeline, Kalman smoothing included
+    when config.kalman is set, and is scored against the trace's truth.
+    Every pipeline, operator included, is built per seed; only the grid
+    and, when msrti is among the variants, the precision term σ_N² C_x⁻¹
+    that its tall builds read are shared across runs.
 
     Args:
-        layout: sensor deployment.
-        positions: iterable of (x, y) ground-truth positions.
+        spec: the scenario; its trajectory must not be empty, and its seed
+            is replaced by each of `seeds`.
         seeds: iterable of RNG seeds, one trace per seed.
-        config: pipeline configuration (defaults if None).
+        config: pipeline configuration (defaults if None); its
+            calibration_frames is not read, the trace's prefix is.
         variants: estimator variants to compare.
-        frames_per_position: person frames per position.
-        channels: channels to simulate; the calibration prefix is
-            config.calibration_frames long.
 
     Returns:
-        list of (variant, "stationary-grid", seed, summary) rows, seeds
-        outer, variants inner.
+        list of (variant, seed, summary) rows, seeds outer, variants
+        inner; summary is None for a run with no detected frame.
     """
     if config is None:
         config = PipelineConfig()
-    positions = [(float(x), float(y)) for x, y in positions]
-    if not positions:
-        raise ValueError("benchmark needs at least one position")
-    trajectory_parts = []
-    k = config.calibration_frames
-    for x, y in positions:
-        trajectory_parts.append(stationary_trajectory((x, y), k, frames_per_position))
-        k += frames_per_position
-    trajectory = np.vstack(trajectory_parts)
-
-    grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
+    if not len(spec.trajectory):
+        raise ValueError("benchmark needs a scenario with a trajectory")
+    grid = VoxelGrid.from_layout(spec.layout, config.voxel_width,
+                                 config.grid_margin)
     # Only the multi-scale W is tall, and only a tall build needs the term.
     # It is shared in its compact form (the four inverted mirror blocks),
     # and each build expands it into its own buffer.
     precision_term = (prior_precision_term(grid, config.reconstruction)
                       if "msrti" in variants else None)
-    table = enumerate_links(layout)
+    table = enumerate_links(spec.layout)
 
     rows = []
     for seed in seeds:
-        spec = ScenarioSpec(layout=layout, channels=channels,
-                            calibration_frames=config.calibration_frames,
-                            trajectory=trajectory, seed=int(seed))
-        trace = generate_trace(spec, ellipse=config.ellipse,
+        trace = generate_trace(replace(spec, seed=int(seed)),
+                               ellipse=config.ellipse,
                                measurement=config.measurement)
-        fades = calibrate(trace.frames[:config.calibration_frames], table)
+        fades = calibrate(trace.frames[:trace.calibration_frames], table)
         truth = {int(k): (x, y) for k, x, y in trace.truth}
-        person_frames = trace.frames[config.calibration_frames:]
+        person_frames = trace.frames[trace.calibration_frames:]
         for variant in variants:
-            pipeline = VariantPipeline(variant, fades, layout, grid, config,
-                                       precision_term=precision_term)
-            result = _track(pipeline, person_frames, truth, kalman=False)
-            rows.append((variant, "stationary-grid", int(seed), result.summary))
+            pipeline = VariantPipeline(variant, fades, spec.layout, grid,
+                                       config, precision_term=precision_term)
+            result = _track(pipeline, person_frames, truth)
+            rows.append((variant, int(seed), result.summary))
     return rows
 
 

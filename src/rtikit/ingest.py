@@ -504,7 +504,8 @@ def load_track_csv(path) -> list[tuple]:
 
 
 def save_benchmark_csv(rows, path) -> None:
-    """Write benchmark results: one row per (variant, scenario, seed).
+    """Write benchmark (variant, seed, summary) rows as CSV with the
+    columns variant, seed, mean_m, median_m, p95_m and max_m.
 
     A row whose summary is None (no frame of the run was a detection)
     gets nan in the four error columns.
@@ -512,10 +513,9 @@ def save_benchmark_csv(rows, path) -> None:
     nan = float("nan")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["variant", "scenario", "seed",
-                         "mean_m", "median_m", "p95_m", "max_m"])
-        for variant, scenario, seed, summary in rows:
-            writer.writerow([variant, scenario, int(seed)] + [
+        writer.writerow(["variant", "seed", "mean_m", "median_m", "p95_m", "max_m"])
+        for variant, seed, summary in rows:
+            writer.writerow([variant, int(seed)] + [
                 repr(nan if summary is None else summary[key])
                 for key in ("mean", "median", "p95", "max")])
 

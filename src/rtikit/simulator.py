@@ -58,13 +58,17 @@ def perimeter_layout(n_nodes: int, width: float, height: float) -> NodeLayout:
     return NodeLayout(ids=np.arange(1, n_nodes + 1), xy=xy)
 
 
-def stationary_trajectory(position, start_k: int, n_frames: int) -> np.ndarray:
-    """(n_frames, 3) trajectory rows (k, x, y) standing at one position."""
+def stationary_trajectory(positions, start_k: int, n_frames: int) -> np.ndarray:
+    """(P·n_frames, 3) trajectory rows (k, x, y), k from start_k on, that
+    stand n_frames frames at each of `positions`, one (x, y) or (P, 2)."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
-    x, y = float(position[0]), float(position[1])
-    ks = np.arange(start_k, start_k + n_frames)
-    return np.column_stack((ks, np.full(n_frames, x), np.full(n_frames, y)))
+    xy = np.asarray(positions, dtype=float)
+    xy = xy[np.newaxis] if xy.shape == (2,) else xy
+    if xy.ndim != 2 or xy.shape[1] != 2 or not len(xy):
+        raise ValueError("positions must be one (x, y) or a (P, 2) array with P >= 1")
+    ks = np.arange(start_k, start_k + len(xy) * n_frames)
+    return np.column_stack((ks, np.repeat(xy, n_frames, axis=0)))
 
 
 @dataclass(frozen=True)

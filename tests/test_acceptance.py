@@ -149,10 +149,12 @@ def test_criterion_5_end_to_end_localization():
     config = PipelineConfig(calibration_frames=100)
     side = np.linspace(0.2 * 7.0, 0.8 * 7.0, 5)
     positions = [(x, y) for y in side for x in side]
-    rows = benchmark(layout, positions, seeds=range(1, 11), config=config,
-                     variants=("msrti", "cdrti"), frames_per_position=10)
-    ms = np.array([r[3]["mean"] for r in rows if r[0] == "msrti"])
-    cd = np.array([r[3]["mean"] for r in rows if r[0] == "cdrti"])
+    spec = ScenarioSpec(layout=layout, calibration_frames=100,
+                        trajectory=stationary_trajectory(positions, 100, 10))
+    rows = benchmark(spec, seeds=range(1, 11), config=config,
+                     variants=("msrti", "cdrti"))
+    ms = np.array([r[2]["mean"] for r in rows if r[0] == "msrti"])
+    cd = np.array([r[2]["mean"] for r in rows if r[0] == "cdrti"])
     elapsed = time.perf_counter() - t0
     assert ms.size == 10 and cd.size == 10
     limit = 2.0 * config.voxel_width

@@ -156,16 +156,16 @@ def test_benchmark_csv(workspace):
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "variant,scenario,seed,mean_m,median_m,p95_m,max_m"
+    assert lines[0] == "variant,seed,mean_m,median_m,p95_m,max_m"
     assert len(lines) == 1 + 2 * 2  # two variants x two seeds
-    assert lines[1].startswith("msrti,stationary-grid,1,")
+    assert lines[1].startswith("msrti,1,")
 
 
 def test_benchmark_channels(workspace, monkeypatch):
     tmp_path, _, layout_path, _, config = workspace
     calls = []
     monkeypatch.setattr("rtikit.cli.benchmark",
-                        lambda *a, **kw: calls.append(kw["channels"]) or [])
+                        lambda spec, *a, **kw: calls.append(spec.channels) or [])
     for extra in ([], ["--channels", "11,26"]):
         assert main(["benchmark", "--layout", str(layout_path),
                      "--config", str(config), *extra,
@@ -182,10 +182,8 @@ def test_benchmark_rows_without_detection(workspace, monkeypatch, capsys):
         return {"mean": mean, "median": mean, "p95": mean, "max": mean,
                 "cdf": []}
 
-    rows = [("msrti", "stationary-grid", 1, summary(0.2)),
-            ("cdrti", "stationary-grid", 1, None),
-            ("msrti", "stationary-grid", 2, summary(0.4)),
-            ("cdrti", "stationary-grid", 2, None)]
+    rows = [("msrti", 1, summary(0.2)), ("cdrti", 1, None),
+            ("msrti", 2, summary(0.4)), ("cdrti", 2, None)]
     monkeypatch.setattr("rtikit.cli.benchmark", lambda *a, **kw: rows)
     out = tmp_path / "bench.csv"
     rc = main(["benchmark", "--layout", str(layout_path),
@@ -193,8 +191,8 @@ def test_benchmark_rows_without_detection(workspace, monkeypatch, capsys):
                "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[2] == "cdrti,stationary-grid,1,nan,nan,nan,nan"
-    assert lines[3].startswith("msrti,stationary-grid,2,0.4,")
+    assert lines[2] == "cdrti,1,nan,nan,nan,nan"
+    assert lines[3].startswith("msrti,2,0.4,")
     printed = capsys.readouterr().out.splitlines()
     assert printed[0].startswith("msrti: mean error 0.300 m over 2 seeds")
     assert "left out" not in printed[0]
@@ -286,11 +284,15 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
      "bad --channels value '11,a': expected e.g. 11,16,21,26"),
     (["benchmark", "--variants", "msrti,nope"],
      "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
+    (["benchmark", "--variants", ","], "--variants needs at least one variant"),
+    (["benchmark", "--positions", "0"],
+     "positions must be one (x, y) or a (P, 2) array with P >= 1"),
     (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
     (["track", "--trace", "{trace}"],
      "trace has 38 frames but the first 100 are needed for calibration; "
      "pass --fades to use every frame"),
-], ids=["seeds", "no seeds", "channels", "variant", "no frames", "few frames"])
+], ids=["seeds", "no seeds", "channels", "variant", "no variants",
+        "no positions", "no frames", "few frames"])
 def test_input_errors_exit_2(workspace, capsys, argv, message):
     tmp_path, _, layout_path, _, _ = workspace
     trace_path, _ = _simulate(workspace)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -538,15 +540,48 @@ def test_never_observed_pairs_get_zero_rows():
                                atol=1e-12 * np.abs(expected).max())
 
 
+def _lattice_spec(layout, positions, calibration_frames, frames_per_position):
+    trajectory = stationary_trajectory(positions, calibration_frames,
+                                       frames_per_position)
+    return ScenarioSpec(layout=layout, calibration_frames=calibration_frames,
+                        trajectory=trajectory)
+
+
 def test_benchmark_rows_and_reuse():
     layout = perimeter_layout(10, 4.0, 4.0)
     config = PipelineConfig(calibration_frames=30)
-    rows = benchmark(layout, [(1.5, 2.0), (2.5, 2.5)], seeds=(1, 2),
-                     config=config, frames_per_position=4)
-    assert [(r[0], r[2]) for r in rows] == [
+    spec = _lattice_spec(layout, [(1.5, 2.0), (2.5, 2.5)], 30, 4)
+    rows = benchmark(spec, seeds=(1, 2), config=config)
+    assert [(r[0], r[1]) for r in rows] == [
         ("msrti", 1), ("cdrti", 1), ("msrti", 2), ("cdrti", 2)]
-    assert all(r[1] == "stationary-grid" for r in rows)
-    assert all(np.isfinite(r[3]["mean"]) for r in rows)
+    assert all(np.isfinite(r[2]["mean"]) for r in rows)
+
+
+@pytest.mark.parametrize("kalman", [False, True])
+def test_benchmark_rows_are_run_pipeline_summaries(kalman):
+    """benchmark scores a walking scenario, Kalman smoothing included, as
+    run_pipeline scores the same seeded trace."""
+    layout = perimeter_layout(10, 4.0, 4.0)
+    spec = ScenarioSpec(layout=layout, calibration_frames=30,
+                        trajectory=np.array([(30, 1.0, 1.0), (31, 1.4, 1.3),
+                                             (33, 2.0, 2.0), (34, 2.6, 2.4),
+                                             (35, 3.0, 3.1), (38, 2.5, 3.0)]))
+    config = PipelineConfig(calibration_frames=30, kalman=kalman)
+    rows = benchmark(spec, seeds=(4, 5), config=config,
+                     variants=("msrti", "rti"))
+    assert [(r[0], r[1]) for r in rows] == [
+        ("msrti", 4), ("rti", 4), ("msrti", 5), ("rti", 5)]
+    for variant, seed, summary in rows:
+        trace = generate_trace(replace(spec, seed=seed))
+        truth = {int(k): (x, y) for k, x, y in trace.truth}
+        expected = run_pipeline(variant, trace.frames, layout, config, truth)
+        assert summary == expected.summary
+
+
+def test_benchmark_needs_a_trajectory():
+    spec = ScenarioSpec(layout=perimeter_layout(8, 4.0, 4.0))
+    with pytest.raises(ValueError, match="trajectory"):
+        benchmark(spec, seeds=(1,))
 
 
 def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):
@@ -560,8 +595,8 @@ def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):
     config = PipelineConfig(calibration_frames=30)
     for variants, expected in ((("cdrti", "rti"), 0), (("msrti", "cdrti"), 1)):
         calls.clear()
-        rows = benchmark(layout, [(2.0, 2.0)], seeds=(1, 2), config=config,
-                         variants=variants, frames_per_position=2)
+        rows = benchmark(_lattice_spec(layout, [(2.0, 2.0)], 30, 2),
+                         seeds=(1, 2), config=config, variants=variants)
         assert len(rows) == 2 * len(variants)
         assert len(calls) == expected
 
@@ -569,10 +604,10 @@ def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):
 def test_benchmark_multiscale_beats_stacked_baseline():
     layout = perimeter_layout(12, 5.0, 5.0)
     config = PipelineConfig(calibration_frames=40)
-    rows = benchmark(layout, [(1.5, 1.5), (2.5, 3.5), (3.5, 2.0)],
-                     seeds=(1, 2, 3), config=config, frames_per_position=5)
+    spec = _lattice_spec(layout, [(1.5, 1.5), (2.5, 3.5), (3.5, 2.0)], 40, 5)
+    rows = benchmark(spec, seeds=(1, 2, 3), config=config)
     means = {}
-    for variant, _, seed, summary in rows:
+    for variant, seed, summary in rows:
         means.setdefault(variant, []).append(summary["mean"])
     assert np.mean(means["msrti"]) <= np.mean(means["cdrti"])
 

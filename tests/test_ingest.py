@@ -206,9 +206,10 @@ def _int_token(form, value):
 
 @st.composite
 def trace_texts(draw):
-    """Trace text: clean records, which the block parser should take, with
-    at most one oddity that only the per-line parser judges: a bad record
-    (FAULTS), or one odd integer or rss token."""
+    """(text, clean): trace text of clean records with at most one oddity
+    that only the per-line parser judges, a bad record (FAULTS) or one odd
+    integer or rss token; clean when it drew no oddity and no `1_0` rss
+    token, so that the block parser should take it."""
     keys = draw(st.lists(
         st.tuples(st.sampled_from([0, 1, 2, 5, 9, 3]),  # gaps, any order
                   st.integers(0, len(SMALL_PAIRS) - 1),
@@ -231,6 +232,7 @@ def trace_texts(draw):
         if len(row) == 4:
             row.append(draw(st.sampled_from(CLEAN_RSS)
                             | st.floats(-100, 0).map(repr)))
+    clean = oddity is None and all(row[-1] != "1_0" for row in rows)
     if rows and oddity == "int token":
         j = draw(st.integers(0, len(rows) - 1))
         i = draw(st.integers(0, len(records[j]) - 1))
@@ -247,7 +249,7 @@ def trace_texts(draw):
         lines.append(line)
         lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "#"]),
                                max_size=1))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), clean
 
 
 def _outcome(load, path, table):
@@ -275,27 +277,37 @@ def _assert_same_outcome(a, b):
         np.testing.assert_array_equal(rss_a, rss_b)
 
 
+def _assert_parsers_agree(path, clean):
+    """load_trace gives the per-line parser's outcome, and takes a clean
+    text without calling it."""
+    if clean:
+        _assert_block_path_takes(path)
+    else:
+        _assert_same_outcome(_outcome(load_trace, path, SMALL_TABLE),
+                             _outcome(ingest._load_trace_lines, path, SMALL_TABLE))
+
+
 @settings(max_examples=300, deadline=None)
-@given(text=trace_texts())
-def test_trace_block_parser_matches_per_line_parser(tmp_path_factory, text):
+@given(drawn=trace_texts())
+def test_trace_block_parser_matches_per_line_parser(tmp_path_factory, drawn):
+    text, clean = drawn
     path = tmp_path_factory.mktemp("trace") / "trace.txt"
     path.write_text(text)
-    _assert_same_outcome(_outcome(load_trace, path, SMALL_TABLE),
-                         _outcome(ingest._load_trace_lines, path, SMALL_TABLE))
+    _assert_parsers_agree(path, clean)
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=trace_texts(), chunk=st.integers(1, 8))
+@given(drawn=trace_texts(), chunk=st.integers(1, 8))
 def test_trace_block_parser_matches_per_line_parser_in_tiny_reads(
-        tmp_path_factory, text, chunk):
+        tmp_path_factory, drawn, chunk):
     """Reads of a few characters, each taken on to its line end, cut the
     text at every line end and give the same outcome."""
+    text, clean = drawn
     path = tmp_path_factory.mktemp("trace") / "trace.txt"
     path.write_text(text)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_CHARS", chunk)
-        _assert_same_outcome(_outcome(load_trace, path, SMALL_TABLE),
-                             _outcome(ingest._load_trace_lines, path, SMALL_TABLE))
+        _assert_parsers_agree(path, clean)
 
 
 def _assert_block_path_takes(path):
@@ -516,22 +528,22 @@ def test_track_csv_round_trip(tmp_path):
 def test_benchmark_csv(tmp_path):
     path = tmp_path / "bench.csv"
     summary = {"mean": 0.3, "median": 0.25, "p95": 0.6, "max": 1.0, "cdf": []}
-    save_benchmark_csv([("msrti", "scene", 1, summary)], path)
+    save_benchmark_csv([("msrti", 1, summary)], path)
     text = path.read_text().splitlines()
-    assert text[0] == "variant,scenario,seed,mean_m,median_m,p95_m,max_m"
-    assert text[1].startswith("msrti,scene,1,0.3,")
+    assert text[0] == "variant,seed,mean_m,median_m,p95_m,max_m"
+    assert text[1].startswith("msrti,1,0.3,")
 
 
 def test_benchmark_csv_row_without_detection(tmp_path, monkeypatch):
     # benchmark() gives summary None for a run with no detected frame
     summary = {"mean": 0.3, "median": 0.25, "p95": 0.6, "max": 1.0, "cdf": []}
     monkeypatch.setattr(harness, "benchmark", lambda *a, **kw: [
-        ("msrti", "scene", 1, summary), ("msrti", "scene", 2, None)])
+        ("msrti", 1, summary), ("msrti", 2, None)])
     path = tmp_path / "bench.csv"
     save_benchmark_csv(harness.benchmark(), path)
     text = path.read_text().splitlines()
-    assert text[1] == "msrti,scene,1,0.3,0.25,0.6,1.0"
-    assert text[2] == "msrti,scene,2,nan,nan,nan,nan"
+    assert text[1] == "msrti,1,0.3,0.25,0.6,1.0"
+    assert text[2] == "msrti,2,nan,nan,nan,nan"
 
 
 def test_key_value_parsing(tmp_path):

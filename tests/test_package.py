@@ -61,3 +61,18 @@ def test_reference_pipeline_imports_no_library_routine():
             imported += [alias.name for alias in node.names]
     assert imported, "the reference takes nothing from rtikit"
     assert set(imported) <= REFERENCE_MAY_IMPORT, imported
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_import_is_used(name):
+    """Each name a module imports at its top level is read as a name in it
+    or exported in its __all__, so no import outlives the code that used
+    it."""
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [n for n in imported if n not in used and n not in module.__all__]
+    assert not unused, f"{name} imports unused names {unused}"

@@ -35,6 +35,14 @@ def test_stationary_trajectory():
     assert np.all(traj[:, 1] == 2.0)
     with pytest.raises(ValueError):
         stationary_trajectory((0, 0), 0, 0)
+    # a (P, 2) array stands at each position in turn
+    lattice = stationary_trajectory([(1.0, 2.0), (3.0, 4.0)], 10, 2)
+    np.testing.assert_array_equal(lattice, [[10, 1.0, 2.0], [11, 1.0, 2.0],
+                                            [12, 3.0, 4.0], [13, 3.0, 4.0]])
+    for bad in ([], np.zeros((0, 2)), (1.0, 2.0, 3.0), np.zeros((2, 3)),
+                np.zeros((1, 1, 2))):
+        with pytest.raises(ValueError, match="positions must be"):
+            stationary_trajectory(bad, 0, 1)
 
 
 def test_spec_validation():
