@@ -56,28 +56,24 @@ def normalized_tx_power(channel: int) -> float:
     return _TX_POWER_SLOPE * channel + _TX_POWER_INTERCEPT
 
 
-def path_loss(distance: float, channel: int, p0: float, eta: float,
-              d0: float = 1.0) -> float:
+def path_loss(distance: float, channel: int, p0: float, eta: float) -> float:
     """Predicted obstruction-free RSS in dBm at a TX-RX distance.
 
-    P(d, c) = P_T(c) - p0 - 10 eta log10(d / d0), elementwise over
+    P(d, c) = P_T(c) - p0 - 10 eta log10(d), d in meters, elementwise over
     distance and channel arrays, which broadcast against each other.
 
     Args:
         distance: TX-RX separation in meters, > 0.
         channel: channel number, used only for its TX-power offset.
-        p0: reference loss at d0 in dB.
+        p0: loss at 1 m in dB.
         eta: path-loss exponent.
-        d0: reference distance in meters (default 1).
 
     Returns:
         Predicted RSS in dBm.
     """
     if np.any(np.asarray(distance) <= 0):
         raise ValueError("distance must be > 0")
-    if d0 <= 0:
-        raise ValueError("reference distance d0 must be > 0")
-    return normalized_tx_power(channel) - p0 - 10.0 * eta * np.log10(distance / d0)
+    return normalized_tx_power(channel) - p0 - 10.0 * eta * np.log10(distance)
 
 
 @dataclass(frozen=True)
@@ -115,16 +111,14 @@ class PathLossFit:
     """Fitted log-distance model parameters.
 
     Attributes:
-        p0: reference loss at d0 in dB.
+        p0: loss at 1 m in dB.
         eta: path-loss exponent.
-        d0: reference distance in meters.
         n_pairs: number of (link, channel) means that entered the fit.
         rmse: root-mean-square residual of the fit in dB.
     """
 
     p0: float
     eta: float
-    d0: float
     n_pairs: int
     rmse: float
 
@@ -166,7 +160,7 @@ class FadeLevelTable:
         return ~np.isnan(self.values)
 
 
-def calibrate(frames, table: LinkTable, d0: float = 1.0) -> FadeLevelTable:
+def calibrate(frames, table: LinkTable) -> FadeLevelTable:
     """Calibrate from an empty-room recording.
 
     Averages each (link, channel)'s available samples across frames, then
@@ -176,7 +170,6 @@ def calibrate(frames, table: LinkTable, d0: float = 1.0) -> FadeLevelTable:
     Args:
         frames: iterable of RssFrame, all sharing one channel set.
         table: link table supplying per-link distances.
-        d0: reference distance in meters.
 
     Returns:
         FadeLevelTable.
@@ -204,24 +197,22 @@ def calibrate(frames, table: LinkTable, d0: float = 1.0) -> FadeLevelTable:
         count += present
     with np.errstate(invalid="ignore"):
         mean = np.where(count > 0, total / np.maximum(count, 1), np.nan)
-    return calibrate_means(mean, channels, table, d0=d0)
+    return calibrate_means(mean, channels, table)
 
 
-def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable,
-                    d0: float = 1.0) -> FadeLevelTable:
+def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable) -> FadeLevelTable:
     """Fit the pooled path-loss model and derive fade levels.
 
     The fit removes the known TX-power offset P_T(c) from each mean and
-    regresses the remainder on -10 log10(d / d0) with an intercept, pooling
-    every observed (link, channel) pair into one ordinary least-squares
-    problem. Slope is eta, negated intercept is p0. Fade levels are then
-    F = mean_rss - P(d, c).
+    regresses the remainder on -10 log10(d), d in meters, with an intercept,
+    pooling every observed (link, channel) pair into one ordinary
+    least-squares problem. Slope is eta, negated intercept is p0, the loss
+    at 1 m. Fade levels are then F = mean_rss - P(d, c).
 
     Args:
         mean_rss: (L, C) empty-room mean RSS in dBm; NaN = unobserved.
         channels: (C,) channel numbers matching the columns.
         table: link table supplying per-link distances.
-        d0: reference distance in meters.
 
     Returns:
         FadeLevelTable with fitted model and residual fade levels.
@@ -240,11 +231,9 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable,
         raise ValueError("mean_rss columns must match channels")
     if np.any(np.diff(channels) <= 0):
         raise ValueError("channels must be strictly ascending")
-    if d0 <= 0:
-        raise ValueError("reference distance d0 must be > 0")
 
     tx_power = normalized_tx_power(channels)
-    log_term = -10.0 * np.log10(table.lengths / d0)  # (L,)
+    log_term = -10.0 * np.log10(table.lengths)  # (L,)
 
     mask = ~np.isnan(mean_rss)
     n_pairs = int(mask.sum())
@@ -259,13 +248,12 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable,
     eta, neg_p0 = np.polyfit(x, y, 1)
     p0 = -neg_p0
 
-    residual = mean_rss - path_loss(table.lengths[:, None], channels, p0, eta, d0)
+    residual = mean_rss - path_loss(table.lengths[:, None], channels, p0, eta)
     rmse = float(np.sqrt(np.mean(residual[mask] ** 2)))
     fade = np.where(mask, residual, np.nan)
     return FadeLevelTable(
         values=fade,
         mean_rss=mean_rss.copy(),
         channels=channels,
-        fit=PathLossFit(p0=float(p0), eta=float(eta), d0=float(d0),
-                        n_pairs=n_pairs, rmse=rmse),
+        fit=PathLossFit(p0=float(p0), eta=float(eta), n_pairs=n_pairs, rmse=rmse),
     )

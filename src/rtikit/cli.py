@@ -103,13 +103,13 @@ def _cmd_calibrate(args) -> int:
         frames = _subset_frames(frames, _parse_ints(args.channels, "--channels"))
     if not frames:
         raise ValueError(f"no frames in {args.trace}")
-    fades = calibrate(frames, table, d0=args.d0)
+    fades = calibrate(frames, table)
     save_fade_table(fades, table, args.out)
     fit = fades.fit
     print(f"calibrated {fit.n_pairs} (link, channel) pairs over "
           f"{len(frames)} frames")
-    print(f"path loss: eta={fit.eta:.4f} p0={fit.p0:.4f} dB "
-          f"(d0={fit.d0:g} m, rmse={fit.rmse:.4f} dB)")
+    print(f"path loss: eta={fit.eta:.4f} p0={fit.p0:.4f} dB at 1 m "
+          f"(rmse={fit.rmse:.4f} dB)")
     print(f"fade table written to {args.out}")
     return 0
 
@@ -194,12 +194,15 @@ def _cmd_benchmark(args) -> int:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; pick from {VARIANTS}")
     seeds = _parse_ints(args.seeds, "--seeds")
+    if not 0 <= args.inset <= 0.5:
+        raise ValueError(f"--inset must lie in [0, 0.5], got {args.inset:g}")
+    if args.positions < 1:
+        raise ValueError(f"--positions must be >= 1, got {args.positions}")
 
     xy = layout.xy
     x0, y0 = xy.min(axis=0)
     x1, y1 = xy.max(axis=0)
-    inset = args.inset
-    side = np.linspace(inset, 1.0 - inset, args.positions)
+    side = np.linspace(args.inset, 1.0 - args.inset, args.positions)
     positions = [(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
                  for fy in side for fx in side]
 
@@ -258,7 +261,6 @@ def main(argv=None) -> int:
     p.add_argument("--layout", required=True)
     p.add_argument("--trace", required=True, help="empty-room RSS trace")
     p.add_argument("--channels", help="comma-separated channel subset")
-    p.add_argument("--d0", type=float, default=1.0, help="reference distance, m")
     p.add_argument("--out", required=True, help="fade table output path")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -293,7 +295,8 @@ def main(argv=None) -> int:
     p.add_argument("--positions", type=int, default=5, metavar="R",
                    help="R x R lattice of target positions")
     p.add_argument("--inset", type=float, default=0.2,
-                   help="lattice inset as a fraction of the deployment box")
+                   help="lattice inset as a fraction of the deployment box, "
+                   "0 to 0.5")
     p.add_argument("--frames-per-position", type=int, default=10)
     p.add_argument("--out", required=True, help="benchmark CSV output path")
     p.set_defaults(func=_cmd_benchmark)

@@ -171,11 +171,14 @@ class VoxelGrid:
     ny: int
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError("voxel width p must be > 0")
+        if not (self.p > 0 and np.isfinite(self.p)):
+            raise ValueError("voxel width p must be > 0 and finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one voxel per axis")
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        origin = (float(self.origin[0]), float(self.origin[1]))
+        if not np.isfinite(origin).all():
+            raise ValueError("grid origin must be finite")
+        object.__setattr__(self, "origin", origin)
 
     @property
     def n_voxels(self) -> int:

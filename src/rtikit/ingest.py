@@ -384,7 +384,6 @@ def save_fade_table(fades: FadeLevelTable, table: LinkTable, path) -> None:
         fh.write("# fade-level table\n")
         fh.write(f"p0 {fades.fit.p0!r}\n")
         fh.write(f"eta {fades.fit.eta!r}\n")
-        fh.write(f"d0 {fades.fit.d0!r}\n")
         fh.write(f"n_pairs {fades.fit.n_pairs}\n")
         fh.write(f"rmse {fades.fit.rmse!r}\n")
         fh.write("channels " + " ".join(str(int(c)) for c in fades.channels) + "\n")
@@ -401,7 +400,7 @@ def save_fade_table(fades: FadeLevelTable, table: LinkTable, path) -> None:
 def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
     """Read a fade table saved by save_fade_table; channels must ascend."""
     grammar = {
-        **_scalars(float, "1", "p0", "eta", "d0", "rmse"),
+        **_scalars(float, "1", "p0", "eta", "rmse"),
         **_scalars(int, "1", "n_pairs"),
         "channels": ("channels channel...", (int, ...), "1"),
         "pair": ("pair tx rx channel mean fade",
@@ -456,7 +455,10 @@ def load_image(path) -> tuple[np.ndarray, VoxelGrid]:
             rows.extend(fields)
         else:
             header[key] = fields
-    grid = VoxelGrid(**header)
+    try:
+        grid = VoxelGrid(**header)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     values = np.array(rows)
     if values.size != grid.n_voxels:
         raise ValueError(
@@ -537,15 +539,15 @@ def load_key_value(path) -> dict[str, list[list[str]]]:
 def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
     """Build a ScenarioSpec from a key-value scenario file.
 
-    Keys, each optional: channels, eta, p0, d0, calibration_frames,
-    noise_sigma, fade_sigma, quantize (1/0, true/false, yes/no or on/off),
-    seed; trajectory as repeated `waypoint k x y` lines (integer k) or one
-    `stationary x y start_k n_frames`; repeated `fade_offset link_tx
-    link_rx channel value` lines give explicit offsets, at most one per
-    (link, channel); links without a line default to 0.
+    Keys, each optional: channels, eta, p0 (the loss at 1 m),
+    calibration_frames, noise_sigma, fade_sigma, quantize (1/0, true/false,
+    yes/no or on/off), seed; trajectory as repeated `waypoint k x y` lines
+    (integer k) or one `stationary x y start_k n_frames`; repeated
+    `fade_offset link_tx link_rx channel value` lines give explicit offsets,
+    at most one per (link, channel); links without a line default to 0.
     """
     grammar = {
-        **_scalars(float, "?", "eta", "p0", "d0", "noise_sigma", "fade_sigma"),
+        **_scalars(float, "?", "eta", "p0", "noise_sigma", "fade_sigma"),
         **_scalars(int, "?", "calibration_frames", "seed"),
         **_scalars(_on_off, "?", "quantize"),
         "channels": ("channels channel...", (int, ...), "?"),
@@ -583,7 +585,7 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
     with open(path, "w") as fh:
         fh.write("# scenario\n")
         fh.write("channels " + " ".join(str(c) for c in spec.channels) + "\n")
-        for key in ("eta", "p0", "d0", "noise_sigma", "fade_sigma"):
+        for key in ("eta", "p0", "noise_sigma", "fade_sigma"):
             fh.write(f"{key} {float(getattr(spec, key))!r}\n")
         fh.write(f"calibration_frames {spec.calibration_frames}\n")
         fh.write(f"quantize {1 if spec.quantize else 0}\n")

@@ -79,8 +79,7 @@ class ScenarioSpec:
         layout: sensor deployment.
         channels: measured channel numbers, ascending within 11..26.
         eta: true path-loss exponent.
-        p0: true reference loss at d0, dB.
-        d0: reference distance, meters.
+        p0: true loss at 1 m, dB.
         calibration_frames: person-absent frames at the start (k = 0...).
         trajectory: (T, 3) finite rows (k, x, y); times strictly increasing
             and after the calibration segment. Empty for a person-free trace.
@@ -96,7 +95,6 @@ class ScenarioSpec:
     channels: tuple = DEFAULT_CHANNELS
     eta: float = 2.0
     p0: float = 40.0
-    d0: float = 1.0
     calibration_frames: int = 100
     trajectory: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     fade_offsets: np.ndarray | None = None
@@ -129,8 +127,6 @@ class ScenarioSpec:
                 )
         if self.noise_sigma < 0 or self.fade_sigma < 0:
             raise ValueError("noise/fade sigmas must be >= 0")
-        if self.d0 <= 0:
-            raise ValueError("d0 must be > 0")
         if not np.isfinite(self.eta) or not np.isfinite(self.p0):
             raise ValueError("eta and p0 must be finite")
         if (self.fade_offsets is not None
@@ -202,8 +198,8 @@ def generate_trace(spec: ScenarioSpec,
     else:
         offsets = rng.normal(0.0, spec.fade_sigma, size=shape)
 
-    baseline = path_loss(table.lengths[:, None], channels, spec.p0, spec.eta,
-                         spec.d0) + offsets
+    baseline = (path_loss(table.lengths[:, None], channels, spec.p0, spec.eta)
+                + offsets)
 
     prob_down = _sign_probability_down(offsets)
     lam_down = lambda_for(offsets, DIR_DOWN, ellipse)

@@ -55,7 +55,7 @@ def _synthetic_fades(table, channels=(11, 16, 21, 26), sigma=5.0, seed=0):
     rng = np.random.default_rng(seed)
     channels = np.asarray(channels, dtype=int)
     values = rng.normal(0.0, sigma, size=(table.n_links, channels.size))
-    fit = PathLossFit(p0=40.0, eta=2.0, d0=1.0,
+    fit = PathLossFit(p0=40.0, eta=2.0,
                       n_pairs=table.n_links * channels.size, rmse=0.0)
     return FadeLevelTable(values=values, mean_rss=np.zeros_like(values),
                           channels=channels, fit=fit)

@@ -58,13 +58,13 @@ def test_path_loss_and_tx_power_arrays_are_their_scalar_calls():
     channels = np.arange(11, 27)
     distances = np.geomspace(0.3, 20.0, 9)[:, np.newaxis]
     power = normalized_tx_power(channels)
-    predicted = path_loss(distances, channels, p0=41.3, eta=2.17, d0=1.5)
+    predicted = path_loss(distances, channels, p0=41.3, eta=2.17)
     assert predicted.shape == (9, 16)
     for ci, c in enumerate(channels):
         assert power[ci] == normalized_tx_power(int(c))
         for li, d in enumerate(distances[:, 0]):
             assert predicted[li, ci] == path_loss(float(d), int(c), p0=41.3,
-                                                  eta=2.17, d0=1.5)
+                                                  eta=2.17)
     with pytest.raises(ValueError, match=r"channel \[11 27\] outside"):
         normalized_tx_power([11, 27])
     with pytest.raises(ValueError, match="distance"):
@@ -115,7 +115,7 @@ def test_calibrate_matches_lstsq_oracle_with_noise():
     assert fades.fit.p0 == pytest.approx(-coef[1], abs=1e-8)
     # residual definition: F = mean - P(d, c)
     fit = fades.fit
-    pred01 = path_loss(table.lengths[0], channels[1], fit.p0, fit.eta, fit.d0)
+    pred01 = path_loss(table.lengths[0], channels[1], fit.p0, fit.eta)
     assert fades.values[0, 1] == pytest.approx(mean[0, 1] - pred01, abs=1e-9)
 
 
@@ -227,7 +227,7 @@ def test_calibrate_means_sparse_inputs_defined_or_rejected(case):
     assert fades.fit.n_pairs == observed.sum()
     assert np.isfinite([fades.fit.p0, fades.fit.eta, fades.fit.rmse]).all()
     # least-squares residuals of a fit with an intercept: zero sum, and
-    # orthogonal to the regressor -10 log10(d / d0)
+    # orthogonal to the regressor -10 log10(d)
     residual = fades.values[observed]
     x = -10.0 * np.log10(lengths)
     scale = np.abs(mean[observed]).max() * residual.size

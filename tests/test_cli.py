@@ -1,5 +1,7 @@
 import re
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from rtikit.ingest import (
     load_track_csv,
     load_trace,
     save_layout,
+    save_trace,
 )
-from rtikit.simulator import perimeter_layout
+from rtikit.simulator import ScenarioSpec, generate_trace, perimeter_layout
 
 
 @pytest.fixture
@@ -285,14 +288,17 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--variants", "msrti,nope"],
      "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
     (["benchmark", "--variants", ","], "--variants needs at least one variant"),
-    (["benchmark", "--positions", "0"],
-     "positions must be one (x, y) or a (P, 2) array with P >= 1"),
+    (["benchmark", "--positions", "0"], "--positions must be >= 1, got 0"),
+    (["benchmark", "--positions", "-1"], "--positions must be >= 1, got -1"),
+    (["benchmark", "--inset", "1.5"], "--inset must lie in [0, 0.5], got 1.5"),
+    (["benchmark", "--inset", "-0.3"], "--inset must lie in [0, 0.5], got -0.3"),
     (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
     (["track", "--trace", "{trace}"],
      "trace has 38 frames but the first 100 are needed for calibration; "
      "pass --fades to use every frame"),
 ], ids=["seeds", "no seeds", "channels", "variant", "no variants",
-        "no positions", "no frames", "few frames"])
+        "no positions", "negative positions", "inset above", "inset below",
+        "no frames", "few frames"])
 def test_input_errors_exit_2(workspace, capsys, argv, message):
     tmp_path, _, layout_path, _, _ = workspace
     trace_path, _ = _simulate(workspace)
@@ -426,3 +432,52 @@ def test_calibrate_reports_fit(workspace, capsys):
           "--trace", str(trace_path), "--out", str(tmp_path / "fades.txt")])
     out = capsys.readouterr().out
     assert "eta=" in out and "p0=" in out
+
+
+def test_reference_distance_is_gone(workspace, capsys):
+    # The path-loss fit is at 1 m: a file from when d0 was a key is rejected
+    # at its d0 line, and so is the calibrate flag.
+    tmp_path, _, layout_path, scenario, config = workspace
+    trace_path, _ = _simulate(workspace)
+    fades = tmp_path / "fades.txt"
+    assert main(["calibrate", "--layout", str(layout_path),
+                 "--trace", str(trace_path), "--out", str(fades)]) == 0
+    lines = fades.read_text().splitlines(keepends=True)  # comment, p0, eta, ...
+    fades.write_text("".join(lines[:3] + ["d0 1.0\n"] + lines[3:]))
+    scenario.write_text(scenario.read_text() + "d0 2.0\n")
+    assert main(["track", "--layout", str(layout_path),
+                 "--trace", str(trace_path), "--fades", str(fades),
+                 "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {fades}:4: unknown key 'd0'\n"
+    assert main(["simulate", "--layout", str(layout_path),
+                 "--scenario", str(scenario),
+                 "--out-trace", str(tmp_path / "t.txt")]) == 2
+    assert capsys.readouterr().err == f"error: {scenario}:5: unknown key 'd0'\n"
+    with pytest.raises(SystemExit) as info:
+        main(["calibrate", "--layout", str(layout_path), "--trace",
+              str(trace_path), "--d0", "1", "--out", str(fades)])
+    assert info.value.code == 2
+
+
+def _readme_walkthrough() -> list:
+    """argv of each `rtikit` command in the README's command-line walkthrough."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line walkthrough", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rtikit ")]
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch):
+    # A flag the README still shows after the CLI dropped it fails here.
+    layout = perimeter_layout(8, 2.0, 2.0)
+    save_layout(layout, tmp_path / "layout.txt")
+    (tmp_path / "scenario.txt").write_text("stationary 1.0 1.0 100 5\n")
+    empty = generate_trace(ScenarioSpec(layout=layout, calibration_frames=20))
+    save_trace(empty.frames, empty.table, tmp_path / "empty.txt")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_walkthrough()
+    assert {argv[0] for argv in commands} == {
+        "simulate", "calibrate", "track", "reconstruct", "benchmark", "crosscheck"}
+    for argv in commands:
+        assert main(argv) == 0, argv

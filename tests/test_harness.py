@@ -44,7 +44,7 @@ def _small_trace(seed=3, calibration_frames=40, n_nodes=10, side=4.0):
 def _uniform_fades(table, channels, fade=0.0):
     n_links = table.n_links
     channels = np.asarray(channels, dtype=int)
-    fit = PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=n_links, rmse=0.0)
+    fit = PathLossFit(p0=40.0, eta=2.0, n_pairs=n_links, rmse=0.0)
     values = np.full((n_links, channels.size), float(fade))
     mean = np.zeros((n_links, channels.size))
     return FadeLevelTable(values=values, mean_rss=mean, channels=channels,
@@ -289,7 +289,7 @@ def test_images_and_positions_match_reference_pipeline(
         values=np.where(uncalibrated, np.nan, rng.uniform(-15, 15, shape)),
         mean_rss=np.where(uncalibrated, np.nan, rng.uniform(-80, -40, shape)),
         channels=channels,
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=1, rmse=0.0))
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=1, rmse=0.0))
     n_frames = int(rng.integers(1, 13))
     ks = 100 + np.cumsum(rng.integers(1, 4, size=n_frames))
     change = rng.normal(0.0, 6.0, size=(n_frames, *shape))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rtikit import harness, ingest
+from rtikit import ingest
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.ingest import (
@@ -526,24 +526,15 @@ def test_track_csv_round_trip(tmp_path):
 
 
 def test_benchmark_csv(tmp_path):
-    path = tmp_path / "bench.csv"
-    summary = {"mean": 0.3, "median": 0.25, "p95": 0.6, "max": 1.0, "cdf": []}
-    save_benchmark_csv([("msrti", 1, summary)], path)
-    text = path.read_text().splitlines()
-    assert text[0] == "variant,seed,mean_m,median_m,p95_m,max_m"
-    assert text[1].startswith("msrti,1,0.3,")
-
-
-def test_benchmark_csv_row_without_detection(tmp_path, monkeypatch):
     # benchmark() gives summary None for a run with no detected frame
-    summary = {"mean": 0.3, "median": 0.25, "p95": 0.6, "max": 1.0, "cdf": []}
-    monkeypatch.setattr(harness, "benchmark", lambda *a, **kw: [
-        ("msrti", 1, summary), ("msrti", 2, None)])
     path = tmp_path / "bench.csv"
-    save_benchmark_csv(harness.benchmark(), path)
-    text = path.read_text().splitlines()
-    assert text[1] == "msrti,1,0.3,0.25,0.6,1.0"
-    assert text[2] == "msrti,2,nan,nan,nan,nan"
+    summary = {"mean": 0.3, "median": 0.25, "p95": 0.6, "max": 1.0, "cdf": []}
+    save_benchmark_csv([("msrti", 1, summary), ("msrti", 2, None)], path)
+    assert path.read_text().splitlines() == [
+        "variant,seed,mean_m,median_m,p95_m,max_m",
+        "msrti,1,0.3,0.25,0.6,1.0",
+        "msrti,2,nan,nan,nan,nan",
+    ]
 
 
 def test_key_value_parsing(tmp_path):
@@ -652,7 +643,7 @@ def truths(draw):
 def fade_tables(draw):
     channels = draw(CHANNEL_SETS)
     shape = (SMALL_TABLE.n_links, len(channels))
-    fit = PathLossFit(p0=draw(FINITE), eta=draw(FINITE), d0=draw(FINITE),
+    fit = PathLossFit(p0=draw(FINITE), eta=draw(FINITE),
                       n_pairs=draw(st.integers(0, 10**6)), rmse=draw(FINITE))
     return FadeLevelTable(values=_array(draw, NA_HOLES, shape),
                           mean_rss=_array(draw, NA_HOLES, shape),
@@ -689,7 +680,6 @@ def scenarios(draw):
     sigmas = st.floats(0.0, 1e6)
     return ScenarioSpec(
         layout=SMALL_LAYOUT, channels=channels, eta=draw(FINITE), p0=draw(FINITE),
-        d0=draw(st.floats(0.0, 1e6, exclude_min=True)),
         calibration_frames=calibration_frames, trajectory=trajectory,
         fade_offsets=offsets, fade_sigma=draw(sigmas), noise_sigma=draw(sigmas),
         quantize=draw(st.booleans()), seed=draw(st.integers(0, 2**63)))
@@ -719,7 +709,7 @@ def test_text_formats_round_trip_bit_for_bit(tmp_path_factory, kind, data):
 
 
 SCENARIO_HEAD = "channels 11 16\ncalibration_frames 10\n"
-FADE_HEAD = "p0 40.0\neta 2.0\nd0 1.0\nn_pairs 2\nrmse 0.5\n"
+FADE_HEAD = "p0 40.0\neta 2.0\nn_pairs 2\nrmse 0.5\n"
 MALFORMED_LOADERS = {
     "layout": load_layout,
     "scenario": lambda path: load_scenario(path, perimeter_layout(6, 5.0, 4.0)),
@@ -742,16 +732,20 @@ MALFORMED_LOADERS = {
     ("ground truth", "100 1.0 1.0\n101 nan 2.0\n", "bad.txt:2:"),
     ("ground truth", "100 inf 1.0\n", "bad.txt:1:"),
     ("fade table", "p0 x37.7\n", "bad.txt:1:"),
-    ("fade table", FADE_HEAD + "eta 2.5\nchannels 11\n", "bad.txt:6:"),
+    ("fade table", FADE_HEAD + "eta 2.5\nchannels 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 1.0\n"
-     "pair 1 2 11 -50.0 2.0\n", "bad.txt:8:"),
-    ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:6:"),
-    ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:6:"),
+     "pair 1 2 11 -50.0 2.0\n", "bad.txt:7:"),
+    ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:5:"),
+    ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 16 -50.0 1.0\n",
-     "bad.txt:7:"),
+     "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 99999999999999999999 11 -50.0 1.0\n",
-     "bad.txt:7:"),
+     "bad.txt:6:"),
     ("image", "nx two\nny 1\np 1.0\norigin 0.0 0.0\n1.0 2.0\n", "bad.txt:1:"),
+    ("image", "nx 2\nny 1\np nan\norigin 0.0 0.0\n1.0 2.0\n",
+     "bad.txt: voxel width p must be > 0 and finite"),
+    ("image", "nx 2\nny 1\np 1.0\norigin nan 0.0\n1.0 2.0\n",
+     "bad.txt: grid origin must be finite"),
     ("layout", "99999999999999999999 0 0\n2 1 0\n3 0 1\n", "bad.txt:1:"),
     ("layout", "1 0 0\n-99999999999999999999 1 0\n3 0 1\n", "bad.txt:2:"),
 ])

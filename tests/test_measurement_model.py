@@ -33,7 +33,7 @@ def fade_table(table, channels, values):
         values=values,
         mean_rss=np.full_like(values, -55.0),
         channels=np.asarray(channels, dtype=int),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=values.size, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=values.size, rmse=0.0),
     )
 
 

@@ -39,7 +39,7 @@ def synthetic_fades(table, seed):
     return FadeLevelTable(
         values=vals, mean_rss=np.zeros_like(vals),
         channels=np.array([11, 12]),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=8, rmse=0.0),
     )
 
 
@@ -380,7 +380,7 @@ def _tall_weights_n1024():
     fades = FadeLevelTable(
         values=vals, mean_rss=np.zeros_like(vals),
         channels=np.arange(11, 15),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=8, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=8, rmse=0.0),
     )
     wm = build_multiscale_weights(table, layout, grid, fades)
     assert (grid.n_voxels, wm.n_rows) == (1024, 3024)

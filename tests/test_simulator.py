@@ -143,7 +143,7 @@ def test_calibration_round_trip_with_offsets_tracks_fit_residuals():
         ])
         fit = fades.fit
         fitted_p = np.array([
-            path_loss(d, c, fit.p0, fit.eta, fit.d0) for d in trace.table.lengths
+            path_loss(d, c, fit.p0, fit.eta) for d in trace.table.lengths
         ])
         want = offsets[:, ci] + true_p - fitted_p
         np.testing.assert_allclose(fades.values[:, ci], want, atol=0.15)

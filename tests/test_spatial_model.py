@@ -33,7 +33,7 @@ def flat_fades(table, channels, value):
         values=vals,
         mean_rss=np.zeros_like(vals),
         channels=np.asarray(channels, dtype=int),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=vals.size, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=vals.size, rmse=0.0),
     )
 
 
@@ -169,7 +169,7 @@ def test_multiscale_excluded_pairs():
     vals[7, 1] = np.nan
     fades = FadeLevelTable(
         values=vals, mean_rss=np.zeros_like(vals), channels=channels,
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=10, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=10, rmse=0.0),
     )
     wm = build_multiscale_weights(table, layout, grid, fades)
     # uncalibrated pairs keep their two rows, all zero; the row layout
@@ -200,7 +200,7 @@ def test_multiscale_matches_independent_loop():
     vals = rng.uniform(-10, 10, size=(table.n_links, 3))
     fades = FadeLevelTable(
         values=vals, mean_rss=np.zeros_like(vals), channels=channels,
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=30, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=30, rmse=0.0),
     )
     params = EllipseModelParams()
     wm = build_multiscale_weights(table, layout, grid, fades, params)
@@ -261,7 +261,7 @@ def fade_tables(draw):
     return FadeLevelTable(
         values=values, mean_rss=np.zeros_like(values),
         channels=np.arange(11, 11 + n_channels),
-        fit=PathLossFit(p0=40.0, eta=2.0, d0=1.0, n_pairs=10, rmse=0.0),
+        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=10, rmse=0.0),
     )
 
 
