@@ -9,8 +9,9 @@ Subcommands:
     crosscheck   verify model constants against their published anchors
 
 All file formats are the plain-text ones in rtikit.ingest. The optional
---config file is flat `key value` text (see PipelineConfig.from_dict for
-the key set).
+--config file is flat `key value` text; its keys are the field names of
+PipelineConfig, except `kalman`, and of its three parameter sets
+(EllipseModelParams, MeasurementModelParams, ReconstructionParams).
 
 Exit codes: 0 on success, 1 when crosscheck finds an anchor off, and 2 on
 bad input (a file, flag or config value), with an `error:` line on stderr.
@@ -198,6 +199,9 @@ def _cmd_benchmark(args) -> int:
         raise ValueError(f"--inset must lie in [0, 0.5], got {args.inset:g}")
     if args.positions < 1:
         raise ValueError(f"--positions must be >= 1, got {args.positions}")
+    if args.frames_per_position < 1:
+        raise ValueError("--frames-per-position must be >= 1, "
+                         f"got {args.frames_per_position}")
 
     xy = layout.xy
     x0, y0 = xy.min(axis=0)

@@ -23,7 +23,7 @@ Baseline variants image the *loss* s = −Δr so that the argmax localizer
 targets attenuation for every variant.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -120,84 +120,46 @@ class PipelineConfig:
                 ("kalman_r_scale", "finite and >= 0", 0 <= self.kalman_r_scale < inf),
                 ("dt", "finite and > 0", 0 < self.dt < inf)):
             if not ok:
-                raise ValueError(f"{name} must be {bound}")
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, kv: dict) -> "PipelineConfig":
         """Build from flat key-value pairs (see load_key_value).
 
-        Unknown keys raise, and so does a value its key's type cannot
-        read or a parameter set's range rejects; each error names the key
-        and the value. Parameter-set keys map onto their dataclasses
-        (k_lambda_minus onto EllipseModelParams.k_down, beta_minus,
-        sigma_x, ...). `kalman` is not a key: the caller decides whether
-        to smooth (`rtikit track --no-kalman`).
+        The keys are the field names of PipelineConfig, except `kalman` (the
+        caller decides whether to smooth: `rtikit track --no-kalman`), and
+        of its three parameter sets, EllipseModelParams,
+        MeasurementModelParams and ReconstructionParams. Each key takes one
+        value, read as an integer for an `int` field and as a number
+        otherwise; a key not given keeps its default. An unknown or
+        repeated key, or a value its field cannot read, raises an error
+        that names the key; a value out of range raises the field's own
+        `<key> must be ..., got <value>`.
         """
-        ellipse_keys = {
-            "k_lambda_minus": "k_down", "b_lambda_minus": "b_down",
-            "k_lambda_plus": "k_up", "b_lambda_plus": "b_up",
-            "lambda_max": "lambda_max",
-        }
-        measurement_keys = {
-            "beta_minus": "beta_minus", "k_beta_plus": "k_beta_plus",
-            "b_beta_plus": "b_beta_plus",
-        }
-        recon_keys = {"sigma_x": "sigma_x", "sigma_n": "sigma_n",
-                      "delta_c": "delta_c"}
-        top_float = {"voxel_width", "grid_margin", "classic_lambda",
-                     "kalman_q", "kalman_r_scale", "dt"}
-        top_int = {"calibration_frames", "rti_channel", "flrti_m"}
-
-        fields = {}  # config key -> (parameter set or None, field, value)
+        sets = {f.name: f.type for f in fields(cls) if is_dataclass(f.type)}
+        # key -> (its parameter set, None for a PipelineConfig field; annotation)
+        owners = {f.name: (None, f.type) for f in fields(cls)
+                  if f.name not in sets and f.name != "kalman"}
+        for group, params in sets.items():
+            owners.update({f.name: (group, f.type) for f in fields(params)})
+        settings = {group: {} for group in (None, *sets)}
         for key, values in kv.items():
-            if len(values) != 1 or len(values[0]) != 1:
-                raise ValueError(f"config key {key!r} needs exactly one value")
-            value = values[0][0]
-            if key in ellipse_keys:
-                group, name, cast = "ellipse", ellipse_keys[key], float
-            elif key in measurement_keys:
-                group, name, cast = "measurement", measurement_keys[key], float
-            elif key == "hold_frames":
-                group, name, cast = "measurement", key, int
-            elif key in recon_keys:
-                group, name, cast = "reconstruction", recon_keys[key], float
-            elif key in top_float:
-                group, name, cast = None, key, float
-            elif key in top_int:
-                group, name, cast = None, key, int
-            else:
+            if key not in owners:
                 raise ValueError(f"unknown config key {key!r}")
+            if len(values) != 1:
+                raise ValueError(f"config key {key!r} appears more than once")
+            if len(values[0]) != 1:
+                raise ValueError(f"config key {key!r} needs exactly one value")
+            group, annotation = owners[key]
+            cast = int if annotation in (int, int | None) else float
             try:
-                fields[key] = (group, name, cast(value))
+                settings[group][key] = cast(values[0][0])
             except ValueError:
                 kind = "an integer" if cast is int else "a number"
-                raise ValueError(
-                    f"config key {key!r}: {value!r} is not {kind}") from None
-        sets = {"ellipse": EllipseModelParams,
-                "measurement": MeasurementModelParams,
-                "reconstruction": ReconstructionParams}
-
-        def build(settings):
-            """The config with these settings and defaults elsewhere."""
-            kwargs = {group: {} for group in (*sets, None)}
-            for group, name, value in settings:
-                kwargs[group][name] = value
-            return cls(**{group: params(**kwargs[group])
-                          for group, params in sets.items()}, **kwargs[None])
-
-        try:
-            return build(fields.values())
-        except ValueError:
-            # every range check reads one field, so the first key rejected
-            # on its own is at fault
-            for key, setting in fields.items():
-                try:
-                    build([setting])
-                except ValueError as exc:
-                    reason = str(exc).replace(setting[1], key)
-                    raise ValueError(f"config key {key!r}: {kv[key][0][0]!r} "
-                                     f"is out of range: {reason}") from None
-            raise
+                raise ValueError(f"config key {key!r}: {values[0][0]!r} "
+                                 f"is not {kind}") from None
+        return cls(**settings.pop(None), **{
+            group: params(**settings[group]) for group, params in sets.items()})
 
 
 def _loss(frame, fades, hold) -> np.ndarray:

@@ -577,7 +577,10 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
         kwargs["fade_offsets"] = np.zeros((table.n_links, len(channels)))
         kwargs["fade_offsets"][_cells(path, table, channels, offsets)] = [
             offset[4] for offset in offsets]
-    return ScenarioSpec(**kwargs)
+    try:
+        return ScenarioSpec(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_scenario(spec: ScenarioSpec, path) -> None:

@@ -10,6 +10,7 @@ and both slots of an uncalibrated pair at zero.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,11 +45,15 @@ class MeasurementModelParams:
     hold_frames: int = 5
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.beta_minus, self.k_beta_plus,
-                                            self.b_beta_plus)):  # False for NaN
-            raise ValueError("rate parameters must be strictly positive and finite")
-        if not 0 <= self.hold_frames < np.inf:
-            raise ValueError("hold_frames must be >= 0 and finite")
+        inf = np.inf
+        for name, bound, ok in (  # each test is False for NaN
+                ("beta_minus", "finite and > 0", 0 < self.beta_minus < inf),
+                ("k_beta_plus", "finite and > 0", 0 < self.k_beta_plus < inf),
+                ("b_beta_plus", "finite and > 0", 0 < self.b_beta_plus < inf),
+                ("hold_frames", "an integer >= 0",
+                 isinstance(self.hold_frames, Integral) and self.hold_frames >= 0)):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
 
 def beta_plus(fade_level: float, params: MeasurementModelParams) -> float:

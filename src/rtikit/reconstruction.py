@@ -88,9 +88,13 @@ class ReconstructionParams:
     delta_c: float = 4.0
 
     def __post_init__(self):
-        if not all(0 < v < np.inf for v in (self.sigma_x, self.sigma_n,
-                                            self.delta_c)):  # False for NaN
-            raise ValueError("reconstruction parameters must be strictly positive and finite")
+        inf = np.inf
+        for name, bound, ok in (  # each test is False for NaN
+                ("sigma_x", "finite and > 0", 0 < self.sigma_x < inf),
+                ("sigma_n", "finite and > 0", 0 < self.sigma_n < inf),
+                ("delta_c", "finite and > 0", 0 < self.delta_c < inf)):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
 
 def _covariance(distances: np.ndarray,

@@ -201,7 +201,7 @@ def generate_trace(spec: ScenarioSpec,
     baseline = (path_loss(table.lengths[:, None], channels, spec.p0, spec.eta)
                 + offsets)
 
-    prob_down = _sign_probability_down(offsets)
+    p_down = _sign_probability_down(offsets)
     lam_down = lambda_for(offsets, DIR_DOWN, ellipse)
     lam_up = lambda_for(offsets, DIR_UP, ellipse)
     beta_up = beta_plus(offsets, measurement)
@@ -221,7 +221,7 @@ def generate_trace(spec: ScenarioSpec,
     zero = np.zeros(shape)
     for k, x, y in spec.trajectory:
         lam_p = excess_path_field(table, spec.layout, [[x, y]])[:, 0]  # (L,)
-        goes_down = rng.random(shape) < prob_down
+        goes_down = rng.random(shape) < p_down
         lam_model = np.where(goes_down, lam_down, lam_up)
         fires = lam_p[:, None] < lam_model
         rate = np.where(goes_down, measurement.beta_minus, beta_up)

@@ -41,32 +41,30 @@ DIR_DOWN = "-"
 class EllipseModelParams:
     """Fade-level-to-ellipse-width model, one (scale, shape) pair per direction.
 
-    λ^δ(F) = b^δ · exp(F / k^δ), clamped to lambda_max. k_down < 0 makes the
-    loss-direction ellipse shrink as fade level rises (anti-fade links are
-    only obstructed near the line); k_up > 0 makes the gain-direction
-    ellipse grow slowly with F.
+    λ^δ(F) = b^δ · exp(F / k^δ), clamped to lambda_max. k_lambda_minus < 0
+    makes the loss-direction ellipse shrink as fade level rises (anti-fade
+    links are only obstructed near the line); k_lambda_plus > 0 makes the
+    gain-direction ellipse grow slowly with F.
 
     Defaults are the empirical fit over the deployment measurements.
     """
 
-    k_down: float = -5.7874
-    b_down: float = 0.2112
-    k_up: float = 102.7284
-    b_up: float = 0.5016
+    k_lambda_minus: float = -5.7874
+    b_lambda_minus: float = 0.2112
+    k_lambda_plus: float = 102.7284
+    b_lambda_plus: float = 0.5016
     lambda_max: float = 3.0
 
     def __post_init__(self):
-        inf = np.inf  # each test is False for NaN
-        if not (0 < self.b_down < inf and 0 < self.b_up < inf):
-            raise ValueError("ellipse scale parameters b must be > 0 and finite")
-        if not -inf < self.k_down < 0:
-            raise ValueError("k_down must be < 0 and finite "
-                             "(width decays with fade level)")
-        if not 0 < self.k_up < inf:
-            raise ValueError("k_up must be > 0 and finite "
-                             "(width grows with fade level)")
-        if not 0 < self.lambda_max < inf:
-            raise ValueError("lambda_max must be > 0 and finite")
+        inf = np.inf
+        for name, bound, ok in (  # each test is False for NaN
+                ("k_lambda_minus", "finite and < 0", -inf < self.k_lambda_minus < 0),
+                ("b_lambda_minus", "finite and > 0", 0 < self.b_lambda_minus < inf),
+                ("k_lambda_plus", "finite and > 0", 0 < self.k_lambda_plus < inf),
+                ("b_lambda_plus", "finite and > 0", 0 < self.b_lambda_plus < inf),
+                ("lambda_max", "finite and > 0", 0 < self.lambda_max < inf)):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
 
 def lambda_for(fade_level: float, direction: str,
@@ -86,9 +84,9 @@ def lambda_for(fade_level: float, direction: str,
     if np.ndim(fade_level) == 0 and not np.isfinite(fade_level):
         raise ValueError("fade level must be finite")
     if direction == DIR_DOWN:
-        b, k = params.b_down, params.k_down
+        b, k = params.b_lambda_minus, params.k_lambda_minus
     elif direction == DIR_UP:
-        b, k = params.b_up, params.k_up
+        b, k = params.b_lambda_plus, params.k_lambda_plus
     else:
         raise ValueError(f"direction must be '+' or '-', got {direction!r}")
     with np.errstate(invalid="ignore", over="ignore"):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -634,7 +634,7 @@ def test_crosscheck_defaults_pass():
 
 
 def test_crosscheck_detects_perturbed_scale_model():
-    bad = EllipseModelParams(b_down=0.2112 * 1.1)
+    bad = EllipseModelParams(b_lambda_minus=0.2112 * 1.1)
     checks, ok = crosscheck_models(ellipse=bad)
     assert not ok
     by_name = {c["name"]: c for c in checks}
@@ -647,7 +647,9 @@ def test_crosscheck_detects_perturbed_scale_model():
 def test_config_from_dict_roundtrip():
     kv = {
         "voxel_width": [["0.2"]],
+        "grid_margin": [["0.5"]],
         "calibration_frames": [["60"]],
+        "rti_channel": [["16"]],
         "flrti_m": [["2"]],
         "k_lambda_minus": [["-5.0"]],
         "b_lambda_minus": [["0.25"]],
@@ -659,15 +661,49 @@ def test_config_from_dict_roundtrip():
     }
     config = PipelineConfig.from_dict(kv)
     assert config.voxel_width == 0.2
+    assert config.grid_margin == 0.5
     assert config.calibration_frames == 60
+    assert config.rti_channel == 16 and type(config.rti_channel) is int
     assert config.flrti_m == 2
-    assert config.ellipse.k_down == -5.0
-    assert config.ellipse.b_down == 0.25
+    assert config.ellipse.k_lambda_minus == -5.0
+    assert config.ellipse.b_lambda_minus == 0.25
     assert config.ellipse.lambda_max == 2.5
     assert config.measurement.beta_minus == 0.2
     assert config.measurement.hold_frames == 8
     assert config.reconstruction.sigma_x == 0.05
     assert config.reconstruction.delta_c == 3.0
+
+
+def _defaulted_fields():
+    """(parameter set or None, field name) for each config field whose
+    default is not None, kalman excepted."""
+    default = PipelineConfig()
+    out = []
+    for f in fields(PipelineConfig):
+        value = getattr(default, f.name)
+        if is_dataclass(value):
+            out += [(f.name, g.name) for g in fields(value)]
+        elif value is not None and f.name != "kalman":
+            out.append((None, f.name))
+    return out
+
+
+@pytest.mark.parametrize("group, key", _defaulted_fields())
+def test_config_keys_are_the_field_names(group, key):
+    """Twice a field's default is in range and minus it is not, for every
+    field; a key sets its own field, read as the default's type, and only
+    that field."""
+    default = PipelineConfig()
+    owner = default if group is None else getattr(default, group)
+    value = getattr(owner, key)
+    config = PipelineConfig.from_dict({key: [[repr(2 * value)]]})
+    changed = replace(owner, **{key: 2 * value})
+    assert config == (changed if group is None
+                      else replace(default, **{group: changed}))
+    read = getattr(config if group is None else getattr(config, group), key)
+    assert type(read) is type(value)
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        PipelineConfig.from_dict({key: [[repr(-value)]]})
 
 
 def test_config_from_dict_rejects_unknown_key():
@@ -679,8 +715,12 @@ def test_config_from_dict_rejects_unknown_key():
         PipelineConfig.from_dict({"dead_zone_db": [["0"]]})
     with pytest.raises(ValueError, match="unknown config key 'kalman'"):
         PipelineConfig.from_dict({"kalman": [["true"]]})
-    with pytest.raises(ValueError, match="exactly one value"):
+    with pytest.raises(ValueError, match="'sigma_x' needs exactly one value"):
         PipelineConfig.from_dict({"sigma_x": [["1.0", "2.0"]]})
+    with pytest.raises(ValueError, match="'sigma_x' needs exactly one value"):
+        PipelineConfig.from_dict({"sigma_x": [[]]})
+    with pytest.raises(ValueError, match="'sigma_x' appears more than once"):
+        PipelineConfig.from_dict({"sigma_x": [["1.0"], ["2.0"]]})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -696,23 +736,24 @@ def test_config_rejects_out_of_range_values(key, value):
         PipelineConfig.from_dict({key: [[value]]})
 
 
-@pytest.mark.parametrize("key, message", [
-    ("b_lambda_minus", "ellipse scale parameters b must be > 0 and finite"),
-    ("b_lambda_plus", "ellipse scale parameters b must be > 0 and finite"),
-    ("k_lambda_minus", "k_lambda_minus must be < 0 and finite"),
-    ("k_lambda_plus", "k_lambda_plus must be > 0 and finite"),
-    ("lambda_max", "lambda_max must be > 0 and finite"),
-    ("sigma_x", "reconstruction parameters must be strictly positive and finite"),
-    ("sigma_n", "reconstruction parameters must be strictly positive and finite"),
-    ("delta_c", "reconstruction parameters must be strictly positive and finite"),
-    ("beta_minus", "rate parameters must be strictly positive and finite"),
-    ("k_beta_plus", "rate parameters must be strictly positive and finite"),
-    ("b_beta_plus", "rate parameters must be strictly positive and finite"),
+@pytest.mark.parametrize("key, bound", [
+    ("b_lambda_minus", "finite and > 0"),
+    ("b_lambda_plus", "finite and > 0"),
+    ("k_lambda_minus", "finite and < 0"),
+    ("k_lambda_plus", "finite and > 0"),
+    ("lambda_max", "finite and > 0"),
+    ("sigma_x", "finite and > 0"),
+    ("sigma_n", "finite and > 0"),
+    ("delta_c", "finite and > 0"),
+    ("beta_minus", "finite and > 0"),
+    ("k_beta_plus", "finite and > 0"),
+    ("b_beta_plus", "finite and > 0"),
 ])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_config_rejects_non_finite_model_parameters(key, message, value):
-    with pytest.raises(ValueError, match=message):
+def test_config_rejects_non_finite_model_parameters(key, bound, value):
+    with pytest.raises(ValueError) as info:
         PipelineConfig.from_dict({key: [[value]]})
+    assert str(info.value) == f"{key} must be {bound}, got {float(value)!r}"
 
 
 def test_config_validation():

@@ -729,6 +729,12 @@ MALFORMED_LOADERS = {
     ("scenario", SCENARIO_HEAD + "waypoint 100 1 1\nwaypoint 101 nan 2\n",
      "bad.txt:4:"),
     ("scenario", SCENARIO_HEAD + "stationary 1 -inf 100 5\n", "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "noise_sigma -1\n",
+     "bad.txt: noise/fade sigmas must be >= 0"),
+    ("scenario", "calibration_frames 0\n",
+     "bad.txt: calibration_frames must be >= 1"),
+    ("scenario", SCENARIO_HEAD + "waypoint 5 1 1\n",
+     "bad.txt: trajectory must start after the calibration segment"),
     ("ground truth", "100 1.0 1.0\n101 nan 2.0\n", "bad.txt:2:"),
     ("ground truth", "100 inf 1.0\n", "bad.txt:1:"),
     ("fade table", "p0 x37.7\n", "bad.txt:1:"),

@@ -102,6 +102,9 @@ def test_params_validation():
         MeasurementModelParams(beta_minus=0.0)
     with pytest.raises(ValueError):
         MeasurementModelParams(hold_frames=-1)
+    with pytest.raises(ValueError,
+                       match="^hold_frames must be an integer >= 0, got 2.5$"):
+        MeasurementModelParams(hold_frames=2.5)
 
 
 def no_hold(fades):

@@ -66,7 +66,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ReconstructionParams(delta_c=0.0)
     for name in ("sigma_x", "sigma_n", "delta_c"):
-        with pytest.raises(ValueError, match="strictly positive and finite"):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and > 0, got inf$"):
             ReconstructionParams(**{name: np.inf})
 
 

@@ -207,7 +207,7 @@ def test_person_inside_thin_ellipse_only():
     far = trace.table.link_index(3, 4)   # along y=6
     lam_p = reference_pipeline.excess(layout, [[3.0, 0.05]])[:, 0]
     params = EllipseModelParams()
-    assert lam_p[near] < min(params.b_down, params.b_up)
+    assert lam_p[near] < min(params.b_lambda_minus, params.b_lambda_plus)
     assert lam_p[far] > params.lambda_max
     post = trace.frames[20:]
     near_changes = sum(f.rss[near, 0] != trace.baseline[near, 0] for f in post)

@@ -82,11 +82,11 @@ def test_lambda_for_array_is_its_scalar_call_entry_by_entry():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        EllipseModelParams(k_down=1.0)
+        EllipseModelParams(k_lambda_minus=1.0)
     with pytest.raises(ValueError):
-        EllipseModelParams(k_up=-1.0)
+        EllipseModelParams(k_lambda_plus=-1.0)
     with pytest.raises(ValueError):
-        EllipseModelParams(b_down=0.0)
+        EllipseModelParams(b_lambda_minus=0.0)
     with pytest.raises(ValueError):
         EllipseModelParams(lambda_max=0.0)
 
