@@ -173,6 +173,8 @@ def _cmd_simulate(args) -> int:
     layout = load_layout(args.layout)
     spec = load_scenario(args.scenario, layout)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         spec = replace(spec, seed=args.seed)
     trace = generate_trace(spec)
     save_trace(trace.frames, trace.table, args.out_trace)
@@ -195,6 +197,8 @@ def _cmd_benchmark(args) -> int:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; pick from {VARIANTS}")
     seeds = _parse_ints(args.seeds, "--seeds")
+    if min(seeds) < 0:
+        raise ValueError(f"--seeds must be >= 0, got {min(seeds)}")
     if not 0 <= args.inset <= 0.5:
         raise ValueError(f"--inset must lie in [0, 0.5], got {args.inset:g}")
     if args.positions < 1:

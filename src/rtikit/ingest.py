@@ -6,24 +6,23 @@ round-trip fidelity. All formats but the flat config file, which
 `#` comments, keyed lines (`p0 40.1`) and bare rows (`3 1.5 2.0`), typed
 fields with `NA` for a missing number, unknown or repeated keys rejected
 (only `pair`, `waypoint` and `fade_offset` repeat), and `path:lineno:` on
-every error (`path:` for a missing key). Records for (a, b) and (b, a)
-fold onto the same undirected link.
+every error (`path:` for a missing key). (a, b) and (b, a) fold onto one
+link, and a second record of a link and channel (and k) is an error.
 
 Traces are the one format that grows with the recording (one record per
 link, channel and frame), so they are read and written a block at a time:
-load_trace parses a well-formed file in one np.loadtxt call, fed 64 KiB
-reads cut at line ends with each whole `NA` token rewritten as `nan`, so
-numpy's C parser reads every field with no Python call per record; a
-per-line parser gives every diagnostic. save_trace formats each frame as
-one string.
+load_trace parses every trace in one np.loadtxt call, fed 64 KiB reads cut
+at line ends with each whole `NA` token rewritten as `nan`, so numpy's C
+parser reads every field with no Python call per record; `_read` walks a
+file that call rejects only to name its first line at fault. save_trace
+formats each frame as one string.
 """
 
 import csv
 import math
-import os
 import re
 import warnings
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -200,7 +199,7 @@ def save_layout(layout: NodeLayout, path) -> None:
 
 _TRACE_RECORD = np.dtype([("k", np.int64), ("tx", np.int64), ("rx", np.int64),
                           ("channel", np.int64), ("rss", np.float64)])
-# The block parser reads this many characters at a time, and rewrites each
+# load_trace reads this many characters at a time, and rewrites each
 # whole `NA` token (after a blank or a line start, before a blank, `#` or
 # the end) as `nan`, which the C parser of np.loadtxt reads as the same NaN.
 _CHUNK_CHARS = 1 << 16
@@ -213,33 +212,20 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
     Records are grouped into frames by time index k (ascending); each
     frame holds the channels seen anywhere in the trace, ascending, and
     NaN where a (link, channel) has no record. `NA` marks a dropped
-    packet. (a, b) and (b, a) fold onto one link.
+    packet. (a, b) and (b, a) fold onto one link, and a (k, link,
+    channel) has at most one record.
 
-    A well-formed trace is parsed as one block by np.loadtxt and scattered
-    into a (K, L, C) array. The file is read 64 KiB at a time, each read
-    taken on to its line end, and every whole `NA` token becomes `nan`,
-    which np.loadtxt reads natively, so no Python function runs per record
-    and the text is never held whole. Anything that block path does not
-    accept (a token np.loadtxt cannot read, an unknown or self pair, a
-    channel outside [11, 26], an infinite rss, a repeated (k, link,
-    channel) key) sends the whole file through the per-line parser, which
-    gives the same frames for every file the block path accepts and is the
-    one that reports: malformed or out-of-range lines raise ValueError with
-    `path:lineno:`, and a repeated key keeps the last value with a
-    line-numbered warning.
+    The trace is parsed as one block by np.loadtxt and scattered into a
+    (K, L, C) array. The file is read 64 KiB at a time, each read taken on
+    to its line end, and every whole `NA` token becomes `nan`, which
+    np.loadtxt reads natively, so no Python function runs per record and
+    the text is never held whole. A file the block rejects (a token
+    np.loadtxt cannot read, an unknown or self pair, a channel outside
+    [11, 26], an infinite rss, a repeated key) is walked line by line only
+    to raise ValueError with `path:lineno:` for its first line at fault.
     """
-    frames = _load_trace_block(path, table)
-    return _load_trace_lines(path, table) if frames is None else frames
-
-
-def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
-    """The trace from one np.loadtxt call, or None to defer to the
-    per-line parser."""
-    name = os.fspath(path)
-    if not (isinstance(name, str) and os.path.isfile(name)):
-        return None
     try:
-        with open(name) as fh, warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             # numpy 1.23 and later 1.x read `1.0` as an integer with a
             # DeprecationWarning; int() rejects it
             warnings.simplefilter("error", DeprecationWarning)
@@ -250,15 +236,15 @@ def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
                 _NA_TOKEN.sub("nan", chunk + fh.readline()).split("\n")
                 for chunk in iter(lambda: fh.read(_CHUNK_CHARS), ""))
             rec = np.loadtxt(lines, dtype=_TRACE_RECORD, comments="#", ndmin=1)
-    except (OSError, ValueError, DeprecationWarning):
-        return None
+    except (ValueError, DeprecationWarning):
+        _trace_fault(path, table)
     if not rec.size:
         return []
     link = table.link_indices(rec["tx"], rec["rx"])
     channel, rss = rec["channel"], rec["rss"]
     if (link < 0).any() or np.isinf(rss).any() or not (
             CHANNEL_MIN <= channel.min() and channel.max() <= CHANNEL_MAX):
-        return None
+        _trace_fault(path, table)
     ks, frame_of = np.unique(rec["k"], return_inverse=True)
     offset = channel - CHANNEL_MIN
     seen = np.zeros(CHANNEL_MAX - CHANNEL_MIN + 1, dtype=bool)
@@ -267,61 +253,47 @@ def _load_trace_block(path, table: LinkTable) -> list[RssFrame] | None:
     column = (np.cumsum(seen) - 1)[offset]
     flat = (frame_of * table.n_links + link) * channels.size + column
     if np.bincount(flat).max() > 1:  # a repeated key
-        return None
+        _trace_fault(path, table)
     block = np.full((ks.size, table.n_links, channels.size), np.nan)
     block.reshape(-1)[flat] = rss
     return [RssFrame(k=int(k), rss=r, channels=channels)
             for k, r in zip(ks, block)]
 
 
-def _load_trace_lines(path, table: LinkTable) -> list[RssFrame]:
-    """The per-line trace parser: every diagnostic of load_trace, for the
-    first line at fault. Lines are parsed a chunk at a time, and a chunk's
-    links are found in one lookup before its lines are checked in order."""
-    grammar = {None: ("k tx rx channel rss",
-                      (int, _node_id, _node_id, int, _na_float), "*")}
-    lines = _read(path, grammar)
-    records = {}  # (k, link, channel) -> rss or nan
-    while True:
-        chunk, malformed = [], None
+def _loadtxt_token(cast):
+    """cast, rejecting also a token with `_` or a non-ASCII character, which
+    int() and float() read and np.loadtxt does not, for cast's own reason."""
+    def read(token):
+        if "_" in token or not token.isascii():
+            token = "?"  # malformed to every cast
         try:
-            chunk.extend(islice(lines, 4096))
-        except ValueError as exc:  # the lines read before it are kept
-            malformed = exc
-        links = table.link_indices([fields[1] for _, _, fields in chunk],
-                                   [fields[2] for _, _, fields in chunk]).tolist()
-        for (lineno, _, (k, tx, rx, channel, rss)), link in zip(chunk, links):
-            if k not in _INT64:
-                _fail(path, lineno, f"time index {k} outside the 64-bit range")
-            if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
-                _fail(path, lineno,
-                      f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-            if link < 0:
-                _fail(path, lineno, f"no link between nodes {tx} and {rx}")
-            key = (k, link, channel)
-            if key in records:
-                warnings.warn(
-                    f"{path}:{lineno}: duplicate record for k={k} "
-                    f"link=({tx},{rx}) channel={channel}; last wins"
-                )
-            records[key] = rss
-        if malformed is not None:  # no line before it is at fault
-            raise malformed
-        if not chunk:
-            break
+            return cast(token)
+        except ValueError as exc:
+            raise ValueError(_REJECTS.get(cast, exc)) from None
+    return read
 
-    if not records:
-        return []
-    keys = np.fromiter(chain.from_iterable(records), dtype=np.int64,
-                       count=3 * len(records)).reshape(-1, 3)  # k, link, channel
-    values = np.fromiter(records.values(), dtype=float, count=len(records))
-    del records  # the arrays hold everything from here on
-    channel_list = np.unique(keys[:, 2])
-    ks, frame_of = np.unique(keys[:, 0], return_inverse=True)
-    rss = np.full((ks.size, table.n_links, channel_list.size), np.nan)
-    rss[frame_of, keys[:, 1], np.searchsorted(channel_list, keys[:, 2])] = values
-    return [RssFrame(k=int(k), rss=r, channels=channel_list)
-            for k, r in zip(ks, rss)]
+
+def _trace_fault(path, table: LinkTable):
+    """Raise ValueError at the first line at fault of a trace load_trace rejects."""
+    integer, node, rss = map(_loadtxt_token, (int, _node_id, _na_float))
+    grammar = {None: ("k tx rx channel rss", (integer, node, node, integer, rss), "*")}
+    link_of = {}
+    for link, pair in enumerate(zip(table.tx_ids.tolist(), table.rx_ids.tolist())):
+        link_of[pair] = link_of[pair[::-1]] = link
+    first = {}  # (k, link, channel) -> its line
+    for lineno, _, (k, tx, rx, channel, _) in _read(path, grammar):
+        if k not in _INT64:
+            _fail(path, lineno, f"time index {k} outside the 64-bit range")
+        if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
+            _fail(path, lineno, f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
+        if (tx, rx) not in link_of:
+            _fail(path, lineno, f"no link between nodes {tx} and {rx}")
+        key = (k, link_of[tx, rx], channel)
+        if key in first:
+            _fail(path, lineno, f"time index {k} link ({tx},{rx}) channel {channel} "
+                                f"repeats line {first[key]}")
+        first[key] = lineno
+    raise ValueError(f"{path}: np.loadtxt cannot read this trace")
 
 
 def save_trace(frames, table: LinkTable, path) -> None:
@@ -400,7 +372,7 @@ def save_fade_table(fades: FadeLevelTable, table: LinkTable, path) -> None:
 def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
     """Read a fade table saved by save_fade_table; channels must ascend."""
     grammar = {
-        **_scalars(float, "1", "p0", "eta", "rmse"),
+        **_scalars(_finite, "1", "p0", "eta", "rmse"),
         **_scalars(int, "1", "n_pairs"),
         "channels": ("channels channel...", (int, ...), "1"),
         "pair": ("pair tx rx channel mean fade",
@@ -409,6 +381,8 @@ def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
     header, pairs = {}, []
     for lineno, key, fields in _read(path, grammar):
         if key == "pair":
+            if math.isnan(fields[3]) != math.isnan(fields[4]):
+                _fail(path, lineno, "mean and fade must both be NA or both be numbers")
             pairs.append((lineno, *fields))
         elif key == "channels" and any(b <= a for a, b in zip(fields, fields[1:])):
             _fail(path, lineno, "channels must be strictly ascending")

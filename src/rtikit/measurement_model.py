@@ -113,9 +113,9 @@ class HoldBuffer:
     """
 
     def __init__(self, n_links: int, n_channels: int, hold_frames: int):
-        if hold_frames < 0:
-            raise ValueError("hold_frames must be >= 0")
-        self.hold_frames = int(hold_frames)
+        if not (isinstance(hold_frames, Integral) and hold_frames >= 0):
+            raise ValueError(f"hold_frames must be an integer >= 0, got {hold_frames!r}")
+        self.hold_frames = hold_frames
         self._last = np.full((n_links, n_channels), np.nan)
         self._missed = np.zeros((n_links, n_channels), dtype=np.int64)
 

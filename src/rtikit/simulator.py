@@ -132,6 +132,8 @@ class ScenarioSpec:
         if (self.fade_offsets is not None
                 and not np.isfinite(self.fade_offsets).all()):
             raise ValueError("fade_offsets must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "channels", tuple(int(c) for c in channels))
         object.__setattr__(self, "trajectory", traj.reshape(-1, 3))
 

@@ -150,6 +150,17 @@ def test_simulate_seed_override_changes_trace(workspace):
     assert not np.array_equal(frames_a[-1].rss, frames_b[-1].rss)
 
 
+def test_negative_seed_names_flag_or_file(workspace, capsys):
+    tmp_path, _, layout_path, scenario, _ = workspace
+    argv = ["simulate", "--layout", str(layout_path), "--scenario", str(scenario),
+            "--out-trace", str(tmp_path / "trace.txt")]
+    assert main([*argv, "--seed=-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    scenario.write_text(scenario.read_text().replace("seed 5", "seed -1"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {scenario}: seed must be >= 0\n"
+
+
 def test_benchmark_csv(workspace):
     tmp_path, _, layout_path, _, config = workspace
     out = tmp_path / "bench.csv"
@@ -282,6 +293,7 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--seeds", "x"],
      "bad --seeds value 'x': expected e.g. 1,2,3"),
     (["benchmark", "--seeds", ","], "--seeds needs at least one seed"),
+    (["benchmark", "--seeds=1,-2"], "--seeds must be >= 0, got -2"),
     (["benchmark", "--channels", "11,a"],
      "bad --channels value '11,a': expected e.g. 11,16,21,26"),
     (["benchmark", "--variants", "msrti,nope"],
@@ -297,7 +309,7 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["track", "--trace", "{trace}"],
      "trace has 38 frames but the first 100 are needed for calibration; "
      "pass --fades to use every frame"),
-], ids=["seeds", "no seeds", "channels", "variant", "no variants",
+], ids=["seeds", "no seeds", "negative seed", "channels", "variant", "no variants",
         "no positions", "negative positions", "no frames per position",
         "inset above", "inset below",
         "no frames", "few frames"])

@@ -1,8 +1,8 @@
 """File formats: parsing, validation errors, round trips."""
 
 import dataclasses
+import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -102,13 +102,18 @@ def test_trace_direction_folding(tmp_path, layout):
     assert frames[0].rss[table.link_index(1, 2)].tolist() == [-60.0]
 
 
-def test_trace_duplicate_last_wins_with_warning(tmp_path, layout):
+@pytest.mark.parametrize("second", ["0 2 1 15 -55.0", "0 1 2 15 -55.0"])
+def test_trace_repeated_record_is_an_error(tmp_path, layout, second):
+    """A second record of a (k, link, channel), in either pair order, is an
+    error, as a repeated cell is in every other format; another k or
+    channel of the link is not."""
     table = enumerate_links(layout)
     path = tmp_path / "trace.txt"
-    path.write_text("0 1 2 15 -60.0\n0 2 1 15 -55.0\n")
-    with pytest.warns(UserWarning, match="duplicate"):
-        frames = load_trace(path, table)
-    assert frames[0].rss[table.link_index(1, 2)].tolist() == [-55.0]
+    path.write_text(f"0 1 2 15 -60.0\n1 2 1 15 -58.0\n0 1 2 11 -57.0\n{second}\n")
+    tx, rx = second.split()[1:3]
+    with pytest.raises(ValueError, match=rf"trace.txt:4: time index 0 link "
+                                         rf"\({tx},{rx}\) channel 15 repeats line 1$"):
+        load_trace(path, table)
 
 
 def test_trace_out_of_order_interleaved_k(tmp_path, layout):
@@ -164,6 +169,11 @@ def test_trace_errors(tmp_path, layout):
     ("0 1 2 10 -60.0", r"channel 10 outside \[11, 26\]"),
     ("0 1 2 15 inf", "rss 'inf' is infinite"),
     ("0 1 2 15 -Infinity", "rss '-Infinity' is infinite"),
+    ("0 1 2 1_5 -60.0", "channel '1_5' is not an integer"),
+    ("0 1 2 15 -6_0.5", "rss '-6_0.5' is not a number or NA"),
+    ("\uff10 1 2 15 -60.0", "k '\uff10' is not an integer"),
+    ("0 1 \uff12 15 -60.0", "rx '\uff12' is not an integer"),
+    ("0 3 1 15 -62.0", r"time index 0 link \(3,1\) channel 15 repeats line 2"),
 ])
 def test_trace_fields_out_of_range(tmp_path, layout, line, message):
     table = enumerate_links(layout)
@@ -177,14 +187,14 @@ def test_trace_fields_out_of_range(tmp_path, layout, line, message):
 SMALL_TABLE = enumerate_links(perimeter_layout(4, 3.0, 3.0))
 SMALL_PAIRS = list(zip(SMALL_TABLE.tx_ids.tolist(), SMALL_TABLE.rx_ids.tolist()))
 FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
-# Spellings np.loadtxt and int() or float() read alike (but `1_0`, which
-# np.loadtxt rejects and so leaves to the per-line parser) ...
+# Spellings np.loadtxt reads ...
 CLEAN_INT = ["{}", "{}", "{}", "+{}", "0{}"]
-CLEAN_RSS = ["-60.5", "-71.25", "-0.0", "0", "+5", "1_0", "1e1", "NA", "nan",
-             "-nan", "-88.12345678901234"]
-# ... and ones only int() reads (`1_0`, full-width digits), or neither does.
+CLEAN_RSS = ["-60.5", "-71.25", "-0.0", "0", "+5", "1e1", "NA", "nan", "-nan",
+             "-88.12345678901234"]
+# ... and ones that put a trace at fault: np.loadtxt cannot read them, though
+# int() or float() read some (`_`, full-width digits), or they are infinite.
 ODD_INT = ["{}.0", "{}_0", "{}e0", "full-width"]
-ODD_RSS = ["-NA", "na", "inf", "-inf", "Infinity", "１", "1,5", "0x10"]
+ODD_RSS = ["-NA", "na", "inf", "-inf", "Infinity", "１", "1,5", "0x10", "1_0"]
 # One bad record, added to clean ones.
 FAULTS = {
     "repeat": lambda k, tx, rx, c: [k, rx, tx, c],
@@ -206,10 +216,9 @@ def _int_token(form, value):
 
 @st.composite
 def trace_texts(draw):
-    """(text, clean): trace text of clean records with at most one oddity
-    that only the per-line parser judges, a bad record (FAULTS) or one odd
-    integer or rss token; clean when it drew no oddity and no `1_0` rss
-    token, so that the block parser should take it."""
+    """(text, fault): trace text of clean records with at most one fault, a
+    bad record (FAULTS) or one odd integer or rss token, and the line of
+    that fault, or None for a clean text."""
     keys = draw(st.lists(
         st.tuples(st.sampled_from([0, 1, 2, 5, 9, 3]),  # gaps, any order
                   st.integers(0, len(SMALL_PAIRS) - 1),
@@ -223,111 +232,106 @@ def trace_texts(draw):
         records.append([k, tx, rx, channel])
     oddity = draw(st.sampled_from([None, None, "int token", "rss token",
                                    *FAULTS]))
+    at = None  # the index of the record at fault
     if oddity in FAULTS:
-        base = draw(st.sampled_from(records or [[0, 1, 2, 11]]))
-        records.insert(draw(st.integers(0, len(records))), FAULTS[oddity](*base))
+        base = draw(st.integers(0, len(records) - 1)) if records else None
+        at = draw(st.integers(0, len(records)))
+        records.insert(at, FAULTS[oddity](*(records[base] if records else [0, 1, 2, 11])))
+        if oddity == "repeat":  # the later of the two is at fault
+            at = None if base is None else max(at, base + (at <= base))
     rows = [[_int_token(draw(st.sampled_from(CLEAN_INT)), v) for v in record]
             for record in records]
     for row in rows:
         if len(row) == 4:
             row.append(draw(st.sampled_from(CLEAN_RSS)
                             | st.floats(-100, 0).map(repr)))
-    clean = oddity is None and all(row[-1] != "1_0" for row in rows)
     if rows and oddity == "int token":
-        j = draw(st.integers(0, len(rows) - 1))
-        i = draw(st.integers(0, len(records[j]) - 1))
-        rows[j][i] = _int_token(draw(st.sampled_from(ODD_INT)), records[j][i])
+        at = draw(st.integers(0, len(rows) - 1))
+        i = draw(st.integers(0, len(records[at]) - 1))
+        rows[at][i] = _int_token(draw(st.sampled_from(ODD_INT)), records[at][i])
     if rows and oddity == "rss token":
-        draw(st.sampled_from(rows))[-1] = draw(st.sampled_from(ODD_RSS))
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at][-1] = draw(st.sampled_from(ODD_RSS))
     seps = st.sampled_from([" ", " ", "\t", "  ", " \t "])
-    lines = []
-    for row in rows:
+    lines, fault = [], None
+    for j, row in enumerate(rows):
         line = draw(st.sampled_from(["", "", " ", "\t"]))
         for token in row:
             line += token + draw(seps)
         line += draw(st.sampled_from(["", "", "# note", "#x 1 2 3 4"]))
         lines.append(line)
+        if j == at:
+            fault = len(lines)
         lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "#"]),
                                max_size=1))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), clean
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), fault
 
 
-def _outcome(load, path, table):
-    """(frames as (k, channels, rss) or (exception type, message), warnings)."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            frames = load(path, table)
-        except Exception as exc:  # compared by type and message
-            result = (type(exc), str(exc))
-        else:
-            result = [(f.k, f.channels.tolist(), f.rss) for f in frames]
-    return result, [(w.category, str(w.message)) for w in caught]
+def _read_trace_by_record(path, table):
+    """The frames of a clean trace, read one record at a time."""
+    records = {}  # (k, link, channel) -> rss
+    with open(path) as fh:
+        for line in fh:
+            tokens = line.split("#")[0].split()
+            if tokens:
+                k, tx, rx, channel = (int(token) for token in tokens[:4])
+                rss = np.nan if tokens[4] == "NA" else float(tokens[4])
+                records[k, table.link_index(tx, rx), channel] = rss
+    channels = sorted({channel for _, _, channel in records})
+    frames = []
+    for k in sorted({k for k, _, _ in records}):
+        rss = np.full((table.n_links, len(channels)), np.nan)
+        for (k_record, link, channel), value in records.items():
+            if k_record == k:
+                rss[link, channels.index(channel)] = value
+        frames.append(RssFrame(k=k, rss=rss, channels=channels))
+    return frames
 
 
-def _assert_same_outcome(a, b):
-    (result_a, warned_a), (result_b, warned_b) = a, b
-    assert warned_a == warned_b
-    if isinstance(result_a, tuple) or isinstance(result_b, tuple):
-        assert result_a == result_b
-        return
-    assert len(result_a) == len(result_b)
-    for (k_a, ch_a, rss_a), (k_b, ch_b, rss_b) in zip(result_a, result_b):
-        assert (k_a, ch_a) == (k_b, ch_b)
-        np.testing.assert_array_equal(rss_a, rss_b)
+def _load_without_walk(path):
+    """load_trace, failing the test if it walks the file for a fault."""
+    def no_walk(*args):
+        raise AssertionError("load_trace walked an accepted trace")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_trace_fault", no_walk)
+        return load_trace(path, SMALL_TABLE)
 
 
-def _assert_parsers_agree(path, clean):
-    """load_trace gives the per-line parser's outcome, and takes a clean
-    text without calling it."""
-    if clean:
-        _assert_block_path_takes(path)
-    else:
-        _assert_same_outcome(_outcome(load_trace, path, SMALL_TABLE),
-                             _outcome(ingest._load_trace_lines, path, SMALL_TABLE))
-
-
-@settings(max_examples=300, deadline=None)
-@given(drawn=trace_texts())
-def test_trace_block_parser_matches_per_line_parser(tmp_path_factory, drawn):
-    text, clean = drawn
-    path = tmp_path_factory.mktemp("trace") / "trace.txt"
-    path.write_text(text)
-    _assert_parsers_agree(path, clean)
+def _assert_reference_frames(path):
+    """load_trace takes the trace without the walk and gives the frames of
+    the record-at-a-time reader, bit for bit; returns them."""
+    got, want = _load_without_walk(path), _read_trace_by_record(path, SMALL_TABLE)
+    assert [(f.k, f.channels.tolist()) for f in got] == [
+        (f.k, f.channels.tolist()) for f in want]
+    for a, b in zip(got, want):
+        assert a.rss.tobytes() == b.rss.tobytes()
+    return got
 
 
 @settings(max_examples=300, deadline=None)
 @given(drawn=trace_texts(), chunk=st.integers(1, 8))
-def test_trace_block_parser_matches_per_line_parser_in_tiny_reads(
-        tmp_path_factory, drawn, chunk):
-    """Reads of a few characters, each taken on to its line end, cut the
-    text at every line end and give the same outcome."""
-    text, clean = drawn
+def test_load_trace_gives_reference_frames_or_first_fault(tmp_path_factory,
+                                                          drawn, chunk):
+    """A clean text gives the record-at-a-time reader's frames, and a faulty
+    one raises at its faulty line, in 64 KiB reads and in reads of a few
+    characters, each taken on to its line end."""
+    text, fault = drawn
     path = tmp_path_factory.mktemp("trace") / "trace.txt"
     path.write_text(text)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_CHUNK_CHARS", chunk)
-        _assert_parsers_agree(path, clean)
+    for chunk_chars in (ingest._CHUNK_CHARS, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_CHARS", chunk_chars)
+            if fault is None:
+                _assert_reference_frames(path)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{fault}: "):
+                    load_trace(path, SMALL_TABLE)
 
 
-def _assert_block_path_takes(path):
-    """load_trace gives the per-line parser's frames without calling it."""
-    want = _outcome(ingest._load_trace_lines, path, SMALL_TABLE)
-
-    def no_fallback(*args):
-        raise AssertionError("per-line parser called")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ingest, "_load_trace_lines", no_fallback)
-        got = _outcome(load_trace, path, SMALL_TABLE)
-    _assert_same_outcome(got, want)
-    return got
-
-
-def test_trace_block_parser_takes_clean_traces(tmp_path):
+def test_load_trace_takes_clean_traces_without_the_walk(tmp_path):
     """Comments, blank lines, tabs, NA in every spelling of its end,
-    reversed pairs, gaps and unsorted k need no per-line fallback, and the
-    frames are the per-line ones."""
+    reversed pairs, gaps and unsorted k are all read by np.loadtxt."""
     path = tmp_path / "trace.txt"
     path.write_text(
         "# rss trace\n\n"
@@ -342,15 +346,15 @@ def test_trace_block_parser_takes_clean_traces(tmp_path):
         "9 2 3 11 NA # note\n"
         "5 3 4 26 NA"
     )
-    got = _assert_block_path_takes(path)
-    assert [k for k, _, _ in got[0]] == [2, 5, 9]
-    assert np.isnan(got[0][2][2]).sum() == 2 * 6 - 2  # k=9: two values
+    got = _assert_reference_frames(path)
+    assert [f.k for f in got] == [2, 5, 9]
+    assert np.isnan(got[2].rss).sum() == 2 * 6 - 2  # k=9: two values
     for text in ("", "# comment only\n\n"):
         path.write_text(text)
-        assert _outcome(load_trace, path, SMALL_TABLE) == ([], [])
+        assert _load_without_walk(path) == []
 
 
-def test_trace_block_parser_takes_na_at_read_cuts(tmp_path):
+def test_load_trace_takes_na_at_read_cuts_without_the_walk(tmp_path):
     """A trace four reads long whose read cuts fall before, inside and
     after an `NA` token and after its line end."""
     offsets = (0, 1, 2, 3)  # of each cut from the start of an NA token
@@ -381,12 +385,25 @@ def test_trace_block_parser_takes_na_at_read_cuts(tmp_path):
         assert text[m * ingest._CHUNK_CHARS - offset:][:3] == "NA\n"
     path = tmp_path / "trace.txt"
     path.write_text(text)
-    got = _assert_block_path_takes(path)
-    assert len(got[0]) == i // len(SMALL_PAIRS) + 1
+    assert len(_assert_reference_frames(path)) == i // len(SMALL_PAIRS) + 1
+
+
+def test_load_trace_raises_for_a_rejection_no_line_check_names(tmp_path, monkeypatch):
+    """Should np.loadtxt reject a trace whose lines all pass the walk, the
+    walk still raises rather than return."""
+    path = tmp_path / "trace.txt"
+    path.write_text("0 1 2 11 -60.0\n")
+
+    def reject(*args, **kwargs):
+        raise ValueError("unreadable")
+
+    monkeypatch.setattr(ingest.np, "loadtxt", reject)
+    with pytest.raises(ValueError, match=r"trace.txt: np.loadtxt cannot read this trace$"):
+        load_trace(path, SMALL_TABLE)
 
 
 def test_load_trace_peak_memory_per_record(tmp_path):
-    """The block parser holds the text a read at a time: on a 261 000-record
+    """load_trace holds the text a read at a time: on a 261 000-record
     trace (150 frames of 435 links and 4 channels, 2 % NA) the traced peak
     is about 89 bytes a record on numpy 2.4; a whole-file read adds at
     least the text, about 18 bytes a record."""
@@ -598,7 +615,6 @@ def test_scenario_stationary_form(tmp_path, layout):
 # 4-node layout carries the fade tables and scenarios.
 SMALL_LAYOUT = perimeter_layout(4, 3.0, 3.0)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-NA_HOLES = FINITE | st.just(np.nan)  # the NaN that `NA` loads as
 CHANNEL_SETS = st.lists(st.integers(11, 26), min_size=1, max_size=4,
                         unique=True).map(sorted)
 
@@ -645,8 +661,10 @@ def fade_tables(draw):
     shape = (SMALL_TABLE.n_links, len(channels))
     fit = PathLossFit(p0=draw(FINITE), eta=draw(FINITE),
                       n_pairs=draw(st.integers(0, 10**6)), rmse=draw(FINITE))
-    return FadeLevelTable(values=_array(draw, NA_HOLES, shape),
-                          mean_rss=_array(draw, NA_HOLES, shape),
+    values, mean_rss = _array(draw, FINITE, shape), _array(draw, FINITE, shape)
+    holes = _array(draw, st.booleans(), shape).astype(bool)  # as calibrate leaves them
+    values[holes] = mean_rss[holes] = np.nan
+    return FadeLevelTable(values=values, mean_rss=mean_rss,
                           channels=np.array(channels), fit=fit)
 
 
@@ -735,12 +753,18 @@ MALFORMED_LOADERS = {
      "bad.txt: calibration_frames must be >= 1"),
     ("scenario", SCENARIO_HEAD + "waypoint 5 1 1\n",
      "bad.txt: trajectory must start after the calibration segment"),
+    ("scenario", SCENARIO_HEAD + "seed -1\n", "bad.txt: seed must be >= 0"),
     ("ground truth", "100 1.0 1.0\n101 nan 2.0\n", "bad.txt:2:"),
     ("ground truth", "100 inf 1.0\n", "bad.txt:1:"),
     ("fade table", "p0 x37.7\n", "bad.txt:1:"),
     ("fade table", FADE_HEAD + "eta 2.5\nchannels 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 1.0\n"
      "pair 1 2 11 -50.0 2.0\n", "bad.txt:7:"),
+    ("fade table", "p0 nan\n", "bad.txt:1:"),
+    ("fade table", "p0 40.0\neta inf\n", "bad.txt:2:"),
+    ("fade table", "p0 40.0\neta 2.0\nn_pairs 2\nrmse -inf\n", "bad.txt:4:"),
+    ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 NA 3.0\n", "bad.txt:6:"),
+    ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 NA\n", "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 16 -50.0 1.0\n",

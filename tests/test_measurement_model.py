@@ -165,9 +165,17 @@ def test_hold_buffer_no_history_and_uncalibrated():
     assert out[0, 0] == 0.0        # missing without history -> zero
     assert np.isnan(out[1, 0])     # uncalibrated stays NaN
     with pytest.raises(ValueError):
-        HoldBuffer(1, 1, hold_frames=-2)
-    with pytest.raises(ValueError):
         hold.update(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
+
+
+@pytest.mark.parametrize("hold_frames", [2.5, -2, 3.0])
+def test_hold_buffer_takes_only_an_integer_hold(hold_frames):
+    """The buffer checks hold_frames as MeasurementModelParams does, and
+    truncates nothing."""
+    with pytest.raises(ValueError, match=rf"^hold_frames must be an integer >= 0, "
+                                         rf"got {hold_frames}$"):
+        HoldBuffer(1, 1, hold_frames=hold_frames)
+    assert HoldBuffer(1, 1, hold_frames=np.int64(3)).hold_frames == 3
 
 
 def test_hold_zero_frames_is_zero_policy():
