@@ -129,7 +129,7 @@ class FadeLevelTable:
 
     Attributes:
         values: (L, C) fade levels in dB; NaN marks never-observed pairs.
-        mean_rss: (L, C) empty-room mean RSS in dBm, NaN where unobserved.
+        mean_rss: (L, C) empty-room mean RSS in dBm, NaN where values is.
         channels: (C,) channel numbers, ascending.
         fit: the pooled path-loss fit the fade levels are residuals of.
     """
@@ -144,20 +144,12 @@ class FadeLevelTable:
             raise ValueError("values and mean_rss must have matching shapes")
         if self.values.shape[1] != self.channels.size:
             raise ValueError("channel axis mismatch")
+        if not np.array_equal(np.isnan(self.values), np.isnan(self.mean_rss)):
+            raise ValueError("values and mean_rss must be NaN on the same pairs")
 
     @property
     def n_links(self) -> int:
         return self.values.shape[0]
-
-    def channel_column(self, channel: int) -> int:
-        cols = np.nonzero(self.channels == int(channel))[0]
-        if cols.size == 0:
-            raise KeyError(f"channel {channel} not in fade table")
-        return int(cols[0])
-
-    def observed(self) -> np.ndarray:
-        """(L, C) boolean mask of link/channel pairs that were measured."""
-        return ~np.isnan(self.values)
 
 
 def calibrate(frames, table: LinkTable) -> FadeLevelTable:

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .calibration import RssFrame, calibrate
+from .calibration import CHANNEL_MAX, CHANNEL_MIN, RssFrame, calibrate
 from .geometry import VoxelGrid, enumerate_links
 from .harness import (VARIANTS, PipelineConfig, VariantPipeline, benchmark,
                       crosscheck_models, run_pipeline)
@@ -61,6 +61,15 @@ def _parse_ints(text: str, flag: str) -> tuple:
     return values
 
 
+def _parse_channels(text: str) -> tuple:
+    """The channels of a --channels value, which must ascend within 11..26."""
+    channels = _parse_ints(text, "--channels")
+    if list(channels) != sorted({c for c in channels if CHANNEL_MIN <= c <= CHANNEL_MAX}):
+        raise ValueError(f"--channels must be strictly ascending channels in "
+                         f"[{CHANNEL_MIN}, {CHANNEL_MAX}], got {text}")
+    return channels
+
+
 def _load_config(path) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
@@ -71,7 +80,7 @@ def _load_config(path) -> PipelineConfig:
 
 
 def _channel_columns(have, channels, what) -> list:
-    """Columns of the given channels (order as given) among those `what` has."""
+    """Columns of the given ascending channels among those `what` has."""
     have = [int(c) for c in have]
     missing = [c for c in channels if c not in have]
     if missing:
@@ -80,7 +89,7 @@ def _channel_columns(have, channels, what) -> list:
 
 
 def _subset_frames(frames, channels):
-    """Restrict every frame to the given channels (order as given)."""
+    """Restrict every frame to the given ascending channels."""
     if not frames:
         return frames
     cols = _channel_columns(frames[0].channels, channels, "trace")
@@ -89,7 +98,7 @@ def _subset_frames(frames, channels):
 
 
 def _subset_fades(fades, channels):
-    """Restrict a fade table to the given channels (order as given)."""
+    """Restrict a fade table to the given ascending channels."""
     cols = _channel_columns(fades.channels, channels, "fade table")
     return replace(fades, values=fades.values[:, cols],
                    mean_rss=fades.mean_rss[:, cols],
@@ -101,7 +110,7 @@ def _cmd_calibrate(args) -> int:
     table = enumerate_links(layout)
     frames = load_trace(args.trace, table)
     if args.channels:
-        frames = _subset_frames(frames, _parse_ints(args.channels, "--channels"))
+        frames = _subset_frames(frames, _parse_channels(args.channels))
     if not frames:
         raise ValueError(f"no frames in {args.trace}")
     fades = calibrate(frames, table)
@@ -121,7 +130,7 @@ def _load_run_inputs(args, config):
     layout = load_layout(args.layout)
     table = enumerate_links(layout)
     frames = load_trace(args.trace, table)
-    channels = _parse_ints(args.channels, "--channels") if args.channels else None
+    channels = _parse_channels(args.channels) if args.channels else None
     if channels:
         frames = _subset_frames(frames, channels)
     if args.fades:
@@ -214,8 +223,7 @@ def _cmd_benchmark(args) -> int:
     positions = [(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
                  for fy in side for fx in side]
 
-    channels = (_parse_ints(args.channels, "--channels") if args.channels
-                else DEFAULT_CHANNELS)
+    channels = _parse_channels(args.channels) if args.channels else DEFAULT_CHANNELS
     k0 = config.calibration_frames
     spec = ScenarioSpec(layout=layout, channels=channels, calibration_frames=k0,
                         trajectory=stationary_trajectory(

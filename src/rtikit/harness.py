@@ -19,8 +19,9 @@ one frame at a time for streaming.
 - ``msrti``: direction-resolved in-ellipse probabilities over the
   fade-level-scaled multi-scale weights.
 
-Baseline variants image the *loss* s = −Δr so that the argmax localizer
-targets attenuation for every variant.
+Every variant measures the (L, C) Δr of rss_change, 0 where a pair has no
+value. Baseline variants image the *loss* s = −Δr so that the argmax
+localizer targets attenuation for every variant.
 """
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -162,11 +163,6 @@ class PipelineConfig:
             group: params(**settings[group]) for group, params in sets.items()})
 
 
-def _loss(frame, fades, hold) -> np.ndarray:
-    """Per-(link, channel) RSS loss s = −Δr, positive under attenuation."""
-    return -np.nan_to_num(rss_change(frame, fades, hold), nan=0.0)
-
-
 def _classic_weights(table, layout, grid, fades, config) -> WeightMatrix:
     return build_classic_weights(table, layout, grid, config.classic_lambda)
 
@@ -182,39 +178,32 @@ def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:
     return build_multiscale_weights(table, layout, grid, fades, config.ellipse)
 
 
-def _rti_channel(fades: FadeLevelTable, config: PipelineConfig) -> int:
-    if config.rti_channel is None:
-        return int(fades.channels[0])
-    if config.rti_channel not in fades.channels:
-        raise ValueError(
-            f"rti_channel {config.rti_channel} is not a calibrated channel "
-            f"{fades.channels.tolist()}"
-        )
-    return config.rti_channel
+def _rti_measure(fades, config):
+    channel = fades.channels[0] if config.rti_channel is None else config.rti_channel
+    col = np.flatnonzero(fades.channels == channel)
+    if not col.size:
+        raise ValueError(f"rti_channel {channel} is not a calibrated channel "
+                         f"{fades.channels.tolist()}")
+    return lambda delta_r: np.negative(delta_r, out=delta_r)[:, col[0]]
 
 
-def _rti_measure(fades, config, hold):
-    col = fades.channel_column(_rti_channel(fades, config))
-    return lambda frame: _loss(frame, fades, hold)[:, col]
-
-
-def _cdrti_measure(fades, config, hold):
+def _cdrti_measure(fades, config):
     root_c = np.sqrt(fades.channels.size)
-    return lambda frame: _loss(frame, fades, hold).sum(axis=1) / root_c
+    return lambda delta_r: np.negative(delta_r, out=delta_r).sum(axis=1) / root_c
 
 
-def _flrti_measure(fades, config, hold):
+def _flrti_measure(fades, config):
     selection = _flrti_selection(fades.values, config.flrti_m)
-    return lambda frame: (_loss(frame, fades, hold) * selection).sum(axis=1)
+    return lambda delta_r: (np.negative(delta_r, out=delta_r) * selection).sum(axis=1)
 
 
-def _msrti_measure(fades, config, hold):
-    assembler = MeasurementAssembler(fades, config.measurement)
-    return lambda frame: assembler(frame, hold)
+def _msrti_measure(fades, config):
+    return MeasurementAssembler(fades, config.measurement)
 
 
 # variant -> (weights(table, layout, grid, fades, config) -> WeightMatrix,
-#             measure(fades, config, hold) -> (frame -> y))
+#             measure(fades, config) -> (filled (L, C) Δr -> y)); a measure
+#             may overwrite the Δr, which rss_change makes fresh per frame
 _VARIANT_TABLE = {
     "rti": (_classic_weights, _rti_measure),
     "cdrti": (_scaled_weights, _cdrti_measure),
@@ -250,11 +239,11 @@ class VariantPipeline:
         self.grid = grid
         self.config = config
         table = enumerate_links(layout)
-        hold = HoldBuffer(table.n_links, fades.channels.size,
-                          config.measurement.hold_frames)
+        self._hold = HoldBuffer(table.n_links, fades.channels.size,
+                                config.measurement.hold_frames)
         # the measure function validates the variant's inputs, so a bad
         # input is reported before the expensive weights and operator build
-        self._measure = measure(fades, config, hold)
+        self._measure = measure(fades, config)
         if operator is None:
             weights = build_weights(table, layout, grid, fades, config)
             operator = build_operator(weights, grid, config.reconstruction,
@@ -263,7 +252,7 @@ class VariantPipeline:
 
     def measurement(self, frame) -> np.ndarray:
         """Per-frame measurement vector in this variant's row order."""
-        return self._measure(frame)
+        return self._measure(rss_change(frame, self.fades, self._hold))
 
     def image(self, frame) -> np.ndarray:
         """(N,) image of one frame, for streaming use."""
@@ -287,15 +276,12 @@ def _flrti_selection(fade_values: np.ndarray, m: int) -> np.ndarray:
     channels (m_l = min(m, #calibrated channels of link l)) and 0
     elsewhere. Links with no calibrated channel get an all-zero row.
     """
-    n_links, n_channels = fade_values.shape
-    selection = np.zeros((n_links, n_channels))
-    for l in range(n_links):
-        fades_l = fade_values[l]
-        order = np.argsort(-fades_l, kind="stable")  # NaN sorts last
-        order = [c for c in order if not np.isnan(fades_l[c])]
-        chosen = order[:m]
-        if chosen:
-            selection[l, chosen] = 1.0 / len(chosen)
+    top = np.argsort(-fade_values, axis=1, kind="stable")[:, :m]  # NaN sorts last
+    chosen = ~np.isnan(np.take_along_axis(fade_values, top, axis=1))
+    selection = np.zeros(fade_values.shape)
+    np.put_along_axis(selection, top,
+                      chosen / np.maximum(chosen.sum(axis=1, keepdims=True), 1),
+                      axis=1)
     return selection
 
 

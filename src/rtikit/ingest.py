@@ -443,6 +443,10 @@ def load_image(path) -> tuple[np.ndarray, VoxelGrid]:
 
 # ------------------------------------------------------------- track CSV
 
+_TRACK_HEADERS = (("k", "x_hat", "y_hat"),
+                  ("k", "x_hat", "y_hat", "x_true", "y_true", "error_m"))
+
+
 def save_track_csv(rows, path, with_truth: bool) -> None:
     """Write tracking output.
 
@@ -452,8 +456,7 @@ def save_track_csv(rows, path, with_truth: bool) -> None:
         path: output path.
         with_truth: whether truth/error columns are present.
     """
-    header = (["k", "x_hat", "y_hat", "x_true", "y_true", "error_m"]
-              if with_truth else ["k", "x_hat", "y_hat"])
+    header = _TRACK_HEADERS[with_truth]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -467,16 +470,19 @@ def save_track_csv(rows, path, with_truth: bool) -> None:
 
 
 def load_track_csv(path) -> list[tuple]:
-    """Read a track CSV back into tuples (numbers, k as int)."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return out
-        for row in reader:
-            out.append((int(row[0]), *(float(v) for v in row[1:])))
-    return out
+    """Read a track CSV saved by save_track_csv back into tuples (k as int,
+    then numbers, nan for no detection); an empty file gives []. The first
+    line is one of its two headers, and every row has that header's width."""
+    first = next(_data_lines(path, commas=True), None)
+    if first is None:
+        return []
+    lineno, header = first
+    if tuple(header) not in _TRACK_HEADERS:
+        _fail(path, lineno, "expected the header `k,x_hat,y_hat[,x_true,y_true,error_m]`")
+    grammar = {"k": (" ".join(header), (str,) * (len(header) - 1), "1"),
+               None: (" ".join(header), (int,) + (float,) * (len(header) - 1), "*")}
+    return [tuple(fields) for _, key, fields in _read(path, grammar, commas=True)
+            if key is None]
 
 
 def save_benchmark_csv(rows, path) -> None:

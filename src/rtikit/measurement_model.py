@@ -72,12 +72,11 @@ def _slot_probabilities(delta_r, rate_up, beta_minus):
 
     The slot whose direction δ matches the sign of Δr holds the in-ellipse
     probability 1 − exp(−β^δ |Δr|), with β⁺ = rate_up and β⁻ = beta_minus;
-    the other slot holds 0, and both do where Δr is 0 or NaN.
+    the other slot holds 0, and both do where Δr is 0.
     """
-    with np.errstate(invalid="ignore"):
-        up = delta_r > 0
-        p = 1.0 - np.exp(-np.where(up, rate_up, beta_minus) * np.abs(delta_r))
-        return np.where(up, p, 0.0), np.where(delta_r < 0, p, 0.0)
+    up = delta_r > 0
+    p = 1.0 - np.exp(-np.where(up, rate_up, beta_minus) * np.abs(delta_r))
+    return np.where(up, p, 0.0), np.where(delta_r < 0, p, 0.0)
 
 
 def inside_probability(delta_r: float, fade_level: float,
@@ -107,8 +106,9 @@ def inside_probability(delta_r: float, fade_level: float,
 class HoldBuffer:
     """Per-pipeline missing-sample state for the hold policy.
 
-    Tracks the last observed Δr and the consecutive-miss count for every
-    calibrated (link, channel). One buffer belongs to exactly one
+    Tracks the last observed Δr (0 before the first) and the consecutive-
+    miss count of every (link, channel), and is the one place that decides
+    what a pair with no value reads. One buffer belongs to exactly one
     sequential pass over a trace.
     """
 
@@ -116,35 +116,29 @@ class HoldBuffer:
         if not (isinstance(hold_frames, Integral) and hold_frames >= 0):
             raise ValueError(f"hold_frames must be an integer >= 0, got {hold_frames!r}")
         self.hold_frames = hold_frames
-        self._last = np.full((n_links, n_channels), np.nan)
+        self._last = np.zeros((n_links, n_channels))
         self._missed = np.zeros((n_links, n_channels), dtype=np.int64)
 
-    def update(self, delta_obs: np.ndarray, calibrated: np.ndarray) -> np.ndarray:
+    def update(self, delta_obs: np.ndarray) -> np.ndarray:
         """Fill gaps in one frame's Δr and advance the hold state.
 
         Args:
-            delta_obs: (L, C) observed Δr, NaN where the sample is missing.
-            calibrated: (L, C) bool mask of pairs with calibration.
+            delta_obs: (L, C) observed Δr, NaN where there is no value.
 
         Returns:
-            (L, C) Δr with gaps filled: held value while within the hold
-            window, 0 after it expires or with no history; NaN only on
-            uncalibrated pairs.
+            (L, C) Δr with no NaN: a gap reads the last observed value
+            while within the hold window, and 0 after it expires or with
+            no history.
         """
         if delta_obs.shape != self._last.shape:
             raise ValueError(
                 f"expected shape {self._last.shape}, got {delta_obs.shape}"
             )
-        out = np.where(calibrated, delta_obs, np.nan)
-        fresh = calibrated & ~np.isnan(delta_obs)
-        gap = calibrated & np.isnan(delta_obs)
+        fresh = ~np.isnan(delta_obs)
+        self._missed += 1
         self._missed[fresh] = 0
-        self._missed[gap] += 1
-        held = gap & (self._missed <= self.hold_frames) & ~np.isnan(self._last)
-        out[held] = self._last[held]
-        out[gap & ~held] = 0.0
         self._last[fresh] = delta_obs[fresh]
-        return out
+        return np.where(self._missed <= self.hold_frames, self._last, 0.0)
 
 
 def rss_change(frame: RssFrame, fades: FadeLevelTable,
@@ -155,11 +149,11 @@ def rss_change(frame: RssFrame, fades: FadeLevelTable,
         frame: current snapshot; channel set must match the fade table.
         fades: calibration result supplying the baselines.
         hold: hold-policy state, advanced by this frame; with
-            hold_frames = 0 a missing sample of a calibrated pair counts
-            as Δr = 0 at once.
+            hold_frames = 0 a missing sample counts as Δr = 0 at once.
 
     Returns:
-        (L, C) Δr in dB; NaN exactly on uncalibrated pairs.
+        (L, C) Δr in dB, never NaN: an uncalibrated pair has a NaN
+        baseline, so it is a gap on every frame and reads 0.
     """
     if not np.array_equal(frame.channels, fades.channels):
         raise ValueError("frame channel set does not match fade table")
@@ -168,26 +162,26 @@ def rss_change(frame: RssFrame, fades: FadeLevelTable,
             f"frame rss shape {frame.rss.shape} != fade table "
             f"{fades.mean_rss.shape}"
         )
-    return hold.update(frame.rss - fades.mean_rss, fades.observed())
+    return hold.update(frame.rss - fades.mean_rss)
 
 
 class MeasurementAssembler:
-    """Maps frames to msrti measurement vectors.
+    """Maps the filled Δr of rss_change to msrti measurement vectors.
 
     The vector is the C-order of a (C, 2, L) array of in-ellipse
     probabilities — channel, then direction ("+" before "-"), then link —
-    the row order of build_multiscale_weights. Uncalibrated pairs read 0
-    in both slots, as do their all-zero weight rows.
+    the row order of build_multiscale_weights. An uncalibrated pair, whose
+    Δr is 0, reads 0 in both slots, as do its all-zero weight rows.
     """
 
     def __init__(self, fades: FadeLevelTable, params: MeasurementModelParams):
-        self.fades = fades
         self.params = params
         self._beta_up = beta_plus(fades.values, params)  # fixed per (link, channel)
 
-    def __call__(self, frame: RssFrame, hold: HoldBuffer) -> np.ndarray:
-        """(2·C·L,) probabilities in [0, 1); the entry of (c, δ, l) is the
-        in-ellipse probability when δ matches the sign of Δr_cl, else 0."""
-        p_up, p_down = _slot_probabilities(rss_change(frame, self.fades, hold),
-                                           self._beta_up, self.params.beta_minus)
+    def __call__(self, delta_r: np.ndarray) -> np.ndarray:
+        """(2·C·L,) probabilities in [0, 1) of an (L, C) Δr with no NaN;
+        the entry of (c, δ, l) is the in-ellipse probability when δ
+        matches the sign of Δr_cl, else 0."""
+        p_up, p_down = _slot_probabilities(delta_r, self._beta_up,
+                                           self.params.beta_minus)
         return np.stack((p_up.T, p_down.T), axis=1).reshape(-1)

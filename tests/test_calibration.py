@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rtikit.calibration import (
     FadeLevelTable,
+    PathLossFit,
     RssFrame,
     calibrate,
     calibrate_means,
@@ -151,8 +152,7 @@ def test_calibrate_nan_handling():
     assert np.isnan(fades.values[5, 2])
     assert fades.fit.n_pairs == table.n_links * channels.size - channels.size - 1
     assert fades.fit.p0 == pytest.approx(40.0, abs=1e-9)
-    obs = fades.observed()
-    assert not obs[3, 0] and obs[5, 1]
+    np.testing.assert_array_equal(np.isnan(fades.mean_rss), np.isnan(fades.values))
 
 
 def test_calibrate_errors():
@@ -318,16 +318,12 @@ def test_rss_frame_validation():
         RssFrame(k=0, rss=np.array([[np.inf, 0.0]]), channels=channels)
 
 
-def test_fade_table_lookup():
-    layout = ring_layout()
-    table = enumerate_links(layout)
-    channels = np.arange(11, 27)
-    mean = np.empty((table.n_links, channels.size))
-    for ci, c in enumerate(channels):
-        mean[:, ci] = [path_loss(d, c, 40.0, 2.0) for d in table.lengths]
-    fades = calibrate_means(mean, channels, table)
-    assert fades.channel_column(11) == 0
-    assert fades.channel_column(26) == 15
-    assert fades.values[0, fades.channel_column(11)] == pytest.approx(0.0, abs=1e-9)
-    with pytest.raises(KeyError):
-        fades.channel_column(27)
+@pytest.mark.parametrize("hole", ["values", "mean_rss"])
+def test_fade_table_needs_one_nan_mask(hole):
+    """A pair is uncalibrated in both arrays or in neither: a fade level
+    over no baseline, or a baseline with no fade level, is rejected."""
+    arrays = {"values": np.zeros((3, 2)), "mean_rss": np.full((3, 2), -55.0)}
+    arrays[hole][1, 0] = np.nan
+    with pytest.raises(ValueError, match="NaN on the same pairs"):
+        FadeLevelTable(**arrays, channels=np.array([11, 12]),
+                       fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=5, rmse=0.0))

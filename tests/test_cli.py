@@ -296,6 +296,14 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--seeds=1,-2"], "--seeds must be >= 0, got -2"),
     (["benchmark", "--channels", "11,a"],
      "bad --channels value '11,a': expected e.g. 11,16,21,26"),
+    (["benchmark", "--channels", "5"],
+     "--channels must be strictly ascending channels in [11, 26], got 5"),
+    (["benchmark", "--channels", "11,27"],
+     "--channels must be strictly ascending channels in [11, 26], got 11,27"),
+    (["calibrate", "--trace", "{trace}", "--channels", "16,11"],
+     "--channels must be strictly ascending channels in [11, 26], got 16,11"),
+    (["track", "--trace", "{trace}", "--channels", "11,11"],
+     "--channels must be strictly ascending channels in [11, 26], got 11,11"),
     (["benchmark", "--variants", "msrti,nope"],
      "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
     (["benchmark", "--variants", ","], "--variants needs at least one variant"),
@@ -309,7 +317,9 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["track", "--trace", "{trace}"],
      "trace has 38 frames but the first 100 are needed for calibration; "
      "pass --fades to use every frame"),
-], ids=["seeds", "no seeds", "negative seed", "channels", "variant", "no variants",
+], ids=["seeds", "no seeds", "negative seed", "channels", "channel below",
+        "channel above", "descending channels", "repeated channel", "variant",
+        "no variants",
         "no positions", "negative positions", "no frames per position",
         "inset above", "inset below",
         "no frames", "few frames"])

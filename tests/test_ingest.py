@@ -540,6 +540,12 @@ def test_track_csv_round_trip(tmp_path):
     assert load_track_csv(path) == [(0, 1.0, 2.0)]
     with pytest.raises(ValueError):
         save_track_csv([(0, 1.0)], path, with_truth=False)
+    # a no-detection row keeps its nan, and an empty file has no rows
+    save_track_csv([(3, np.nan, np.nan)], path, with_truth=False)
+    (k, x, y), = load_track_csv(path)
+    assert k == 3 and np.isnan(x) and np.isnan(y)
+    path.write_text("")
+    assert load_track_csv(path) == []
 
 
 def test_benchmark_csv(tmp_path):
@@ -734,7 +740,9 @@ MALFORMED_LOADERS = {
     "fade table": lambda path: load_fade_table(path, SMALL_TABLE),
     "image": load_image,
     "ground truth": load_ground_truth,
+    "track csv": load_track_csv,
 }
+TRACK_HEAD = "k,x_hat,y_hat\n"
 
 
 @pytest.mark.parametrize("loader, text, prefix", [
@@ -778,6 +786,16 @@ MALFORMED_LOADERS = {
      "bad.txt: grid origin must be finite"),
     ("layout", "99999999999999999999 0 0\n2 1 0\n3 0 1\n", "bad.txt:1:"),
     ("layout", "1 0 0\n-99999999999999999999 1 0\n3 0 1\n", "bad.txt:2:"),
+    ("track csv", TRACK_HEAD + "x,1,2\n", "bad.txt:2: k 'x' is not an integer"),
+    ("track csv", TRACK_HEAD + "0,1.0,2.0\n1.5,1.0,2.0\n", "bad.txt:3:"),
+    ("track csv", TRACK_HEAD + "0,1.0,y\n", "bad.txt:2: y_hat 'y' is not a number"),
+    ("track csv", "whatever,header\n1,2\n", "bad.txt:1:"),
+    ("track csv", "0,1.0,2.0\n", "bad.txt:1:"),
+    ("track csv", TRACK_HEAD + "1,2.0\n", "bad.txt:2:"),
+    ("track csv", TRACK_HEAD + "3,4.0,5.0,6.0,7.0\n", "bad.txt:2:"),
+    ("track csv", "k,x_hat,y_hat,x_true,y_true,error_m\n0,1.0,2.0\n",
+     "bad.txt:2:"),
+    ("track csv", TRACK_HEAD + "0,1.0,2.0\n" + TRACK_HEAD, "bad.txt:3:"),
 ])
 def test_malformed_input_error_names_its_line(tmp_path, loader, text, prefix):
     path = tmp_path / "bad.txt"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
@@ -28,10 +29,11 @@ def small_net():
 
 
 def fade_table(table, channels, values):
+    """A table with baseline -55 dBm on every pair whose fade is not NaN."""
     values = np.asarray(values, dtype=float)
     return FadeLevelTable(
         values=values,
-        mean_rss=np.full_like(values, -55.0),
+        mean_rss=np.where(np.isnan(values), np.nan, -55.0),
         channels=np.asarray(channels, dtype=int),
         fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=values.size, rmse=0.0),
     )
@@ -127,8 +129,9 @@ def test_rss_change_basic_and_uncalibrated():
     assert dr[0, 0] == pytest.approx(-10.0)
     assert dr[1, 1] == pytest.approx(5.0)
     assert dr[3, 0] == 0.0
-    assert np.isnan(dr[2, 1])
+    assert dr[2, 1] == 0.0  # uncalibrated: a gap on every frame
     assert dr[0, 1] == 0.0
+    assert not np.isnan(dr).any()
 
 
 def test_rss_change_channel_mismatch():
@@ -144,28 +147,56 @@ def test_hold_buffer_window_then_zero():
     # One pair goes missing: held for hold_frames frames, then zeroed,
     # and a fresh sample resets the count.
     hold = HoldBuffer(1, 1, hold_frames=3)
-    calibrated = np.array([[True]])
-    out = hold.update(np.array([[-6.0]]), calibrated)
+    out = hold.update(np.array([[-6.0]]))
     assert out[0, 0] == -6.0
     for _ in range(3):  # within window -> held
-        out = hold.update(np.array([[np.nan]]), calibrated)
+        out = hold.update(np.array([[np.nan]]))
         assert out[0, 0] == -6.0
-    out = hold.update(np.array([[np.nan]]), calibrated)  # expired
+    out = hold.update(np.array([[np.nan]]))  # expired
     assert out[0, 0] == 0.0
-    out = hold.update(np.array([[2.0]]), calibrated)  # fresh again
+    out = hold.update(np.array([[2.0]]))  # fresh again
     assert out[0, 0] == 2.0
-    out = hold.update(np.array([[np.nan]]), calibrated)
+    out = hold.update(np.array([[np.nan]]))
     assert out[0, 0] == 2.0
 
 
 def test_hold_buffer_no_history_and_uncalibrated():
+    # Pair 0 has no sample yet; pair 1, uncalibrated, has a NaN Δr on every
+    # frame. Both are gaps with no history, and read 0 on every frame.
     hold = HoldBuffer(2, 1, hold_frames=5)
-    calibrated = np.array([[True], [False]])
-    out = hold.update(np.array([[np.nan], [np.nan]]), calibrated)
-    assert out[0, 0] == 0.0        # missing without history -> zero
-    assert np.isnan(out[1, 0])     # uncalibrated stays NaN
+    for _ in range(8):
+        out = hold.update(np.array([[np.nan], [np.nan]]))
+        np.testing.assert_array_equal(out, [[0.0], [0.0]])
     with pytest.raises(ValueError):
-        hold.update(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
+        hold.update(np.zeros((3, 3)))
+
+
+def _grid(draw, cells, shape):
+    size = int(np.prod(shape))
+    return np.reshape(draw(st.lists(cells, min_size=size, max_size=size)), shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), hold_frames=st.integers(0, 3))
+def test_rss_change_is_the_reference_hold_with_no_nan(data, hold_frames):
+    """Over random frame sequences with random missing samples and
+    never-calibrated pairs, rss_change gives the reference's per-sample
+    hold rule frame by frame, with 0 wherever the reference has no value."""
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))
+    uncalibrated = _grid(data.draw, st.booleans(), shape)
+    mean_rss = np.where(uncalibrated, np.nan,
+                        _grid(data.draw, st.floats(-90.0, -30.0), shape))
+    channels = np.arange(11, 11 + shape[1])
+    fades = FadeLevelTable(
+        values=np.where(uncalibrated, np.nan, 0.0), mean_rss=mean_rss,
+        channels=channels, fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=2, rmse=0.0))
+    sample = st.floats(-100.0, -20.0) | st.just(np.nan)
+    frames = [RssFrame(k=k, rss=_grid(data.draw, sample, shape), channels=channels)
+              for k in range(data.draw(st.integers(1, 12)))]
+    hold = HoldBuffer(*shape, hold_frames=hold_frames)
+    want = np.nan_to_num(reference_pipeline.deltas(frames, fades, hold_frames))
+    for frame, expect in zip(frames, want):
+        np.testing.assert_array_equal(rss_change(frame, fades, hold), expect)
 
 
 @pytest.mark.parametrize("hold_frames", [2.5, -2, 3.0])
@@ -180,9 +211,8 @@ def test_hold_buffer_takes_only_an_integer_hold(hold_frames):
 
 def test_hold_zero_frames_is_zero_policy():
     hold = HoldBuffer(1, 1, hold_frames=0)
-    calibrated = np.array([[True]])
-    hold.update(np.array([[-4.0]]), calibrated)
-    out = hold.update(np.array([[np.nan]]), calibrated)
+    hold.update(np.array([[-4.0]]))
+    out = hold.update(np.array([[np.nan]]))
     assert out[0, 0] == 0.0
 
 
@@ -198,7 +228,7 @@ def test_assemble_single_change_placement():
     rss = fades.mean_rss.copy()
     rss[2, 0] -= 10.0  # single shadowing event on link 2, channel 11
     frame = RssFrame(k=5, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, params)(frame, no_hold(fades))
+    y = MeasurementAssembler(fades, params)(rss_change(frame, fades, no_hold(fades)))
 
     assert y.shape == (weights.n_rows,)
     nz = np.nonzero(y)[0]
@@ -214,7 +244,8 @@ def test_assemble_zero_frame_and_length():
     fades = fade_table(table, channels, np.zeros((table.n_links, 3)))
     weights = build_multiscale_weights(table, layout, grid, fades)
     frame = RssFrame(k=0, rss=fades.mean_rss.copy(), channels=np.array(channels))
-    y = MeasurementAssembler(fades, MeasurementModelParams())(frame, no_hold(fades))
+    y = MeasurementAssembler(fades, MeasurementModelParams())(
+        rss_change(frame, fades, no_hold(fades)))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links * 3,)
     assert np.all(y == 0.0)
 
@@ -233,7 +264,7 @@ def test_assemble_matches_reference_everywhere():
     for k in range(4):
         rss = fades.mean_rss + rng.normal(0, 6.0, size=fades.mean_rss.shape)
         frame = RssFrame(k=k, rss=rss, channels=np.array(channels))
-        y = asm(frame, no_hold(fades))
+        y = asm(rss_change(frame, fades, no_hold(fades)))
         want = reference_pipeline.measurements("msrti", [frame], fades, config)
         np.testing.assert_array_equal(y, want[0])
         # exclusive slot occupancy
@@ -255,10 +286,11 @@ def test_assemble_excluded_rows_absent():
     vals[4, 0] = np.nan
     fades = fade_table(table, channels, vals)
     weights = build_multiscale_weights(table, layout, grid, fades)
-    rss = fades.mean_rss.copy()
-    rss[4, 0] -= 20.0  # change on the uncalibrated pair: nowhere to go
+    rss = np.full_like(fades.mean_rss, -55.0)
+    rss[4, 0] = -75.0  # change on the uncalibrated pair: nowhere to go
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, MeasurementModelParams())(frame, no_hold(fades))
+    y = MeasurementAssembler(fades, MeasurementModelParams())(
+        rss_change(frame, fades, no_hold(fades)))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links,)
     assert np.all(y == 0.0)
     for d in (DIR_UP, DIR_DOWN):

@@ -168,8 +168,8 @@ def test_multiscale_excluded_pairs():
     vals[4, 0] = np.nan
     vals[7, 1] = np.nan
     fades = FadeLevelTable(
-        values=vals, mean_rss=np.zeros_like(vals), channels=channels,
-        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=10, rmse=0.0),
+        values=vals, mean_rss=np.where(np.isnan(vals), np.nan, 0.0),
+        channels=channels, fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=10, rmse=0.0),
     )
     wm = build_multiscale_weights(table, layout, grid, fades)
     # uncalibrated pairs keep their two rows, all zero; the row layout
@@ -259,7 +259,7 @@ def fade_tables(draw):
         max_size=PROPERTY_TABLE.n_links * n_channels))
     values = np.reshape(values, (PROPERTY_TABLE.n_links, n_channels))
     return FadeLevelTable(
-        values=values, mean_rss=np.zeros_like(values),
+        values=values, mean_rss=np.where(np.isnan(values), np.nan, 0.0),
         channels=np.arange(11, 11 + n_channels),
         fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=10, rmse=0.0),
     )
