@@ -2,11 +2,14 @@
 
 Four estimator variants share one reconstruction core and differ only in
 the weight matrix and measurement vector fed to it, one (weights, measure)
-entry per variant in _VARIANT_TABLE. VariantPipeline.images images a frame
-sequence with one batched reconstruction, and one frame loop localizes
-its rows for both run_pipeline, on a given trace, and benchmark, on
-seeded synthetic traces of any ScenarioSpec; VariantPipeline.image serves
-one frame at a time for streaming.
+entry per variant in _VARIANT_TABLE. Only msrti's weights read the fade
+table, so only its operator is built per calibration; the fixed-width
+operator of rti, cdrti and flrti depends only on the deployment and is
+kept across calibrations. VariantPipeline.images images a frame sequence
+with one batched reconstruction, and one frame loop localizes its rows
+for both run_pipeline, on a given trace, and benchmark, on seeded
+synthetic traces of any ScenarioSpec; VariantPipeline.image serves one
+frame at a time for streaming.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every (link, channel) pair treated as an independent link
@@ -24,6 +27,7 @@ value. Baseline variants image the *loss* s = −Δr so that the argmax
 localizer targets attenuation for every variant.
 """
 
+import functools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -39,16 +43,16 @@ from .measurement_model import (
 )
 from .reconstruction import (
     PrecisionTerm,
+    ReconstructionOperator,
     ReconstructionParams,
     build_operator,
-    prior_precision_term,
+    check_precision_term,
     reconstruct,
 )
 from .simulator import ScenarioSpec, generate_trace
 from .spatial_model import (
     DIR_DOWN,
     EllipseModelParams,
-    WeightMatrix,
     build_classic_weights,
     build_multiscale_weights,
     lambda_for,
@@ -163,19 +167,38 @@ class PipelineConfig:
             group: params(**settings[group]) for group, params in sets.items()})
 
 
-def _classic_weights(table, layout, grid, fades, config) -> WeightMatrix:
-    return build_classic_weights(table, layout, grid, config.classic_lambda)
+# How many fixed-width operators _fixed_width_operator keeps, least recently
+# used dropped first: two deployments, each with the unit-scale operator of
+# rti and flrti and cdrti's √C-scaled one.
+_OPERATOR_MEMO_SIZE = 4
 
 
-def _scaled_weights(table, layout, grid, fades, config) -> WeightMatrix:
-    """cdrti: the fixed-width weights times √C, one row per link."""
-    classic = _classic_weights(table, layout, grid, fades, config)
-    root_c = np.sqrt(fades.channels.size)
-    return replace(classic, band_sums=classic.band_sums * root_c)
+@functools.lru_cache(maxsize=_OPERATOR_MEMO_SIZE)
+def _fixed_width_operator(ids: bytes, xy: bytes, grid: VoxelGrid,
+                          classic_lambda: float, params: ReconstructionParams,
+                          scale: float) -> ReconstructionOperator:
+    """The operator of the fixed-width weights times `scale`, kept by the
+    value of everything its Π reads: the layout's node ids and positions
+    (as the bytes of their arrays), the grid, the ellipse width, the
+    regularization parameters and the scale. Its stored array is
+    read-only, as every caller is handed the same operator."""
+    layout = NodeLayout(ids=np.frombuffer(ids, dtype=int),
+                        xy=np.frombuffer(xy).reshape(-1, 2))
+    classic = build_classic_weights(enumerate_links(layout), layout, grid,
+                                    classic_lambda)
+    weights = replace(classic, band_sums=classic.band_sums * scale)
+    operator = build_operator(weights, grid, params)
+    operator.stored.flags.writeable = False
+    return operator
 
 
-def _multiscale_weights(table, layout, grid, fades, config) -> WeightMatrix:
-    return build_multiscale_weights(table, layout, grid, fades, config.ellipse)
+def _unit_scale(fades) -> float:
+    return 1.0
+
+
+def _root_c(fades) -> float:
+    """cdrti's scale √C: C stacked copies of W have the Gram matrix of √C·W."""
+    return np.sqrt(fades.channels.size)
 
 
 def _rti_measure(fades, config):
@@ -188,7 +211,7 @@ def _rti_measure(fades, config):
 
 
 def _cdrti_measure(fades, config):
-    root_c = np.sqrt(fades.channels.size)
+    root_c = _root_c(fades)
     return lambda delta_r: np.negative(delta_r, out=delta_r).sum(axis=1) / root_c
 
 
@@ -201,14 +224,16 @@ def _msrti_measure(fades, config):
     return MeasurementAssembler(fades, config.measurement)
 
 
-# variant -> (weights(table, layout, grid, fades, config) -> WeightMatrix,
+# variant -> (scale(fades) of the fixed-width weights, whose operator is
+#             kept across calibrations, or None for the multi-scale weights,
+#             which read the fade table and are built on every call;
 #             measure(fades, config) -> (filled (L, C) Δr -> y)); a measure
 #             may overwrite the Δr, which rss_change makes fresh per frame
 _VARIANT_TABLE = {
-    "rti": (_classic_weights, _rti_measure),
-    "cdrti": (_scaled_weights, _cdrti_measure),
-    "flrti": (_classic_weights, _flrti_measure),
-    "msrti": (_multiscale_weights, _msrti_measure),
+    "rti": (_unit_scale, _rti_measure),
+    "cdrti": (_root_c, _cdrti_measure),
+    "flrti": (_unit_scale, _flrti_measure),
+    "msrti": (None, _msrti_measure),
 }
 VARIANTS = tuple(_VARIANT_TABLE)
 
@@ -216,15 +241,21 @@ VARIANTS = tuple(_VARIANT_TABLE)
 class VariantPipeline:
     """One variant's frame-to-image machinery, state included.
 
-    Construction does the expensive work (weights + operator) unless an
-    operator built for the same weights is given; measurement and image
-    assembly per frame are array operations. An optional precision term
-    σ_N² C_x⁻¹ for the grid and config.reconstruction, from
-    `prior_precision_term`, is passed unchanged to build_operator, which
-    expands it for the tall multi-scale W; the fixed-width variants build
-    Π in push-through form from C_x itself, and read the term only when
-    their W C_x Wᵀ + σ_N² I is too ill-conditioned for that form. The hold
-    buffer makes a pipeline single-pass — build a fresh one per trace.
+    Construction does the expensive work unless an operator built for the
+    same weights is given: msrti builds its multi-scale weights and their
+    operator from the fade table on every call, and rti, flrti and cdrti
+    take their fixed-width operator from `_fixed_width_operator`, which
+    builds it once per deployment (rti and flrti share one). Measurement
+    and image assembly per frame are array operations. An optional
+    precision term σ_N² C_x⁻¹ for the grid and config.reconstruction, from
+    `prior_precision_term`, is checked (`check_precision_term`) for every
+    variant and used by msrti's build; without one, msrti's build uses the
+    term `prior_precision_term` keeps. The hold buffer makes a pipeline
+    single-pass — build a fresh one per trace.
+
+    Raises:
+        ValueError: an unknown variant, or a fade table for another number
+            of links than the layout has; the variant's own input checks.
     """
 
     def __init__(self, variant: str, fades: FadeLevelTable, layout: NodeLayout,
@@ -233,21 +264,32 @@ class VariantPipeline:
                  operator=None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
-        build_weights, measure = _VARIANT_TABLE[variant]
+        scale, measure = _VARIANT_TABLE[variant]
         self.variant = variant
         self.fades = fades
         self.grid = grid
         self.config = config
         table = enumerate_links(layout)
+        if fades.n_links != table.n_links:
+            raise ValueError(f"fade table covers {fades.n_links} links, "
+                             f"table has {table.n_links}")
+        if precision_term is not None:
+            check_precision_term(precision_term, grid, config.reconstruction)
         self._hold = HoldBuffer(table.n_links, fades.channels.size,
                                 config.measurement.hold_frames)
         # the measure function validates the variant's inputs, so a bad
         # input is reported before the expensive weights and operator build
         self._measure = measure(fades, config)
         if operator is None:
-            weights = build_weights(table, layout, grid, fades, config)
-            operator = build_operator(weights, grid, config.reconstruction,
-                                      precision_term)
+            if scale is None:
+                weights = build_multiscale_weights(table, layout, grid, fades,
+                                                   config.ellipse)
+                operator = build_operator(weights, grid, config.reconstruction,
+                                          precision_term)
+            else:
+                operator = _fixed_width_operator(
+                    layout.ids.tobytes(), layout.xy.tobytes(), grid,
+                    config.classic_lambda, config.reconstruction, scale(fades))
         self.operator = operator
 
     def measurement(self, frame) -> np.ndarray:
@@ -388,9 +430,12 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
     prefix; each variant then runs on the rest of that identical trace
     through the same `_track` as run_pipeline, Kalman smoothing included
     when config.kalman is set, and is scored against the trace's truth.
-    Every pipeline, operator included, is built per seed; only the grid
-    and, when msrti is among the variants, the precision term σ_N² C_x⁻¹
-    that its tall builds read are shared across runs.
+    Per seed, the calibration, every variant's measure and msrti's
+    multi-scale weights and operator are built anew. What does not depend
+    on the calibration is built once for the scenario's deployment: the
+    grid, the prior precision term σ_N² C_x⁻¹ of msrti's builds (kept by
+    `prior_precision_term`) and the fixed-width operators of rti, flrti
+    and cdrti (kept by `_fixed_width_operator`).
 
     Args:
         spec: the scenario; its trajectory must not be empty, and its seed
@@ -410,11 +455,6 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         raise ValueError("benchmark needs a scenario with a trajectory")
     grid = VoxelGrid.from_layout(spec.layout, config.voxel_width,
                                  config.grid_margin)
-    # Only the multi-scale W is tall, and only a tall build needs the term.
-    # It is shared in its compact form (the four inverted mirror blocks),
-    # and each build expands it into its own buffer.
-    precision_term = (prior_precision_term(grid, config.reconstruction)
-                      if "msrti" in variants else None)
     table = enumerate_links(spec.layout)
 
     rows = []
@@ -427,7 +467,7 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         person_frames = trace.frames[trace.calibration_frames:]
         for variant in variants:
             pipeline = VariantPipeline(variant, fades, spec.layout, grid,
-                                       config, precision_term=precision_term)
+                                       config)
             result = _track(pipeline, person_frames, truth)
             rows.append((variant, int(seed), result.summary))
     return rows

@@ -26,8 +26,9 @@ the conditioning of W C_x Wᵀ + σ_N² I:
   band back-projection U·(S·y): S sums each link's nested ellipse rows
   from the widest down and U adds one of those sums per (link, voxel), so
   it reads about a sixth of the nonzeros of W. A symmetric product with M
-  follows. Besides M the build holds one (N, _BLOCK) block, and the
-  compact term when the caller shares one across builds.
+  follows. Besides M the build holds one (N, _BLOCK) block and the
+  compact term, which depends only on the grid and the parameters and is
+  kept for the next build on them (see `prior_precision_term`).
 - otherwise (the fixed-width weights, one row per link): Π itself,
   N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
   which is the same matrix. C_x Wᵀ is formed from the sparse W times
@@ -41,6 +42,7 @@ W is about one sixth nonzero at the reference deployments, where the
 sparse WᵀW took four to eight times as long as the dense one.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +58,7 @@ __all__ = [
     "ReconstructionOperator",
     "PrecisionTerm",
     "prior_precision_term",
+    "check_precision_term",
     "build_operator",
     "reconstruct",
 ]
@@ -71,6 +74,11 @@ _BLOCK = 512
 # at an estimate of 1.2e4, 1.1e-12 at 2.4e5), while the A route stayed
 # near 1e-14; the shipped fixed-width weights estimate 40 to 3200.
 _PUSH_THROUGH_MAX_COND = 1e4
+
+# How many (grid, params) precision terms prior_precision_term keeps, least
+# recently used dropped first: one deployment's grid, and a second so that
+# alternating between two deployments keeps both.
+_PRIOR_MEMO_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -203,9 +211,11 @@ class PrecisionTerm:
     """σ_N² C_x⁻¹ for one grid and parameter set, held as the inverses of
     its four mirror blocks: about a quarter of the N × N term's memory.
 
-    Made by `prior_precision_term`, and shared by the tall builds on the
-    same grid and parameters, each of which expands it with `toarray`.
-    Compared by identity (eq=False), since it holds an array.
+    Made by `prior_precision_term`, which keeps it, and shared by the tall
+    builds on the same grid and parameters, each of which expands it with
+    `toarray` into its own buffer. The term's blocks are read-only, as
+    every caller is handed the same term. Compared by identity (eq=False),
+    since it holds an array.
 
     Attributes:
         grid: the voxel grid the term is for.
@@ -260,8 +270,12 @@ def prior_precision_term(grid: VoxelGrid,
     kept in that compact form.
 
     This is the regularization term of every tall operator built on the
-    same grid and parameters, so callers may compute it once and pass it to
-    each `build_operator`.
+    same grid and parameters, and it depends on nothing else: a
+    recalibration changes the weights, not the term. So the terms of the
+    last _PRIOR_MEMO_SIZE (grid, params) pairs are kept, and equal
+    arguments give the same term, its blocks read-only: a build on a grid
+    it has seen expands the kept term and inverts nothing. Callers may also
+    pass the term to each `build_operator`.
 
     C_x does not change when the grid is mirrored in x or in y, and in the
     basis Q of `_mirror_blocks` it is block diagonal: four blocks of about
@@ -273,8 +287,17 @@ def prior_precision_term(grid: VoxelGrid,
 
     Raises:
         LinAlgError: C_x is not SPD to working precision (one of its blocks
-            is not); the message carries N and δ_c.
+            is not); the message carries N and δ_c. Nothing is kept then.
     """
+    return _precision_term(grid, params)
+
+
+@functools.lru_cache(maxsize=_PRIOR_MEMO_SIZE)
+def _precision_term(grid: VoxelGrid,
+                    params: ReconstructionParams) -> PrecisionTerm:
+    """prior_precision_term's computation, kept by the value of its two
+    frozen arguments; always called positionally, so equal arguments are
+    one key."""
     blocks = _mirror_blocks(grid, params)
     for sy in (0, 1):
         for sx in (0, 1):
@@ -294,7 +317,30 @@ def prior_precision_term(grid: VoxelGrid,
             _mirror_lower(blocks[sy, sx])
             lone = _lone_cells(grid, sy, sx)
             blocks[sy, sx, lone, lone] = 0.0
+    blocks.flags.writeable = False
     return PrecisionTerm(grid=grid, params=params, blocks=blocks)
+
+
+def check_precision_term(precision_term, grid: VoxelGrid,
+                         params: ReconstructionParams) -> None:
+    """Check that a term given to a build is a `PrecisionTerm` for this
+    grid and these params.
+
+    Raises:
+        TypeError: precision_term is not a PrecisionTerm.
+        ValueError: it is for another grid or other params.
+    """
+    if not isinstance(precision_term, PrecisionTerm):
+        raise TypeError(
+            f"precision_term must be a PrecisionTerm from "
+            f"prior_precision_term, not {type(precision_term).__name__}"
+        )
+    if precision_term.grid != grid:
+        raise ValueError(
+            f"precision_term is for {precision_term.grid}, not {grid}")
+    if precision_term.params != params:
+        raise ValueError(
+            f"precision_term is for {precision_term.params}, not {params}")
 
 
 @dataclass(frozen=True)
@@ -393,14 +439,16 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     than voxels, and Π = M Wᵀ otherwise: whichever is smaller.
 
     Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer:
-    the precision term, given or else computed here, expanded by
-    `PrecisionTerm.toarray`. WᵀW is added to its lower triangle by one
-    syrk per block of _BLOCK rows of W, each block formed dense as
-    W[a:b]ᵀ = U·S[:, a:b] from the weights' band factors: no whole W is
-    formed, as CSR or dense. A is then Cholesky-factored and potri
-    turns the factor into M = A⁻¹ in place; `pi` is computed on demand.
-    Transient memory is one (N, _BLOCK) block besides the buffer, and the
-    given term's four quarter-size blocks, which the caller holds.
+    the precision term, given or else the one `prior_precision_term` keeps
+    for this grid and params, expanded by `PrecisionTerm.toarray`. WᵀW is
+    added to its lower triangle by one syrk per block of _BLOCK rows of W,
+    each block formed dense as W[a:b]ᵀ = U·S[:, a:b] from the weights' band
+    factors: no whole W is formed, as CSR or dense. A is then
+    Cholesky-factored and potri turns the factor into M = A⁻¹ in place;
+    `pi` is computed on demand.
+    Transient memory is one (N, _BLOCK) block besides the buffer; the
+    term's four quarter-size blocks are held by the caller or kept by
+    `prior_precision_term`.
 
     Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
     σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed from the sparse W and
@@ -419,10 +467,11 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         weights: link/voxel weight operator (classic or multi-scale).
         grid: voxel grid; must match the weight matrix column count.
         params: regularization parameters (defaults are the standard set).
-        precision_term: optional σ_N² C_x⁻¹ from `prior_precision_term`,
-            to share across several tall builds; that it is one, for this
-            grid and params, is checked on every build, but only a build
-            through A reads it.
+        precision_term: optional σ_N² C_x⁻¹ from `prior_precision_term`.
+            A given term is checked (`check_precision_term`) on every
+            build, and a build through A uses it; without one, a build
+            through A uses the term `prior_precision_term` keeps for this
+            grid and params. A build in push-through form reads neither.
 
     Raises:
         TypeError: precision_term is not a PrecisionTerm.
@@ -439,26 +488,16 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
             f"weight matrix has {weights.n_voxels} columns, grid has {n} voxels"
         )
     if precision_term is not None:
-        if not isinstance(precision_term, PrecisionTerm):
-            raise TypeError(
-                f"precision_term must be a PrecisionTerm from "
-                f"prior_precision_term, not {type(precision_term).__name__}"
-            )
-        if precision_term.grid != grid:
-            raise ValueError(
-                f"precision_term is for {precision_term.grid}, not {grid}")
-        if precision_term.params != params:
-            raise ValueError(
-                f"precision_term is for {precision_term.params}, not {params}")
+        check_precision_term(precision_term, grid, params)
     tall = weights.n_rows > n
     if not tall:
         pi = _push_through_pi(weights, grid, params)
         if pi is not None:
             return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
-    # The transpose of the exactly symmetric C-order term is a Fortran-order
-    # view of it, which LAPACK factors in place. A computed term is not
-    # kept past its expansion.
+    # The transpose of the exactly symmetric C-order expansion is a
+    # Fortran-order view of it, which LAPACK factors in place: the buffer
+    # is this build's own, and the compact term stays unwritten.
     normal = (prior_precision_term(grid, params) if precision_term is None
               else precision_term).toarray().T
     band_sums = weights.band_sums.tocsc()

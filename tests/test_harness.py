@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import blas
 
-from rtikit import harness
+from rtikit import harness, reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame, calibrate
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.harness import (
@@ -18,6 +18,7 @@ from rtikit.harness import (
     run_pipeline,
 )
 from rtikit.measurement_model import MeasurementModelParams
+from rtikit.reconstruction import ReconstructionParams
 from rtikit.tracking import PositionEstimate, init_track, kalman_step, localize
 from rtikit.simulator import (
     ScenarioSpec,
@@ -585,20 +586,198 @@ def test_benchmark_needs_a_trajectory():
 
 
 def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):
-    """The term is computed once per benchmark when msrti, whose W is tall,
-    is among the variants, and not at all for fixed-width variants alone."""
+    """The term is computed cold (its mirror blocks formed) once per (grid,
+    params) across seeds and benchmarks when msrti, whose W is tall, is
+    among the variants, and not at all for fixed-width variants alone."""
     calls = []
-    term = harness.prior_precision_term
-    monkeypatch.setattr(harness, "prior_precision_term",
-                        lambda *args: calls.append(args) or term(*args))
+    mirror_blocks = reconstruction._mirror_blocks
+    monkeypatch.setattr(reconstruction, "_mirror_blocks",
+                        lambda *args: calls.append(args) or mirror_blocks(*args))
     layout = perimeter_layout(8, 4.0, 4.0)
-    config = PipelineConfig(calibration_frames=30)
-    for variants, expected in ((("cdrti", "rti"), 0), (("msrti", "cdrti"), 1)):
+    # 10 × 10 voxels, so that msrti's W, 2 × 28 rows per channel, is tall
+    config = PipelineConfig(calibration_frames=30, voxel_width=0.5)
+    other = replace(config, reconstruction=ReconstructionParams(delta_c=2.0))
+    for variants, run_config, expected in (
+            (("cdrti", "rti"), config, 0),
+            (("msrti", "cdrti"), config, 1),
+            (("msrti",), config, 0),  # the term is kept
+            (("msrti",), other, 1)):
         calls.clear()
         rows = benchmark(_lattice_spec(layout, [(2.0, 2.0)], 30, 2),
-                         seeds=(1, 2), config=config, variants=variants)
+                         seeds=(1, 2), config=run_config, variants=variants)
         assert len(rows) == 2 * len(variants)
         assert len(calls) == expected
+
+
+def _two_calibrations():
+    """One deployment, the 10-node layout of _small_trace, calibrated on two
+    seeded traces: (layout, traces, fade tables)."""
+    traces, fades = [], []
+    for seed in (3, 4):
+        layout, trace = _small_trace(seed=seed)
+        traces.append(trace)
+        fades.append(calibrate(trace.frames[:trace.calibration_frames],
+                               enumerate_links(layout)))
+    return layout, traces, fades
+
+
+def _clear_memos():
+    reconstruction._precision_term.cache_clear()
+    harness._fixed_width_operator.cache_clear()
+
+
+def test_fixed_width_operator_is_kept_across_calibrations():
+    """rti, flrti and cdrti take one operator per deployment whatever the
+    calibration, rti and flrti the same one, and its stored array is
+    read-only; msrti builds its M from each fade table."""
+    layout, _, fades = _two_calibrations()
+    config = PipelineConfig(voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    ops = {variant: [VariantPipeline(variant, f, layout, grid, config).operator
+                     for f in fades] for variant in VARIANTS}
+    for variant in ("rti", "flrti", "cdrti"):
+        first, second = ops[variant]
+        assert first is second
+        assert not first.stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.stored[0, 0] = 1.0
+    assert ops["flrti"][0] is ops["rti"][0]
+    assert ops["cdrti"][0] is not ops["rti"][0]
+    first, second = ops["msrti"]
+    assert first.tall and second.tall
+    assert not np.array_equal(first.stored, second.stored)
+
+
+def test_fixed_width_operator_is_keyed_by_every_input_of_its_pi():
+    """Equal values in new objects find the kept operator; a change to any
+    one input of Π builds a new one, which differs from the kept one."""
+    layout, _, (fades, _) = _two_calibrations()
+    config = PipelineConfig(voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    table = enumerate_links(layout)
+
+    def operator(variant="rti", layout=layout, grid=grid, config=config,
+                 fades=fades):
+        return VariantPipeline(variant, fades, layout, grid, config).operator
+
+    kept = operator()
+    assert operator(layout=NodeLayout(ids=layout.ids.copy(),
+                                      xy=layout.xy.copy()),
+                    grid=replace(grid), config=replace(config)) is kept
+    moved = layout.xy.copy()
+    moved[0] += 0.05
+    renamed = layout.ids.copy()
+    renamed[0] = 100
+    params = config.reconstruction
+    changes = {
+        "node xy": dict(layout=NodeLayout(ids=layout.ids, xy=moved)),
+        "node id": dict(layout=NodeLayout(ids=renamed, xy=layout.xy)),
+        "grid": dict(grid=replace(grid, p=0.29)),
+        "classic_lambda": dict(config=replace(config, classic_lambda=0.05)),
+        **{f"reconstruction.{name}": dict(config=replace(
+            config, reconstruction=replace(params, **{name: value})))
+           for name, value in (("sigma_x", 0.05), ("sigma_n", 1.0),
+                               ("delta_c", 2.0))},
+    }
+    for name, change in changes.items():
+        new = operator(**change)
+        assert new is not kept, name
+        assert not np.array_equal(new.stored, kept.stored), name
+    three, four = (_uniform_fades(table, range(11, 11 + c)) for c in (3, 4))
+    cdrti = operator("cdrti", fades=four)
+    assert operator("cdrti", fades=three) is not cdrti
+    assert operator("cdrti", fades=four) is cdrti
+    assert operator("rti", fades=three) is operator("rti", fades=four)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_kept_builds_image_as_a_cold_build(variant):
+    """After a build on another calibration of the deployment has filled
+    the memos, images and run_pipeline rows are those of a cold build."""
+    layout, traces, fades = _two_calibrations()
+    trace = traces[1]
+    config = PipelineConfig(calibration_frames=trace.calibration_frames,
+                            voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    frames = trace.frames[trace.calibration_frames:]
+    truth = {int(k): (x, y) for k, x, y in trace.truth}
+
+    def images():
+        return VariantPipeline(variant, fades[1], layout, grid,
+                               config).images(frames)
+
+    def rows():
+        return run_pipeline(variant, trace.frames, layout, config,
+                            truth=truth).rows
+
+    VariantPipeline(variant, fades[0], layout, grid, config)
+    kept = images(), rows()
+    _clear_memos()
+    cold_images = images()
+    _clear_memos()
+    cold_rows = rows()
+    assert np.array_equal(kept[0], cold_images)
+    assert kept[1] == cold_rows
+
+
+def test_fixed_width_memo_stays_within_its_bound():
+    """Over more deployments than the bound, the memo holds the bound's
+    number of operators, and the oldest deployment's is built again."""
+    bound = harness._OPERATOR_MEMO_SIZE
+    config = PipelineConfig(voxel_width=0.3)
+
+    def operator(side):
+        layout = perimeter_layout(8, side, side)
+        fades = _uniform_fades(enumerate_links(layout), (11, 12))
+        grid = VoxelGrid.from_layout(layout, config.voxel_width)
+        return VariantPipeline("rti", fades, layout, grid, config).operator
+
+    first = operator(3.0)
+    for i in range(1, bound + 2):
+        operator(3.0 + 0.1 * i)
+        assert harness._fixed_width_operator.cache_info().currsize <= bound
+    assert harness._fixed_width_operator.cache_info().currsize == bound
+    assert operator(3.0) is not first
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fade_table_from_another_layout_is_rejected_at_construction(variant):
+    """Fades of an 8-node layout (28 links) on a 10-node one (45 links) are
+    rejected before any weights or operator are built."""
+    small, trace = _small_trace(n_nodes=8)
+    fades = calibrate(trace.frames[:trace.calibration_frames],
+                      enumerate_links(small))
+    layout = perimeter_layout(10, 4.0, 4.0)
+    config = PipelineConfig(voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    with pytest.raises(ValueError,
+                       match="fade table covers 28 links, table has 45"):
+        VariantPipeline(variant, fades, layout, grid, config)
+    assert harness._fixed_width_operator.cache_info().currsize == 0
+    assert reconstruction._precision_term.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_given_precision_term_is_checked_whether_the_memo_hits(variant):
+    layout, _, (fades, _) = _two_calibrations()
+    config = PipelineConfig(voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    params = config.reconstruction
+    for memo in ("cold", "kept"):
+        for term, error, match in (
+                (reconstruction.prior_precision_term(replace(grid, nx=3), params),
+                 ValueError, "precision_term is for VoxelGrid"),
+                (reconstruction.prior_precision_term(
+                    grid, replace(params, delta_c=2.0)),
+                 ValueError, "precision_term is for ReconstructionParams"),
+                (reconstruction.prior_precision_term(grid, params).toarray(),
+                 TypeError, "must be a PrecisionTerm")):
+            with pytest.raises(error, match=match):
+                VariantPipeline(variant, fades, layout, grid, config,
+                                precision_term=term)
+        VariantPipeline(variant, fades, layout, grid, config,
+                        precision_term=reconstruction.prior_precision_term(
+                            grid, params))
 
 
 def test_benchmark_multiscale_beats_stacked_baseline():

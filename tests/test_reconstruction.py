@@ -1,6 +1,7 @@
 """Reconstruction: prior covariance, operator build, linearity."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,12 @@ def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
     assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
 
 
+def _cold_precision_term(grid, params):
+    """prior_precision_term computed anew: the kept terms are dropped first."""
+    reconstruction._precision_term.cache_clear()
+    return prior_precision_term(grid, params)
+
+
 def test_precision_term_memory_is_the_result_and_quarters():
     """N = 1024: the traced peak of computing and expanding the term is the
     N × N result and quarter-size arrays. Forming C_x alongside the result
@@ -412,7 +419,7 @@ def test_precision_term_memory_is_the_result_and_quarters():
     _, grid = _tall_weights_n1024()
     n = grid.n_voxels
     _, _, peak = _traced_memory(
-        lambda: prior_precision_term(grid, ReconstructionParams()).toarray())
+        lambda: _cold_precision_term(grid, ReconstructionParams()).toarray())
     assert peak <= 1.5 * n * n * 8, peak / 2**20
 
 
@@ -422,9 +429,51 @@ def test_precision_term_holds_its_blocks_only():
     _, grid = _tall_weights_n1024()
     n = grid.n_voxels
     _, current, peak = _traced_memory(
-        lambda: prior_precision_term(grid, ReconstructionParams()))
+        lambda: _cold_precision_term(grid, ReconstructionParams()))
     assert current <= 0.3 * n * n * 8, current / 2**20
     assert peak <= 0.5 * n * n * 8, peak / 2**20
+
+
+def test_precision_term_is_kept_per_grid_and_params():
+    """Equal (grid, params), also in new objects, give the same term, whose
+    blocks are read-only and which every expansion copies; a change to the
+    grid or to any one parameter gives a new term."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7)
+    params = ReconstructionParams()
+    term = prior_precision_term(grid, params)
+    assert prior_precision_term(
+        VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7),
+        ReconstructionParams()) is term
+    assert not term.blocks.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        term.blocks[0, 0, 0, 0] = 1.0
+    expanded = term.toarray()
+    assert expanded.flags.writeable
+    assert not np.shares_memory(expanded, term.blocks)
+    for other_grid, other_params in (
+            (replace(grid, nx=8), params),
+            (replace(grid, p=0.4), params),
+            (grid, replace(params, sigma_x=0.05)),
+            (grid, replace(params, sigma_n=1.0)),
+            (grid, replace(params, delta_c=2.0))):
+        other = prior_precision_term(other_grid, other_params)
+        assert other is not term
+        assert not np.array_equal(other.toarray(), expanded)
+
+
+def test_precision_memo_stays_within_its_bound():
+    bound = reconstruction._PRIOR_MEMO_SIZE
+    params = ReconstructionParams()
+    grids = [VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=4 + i, ny=5)
+             for i in range(bound + 2)]
+    first = prior_precision_term(grids[0], params)
+    for grid in grids[1:]:
+        prior_precision_term(grid, params)
+        assert reconstruction._precision_term.cache_info().currsize <= bound
+    assert reconstruction._precision_term.cache_info().currsize == bound
+    assert prior_precision_term(grids[0], params) is not first
+    last = prior_precision_term(grids[-1], params)
+    assert prior_precision_term(grids[-1], params) is last
 
 
 @pytest.mark.parametrize("rows, nx", [(112, 8), (512, 33)],
