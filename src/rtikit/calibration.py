@@ -76,6 +76,14 @@ def path_loss(distance: float, channel: int, p0: float, eta: float) -> float:
     return normalized_tx_power(channel) - p0 - 10.0 * eta * np.log10(distance)
 
 
+def _check_channels(channels: np.ndarray) -> None:
+    """Raise ValueError unless a frame's or fade table's channels strictly ascend in 11..26."""
+    if channels.size and (channels.min() < CHANNEL_MIN or channels.max() > CHANNEL_MAX):
+        raise ValueError(f"channels must lie in [{CHANNEL_MIN}, {CHANNEL_MAX}]")
+    if np.any(np.diff(channels) <= 0):
+        raise ValueError("channels must be strictly ascending")
+
+
 @dataclass(frozen=True)
 class RssFrame:
     """One synchronized RSS snapshot across all links and channels.
@@ -95,10 +103,7 @@ class RssFrame:
         channels = np.asarray(self.channels, dtype=int)
         if rss.ndim != 2 or rss.shape[1] != channels.size:
             raise ValueError("rss must be (L, C) matching channels")
-        if channels.size and (channels.min() < CHANNEL_MIN or channels.max() > CHANNEL_MAX):
-            raise ValueError(f"channels must lie in [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-        if np.any(np.diff(channels) <= 0):
-            raise ValueError("channels must be strictly ascending")
+        _check_channels(channels)
         if np.any(np.isinf(rss)):
             raise ValueError("rss values must be finite or NaN")
         object.__setattr__(self, "rss", rss)
@@ -130,7 +135,7 @@ class FadeLevelTable:
     Attributes:
         values: (L, C) fade levels in dB; NaN marks never-observed pairs.
         mean_rss: (L, C) empty-room mean RSS in dBm, NaN where values is.
-        channels: (C,) channel numbers, ascending.
+        channels: (C,) channel numbers, strictly ascending, within 11..26.
         fit: the pooled path-loss fit the fade levels are residuals of.
     """
 
@@ -140,6 +145,7 @@ class FadeLevelTable:
     fit: PathLossFit
 
     def __post_init__(self):
+        _check_channels(self.channels)
         if self.values.shape != self.mean_rss.shape:
             raise ValueError("values and mean_rss must have matching shapes")
         if self.values.shape[1] != self.channels.size:
@@ -221,8 +227,7 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable) -> FadeLev
         )
     if mean_rss.shape[1] != channels.size:
         raise ValueError("mean_rss columns must match channels")
-    if np.any(np.diff(channels) <= 0):
-        raise ValueError("channels must be strictly ascending")
+    _check_channels(channels)
 
     tx_power = normalized_tx_power(channels)
     log_term = -10.0 * np.log10(table.lengths)  # (L,)

@@ -5,11 +5,10 @@ the weight matrix and measurement vector fed to it, one (weights, measure)
 entry per variant in _VARIANT_TABLE. Only msrti's weights read the fade
 table, so only its operator is built per calibration; the fixed-width
 operator of rti, cdrti and flrti depends only on the deployment and is
-kept across calibrations. VariantPipeline.images images a frame sequence
-with one batched reconstruction, and one frame loop localizes its rows
-for both run_pipeline, on a given trace, and benchmark, on seeded
-synthetic traces of any ScenarioSpec; VariantPipeline.image serves one
-frame at a time for streaming.
+kept across calibrations. VariantPipeline.measurement is where a frame
+meets its fade table, and run_pipeline, the one frame loop, where a
+recording does; benchmark scores seeded traces of any ScenarioSpec through
+run_pipeline, and VariantPipeline.image serves one frame at a time.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every (link, channel) pair treated as an independent link
@@ -22,9 +21,9 @@ frame at a time for streaming.
 - ``msrti``: direction-resolved in-ellipse probabilities over the
   fade-level-scaled multi-scale weights.
 
-Every variant measures the (L, C) Δr of rss_change, 0 where a pair has no
-value. Baseline variants image the *loss* s = −Δr so that the argmax
-localizer targets attenuation for every variant.
+Every variant measures the (L, C) Δr that VariantPipeline.measurement
+fills, 0 where a pair has no value. Baseline variants image the *loss*
+s = −Δr so that the argmax localizer targets attenuation for every variant.
 """
 
 import functools
@@ -39,7 +38,6 @@ from .measurement_model import (
     MeasurementAssembler,
     MeasurementModelParams,
     inside_probability,
-    rss_change,
 )
 from .reconstruction import (
     PrecisionTerm,
@@ -228,7 +226,7 @@ def _msrti_measure(fades, config):
 #             kept across calibrations, or None for the multi-scale weights,
 #             which read the fade table and are built on every call;
 #             measure(fades, config) -> (filled (L, C) Δr -> y)); a measure
-#             may overwrite the Δr, which rss_change makes fresh per frame
+#             may overwrite the Δr, which `measurement` makes fresh per frame
 _VARIANT_TABLE = {
     "rti": (_unit_scale, _rti_measure),
     "cdrti": (_root_c, _cdrti_measure),
@@ -254,8 +252,9 @@ class VariantPipeline:
     single-pass — build a fresh one per trace.
 
     Raises:
-        ValueError: an unknown variant, or a fade table for another number
-            of links than the layout has; the variant's own input checks.
+        ValueError: an unknown variant, a fade table for another number
+            of links than the layout has, or an operator for another
+            grid; the variant's own input checks.
     """
 
     def __init__(self, variant: str, fades: FadeLevelTable, layout: NodeLayout,
@@ -275,6 +274,9 @@ class VariantPipeline:
                              f"table has {table.n_links}")
         if precision_term is not None:
             check_precision_term(precision_term, grid, config.reconstruction)
+        if operator is not None and operator.grid != grid:
+            raise ValueError(f"operator was built for grid {operator.grid}, "
+                             f"not the pipeline's grid {grid}")
         self._hold = HoldBuffer(table.n_links, fades.channels.size,
                                 config.measurement.hold_frames)
         # the measure function validates the variant's inputs, so a bad
@@ -293,8 +295,16 @@ class VariantPipeline:
         self.operator = operator
 
     def measurement(self, frame) -> np.ndarray:
-        """Per-frame measurement vector in this variant's row order."""
-        return self._measure(rss_change(frame, self.fades, self._hold))
+        """Per-frame measurement vector in this variant's row order, of the
+        frame's Δr from the fade table's mean with its gaps (an uncalibrated
+        pair's on every frame) filled by the hold buffer."""
+        fades = self.fades
+        if not np.array_equal(frame.channels, fades.channels):
+            raise ValueError("frame channel set does not match fade table")
+        if frame.rss.shape != fades.mean_rss.shape:
+            raise ValueError(f"frame rss shape {frame.rss.shape} != fade table "
+                             f"{fades.mean_rss.shape}")
+        return self._measure(self._hold.update(frame.rss - fades.mean_rss))
 
     def image(self, frame) -> np.ndarray:
         """(N,) image of one frame, for streaming use."""
@@ -348,6 +358,12 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
                  fades: FadeLevelTable | None = None) -> PipelineResult:
     """Calibrate on the trace prefix, then localize every following frame.
 
+    Each image of one VariantPipeline.images call is localized, through
+    the Kalman filter when config.kalman is set, its step spanning the k
+    difference times config.dt. A frame with no detection (a zero image,
+    as an outage past the hold window gives) keeps its NaN position and
+    error; the summary leaves it out and the Kalman filter skips it.
+
     Args:
         variant: one of VARIANTS.
         frames: full trace; the first config.calibration_frames frames
@@ -374,27 +390,13 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
         frames = frames[config.calibration_frames:]
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
     pipeline = VariantPipeline(variant, fades, layout, grid, config)
-    return _track(pipeline, frames, truth)
-
-
-def _track(pipeline: VariantPipeline, frames, truth: dict | None) -> PipelineResult:
-    """Localize each row of pipeline.images(frames), through the Kalman
-    filter when pipeline.config.kalman is set; its step spans the k
-    difference times config.dt.
-
-    A frame `localize` reports as no detection (an identically zero image,
-    which an outage longer than the hold window gives) keeps its NaN
-    position and gets a NaN error; the summary leaves it out and the
-    Kalman filter takes no update.
-    """
-    config = pipeline.config
     r = config.kalman_r_scale * config.voxel_width**2
     nan = float("nan")
     track = None
     rows = []
     errors = []
     for frame, image in zip(frames, pipeline.images(frames)):
-        est = localize(image, pipeline.grid, k=frame.k)
+        est = localize(image, grid, k=frame.k)
         x, y = est.xy
         if config.kalman and est.detected:
             if track is None:
@@ -415,7 +417,7 @@ def _track(pipeline: VariantPipeline, frames, truth: dict | None) -> PipelineRes
             # keep row widths uniform when truth covers only part of the run
             rows.append((frame.k, x, y, nan, nan, nan))
     return PipelineResult(
-        variant=pipeline.variant,
+        variant=variant,
         rows=tuple(rows),
         summary=error_summary(errors) if errors else None,
     )
@@ -428,14 +430,14 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
     For each seed, one trace of `spec` with that seed, drawn with config's
     ellipse and measurement models, is calibrated on its own person-free
     prefix; each variant then runs on the rest of that identical trace
-    through the same `_track` as run_pipeline, Kalman smoothing included
-    when config.kalman is set, and is scored against the trace's truth.
-    Per seed, the calibration, every variant's measure and msrti's
-    multi-scale weights and operator are built anew. What does not depend
-    on the calibration is built once for the scenario's deployment: the
-    grid, the prior precision term σ_N² C_x⁻¹ of msrti's builds (kept by
-    `prior_precision_term`) and the fixed-width operators of rti, flrti
-    and cdrti (kept by `_fixed_width_operator`).
+    through run_pipeline, given that calibration as its fades, Kalman
+    smoothing included when config.kalman is set, and is scored against
+    the trace's truth. Per seed, the calibration, every variant's measure
+    and msrti's multi-scale weights and operator are built anew. What does
+    not depend on the calibration is built once for the scenario's
+    deployment: the prior precision term σ_N² C_x⁻¹ of msrti's builds
+    (kept by `prior_precision_term`) and the fixed-width operators of rti,
+    flrti and cdrti (kept by `_fixed_width_operator`).
 
     Args:
         spec: the scenario; its trajectory must not be empty, and its seed
@@ -453,8 +455,6 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         config = PipelineConfig()
     if not len(spec.trajectory):
         raise ValueError("benchmark needs a scenario with a trajectory")
-    grid = VoxelGrid.from_layout(spec.layout, config.voxel_width,
-                                 config.grid_margin)
     table = enumerate_links(spec.layout)
 
     rows = []
@@ -466,9 +466,8 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         truth = {int(k): (x, y) for k, x, y in trace.truth}
         person_frames = trace.frames[trace.calibration_frames:]
         for variant in variants:
-            pipeline = VariantPipeline(variant, fades, spec.layout, grid,
-                                       config)
-            result = _track(pipeline, person_frames, truth)
+            result = run_pipeline(variant, person_frames, spec.layout, config,
+                                  truth, fades)
             rows.append((variant, int(seed), result.summary))
     return rows
 

@@ -15,7 +15,8 @@ load_trace parses every trace in one np.loadtxt call, fed 64 KiB reads cut
 at line ends with each whole `NA` token rewritten as `nan`, so numpy's C
 parser reads every field with no Python call per record; `_read` walks a
 file that call rejects only to name its first line at fault. save_trace
-formats each frame as one string.
+formats each frame as one string, and writes only frames that load_trace
+reads back unchanged (k strictly ascending, one channel set).
 """
 
 import csv
@@ -298,24 +299,30 @@ def _trace_fault(path, table: LinkTable):
 
 def save_trace(frames, table: LinkTable, path) -> None:
     """Write frames as trace records, including explicit NA rows so the
-    frame shape survives a round trip.
-
-    Each frame is formatted as one string: the `tx rx channel ` middle of
-    every (link, channel) record is built once, and each value is `repr`
+    frame shape survives a round trip. A frame load_trace would not read
+    back unchanged (k not above the last frame's, channels other than the
+    first frame's) or with another link count raises ValueError naming its
+    k, before the file is opened. Each frame is formatted as one string:
+    the `tx rx channel ` middles are built once, and each value is `repr`
     of the float or `NA`.
     """
-    middles, frame_channels = None, None
+    frames = list(frames)
+    channels = frames[0].channels if frames else ()
+    for i, frame in enumerate(frames):
+        if frame.rss.shape[0] != table.n_links:
+            raise ValueError(f"frame k={frame.k} has {frame.rss.shape[0]} "
+                             f"links, the table {table.n_links}")
+        if not np.array_equal(frame.channels, channels):
+            raise ValueError(f"frame k={frame.k} has channels {frame.channels.tolist()}, "
+                             f"the first frame {channels.tolist()}")
+        if i and frame.k <= frames[i - 1].k:
+            raise ValueError(f"frame k={frame.k} follows k={frames[i - 1].k}; "
+                             f"k must strictly ascend")
+    middles = [f" {int(tx)} {int(rx)} {int(c)} "
+               for tx, rx in zip(table.tx_ids, table.rx_ids) for c in channels]
     with open(path, "w") as fh:
         fh.write("# rss trace: k tx_id rx_id channel rss_dbm\n")
         for frame in frames:
-            if frame.rss.shape[0] != table.n_links:
-                raise ValueError(f"frame k={frame.k} has {frame.rss.shape[0]} "
-                                 f"links, the table {table.n_links}")
-            if not np.array_equal(frame.channels, frame_channels):
-                frame_channels = frame.channels
-                middles = [f" {int(tx)} {int(rx)} {int(c)} "
-                           for tx, rx in zip(table.tx_ids, table.rx_ids)
-                           for c in frame_channels]
             lead = str(frame.k)
             fh.write("".join([
                 f"{lead}{middle}{'NA' if v != v else repr(v)}\n"
@@ -370,7 +377,8 @@ def save_fade_table(fades: FadeLevelTable, table: LinkTable, path) -> None:
 
 
 def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
-    """Read a fade table saved by save_fade_table; channels must ascend."""
+    """Read a fade table saved by save_fade_table; its channels must
+    strictly ascend within [11, 26]."""
     grammar = {
         **_scalars(_finite, "1", "p0", "eta", "rmse"),
         **_scalars(int, "1", "n_pairs"),
@@ -394,8 +402,12 @@ def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
     cells = _cells(path, table, channels, pairs)
     mean_rss[cells] = [pair[4] for pair in pairs]
     values[cells] = [pair[5] for pair in pairs]
-    return FadeLevelTable(values=values, mean_rss=mean_rss,
-                          channels=np.array(channels, dtype=int), fit=PathLossFit(**header))
+    try:
+        return FadeLevelTable(values=values, mean_rss=mean_rss,
+                              channels=np.array(channels, dtype=int),
+                              fit=PathLossFit(**header))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 # ----------------------------------------------------------------- image

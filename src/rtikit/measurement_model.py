@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .calibration import FadeLevelTable, RssFrame
+from .calibration import FadeLevelTable
 from .spatial_model import DIR_DOWN, DIR_UP
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "MeasurementAssembler",
     "beta_plus",
     "inside_probability",
-    "rss_change",
 ]
 
 
@@ -36,7 +35,9 @@ class MeasurementModelParams:
         k_beta_plus: fade-level shape of the gain-direction rate, dB.
         b_beta_plus: gain-direction rate at F = 0, 1/dB.
         hold_frames: missing samples repeat the last Δr for at most this
-            many consecutive frames, then count as 0.
+            many consecutive frames, then count as 0. The window counts
+            frames of the recording, not k: a gap in k with no frame in it
+            costs no hold.
     """
 
     beta_minus: float = 0.1172
@@ -108,7 +109,9 @@ class HoldBuffer:
 
     Tracks the last observed Δr (0 before the first) and the consecutive-
     miss count of every (link, channel), and is the one place that decides
-    what a pair with no value reads. One buffer belongs to exactly one
+    what a pair with no value reads. A miss is counted per update, that is
+    per frame handed over, whatever the frames' k: the window spans
+    frames, not time indices. One buffer belongs to exactly one
     sequential pass over a trace.
     """
 
@@ -141,32 +144,9 @@ class HoldBuffer:
         return np.where(self._missed <= self.hold_frames, self._last, 0.0)
 
 
-def rss_change(frame: RssFrame, fades: FadeLevelTable,
-               hold: HoldBuffer) -> np.ndarray:
-    """Per-(link, channel) RSS change relative to the empty-room mean.
-
-    Args:
-        frame: current snapshot; channel set must match the fade table.
-        fades: calibration result supplying the baselines.
-        hold: hold-policy state, advanced by this frame; with
-            hold_frames = 0 a missing sample counts as Δr = 0 at once.
-
-    Returns:
-        (L, C) Δr in dB, never NaN: an uncalibrated pair has a NaN
-        baseline, so it is a gap on every frame and reads 0.
-    """
-    if not np.array_equal(frame.channels, fades.channels):
-        raise ValueError("frame channel set does not match fade table")
-    if frame.rss.shape != fades.mean_rss.shape:
-        raise ValueError(
-            f"frame rss shape {frame.rss.shape} != fade table "
-            f"{fades.mean_rss.shape}"
-        )
-    return hold.update(frame.rss - fades.mean_rss)
-
-
 class MeasurementAssembler:
-    """Maps the filled Δr of rss_change to msrti measurement vectors.
+    """Maps a filled (L, C) Δr, as HoldBuffer.update gives it, to msrti
+    measurement vectors.
 
     The vector is the C-order of a (C, 2, L) array of in-ellipse
     probabilities — channel, then direction ("+" before "-"), then link —

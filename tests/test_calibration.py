@@ -327,3 +327,20 @@ def test_fade_table_needs_one_nan_mask(hole):
     with pytest.raises(ValueError, match="NaN on the same pairs"):
         FadeLevelTable(**arrays, channels=np.array([11, 12]),
                        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=5, rmse=0.0))
+
+
+@pytest.mark.parametrize("channels, match", [
+    ([26, 11], "^channels must be strictly ascending$"),
+    ([11, 11], "^channels must be strictly ascending$"),
+    ([5, 40], r"^channels must lie in \[11, 26\]$"),
+    ([26, 27], r"^channels must lie in \[11, 26\]$"),
+])
+def test_fade_table_channels_follow_the_frame_rule(channels, match):
+    """A fade table's channel set is checked as a frame's is, at
+    construction, and not first when a frame meets it."""
+    fit = PathLossFit(p0=40.0, eta=2.0, n_pairs=6, rmse=0.0)
+    arrays = {"values": np.zeros((3, 2)), "mean_rss": np.full((3, 2), -55.0)}
+    with pytest.raises(ValueError, match=match):
+        FadeLevelTable(**arrays, channels=np.array(channels), fit=fit)
+    with pytest.raises(ValueError, match=match):
+        RssFrame(k=0, rss=arrays["mean_rss"], channels=channels)

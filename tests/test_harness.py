@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -755,6 +756,25 @@ def test_fade_table_from_another_layout_is_rejected_at_construction(variant):
         VariantPipeline(variant, fades, layout, grid, config)
     assert harness._fixed_width_operator.cache_info().currsize == 0
     assert reconstruction._precision_term.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_operator_for_another_grid_is_rejected_at_construction(variant):
+    """An operator built on one grid, given with a grid of the same shape
+    moved 1 m in x, is rejected, naming both grids, before any build."""
+    layout, _, (fades, _) = _two_calibrations()
+    config = PipelineConfig(voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    operator = VariantPipeline(variant, fades, layout, grid, config).operator
+    moved = replace(grid, origin=(grid.origin[0] + 1.0, grid.origin[1]))
+    _clear_memos()
+    with pytest.raises(ValueError, match=re.escape(
+            f"operator was built for grid {grid}, not the pipeline's grid {moved}")):
+        VariantPipeline(variant, fades, layout, moved, config, operator=operator)
+    assert harness._fixed_width_operator.cache_info().currsize == 0
+    assert reconstruction._precision_term.cache_info().currsize == 0
+    assert VariantPipeline(variant, fades, layout, grid, config,
+                           operator=operator).operator is operator
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -445,13 +445,15 @@ def _save_trace_by_record(frames, table, path):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_save_trace_matches_record_by_record_writer(tmp_path_factory, data):
-    channel_sets = st.lists(st.integers(11, 26), min_size=1, max_size=3,
-                            unique=True).map(sorted)
+    """Over frames of one channel set with strictly ascending k, the
+    frame-at-a-time writer gives the record-at-a-time writer's bytes."""
+    channels = data.draw(st.lists(st.integers(11, 26), min_size=1, max_size=3,
+                                  unique=True).map(sorted))
     values = st.floats(allow_infinity=False) | st.sampled_from(
         [-0.0, 5e-324, 1e300, -60.0, np.nan])
+    ks = data.draw(st.lists(st.integers(-3, 10**12), max_size=4, unique=True).map(sorted))
     frames = []
-    for k in data.draw(st.lists(st.integers(-3, 10**12), max_size=4)):
-        channels = data.draw(channel_sets)
+    for k in ks:
         rss = data.draw(st.lists(values, min_size=SMALL_TABLE.n_links * len(channels),
                                  max_size=SMALL_TABLE.n_links * len(channels)))
         frames.append(RssFrame(k=k, rss=np.reshape(rss, (SMALL_TABLE.n_links, -1)),
@@ -460,6 +462,31 @@ def test_save_trace_matches_record_by_record_writer(tmp_path_factory, data):
     save_trace(frames, SMALL_TABLE, out / "block.txt")
     _save_trace_by_record(frames, SMALL_TABLE, out / "record.txt")
     assert (out / "block.txt").read_bytes() == (out / "record.txt").read_bytes()
+
+
+@pytest.mark.parametrize("ks, match", [
+    ((3, 3), r"^frame k=3 follows k=3; k must strictly ascend$"),
+    ((5, 2), r"^frame k=2 follows k=5; k must strictly ascend$"),
+])
+def test_save_trace_rejects_k_that_does_not_strictly_ascend(tmp_path, ks, match):
+    """A repeated k would be a trace load_trace rejects, and a descending
+    one would come back reordered; neither is written."""
+    frames = [RssFrame(k=k, rss=np.full((SMALL_TABLE.n_links, 1), -60.0),
+                       channels=[11]) for k in ks]
+    path = tmp_path / "trace.txt"
+    with pytest.raises(ValueError, match=match):
+        save_trace(frames, SMALL_TABLE, path)
+    assert not path.exists()
+
+
+def test_save_trace_rejects_a_second_channel_set(tmp_path):
+    """Frames on [11] and then [26] would come back as two frames on
+    [11, 26], padded with NaN; the second is rejected."""
+    frames = [RssFrame(k=k, rss=np.full((SMALL_TABLE.n_links, 1), -60.0),
+                       channels=[c]) for k, c in ((0, 11), (1, 26))]
+    with pytest.raises(ValueError,
+                       match=r"^frame k=1 has channels \[26\], the first frame \[11\]$"):
+        save_trace(frames, SMALL_TABLE, tmp_path / "trace.txt")
 
 
 def test_save_trace_rejects_frame_of_other_link_count(tmp_path):
@@ -775,6 +802,10 @@ TRACK_HEAD = "k,x_hat,y_hat\n"
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 NA\n", "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:5:"),
+    ("fade table", FADE_HEAD + "channels 5 40\n",
+     "bad.txt: channels must lie in [11, 26]"),
+    ("fade table", FADE_HEAD + "channels 26 27\npair 1 2 26 -50.0 1.0\n",
+     "bad.txt: channels must lie in [11, 26]"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 16 -50.0 1.0\n",
      "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 99999999999999999999 11 -50.0 1.0\n",

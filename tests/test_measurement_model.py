@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from rtikit.calibration import FadeLevelTable, PathLossFit, RssFrame
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
-from rtikit.harness import PipelineConfig
+from rtikit.harness import PipelineConfig, VariantPipeline
 from rtikit.measurement_model import (
     HoldBuffer,
     MeasurementAssembler,
     MeasurementModelParams,
     beta_plus,
     inside_probability,
-    rss_change,
 )
 from rtikit.spatial_model import DIR_DOWN, DIR_UP, build_multiscale_weights
 import reference_pipeline
@@ -114,7 +113,14 @@ def no_hold(fades):
     return HoldBuffer(fades.n_links, fades.channels.size, hold_frames=0)
 
 
-def test_rss_change_basic_and_uncalibrated():
+def filled_change(frame, fades, hold=None):
+    """The frame's filled (L, C) Δr, as VariantPipeline.measurement forms it."""
+    if hold is None:
+        hold = no_hold(fades)
+    return hold.update(frame.rss - fades.mean_rss)
+
+
+def test_filled_change_basic_and_uncalibrated():
     _, table = small_net()
     channels = [11, 12]
     vals = np.zeros((table.n_links, 2))
@@ -125,7 +131,7 @@ def test_rss_change_basic_and_uncalibrated():
     rss[1, 1] = -50.0  # gain: dr = +5
     rss[3, 0] = np.nan  # missing, no hold window -> 0
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
-    dr = rss_change(frame, fades, no_hold(fades))
+    dr = filled_change(frame, fades)
     assert dr[0, 0] == pytest.approx(-10.0)
     assert dr[1, 1] == pytest.approx(5.0)
     assert dr[3, 0] == 0.0
@@ -134,13 +140,45 @@ def test_rss_change_basic_and_uncalibrated():
     assert not np.isnan(dr).any()
 
 
-def test_rss_change_channel_mismatch():
-    _, table = small_net()
+def small_pipeline(fades, layout):
+    """An rti pipeline with the default config on a 0.3 m grid."""
+    grid = VoxelGrid.from_layout(layout, p=0.3)
+    return VariantPipeline("rti", fades, layout, grid, PipelineConfig())
+
+
+def test_measurement_channel_mismatch():
+    layout, table = small_net()
     fades = fade_table(table, [11, 12], np.zeros((table.n_links, 2)))
     frame = RssFrame(k=0, rss=np.zeros((table.n_links, 2)),
                      channels=np.array([11, 13]))
-    with pytest.raises(ValueError):
-        rss_change(frame, fades, no_hold(fades))
+    with pytest.raises(ValueError,
+                       match="^frame channel set does not match fade table$"):
+        small_pipeline(fades, layout).measurement(frame)
+
+
+def test_measurement_rss_shape_mismatch():
+    layout, table = small_net()
+    fades = fade_table(table, [11, 12], np.zeros((table.n_links, 2)))
+    frame = RssFrame(k=0, rss=np.zeros((table.n_links - 1, 2)),
+                     channels=np.array([11, 12]))
+    with pytest.raises(ValueError, match=r"^frame rss shape \(5, 2\) != fade "
+                                         r"table \(6, 2\)$"):
+        small_pipeline(fades, layout).measurement(frame)
+
+
+def test_hold_window_counts_frames_not_k():
+    """A gap in k with no frame in it costs no hold: with hold_frames 5, a
+    pair seen at k = 200 and missing at k = 300, the next frame, still
+    reads its k = 200 loss."""
+    layout, table = small_net()
+    fades = fade_table(table, [11], np.zeros((table.n_links, 1)))
+    rss = np.full((table.n_links, 1), -55.0)
+    rss[0, 0] = -61.0  # Δr = -6
+    pipeline = small_pipeline(fades, layout)
+    assert pipeline.config.measurement.hold_frames == 5
+    assert pipeline.measurement(RssFrame(k=200, rss=rss, channels=[11]))[0] == 6.0
+    rss[0, 0] = np.nan
+    assert pipeline.measurement(RssFrame(k=300, rss=rss, channels=[11]))[0] == 6.0
 
 
 def test_hold_buffer_window_then_zero():
@@ -178,10 +216,11 @@ def _grid(draw, cells, shape):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), hold_frames=st.integers(0, 3))
-def test_rss_change_is_the_reference_hold_with_no_nan(data, hold_frames):
+def test_filled_change_is_the_reference_hold_with_no_nan(data, hold_frames):
     """Over random frame sequences with random missing samples and
-    never-calibrated pairs, rss_change gives the reference's per-sample
-    hold rule frame by frame, with 0 wherever the reference has no value."""
+    never-calibrated pairs, the hold buffer fed rss minus the empty-room
+    mean gives the reference's per-sample hold rule frame by frame, with 0
+    wherever the reference has no value."""
     shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)))
     uncalibrated = _grid(data.draw, st.booleans(), shape)
     mean_rss = np.where(uncalibrated, np.nan,
@@ -196,7 +235,7 @@ def test_rss_change_is_the_reference_hold_with_no_nan(data, hold_frames):
     hold = HoldBuffer(*shape, hold_frames=hold_frames)
     want = np.nan_to_num(reference_pipeline.deltas(frames, fades, hold_frames))
     for frame, expect in zip(frames, want):
-        np.testing.assert_array_equal(rss_change(frame, fades, hold), expect)
+        np.testing.assert_array_equal(filled_change(frame, fades, hold), expect)
 
 
 @pytest.mark.parametrize("hold_frames", [2.5, -2, 3.0])
@@ -228,7 +267,7 @@ def test_assemble_single_change_placement():
     rss = fades.mean_rss.copy()
     rss[2, 0] -= 10.0  # single shadowing event on link 2, channel 11
     frame = RssFrame(k=5, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, params)(rss_change(frame, fades, no_hold(fades)))
+    y = MeasurementAssembler(fades, params)(filled_change(frame, fades))
 
     assert y.shape == (weights.n_rows,)
     nz = np.nonzero(y)[0]
@@ -245,7 +284,7 @@ def test_assemble_zero_frame_and_length():
     weights = build_multiscale_weights(table, layout, grid, fades)
     frame = RssFrame(k=0, rss=fades.mean_rss.copy(), channels=np.array(channels))
     y = MeasurementAssembler(fades, MeasurementModelParams())(
-        rss_change(frame, fades, no_hold(fades)))
+        filled_change(frame, fades))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links * 3,)
     assert np.all(y == 0.0)
 
@@ -264,7 +303,7 @@ def test_assemble_matches_reference_everywhere():
     for k in range(4):
         rss = fades.mean_rss + rng.normal(0, 6.0, size=fades.mean_rss.shape)
         frame = RssFrame(k=k, rss=rss, channels=np.array(channels))
-        y = asm(rss_change(frame, fades, no_hold(fades)))
+        y = asm(filled_change(frame, fades))
         want = reference_pipeline.measurements("msrti", [frame], fades, config)
         np.testing.assert_array_equal(y, want[0])
         # exclusive slot occupancy
@@ -290,7 +329,7 @@ def test_assemble_excluded_rows_absent():
     rss[4, 0] = -75.0  # change on the uncalibrated pair: nowhere to go
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
     y = MeasurementAssembler(fades, MeasurementModelParams())(
-        rss_change(frame, fades, no_hold(fades)))
+        filled_change(frame, fades))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links,)
     assert np.all(y == 0.0)
     for d in (DIR_UP, DIR_DOWN):
