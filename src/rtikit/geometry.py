@@ -10,17 +10,42 @@ workers.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 __all__ = [
+    "check_bounds",
     "NodeLayout",
     "LinkTable",
     "VoxelGrid",
     "enumerate_links",
     "excess_path_field",
 ]
+
+
+# bound -> its test; each test is False for NaN, and an integer bound takes
+# any numbers.Integral, numpy's integers included
+_BOUNDS = {
+    "finite and > 0": lambda v: 0 < v < np.inf,
+    "finite and >= 0": lambda v: 0 <= v < np.inf,
+    "finite and < 0": lambda v: -np.inf < v < 0,
+    "finite": lambda v: -np.inf < v < np.inf,
+    "finite or None": lambda v: v is None or -np.inf < v < np.inf,
+    "an integer >= 0": lambda v: isinstance(v, Integral) and v >= 0,
+    "an integer >= 1": lambda v: isinstance(v, Integral) and v >= 1,
+}
+
+
+def check_bounds(obj, **bounds: str) -> None:
+    """Raise ValueError `<field> must be <bound>, got <value!r>` for the
+    first field of obj, in argument order, whose value is outside its
+    bound, one of the keys of _BOUNDS."""
+    for name, bound in bounds.items():
+        value = getattr(obj, name)
+        if not _BOUNDS[bound](value):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -171,10 +196,8 @@ class VoxelGrid:
     ny: int
 
     def __post_init__(self):
-        if not (self.p > 0 and np.isfinite(self.p)):
-            raise ValueError("voxel width p must be > 0 and finite")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid must have at least one voxel per axis")
+        check_bounds(self, p="finite and > 0", nx="an integer >= 1",
+                     ny="an integer >= 1")
         origin = (float(self.origin[0]), float(self.origin[1]))
         if not np.isfinite(origin).all():
             raise ValueError("grid origin must be finite")

@@ -6,8 +6,8 @@ entry per variant in _VARIANT_TABLE. Only msrti's weights read the fade
 table, so only its operator is built per calibration; the fixed-width
 operator of rti, cdrti and flrti depends only on the deployment and is
 kept across calibrations. VariantPipeline.measurement is where a frame
-meets its fade table, and run_pipeline, the one frame loop, where a
-recording does; benchmark scores seeded traces of any ScenarioSpec through
+meets its fade table, and run_pipeline is the one frame loop from images
+to positions; benchmark scores seeded traces of any ScenarioSpec through
 run_pipeline, and VariantPipeline.image serves one frame at a time.
 
 - ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from .calibration import FadeLevelTable, calibrate
-from .geometry import NodeLayout, VoxelGrid, enumerate_links
+from .geometry import NodeLayout, VoxelGrid, check_bounds, enumerate_links
 from .measurement_model import (
     HoldBuffer,
     MeasurementAssembler,
@@ -111,19 +111,10 @@ class PipelineConfig:
     dt: float = 1.0
 
     def __post_init__(self):
-        inf = np.inf
-        for name, bound, ok in (  # each test is False for NaN
-                ("voxel_width", "finite and > 0", 0 < self.voxel_width < inf),
-                ("grid_margin", "finite or None",
-                 self.grid_margin is None or abs(self.grid_margin) < inf),
-                ("calibration_frames", ">= 1", self.calibration_frames >= 1),
-                ("flrti_m", ">= 1", self.flrti_m >= 1),
-                ("classic_lambda", "finite and >= 0", 0 <= self.classic_lambda < inf),
-                ("kalman_q", "finite and >= 0", 0 <= self.kalman_q < inf),
-                ("kalman_r_scale", "finite and >= 0", 0 <= self.kalman_r_scale < inf),
-                ("dt", "finite and > 0", 0 < self.dt < inf)):
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        check_bounds(self, voxel_width="finite and > 0", grid_margin="finite or None",
+                     calibration_frames="an integer >= 1", flrti_m="an integer >= 1",
+                     classic_lambda="finite and >= 0", kalman_q="finite and >= 0",
+                     kalman_r_scale="finite and >= 0", dt="finite and > 0")
 
     @classmethod
     def from_dict(cls, kv: dict) -> "PipelineConfig":
@@ -251,10 +242,16 @@ class VariantPipeline:
     term `prior_precision_term` keeps. The hold buffer makes a pipeline
     single-pass — build a fresh one per trace.
 
+    A given operator is checked against the grid and against the length
+    of the variant's measurement vector, not against the weights it was
+    built from: a cdrti operator has the rows of rti's, so one given to an
+    rti pipeline is taken.
+
     Raises:
         ValueError: an unknown variant, a fade table for another number
             of links than the layout has, or an operator for another
-            grid; the variant's own input checks.
+            grid or with another number of rows than the variant
+            measures; the variant's own input checks.
     """
 
     def __init__(self, variant: str, fades: FadeLevelTable, layout: NodeLayout,
@@ -282,7 +279,12 @@ class VariantPipeline:
         # the measure function validates the variant's inputs, so a bad
         # input is reported before the expensive weights and operator build
         self._measure = measure(fades, config)
-        if operator is None:
+        if operator is not None:
+            rows = self._measure(np.zeros(fades.mean_rss.shape)).size
+            if operator.weights.n_rows != rows:
+                raise ValueError(f"operator has {operator.weights.n_rows} rows, "
+                                 f"not the {rows} that {variant} measures")
+        else:
             if scale is None:
                 weights = build_multiscale_weights(table, layout, grid, fades,
                                                    config.ellipse)

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .calibration import (CHANNEL_MAX, CHANNEL_MIN, FadeLevelTable, PathLossFit,
-                          RssFrame)
+                          RssFrame, check_channels)
 from .geometry import LinkTable, NodeLayout, VoxelGrid, enumerate_links
 from .simulator import DEFAULT_CHANNELS, ScenarioSpec, stationary_trajectory
 
@@ -392,10 +392,13 @@ def load_fade_table(path, table: LinkTable) -> FadeLevelTable:
             if math.isnan(fields[3]) != math.isnan(fields[4]):
                 _fail(path, lineno, "mean and fade must both be NA or both be numbers")
             pairs.append((lineno, *fields))
-        elif key == "channels" and any(b <= a for a, b in zip(fields, fields[1:])):
-            _fail(path, lineno, "channels must be strictly ascending")
         else:
             header[key] = fields
+        if key == "channels":
+            try:
+                check_channels(np.array(fields))
+            except ValueError as e:
+                _fail(path, lineno, e)
     channels = header.pop("channels")
     values = np.full((table.n_links, len(channels)), np.nan)
     mean_rss = np.full_like(values, np.nan)

@@ -10,11 +10,11 @@ and both slots of an uncalibrated pair at zero.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .calibration import FadeLevelTable
+from .geometry import check_bounds
 from .spatial_model import DIR_DOWN, DIR_UP
 
 __all__ = [
@@ -46,15 +46,8 @@ class MeasurementModelParams:
     hold_frames: int = 5
 
     def __post_init__(self):
-        inf = np.inf
-        for name, bound, ok in (  # each test is False for NaN
-                ("beta_minus", "finite and > 0", 0 < self.beta_minus < inf),
-                ("k_beta_plus", "finite and > 0", 0 < self.k_beta_plus < inf),
-                ("b_beta_plus", "finite and > 0", 0 < self.b_beta_plus < inf),
-                ("hold_frames", "an integer >= 0",
-                 isinstance(self.hold_frames, Integral) and self.hold_frames >= 0)):
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        check_bounds(self, beta_minus="finite and > 0", k_beta_plus="finite and > 0",
+                     b_beta_plus="finite and > 0", hold_frames="an integer >= 0")
 
 
 def beta_plus(fade_level: float, params: MeasurementModelParams) -> float:
@@ -116,9 +109,8 @@ class HoldBuffer:
     """
 
     def __init__(self, n_links: int, n_channels: int, hold_frames: int):
-        if not (isinstance(hold_frames, Integral) and hold_frames >= 0):
-            raise ValueError(f"hold_frames must be an integer >= 0, got {hold_frames!r}")
         self.hold_frames = hold_frames
+        check_bounds(self, hold_frames="an integer >= 0")
         self._last = np.zeros((n_links, n_channels))
         self._missed = np.zeros((n_links, n_channels), dtype=np.int64)
 

@@ -50,7 +50,7 @@ from scipy import linalg
 from scipy.linalg import blas, lapack
 from scipy.spatial.distance import cdist
 
-from .geometry import VoxelGrid
+from .geometry import VoxelGrid, check_bounds
 from .spatial_model import WeightMatrix
 
 __all__ = [
@@ -96,13 +96,8 @@ class ReconstructionParams:
     delta_c: float = 4.0
 
     def __post_init__(self):
-        inf = np.inf
-        for name, bound, ok in (  # each test is False for NaN
-                ("sigma_x", "finite and > 0", 0 < self.sigma_x < inf),
-                ("sigma_n", "finite and > 0", 0 < self.sigma_n < inf),
-                ("delta_c", "finite and > 0", 0 < self.delta_c < inf)):
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        check_bounds(self, sigma_x="finite and > 0", sigma_n="finite and > 0",
+                     delta_c="finite and > 0")
 
 
 def _covariance(distances: np.ndarray,

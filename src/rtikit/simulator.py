@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CHANNEL_MAX, CHANNEL_MIN, RssFrame, path_loss
-from .geometry import LinkTable, NodeLayout, enumerate_links, excess_path_field
+from .calibration import RssFrame, check_channels, path_loss
+from .geometry import (LinkTable, NodeLayout, check_bounds, enumerate_links,
+                       excess_path_field)
 from .measurement_model import MeasurementModelParams, beta_plus
 from .spatial_model import DIR_DOWN, DIR_UP, EllipseModelParams, lambda_for
 
@@ -107,12 +108,10 @@ class ScenarioSpec:
         channels = np.asarray(self.channels, dtype=int)
         if channels.size == 0:
             raise ValueError("need at least one channel")
-        if channels.min() < CHANNEL_MIN or channels.max() > CHANNEL_MAX:
-            raise ValueError(f"channels must lie in [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-        if np.any(np.diff(channels) <= 0):
-            raise ValueError("channels must be strictly ascending")
-        if self.calibration_frames < 1:
-            raise ValueError("calibration_frames must be >= 1")
+        check_channels(channels)
+        check_bounds(self, calibration_frames="an integer >= 1", eta="finite",
+                     p0="finite", noise_sigma="finite and >= 0",
+                     fade_sigma="finite and >= 0", seed="an integer >= 0")
         traj = np.asarray(self.trajectory, dtype=float)
         if traj.size and (traj.ndim != 2 or traj.shape[1] != 3):
             raise ValueError("trajectory must be (T, 3) rows of (k, x, y)")
@@ -125,15 +124,9 @@ class ScenarioSpec:
                 raise ValueError(
                     "trajectory must start after the calibration segment"
                 )
-        if self.noise_sigma < 0 or self.fade_sigma < 0:
-            raise ValueError("noise/fade sigmas must be >= 0")
-        if not np.isfinite(self.eta) or not np.isfinite(self.p0):
-            raise ValueError("eta and p0 must be finite")
         if (self.fade_offsets is not None
                 and not np.isfinite(self.fade_offsets).all()):
             raise ValueError("fade_offsets must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "channels", tuple(int(c) for c in channels))
         object.__setattr__(self, "trajectory", traj.reshape(-1, 3))
 

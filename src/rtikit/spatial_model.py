@@ -20,7 +20,8 @@ import numpy as np
 from scipy import sparse
 
 from .calibration import FadeLevelTable
-from .geometry import LinkTable, NodeLayout, VoxelGrid, excess_path_field
+from .geometry import (LinkTable, NodeLayout, VoxelGrid, check_bounds,
+                       excess_path_field)
 
 __all__ = [
     "DIR_UP",
@@ -56,15 +57,9 @@ class EllipseModelParams:
     lambda_max: float = 3.0
 
     def __post_init__(self):
-        inf = np.inf
-        for name, bound, ok in (  # each test is False for NaN
-                ("k_lambda_minus", "finite and < 0", -inf < self.k_lambda_minus < 0),
-                ("b_lambda_minus", "finite and > 0", 0 < self.b_lambda_minus < inf),
-                ("k_lambda_plus", "finite and > 0", 0 < self.k_lambda_plus < inf),
-                ("b_lambda_plus", "finite and > 0", 0 < self.b_lambda_plus < inf),
-                ("lambda_max", "finite and > 0", 0 < self.lambda_max < inf)):
-            if not ok:
-                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
+        check_bounds(self, k_lambda_minus="finite and < 0",
+                     b_lambda_minus="finite and > 0", k_lambda_plus="finite and > 0",
+                     b_lambda_plus="finite and > 0", lambda_max="finite and > 0")
 
 
 def lambda_for(fade_level: float, direction: str,

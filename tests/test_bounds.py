@@ -1,0 +1,95 @@
+"""Every bound-checked numeric field: a value outside the field's bound
+raises exactly `<field> must be <bound>, got <value!r>`, and a value
+inside it constructs."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rtikit import geometry
+from rtikit.geometry import VoxelGrid
+from rtikit.harness import PipelineConfig
+from rtikit.measurement_model import HoldBuffer, MeasurementModelParams
+from rtikit.reconstruction import ReconstructionParams
+from rtikit.simulator import ScenarioSpec, perimeter_layout
+from rtikit.spatial_model import EllipseModelParams
+
+POSITIVE, NON_NEGATIVE = "finite and > 0", "finite and >= 0"
+NEGATIVE, FINITE, FINITE_OR_NONE = "finite and < 0", "finite", "finite or None"
+COUNT, SIZE = "an integer >= 0", "an integer >= 1"
+
+# constructor taking the field as a keyword -> {field: its bound}
+FIELDS = {
+    EllipseModelParams: {
+        "k_lambda_minus": NEGATIVE, "b_lambda_minus": POSITIVE,
+        "k_lambda_plus": POSITIVE, "b_lambda_plus": POSITIVE,
+        "lambda_max": POSITIVE},
+    MeasurementModelParams: {
+        "beta_minus": POSITIVE, "k_beta_plus": POSITIVE, "b_beta_plus": POSITIVE,
+        "hold_frames": COUNT},
+    ReconstructionParams: {
+        "sigma_x": POSITIVE, "sigma_n": POSITIVE, "delta_c": POSITIVE},
+    PipelineConfig: {
+        "voxel_width": POSITIVE, "grid_margin": FINITE_OR_NONE,
+        "calibration_frames": SIZE, "flrti_m": SIZE, "classic_lambda": NON_NEGATIVE,
+        "kalman_q": NON_NEGATIVE, "kalman_r_scale": NON_NEGATIVE, "dt": POSITIVE},
+    functools.partial(HoldBuffer, 3, 2): {"hold_frames": COUNT},
+    functools.partial(VoxelGrid, origin=(0.0, 0.0), p=0.5, nx=2, ny=2): {
+        "p": POSITIVE, "nx": SIZE, "ny": SIZE},
+    functools.partial(ScenarioSpec, perimeter_layout(4, 2.0, 2.0)): {
+        "calibration_frames": SIZE, "eta": FINITE, "p0": FINITE,
+        "noise_sigma": NON_NEGATIVE, "fade_sigma": NON_NEGATIVE, "seed": COUNT},
+}
+CASES = [(build, name, bound) for build, fields in FIELDS.items()
+         for name, bound in fields.items()]
+IDS = [f"{getattr(build, 'func', build).__name__}.{name}" for build, name, _ in CASES]
+
+
+def floats(**kw):
+    return st.floats(allow_nan=False, allow_infinity=False, **kw)
+
+
+def integers(**kw):
+    """Python ints and numpy int64s, which an integer bound takes alike."""
+    ints = st.integers(min_value=kw.get("min_value", -2**63),
+                       max_value=kw.get("max_value", 2**63 - 1))
+    return st.one_of(ints, ints.map(np.int64))
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+# bound -> (values that break it, values inside it)
+VALUES = {
+    POSITIVE: (NON_FINITE | floats(max_value=0.0), floats(min_value=0.0, exclude_min=True)),
+    NON_NEGATIVE: (NON_FINITE | floats(max_value=0.0, exclude_max=True),
+                   floats(min_value=0.0)),
+    NEGATIVE: (NON_FINITE | floats(min_value=0.0), floats(max_value=0.0, exclude_max=True)),
+    FINITE: (NON_FINITE, floats()),
+    FINITE_OR_NONE: (NON_FINITE, st.none() | floats()),
+    # a float breaks an integer bound, whole or not
+    COUNT: (NON_FINITE | floats() | integers(max_value=-1), integers(min_value=0)),
+    SIZE: (NON_FINITE | floats() | integers(max_value=0), integers(min_value=1)),
+}
+
+
+def test_every_bound_of_the_table_is_drawn_and_used():
+    assert {bound for _, _, bound in CASES} == set(VALUES) == set(geometry._BOUNDS)
+
+
+@pytest.mark.parametrize("build, name, bound", CASES, ids=IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_value_outside_the_bound_names_field_bound_and_value(build, name, bound, data):
+    value = data.draw(VALUES[bound][0], label=name)
+    with pytest.raises(ValueError) as info:
+        build(**{name: value})
+    assert str(info.value) == f"{name} must be {bound}, got {value!r}"
+
+
+@pytest.mark.parametrize("build, name, bound", CASES, ids=IDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_value_inside_the_bound_constructs(build, name, bound, data):
+    value = data.draw(VALUES[bound][1], label=name)
+    assert getattr(build(**{name: value}), name) == value

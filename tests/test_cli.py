@@ -158,7 +158,22 @@ def test_negative_seed_names_flag_or_file(workspace, capsys):
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     scenario.write_text(scenario.read_text().replace("seed 5", "seed -1"))
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {scenario}: seed must be >= 0\n"
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: seed must be an integer >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("key", ["fade_sigma", "noise_sigma"])
+def test_nan_sigma_in_scenario_is_rejected(workspace, capsys, key):
+    """A NaN sigma once wrote a trace of NA records (fade_sigma) or one
+    with no noise (noise_sigma), and exited 0."""
+    tmp_path, _, layout_path, scenario, _ = workspace
+    scenario.write_text(scenario.read_text() + f"{key} nan\n")
+    out = tmp_path / "trace.txt"
+    assert main(["simulate", "--layout", str(layout_path), "--scenario", str(scenario),
+                 "--out-trace", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {scenario}: {key} must be finite and >= 0, got nan\n")
+    assert not out.exists()
 
 
 def test_benchmark_csv(workspace):

@@ -251,7 +251,7 @@ def test_grid_validation():
         VoxelGrid(origin=(0, 0), p=0.5, nx=0, ny=4)
     # a non-finite width or origin would give NaN or infinite centres
     for p in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="voxel width p must be > 0 and finite"):
+        with pytest.raises(ValueError, match=f"^p must be finite and > 0, got {p!r}$"):
             VoxelGrid(origin=(0, 0), p=p, nx=2, ny=2)
     for origin in ((np.nan, 0.0), (0.0, -np.inf)):
         with pytest.raises(ValueError, match="grid origin must be finite"):

@@ -777,6 +777,28 @@ def test_operator_for_another_grid_is_rejected_at_construction(variant):
                            operator=operator).operator is operator
 
 
+@pytest.mark.parametrize("built, given", [
+    *(("msrti", fixed) for fixed in ("rti", "cdrti", "flrti")),
+    *((fixed, "msrti") for fixed in ("rti", "cdrti", "flrti"))])
+def test_operator_for_another_variants_rows_is_rejected_at_construction(built, given):
+    """An msrti operator given to a fixed-width pipeline, or a fixed-width
+    one to msrti, has another number of rows than the pipeline measures
+    (2·C·L against L) and is rejected, naming both, before any build."""
+    layout, _, (fades, _) = _two_calibrations()
+    config = PipelineConfig(voxel_width=0.3)
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    operator = VariantPipeline(built, fades, layout, grid, config).operator
+    n_links = fades.n_links
+    rows = 2 * fades.channels.size * n_links if given == "msrti" else n_links
+    _clear_memos()
+    with pytest.raises(ValueError, match=re.escape(
+            f"operator has {operator.weights.n_rows} rows, "
+            f"not the {rows} that {given} measures")):
+        VariantPipeline(given, fades, layout, grid, config, operator=operator)
+    assert harness._fixed_width_operator.cache_info().currsize == 0
+    assert reconstruction._precision_term.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_given_precision_term_is_checked_whether_the_memo_hits(variant):
     layout, _, (fades, _) = _two_calibrations()

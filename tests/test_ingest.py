@@ -783,12 +783,12 @@ TRACK_HEAD = "k,x_hat,y_hat\n"
      "bad.txt:4:"),
     ("scenario", SCENARIO_HEAD + "stationary 1 -inf 100 5\n", "bad.txt:3:"),
     ("scenario", SCENARIO_HEAD + "noise_sigma -1\n",
-     "bad.txt: noise/fade sigmas must be >= 0"),
+     "bad.txt: noise_sigma must be finite and >= 0, got -1.0"),
     ("scenario", "calibration_frames 0\n",
-     "bad.txt: calibration_frames must be >= 1"),
+     "bad.txt: calibration_frames must be an integer >= 1, got 0"),
     ("scenario", SCENARIO_HEAD + "waypoint 5 1 1\n",
      "bad.txt: trajectory must start after the calibration segment"),
-    ("scenario", SCENARIO_HEAD + "seed -1\n", "bad.txt: seed must be >= 0"),
+    ("scenario", SCENARIO_HEAD + "seed -1\n", "bad.txt: seed must be an integer >= 0, got -1"),
     ("ground truth", "100 1.0 1.0\n101 nan 2.0\n", "bad.txt:2:"),
     ("ground truth", "100 inf 1.0\n", "bad.txt:1:"),
     ("fade table", "p0 x37.7\n", "bad.txt:1:"),
@@ -803,16 +803,16 @@ TRACK_HEAD = "k,x_hat,y_hat\n"
     ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 11 11\n", "bad.txt:5:"),
     ("fade table", FADE_HEAD + "channels 5 40\n",
-     "bad.txt: channels must lie in [11, 26]"),
+     "bad.txt:5: channels must lie in [11, 26]"),
     ("fade table", FADE_HEAD + "channels 26 27\npair 1 2 26 -50.0 1.0\n",
-     "bad.txt: channels must lie in [11, 26]"),
+     "bad.txt:5: channels must lie in [11, 26]"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 16 -50.0 1.0\n",
      "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 99999999999999999999 11 -50.0 1.0\n",
      "bad.txt:6:"),
     ("image", "nx two\nny 1\np 1.0\norigin 0.0 0.0\n1.0 2.0\n", "bad.txt:1:"),
     ("image", "nx 2\nny 1\np nan\norigin 0.0 0.0\n1.0 2.0\n",
-     "bad.txt: voxel width p must be > 0 and finite"),
+     "bad.txt: p must be finite and > 0, got nan"),
     ("image", "nx 2\nny 1\np 1.0\norigin nan 0.0\n1.0 2.0\n",
      "bad.txt: grid origin must be finite"),
     ("layout", "99999999999999999999 0 0\n2 1 0\n3 0 1\n", "bad.txt:1:"),
