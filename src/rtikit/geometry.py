@@ -11,6 +11,7 @@ workers.
 
 from dataclasses import dataclass
 from numbers import Integral
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -232,12 +233,13 @@ class VoxelGrid:
                     margin: float | None = None) -> "VoxelGrid":
         """Grid over the node bounding box padded by `margin` per side.
 
-        The default margin is one voxel width; a negative one shrinks the
-        box, and one that empties it on either axis (or NaN) raises. Cell
-        counts are rounded up so the padded box is fully covered.
+        p must be finite and > 0, and margin finite or None. The default
+        margin is one voxel width; a negative one shrinks the box, and one
+        that empties it on either axis raises. Cell counts are rounded up
+        so the padded box is fully covered.
         """
-        if p <= 0:
-            raise ValueError("voxel width p must be > 0")
+        check_bounds(SimpleNamespace(p=p, margin=margin), p="finite and > 0",
+                     margin="finite or None")
         if margin is None:
             margin = p
         lo = layout.xy.min(axis=0) - margin

@@ -18,28 +18,35 @@ the conditioning of W C_x Wᵀ + σ_N² I:
   its four blocks of about N/4 voxels (`PrecisionTerm`), formed from
   quarter-grid distances without forming C_x, at about a sixteenth of the
   flops of inverting C_x whole and about a quarter of the memory of the
-  N × N term. WᵀW is added to the buffer by
-  symmetric rank-k updates (syrk), each over a block of _BLOCK rows of W
-  formed dense from the weights' band factors, so no whole W exists in
-  any form. A is then Cholesky-factored and inverted in place, and
+  N × N term. WᵀW is added to the buffer one pair of _TILE × _TILE-voxel
+  tiles at a time, read from the weights' ellipses (each row one value
+  on the voxels inside its ellipse, see `WeightMatrix.ellipses`): a
+  tile keeps the 0/1 masks of the rows whose ellipse touches it, and the
+  block of a tile pair is one product over the rows touching both, so
+  the products of zero (row, tile) blocks, about five sixths of a dense
+  WᵀW's flops at the reference deployments, are never computed. No W
+  exists in any form.
+  A is then Cholesky-factored and inverted in place, and
   M = A⁻¹ is stored, N × N, applied as x̂ = M·(Wᵀy). Wᵀy is the weights'
   band back-projection U·(S·y): S sums each link's nested ellipse rows
   from the widest down and U adds one of those sums per (link, voxel), so
   it reads about a sixth of the nonzeros of W. A symmetric product with M
-  follows. Besides M the build holds one (N, _BLOCK) block and the
-  compact term, which depends only on the grid and the parameters and is
-  kept for the next build on them (see `prior_precision_term`).
+  follows. Besides M the build holds the tiles' masks (a byte per row and
+  voxel of each tile a row touches), a few (_BLOCK, _TILE²) buffers and
+  the compact term, which depends only on the grid and the parameters and
+  is kept for the next build on them (see `prior_precision_term`).
 - otherwise (the fixed-width weights, one row per link): Π itself,
   N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
   which is the same matrix. C_x Wᵀ is formed from the sparse W times
-  _BLOCK columns of C_x at a time, and only the rows × rows matrix
+  _PUSH_BLOCK columns of C_x at a time, and only the rows × rows matrix
   W C_x Wᵀ + σ_N² I is factored, so the build holds no N × N array and
   takes no inverse of the ill-conditioned C_x. This form's error grows with the
   condition number of that rows × rows matrix, so when LAPACK estimates it
   above _PUSH_THROUGH_MAX_COND, Π is instead solved from A, formed as for
   a tall W.
 W is about one sixth nonzero at the reference deployments, where the
-sparse WᵀW took four to eight times as long as the dense one.
+sparse WᵀW took four to eight times as long as a dense one; the tile
+pairs keep the dense products and drop the zero ones.
 """
 
 import functools
@@ -63,10 +70,19 @@ __all__ = [
     "reconstruct",
 ]
 
-# Rows of W per dense block of the Gram update, columns of C_x per block
-# of C_x Wᵀ, and rows of an inverted prior block per block of its mirroring:
-# bounds the build's transients to (N, _BLOCK).
+# Rows of W per product of the Gram update, and rows of an inverted prior
+# block per block of its mirroring.
 _BLOCK = 512
+
+# Columns of C_x per block of C_x Wᵀ in push-through form, and columns of
+# C_x Wᵀ per block of W C_x Wᵀ: bounds that form's transients to
+# (N, _PUSH_BLOCK) besides Π.
+_PUSH_BLOCK = 64
+
+# The side, in voxels, of the square tiles of the Gram update WᵀW (ragged
+# at the grid's edges): a row's ellipse touches about a third of them at
+# the reference deployments.
+_TILE = 12
 
 # The largest condition number of W C_x Wᵀ + σ_N² I, as LAPACK's pocon
 # estimates it (1-norm), at which a short W is built in push-through form.
@@ -390,11 +406,14 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     None when that matrix is too ill-conditioned for this form.
 
     By the push-through identity (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ = C_x Wᵀ (W C_x Wᵀ +
-    σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer, _BLOCK of its rows
-    at a time: rows a:b are the transpose of W·C_x[:, a:b], the sparse W
-    times a C-order block of C_x's columns. Then K = W·(C_x Wᵀ) + σ_N² I,
-    rows × rows, is Cholesky-factored, and two triangular solves from the
-    right overwrite the buffer with Π. None is returned, before the solves,
+    σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer, _PUSH_BLOCK of its
+    rows at a time: rows a:b are the transpose of W·C_x[:, a:b], the sparse
+    W times a C-order block of C_x's columns. Then K = W·(C_x Wᵀ) + σ_N² I,
+    rows × rows, is formed _PUSH_BLOCK columns at a time, each the sparse W
+    times the C-order copy of a block of the buffer's columns, and
+    Cholesky-factored, and two triangular solves from the right overwrite
+    the buffer with Π. Each entry sums the same products in the same order
+    at any block size. None is returned, before the solves,
     when LAPACK's estimate of K's condition number exceeds
     _PUSH_THROUGH_MAX_COND.
     """
@@ -402,14 +421,18 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     w = weights.matrix
     centers = grid.centers()
     pi = np.empty((n, rows), order="F")
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
+    for start in range(0, n, _PUSH_BLOCK):
+        stop = min(start + _PUSH_BLOCK, n)
         # C_x[:, a:b] (C_x is symmetric); a dense C-order right operand is
         # read in place by scipy's sparse product, where a dense left one
         # would be transposed and copied.
         columns = _covariance(cdist(centers, centers[start:stop]), params)
         pi[start:stop] = (w @ columns).T
-    gram = w @ pi
+    # The sparse product copies a Fortran-order operand to C order, so K
+    # is formed _PUSH_BLOCK of its columns at a time, not from all of Π.
+    gram = np.empty((rows, rows))
+    for start in range(0, rows, _PUSH_BLOCK):
+        gram[:, start:start + _PUSH_BLOCK] = w @ pi[:, start:start + _PUSH_BLOCK]
     gram.flat[::rows + 1] += params.sigma_n**2
     norm = np.abs(gram).sum(axis=0).max()  # K's 1-norm, for pocon
     # gram.T is the Fortran-order view that LAPACK factors in place; potrf
@@ -426,6 +449,77 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     return blas.dtrsm(1.0, factor, pi, side=1, lower=1, overwrite_b=1)
 
 
+def _tiles(n: int) -> list[slice]:
+    """An axis of n cells cut into runs of _TILE, the last one ragged."""
+    return [slice(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
+
+
+def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
+    """Add WᵀW to the C-order N × N array term, both triangles, one pair of
+    _TILE × _TILE-voxel tiles at a time.
+
+    W[r, v] is v_r where voxel v is inside row r's ellipse (see
+    `WeightMatrix.ellipses`). Row r touches a tile when its ellipse holds a
+    voxel of the tile; each tile keeps the 0/1 membership mask of the rows
+    R_a that touch it, |R_a| × t bytes. The (a, b) block of WᵀW sums over
+    the rows touching both tiles, W[R_ab, a]ᵀ·W[R_ab, b]: for each pair
+    a <= b, _BLOCK rows of the two masks at a time are gathered into float
+    buffers, scaled by v_r, and multiplied (gemm), and the block is added
+    through the term's (ny, nx, ny, nx) view to both of its places. A row
+    touches about a third of the tiles at the reference deployments, so the
+    pairs skip about five sixths of the flops of a dense WᵀW.
+    """
+    band, link, reach, value = weights.ellipses()
+    images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
+    voxels = np.arange(grid.n_voxels).reshape(grid.ny, grid.nx)
+    tiles = [(ys, xs) for ys in _tiles(grid.ny) for xs in _tiles(grid.nx)]
+    touches = np.empty((len(tiles), len(link)), dtype=bool)
+    masks = []
+    for a, tile in enumerate(tiles):
+        tile_band = band[:, voxels[tile].ravel()]
+        touches[a] = tile_band.min(axis=1)[link] <= reach
+        rows = np.flatnonzero(touches[a])
+        masks.append(tile_band[link[rows]] <= reach[rows, np.newaxis])
+    # position[a, r]: row r's row in masks[a], where it touches tile a
+    position = np.cumsum(touches, axis=1, dtype=np.int32) - 1
+    flags = np.empty(_BLOCK * _TILE**2, dtype=bool)
+    gathered = np.empty((2, _BLOCK * _TILE**2))
+    grams = np.empty(_TILE**4)
+
+    def scaled(a, rows, out):
+        """W[rows, tile a], (rows, voxels of tile a), in the buffer out."""
+        shape = (rows.size, masks[a].shape[1])
+        inside = flags[:shape[0] * shape[1]].reshape(shape)
+        # The positions are in range by construction, and "clip" writes
+        # to out directly, where "raise" goes through a temporary.
+        np.take(masks[a], position[a, rows], axis=0, out=inside, mode="clip")
+        members = out[:inside.size].reshape(shape)
+        np.copyto(members, inside)  # a cast, faster than a mixed multiply
+        return np.multiply(members, value[rows, np.newaxis], out=members)
+
+    for a, (ys_a, xs_a) in enumerate(tiles):
+        for b in range(a, len(tiles)):
+            ys_b, xs_b = tiles[b]
+            rows = np.flatnonzero(touches[a] & touches[b])
+            if not rows.size:
+                continue
+            shape = images[ys_a, xs_a, ys_b, xs_b].shape
+            # W[R_ab, b]ᵀW[R_ab, a] in Fortran order: its transpose is the
+            # block (a, b) in C order, as the view of it reads
+            gram = grams[:np.prod(shape)].reshape(
+                (np.prod(shape[2:]), np.prod(shape[:2])), order="F")
+            for start in range(0, rows.size, _BLOCK):
+                block = rows[start:start + _BLOCK]
+                left = scaled(a, block, gathered[0])
+                right = left if a == b else scaled(b, block, gathered[1])
+                gram = blas.dgemm(1.0, right.T, left.T, beta=float(start > 0),
+                                  c=gram, trans_b=1, overwrite_c=1)
+            gram = gram.T.reshape(shape)
+            images[ys_a, xs_a, ys_b, xs_b] += gram
+            if a != b:
+                images[ys_b, xs_b, ys_a, xs_a] += gram.transpose(2, 3, 0, 1)
+
+
 def build_operator(weights: WeightMatrix, grid: VoxelGrid,
                    params: ReconstructionParams | None = None,
                    precision_term: PrecisionTerm | None = None,
@@ -436,21 +530,28 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer:
     the precision term, given or else the one `prior_precision_term` keeps
     for this grid and params, expanded by `PrecisionTerm.toarray`. WᵀW is
-    added to its lower triangle by one syrk per block of _BLOCK rows of W,
-    each block formed dense as W[a:b]ᵀ = U·S[:, a:b] from the weights' band
-    factors: no whole W is formed, as CSR or dense. A is then
-    Cholesky-factored and potri turns the factor into M = A⁻¹ in place;
-    `pi` is computed on demand.
-    Transient memory is one (N, _BLOCK) block besides the buffer; the
-    term's four quarter-size blocks are held by the caller or kept by
-    `prior_precision_term`.
+    added to both of its triangles one pair of _TILE × _TILE-voxel tiles
+    (ragged at the grid's edges) at a time, from `WeightMatrix.ellipses`:
+    for each tile, the 0/1 masks of the rows R_a whose ellipse touches
+    it, and for each pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the rows
+    touching both, the masks' rows gathered and scaled by the rows' values
+    _BLOCK rows at a time. No W is formed, as CSR or dense, and no float
+    block of W outlives its product. A is then Cholesky-factored and potri
+    turns the factor into M = A⁻¹ in place; `pi` is computed on demand.
+    Besides the buffer, the build holds the band table of `ellipses` (a
+    byte per link and voxel), the tiles' masks (a byte per voxel of each
+    (row, tile) pair that touches), three (_BLOCK, _TILE²) gather buffers
+    and one block of the Gram; the term's four quarter-size blocks are
+    held by the caller or kept by `prior_precision_term`.
 
     Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
-    σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed from the sparse W and
-    blocks of _BLOCK columns of C_x, and only the rows × rows matrix
-    W C_x Wᵀ + σ_N² I is Cholesky-factored: no N × N array is formed, C_x
-    is not inverted and the precision term is not read. When LAPACK's
-    estimate of that matrix's condition number exceeds
+    σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed in Π's buffer from the
+    sparse W and blocks of _PUSH_BLOCK columns of C_x, W C_x Wᵀ from
+    blocks of _PUSH_BLOCK of its columns, and only that rows × rows matrix
+    plus σ_N² I is Cholesky-factored: no N × N array is formed, C_x is
+    not inverted, the precision term is not read, and besides Π the build
+    holds one (N, _PUSH_BLOCK) block and the rows × rows matrix. When
+    LAPACK's estimate of that matrix's condition number exceeds
     _PUSH_THROUGH_MAX_COND, where this form loses accuracy, A is formed and
     factored as for a tall W and Π is its Cholesky solve against the dense
     Wᵀ.
@@ -490,19 +591,13 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         if pi is not None:
             return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
-    # The transpose of the exactly symmetric C-order expansion is a
-    # Fortran-order view of it, which LAPACK factors in place: the buffer
-    # is this build's own, and the compact term stays unwritten.
-    normal = (prior_precision_term(grid, params) if precision_term is None
-              else precision_term).toarray().T
-    band_sums = weights.band_sums.tocsc()
-    for start in range(0, weights.n_rows, _BLOCK):
-        # U·S[:, a:b] is W[a:b]ᵀ; the transpose of its C-order dense form
-        # is W[a:b] in Fortran order, of which syrk adds W[a:b]ᵀW[a:b].
-        # (A Fortran-order toarray would first copy the CSR block to CSC.)
-        blas.dsyrk(1.0, (weights.bands @ band_sums[:, start:start + _BLOCK]
-                         ).toarray().T,
-                   beta=1.0, c=normal, trans=1, lower=1, overwrite_c=1)
+    # The buffer is this build's own expansion of the term, exactly
+    # symmetric and C-order, so that its transpose is a Fortran-order view
+    # of A that LAPACK factors in place; the compact term stays unwritten.
+    term = (prior_precision_term(grid, params) if precision_term is None
+            else precision_term).toarray()
+    _add_gram(term, weights, grid)
+    normal = term.T
     factor, info = lapack.dpotrf(normal, lower=1, overwrite_a=1)
     if info == 0 and tall:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)

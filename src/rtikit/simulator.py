@@ -12,6 +12,7 @@ given the seed.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,8 +63,7 @@ def perimeter_layout(n_nodes: int, width: float, height: float) -> NodeLayout:
 def stationary_trajectory(positions, start_k: int, n_frames: int) -> np.ndarray:
     """(P·n_frames, 3) trajectory rows (k, x, y), k from start_k on, that
     stand n_frames frames at each of `positions`, one (x, y) or (P, 2)."""
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+    check_bounds(SimpleNamespace(n_frames=n_frames), n_frames="an integer >= 1")
     xy = np.asarray(positions, dtype=float)
     xy = xy[np.newaxis] if xy.shape == (2,) else xy
     if xy.ndim != 2 or xy.shape[1] != 2 or not len(xy):

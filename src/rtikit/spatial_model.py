@@ -90,31 +90,43 @@ def lambda_for(fade_level: float, direction: str,
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Sparse link-by-voxel weight operator W, stored as the two sparse
+    """Sparse link-by-voxel ellipse weights W, stored as the two sparse
     factors of Wᵀ = U·S.
 
-    For ellipse weights, a voxel's band on a link is R minus the number of
-    the link's R rows that hold it, and those rows are its widest ones. A
-    row of S sums v_r·y_r over one link's rows from the widest down to its
-    band's narrowest member; U, 0/1, adds each voxel's band sums over the
-    links. U has one nonzero per (link, voxel) pair inside any ellipse,
-    where W has one per (row, voxel) pair.
+    Each of L links has R rows, nested ellipses around its line, and each
+    row puts one value v_r >= 0 on the voxels it holds. A voxel's band on a
+    link is R minus the number of the link's rows that hold it, and those
+    rows are its widest ones. U, (N, L·R) and 0/1, marks each voxel's band
+    on each link: its column l·R + b is link l's band b, so a voxel has at
+    most one nonzero among a link's R columns. S's column r, for a row
+    r of link l, holds v_r on rows l·R .. l·R + q_r, the bands 0..q_r of
+    the voxels the row holds; an empty row has an empty column. So a row of
+    S sums v_r·y_r over one link's rows from the widest down to its band's
+    narrowest member, and U adds each voxel's band sums over the links. U
+    has one nonzero per (link, voxel) pair inside any ellipse, where W has
+    one per (row, voxel) pair.
+
+    The structure is checked at construction and read back by `ellipses`,
+    the form in which the operator build reads W.
 
     Attributes:
-        bands: U, CSR (N, B).
-        band_sums: S, CSR (B, rows).
+        bands: U, CSR (N, B), with B = L·R bands.
+        band_sums: S, CSR (B, rows), with rows = B.
+        rows_per_link: R, each link's number of bands.
     """
 
     bands: sparse.csr_matrix
     band_sums: sparse.csr_matrix
+    rows_per_link: int
 
     def __post_init__(self):
         if self.bands.shape[1] != self.band_sums.shape[0]:
             raise ValueError(f"factor shapes {self.bands.shape} and "
                              f"{self.band_sums.shape} do not compose")
-        for factor in (self.bands, self.band_sums):
-            if factor.nnz and factor.data.min() < 0:
-                raise ValueError("weights must be >= 0")
+        check_bounds(self, rows_per_link="an integer >= 1")
+        if self.band_sums.nnz and self.band_sums.data.min() < 0:
+            raise ValueError("weights must be >= 0")
+        self.ellipses()
 
     @property
     def n_rows(self) -> int:
@@ -133,6 +145,56 @@ class WeightMatrix:
     def back_project(self, y: np.ndarray) -> np.ndarray:
         """Wᵀy as U·(S·y), for y of shape (rows,) or (rows, K)."""
         return self.bands @ (self.band_sums @ y)
+
+    def ellipses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """W as its ellipses: W[r, v] = value[r] where band[link[r], v] <=
+        reach[r], and 0 elsewhere.
+
+        Returns:
+            band: (L, N), the band of each voxel on each link, R where no
+                row of the link holds the voxel; the smallest unsigned
+                dtype that holds R.
+            link: (rows,) int, the link of each row (0 for an empty row).
+            reach: (rows,) int, the narrowest band each row holds, -1 for
+                an empty row.
+            value: (rows,) float, the value each row puts on its members
+                (0 for an empty row).
+
+        Raises:
+            ValueError: the factors do not have the structure above: U is
+                not 0/1 with one band per (voxel, link), or a column of S
+                is not one value on a run of bands from one link's band 0.
+        """
+        u, s, per_link = self.bands, self.band_sums, self.rows_per_link
+        n_bands, rows = s.shape
+        if n_bands != rows or n_bands % per_link:
+            raise ValueError(f"{rows} rows and {n_bands} bands are not "
+                             f"{per_link} of each per link")
+        band = np.full((n_bands // per_link, self.n_voxels), per_link,
+                       dtype=np.min_scalar_type(per_link))
+        link, band_of = np.divmod(u.indices, per_link)
+        band[link, np.repeat(np.arange(self.n_voxels, dtype=u.indices.dtype),
+                             np.diff(u.indptr))] = band_of
+        if np.any(u.data != 1.0) or np.count_nonzero(band < per_link) != u.nnz:
+            raise ValueError("bands must be 0/1 with one band per "
+                             "(voxel, link)")
+
+        s = s.tocsc()
+        s.sum_duplicates()
+        counts = np.diff(s.indptr)
+        full = counts > 0
+        first = s.indices[s.indptr[:-1][full]]
+        last = s.indices[s.indptr[1:][full] - 1]
+        link, reach, value = (np.zeros(rows, dtype=int), np.full(rows, -1),
+                              np.zeros(rows))
+        link[full], reach[full] = first // per_link, last - first
+        value[full] = s.data[s.indptr[:-1][full]]
+        if (np.any(first % per_link) or np.any(reach[full] >= per_link)
+                or np.any(reach[full] + 1 != counts[full])
+                or np.any(s.data != np.repeat(value, counts))):
+            raise ValueError("each column of band_sums must be one value on "
+                             "bands 0..q of one link")
+        return band, link, reach, value
 
 
 def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
@@ -179,7 +241,8 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
     band_sums = sparse.csr_matrix(
         (values[row], row, _indptr(np.bincount(band, minlength=n_rows))),
         shape=(n_rows, n_rows))
-    return WeightMatrix(bands=bands, band_sums=band_sums)
+    return WeightMatrix(bands=bands, band_sums=band_sums,
+                        rows_per_link=n_per_link)
 
 
 def _indptr(counts: np.ndarray) -> np.ndarray:

@@ -236,12 +236,27 @@ def test_grid_from_layout_rejects_empty_box():
     # A margin of -5 crosses a 7 m box over; unchecked it gave a 1x1 grid
     # at (5, 5), outside the nodes.
     layout = square_layout(7.0)
-    for margin in (-5.0, -3.5, float("nan")):
+    for margin in (-5.0, -3.5):
         with pytest.raises(ValueError, match="empty box"):
             VoxelGrid.from_layout(layout, p=0.5, margin=margin)
     shrunk = VoxelGrid.from_layout(layout, p=0.5, margin=-1.0)
     assert shrunk.origin == pytest.approx((1.0, 1.0))
     assert shrunk.nx == shrunk.ny == 10
+
+
+def test_grid_from_layout_rejects_non_finite_width_or_margin():
+    """NaN and ±inf are named by the bound they break before any box is
+    formed: unchecked, a NaN width read as an empty box, an infinite one
+    failed converting NaN to an integer and an infinite margin overflowed."""
+    layout = square_layout(4.0)
+    for p in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError,
+                           match=f"^p must be finite and > 0, got {p!r}$"):
+            VoxelGrid.from_layout(layout, p=p)
+    for margin in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError,
+                           match=f"^margin must be finite or None, got {margin!r}$"):
+            VoxelGrid.from_layout(layout, p=0.5, margin=margin)
 
 
 def test_grid_validation():

@@ -106,8 +106,10 @@ def test_operator_matches_dense_oracle_multiscale():
 
 def test_operator_zero_weights_gives_zero_pi():
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=6, ny=6)
+    # four links of one row each, no voxel inside any ellipse
     wm = WeightMatrix(bands=sparse.csr_matrix((grid.n_voxels, 4)),
-                      band_sums=sparse.identity(4, format="csr"))
+                      band_sums=sparse.identity(4, format="csr"),
+                      rows_per_link=1)
     op = build_operator(wm, grid)
     assert np.allclose(op.pi, 0.0)
 
@@ -182,7 +184,7 @@ def test_build_rejects_a_term_for_another_grid_or_params():
     transposed = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=12, ny=10)
     params = ReconstructionParams()
     for rows in (200, 60):
-        wm = _random_weights(grid.n_voxels, rows, seed=rows)
+        wm = _random_weights(grid, rows, seed=rows)
         with pytest.raises(ValueError, match=r"precision_term is for VoxelGrid"
                                              r".*nx=12, ny=10.*not VoxelGrid"):
             build_operator(wm, grid, params, precision_term=
@@ -319,19 +321,17 @@ def test_short_operator_empty_row_gives_zero_column():
 
 
 def test_shared_build_leaves_inputs_untouched():
-    """msrti (tall) and stacked cdrti (short) built from one precision
-    term, as a recalibration does: the term and every buffer of the
-    weights' band factors stay bit-identical."""
+    """msrti (tall) and cdrti (short, the fixed-width weights scaled by √C)
+    built from one precision term, as a recalibration does: the term and
+    every buffer of the weights' band factors stay bit-identical."""
     layout, table = octagon()
     grid = VoxelGrid.from_layout(layout, p=1.0)
     params = ReconstructionParams()
     fades = synthetic_fades(table, seed=4)
-    classic = build_classic_weights(table, layout, grid, lam=0.8).matrix
-    stacked = sparse.vstack([classic, classic], format="csr")
+    classic = build_classic_weights(table, layout, grid, lam=0.8)
     weights = [
         build_multiscale_weights(table, layout, grid, fades),
-        WeightMatrix(bands=stacked.T.tocsr(),
-                     band_sums=sparse.identity(stacked.shape[0], format="csr")),
+        replace(classic, band_sums=classic.band_sums * np.sqrt(2)),
     ]
     term = prior_precision_term(grid, params)
     term_before = term.blocks.copy()
@@ -343,7 +343,7 @@ def test_shared_build_leaves_inputs_untouched():
 
     before = [buffers(w) for w in weights]
     n = grid.n_voxels
-    for wm, snapshot, cols in zip(weights, before, (n, stacked.shape[0])):
+    for wm, snapshot, cols in zip(weights, before, (n, table.n_links)):
         op = build_operator(wm, grid, params, precision_term=term)
         assert op.stored.shape == (n, cols)
         assert op.stored.flags.f_contiguous
@@ -483,7 +483,7 @@ def test_build_with_shared_or_computed_term_is_bit_identical(rows, nx):
     computes its own stores, on a tall W and on a short W whose push-through
     system is too ill-conditioned (so it is built through A)."""
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=nx)
-    wm = _random_weights(grid.n_voxels, rows, seed=rows)
+    wm = _random_weights(grid, rows, seed=rows)
     term = prior_precision_term(grid, ReconstructionParams())
     shared = build_operator(wm, grid, precision_term=term)
     computed = build_operator(wm, grid)
@@ -524,46 +524,69 @@ def test_short_build_memory_holds_no_n_by_n_array():
     assert peak < n * n * 8, peak / 2**20
 
 
-def _random_weights(n_voxels, n_rows, seed):
-    """Band factors with 0/1 U of density 0.2 and S the identity plus
-    about two entries per column: W is well conditioned enough for a
-    1e-12 comparison against a dense solve."""
+def _random_weights(grid, n_rows, seed, scale=1.0, per_link=4):
+    """Seeded random ellipse-structured band factors of n_rows rows, a
+    multiple of per_link: each link gives the voxels of a random window of
+    the grid a random band each, and each of its rows reaches a random band
+    with a random value in [0.5, 2)·scale; about one row in five is empty.
+    The windows leave tiles untouched by some rows, and W is well
+    conditioned enough for a 1e-12 comparison against a dense solve."""
     rng = np.random.default_rng(seed)
-    bands = sparse.random(n_voxels, n_rows, density=0.2, random_state=rng,
-                          data_rvs=np.ones, format="csr")
-    band_sums = sparse.random(n_rows, n_rows, density=2.0 / n_rows,
-                              random_state=rng) + sparse.identity(n_rows)
-    return WeightMatrix(bands=bands, band_sums=band_sums.tocsr())
+    n_links = n_rows // per_link
+    band = np.full((n_links, grid.ny, grid.nx), per_link)
+    for window in band:
+        (y0, y1), (x0, x1) = (np.sort(rng.integers(0, n, 2)) + (0, 1)
+                              for n in (grid.ny, grid.nx))
+        window[y0:y1, x0:x1] = rng.integers(0, per_link, (y1 - y0, x1 - x0))
+    band = band.reshape(n_links, grid.n_voxels)
+    link, voxel = np.nonzero(band < per_link)
+    bands = sparse.csr_matrix(
+        (np.ones(voxel.size), (voxel, link * per_link + band[link, voxel])),
+        shape=(grid.n_voxels, n_rows))
+    reach = rng.integers(-1, per_link, n_rows)
+    value = rng.uniform(0.5, 2.0, n_rows) * scale
+    row, step = np.nonzero(np.arange(per_link) <= reach[:, None])
+    band_sums = sparse.csr_matrix(
+        (value[row], (row % n_links * per_link + step, row)),
+        shape=(n_rows, n_rows))
+    return WeightMatrix(bands=bands, band_sums=band_sums,
+                        rows_per_link=per_link)
 
 
-def _edge_case(rows, nx, ny=None, route="tall"):
+def _edge_case(rows, nx, ny=None, route="tall", scale=1.0):
     ny = nx if ny is None else ny
-    return pytest.param(rows, nx, ny, route,
-                        id=f"{rows}-{nx}" if nx == ny else f"{rows}-{nx}x{ny}")
+    return pytest.param(rows, nx, ny, route, scale,
+                        id=f"{route}-{rows}-{nx}" if nx == ny
+                        else f"{route}-{rows}-{nx}x{ny}")
 
 
-@pytest.mark.parametrize("rows, nx, ny, route", [
-    # N = 400, tall: W's row blocks
-    _edge_case(512, 20), _edge_case(1025, 20),
-    # short, N = 400, 1089, 512 and 513: C_x's row blocks in push-through
-    # form (estimated condition 2.4e3 to 3.5e3)
-    _edge_case(100, 20, route="push"), _edge_case(50, 33, route="push"),
+@pytest.mark.parametrize("rows, nx, ny, route, scale", [
+    # tall: grid sides below, at and one past a multiple of the 12-voxel
+    # tile, and a grid one voxel wide; on 25 × 25, pairs of tiles touched
+    # by more than 512 rows
+    _edge_case(160, 11), _edge_case(160, 12), _edge_case(200, 13),
+    _edge_case(1300, 25), _edge_case(600, 27, 19), _edge_case(48, 1, 30),
+    # short, N = 400, 1089, 512 and 513: C_x's 64-column blocks in push-
+    # through form (estimated condition 2.4e3 to 3.5e3)
+    _edge_case(100, 20, route="push"), _edge_case(52, 33, route="push"),
     _edge_case(100, 32, 16, route="push"),
     _edge_case(100, 27, 19, route="push"),
     # short, but W C_x Wᵀ + σ_N² I is too ill-conditioned for the push-
-    # through form (estimated condition 2.3e4 to 2.4e5): W's row blocks on
-    # the A route
-    _edge_case(512, 33, route="A"), _edge_case(1025, 33, route="A"),
-    _edge_case(512, 32, 16, route="A"), _edge_case(512, 27, 19, route="A"),
+    # through form (estimated condition above 1e4): the tiles of the tall
+    # cases on the A route
+    _edge_case(100, 11, route="A", scale=30.0),
+    _edge_case(120, 12, route="A", scale=10.0),
+    _edge_case(140, 13, route="A", scale=10.0),
+    _edge_case(512, 25, route="A"), _edge_case(512, 27, 19, route="A"),
+    _edge_case(28, 1, 30, route="A", scale=300.0),
 ])
-def test_operator_block_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
-                                                 route):
-    # Counts below, at and one past a multiple of the 512-row block: rows
-    # of W through A, voxels in push-through form.
-    assert reconstruction._BLOCK == 512
+def test_operator_tile_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
+                                                route, scale):
+    assert (reconstruction._TILE, reconstruction._PUSH_BLOCK,
+            reconstruction._BLOCK) == (12, 64, 512)
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     params = ReconstructionParams()
-    wm = _random_weights(grid.n_voxels, rows, seed=rows + nx)
+    wm = _random_weights(grid, rows, seed=rows + nx, scale=scale)
     dense = (wm.bands @ wm.band_sums).T.toarray()  # W from its factors
     term = prior_precision_term(grid, params)
     pushed = []

@@ -35,6 +35,10 @@ def test_stationary_trajectory():
     assert np.all(traj[:, 1] == 2.0)
     with pytest.raises(ValueError):
         stationary_trajectory((0, 0), 0, 0)
+    with pytest.raises(ValueError,
+                       match=r"^n_frames must be an integer >= 1, got 2\.5$"):
+        stationary_trajectory((0, 0), 0, 2.5)
+    assert len(stationary_trajectory((0, 0), 0, np.int64(3))) == 3
     # a (P, 2) array stands at each position in turn
     lattice = stationary_trajectory([(1.0, 2.0), (3.0, 4.0)], 10, 2)
     np.testing.assert_array_equal(lattice, [[10, 1.0, 2.0], [11, 1.0, 2.0],

@@ -231,8 +231,13 @@ PROPERTY_GRID = VoxelGrid.from_layout(PROPERTY_LAYOUT, p=0.5)
 def assert_back_projection(wm, reference, seed, n_columns):
     """W equals the reference (see assert_same_weights); U·(S·y) equals
     Wᵀy from the reference within 1e-12 of its largest entry, for a 1-D y
-    and a (rows, K) block; U is 0/1 with one band per (voxel, link)."""
+    and a (rows, K) block; U is 0/1 with one band per (voxel, link), and
+    `ellipses` gives W exactly."""
     assert_same_weights(wm, reference)
+    band, link, reach, value = wm.ellipses()
+    inside = band[link] <= reach[:, np.newaxis]
+    assert np.array_equal(np.where(inside, value[:, np.newaxis], 0.0),
+                          wm.matrix.toarray())
     u, s = wm.bands, wm.band_sums
     assert np.array_equal(u.data, np.ones(u.nnz))
     per_link = u.shape[1] // PROPERTY_TABLE.n_links
@@ -290,18 +295,67 @@ def test_classic_band_factors_back_project_like_w(lam, seed):
 
 
 def test_weight_matrix_validates_factors():
-    # W = [[0, 2, 1], [3, 0, 0]] as its trivial factors (Wᵀ, I)
-    w = sparse.csr_matrix(np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0]]))
-    wm = WeightMatrix(bands=w.T.tocsr(), band_sums=sparse.identity(2, format="csr"))
+    # W = [[0, 2, 2], [3, 0, 0]]: two links of one row each, link 0's
+    # ellipse holding voxels 1 and 2 and link 1's voxel 0
+    u = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
+    s = sparse.csr_matrix(np.diag([2.0, 3.0]))
+    wm = WeightMatrix(bands=u, band_sums=s, rows_per_link=1)
     assert (wm.n_rows, wm.n_voxels) == (2, 3)
-    assert_same_weights(wm, w.toarray())
+    assert_same_weights(wm, np.array([[0.0, 2.0, 2.0], [3.0, 0.0, 0.0]]))
     np.testing.assert_array_equal(wm.back_project(np.array([1.0, -1.0])),
-                                  [-3.0, 2.0, 1.0])
+                                  [-3.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="compose"):
-        WeightMatrix(bands=w.tocsr(), band_sums=sparse.identity(2, format="csr"))
+        WeightMatrix(bands=u.T.tocsr(), band_sums=s, rows_per_link=1)
     with pytest.raises(ValueError, match=">= 0"):
-        WeightMatrix(bands=w.T.tocsr(),
-                     band_sums=sparse.csr_matrix(np.diag([1.0, -1.0])))
-    with pytest.raises(ValueError, match=">= 0"):
-        WeightMatrix(bands=-w.T.tocsr(),
-                     band_sums=sparse.identity(2, format="csr"))
+        WeightMatrix(bands=u, band_sums=sparse.csr_matrix(np.diag([2.0, -3.0])),
+                     rows_per_link=1)
+    with pytest.raises(ValueError, match="0/1"):
+        WeightMatrix(bands=-u, band_sums=s, rows_per_link=1)
+    for per_link in (0, 1.0):
+        with pytest.raises(ValueError, match="rows_per_link must be an "
+                                             "integer >= 1"):
+            WeightMatrix(bands=u, band_sums=s, rows_per_link=per_link)
+
+
+def test_weight_matrix_rejects_factors_without_ellipse_structure():
+    """Factors whose product is a valid W but that break the structure the
+    operator build reads: U not 0/1, two bands of one link on a voxel, a
+    column of S with two values, one that skips band 0 or that spans two
+    links, and band and row counts that are not the same whole number of
+    links."""
+    u = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
+    s = sparse.csr_matrix(np.diag([2.0, 3.0]))
+    two_links = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0],
+                                            [0.0, 1.0, 0.0, 0.0],
+                                            [0.0, 0.0, 1.0, 0.0]]))
+    broken = {
+        "0/1": (sparse.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0],
+                                            [1.0, 0.0]])), s, 1),
+        "one band": (sparse.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
+                                                 [0.0, 1.0, 0.0, 0.0],
+                                                 [0.0, 0.0, 1.0, 0.0]])),
+                     sparse.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
+                                                 [0.0, 1.0, 0.0, 0.0],
+                                                 [0.0, 0.0, 1.0, 1.0],
+                                                 [0.0, 0.0, 0.0, 1.0]])), 2),
+        "one value": (two_links, sparse.csr_matrix(
+            np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])), 2),
+        "bands 0": (two_links, sparse.csr_matrix(
+            np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])), 2),
+        "one link": (two_links, sparse.csr_matrix(
+            np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])), 2),
+        "2 rows and 2 bands are not 3": (u, s, 3),
+        "3 rows and 2 bands are not 1": (u, sparse.csr_matrix((2, 3)), 1),
+    }
+    # the same shapes with the structure kept
+    WeightMatrix(bands=two_links, band_sums=sparse.csr_matrix(
+        np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])),
+        rows_per_link=2)
+    for match, (bands, band_sums, per_link) in broken.items():
+        with pytest.raises(ValueError, match=match):
+            WeightMatrix(bands=bands, band_sums=band_sums,
+                         rows_per_link=per_link)
