@@ -175,7 +175,7 @@ def _fixed_width_operator(ids: bytes, xy: bytes, grid: VoxelGrid,
                         xy=np.frombuffer(xy).reshape(-1, 2))
     classic = build_classic_weights(enumerate_links(layout), layout, grid,
                                     classic_lambda)
-    weights = replace(classic, band_sums=classic.band_sums * scale)
+    weights = replace(classic, value=classic.value * scale)
     operator = build_operator(weights, grid, params)
     operator.stored.flags.writeable = False
     return operator

@@ -20,9 +20,9 @@ the conditioning of W C_x Wᵀ + σ_N² I:
   flops of inverting C_x whole and about a quarter of the memory of the
   N × N term. WᵀW is added to the buffer one pair of _TILE × _TILE-voxel
   tiles at a time, read from the weights' ellipses (each row one value
-  on the voxels inside its ellipse, see `WeightMatrix.ellipses`): a
-  tile keeps the 0/1 masks of the rows whose ellipse touches it, and the
-  block of a tile pair is one product over the rows touching both, so
+  on the voxels inside its ellipse, see `WeightMatrix`): a tile keeps
+  the 0/1 masks of the rows whose ellipse touches it, and the block of a
+  tile pair is one product over the rows touching both, so
   the products of zero (row, tile) blocks, about five sixths of a dense
   WᵀW's flops at the reference deployments, are never computed. No W
   exists in any form.
@@ -455,21 +455,26 @@ def _tiles(n: int) -> list[slice]:
 
 
 def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
-    """Add WᵀW to the C-order N × N array term, both triangles, one pair of
-    _TILE × _TILE-voxel tiles at a time.
+    """Add WᵀW to the upper triangle of the C-order N × N array term, the
+    one the Cholesky factorization reads, one pair of _TILE × _TILE-voxel
+    tiles at a time.
 
     W[r, v] is v_r where voxel v is inside row r's ellipse (see
-    `WeightMatrix.ellipses`). Row r touches a tile when its ellipse holds a
+    `WeightMatrix`). Row r touches a tile when its ellipse holds a
     voxel of the tile; each tile keeps the 0/1 membership mask of the rows
     R_a that touch it, |R_a| × t bytes. The (a, b) block of WᵀW sums over
     the rows touching both tiles, W[R_ab, a]ᵀ·W[R_ab, b]: for each pair
     a <= b, _BLOCK rows of the two masks at a time are gathered into float
     buffers, scaled by v_r, and multiplied (gemm), and the block is added
-    through the term's (ny, nx, ny, nx) view to both of its places. A row
+    through the term's (ny, nx, ny, nx) view. The factorization reads only
+    the term's upper triangle, which holds the whole block of a pair in
+    different rows of tiles and none of its mirror, so the mirror is added
+    only for a pair in one row of tiles, whose voxels interleave. A row
     touches about a third of the tiles at the reference deployments, so the
     pairs skip about five sixths of the flops of a dense WᵀW.
     """
-    band, link, reach, value = weights.ellipses()
+    band, reach, value = weights.band, weights.reach, weights.value
+    link = np.arange(reach.size) % len(band)
     images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
     voxels = np.arange(grid.n_voxels).reshape(grid.ny, grid.nx)
     tiles = [(ys, xs) for ys in _tiles(grid.ny) for xs in _tiles(grid.nx)]
@@ -516,7 +521,9 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
                                   c=gram, trans_b=1, overwrite_c=1)
             gram = gram.T.reshape(shape)
             images[ys_a, xs_a, ys_b, xs_b] += gram
-            if a != b:
+            # a < b in different rows of tiles: the mirror lies wholly in
+            # the lower triangle, which potrf neither reads nor keeps
+            if a != b and ys_a == ys_b:
                 images[ys_b, xs_b, ys_a, xs_a] += gram.transpose(2, 3, 0, 1)
 
 
@@ -530,19 +537,20 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer:
     the precision term, given or else the one `prior_precision_term` keeps
     for this grid and params, expanded by `PrecisionTerm.toarray`. WᵀW is
-    added to both of its triangles one pair of _TILE × _TILE-voxel tiles
-    (ragged at the grid's edges) at a time, from `WeightMatrix.ellipses`:
-    for each tile, the 0/1 masks of the rows R_a whose ellipse touches
-    it, and for each pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the rows
-    touching both, the masks' rows gathered and scaled by the rows' values
-    _BLOCK rows at a time. No W is formed, as CSR or dense, and no float
-    block of W outlives its product. A is then Cholesky-factored and potri
-    turns the factor into M = A⁻¹ in place; `pi` is computed on demand.
-    Besides the buffer, the build holds the band table of `ellipses` (a
-    byte per link and voxel), the tiles' masks (a byte per voxel of each
-    (row, tile) pair that touches), three (_BLOCK, _TILE²) gather buffers
-    and one block of the Gram; the term's four quarter-size blocks are
-    held by the caller or kept by `prior_precision_term`.
+    added to the triangle that potrf reads (and to the other where a tile
+    pair's block straddles the diagonal) one pair of _TILE × _TILE-voxel
+    tiles (ragged at the grid's edges) at a time, from the weights'
+    ellipses: for each tile, the 0/1 masks of the rows R_a whose ellipse
+    touches it, and for each pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the
+    rows touching both, the masks' rows gathered and scaled by the rows'
+    values _BLOCK rows at a time. No W is formed, as CSR or dense, and no
+    float block of W outlives its product. A is then Cholesky-factored and
+    potri turns the factor into M = A⁻¹ in place; `pi` is computed on
+    demand. Besides the buffer, the build holds the tiles' masks (a byte
+    per voxel of each (row, tile) pair that touches), three (_BLOCK,
+    _TILE²) gather buffers and one block of the Gram; the term's four
+    quarter-size blocks are held by the caller or kept by
+    `prior_precision_term`.
 
     Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
     σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed in Π's buffer from the

@@ -10,11 +10,13 @@ evidence widely. Its rows form one (channel, direction, link) array; an
 uncalibrated (link, channel) pair keeps its two rows, all zero.
 
 The rows of a link are nested ellipses around one line, so both builders
-store W only as the two sparse factors of Wᵀ = U·S (see WeightMatrix),
-which hold about a sixth of the multi-scale W's nonzeros.
+hold W as its ellipses: each voxel's band on each link, and each row's
+reach and value (see WeightMatrix). The two sparse factors of Wᵀ = U·S,
+about a sixth of the multi-scale W's nonzeros, are derived from them once.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
@@ -88,53 +90,86 @@ def lambda_for(fade_level: float, direction: str,
         return np.minimum(b * np.exp(fade_level / k), params.lambda_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Sparse link-by-voxel ellipse weights W, stored as the two sparse
-    factors of Wᵀ = U·S.
+    """Sparse link-by-voxel ellipse weights W, held as its ellipses.
 
-    Each of L links has R rows, nested ellipses around its line, and each
-    row puts one value v_r >= 0 on the voxels it holds. A voxel's band on a
-    link is R minus the number of the link's rows that hold it, and those
-    rows are its widest ones. U, (N, L·R) and 0/1, marks each voxel's band
-    on each link: its column l·R + b is link l's band b, so a voxel has at
-    most one nonzero among a link's R columns. S's column r, for a row
-    r of link l, holds v_r on rows l·R .. l·R + q_r, the bands 0..q_r of
-    the voxels the row holds; an empty row has an empty column. So a row of
-    S sums v_r·y_r over one link's rows from the widest down to its band's
-    narrowest member, and U adds each voxel's band sums over the links. U
-    has one nonzero per (link, voxel) pair inside any ellipse, where W has
-    one per (row, voxel) pair.
+    Each of L links has R rows, nested ellipses around its line, and row r
+    belongs to link r mod L. Row r puts one value v_r >= 0 on the voxels
+    it holds. A voxel's band on a link is R minus the number of the link's
+    rows that hold it, and those rows are its widest ones, so a row holds
+    the voxels whose band on its link is at most its reach q_r, the
+    narrowest band it holds: W[r, v] = v_r where band[r mod L, v] <= q_r,
+    and 0 elsewhere.
 
-    The structure is checked at construction and read back by `ellipses`,
-    the form in which the operator build reads W.
+    The two sparse factors of Wᵀ = U·S are derived from the ellipses once,
+    at construction. U, (N, L·R) and 0/1, marks each voxel's band on each
+    link: its column l·R + b is link l's band b. S's row l·R + b holds v_r
+    at column r for each row r of link l with q_r >= b, in ascending
+    reach; an empty row has an empty column. So a row of S sums v_r·y_r
+    over the link's rows that hold band b, and U adds each voxel's band
+    sums over the links. U has one nonzero per (link, voxel) pair inside
+    any ellipse, where W has one per (row, voxel) pair.
+
+    Compared by identity (eq=False), since it holds arrays.
 
     Attributes:
-        bands: U, CSR (N, B), with B = L·R bands.
-        band_sums: S, CSR (B, rows), with rows = B.
-        rows_per_link: R, each link's number of bands.
+        band: (L, N) unsigned, each voxel's band on each link; R where no
+            row of the link holds the voxel.
+        reach: (rows,) int, the narrowest band each row holds; -1 for an
+            empty row. rows = L·R.
+        value: (rows,) float, the weight each row puts on its members.
+        bands: U, CSR (N, rows), derived.
+        band_sums: S, CSR (rows, rows), derived.
     """
 
-    bands: sparse.csr_matrix
-    band_sums: sparse.csr_matrix
-    rows_per_link: int
+    band: np.ndarray
+    reach: np.ndarray
+    value: np.ndarray
+    bands: sparse.csr_matrix = field(init=False)
+    band_sums: sparse.csr_matrix = field(init=False)
 
     def __post_init__(self):
-        if self.bands.shape[1] != self.band_sums.shape[0]:
-            raise ValueError(f"factor shapes {self.bands.shape} and "
-                             f"{self.band_sums.shape} do not compose")
-        check_bounds(self, rows_per_link="an integer >= 1")
-        if self.band_sums.nnz and self.band_sums.data.min() < 0:
-            raise ValueError("weights must be >= 0")
-        self.ellipses()
+        band, reach, value = self.band, self.reach, self.value
+        n_links, rows = len(band), len(reach)
+        if band.ndim != 2 or not 0 < n_links <= rows or rows % n_links:
+            raise ValueError(f"{rows} rows are not a whole number of rows "
+                             f"for each of {n_links} links")
+        if value.shape != reach.shape or reach.ndim != 1:
+            raise ValueError(f"reach {reach.shape} and value {value.shape} "
+                             f"must be of the same length")
+        per_link = rows // n_links
+        if (not np.issubdtype(band.dtype, np.unsignedinteger)
+                or np.any(band > per_link)):
+            raise ValueError(f"band must be unsigned and <= {per_link}")
+        if (not np.issubdtype(reach.dtype, np.integer) or np.any(reach < -1)
+                or np.any(reach >= per_link)):
+            raise ValueError(f"reach must be integers in [-1, {per_link - 1}]")
+        if not np.all((value >= 0) & (value < np.inf)):
+            raise ValueError("value must be finite and >= 0")
+
+        # U: one band per (voxel, link) held by any of the link's rows
+        voxel, link = np.nonzero(band.T < per_link)  # voxel-major
+        object.__setattr__(self, "bands", sparse.csr_matrix(
+            (np.ones(voxel.size), link * per_link + band[link, voxel],
+             np.searchsorted(voxel, np.arange(band.shape[1] + 1))),
+            shape=(band.shape[1], rows)))
+        # S: band b of link l sums the link's rows reaching b, by reach
+        row, step = np.nonzero(np.arange(per_link) <= reach[:, np.newaxis])
+        sums = row % n_links * per_link + step
+        order = np.lexsort((reach[row], sums))
+        row, sums = row[order], sums[order]
+        object.__setattr__(self, "band_sums", sparse.csr_matrix(
+            (value[row], row, np.searchsorted(sums, np.arange(rows + 1))),
+            shape=(rows, rows)))
 
     @property
     def n_rows(self) -> int:
-        return self.band_sums.shape[1]
+        return self.reach.size
 
     @property
     def n_voxels(self) -> int:
-        return self.bands.shape[0]
+        return self.band.shape[1]
 
     @property
     def matrix(self) -> sparse.csr_matrix:
@@ -146,60 +181,10 @@ class WeightMatrix:
         """Wᵀy as U·(S·y), for y of shape (rows,) or (rows, K)."""
         return self.bands @ (self.band_sums @ y)
 
-    def ellipses(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """W as its ellipses: W[r, v] = value[r] where band[link[r], v] <=
-        reach[r], and 0 elsewhere.
-
-        Returns:
-            band: (L, N), the band of each voxel on each link, R where no
-                row of the link holds the voxel; the smallest unsigned
-                dtype that holds R.
-            link: (rows,) int, the link of each row (0 for an empty row).
-            reach: (rows,) int, the narrowest band each row holds, -1 for
-                an empty row.
-            value: (rows,) float, the value each row puts on its members
-                (0 for an empty row).
-
-        Raises:
-            ValueError: the factors do not have the structure above: U is
-                not 0/1 with one band per (voxel, link), or a column of S
-                is not one value on a run of bands from one link's band 0.
-        """
-        u, s, per_link = self.bands, self.band_sums, self.rows_per_link
-        n_bands, rows = s.shape
-        if n_bands != rows or n_bands % per_link:
-            raise ValueError(f"{rows} rows and {n_bands} bands are not "
-                             f"{per_link} of each per link")
-        band = np.full((n_bands // per_link, self.n_voxels), per_link,
-                       dtype=np.min_scalar_type(per_link))
-        link, band_of = np.divmod(u.indices, per_link)
-        band[link, np.repeat(np.arange(self.n_voxels, dtype=u.indices.dtype),
-                             np.diff(u.indptr))] = band_of
-        if np.any(u.data != 1.0) or np.count_nonzero(band < per_link) != u.nnz:
-            raise ValueError("bands must be 0/1 with one band per "
-                             "(voxel, link)")
-
-        s = s.tocsc()
-        s.sum_duplicates()
-        counts = np.diff(s.indptr)
-        full = counts > 0
-        first = s.indices[s.indptr[:-1][full]]
-        last = s.indices[s.indptr[1:][full] - 1]
-        link, reach, value = (np.zeros(rows, dtype=int), np.full(rows, -1),
-                              np.zeros(rows))
-        link[full], reach[full] = first // per_link, last - first
-        value[full] = s.data[s.indptr[:-1][full]]
-        if (np.any(first % per_link) or np.any(reach[full] >= per_link)
-                or np.any(reach[full] + 1 != counts[full])
-                or np.any(s.data != np.repeat(value, counts))):
-            raise ValueError("each column of band_sums must be one value on "
-                             "bands 0..q of one link")
-        return band, link, reach, value
-
 
 def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
     """Ellipse weights over the links of `excess`, each link repeated R
-    times, as the band factors of Wᵀ.
+    times.
 
     Args:
         excess: (L, N) excess path length of every voxel center per link.
@@ -209,45 +194,23 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
             puts on its members.
 
     Returns:
-        WeightMatrix whose factors come from one (R, L, N) membership mask,
-        with one band per row; no W is built. Band b of link l is column
-        l·R + b of U; its row of S holds the values of the link's rows from
-        sorted position b up, rows sorted by ascending width with NaN
-        first. Rows with no member are left out of S.
+        WeightMatrix from one (R, L, N) membership mask; no W is built. A
+        voxel inside `count` of a link's rows is inside its widest ones, so
+        its band is R − count, and a row's reach is its rank by width among
+        its link's rows (NaN first, in stable order), or -1 where it holds
+        no voxel.
     """
     n_links, n_voxels = excess.shape
     lam = lam.reshape(-1, n_links)
-    n_per_link, n_rows = lam.shape[0], lam.size
     mask = excess < lam[:, :, np.newaxis]  # (R, L, N)
     counts = np.count_nonzero(mask.reshape(-1, n_voxels), axis=1)
-    values = value(counts)
-
-    # U: a voxel inside `count` of a link's rows is inside its widest ones
-    count = mask.sum(axis=0, dtype=np.min_scalar_type(n_per_link)).T.copy()
-    pairs = np.flatnonzero(count)  # (voxel, link) pairs, voxel-major
-    bands = sparse.csr_matrix(
-        (np.ones(pairs.size),
-         pairs % n_links * n_per_link + (n_per_link - count.ravel()[pairs]),
-         _indptr(np.count_nonzero(count, axis=1))),
-        shape=(n_voxels, n_rows))
-
-    # S: band b of a link sums its rows at sorted positions b..R-1
+    # unsigned R − count in one dtype under numpy 1.x and 2.x casting alike
+    dtype = np.min_scalar_type(lam.shape[0])
+    band = dtype.type(lam.shape[0]) - mask.sum(axis=0, dtype=dtype)
     order = np.argsort(np.nan_to_num(lam, nan=-np.inf), axis=0, kind="stable")
-    band, position = np.triu_indices(n_per_link)
-    band = (np.arange(n_links)[:, np.newaxis] * n_per_link + band).ravel()
-    row = (order[position] * n_links + np.arange(n_links)).T.ravel()
-    keep = counts[row] > 0
-    band, row = band[keep], row[keep]
-    band_sums = sparse.csr_matrix(
-        (values[row], row, _indptr(np.bincount(band, minlength=n_rows))),
-        shape=(n_rows, n_rows))
-    return WeightMatrix(bands=bands, band_sums=band_sums,
-                        rows_per_link=n_per_link)
-
-
-def _indptr(counts: np.ndarray) -> np.ndarray:
-    """CSR row pointers of rows holding `counts` entries each."""
-    return np.concatenate(([0], np.cumsum(counts)))
+    rank = np.argsort(order, axis=0).ravel()
+    return WeightMatrix(band=band, reach=np.where(counts > 0, rank, -1),
+                        value=value(counts))
 
 
 def build_classic_weights(table: LinkTable, layout: NodeLayout,
@@ -258,11 +221,10 @@ def build_classic_weights(table: LinkTable, layout: NodeLayout,
         table: links to build rows for, in order.
         layout: node positions behind the table.
         grid: voxel grid (columns).
-        lam: ellipse width in meters, >= 0; small widths give near-empty
-            rows by design.
+        lam: ellipse width in meters, finite and >= 0; small widths give
+            near-empty rows by design.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_bounds(SimpleNamespace(lam=lam), lam="finite and >= 0")
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)
     return _ellipse_rows(excess, np.full(table.n_links, lam),
                          lambda counts: 1.0 / np.sqrt(table.lengths))

@@ -10,11 +10,12 @@ plain Euclidean distances with standard order statistics.
 
 import functools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import linalg
 
-from .geometry import VoxelGrid
+from .geometry import VoxelGrid, check_bounds
 
 __all__ = [
     "PositionEstimate",
@@ -137,20 +138,21 @@ def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
         track: previous state.
         z: position measurement (voxel center); with `z.detected` False the
             state and covariance are only advanced by dt, to time z.k.
-        dt: time step in seconds, > 0.
-        q: white-noise-jerk intensity, m²/s⁵.
-        r: measurement variance per axis, m² (covariance r·I).
+        dt: time step in seconds, finite and > 0.
+        q: white-noise-jerk intensity, m²/s⁵, finite and >= 0.
+        r: measurement variance per axis, m² (covariance r·I), finite and
+            >= 0.
 
     Returns:
         Updated TrackState; covariance stays symmetric PSD (Joseph-form
         update plus explicit symmetrization).
 
     Raises:
-        ValueError: dt <= 0.
+        ValueError: dt, q or r is outside its bound.
         LinAlgError: innovation covariance not SPD.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    check_bounds(SimpleNamespace(dt=dt, q=q, r=r), dt="finite and > 0",
+                 q="finite and >= 0", r="finite and >= 0")
     f, qm = _ca_matrices(float(dt), float(q))
     r = float(r)
 

@@ -1,6 +1,6 @@
 """Package surface: every module's __all__ names only what the module has,
-no module reaches into another's private names, and the tests' reference
-pipeline shares no routine with the library."""
+no module reaches into another's private names or leaves its own unread,
+and the tests' reference pipeline shares no routine with the library."""
 
 import ast
 import importlib
@@ -76,3 +76,23 @@ def test_every_module_level_import_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [n for n in imported if n not in used and n not in module.__all__]
     assert not unused, f"{name} imports unused names {unused}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_private_name_is_read(name):
+    """Each private function, class or constant a module defines at its top
+    level is read as a name somewhere in that module, so none outlives the
+    code that used it."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    defined += [target.id for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = [n for n in defined
+              if n.startswith("_") and not n.startswith("__") and n not in read]
+    assert not unread, f"{name} defines unread private names {unread}"

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import linalg, sparse
+from scipy import linalg
 
 from rtikit import reconstruction
 from rtikit.calibration import FadeLevelTable, PathLossFit
@@ -107,9 +107,8 @@ def test_operator_matches_dense_oracle_multiscale():
 def test_operator_zero_weights_gives_zero_pi():
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=6, ny=6)
     # four links of one row each, no voxel inside any ellipse
-    wm = WeightMatrix(bands=sparse.csr_matrix((grid.n_voxels, 4)),
-                      band_sums=sparse.identity(4, format="csr"),
-                      rows_per_link=1)
+    wm = WeightMatrix(band=np.ones((4, grid.n_voxels), dtype=np.uint8),
+                      reach=np.zeros(4, dtype=int), value=np.ones(4))
     op = build_operator(wm, grid)
     assert np.allclose(op.pi, 0.0)
 
@@ -322,8 +321,9 @@ def test_short_operator_empty_row_gives_zero_column():
 
 def test_shared_build_leaves_inputs_untouched():
     """msrti (tall) and cdrti (short, the fixed-width weights scaled by √C)
-    built from one precision term, as a recalibration does: the term and
-    every buffer of the weights' band factors stay bit-identical."""
+    built from one precision term, as a recalibration does: the term, the
+    weights' ellipses and every buffer of their band factors stay
+    bit-identical."""
     layout, table = octagon()
     grid = VoxelGrid.from_layout(layout, p=1.0)
     params = ReconstructionParams()
@@ -331,15 +331,16 @@ def test_shared_build_leaves_inputs_untouched():
     classic = build_classic_weights(table, layout, grid, lam=0.8)
     weights = [
         build_multiscale_weights(table, layout, grid, fades),
-        replace(classic, band_sums=classic.band_sums * np.sqrt(2)),
+        replace(classic, value=classic.value * np.sqrt(2)),
     ]
     term = prior_precision_term(grid, params)
     term_before = term.blocks.copy()
 
     def buffers(wm):
-        return [getattr(factor, name).copy()
-                for factor in (wm.bands, wm.band_sums)
-                for name in ("data", "indices", "indptr")]
+        return [wm.band.copy(), wm.reach.copy(), wm.value.copy()] + [
+            getattr(factor, name).copy()
+            for factor in (wm.bands, wm.band_sums)
+            for name in ("data", "indices", "indptr")]
 
     before = [buffers(w) for w in weights]
     n = grid.n_voxels
@@ -525,32 +526,22 @@ def test_short_build_memory_holds_no_n_by_n_array():
 
 
 def _random_weights(grid, n_rows, seed, scale=1.0, per_link=4):
-    """Seeded random ellipse-structured band factors of n_rows rows, a
-    multiple of per_link: each link gives the voxels of a random window of
-    the grid a random band each, and each of its rows reaches a random band
-    with a random value in [0.5, 2)·scale; about one row in five is empty.
+    """Seeded random ellipses of n_rows rows, a multiple of per_link: each
+    link gives the voxels of a random window of the grid a random band
+    each, and each of its rows reaches a random band with a random value
+    in [0.5, 2)·scale; about one row in five is empty.
     The windows leave tiles untouched by some rows, and W is well
     conditioned enough for a 1e-12 comparison against a dense solve."""
     rng = np.random.default_rng(seed)
     n_links = n_rows // per_link
-    band = np.full((n_links, grid.ny, grid.nx), per_link)
+    band = np.full((n_links, grid.ny, grid.nx), per_link, dtype=np.uint8)
     for window in band:
         (y0, y1), (x0, x1) = (np.sort(rng.integers(0, n, 2)) + (0, 1)
                               for n in (grid.ny, grid.nx))
         window[y0:y1, x0:x1] = rng.integers(0, per_link, (y1 - y0, x1 - x0))
-    band = band.reshape(n_links, grid.n_voxels)
-    link, voxel = np.nonzero(band < per_link)
-    bands = sparse.csr_matrix(
-        (np.ones(voxel.size), (voxel, link * per_link + band[link, voxel])),
-        shape=(grid.n_voxels, n_rows))
-    reach = rng.integers(-1, per_link, n_rows)
-    value = rng.uniform(0.5, 2.0, n_rows) * scale
-    row, step = np.nonzero(np.arange(per_link) <= reach[:, None])
-    band_sums = sparse.csr_matrix(
-        (value[row], (row % n_links * per_link + step, row)),
-        shape=(n_rows, n_rows))
-    return WeightMatrix(bands=bands, band_sums=band_sums,
-                        rows_per_link=per_link)
+    return WeightMatrix(band=band.reshape(n_links, grid.n_voxels),
+                        reach=rng.integers(-1, per_link, n_rows),
+                        value=rng.uniform(0.5, 2.0, n_rows) * scale)
 
 
 def _edge_case(rows, nx, ny=None, route="tall", scale=1.0):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from rtikit.calibration import FadeLevelTable, PathLossFit, calibrate, path_loss
 from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
@@ -124,6 +123,17 @@ def test_classic_weights_tiny_lambda_near_empty():
         build_classic_weights(table, layout, grid, lam=-0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_classic_weights_reject_non_finite_lambda(lam):
+    """NaN used to give an all-zero W and inf a W with every voxel in every
+    ellipse."""
+    layout = ring(6)
+    grid = VoxelGrid.from_layout(layout, p=0.5)
+    with pytest.raises(ValueError,
+                       match=f"lam must be finite and >= 0, got {lam!r}"):
+        build_classic_weights(enumerate_links(layout), layout, grid, lam=lam)
+
+
 def test_multiscale_row_order_and_values():
     layout = ring(6)
     table = enumerate_links(layout)
@@ -229,21 +239,15 @@ PROPERTY_GRID = VoxelGrid.from_layout(PROPERTY_LAYOUT, p=0.5)
 
 
 def assert_back_projection(wm, reference, seed, n_columns):
-    """W equals the reference (see assert_same_weights); U·(S·y) equals
-    Wᵀy from the reference within 1e-12 of its largest entry, for a 1-D y
-    and a (rows, K) block; U is 0/1 with one band per (voxel, link), and
-    `ellipses` gives W exactly."""
+    """W equals the reference (see assert_same_weights); the ellipses give
+    the W of the band factors exactly; U·(S·y) equals Wᵀy from the
+    reference within 1e-12 of its largest entry, for a 1-D y and a
+    (rows, K) block."""
     assert_same_weights(wm, reference)
-    band, link, reach, value = wm.ellipses()
-    inside = band[link] <= reach[:, np.newaxis]
-    assert np.array_equal(np.where(inside, value[:, np.newaxis], 0.0),
+    link = np.arange(wm.n_rows) % PROPERTY_TABLE.n_links
+    inside = wm.band[link] <= wm.reach[:, np.newaxis]
+    assert np.array_equal(np.where(inside, wm.value[:, np.newaxis], 0.0),
                           wm.matrix.toarray())
-    u, s = wm.bands, wm.band_sums
-    assert np.array_equal(u.data, np.ones(u.nnz))
-    per_link = u.shape[1] // PROPERTY_TABLE.n_links
-    for voxel in range(u.shape[0]):
-        links = u.indices[u.indptr[voxel]:u.indptr[voxel + 1]] // per_link
-        assert np.unique(links).size == links.size
     rng = np.random.default_rng(seed)
     for y in (rng.standard_normal(wm.n_rows),
               rng.standard_normal((wm.n_rows, n_columns))):
@@ -294,68 +298,31 @@ def test_classic_band_factors_back_project_like_w(lam, seed):
     assert_back_projection(wm, reference, seed, 2)
 
 
-def test_weight_matrix_validates_factors():
+def test_weight_matrix_checks_shapes_and_ranges():
     # W = [[0, 2, 2], [3, 0, 0]]: two links of one row each, link 0's
     # ellipse holding voxels 1 and 2 and link 1's voxel 0
-    u = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
-    s = sparse.csr_matrix(np.diag([2.0, 3.0]))
-    wm = WeightMatrix(bands=u, band_sums=s, rows_per_link=1)
+    band = np.array([[1, 0, 0], [0, 1, 1]], dtype=np.uint8)
+    reach, value = np.array([0, 0]), np.array([2.0, 3.0])
+    wm = WeightMatrix(band=band, reach=reach, value=value)
     assert (wm.n_rows, wm.n_voxels) == (2, 3)
     assert_same_weights(wm, np.array([[0.0, 2.0, 2.0], [3.0, 0.0, 0.0]]))
     np.testing.assert_array_equal(wm.back_project(np.array([1.0, -1.0])),
                                   [-3.0, 2.0, 2.0])
-    with pytest.raises(ValueError, match="compose"):
-        WeightMatrix(bands=u.T.tocsr(), band_sums=s, rows_per_link=1)
-    with pytest.raises(ValueError, match=">= 0"):
-        WeightMatrix(bands=u, band_sums=sparse.csr_matrix(np.diag([2.0, -3.0])),
-                     rows_per_link=1)
-    with pytest.raises(ValueError, match="0/1"):
-        WeightMatrix(bands=-u, band_sums=s, rows_per_link=1)
-    for per_link in (0, 1.0):
-        with pytest.raises(ValueError, match="rows_per_link must be an "
-                                             "integer >= 1"):
-            WeightMatrix(bands=u, band_sums=s, rows_per_link=per_link)
-
-
-def test_weight_matrix_rejects_factors_without_ellipse_structure():
-    """Factors whose product is a valid W but that break the structure the
-    operator build reads: U not 0/1, two bands of one link on a voxel, a
-    column of S with two values, one that skips band 0 or that spans two
-    links, and band and row counts that are not the same whole number of
-    links."""
-    u = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]]))
-    s = sparse.csr_matrix(np.diag([2.0, 3.0]))
-    two_links = sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0],
-                                            [0.0, 1.0, 0.0, 0.0],
-                                            [0.0, 0.0, 1.0, 0.0]]))
-    broken = {
-        "0/1": (sparse.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0],
-                                            [1.0, 0.0]])), s, 1),
-        "one band": (sparse.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
-                                                 [0.0, 1.0, 0.0, 0.0],
-                                                 [0.0, 0.0, 1.0, 0.0]])),
-                     sparse.csr_matrix(np.array([[1.0, 1.0, 0.0, 0.0],
-                                                 [0.0, 1.0, 0.0, 0.0],
-                                                 [0.0, 0.0, 1.0, 1.0],
-                                                 [0.0, 0.0, 0.0, 1.0]])), 2),
-        "one value": (two_links, sparse.csr_matrix(
-            np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
-                      [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])), 2),
-        "bands 0": (two_links, sparse.csr_matrix(
-            np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                      [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])), 2),
-        "one link": (two_links, sparse.csr_matrix(
-            np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                      [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])), 2),
-        "2 rows and 2 bands are not 3": (u, s, 3),
-        "3 rows and 2 bands are not 1": (u, sparse.csr_matrix((2, 3)), 1),
-    }
-    # the same shapes with the structure kept
-    WeightMatrix(bands=two_links, band_sums=sparse.csr_matrix(
-        np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
-                  [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])),
-        rows_per_link=2)
-    for match, (bands, band_sums, per_link) in broken.items():
+    broken = [
+        ("3 rows are not a whole number of rows for each of 2 links",
+         band, np.zeros(3, dtype=int), np.ones(3)),
+        ("1 rows are not", band, reach[:1], value[:1]),
+        ("0 rows are not", band, reach[:0], value[:0]),
+        ("of the same length", band, reach, np.ones(4)),
+        ("band must be unsigned and <= 1", band + np.uint8(1), reach, value),
+        ("band must be unsigned", band.astype(int), reach, value),
+        (r"reach must be integers in \[-1, 0\]", band, np.array([0, 1]), value),
+        (r"reach must be integers in \[-1, 0\]", band, np.array([-2, 0]), value),
+        ("reach must be integers", band, reach.astype(float), value),
+    ]
+    for match, b, r, v in broken:
         with pytest.raises(ValueError, match=match):
-            WeightMatrix(bands=bands, band_sums=band_sums,
-                         rows_per_link=per_link)
+            WeightMatrix(band=b, reach=r, value=v)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="value must be finite and >= 0"):
+            WeightMatrix(band=band, reach=reach, value=np.array([2.0, bad]))

@@ -102,6 +102,25 @@ def test_kalman_covariance_symmetric_psd():
         kalman_step(track, z0, dt=0.0)
 
 
+@pytest.mark.parametrize("detected", [True, False])
+@pytest.mark.parametrize("name, bad, bound", [
+    ("dt", np.nan, "finite and > 0"), ("dt", np.inf, "finite and > 0"),
+    ("dt", -0.5, "finite and > 0"), ("q", np.nan, "finite and >= 0"),
+    ("q", -1.0, "finite and >= 0"), ("r", -1.0, "finite and >= 0"),
+    ("r", np.inf, "finite and >= 0"),
+])
+def test_kalman_step_bounds_dt_q_r(detected, name, bad, bound):
+    """A NaN dt used to give a NaN state on a predict-only step, a NaN dt
+    or q an "innovation covariance not SPD" error on an update, and a
+    negative r a plausible-looking state."""
+    track = init_track(PositionEstimate(k=0, xy=(1.0, 1.0), peak=1.0, voxel=0))
+    z = (PositionEstimate(k=1, xy=(1.2, 1.0), peak=1.0, voxel=0) if detected
+         else PositionEstimate(k=1, xy=(np.nan, np.nan), peak=0.0, voxel=-1))
+    args = dict(dt=0.5, q=1.0, r=0.1) | {name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be {bound}, got"):
+        kalman_step(track, z, **args)
+
+
 def test_kalman_update_reduces_uncertainty():
     # An update with informative measurements shrinks the position block
     # relative to the predicted covariance.
