@@ -5,7 +5,7 @@ Subcommands:
     reconstruct  dump per-frame attenuation images for one variant
     track        localize every frame and write a track CSV
     simulate     generate a synthetic trace from a scenario file
-    benchmark    compare variants over seeded synthetic runs
+    benchmark    compare variants over seeded runs of a scenario file
     crosscheck   verify model constants against their published anchors
 
 All file formats are the plain-text ones in rtikit.ingest. The optional
@@ -42,8 +42,7 @@ from .ingest import (
     save_trace,
     save_track_csv,
 )
-from .simulator import (DEFAULT_CHANNELS, ScenarioSpec, generate_trace,
-                        stationary_trajectory)
+from .simulator import generate_trace
 
 __all__ = ["main"]
 
@@ -199,35 +198,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_benchmark(args) -> int:
     layout = load_layout(args.layout)
     config = _load_config(args.config)
+    spec = load_scenario(args.scenario, layout)
     variants = tuple(v for v in args.variants.split(",") if v)
     if not variants:
         raise ValueError("--variants needs at least one variant")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValueError(f"unknown variant {v!r}; pick from {VARIANTS}")
     seeds = _parse_ints(args.seeds, "--seeds")
     if min(seeds) < 0:
         raise ValueError(f"--seeds must be >= 0, got {min(seeds)}")
-    if not 0 <= args.inset <= 0.5:
-        raise ValueError(f"--inset must lie in [0, 0.5], got {args.inset:g}")
-    if args.positions < 1:
-        raise ValueError(f"--positions must be >= 1, got {args.positions}")
-    if args.frames_per_position < 1:
-        raise ValueError("--frames-per-position must be >= 1, "
-                         f"got {args.frames_per_position}")
-
-    xy = layout.xy
-    x0, y0 = xy.min(axis=0)
-    x1, y1 = xy.max(axis=0)
-    side = np.linspace(args.inset, 1.0 - args.inset, args.positions)
-    positions = [(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0))
-                 for fy in side for fx in side]
-
-    channels = _parse_channels(args.channels) if args.channels else DEFAULT_CHANNELS
-    k0 = config.calibration_frames
-    spec = ScenarioSpec(layout=layout, channels=channels, calibration_frames=k0,
-                        trajectory=stationary_trajectory(
-                            positions, k0, args.frames_per_position))
     rows = benchmark(spec, seeds, config=config, variants=variants)
     save_benchmark_csv(rows, args.out)
     for variant in variants:
@@ -236,7 +213,7 @@ def _cmd_benchmark(args) -> int:
         mean = f"{np.mean(means):.3f} m" if means else "n/a"
         left_out = len(summaries) - len(means)
         print(f"{variant}: mean error {mean} "
-              f"over {len(seeds)} seeds x {len(positions)} positions"
+              f"over {len(seeds)} seeds x {len(spec.trajectory)} frames"
               + (f" ({left_out} of {len(summaries)} seeds left out: "
                  f"no detection)" if left_out else ""))
     print(f"benchmark written to {args.out}")
@@ -303,17 +280,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("benchmark", help="compare variants on synthetic scenes")
     p.add_argument("--layout", required=True)
+    p.add_argument("--scenario", required=True,
+                   help="scenario description file; --seeds replaces its seed")
     p.add_argument("--config", help="key-value config file")
-    p.add_argument("--channels", help="comma-separated channels to simulate")
     p.add_argument("--variants", default="msrti,cdrti",
                    help="comma-separated variants to compare")
     p.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
-    p.add_argument("--positions", type=int, default=5, metavar="R",
-                   help="R x R lattice of target positions")
-    p.add_argument("--inset", type=float, default=0.2,
-                   help="lattice inset as a fraction of the deployment box, "
-                   "0 to 0.5")
-    p.add_argument("--frames-per-position", type=int, default=10)
     p.add_argument("--out", required=True, help="benchmark CSV output path")
     p.set_defaults(func=_cmd_benchmark)
 

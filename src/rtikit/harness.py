@@ -227,6 +227,11 @@ _VARIANT_TABLE = {
 VARIANTS = tuple(_VARIANT_TABLE)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
+
+
 class VariantPipeline:
     """One variant's frame-to-image machinery, state included.
 
@@ -258,8 +263,7 @@ class VariantPipeline:
                  grid: VoxelGrid, config: PipelineConfig,
                  precision_term: PrecisionTerm | None = None,
                  operator=None):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
+        _check_variant(variant)
         scale, measure = _VARIANT_TABLE[variant]
         self.variant = variant
         self.fades = fades
@@ -447,22 +451,30 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         seeds: iterable of RNG seeds, one trace per seed.
         config: pipeline configuration (defaults if None); its
             calibration_frames is not read, the trace's prefix is.
-        variants: estimator variants to compare.
+        variants: iterable of estimator variants to compare.
 
     Returns:
         list of (variant, seed, summary) rows, seeds outer, variants
         inner; summary is None for a run with no detected frame.
+
+    Raises:
+        ValueError: an empty trajectory, an unknown variant or a seed that
+            ScenarioSpec rejects (not an integer >= 0), before any trace is
+            made.
     """
     if config is None:
         config = PipelineConfig()
     if not len(spec.trajectory):
         raise ValueError("benchmark needs a scenario with a trajectory")
+    variants = tuple(variants)
+    for variant in variants:
+        _check_variant(variant)
+    specs = [replace(spec, seed=seed) for seed in seeds]
     table = enumerate_links(spec.layout)
 
     rows = []
-    for seed in seeds:
-        trace = generate_trace(replace(spec, seed=int(seed)),
-                               ellipse=config.ellipse,
+    for seeded in specs:
+        trace = generate_trace(seeded, ellipse=config.ellipse,
                                measurement=config.measurement)
         fades = calibrate(trace.frames[:trace.calibration_frames], table)
         truth = {int(k): (x, y) for k, x, y in trace.truth}
@@ -470,7 +482,7 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         for variant in variants:
             result = run_pipeline(variant, person_frames, spec.layout, config,
                                   truth, fades)
-            rows.append((variant, int(seed), result.summary))
+            rows.append((variant, int(seeded.seed), result.summary))
     return rows
 
 

@@ -537,9 +537,11 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
     Keys, each optional: channels, eta, p0 (the loss at 1 m),
     calibration_frames, noise_sigma, fade_sigma, quantize (1/0, true/false,
     yes/no or on/off), seed; trajectory as repeated `waypoint k x y` lines
-    (integer k) or one `stationary x y start_k n_frames`; repeated
-    `fade_offset link_tx link_rx channel value` lines give explicit offsets,
-    at most one per (link, channel); links without a line default to 0.
+    (integer k) or repeated `stationary x y start_k n_frames` lines, each a
+    block of n_frames frames at (x, y) from start_k on, joined in file order;
+    repeated `fade_offset link_tx link_rx channel value` lines give explicit
+    offsets, at most one per (link, channel); links without a line default
+    to 0.
     """
     grammar = {
         **_scalars(float, "?", "eta", "p0", "noise_sigma", "fade_sigma"),
@@ -547,25 +549,29 @@ def load_scenario(path, layout: NodeLayout) -> ScenarioSpec:
         **_scalars(_on_off, "?", "quantize"),
         "channels": ("channels channel...", (int, ...), "?"),
         "waypoint": ("waypoint k x y", (int, _finite, _finite), "*"),
-        "stationary": ("stationary x y start_k n_frames", (_finite, _finite, int, int), "?"),
+        "stationary": ("stationary x y start_k n_frames", (_finite, _finite, int, int), "*"),
         "fade_offset": ("fade_offset tx rx channel value",
                         (_node_id, _node_id, int, _finite), "*"),
     }
     kwargs = {"layout": layout}
-    waypoints, offsets = [], []
+    waypoints, blocks, offsets = [], [], []
     for lineno, key, fields in _read(path, grammar):
         if key == "waypoint":
             waypoints.append(fields)
         elif key == "fade_offset":
             offsets.append((lineno, *fields))
         elif key == "stationary":  # x y start_k n_frames
-            kwargs["trajectory"] = stationary_trajectory(fields[:2], *fields[2:])
+            try:
+                blocks.append(stationary_trajectory(fields[:2], *fields[2:]))
+            except ValueError as e:
+                _fail(path, lineno, str(e))
         else:
             kwargs[key] = fields
-    if waypoints:
-        if "trajectory" in kwargs:
-            raise ValueError(f"{path}: give either waypoint lines or stationary, not both")
-        kwargs["trajectory"] = np.array(waypoints, dtype=float)
+    if waypoints and blocks:
+        raise ValueError(f"{path}: give either waypoint or stationary lines, not both")
+    if waypoints or blocks:
+        kwargs["trajectory"] = np.concatenate(
+            [np.array(waypoints, dtype=float).reshape(-1, 3), *blocks])
     if offsets:
         table = enumerate_links(layout)
         channels = kwargs.get("channels", DEFAULT_CHANNELS)

@@ -9,16 +9,19 @@ import pytest
 from rtikit.calibration import RssFrame
 from rtikit.cli import main
 from rtikit.geometry import VoxelGrid, enumerate_links
-from rtikit.harness import PipelineConfig, VariantPipeline
+from rtikit.harness import PipelineConfig, VariantPipeline, benchmark
 from rtikit.ingest import (
     load_fade_table,
     load_image,
+    load_scenario,
     load_track_csv,
     load_trace,
+    save_benchmark_csv,
     save_layout,
     save_trace,
 )
-from rtikit.simulator import ScenarioSpec, generate_trace, perimeter_layout
+from rtikit.simulator import (ScenarioSpec, generate_trace, perimeter_layout,
+                              stationary_trajectory)
 
 
 @pytest.fixture
@@ -177,35 +180,52 @@ def test_nan_sigma_in_scenario_is_rejected(workspace, capsys, key):
 
 
 def test_benchmark_csv(workspace):
-    tmp_path, _, layout_path, _, config = workspace
+    # The CSV holds exactly harness.benchmark's rows on the scenario file's
+    # spec, with config's models and each of --seeds for the file's seed 5.
+    tmp_path, layout, layout_path, _, _ = workspace
+    scenario = tmp_path / "lattice.txt"
+    scenario.write_text("calibration_frames 30\nseed 5\n"
+                        "stationary 1.5 2.0 30 3\nstationary 2.5 2.5 33 3\n")
+    config = tmp_path / "config.txt"
+    config.write_text("voxel_width 0.25\n")
     out = tmp_path / "bench.csv"
     rc = main(["benchmark", "--layout", str(layout_path),
-               "--config", str(config), "--seeds", "1,2",
-               "--positions", "2", "--frames-per-position", "3",
-               "--out", str(out)])
+               "--scenario", str(scenario), "--config", str(config),
+               "--seeds", "1,2", "--out", str(out)])
     assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "variant,seed,mean_m,median_m,p95_m,max_m"
-    assert len(lines) == 1 + 2 * 2  # two variants x two seeds
-    assert lines[1].startswith("msrti,1,")
+    rows = benchmark(load_scenario(scenario, layout), (1, 2),
+                     config=PipelineConfig(voxel_width=0.25))
+    assert [(r[0], r[1]) for r in rows] == [
+        ("msrti", 1), ("cdrti", 1), ("msrti", 2), ("cdrti", 2)]
+    expected = tmp_path / "expected.csv"
+    save_benchmark_csv(rows, expected)
+    assert out.read_text() == expected.read_text()
 
 
-def test_benchmark_channels(workspace, monkeypatch):
-    tmp_path, _, layout_path, _, config = workspace
+def test_benchmark_takes_the_scenario_spec(workspace, monkeypatch):
+    # The scenario's channels and trajectory reach harness.benchmark as
+    # load_scenario reads them; harness.benchmark replaces its seed.
+    tmp_path, layout, layout_path, scenario, _ = workspace
     calls = []
     monkeypatch.setattr("rtikit.cli.benchmark",
-                        lambda spec, *a, **kw: calls.append(spec.channels) or [])
-    for extra in ([], ["--channels", "11,26"]):
+                        lambda spec, seeds, **kw: calls.append((spec, seeds)) or [])
+    for channels in ("11 16 21 26", "11 26"):
+        scenario.write_text(f"channels {channels}\ncalibration_frames 30\n"
+                            "stationary 2.0 2.0 30 8\n")
         assert main(["benchmark", "--layout", str(layout_path),
-                     "--config", str(config), *extra,
+                     "--scenario", str(scenario), "--seeds", "3,4",
                      "--out", str(tmp_path / "bench.csv")]) == 0
-    assert calls == [(11, 16, 21, 26), (11, 26)]
+        spec, seeds = calls.pop()
+        assert spec.channels == tuple(map(int, channels.split()))
+        assert seeds == (3, 4)
+        np.testing.assert_array_equal(
+            spec.trajectory, load_scenario(scenario, layout).trajectory)
 
 
 def test_benchmark_rows_without_detection(workspace, monkeypatch, capsys):
     # A run with no detected frame has summary None: its CSV row carries
     # nan errors and the printed mean leaves it out, saying so.
-    tmp_path, _, layout_path, _, config = workspace
+    tmp_path, _, layout_path, scenario, config = workspace
 
     def summary(mean):
         return {"mean": mean, "median": mean, "p95": mean, "max": mean,
@@ -216,8 +236,8 @@ def test_benchmark_rows_without_detection(workspace, monkeypatch, capsys):
     monkeypatch.setattr("rtikit.cli.benchmark", lambda *a, **kw: rows)
     out = tmp_path / "bench.csv"
     rc = main(["benchmark", "--layout", str(layout_path),
-               "--config", str(config), "--seeds", "1,2",
-               "--out", str(out)])
+               "--scenario", str(scenario), "--config", str(config),
+               "--seeds", "1,2", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[2] == "cdrti,1,nan,nan,nan,nan"
@@ -309,11 +329,11 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
      "bad --seeds value 'x': expected e.g. 1,2,3"),
     (["benchmark", "--seeds", ","], "--seeds needs at least one seed"),
     (["benchmark", "--seeds=1,-2"], "--seeds must be >= 0, got -2"),
-    (["benchmark", "--channels", "11,a"],
+    (["calibrate", "--trace", "{trace}", "--channels", "11,a"],
      "bad --channels value '11,a': expected e.g. 11,16,21,26"),
-    (["benchmark", "--channels", "5"],
+    (["track", "--trace", "{trace}", "--channels", "5"],
      "--channels must be strictly ascending channels in [11, 26], got 5"),
-    (["benchmark", "--channels", "11,27"],
+    (["calibrate", "--trace", "{trace}", "--channels", "11,27"],
      "--channels must be strictly ascending channels in [11, 26], got 11,27"),
     (["calibrate", "--trace", "{trace}", "--channels", "16,11"],
      "--channels must be strictly ascending channels in [11, 26], got 16,11"),
@@ -322,28 +342,21 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--variants", "msrti,nope"],
      "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
     (["benchmark", "--variants", ","], "--variants needs at least one variant"),
-    (["benchmark", "--positions", "0"], "--positions must be >= 1, got 0"),
-    (["benchmark", "--positions", "-1"], "--positions must be >= 1, got -1"),
-    (["benchmark", "--frames-per-position", "0"],
-     "--frames-per-position must be >= 1, got 0"),
-    (["benchmark", "--inset", "1.5"], "--inset must lie in [0, 0.5], got 1.5"),
-    (["benchmark", "--inset", "-0.3"], "--inset must lie in [0, 0.5], got -0.3"),
     (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
     (["track", "--trace", "{trace}"],
      "trace has 38 frames but the first 100 are needed for calibration; "
      "pass --fades to use every frame"),
 ], ids=["seeds", "no seeds", "negative seed", "channels", "channel below",
         "channel above", "descending channels", "repeated channel", "variant",
-        "no variants",
-        "no positions", "negative positions", "no frames per position",
-        "inset above", "inset below",
-        "no frames", "few frames"])
+        "no variants", "no frames", "few frames"])
 def test_input_errors_exit_2(workspace, capsys, argv, message):
-    tmp_path, _, layout_path, _, _ = workspace
+    tmp_path, _, layout_path, scenario, _ = workspace
     trace_path, _ = _simulate(workspace)
     (tmp_path / "empty.txt").write_text("# no records\n")
     paths = {"empty": tmp_path / "empty.txt", "trace": trace_path}
     argv = [arg.format(**paths) for arg in argv]
+    if argv[0] == "benchmark":
+        argv += ["--scenario", str(scenario)]
     rc = main([*argv, "--layout", str(layout_path),
                "--out", str(tmp_path / "out.csv")])
     assert rc == 2
@@ -498,10 +511,12 @@ def test_reference_distance_is_gone(workspace, capsys):
     assert info.value.code == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_walkthrough() -> list:
     """argv of each `rtikit` command in the README's command-line walkthrough."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Command-line walkthrough", 1)[1]
+    section = README.read_text().split("## Command-line walkthrough", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("rtikit ")]
@@ -520,3 +535,18 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch):
         "simulate", "calibrate", "track", "reconstruct", "benchmark", "crosscheck"}
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_readme_lattice_is_criterion_5s_scene(tmp_path):
+    # The README's example lattice file loads as the scene acceptance
+    # criterion 5 builds in code.
+    section = README.read_text().split("## Scenario files", 1)[1]
+    block = next(b for b in section.split("```\n")[1::2]
+                 if "stationary 1.4 1.4 " in b)
+    path = tmp_path / "lattice.txt"
+    path.write_text(block)
+    spec = load_scenario(path, perimeter_layout(30, 7.0, 7.0))
+    side = np.linspace(0.2 * 7.0, 0.8 * 7.0, 5)
+    expected = stationary_trajectory([(x, y) for y in side for x in side], 100, 10)
+    assert spec.calibration_frames == 100
+    np.testing.assert_allclose(spec.trajectory, expected, rtol=0, atol=1e-12)

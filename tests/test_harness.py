@@ -557,6 +557,9 @@ def test_benchmark_rows_and_reuse():
     assert [(r[0], r[1]) for r in rows] == [
         ("msrti", 1), ("cdrti", 1), ("msrti", 2), ("cdrti", 2)]
     assert all(np.isfinite(r[2]["mean"]) for r in rows)
+    # variants is read once per seed, so an iterator must give every seed's rows
+    assert benchmark(spec, iter((1, 2)), config=config,
+                     variants=iter(("msrti", "cdrti"))) == rows
 
 
 @pytest.mark.parametrize("kalman", [False, True])
@@ -584,6 +587,23 @@ def test_benchmark_needs_a_trajectory():
     spec = ScenarioSpec(layout=perimeter_layout(8, 4.0, 4.0))
     with pytest.raises(ValueError, match="trajectory"):
         benchmark(spec, seeds=(1,))
+
+
+@pytest.mark.parametrize("seeds, variants, message", [
+    # int() used to truncate 1.5, so seed 1 ran twice as two rows of seed 1
+    ((1, 1.5), ("msrti",), "seed must be an integer >= 0, got 1.5"),
+    ((1, -1), ("msrti",), "seed must be an integer >= 0, got -1"),
+    ((1,), ("msrti", "nope"),
+     "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
+])
+def test_benchmark_checks_seeds_and_variants_before_any_trace(
+        monkeypatch, seeds, variants, message):
+    monkeypatch.setattr(harness, "generate_trace",
+                        lambda *a, **kw: pytest.fail("a trace was made"))
+    spec = _lattice_spec(perimeter_layout(8, 4.0, 4.0), [(2.0, 2.0)], 30, 2)
+    with pytest.raises(ValueError) as info:
+        benchmark(spec, seeds, variants=variants)
+    assert str(info.value) == message
 
 
 def test_benchmark_shares_precision_term_only_with_msrti(monkeypatch):

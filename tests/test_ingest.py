@@ -639,9 +639,32 @@ def test_scenario_stationary_form(tmp_path, layout):
     spec = load_scenario(path, layout)
     assert spec.trajectory.shape == (5, 3)
     assert spec.trajectory[0].tolist() == [10.0, 2.0, 1.5]
-    path.write_text("stationary 1 1 5 2\nwaypoint 6 1.0 1.0\n")
-    with pytest.raises(ValueError, match="not both"):
+
+
+def test_scenario_stationary_lines_join_in_file_order(tmp_path, layout):
+    path = tmp_path / "scenario.txt"
+    path.write_text("calibration_frames 10\n"
+                    "stationary 2.0 1.5 10 3\nstationary 1.0 2.5 20 2\n")
+    np.testing.assert_array_equal(
+        load_scenario(path, layout).trajectory,
+        np.concatenate([stationary_trajectory((2.0, 1.5), 10, 3),
+                        stationary_trajectory((1.0, 2.5), 20, 2)]))
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("stationary 2 1 10 3\nstationary 1 2 12 2\n",  # k 10..12, then 12..13
+     "trajectory times must be strictly increasing"),
+    ("stationary 2 1 20 3\nstationary 1 2 10 2\n",  # blocks out of order
+     "trajectory times must be strictly increasing"),
+    ("stationary 2 1 20 3\nwaypoint 30 1 1\nstationary 1 2 40 2\n",
+     "give either waypoint or stationary lines, not both"),
+])
+def test_scenario_stationary_blocks_rejected(tmp_path, layout, lines, message):
+    path = tmp_path / "scenario.txt"
+    path.write_text("calibration_frames 10\n" + lines)
+    with pytest.raises(ValueError) as info:
         load_scenario(path, layout)
+    assert str(info.value) == f"{path}: {message}"
 
 
 # Every text format, saved and loaded again, bit for bit. SMALL_TABLE's
@@ -782,6 +805,7 @@ TRACK_HEAD = "k,x_hat,y_hat\n"
     ("scenario", SCENARIO_HEAD + "waypoint 100 1 1\nwaypoint 101 nan 2\n",
      "bad.txt:4:"),
     ("scenario", SCENARIO_HEAD + "stationary 1 -inf 100 5\n", "bad.txt:3:"),
+    ("scenario", SCENARIO_HEAD + "stationary 1 1 100 0\n", "bad.txt:3:"),
     ("scenario", SCENARIO_HEAD + "noise_sigma -1\n",
      "bad.txt: noise_sigma must be finite and >= 0, got -1.0"),
     ("scenario", "calibration_frames 0\n",
