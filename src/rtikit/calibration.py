@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LinkTable
+from .geometry import LinkTable, check_bounds
 
 __all__ = [
     "CHANNEL_MIN",
@@ -22,6 +22,7 @@ __all__ = [
     "normalized_tx_power",
     "path_loss",
     "check_channels",
+    "check_frame",
     "RssFrame",
     "FadeLevelTable",
     "PathLossFit",
@@ -86,7 +87,7 @@ def check_channels(channels: np.ndarray) -> None:
         raise ValueError("channels must be strictly ascending")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RssFrame:
     """One synchronized RSS snapshot across all links and channels.
 
@@ -113,6 +114,17 @@ class RssFrame:
         object.__setattr__(self, "k", int(self.k))
 
 
+def check_frame(frame: RssFrame, channels: np.ndarray, n_links: int,
+                against: str) -> None:
+    """Raise ValueError unless the frame carries these channels over n_links
+    links, naming k, both sets and counts, and `against`, their source."""
+    if frame.rss.shape[0] != n_links or not np.array_equal(frame.channels, channels):
+        raise ValueError(
+            f"frame k={frame.k} has channels {frame.channels.tolist()} over "
+            f"{frame.rss.shape[0]} links, not the channels "
+            f"{channels.tolist()} over {n_links} links of {against}")
+
+
 @dataclass(frozen=True)
 class PathLossFit:
     """Fitted log-distance model parameters.
@@ -129,8 +141,12 @@ class PathLossFit:
     n_pairs: int
     rmse: float
 
+    def __post_init__(self):
+        check_bounds(self, p0="finite", eta="finite", n_pairs="an integer >= 0",
+                     rmse="finite and >= 0")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class FadeLevelTable:
     """Per-(link, channel) fade levels from an empty-room recording.
 
@@ -175,8 +191,9 @@ def calibrate(frames, table: LinkTable) -> FadeLevelTable:
         FadeLevelTable.
 
     Raises:
-        ValueError: no frames, inconsistent channel sets or frame shapes,
-            or any condition calibrate_means rejects.
+        ValueError: no frames, a frame without the first frame's channels
+            or the table's links (check_frame), or any condition
+            calibrate_means rejects.
     """
     frames = list(frames)
     if not frames:
@@ -186,12 +203,7 @@ def calibrate(frames, table: LinkTable) -> FadeLevelTable:
     total = np.zeros(shape)
     count = np.zeros(shape, dtype=np.int64)
     for f in frames:
-        if not np.array_equal(f.channels, channels):
-            raise ValueError(f"frame {f.k}: channel set differs across frames")
-        if f.rss.shape != shape:
-            raise ValueError(
-                f"frame {f.k}: rss shape {f.rss.shape} != expected {shape}"
-            )
+        check_frame(f, channels, table.n_links, "the first frame and link table")
         present = ~np.isnan(f.rss)
         total[present] += f.rss[present]
         count += present

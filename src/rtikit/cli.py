@@ -24,7 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .calibration import CHANNEL_MAX, CHANNEL_MIN, RssFrame, calibrate
+from .calibration import (CHANNEL_MAX, CHANNEL_MIN, RssFrame, calibrate,
+                          check_channels)
 from .geometry import VoxelGrid, enumerate_links
 from .harness import (VARIANTS, PipelineConfig, VariantPipeline, benchmark,
                       crosscheck_models, run_pipeline)
@@ -63,9 +64,11 @@ def _parse_ints(text: str, flag: str) -> tuple:
 def _parse_channels(text: str) -> tuple:
     """The channels of a --channels value, which must ascend within 11..26."""
     channels = _parse_ints(text, "--channels")
-    if list(channels) != sorted({c for c in channels if CHANNEL_MIN <= c <= CHANNEL_MAX}):
+    try:
+        check_channels(np.array(channels))
+    except ValueError:
         raise ValueError(f"--channels must be strictly ascending channels in "
-                         f"[{CHANNEL_MIN}, {CHANNEL_MAX}], got {text}")
+                         f"[{CHANNEL_MIN}, {CHANNEL_MAX}], got {text}") from None
     return channels
 
 

@@ -49,7 +49,7 @@ def check_bounds(obj, **bounds: str) -> None:
             raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeLayout:
     """Static sensor deployment: node ids with planar coordinates in meters.
 
@@ -82,7 +82,7 @@ class NodeLayout:
         return self.ids.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkTable:
     """Every undirected link of a node layout, in all-pairs order.
 

@@ -31,13 +31,14 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .calibration import FadeLevelTable, calibrate
+from .calibration import FadeLevelTable, calibrate, check_frame
 from .geometry import NodeLayout, VoxelGrid, check_bounds, enumerate_links
 from .measurement_model import (
     HoldBuffer,
-    MeasurementAssembler,
     MeasurementModelParams,
+    beta_plus,
     inside_probability,
+    stacked_probabilities,
 )
 from .reconstruction import (
     PrecisionTerm,
@@ -210,7 +211,9 @@ def _flrti_measure(fades, config):
 
 
 def _msrti_measure(fades, config):
-    return MeasurementAssembler(fades, config.measurement)
+    params = config.measurement
+    rate_up = beta_plus(fades.values, params)
+    return lambda delta_r: stacked_probabilities(delta_r, rate_up, params.beta_minus)
 
 
 # variant -> (scale(fades) of the fixed-width weights, whose operator is
@@ -303,13 +306,10 @@ class VariantPipeline:
     def measurement(self, frame) -> np.ndarray:
         """Per-frame measurement vector in this variant's row order, of the
         frame's Δr from the fade table's mean with its gaps (an uncalibrated
-        pair's on every frame) filled by the hold buffer."""
+        pair's on every frame) filled by the hold buffer. A frame without
+        the fade table's channels and links is rejected by check_frame."""
         fades = self.fades
-        if not np.array_equal(frame.channels, fades.channels):
-            raise ValueError("frame channel set does not match fade table")
-        if frame.rss.shape != fades.mean_rss.shape:
-            raise ValueError(f"frame rss shape {frame.rss.shape} != fade table "
-                             f"{fades.mean_rss.shape}")
+        check_frame(frame, fades.channels, fades.n_links, "the fade table")
         return self._measure(self._hold.update(frame.rss - fades.mean_rss))
 
     def image(self, frame) -> np.ndarray:

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .calibration import (CHANNEL_MAX, CHANNEL_MIN, FadeLevelTable, PathLossFit,
-                          RssFrame, check_channels)
+                          RssFrame, check_channels, check_frame)
 from .geometry import LinkTable, NodeLayout, VoxelGrid, enumerate_links
 from .simulator import DEFAULT_CHANNELS, ScenarioSpec, stationary_trajectory
 
@@ -302,19 +302,14 @@ def save_trace(frames, table: LinkTable, path) -> None:
     frame shape survives a round trip. A frame load_trace would not read
     back unchanged (k not above the last frame's, channels other than the
     first frame's) or with another link count raises ValueError naming its
-    k, before the file is opened. Each frame is formatted as one string:
-    the `tx rx channel ` middles are built once, and each value is `repr`
-    of the float or `NA`.
+    k (check_frame), before the file is opened. Each frame is formatted as
+    one string: the `tx rx channel ` middles are built once, and each value
+    is `repr` of the float or `NA`.
     """
     frames = list(frames)
     channels = frames[0].channels if frames else ()
     for i, frame in enumerate(frames):
-        if frame.rss.shape[0] != table.n_links:
-            raise ValueError(f"frame k={frame.k} has {frame.rss.shape[0]} "
-                             f"links, the table {table.n_links}")
-        if not np.array_equal(frame.channels, channels):
-            raise ValueError(f"frame k={frame.k} has channels {frame.channels.tolist()}, "
-                             f"the first frame {channels.tolist()}")
+        check_frame(frame, channels, table.n_links, "the first frame and link table")
         if i and frame.k <= frames[i - 1].k:
             raise ValueError(f"frame k={frame.k} follows k={frames[i - 1].k}; "
                              f"k must strictly ascend")

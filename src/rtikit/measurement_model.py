@@ -13,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import FadeLevelTable
 from .geometry import check_bounds
 from .spatial_model import DIR_DOWN, DIR_UP
 
 __all__ = [
     "MeasurementModelParams",
     "HoldBuffer",
-    "MeasurementAssembler",
     "beta_plus",
     "inside_probability",
+    "stacked_probabilities",
 ]
 
 
@@ -136,24 +135,15 @@ class HoldBuffer:
         return np.where(self._missed <= self.hold_frames, self._last, 0.0)
 
 
-class MeasurementAssembler:
-    """Maps a filled (L, C) Δr, as HoldBuffer.update gives it, to msrti
-    measurement vectors.
+def stacked_probabilities(delta_r: np.ndarray, rate_up: np.ndarray,
+                          beta_minus: float) -> np.ndarray:
+    """The msrti measurement vector of a filled (L, C) Δr with no NaN.
 
     The vector is the C-order of a (C, 2, L) array of in-ellipse
     probabilities — channel, then direction ("+" before "-"), then link —
-    the row order of build_multiscale_weights. An uncalibrated pair, whose
-    Δr is 0, reads 0 in both slots, as do its all-zero weight rows.
+    the row order of build_multiscale_weights; β⁺ is rate_up, the (L, C)
+    beta_plus of the fade levels. An uncalibrated pair, whose Δr is 0,
+    reads 0 in both slots, as do its all-zero weight rows.
     """
-
-    def __init__(self, fades: FadeLevelTable, params: MeasurementModelParams):
-        self.params = params
-        self._beta_up = beta_plus(fades.values, params)  # fixed per (link, channel)
-
-    def __call__(self, delta_r: np.ndarray) -> np.ndarray:
-        """(2·C·L,) probabilities in [0, 1) of an (L, C) Δr with no NaN;
-        the entry of (c, δ, l) is the in-ellipse probability when δ
-        matches the sign of Δr_cl, else 0."""
-        p_up, p_down = _slot_probabilities(delta_r, self._beta_up,
-                                           self.params.beta_minus)
-        return np.stack((p_up.T, p_down.T), axis=1).reshape(-1)
+    p_up, p_down = _slot_probabilities(delta_r, rate_up, beta_minus)
+    return np.stack((p_up.T, p_down.T), axis=1).reshape(-1)

@@ -70,8 +70,7 @@ __all__ = [
     "reconstruct",
 ]
 
-# Rows of W per product of the Gram update, and rows of an inverted prior
-# block per block of its mirroring.
+# Rows of W per product of the Gram update.
 _BLOCK = 512
 
 # Columns of C_x per block of C_x Wᵀ in push-through form, and columns of
@@ -88,7 +87,12 @@ _TILE = 12
 # estimates it (1-norm), at which a short W is built in push-through form.
 # On random W that form's relative error stayed below 0.3·cond·eps (3.4e-13
 # at an estimate of 1.2e4, 1.1e-12 at 2.4e5), while the A route stayed
-# near 1e-14; the shipped fixed-width weights estimate 40 to 3200.
+# near 1e-14. The shipped fixed-width weights estimate 40 to 3200 only at
+# the defaults σ_N 1.4142 and λ 0.02: on the 30-node benchmark deployments
+# at 0.15 m voxels, σ_N 0.3 gives 1.4e4 to 8.6e4, σ_N 0.7 up to 1.4e4,
+# and λ 0.1 at σ_N 0.3 reaches 4.5e5, so those settings build Π from A
+# (cdrti's at σ_N 0.3 on the 7 m square: 0.3 s, not 0.1 s, and peak RSS
+# 161 -> 202 MB with msrti's operator held).
 _PUSH_THROUGH_MAX_COND = 1e4
 
 # How many (grid, params) precision terms prior_precision_term keeps, least
@@ -187,17 +191,6 @@ def _mirror_blocks(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
             lone = _lone_cells(grid, sy, sx)
             blocks[sy, sx, lone, lone] = 1.0
     return blocks
-
-
-def _mirror_lower(x: np.ndarray) -> None:
-    """Copy the lower triangle of the square C-order x onto its upper one
-    in place, a block of _BLOCK rows at a time."""
-    for start in range(0, len(x), _BLOCK):
-        stop = min(start + _BLOCK, len(x))
-        x[:start, start:stop] = x[start:stop, :start].T
-        diagonal = x[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        diagonal[upper] = diagonal.T[upper]
 
 
 def _side_pairs(n: int) -> tuple[list, list]:
@@ -325,7 +318,9 @@ def _precision_term(grid: VoxelGrid,
                 )
             # potri wrote the upper triangle of factor and potrf zeroed the
             # lower one: the block's lower triangle holds its inverse.
-            _mirror_lower(blocks[sy, sx])
+            block = blocks[sy, sx]
+            upper = np.triu_indices(len(block), 1)
+            block[upper] = block.T[upper]
             lone = _lone_cells(grid, sy, sx)
             blocks[sy, sx, lone, lone] = 0.0
     blocks.flags.writeable = False
@@ -354,7 +349,7 @@ def check_precision_term(precision_term, grid: VoxelGrid,
             f"precision_term is for {precision_term.params}, not {params}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionOperator:
     """The regularized inverse of one weight matrix, in its stored form.
 

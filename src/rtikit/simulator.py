@@ -72,7 +72,7 @@ def stationary_trajectory(positions, start_k: int, n_frames: int) -> np.ndarray:
     return np.column_stack((ks, np.repeat(xy, n_frames, axis=0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Everything that defines one synthetic recording.
 
@@ -131,7 +131,7 @@ class ScenarioSpec:
         object.__setattr__(self, "trajectory", traj.reshape(-1, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulatedTrace:
     """generate_trace output bundle.
 

@@ -238,7 +238,7 @@ def build_multiscale_weights(table: LinkTable, layout: NodeLayout,
 
     Row order is the C-order of a (C, 2, L) array: channel ascending, then
     the "+" block before the "-" block, then link order — the order in
-    which MeasurementAssembler stacks its probabilities. Each row carries
+    which stacked_probabilities stacks them. Each row carries
     the constant weight 1/(n·p²) on the n voxels inside the link's ellipse
     of width λ^δ(F_{c,l}). Rows whose ellipse captures no voxel center,
     and both rows of an uncalibrated (link, channel) pair, stay all-zero.

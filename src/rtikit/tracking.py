@@ -51,7 +51,7 @@ class PositionEstimate:
         return self.voxel >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackState:
     """Kalman state: (x, y, vx, vy, ax, ay) with 6x6 covariance."""
 

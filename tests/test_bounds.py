@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtikit import geometry
+from rtikit.calibration import PathLossFit
 from rtikit.geometry import VoxelGrid
 from rtikit.harness import PipelineConfig
 from rtikit.measurement_model import HoldBuffer, MeasurementModelParams
@@ -38,6 +39,8 @@ FIELDS = {
     functools.partial(HoldBuffer, 3, 2): {"hold_frames": COUNT},
     functools.partial(VoxelGrid, origin=(0.0, 0.0), p=0.5, nx=2, ny=2): {
         "p": POSITIVE, "nx": SIZE, "ny": SIZE},
+    functools.partial(PathLossFit, p0=40.0, eta=2.0, n_pairs=2, rmse=0.5): {
+        "p0": FINITE, "eta": FINITE, "n_pairs": COUNT, "rmse": NON_NEGATIVE},
     functools.partial(ScenarioSpec, perimeter_layout(4, 2.0, 2.0)): {
         "calibration_frames": SIZE, "eta": FINITE, "p0": FINITE,
         "noise_sigma": NON_NEGATIVE, "fade_sigma": NON_NEGATIVE, "seed": COUNT},

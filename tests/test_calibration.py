@@ -282,6 +282,23 @@ def test_calibrate_from_frames_matches_means_path():
     np.testing.assert_allclose(fades.values, expect.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("channels, n_links, message", [
+    ([11, 13], 28, r"^frame k=1 has channels \[11, 13\] over 28 links, not the "
+                   r"channels \[11, 12\] over 28 links of the first frame and "
+                   r"link table$"),
+    ([11, 12], 27, r"^frame k=1 has channels \[11, 12\] over 27 links, not the "
+                   r"channels \[11, 12\] over 28 links of the first frame and "
+                   r"link table$"),
+], ids=["channels", "links"])
+def test_calibrate_rejects_frame_of_other_channels_or_links(channels, n_links,
+                                                            message):
+    table = enumerate_links(ring_layout())
+    frames = [RssFrame(k=0, rss=np.full((28, 2), -50.0), channels=[11, 12]),
+              RssFrame(k=1, rss=np.full((n_links, 2), -50.0), channels=channels)]
+    with pytest.raises(ValueError, match=message):
+        calibrate(frames, table)
+
+
 def test_calibrate_frames_never_observed_pair_is_nan():
     layout = ring_layout()
     table = enumerate_links(layout)

@@ -139,6 +139,23 @@ def test_rti_channel_outside_calibrated_set_is_an_error(workspace, capsys):
     assert "error: rti_channel 12" in capsys.readouterr().err
 
 
+def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys):
+    tmp_path, _, layout_path, _, config = workspace
+    trace_path, _ = _simulate(workspace)
+    fades_path = tmp_path / "fades.txt"
+    assert main(["calibrate", "--layout", str(layout_path),
+                 "--trace", str(trace_path), "--channels", "11,16",
+                 "--out", str(fades_path)]) == 0
+    capsys.readouterr()
+    rc = main(["track", "--layout", str(layout_path), "--trace", str(trace_path),
+               "--fades", str(fades_path), "--config", str(config),
+               "--out", str(tmp_path / "track.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: frame k=0 has channels [11, 16, 21, 26] over 45 links, not the "
+        "channels [11, 16] over 45 links of the fade table\n")
+
+
 def test_simulate_seed_override_changes_trace(workspace):
     tmp_path, layout, layout_path, scenario, _ = workspace
     a, _ = _simulate(workspace)

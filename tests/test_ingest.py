@@ -485,13 +485,18 @@ def test_save_trace_rejects_a_second_channel_set(tmp_path):
     frames = [RssFrame(k=k, rss=np.full((SMALL_TABLE.n_links, 1), -60.0),
                        channels=[c]) for k, c in ((0, 11), (1, 26))]
     with pytest.raises(ValueError,
-                       match=r"^frame k=1 has channels \[26\], the first frame \[11\]$"):
+                       match=r"^frame k=1 has channels \[26\] over 6 links, not the "
+                             r"channels \[11\] over 6 links of the first frame "
+                             r"and link table$"):
         save_trace(frames, SMALL_TABLE, tmp_path / "trace.txt")
 
 
 def test_save_trace_rejects_frame_of_other_link_count(tmp_path):
     frame = RssFrame(k=0, rss=np.zeros((SMALL_TABLE.n_links + 1, 1)), channels=[11])
-    with pytest.raises(ValueError, match="has 7 links, the table 6"):
+    with pytest.raises(ValueError,
+                       match=r"^frame k=0 has channels \[11\] over 7 links, not the "
+                             r"channels \[11\] over 6 links of the first frame "
+                             r"and link table$"):
         save_trace([frame], SMALL_TABLE, tmp_path / "trace.txt")
 
 
@@ -716,7 +721,8 @@ def fade_tables(draw):
     channels = draw(CHANNEL_SETS)
     shape = (SMALL_TABLE.n_links, len(channels))
     fit = PathLossFit(p0=draw(FINITE), eta=draw(FINITE),
-                      n_pairs=draw(st.integers(0, 10**6)), rmse=draw(FINITE))
+                      n_pairs=draw(st.integers(0, 10**6)),
+                      rmse=draw(st.floats(min_value=0.0, allow_infinity=False)))
     values, mean_rss = _array(draw, FINITE, shape), _array(draw, FINITE, shape)
     holes = _array(draw, st.booleans(), shape).astype(bool)  # as calibrate leaves them
     values[holes] = mean_rss[holes] = np.nan
@@ -822,6 +828,8 @@ TRACK_HEAD = "k,x_hat,y_hat\n"
     ("fade table", "p0 nan\n", "bad.txt:1:"),
     ("fade table", "p0 40.0\neta inf\n", "bad.txt:2:"),
     ("fade table", "p0 40.0\neta 2.0\nn_pairs 2\nrmse -inf\n", "bad.txt:4:"),
+    ("fade table", "p0 40.0\neta 2.0\nn_pairs 2\nrmse -5.0\nchannels 11\n",
+     "bad.txt: rmse must be finite and >= 0, got -5.0"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 NA 3.0\n", "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 11\npair 1 2 11 -50.0 NA\n", "bad.txt:6:"),
     ("fade table", FADE_HEAD + "channels 16 11\n", "bad.txt:5:"),

@@ -9,10 +9,10 @@ from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
 from rtikit.harness import PipelineConfig, VariantPipeline
 from rtikit.measurement_model import (
     HoldBuffer,
-    MeasurementAssembler,
     MeasurementModelParams,
     beta_plus,
     inside_probability,
+    stacked_probabilities,
 )
 from rtikit.spatial_model import DIR_DOWN, DIR_UP, build_multiscale_weights
 import reference_pipeline
@@ -152,7 +152,9 @@ def test_measurement_channel_mismatch():
     frame = RssFrame(k=0, rss=np.zeros((table.n_links, 2)),
                      channels=np.array([11, 13]))
     with pytest.raises(ValueError,
-                       match="^frame channel set does not match fade table$"):
+                       match=r"^frame k=0 has channels \[11, 13\] over 6 links, "
+                             r"not the channels \[11, 12\] over 6 links of the "
+                             r"fade table$"):
         small_pipeline(fades, layout).measurement(frame)
 
 
@@ -161,8 +163,10 @@ def test_measurement_rss_shape_mismatch():
     fades = fade_table(table, [11, 12], np.zeros((table.n_links, 2)))
     frame = RssFrame(k=0, rss=np.zeros((table.n_links - 1, 2)),
                      channels=np.array([11, 12]))
-    with pytest.raises(ValueError, match=r"^frame rss shape \(5, 2\) != fade "
-                                         r"table \(6, 2\)$"):
+    with pytest.raises(ValueError,
+                       match=r"^frame k=0 has channels \[11, 12\] over 5 links, "
+                             r"not the channels \[11, 12\] over 6 links of the "
+                             r"fade table$"):
         small_pipeline(fades, layout).measurement(frame)
 
 
@@ -255,6 +259,12 @@ def test_hold_zero_frames_is_zero_policy():
     assert out[0, 0] == 0.0
 
 
+def assemble(fades, params, delta_r):
+    """msrti's measurement of a filled Δr, as the pipeline builds it."""
+    return stacked_probabilities(delta_r, beta_plus(fades.values, params),
+                                 params.beta_minus)
+
+
 def test_assemble_single_change_placement():
     layout, table = small_net()
     grid = VoxelGrid.from_layout(layout, p=0.3)
@@ -267,7 +277,7 @@ def test_assemble_single_change_placement():
     rss = fades.mean_rss.copy()
     rss[2, 0] -= 10.0  # single shadowing event on link 2, channel 11
     frame = RssFrame(k=5, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, params)(filled_change(frame, fades))
+    y = assemble(fades, params, filled_change(frame, fades))
 
     assert y.shape == (weights.n_rows,)
     nz = np.nonzero(y)[0]
@@ -283,8 +293,7 @@ def test_assemble_zero_frame_and_length():
     fades = fade_table(table, channels, np.zeros((table.n_links, 3)))
     weights = build_multiscale_weights(table, layout, grid, fades)
     frame = RssFrame(k=0, rss=fades.mean_rss.copy(), channels=np.array(channels))
-    y = MeasurementAssembler(fades, MeasurementModelParams())(
-        filled_change(frame, fades))
+    y = assemble(fades, MeasurementModelParams(), filled_change(frame, fades))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links * 3,)
     assert np.all(y == 0.0)
 
@@ -299,11 +308,10 @@ def test_assemble_matches_reference_everywhere():
     vals = rng.uniform(-9, 9, size=(table.n_links, 2))
     fades = fade_table(table, channels, vals)
     config = PipelineConfig()
-    asm = MeasurementAssembler(fades, config.measurement)
     for k in range(4):
         rss = fades.mean_rss + rng.normal(0, 6.0, size=fades.mean_rss.shape)
         frame = RssFrame(k=k, rss=rss, channels=np.array(channels))
-        y = asm(filled_change(frame, fades))
+        y = assemble(fades, config.measurement, filled_change(frame, fades))
         want = reference_pipeline.measurements("msrti", [frame], fades, config)
         np.testing.assert_array_equal(y, want[0])
         # exclusive slot occupancy
@@ -328,8 +336,7 @@ def test_assemble_excluded_rows_absent():
     rss = np.full_like(fades.mean_rss, -55.0)
     rss[4, 0] = -75.0  # change on the uncalibrated pair: nowhere to go
     frame = RssFrame(k=0, rss=rss, channels=np.array(channels))
-    y = MeasurementAssembler(fades, MeasurementModelParams())(
-        filled_change(frame, fades))
+    y = assemble(fades, MeasurementModelParams(), filled_change(frame, fades))
     assert y.shape == (weights.n_rows,) == (2 * table.n_links,)
     assert np.all(y == 0.0)
     for d in (DIR_UP, DIR_DOWN):

@@ -3,16 +3,32 @@ no module reaches into another's private names or leaves its own unread,
 and the tests' reference pipeline shares no routine with the library."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import rtikit
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rtikit.__path__, "rtikit."))
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    """The generated __eq__ of a dataclass with an array field raises on
+    equal-shaped arrays, and its __hash__ raises on any; such a dataclass
+    is declared eq=False, so it compares and hashes by identity."""
+    holding = [cls for name in MODULES
+               for cls in vars(importlib.import_module(name)).values()
+               if dataclasses.is_dataclass(cls) and cls.__module__ == name
+               and any(f.type in (np.ndarray, np.ndarray | None)
+                       for f in dataclasses.fields(cls))]
+    assert len(holding) >= 10
+    comparing = [cls.__name__ for cls in holding if cls.__dataclass_params__.eq]
+    assert not comparing, f"dataclasses holding arrays keep eq=True: {comparing}"
 
 
 def test_every_module_is_found():
