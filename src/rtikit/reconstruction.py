@@ -11,8 +11,15 @@ frame is then one or two products. The build is dense LAPACK/BLAS
 throughout, and its form depends on the shape of W and, for a short W, on
 the conditioning of W C_x Wᵀ + σ_N² I:
 - W with more rows than voxels (the multi-scale weights): A = WᵀW +
-  σ_N² C_x⁻¹ in one N × N buffer. The buffer starts as the precision term
-  σ_N² C_x⁻¹, expanded into it. C_x does not change when the grid is mirrored in x or in y,
+  σ_N² C_x⁻¹ in one N × N Fortran-order buffer, of which potrf, potri and
+  the products with M read only the lower triangle, and the build writes
+  only that triangle, at grid-row granularity: entry (j, i) where voxel
+  j's grid row is at or above voxel i's. The buffer is an anonymous
+  mapping advised against huge pages, so only the pages written become
+  resident: about N²·4 bytes plus about a 4 KiB page per column, where a
+  numpy array, advised onto 2 MiB pages, would be resident whole. The
+  buffer starts as the precision term σ_N² C_x⁻¹, expanded into it. C_x
+  does not change when the grid is mirrored in x or in y,
   so in a basis of vectors even or odd under each mirror it is block
   diagonal; the term is held as the Cholesky inverses (potrf, potri) of
   its four blocks of about N/4 voxels (`PrecisionTerm`), formed from
@@ -26,15 +33,16 @@ the conditioning of W C_x Wᵀ + σ_N² I:
   the products of zero (row, tile) blocks, about five sixths of a dense
   WᵀW's flops at the reference deployments, are never computed. No W
   exists in any form.
-  A is then Cholesky-factored and inverted in place, and
-  M = A⁻¹ is stored, N × N, applied as x̂ = M·(Wᵀy). Wᵀy is the weights'
-  band back-projection U·(S·y): S sums each link's nested ellipse rows
-  from the widest down and U adds one of those sums per (link, voxel), so
-  it reads about a sixth of the nonzeros of W. A symmetric product with M
-  follows. Besides M the build holds the tiles' masks (a byte per row and
-  voxel of each tile a row touches), a few (_BLOCK, _TILE²) buffers and
-  the compact term, which depends only on the grid and the parameters and
-  is kept for the next build on them (see `prior_precision_term`).
+  A is then Cholesky-factored and inverted in place, and the lower
+  triangle of M = A⁻¹ is stored, N × N, the other exactly zero, applied
+  as x̂ = M·(Wᵀy). Wᵀy is the weights' band back-projection U·(S·y): S
+  sums each link's nested ellipse rows from the widest down and U adds
+  one of those sums per (link, voxel), so it reads about a sixth of the
+  nonzeros of W. A symmetric product with M follows. Besides M the build
+  holds the tiles' masks (a byte per row and voxel of each tile a row
+  touches), a few (_BLOCK, _TILE²) buffers and the compact term, which
+  depends only on the grid and the parameters and is kept for the next
+  build on them (see `prior_precision_term`).
 - otherwise (the fixed-width weights, one row per link): Π itself,
   N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
   which is the same matrix. C_x Wᵀ is formed from the sparse W times
@@ -42,14 +50,15 @@ the conditioning of W C_x Wᵀ + σ_N² I:
   W C_x Wᵀ + σ_N² I is factored, so the build holds no N × N array and
   takes no inverse of the ill-conditioned C_x. This form's error grows with the
   condition number of that rows × rows matrix, so when LAPACK estimates it
-  above _PUSH_THROUGH_MAX_COND, Π is instead solved from A, formed as for
-  a tall W.
+  above _PUSH_THROUGH_MAX_COND, Π is instead solved from A, formed in the
+  same buffer as for a tall W.
 W is about one sixth nonzero at the reference deployments, where the
 sparse WᵀW took four to eight times as long as a dense one; the tile
 pairs keep the dense products and drop the zero ones.
 """
 
 import functools
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +100,9 @@ _TILE = 12
 # the defaults σ_N 1.4142 and λ 0.02: on the 30-node benchmark deployments
 # at 0.15 m voxels, σ_N 0.3 gives 1.4e4 to 8.6e4, σ_N 0.7 up to 1.4e4,
 # and λ 0.1 at σ_N 0.3 reaches 4.5e5, so those settings build Π from A
-# (cdrti's at σ_N 0.3 on the 7 m square: 0.3 s, not 0.1 s, and peak RSS
-# 161 -> 202 MB with msrti's operator held).
+# (cdrti's at σ_N 0.3 on the 7 m square, N = 2304: 0.3 s, not 0.13 s, and
+# peak RSS 150 -> 180 MB with msrti's operator held, A's buffer resident
+# in the triangle potrf reads only).
 _PUSH_THROUGH_MAX_COND = 1e4
 
 # How many (grid, params) precision terms prior_precision_term keeps, least
@@ -210,16 +220,36 @@ def _side_pairs(n: int) -> tuple[list, list]:
     return pairs
 
 
+def _upper_row_pairs(n: int) -> tuple[list, list]:
+    """`_side_pairs` for the grid rows of an axis of n cells, cut to the
+    pairs (i, j) with j >= i: for each cell i of a side, the cells from i
+    away from the centre on the upper side and towards it on the lower one
+    (row cells and quarter rows are single indices); then the lower side's
+    cells against the whole upper side, all above them. The upper side's
+    cells against the lower side's lie below them and are left out."""
+    h, m = n // 2, (n + 1) // 2
+    same = [(h + q, slice(h + q, n), q, slice(q, m)) for q in range(m)]
+    # lower cell h − 1 − k is quarter row m − h + k, and the cells from it
+    # up to h − 1 are quarter rows m − h + k down to m − h
+    stop = m - h - 1 if m > h else None
+    same += [(h - 1 - k, slice(h - 1 - k, h), m - h + k,
+              slice(m - h + k, stop, -1)) for k in range(h)]
+    opposite = _side_pairs(n)[1][1:]
+    return same, opposite
+
+
 @dataclass(frozen=True, eq=False)
 class PrecisionTerm:
     """σ_N² C_x⁻¹ for one grid and parameter set, held as the inverses of
     its four mirror blocks: about a quarter of the N × N term's memory.
 
-    Made by `prior_precision_term`, which keeps it, and shared by the tall
-    builds on the same grid and parameters, each of which expands it with
-    `toarray` into its own buffer. The term's blocks are read-only, as
-    every caller is handed the same term. Compared by identity (eq=False),
-    since it holds an array.
+    Made by `prior_precision_term`, which keeps it, and shared by the
+    builds through A on the same grid and parameters, each of which
+    expands it with `expand` into its own buffer: only into the triangle
+    that the Cholesky factorization reads, so that the other half of the
+    buffer is never written and its pages never become resident. The
+    term's blocks are read-only, as every caller is handed the same term.
+    Compared by identity (eq=False), since it holds an array.
 
     Attributes:
         grid: the voxel grid the term is for.
@@ -235,21 +265,25 @@ class PrecisionTerm:
     params: ReconstructionParams
     blocks: np.ndarray
 
-    def toarray(self) -> np.ndarray:
-        """σ_N² C_x⁻¹ as an exactly symmetric, C-order N × N array, so that
-        its transpose is a Fortran-order view of the same matrix.
+    def expand(self, out: np.ndarray) -> None:
+        """Write σ_N² C_x⁻¹ into the C-order N × N array out, entry (i, j)
+        only where voxel j's grid row is at or above voxel i's: the upper
+        triangle of out, which is the lower triangle of its Fortran-order
+        transpose that potrf reads, and the whole of each grid row's
+        diagonal nx × nx block. No other entry of out is written.
 
         C_x⁻¹ = ¼ Q diag(blocks) Qᵀ. Entry (i, j) is ¼ Σ ±block[i', j']
         over the four parities, with i', j' the quarter voxels of which i
         and j are images, and a minus for each odd parity whose axis has i
-        and j on opposite sides of the centre. The array is written from 16
+        and j on opposite sides of the centre. The entries are written from
         views, some reversed, of the four signed combinations of the blocks,
-        one quarter-size combination at a time.
+        one quarter-size combination at a time: for each grid row, its
+        cells at or above it on its own side of the centre, and for the
+        grid rows below the centre, the rows above it at once.
         """
         grid, blocks = self.grid, self.blocks
-        term = np.empty((grid.n_voxels, grid.n_voxels))
-        images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
-        pairs_y, pairs_x = _side_pairs(grid.ny), _side_pairs(grid.nx)
+        images = out.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
+        pairs_y, pairs_x = _upper_row_pairs(grid.ny), _side_pairs(grid.nx)
         combined = np.empty_like(blocks[0, 0])
         quarter = combined.reshape(2 * ((grid.ny + 1) // 2, (grid.nx + 1) // 2))
         for flip_y in (0, 1):
@@ -265,7 +299,6 @@ class PrecisionTerm:
                         images[rows_y, rows_x, cols_y, cols_x] = quarter[
                             quarter_rows_y, quarter_rows_x,
                             quarter_cols_y, quarter_cols_x]
-        return term
 
 
 def prior_precision_term(grid: VoxelGrid,
@@ -287,7 +320,7 @@ def prior_precision_term(grid: VoxelGrid,
     about N³/16 flops in all, against N³ for C_x itself, and C_x⁻¹ =
     ¼ Q diag(blocks⁻¹) Qᵀ. C_x is never formed, and neither is the N × N
     term: the result holds the four inverted blocks, about N²/4 values,
-    and `PrecisionTerm.toarray` expands them.
+    and `PrecisionTerm.expand` writes them into a build's buffer.
 
     Raises:
         LinAlgError: C_x is not SPD to working precision (one of its blocks
@@ -361,9 +394,13 @@ class ReconstructionOperator:
     Attributes:
         stored: for a tall W (more rows than voxels), M = (WᵀW + σ_N² C_x⁻¹)⁻¹
             as an (N, N) Fortran-order array whose lower triangle holds M
-            (the other is zero); otherwise Π, (N, rows), Fortran order,
-            built as C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, or from A when that
-            rows × rows matrix is too ill-conditioned.
+            and whose upper triangle is exactly zero. It lies in the
+            build's anonymous mapping (see `build_operator`), of which
+            only the pages holding the lower triangle, about N²·4 bytes
+            and a 4 KiB page per column, are resident. Otherwise Π,
+            (N, rows), Fortran order, built as C_x Wᵀ (W C_x Wᵀ +
+            σ_N² I)⁻¹, or from A when that rows × rows matrix is too
+            ill-conditioned.
         weights: the WeightMatrix the operator inverts; measurement vectors
             must use its row ordering.
         grid: voxel grid of the image space.
@@ -451,8 +488,9 @@ def _tiles(n: int) -> list[slice]:
 
 def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
     """Add WᵀW to the upper triangle of the C-order N × N array term, the
-    one the Cholesky factorization reads, one pair of _TILE × _TILE-voxel
-    tiles at a time.
+    one the Cholesky factorization reads, at grid-row granularity (entry
+    (i, j) where voxel j's grid row is at or above voxel i's), one pair of
+    _TILE × _TILE-voxel tiles at a time. No other entry is written.
 
     W[r, v] is v_r where voxel v is inside row r's ellipse (see
     `WeightMatrix`). Row r touches a tile when its ellipse holds a
@@ -463,8 +501,9 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
     buffers, scaled by v_r, and multiplied (gemm), and the block is added
     through the term's (ny, nx, ny, nx) view. The factorization reads only
     the term's upper triangle, which holds the whole block of a pair in
-    different rows of tiles and none of its mirror, so the mirror is added
-    only for a pair in one row of tiles, whose voxels interleave. A row
+    different rows of tiles and none of its mirror. A pair in one row of
+    tiles has its voxels interleaved: its block and its mirror are added
+    from each of their grid rows up, one grid row at a time. A row
     touches about a third of the tiles at the reference deployments, so the
     pairs skip about five sixths of the flops of a dense WᵀW.
     """
@@ -503,7 +542,8 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
             rows = np.flatnonzero(touches[a] & touches[b])
             if not rows.size:
                 continue
-            shape = images[ys_a, xs_a, ys_b, xs_b].shape
+            target = images[ys_a, xs_a, ys_b, xs_b]
+            shape = target.shape
             # W[R_ab, b]ᵀW[R_ab, a] in Fortran order: its transpose is the
             # block (a, b) in C order, as the view of it reads
             gram = grams[:np.prod(shape)].reshape(
@@ -515,11 +555,33 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
                 gram = blas.dgemm(1.0, right.T, left.T, beta=float(start > 0),
                                   c=gram, trans_b=1, overwrite_c=1)
             gram = gram.T.reshape(shape)
-            images[ys_a, xs_a, ys_b, xs_b] += gram
-            # a < b in different rows of tiles: the mirror lies wholly in
-            # the lower triangle, which potrf neither reads nor keeps
-            if a != b and ys_a == ys_b:
-                images[ys_b, xs_b, ys_a, xs_a] += gram.transpose(2, 3, 0, 1)
+            # a < b in different rows of tiles: every grid row of b is above
+            # every one of a, and the mirror lies wholly in the triangle
+            # potrf does not read
+            if ys_a != ys_b:
+                target += gram
+                continue
+            # one row of tiles: grid row i of the block and its mirror
+            # from grid row i up (a masked add would touch the rest)
+            mirror = images[ys_b, xs_b, ys_a, xs_a]
+            mirrored = gram.transpose(2, 3, 0, 1)
+            for i in range(shape[0]):
+                target[i, :, i:] += gram[i, :, i:]
+                if a != b:
+                    mirror[i, :, i:] += mirrored[i, :, i:]
+
+
+def _anonymous_buffer(n: int) -> np.ndarray:
+    """A C-order N × N float64 array of zeros over its own anonymous
+    mapping, advised against huge pages where the platform has that advice,
+    so that a 4 KiB page becomes resident on its first write and a page
+    never written stays out of memory. numpy advises its large arrays to
+    take 2 MiB pages, each resident as a whole on its first write: a
+    matrix written in one triangle would be resident whole."""
+    mapping = mmap.mmap(-1, n * n * 8)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        mapping.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(mapping, dtype=float).reshape(n, n)
 
 
 def build_operator(weights: WeightMatrix, grid: VoxelGrid,
@@ -529,22 +591,32 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     """Store M = (WᵀW + σ_N² C_x⁻¹)⁻¹ for a weight matrix with more rows
     than voxels, and Π = M Wᵀ otherwise: whichever is smaller.
 
-    Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer:
-    the precision term, given or else the one `prior_precision_term` keeps
-    for this grid and params, expanded by `PrecisionTerm.toarray`. WᵀW is
-    added to the triangle that potrf reads (and to the other where a tile
-    pair's block straddles the diagonal) one pair of _TILE × _TILE-voxel
+    Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer
+    over an anonymous mapping, advised against huge pages (MADV_NOHUGEPAGE)
+    where the platform has that advice, and only its lower triangle, the
+    one potrf, potri and the products with M read, is written, at
+    grid-row granularity: entry (j, i) where voxel j's grid row is at or
+    above voxel i's. A page of the mapping becomes resident on its first
+    write, so the upper half stays out of memory: M holds about N²·4
+    bytes plus about a 4 KiB page per column, where a numpy array, which
+    numpy advises onto 2 MiB pages, would be resident whole. The buffer
+    starts as the precision term, given or else the one
+    `prior_precision_term` keeps for this grid and params, expanded by
+    `PrecisionTerm.expand`. WᵀW is added one pair of _TILE × _TILE-voxel
     tiles (ragged at the grid's edges) at a time, from the weights'
     ellipses: for each tile, the 0/1 masks of the rows R_a whose ellipse
     touches it, and for each pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the
     rows touching both, the masks' rows gathered and scaled by the rows'
     values _BLOCK rows at a time. No W is formed, as CSR or dense, and no
-    float block of W outlives its product. A is then Cholesky-factored and
-    potri turns the factor into M = A⁻¹ in place; `pi` is computed on
-    demand. Besides the buffer, the build holds the tiles' masks (a byte
-    per voxel of each (row, tile) pair that touches), three (_BLOCK,
-    _TILE²) gather buffers and one block of the Gram; the term's four
-    quarter-size blocks are held by the caller or kept by
+    float block of W outlives its product. The entries of each grid row's
+    diagonal nx × nx block above the diagonal, which both wrote and
+    nothing reads, are zeroed; A is then Cholesky-factored (potrf with
+    clean=0, which leaves the upper triangle as it is) and potri turns the
+    factor into M = A⁻¹ in place, so M's upper triangle is exactly zero;
+    `pi` is computed on demand. Besides the buffer, the build holds the
+    tiles' masks (a byte per voxel of each (row, tile) pair that touches),
+    three (_BLOCK, _TILE²) gather buffers and one block of the Gram; the
+    term's four quarter-size blocks are held by the caller or kept by
     `prior_precision_term`.
 
     Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
@@ -556,8 +628,8 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     holds one (N, _PUSH_BLOCK) block and the rows × rows matrix. When
     LAPACK's estimate of that matrix's condition number exceeds
     _PUSH_THROUGH_MAX_COND, where this form loses accuracy, A is formed and
-    factored as for a tall W and Π is its Cholesky solve against the dense
-    Wᵀ.
+    factored in the same buffer as for a tall W and Π is its Cholesky
+    solve against the dense Wᵀ.
 
     The stored array is in Fortran order. Neither `weights` nor
     `precision_term` is written to.
@@ -594,14 +666,21 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         if pi is not None:
             return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
 
-    # The buffer is this build's own expansion of the term, exactly
-    # symmetric and C-order, so that its transpose is a Fortran-order view
-    # of A that LAPACK factors in place; the compact term stays unwritten.
-    term = (prior_precision_term(grid, params) if precision_term is None
-            else precision_term).toarray()
+    # The buffer is C-order, so that its transpose is a Fortran-order view
+    # of A that LAPACK factors in place, and its upper triangle is the
+    # triangle of A that potrf reads; the compact term stays unwritten.
+    term = _anonymous_buffer(n)
+    (prior_precision_term(grid, params) if precision_term is None
+     else precision_term).expand(term)
     _add_gram(term, weights, grid)
-    normal = term.T
-    factor, info = lapack.dpotrf(normal, lower=1, overwrite_a=1)
+    # Both wrote each grid row's diagonal nx × nx block whole; its entries
+    # below the diagonal are unread, and zeroed so that M's other triangle
+    # is zero throughout (clean=0: the rest of it was never written).
+    images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
+    below = np.tril_indices(grid.nx, -1)
+    for row in range(grid.ny):
+        images[row, :, row][below] = 0.0
+    factor, info = lapack.dpotrf(term.T, lower=1, clean=0, overwrite_a=1)
     if info == 0 and tall:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:

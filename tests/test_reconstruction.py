@@ -1,11 +1,15 @@
 """Reconstruction: prior covariance, operator build, linearity."""
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import linalg
 
 from rtikit import reconstruction
@@ -156,24 +160,72 @@ def test_images_of_no_frames_on_tall_operator():
     assert pipeline.images([]).shape == (0, grid.n_voxels)
 
 
-def test_operator_deterministic_and_precision_reuse(monkeypatch):
+def test_operator_deterministic_and_precision_reuse():
     _, grid, _, weights = octagon_forms()
     params = ReconstructionParams()
     term = prior_precision_term(grid, params)
-    shared = {}
-    for form, wm in weights.items():
+    for wm in weights.values():
         a = build_operator(wm, grid, params)
         b = build_operator(wm, grid, params)
         assert np.array_equal(a.stored, b.stored)
-        c = shared[form] = build_operator(wm, grid, params, precision_term=term)
+        c = build_operator(wm, grid, params, precision_term=term)
         np.testing.assert_allclose(c.pi, a.pi, atol=1e-12)
-    # only the upper triangle of the expanded term is read
-    toarray = reconstruction.PrecisionTerm.toarray
-    monkeypatch.setattr(reconstruction.PrecisionTerm, "toarray",
-                        lambda self: np.triu(toarray(self)))
-    for form, wm in weights.items():
-        upper = build_operator(wm, grid, params, precision_term=term)
-        assert np.array_equal(upper.stored, shared[form].stored)
+
+
+def _grid_row_upper(grid):
+    """(N, N) mask of the entries (i, j) whose voxel j's grid row is at or
+    above voxel i's."""
+    grid_row = np.arange(grid.n_voxels) // grid.nx
+    return grid_row >= grid_row[:, np.newaxis]
+
+
+def expanded(term):
+    """σ_N² C_x⁻¹ whole, from `PrecisionTerm.expand` into a NaN-filled
+    array: every entry (i, j) with j's grid row at or above i's is written
+    and no other, and the rest is mirrored from the written part."""
+    n = term.grid.n_voxels
+    out = np.full((n, n), np.nan)
+    term.expand(out)
+    written = _grid_row_upper(term.grid)
+    assert not np.isnan(out[written]).any()
+    assert np.isnan(out[~written]).all()
+    return np.where(written, out, out.T)
+
+
+@pytest.mark.parametrize("rows, nx, ny, scale", [
+    (1300, 25, 25, 1.0), (600, 27, 19, 1.0), (48, 1, 30, 1.0),
+    (512, 25, 25, 1.0), (140, 13, 13, 10.0), (28, 1, 30, 300.0),
+], ids=["tall-25", "tall-27x19", "tall-1x30", "A-25", "A-13", "A-1x30"])
+def test_build_writes_only_the_triangle_potrf_reads(monkeypatch, rows, nx,
+                                                    ny, scale):
+    """Built into a NaN-filled buffer, on tall W and on short W built
+    through A: the entries of the buffer's upper triangle outside the grid
+    rows' diagonal nx × nx blocks are never written (still NaN), those
+    inside are zero, and the lower triangle is exactly what the build into
+    an anonymous mapping stores."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
+    wm = _random_weights(grid, rows, seed=rows + nx, scale=scale)
+    term = prior_precision_term(grid, ReconstructionParams())
+    want = build_operator(wm, grid, precision_term=term)
+    buffers = []
+    monkeypatch.setattr(reconstruction, "_anonymous_buffer",
+                        lambda n: buffers.append(np.full((n, n), np.nan))
+                        or buffers[-1])
+    op = build_operator(wm, grid, precision_term=term)
+    assert op.tall == (rows > grid.n_voxels)
+    [buffer] = buffers
+    normal = buffer.T  # the Fortran-order A that LAPACK factored
+    written = _grid_row_upper(grid).T  # (r, c): r's grid row at or above c's
+    same_row = written & written.T  # the grid rows' diagonal blocks
+    lower = np.tril(np.ones_like(written))
+    assert np.isnan(normal[~written]).all()
+    assert np.all(normal[same_row & ~lower] == 0.0)
+    assert not np.isnan(normal[lower]).any()
+    if op.tall:
+        assert np.shares_memory(op.stored, buffer)
+        assert np.array_equal(np.tril(op.stored), want.stored)
+    else:
+        assert np.array_equal(op.stored, want.stored)
 
 
 def test_build_rejects_a_term_for_another_grid_or_params():
@@ -197,13 +249,13 @@ def test_build_rejects_a_term_for_another_grid_or_params():
         with pytest.raises(TypeError, match="must be a PrecisionTerm.*"
                                             "not ndarray"):
             build_operator(wm, grid, params, precision_term=
-                           prior_precision_term(grid, params).toarray())
+                           np.zeros((grid.n_voxels, grid.n_voxels)))
 
 
 def test_precision_term_is_symmetric_inverse_of_prior():
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7)
     params = ReconstructionParams()
-    term = prior_precision_term(grid, params).toarray()
+    term = expanded(prior_precision_term(grid, params))
     assert np.array_equal(term, term.T)
     want = params.sigma_n**2 * np.eye(grid.n_voxels)
     np.testing.assert_allclose(term @ reference_pipeline.covariance(grid, params), want,
@@ -212,10 +264,10 @@ def test_precision_term_is_symmetric_inverse_of_prior():
 
 def assembled_precision_term(term):
     """σ_N² C_x⁻¹ from the term's blocks entry by entry, by the same
-    floating-point operations in the same order as `toarray`: the reference
-    for its 16 views. Voxel i takes block row qy·⌈nx/2⌉ + qx, with qy, qx
-    its cells' distances in cells from the centre line (rounded down), and
-    i, j use a minus for an odd parity whose axis has them on opposite
+    floating-point operations in the same order as `PrecisionTerm.expand`:
+    the reference for its views. Voxel i takes block row qy·⌈nx/2⌉ + qx,
+    with qy, qx its cells' distances in cells from the centre line (rounded
+    down), and i, j use a minus for an odd parity whose axis has them on opposite
     sides (the centre cell of an odd axis is on the upper side)."""
     grid = term.grid
 
@@ -258,11 +310,10 @@ def test_precision_term_matches_whole_matrix_inverse(nx, ny, p, delta_c,
     params = ReconstructionParams(sigma_x=sigma_x, delta_c=delta_c)
     compact = prior_precision_term(grid, params)
     assert (compact.grid, compact.params) == (grid, params)
-    term = compact.toarray()
+    term = expanded(compact)
     assert np.array_equal(term, assembled_precision_term(compact))
     want = reference_pipeline.precision(grid, params)
     assert np.array_equal(term, term.T)
-    assert term.T.flags.f_contiguous
     assert np.abs(term - want).max() <= 1e-11 * np.abs(want).max()
 
 
@@ -391,20 +442,18 @@ def _tall_weights_n1024():
 
 
 def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
-    """With a shared precision term, the build's traced peak is the N × N
-    buffer that becomes M, one (N, 512) dense block and a little slack for
-    the sparse product of that block (about 1.3 MB here) and the factors'
-    copies. A whole W would not fit in the slack: 24.8 MB dense, about
-    7.6 MB as CSR."""
+    """With a shared precision term, the build's traced peak is the tiles'
+    masks and the gather buffers, about 3 MB here: the N × N buffer that
+    becomes M is an anonymous mapping, which tracemalloc does not see.
+    Neither a whole W (24.8 MB dense, about 7.6 MB as CSR) nor an N × N
+    array (8 MB) fits under the bound."""
     wm, grid = _tall_weights_n1024()
-    n = grid.n_voxels
     term = prior_precision_term(grid, ReconstructionParams())
     _forbid_formed_w(monkeypatch)
     op, _, peak = _traced_memory(
         lambda: build_operator(wm, grid, precision_term=term))
     assert op.tall
-    block = n * reconstruction._BLOCK * 8
-    assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
+    assert peak <= 5 * 2**20, peak / 2**20
 
 
 def _cold_precision_term(grid, params):
@@ -414,14 +463,16 @@ def _cold_precision_term(grid, params):
 
 
 def test_precision_term_memory_is_the_result_and_quarters():
-    """N = 1024: the traced peak of computing and expanding the term is the
-    N × N result and quarter-size arrays. Forming C_x alongside the result
-    would take 2·N²·8 bytes."""
+    """N = 1024: the traced peak of computing the term and expanding it
+    into a build's buffer, an anonymous mapping that tracemalloc does not
+    see, is quarter-size arrays, about 0.4·N²·8 bytes. Forming C_x or an
+    N × N array of the term would take N²·8 bytes."""
     _, grid = _tall_weights_n1024()
     n = grid.n_voxels
     _, _, peak = _traced_memory(
-        lambda: _cold_precision_term(grid, ReconstructionParams()).toarray())
-    assert peak <= 1.5 * n * n * 8, peak / 2**20
+        lambda: _cold_precision_term(grid, ReconstructionParams()).expand(
+            reconstruction._anonymous_buffer(n)))
+    assert peak <= 0.5 * n * n * 8, peak / 2**20
 
 
 def test_precision_term_holds_its_blocks_only():
@@ -437,8 +488,8 @@ def test_precision_term_holds_its_blocks_only():
 
 def test_precision_term_is_kept_per_grid_and_params():
     """Equal (grid, params), also in new objects, give the same term, whose
-    blocks are read-only and which every expansion copies; a change to the
-    grid or to any one parameter gives a new term."""
+    blocks are read-only; a change to the grid or to any one parameter
+    gives a new term."""
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7)
     params = ReconstructionParams()
     term = prior_precision_term(grid, params)
@@ -448,9 +499,7 @@ def test_precision_term_is_kept_per_grid_and_params():
     assert not term.blocks.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         term.blocks[0, 0, 0, 0] = 1.0
-    expanded = term.toarray()
-    assert expanded.flags.writeable
-    assert not np.shares_memory(expanded, term.blocks)
+    whole = expanded(term)
     for other_grid, other_params in (
             (replace(grid, nx=8), params),
             (replace(grid, p=0.4), params),
@@ -459,7 +508,7 @@ def test_precision_term_is_kept_per_grid_and_params():
             (grid, replace(params, delta_c=2.0))):
         other = prior_precision_term(other_grid, other_params)
         assert other is not term
-        assert not np.array_equal(other.toarray(), expanded)
+        assert not np.array_equal(expanded(other), whole)
 
 
 def test_precision_memo_stays_within_its_bound():
@@ -493,20 +542,66 @@ def test_build_with_shared_or_computed_term_is_bit_identical(rows, nx):
 
 
 def test_tall_build_without_term_uses_it_as_the_buffer(monkeypatch):
-    """With no precision term given, the term computed in the build is the
-    N × N buffer: the same bound as with a shared term, which a copy of the
-    term (another 8 MB here) would exceed."""
+    """With no precision term given, the build computes the compact term
+    (2 MB here) and expands it into the buffer, an anonymous mapping that
+    tracemalloc does not see: the traced peak is about 5 MB, which an
+    N × N copy of the term (another 8 MB here) would exceed."""
     wm, grid = _tall_weights_n1024()
-    n = grid.n_voxels
     _forbid_formed_w(monkeypatch)
     op, _, peak = _traced_memory(lambda: build_operator(wm, grid))
     assert op.tall
-    block = n * reconstruction._BLOCK * 8
-    assert peak <= n * n * 8 + block + 4 * 2**20, peak / 2**20
+    assert peak <= 6 * 2**20, peak / 2**20
     shared = build_operator(
         wm, grid, precision_term=prior_precision_term(grid,
                                                       ReconstructionParams()))
     assert np.array_equal(op.stored, shared.stored)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmRSS from /proc/self/status")
+def test_tall_build_leaves_the_unread_triangle_out_of_memory():
+    """The criterion-5 grid (N = 2304), in a fresh process: a second tall
+    build, whose first has set up what the process keeps, raises VmRSS by
+    at most 0.75·N²·8 bytes (about 0.66 of it with 4 KiB pages): M's lower
+    triangle, about N²·4 bytes, and a 4 KiB page per column. A buffer
+    resident whole raises it by N²·8 bytes."""
+    script = textwrap.dedent("""
+        import numpy as np
+        from rtikit.calibration import FadeLevelTable, PathLossFit
+        from rtikit.geometry import VoxelGrid, enumerate_links
+        from rtikit.harness import PipelineConfig
+        from rtikit.reconstruction import build_operator, prior_precision_term
+        from rtikit.simulator import perimeter_layout
+        from rtikit.spatial_model import build_multiscale_weights
+
+        def rss():
+            with open("/proc/self/status") as fh:
+                for line in fh:
+                    if line.startswith("VmRSS:"):
+                        return int(line.split()[1]) * 1024
+
+        layout = perimeter_layout(30, 7.0, 7.0)
+        table = enumerate_links(layout)
+        config = PipelineConfig()
+        grid = VoxelGrid.from_layout(layout, config.voxel_width)
+        values = np.random.default_rng(3).uniform(-8, 8, (table.n_links, 4))
+        fades = FadeLevelTable(
+            values=values, mean_rss=np.zeros_like(values),
+            channels=np.arange(11, 15),
+            fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=8, rmse=0.0))
+        weights = build_multiscale_weights(table, layout, grid, fades)
+        term = prior_precision_term(grid, config.reconstruction)
+        build_operator(weights, grid, config.reconstruction, term)
+        before = rss()
+        op = build_operator(weights, grid, config.reconstruction, term)
+        print(grid.n_voxels, weights.n_rows, rss() - before)
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    n, rows, raised = map(int, out.split())
+    assert (n, rows) == (2304, 3480)
+    assert raised <= 0.75 * n * n * 8, raised / (n * n * 8)
 
 
 def test_short_build_memory_holds_no_n_by_n_array():
@@ -605,6 +700,60 @@ def test_operator_tile_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
                 w_c @ dense.T + params.sigma_n**2 * np.eye(rows), w_c).T)
     for want in wants:
         assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _ill_conditioned_short_weights(grid, rows, seed, params):
+    """Seeded random short weights, one row per link, whose first row is
+    empty and second is not, doubled until W C_x Wᵀ + σ_N² I is too
+    ill-conditioned for the push-through form: the empty row keeps σ_N² as
+    an eigenvalue of that matrix while its largest grows with the square
+    of the scale, so the build goes through A at an estimated condition
+    number of 1e4 to about 4e4."""
+    wm = _random_weights(grid, rows, seed, per_link=1)
+    reach = wm.reach.copy()
+    reach[:2] = (-1, 0)  # row 1 covers its link's whole window
+    value = wm.value
+    while True:
+        wm = WeightMatrix(band=wm.band, reach=reach, value=value)
+        if reconstruction._push_through_pi(wm, grid, params) is None:
+            return wm
+        value = 2.0 * value
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(1, 30), ny=st.integers(1, 30), tall=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(nx=1, ny=1, tall=True, seed=0)
+@example(nx=13, ny=25, tall=True, seed=1)
+@example(nx=24, ny=23, tall=False, seed=2)
+@example(nx=1, ny=30, tall=False, seed=3)
+def test_build_through_a_on_any_grid(nx, ny, tall, seed):
+    """Grids of 1 to 30 cells a side, odd and even, so that the 12-voxel
+    tiles are ragged and an odd axis's mirror line falls on a cell. On a
+    tall W, the stored lower triangle is M within the tolerance of the
+    tile-edge cases and the upper one exactly zero; on a short W built
+    through A, the stored Π is the reference's."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
+    n = grid.n_voxels
+    params = ReconstructionParams()
+    rng = np.random.default_rng(seed)
+    if tall:
+        wm = _random_weights(grid, 4 * (n // 4 + rng.integers(1, 9)), seed)
+    else:
+        assume(n >= 3)
+        wm = _ill_conditioned_short_weights(grid, int(rng.integers(2, n)),
+                                            seed, params)
+    op = build_operator(wm, grid, params)
+    assert op.tall == tall
+    dense = (wm.bands @ wm.band_sums).T.toarray()  # W from its factors
+    if tall:
+        got = np.tril(op.stored)
+        want = np.tril(np.linalg.inv(
+            dense.T @ dense + reference_pipeline.precision(grid, params)))
+        assert np.all(np.triu(op.stored, 1) == 0.0)
+    else:
+        got, want = op.stored, reference_pipeline.pi(dense, grid, params)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_near_square_short_operator_is_built_through_a():
