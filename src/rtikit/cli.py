@@ -4,7 +4,7 @@ Subcommands:
     calibrate    fit the path-loss model and fade levels from an empty-room trace
     reconstruct  dump per-frame attenuation images for one variant
     track        localize every frame and write a track CSV
-    simulate     generate a synthetic trace from a scenario file
+    simulate     generate a synthetic trace from a scenario file, seed included
     benchmark    compare variants over seeded runs of a scenario file
     crosscheck   verify model constants against their published anchors
 
@@ -12,6 +12,7 @@ All file formats are the plain-text ones in rtikit.ingest. The optional
 --config file is flat `key value` text; its keys are the field names of
 PipelineConfig, except `kalman`, and of its three parameter sets
 (EllipseModelParams, MeasurementModelParams, ReconstructionParams).
+--channels picks the channels a run reads, and rti images the first.
 
 Exit codes: 0 on success, 1 when crosscheck finds an anchor off, and 2 on
 bad input (a file, flag or config value), with an `error:` line on stderr.
@@ -183,10 +184,6 @@ def _cmd_track(args) -> int:
 def _cmd_simulate(args) -> int:
     layout = load_layout(args.layout)
     spec = load_scenario(args.scenario, layout)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        spec = replace(spec, seed=args.seed)
     trace = generate_trace(spec)
     save_trace(trace.frames, trace.table, args.out_trace)
     print(f"simulated {len(trace.frames)} frames "
@@ -275,8 +272,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="generate a synthetic trace")
     p.add_argument("--layout", required=True)
-    p.add_argument("--scenario", required=True, help="scenario description file")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
+    p.add_argument("--scenario", required=True,
+                   help="scenario description file, its seed included")
     p.add_argument("--out-trace", required=True)
     p.add_argument("--out-truth")
     p.set_defaults(func=_cmd_simulate)

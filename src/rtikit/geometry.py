@@ -36,6 +36,7 @@ _BOUNDS = {
     "finite or None": lambda v: v is None or -np.inf < v < np.inf,
     "an integer >= 0": lambda v: isinstance(v, Integral) and v >= 0,
     "an integer >= 1": lambda v: isinstance(v, Integral) and v >= 1,
+    "an integer >= 3": lambda v: isinstance(v, Integral) and v >= 3,
 }
 
 

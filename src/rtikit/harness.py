@@ -10,7 +10,7 @@ meets its fade table, and run_pipeline is the one frame loop from images
 to positions; benchmark scores seeded traces of any ScenarioSpec through
 run_pipeline, and VariantPipeline.image serves one frame at a time.
 
-- ``rti``: one channel's RSS loss with the fixed-width ellipse weights.
+- ``rti``: the first channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every (link, channel) pair treated as an independent link
   (Kaltiokallio, Bocca & Patwari, IEEE MASS 2012). C stacked copies of the
   fixed-width weights W give the Gram matrix C·WᵀW and the back-projection
@@ -86,8 +86,6 @@ class PipelineConfig:
         calibration_frames: person-free prefix of the trace used for
             calibration.
         classic_lambda: fixed ellipse width of the baseline weights.
-        rti_channel: channel for the single-channel variant; None = first
-            calibrated channel.
         flrti_m: how many most-anti-fade channels each link averages.
         ellipse / measurement / reconstruction: model parameter sets.
         kalman: smooth positions with the Kalman filter.
@@ -101,7 +99,6 @@ class PipelineConfig:
     grid_margin: float | None = None
     calibration_frames: int = 100
     classic_lambda: float = 0.02
-    rti_channel: int | None = None
     flrti_m: int = 3
     ellipse: EllipseModelParams = field(default_factory=EllipseModelParams)
     measurement: MeasurementModelParams = field(default_factory=MeasurementModelParams)
@@ -146,7 +143,7 @@ class PipelineConfig:
             if len(values[0]) != 1:
                 raise ValueError(f"config key {key!r} needs exactly one value")
             group, annotation = owners[key]
-            cast = int if annotation in (int, int | None) else float
+            cast = int if annotation is int else float
             try:
                 settings[group][key] = cast(values[0][0])
             except ValueError:
@@ -192,12 +189,8 @@ def _root_c(fades) -> float:
 
 
 def _rti_measure(fades, config):
-    channel = fades.channels[0] if config.rti_channel is None else config.rti_channel
-    col = np.flatnonzero(fades.channels == channel)
-    if not col.size:
-        raise ValueError(f"rti_channel {channel} is not a calibrated channel "
-                         f"{fades.channels.tolist()}")
-    return lambda delta_r: np.negative(delta_r, out=delta_r)[:, col[0]]
+    """The loss on the fade table's first channel (`--channels` picks it)."""
+    return lambda delta_r: np.negative(delta_r[:, 0])
 
 
 def _cdrti_measure(fades, config):

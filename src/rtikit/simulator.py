@@ -11,6 +11,7 @@ sensor noise and optional 1 dB quantization. Everything is deterministic
 given the seed.
 """
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -41,29 +42,28 @@ def perimeter_layout(n_nodes: int, width: float, height: float) -> NodeLayout:
     Node ids are 1..n_nodes, walking counter-clockwise from the origin
     corner.
     """
-    if n_nodes < 3:
-        raise ValueError("need at least 3 nodes")
-    if width <= 0 or height <= 0:
-        raise ValueError("rectangle dimensions must be > 0")
-    perim = 2 * (width + height)
-    xy = np.empty((n_nodes, 2))
-    for i in range(n_nodes):
-        s = perim * i / n_nodes
-        if s < width:
-            xy[i] = (s, 0.0)
-        elif s < width + height:
-            xy[i] = (width, s - width)
-        elif s < 2 * width + height:
-            xy[i] = (width - (s - width - height), height)
-        else:
-            xy[i] = (0.0, height - (s - 2 * width - height))
+    check_bounds(SimpleNamespace(n_nodes=n_nodes, width=width, height=height),
+                 n_nodes="an integer >= 3", width="finite and > 0",
+                 height="finite and > 0")
+    # Walk the rectangle scaled by a power of two, which scales each step
+    # exactly, so no finite rectangle's perimeter overflows; a rounding step
+    # past the far side is capped at the largest float when scaled back.
+    scale = math.ldexp(1.0, math.frexp(max(width, height))[1] - 1)
+    width, height = width / scale, height / scale
+    s = 2 * (width + height) * np.arange(n_nodes) / n_nodes
+    side = [s < width, s < width + height, s < 2 * width + height]
+    xy = np.column_stack((
+        np.select(side, [s, width, width - (s - width - height)], 0.0),
+        np.select(side, [0.0, s - width, height], height - (s - 2 * width - height))))
+    xy = np.minimum(xy, math.nextafter(math.inf, 0) / scale) * scale
     return NodeLayout(ids=np.arange(1, n_nodes + 1), xy=xy)
 
 
 def stationary_trajectory(positions, start_k: int, n_frames: int) -> np.ndarray:
     """(P·n_frames, 3) trajectory rows (k, x, y), k from start_k on, that
     stand n_frames frames at each of `positions`, one (x, y) or (P, 2)."""
-    check_bounds(SimpleNamespace(n_frames=n_frames), n_frames="an integer >= 1")
+    check_bounds(SimpleNamespace(start_k=start_k, n_frames=n_frames),
+                 start_k="an integer >= 0", n_frames="an integer >= 1")
     xy = np.asarray(positions, dtype=float)
     xy = xy[np.newaxis] if xy.shape == (2,) else xy
     if xy.ndim != 2 or xy.shape[1] != 2 or not len(xy):
@@ -82,8 +82,8 @@ class ScenarioSpec:
         eta: true path-loss exponent.
         p0: true loss at 1 m, dB.
         calibration_frames: person-absent frames at the start (k = 0...).
-        trajectory: (T, 3) finite rows (k, x, y); times strictly increasing
-            and after the calibration segment. Empty for a person-free trace.
+        trajectory: (T, 3) finite rows (k, x, y), whole k ascending past
+            the calibration segment; empty for a person-free trace.
         fade_offsets: explicit finite (L, C) per-link/channel dB offsets,
             or None to draw them Gaussian(0, fade_sigma) from the seed.
         fade_sigma: std of generated fade offsets, dB.
@@ -118,6 +118,8 @@ class ScenarioSpec:
         if traj.size:
             if not np.all(np.isfinite(traj)):
                 raise ValueError("trajectory (k, x, y) values must be finite")
+            if np.any(traj[:, 0] % 1):
+                raise ValueError("trajectory times k must be whole numbers")
             if np.any(np.diff(traj[:, 0]) <= 0):
                 raise ValueError("trajectory times must be strictly increasing")
             if traj[0, 0] < self.calibration_frames:

@@ -111,7 +111,9 @@ class WeightMatrix:
     sums over the links. U has one nonzero per (link, voxel) pair inside
     any ellipse, where W has one per (row, voxel) pair.
 
-    Compared by identity (eq=False), since it holds arrays.
+    Compared by identity (eq=False), since it holds arrays. Construction
+    marks the given band, reach and value read-only, so U and S cannot go
+    stale; `replace(weights, value=...)` builds new weights.
 
     Attributes:
         band: (L, N) unsigned, each voxel's band on each link; R where no
@@ -162,6 +164,8 @@ class WeightMatrix:
         object.__setattr__(self, "band_sums", sparse.csr_matrix(
             (value[row], row, np.searchsorted(sums, np.arange(rows + 1))),
             shape=(rows, rows)))
+        for array in (band, reach, value):
+            array.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -214,15 +218,15 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
 
 
 def build_classic_weights(table: LinkTable, layout: NodeLayout,
-                          grid: VoxelGrid, lam: float = 0.02) -> WeightMatrix:
+                          grid: VoxelGrid, lam: float) -> WeightMatrix:
     """Fixed-width ellipse weights: 1/√d on member voxels, one row per link.
 
     Args:
         table: links to build rows for, in order.
         layout: node positions behind the table.
         grid: voxel grid (columns).
-        lam: ellipse width in meters, finite and >= 0; small widths give
-            near-empty rows by design.
+        lam: ellipse width in meters (the pipeline's `classic_lambda`),
+            finite and >= 0; small widths give near-empty rows by design.
     """
     check_bounds(SimpleNamespace(lam=lam), lam="finite and >= 0")
     excess = excess_path_field(table, layout, grid.centers())  # (L, N)

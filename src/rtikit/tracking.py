@@ -126,7 +126,7 @@ def _ca_matrices(dt: float, q: float):
 
 
 def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
-                q: float = 1.0, r: float = 0.1) -> TrackState:
+                q: float, r: float) -> TrackState:
     """One predict-update cycle against a position measurement, or a
     predict-only step when z is no detection.
 
@@ -139,9 +139,10 @@ def kalman_step(track: TrackState, z: PositionEstimate, dt: float,
         z: position measurement (voxel center); with `z.detected` False the
             state and covariance are only advanced by dt, to time z.k.
         dt: time step in seconds, finite and > 0.
-        q: white-noise-jerk intensity, m²/s⁵, finite and >= 0.
+        q: white-noise-jerk intensity, m²/s⁵, finite and >= 0; the
+            pipeline passes `PipelineConfig.kalman_q`.
         r: measurement variance per axis, m² (covariance r·I), finite and
-            >= 0.
+            >= 0; the pipeline passes `kalman_r_scale`·p² for voxel width p.
 
     Returns:
         Updated TrackState; covariance stays symmetric PSD (Joseph-form

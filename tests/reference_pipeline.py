@@ -133,7 +133,7 @@ def deltas(frames, fades, hold_frames):
 
 def measurements(variant, frames, fades, config):
     """(K, rows) measurements in the row order of `weights`. The baselines
-    measure the loss −Δr (0 on uncalibrated pairs): rti on one channel,
+    measure the loss −Δr (0 on uncalibrated pairs): rti on the first channel,
     cdrti per (channel, link), flrti averaged over each link's m calibrated
     channels of highest fade level. msrti puts 1 − exp(−β^δ|Δr|) in the
     slot whose direction matches the sign of Δr."""
@@ -141,9 +141,7 @@ def measurements(variant, frames, fades, config):
     loss = -np.nan_to_num(change)
     n_links, n_channels = fades.values.shape
     if variant == "rti":
-        channel = (fades.channels[0] if config.rti_channel is None
-                   else config.rti_channel)
-        return loss[:, :, list(fades.channels).index(channel)]
+        return loss[:, :, 0]
     if variant == "cdrti":
         return np.array([[loss[k, l, c] for c in range(n_channels)
                           for l in range(n_links)] for k in range(len(frames))])

@@ -3,6 +3,7 @@ raises exactly `<field> must be <bound>, got <value!r>`, and a value
 inside it constructs."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from rtikit.spatial_model import EllipseModelParams
 
 POSITIVE, NON_NEGATIVE = "finite and > 0", "finite and >= 0"
 NEGATIVE, FINITE, FINITE_OR_NONE = "finite and < 0", "finite", "finite or None"
-COUNT, SIZE = "an integer >= 0", "an integer >= 1"
+COUNT, SIZE, NODES = "an integer >= 0", "an integer >= 1", "an integer >= 3"
+
+
+def perimeter_layout_args(n_nodes=4, width=2.0, height=2.0):
+    """perimeter_layout's arguments, once it has built a layout of them."""
+    perimeter_layout(n_nodes, width, height)
+    return SimpleNamespace(n_nodes=n_nodes, width=width, height=height)
+
 
 # constructor taking the field as a keyword -> {field: its bound}
 FIELDS = {
@@ -44,6 +52,7 @@ FIELDS = {
     functools.partial(ScenarioSpec, perimeter_layout(4, 2.0, 2.0)): {
         "calibration_frames": SIZE, "eta": FINITE, "p0": FINITE,
         "noise_sigma": NON_NEGATIVE, "fade_sigma": NON_NEGATIVE, "seed": COUNT},
+    perimeter_layout_args: {"n_nodes": NODES, "width": POSITIVE, "height": POSITIVE},
 }
 CASES = [(build, name, bound) for build, fields in FIELDS.items()
          for name, bound in fields.items()]
@@ -73,6 +82,10 @@ VALUES = {
     # a float breaks an integer bound, whole or not
     COUNT: (NON_FINITE | floats() | integers(max_value=-1), integers(min_value=0)),
     SIZE: (NON_FINITE | floats() | integers(max_value=0), integers(min_value=1)),
+    # a layout holds a row per node, so the sizes drawn inside are a
+    # deployment's
+    NODES: (NON_FINITE | floats() | integers(max_value=2),
+            integers(min_value=3, max_value=1000)),
 }
 
 

@@ -1,15 +1,15 @@
 import re
 import shlex
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rtikit.calibration import RssFrame
+from rtikit.calibration import RssFrame, calibrate
 from rtikit.cli import main
 from rtikit.geometry import VoxelGrid, enumerate_links
-from rtikit.harness import PipelineConfig, VariantPipeline, benchmark
+from rtikit.harness import PipelineConfig, VariantPipeline, benchmark, run_pipeline
 from rtikit.ingest import (
     load_fade_table,
     load_image,
@@ -126,17 +126,41 @@ def test_reconstruct_with_fades_images_every_frame(workspace):
         np.testing.assert_array_equal(image, expected)
 
 
-def test_rti_channel_outside_calibrated_set_is_an_error(workspace, capsys):
-    tmp_path, _, layout_path, _, _ = workspace
+def test_rti_images_the_first_channel_that_channels_names(workspace):
+    tmp_path, layout, layout_path, _, config = workspace
+    trace_path, _ = _simulate(workspace)
+    out = tmp_path / "track.csv"
+    assert main(["track", "--layout", str(layout_path), "--trace", str(trace_path),
+                 "--config", str(config), "--channels", "16", "--variant", "rti",
+                 "--out", str(out)]) == 0
+    table = enumerate_links(layout)
+    frames = load_trace(trace_path, table)
+    fades = calibrate(frames[:30], table)
+    cut = [RssFrame(k=f.k, rss=f.rss[:, [1]], channels=np.array([16]))
+           for f in frames]
+    fades = replace(fades, values=fades.values[:, [1]],
+                    mean_rss=fades.mean_rss[:, [1]], channels=np.array([16]))
+    want = run_pipeline("rti", cut[30:], layout,
+                        PipelineConfig(calibration_frames=30, kalman=True),
+                        fades=fades).rows
+    np.testing.assert_array_equal(load_track_csv(out), want)
+
+
+def test_removed_rti_channel_key_and_seed_flag_are_errors(workspace, capsys):
+    tmp_path, _, layout_path, scenario, _ = workspace
     trace_path, _ = _simulate(workspace)
     config = tmp_path / "rti.txt"
-    config.write_text("calibration_frames 30\nrti_channel 12\n")
-    rc = main(["track", "--layout", str(layout_path),
-               "--trace", str(trace_path), "--config", str(config),
-               "--channels", "11,16", "--variant", "rti",
-               "--out", str(tmp_path / "track.csv")])
-    assert rc == 2
-    assert "error: rti_channel 12" in capsys.readouterr().err
+    config.write_text("calibration_frames 30\nrti_channel 16\n")
+    assert main(["track", "--layout", str(layout_path), "--trace", str(trace_path),
+                 "--config", str(config), "--variant", "rti",
+                 "--out", str(tmp_path / "track.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: unknown config key 'rti_channel'\n")
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--layout", str(layout_path), "--scenario", str(scenario),
+              "--seed", "9", "--out-trace", str(tmp_path / "trace.txt")])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
 def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys):
@@ -156,26 +180,10 @@ def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys):
         "channels [11, 16] over 45 links of the fade table\n")
 
 
-def test_simulate_seed_override_changes_trace(workspace):
-    tmp_path, layout, layout_path, scenario, _ = workspace
-    a, _ = _simulate(workspace)
-    table = enumerate_links(layout)
-    frames_a = load_trace(a, table)
-    rc = main(["simulate", "--layout", str(layout_path),
-               "--scenario", str(scenario), "--seed", "99",
-               "--out-trace", str(tmp_path / "trace_b.txt")])
-    assert rc == 0
-    frames_b = load_trace(tmp_path / "trace_b.txt", table)
-    assert len(frames_a) == len(frames_b)
-    assert not np.array_equal(frames_a[-1].rss, frames_b[-1].rss)
-
-
-def test_negative_seed_names_flag_or_file(workspace, capsys):
+def test_negative_seed_names_the_file(workspace, capsys):
     tmp_path, _, layout_path, scenario, _ = workspace
     argv = ["simulate", "--layout", str(layout_path), "--scenario", str(scenario),
             "--out-trace", str(tmp_path / "trace.txt")]
-    assert main([*argv, "--seed=-1"]) == 2
-    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
     scenario.write_text(scenario.read_text().replace("seed 5", "seed -1"))
     assert main(argv) == 2
     assert capsys.readouterr().err == (
@@ -567,3 +575,19 @@ def test_readme_lattice_is_criterion_5s_scene(tmp_path):
     expected = stationary_trajectory([(x, y) for y in side for x in side], 100, 10)
     assert spec.calibration_frames == 100
     np.testing.assert_allclose(spec.trajectory, expected, rtol=0, atol=1e-12)
+
+
+def test_readme_config_keys_are_the_keys_from_dict_accepts():
+    # A key the README still lists after PipelineConfig dropped it, or one
+    # that it leaves out, fails here.
+    section = README.read_text().split("of its three parameter sets:\n", 1)[1]
+    listed = set(re.findall(r"`(\w+)`(?!:)", section.split("\n\n", 1)[0]))
+
+    def accepted(key):
+        with pytest.raises(ValueError) as info:  # "x" is no key's value
+            PipelineConfig.from_dict({key: [["x"]]})
+        return not str(info.value).startswith("unknown config key")
+
+    sets = [f.type for f in fields(PipelineConfig) if is_dataclass(f.type)]
+    names = {f.name for cls in (PipelineConfig, *sets) for f in fields(cls)}
+    assert {key for key in names | listed if accepted(key)} == listed

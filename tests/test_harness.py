@@ -147,38 +147,19 @@ def test_cdrti_matches_stacked_reference():
 
 
 def test_rti_channel_selection():
+    """rti measures the fade table's first channel: a run picks it by the
+    channels it reads."""
     layout, trace = _small_trace()
     table = enumerate_links(layout)
-    from rtikit.calibration import calibrate
-
     fades = calibrate(trace.frames[:trace.calibration_frames], table)
     grid = VoxelGrid.from_layout(layout, 0.2)
-    chan = int(fades.channels[2])
-    config = PipelineConfig(calibration_frames=trace.calibration_frames,
-                            rti_channel=chan)
+    config = PipelineConfig(calibration_frames=trace.calibration_frames)
     pipe = VariantPipeline("rti", fades, layout, grid, config)
     frame = trace.frames[-1]
-    default = VariantPipeline(
-        "rti", fades, layout, grid,
-        PipelineConfig(calibration_frames=trace.calibration_frames))
-    for got in (pipe, default):
-        want = reference_pipeline.measurements("rti", [frame], fades,
-                                               got.config)
-        np.testing.assert_array_equal(got.measurement(frame), want[0])
-
-
-def test_rti_channel_outside_calibrated_set_is_rejected(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("operator built before the channel was checked")
-
-    # the channel is rejected before any operator is built
-    monkeypatch.setattr(harness, "build_operator", no_build)
-    layout, _ = _small_trace()
-    fades = _uniform_fades(enumerate_links(layout), (11, 16))
-    grid = VoxelGrid.from_layout(layout, 0.4)
-    with pytest.raises(ValueError, match=r"rti_channel 12 .*\[11, 16\]"):
-        VariantPipeline("rti", fades, layout, grid,
-                        PipelineConfig(rti_channel=12))
+    want = reference_pipeline.measurements("rti", [frame], fades, config)
+    np.testing.assert_array_equal(pipe.measurement(frame), want[0])
+    np.testing.assert_array_equal(
+        want[0], fades.mean_rss[:, 0] - frame.rss[:, 0])
 
 
 def test_flrti_selection_all_channels_when_m_large():
@@ -204,9 +185,9 @@ def test_flrti_m1_matches_rti_when_one_channel_dominates():
     layout, trace = _small_trace()
     table = enumerate_links(layout)
     channels = (11, 16, 21, 26)
-    # fade ranking puts channel 21 first for every link
+    # fade ranking puts channel 11, rti's first channel, first for every link
     values = np.zeros((table.n_links, 4))
-    values[:, 2] = 5.0
+    values[:, 0] = 5.0
     fades = _uniform_fades(table, channels)
     fades = FadeLevelTable(values=values, mean_rss=fades.mean_rss,
                            channels=fades.channels, fit=fades.fit)
@@ -215,9 +196,7 @@ def test_flrti_m1_matches_rti_when_one_channel_dominates():
     fl = VariantPipeline(
         "flrti", fades, layout, grid,
         PipelineConfig(flrti_m=1))
-    single = VariantPipeline(
-        "rti", fades, layout, grid,
-        PipelineConfig(rti_channel=21))
+    single = VariantPipeline("rti", fades, layout, grid, PipelineConfig())
     np.testing.assert_allclose(fl.measurement(frame),
                                single.measurement(frame))
 
@@ -304,7 +283,6 @@ def test_images_and_positions_match_reference_pipeline(
               for k, dr in zip(ks, change)]
     config = PipelineConfig(
         classic_lambda=float(rng.choice([0.02, 0.3, 1.0])),
-        rti_channel=None if rng.random() < 0.5 else int(rng.choice(channels)),
         flrti_m=int(rng.integers(1, 4)),
         measurement=MeasurementModelParams(hold_frames=hold_frames))
 
@@ -890,7 +868,6 @@ def test_config_from_dict_roundtrip():
         "voxel_width": [["0.2"]],
         "grid_margin": [["0.5"]],
         "calibration_frames": [["60"]],
-        "rti_channel": [["16"]],
         "flrti_m": [["2"]],
         "k_lambda_minus": [["-5.0"]],
         "b_lambda_minus": [["0.25"]],
@@ -904,8 +881,7 @@ def test_config_from_dict_roundtrip():
     assert config.voxel_width == 0.2
     assert config.grid_margin == 0.5
     assert config.calibration_frames == 60
-    assert config.rti_channel == 16 and type(config.rti_channel) is int
-    assert config.flrti_m == 2
+    assert config.flrti_m == 2 and type(config.flrti_m) is int
     assert config.ellipse.k_lambda_minus == -5.0
     assert config.ellipse.b_lambda_minus == 0.25
     assert config.ellipse.lambda_max == 2.5

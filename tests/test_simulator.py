@@ -28,6 +28,33 @@ def test_perimeter_layout_geometry():
         perimeter_layout(2, 6.0, 4.0)
 
 
+def loop_perimeter_layout(n_nodes, width, height):
+    """perimeter_layout's walk one node at a time, on the unscaled
+    rectangle."""
+    perim = 2 * (width + height)
+    xy = np.empty((n_nodes, 2))
+    for i in range(n_nodes):
+        s = perim * i / n_nodes
+        if s < width:
+            xy[i] = (s, 0.0)
+        elif s < width + height:
+            xy[i] = (width, s - width)
+        elif s < 2 * width + height:
+            xy[i] = (width - (s - width - height), height)
+        else:
+            xy[i] = (0.0, height - (s - 2 * width - height))
+    return xy
+
+
+@pytest.mark.parametrize("n_nodes, width, height", [
+    (3, 1.0, 1.0), (8, 6.0, 4.0), (30, 7.0, 7.0), (30, 8.4, 8.4),
+    (10, 3.3, 8.4), (31, 12.5, 0.3), (57, 0.01, 49.9)])
+def test_perimeter_layout_matches_the_walk_exactly(n_nodes, width, height):
+    # (10, 3.3, 8.4) has a node that rounding puts past the far side
+    np.testing.assert_array_equal(perimeter_layout(n_nodes, width, height).xy,
+                                  loop_perimeter_layout(n_nodes, width, height))
+
+
 def test_stationary_trajectory():
     traj = stationary_trajectory((2.0, 3.0), start_k=50, n_frames=4)
     assert traj.shape == (4, 3)
@@ -47,6 +74,24 @@ def test_stationary_trajectory():
                 np.zeros((1, 1, 2))):
         with pytest.raises(ValueError, match="positions must be"):
             stationary_trajectory(bad, 0, 1)
+
+
+def test_fractional_trajectory_times_are_rejected():
+    """Waypoints at k = 10.2, 10.7 and 11.5 once gave frames at k = 10, 10
+    and 11, while the truth kept the fractions; a fractional start_k gave
+    fractional times."""
+    layout = perimeter_layout(6, 5.0, 5.0)
+    waypoints = np.array([[10.2, 1.0, 1.0], [10.7, 1.5, 1.0], [11.5, 2.0, 1.0]])
+    with pytest.raises(ValueError, match="^trajectory times k must be whole numbers$"):
+        ScenarioSpec(layout=layout, calibration_frames=5, trajectory=waypoints)
+    with pytest.raises(ValueError,
+                       match=r"^start_k must be an integer >= 0, got 10\.5$"):
+        stationary_trajectory((1, 1), 10.5, 2)
+    whole = ScenarioSpec(layout=layout, calibration_frames=5,
+                         trajectory=np.floor(waypoints[::2]))
+    trace = generate_trace(whole)
+    assert [f.k for f in trace.frames[5:]] == [10, 11]
+    np.testing.assert_array_equal(trace.truth[:, 0], [10, 11])
 
 
 def test_spec_validation():

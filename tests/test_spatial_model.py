@@ -1,5 +1,7 @@
 """Weight matrices: ellipse-width model, classic A, multi-scale W."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,26 @@ def test_classic_weights_tiny_lambda_near_empty():
     assert wm.matrix.nnz == 0
     with pytest.raises(ValueError):
         build_classic_weights(table, layout, grid, lam=-0.1)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("band", lambda a: a.__setitem__((0, 0), 0)),
+    ("reach", lambda a: a.__setitem__(slice(2), (-1, 0))),
+    ("value", lambda a: a.__imul__(2.0)),
+])
+def test_weight_arrays_are_read_only_once_u_and_s_are_derived(name, edit):
+    """An edit of reach once left back_project returning the old Wᵀy."""
+    layout = ring(8)
+    grid = VoxelGrid.from_layout(layout, p=0.3)
+    wm = build_classic_weights(enumerate_links(layout), layout, grid, lam=0.5)
+    y = np.arange(wm.n_rows, dtype=float)
+    back = wm.back_project(y)
+    with pytest.raises(ValueError, match="read-only"):
+        edit(getattr(wm, name))
+    np.testing.assert_array_equal(wm.back_project(y), back)
+    # a new array gives new weights, as cdrti's √C-scaled copy is built
+    scaled = replace(wm, value=wm.value * 2.0)
+    np.testing.assert_array_equal(scaled.back_project(y), 2.0 * back)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf])

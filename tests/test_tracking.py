@@ -99,7 +99,7 @@ def test_kalman_covariance_symmetric_psd():
         assert np.allclose(p, p.T)
         assert np.linalg.eigvalsh(p).min() > -1e-12
     with pytest.raises(ValueError):
-        kalman_step(track, z0, dt=0.0)
+        kalman_step(track, z0, dt=0.0, q=0.5, r=0.2)
 
 
 @pytest.mark.parametrize("detected", [True, False])
