@@ -39,23 +39,34 @@ _TX_POWER_SLOPE = 0.1452
 _TX_POWER_INTERCEPT = 1.7332
 
 
+def _whole(values: np.ndarray) -> bool:
+    """Whether every value is a whole number; NaN is not one."""
+    return values.dtype.kind != "f" or bool(np.all(values == np.trunc(values)))
+
+
+def _channel_numbers(channel) -> np.ndarray:
+    """A channel, or an array of them, as integers; ValueError for one that
+    is not a whole number in 11..26, raised before any cast truncates it."""
+    channel = np.asarray(channel)
+    if not _whole(channel):
+        raise ValueError(f"channel {channel} is not a whole number")
+    if np.any((channel < CHANNEL_MIN) | (channel > CHANNEL_MAX)):
+        raise ValueError(f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
+    return channel.astype(int)
+
+
 def channel_frequency(channel: int) -> float:
     """Center frequency in MHz of a 2.4 GHz channel (11..26)."""
-    channel = int(channel)
-    if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
-        raise ValueError(f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-    return 2405.0 + 5.0 * (channel - 11)
+    return 2405.0 + 5.0 * (int(_channel_numbers(channel)) - 11)
 
 
 def normalized_tx_power(channel: int) -> float:
     """Relative transmit power of a channel in dB, linear in channel number.
 
-    Elementwise on an array of channels; any channel outside 11..26 raises.
+    Elementwise on an array of channels; any channel that is not a whole
+    number in 11..26 raises.
     """
-    channel = np.asarray(channel).astype(int)
-    if np.any((channel < CHANNEL_MIN) | (channel > CHANNEL_MAX)):
-        raise ValueError(f"channel {channel} outside [{CHANNEL_MIN}, {CHANNEL_MAX}]")
-    return _TX_POWER_SLOPE * channel + _TX_POWER_INTERCEPT
+    return _TX_POWER_SLOPE * _channel_numbers(channel) + _TX_POWER_INTERCEPT
 
 
 def path_loss(distance: float, channel: int, p0: float, eta: float) -> float:
@@ -80,7 +91,10 @@ def path_loss(distance: float, channel: int, p0: float, eta: float) -> float:
 
 def check_channels(channels: np.ndarray) -> None:
     """Raise ValueError unless a frame's, fade table's or scenario's channels
-    strictly ascend in 11..26."""
+    are whole numbers that strictly ascend in 11..26; checked before any
+    cast to int, which would truncate them."""
+    if not _whole(channels):
+        raise ValueError(f"channels must be whole numbers, got {channels.tolist()}")
     if channels.size and (channels.min() < CHANNEL_MIN or channels.max() > CHANNEL_MAX):
         raise ValueError(f"channels must lie in [{CHANNEL_MIN}, {CHANNEL_MAX}]")
     if np.any(np.diff(channels) <= 0):
@@ -92,7 +106,7 @@ class RssFrame:
     """One synchronized RSS snapshot across all links and channels.
 
     Attributes:
-        k: time index.
+        k: time index, an integer.
         rss: (L, C) RSS in dBm; NaN marks a missing sample.
         channels: (C,) channel numbers, strictly ascending, within 11..26.
     """
@@ -102,15 +116,16 @@ class RssFrame:
     channels: np.ndarray
 
     def __post_init__(self):
+        check_bounds(self, k="an integer")
         rss = np.asarray(self.rss, dtype=float)
-        channels = np.asarray(self.channels, dtype=int)
+        channels = np.asarray(self.channels)
         if rss.ndim != 2 or rss.shape[1] != channels.size:
             raise ValueError("rss must be (L, C) matching channels")
         check_channels(channels)
         if np.any(np.isinf(rss)):
             raise ValueError("rss values must be finite or NaN")
         object.__setattr__(self, "rss", rss)
-        object.__setattr__(self, "channels", channels)
+        object.__setattr__(self, "channels", channels.astype(int, copy=False))
         object.__setattr__(self, "k", int(self.k))
 
 
@@ -234,7 +249,7 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable) -> FadeLev
             distance spread (all links the same length).
     """
     mean_rss = np.asarray(mean_rss, dtype=float)
-    channels = np.asarray(channels, dtype=int)
+    channels = np.asarray(channels)
     if mean_rss.ndim != 2 or mean_rss.shape[0] != table.n_links:
         raise ValueError(
             f"mean_rss must be (L, C) with L={table.n_links}, got {mean_rss.shape}"
@@ -242,6 +257,7 @@ def calibrate_means(mean_rss: np.ndarray, channels, table: LinkTable) -> FadeLev
     if mean_rss.shape[1] != channels.size:
         raise ValueError("mean_rss columns must match channels")
     check_channels(channels)
+    channels = channels.astype(int, copy=False)
 
     tx_power = normalized_tx_power(channels)
     log_term = -10.0 * np.log10(table.lengths)  # (L,)

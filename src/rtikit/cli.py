@@ -13,6 +13,9 @@ All file formats are the plain-text ones in rtikit.ingest. The optional
 PipelineConfig, except `kalman`, and of its three parameter sets
 (EllipseModelParams, MeasurementModelParams, ReconstructionParams).
 --channels picks the channels a run reads, and rti images the first.
+reconstruct and track load their files and cut them to --channels here;
+harness.calibrated_pipeline then calibrates on the trace's person-free
+prefix, unless --fades gives a fade table, and builds the pipeline.
 
 Exit codes: 0 on success, 1 when crosscheck finds an anchor off, and 2 on
 bad input (a file, flag or config value), with an `error:` line on stderr.
@@ -27,8 +30,8 @@ import numpy as np
 
 from .calibration import (CHANNEL_MAX, CHANNEL_MIN, RssFrame, calibrate,
                           check_channels)
-from .geometry import VoxelGrid, enumerate_links
-from .harness import (VARIANTS, PipelineConfig, VariantPipeline, benchmark,
+from .geometry import enumerate_links
+from .harness import (VARIANTS, PipelineConfig, benchmark, calibrated_pipeline,
                       crosscheck_models, run_pipeline)
 from .ingest import (
     load_fade_table,
@@ -127,36 +130,27 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _load_run_inputs(args, config):
-    """(layout, fades, frames to image) for reconstruct and track: fades
-    from --fades, or calibrated on the trace prefix, which is then dropped."""
+def _load_run_inputs(args):
+    """(layout, fades from --fades or None, frames) for reconstruct and
+    track, each cut to --channels when it is given."""
     layout = load_layout(args.layout)
     table = enumerate_links(layout)
     frames = load_trace(args.trace, table)
     channels = _parse_channels(args.channels) if args.channels else None
     if channels:
         frames = _subset_frames(frames, channels)
-    if args.fades:
-        fades = load_fade_table(args.fades, table)
-        if channels:
-            fades = _subset_fades(fades, channels)
-        return layout, fades, frames
-    if len(frames) <= config.calibration_frames:
-        raise ValueError(
-            f"trace has {len(frames)} frames but the first "
-            f"{config.calibration_frames} are needed for calibration; "
-            "pass --fades to use every frame"
-        )
-    fades = calibrate(frames[:config.calibration_frames], table)
-    return layout, fades, frames[config.calibration_frames:]
+    fades = load_fade_table(args.fades, table) if args.fades else None
+    if channels and fades is not None:
+        fades = _subset_fades(fades, channels)
+    return layout, fades, frames
 
 
 def _cmd_reconstruct(args) -> int:
     config = _load_config(args.config)
-    layout, fades, frames = _load_run_inputs(args, config)
-    grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
-    pipeline = VariantPipeline(args.variant, fades, layout, grid, config)
-
+    layout, fades, frames = _load_run_inputs(args)
+    pipeline, frames = calibrated_pipeline(args.variant, frames, layout,
+                                           config, fades)
+    grid = pipeline.grid
     os.makedirs(args.out_dir, exist_ok=True)
     for frame, image in zip(frames, pipeline.images(frames)):
         save_image(image, grid, os.path.join(args.out_dir, f"image_{frame.k:06d}.txt"))
@@ -166,7 +160,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_track(args) -> int:
     config = replace(_load_config(args.config), kalman=not args.no_kalman)
-    layout, fades, frames = _load_run_inputs(args, config)
+    layout, fades, frames = _load_run_inputs(args)
     truth = load_ground_truth(args.truth) if args.truth else None
     result = run_pipeline(args.variant, frames, layout, config,
                           truth=truth, fades=fades)

@@ -26,17 +26,23 @@ __all__ = [
 ]
 
 
-# bound -> its test; each test is False for NaN, and an integer bound takes
-# any numbers.Integral, numpy's integers included
+def _integer(v) -> bool:
+    """Whether v is an integer: any numbers.Integral, numpy's integers
+    included, but not a bool, which is one only to Python."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+# bound -> its test; each test is False for NaN
 _BOUNDS = {
     "finite and > 0": lambda v: 0 < v < np.inf,
     "finite and >= 0": lambda v: 0 <= v < np.inf,
     "finite and < 0": lambda v: -np.inf < v < 0,
     "finite": lambda v: -np.inf < v < np.inf,
     "finite or None": lambda v: v is None or -np.inf < v < np.inf,
-    "an integer >= 0": lambda v: isinstance(v, Integral) and v >= 0,
-    "an integer >= 1": lambda v: isinstance(v, Integral) and v >= 1,
-    "an integer >= 3": lambda v: isinstance(v, Integral) and v >= 3,
+    "an integer": _integer,
+    "an integer >= 0": lambda v: _integer(v) and v >= 0,
+    "an integer >= 1": lambda v: _integer(v) and v >= 1,
+    "an integer >= 3": lambda v: _integer(v) and v >= 3,
 }
 
 
@@ -123,7 +129,7 @@ class LinkTable:
         Each id becomes its rank among the n sorted node ids, or n when it
         is unknown, and the two ranks pick the link from an (n + 1, n + 1)
         table of the all-pairs order, -1 on its diagonal and last row and
-        column.
+        column. An id that is not a whole number is unknown.
         """
         ids = np.union1d(self.tx_ids, self.rx_ids)
         n = ids.size
@@ -132,9 +138,16 @@ class LinkTable:
         lookup[lo, hi] = lookup[hi, lo] = np.arange(lo.size)
         ranks = []
         for nodes in (node_a, node_b):
-            nodes = np.asarray(nodes, dtype=np.int64)
+            nodes = np.asarray(nodes)
+            known = True
+            if nodes.dtype.kind == "f":  # an id that is not whole is unknown
+                known = ((nodes == np.trunc(nodes)) & (nodes >= -2.0**63)
+                         & (nodes < 2.0**63))
+                nodes = np.where(known, nodes, 0)
+            nodes = nodes.astype(np.int64)
             rank = np.searchsorted(ids, nodes)
-            ranks.append(np.where(np.append(ids, 0)[rank] == nodes, rank, n))
+            ranks.append(np.where(known & (np.append(ids, 0)[rank] == nodes),
+                                  rank, n))
         return lookup[ranks[0], ranks[1]]
 
 

@@ -6,9 +6,11 @@ entry per variant in _VARIANT_TABLE. Only msrti's weights read the fade
 table, so only its operator is built per calibration; the fixed-width
 operator of rti, cdrti and flrti depends only on the deployment and is
 kept across calibrations. VariantPipeline.measurement is where a frame
-meets its fade table, and run_pipeline is the one frame loop from images
-to positions; benchmark scores seeded traces of any ScenarioSpec through
-run_pipeline, and VariantPipeline.image serves one frame at a time.
+meets its fade table, calibrated_pipeline is the one place a recording's
+calibration prefix is split off, and run_pipeline is the one frame loop
+from images to positions; benchmark scores seeded traces of any
+ScenarioSpec through run_pipeline, and VariantPipeline.image serves one
+frame at a time.
 
 - ``rti``: the first channel's RSS loss with the fixed-width ellipse weights.
 - ``cdrti``: every (link, channel) pair treated as an independent link
@@ -69,6 +71,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "VariantPipeline",
+    "calibrated_pipeline",
     "run_pipeline",
     "benchmark",
     "crosscheck_models",
@@ -352,30 +355,16 @@ class PipelineResult:
     summary: dict | None
 
 
-def run_pipeline(variant: str, frames, layout: NodeLayout,
-                 config: PipelineConfig, truth: dict | None = None,
-                 fades: FadeLevelTable | None = None) -> PipelineResult:
-    """Calibrate on the trace prefix, then localize every following frame.
+def calibrated_pipeline(variant: str, frames, layout: NodeLayout,
+                        config: PipelineConfig,
+                        fades: FadeLevelTable | None = None):
+    """(VariantPipeline, list of the frames it is to image) of a recording.
 
-    Each image of one VariantPipeline.images call is localized, through
-    the Kalman filter when config.kalman is set, its step spanning the k
-    difference times config.dt. A frame with no detection (a zero image,
-    as an outage past the hold window gives) keeps its NaN position and
-    error; the summary leaves it out and the Kalman filter skips it.
-
-    Args:
-        variant: one of VARIANTS.
-        frames: full trace; the first config.calibration_frames frames
-            must be person-free.
-        layout: node deployment.
-        config: pipeline configuration.
-        truth: optional k -> (x, y) ground truth; adds error columns and
-            summary.
-        fades: skip calibration and use these fade levels (the trace
-            prefix is then not consumed).
-
-    Returns:
-        PipelineResult; deterministic for identical inputs.
+    Without fades, the first config.calibration_frames frames, which must
+    be person-free, are calibrated on and dropped, and a recording no
+    longer than that prefix raises ValueError; given fades, every frame is
+    imaged. The pipeline images on the node-bounding-box grid of config's
+    voxel_width and grid_margin.
     """
     frames = list(frames)
     if fades is None:
@@ -384,11 +373,30 @@ def run_pipeline(variant: str, frames, layout: NodeLayout,
                 f"trace has {len(frames)} frames; needs more than the "
                 f"{config.calibration_frames}-frame calibration prefix"
             )
-        table = enumerate_links(layout)
-        fades = calibrate(frames[:config.calibration_frames], table)
+        fades = calibrate(frames[:config.calibration_frames],
+                          enumerate_links(layout))
         frames = frames[config.calibration_frames:]
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
-    pipeline = VariantPipeline(variant, fades, layout, grid, config)
+    return VariantPipeline(variant, fades, layout, grid, config), frames
+
+
+def run_pipeline(variant: str, frames, layout: NodeLayout,
+                 config: PipelineConfig, truth: dict | None = None,
+                 fades: FadeLevelTable | None = None) -> PipelineResult:
+    """Localize every frame that `calibrated_pipeline` leaves to image:
+    those after the calibration prefix, or every frame given fades.
+
+    Each image of one VariantPipeline.images call is localized, through
+    the Kalman filter when config.kalman is set, its step spanning the k
+    difference times config.dt. A frame with no detection (a zero image,
+    as an outage past the hold window gives) keeps its NaN position and
+    error; the summary leaves it out and the Kalman filter skips it.
+    truth, an optional k -> (x, y) ground truth, adds the error columns and
+    the summary. The result is deterministic for identical inputs.
+    """
+    pipeline, frames = calibrated_pipeline(variant, frames, layout, config,
+                                           fades)
+    grid = pipeline.grid
     r = config.kalman_r_scale * config.voxel_width**2
     nan = float("nan")
     track = None

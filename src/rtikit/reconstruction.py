@@ -2,64 +2,31 @@
 
 The attenuation-change image is estimated from measurements y through a
 precomputed linear operator: x̂ = Π y with Π = (WᵀW + σ_N² C_x⁻¹)⁻¹ Wᵀ,
-where C_x is an exponentially decaying spatial prior over voxel centers
-(Wilson & Patwari, "Radio Tomographic Imaging with Wireless Networks",
-IEEE TMC 2010).
+where C_x = σ_x² exp(−d / δ_c) is an exponentially decaying spatial prior
+over voxel centers (Wilson & Patwari, "Radio Tomographic Imaging with
+Wireless Networks", IEEE TMC 2010).
 
-The build is the expensive step and happens once per weight matrix; each
-frame is then one or two products. The build is dense LAPACK/BLAS
-throughout, and its form depends on the shape of W and, for a short W, on
-the conditioning of W C_x Wᵀ + σ_N² I:
-- W with more rows than voxels (the multi-scale weights): A = WᵀW +
-  σ_N² C_x⁻¹ in one N × N Fortran-order buffer, of which potrf, potri and
-  the products with M read only the lower triangle, and the build writes
-  only that triangle, at grid-row granularity: entry (j, i) where voxel
-  j's grid row is at or above voxel i's. The buffer is an anonymous
-  mapping advised against huge pages, so only the pages written become
-  resident: about N²·4 bytes plus about a 4 KiB page per column, where a
-  numpy array, advised onto 2 MiB pages, would be resident whole. The
-  buffer starts as the precision term σ_N² C_x⁻¹, expanded into it. C_x
-  does not change when the grid is mirrored in x or in y,
-  so in a basis of vectors even or odd under each mirror it is block
-  diagonal; the term is held as the Cholesky inverses (potrf, potri) of
-  its four blocks of about N/4 voxels (`PrecisionTerm`), formed from
-  quarter-grid distances without forming C_x, at about a sixteenth of the
-  flops of inverting C_x whole and about a quarter of the memory of the
-  N × N term. WᵀW is added to the buffer one pair of _TILE × _TILE-voxel
-  tiles at a time, read from the weights' ellipses (each row one value
-  on the voxels inside its ellipse, see `WeightMatrix`): a tile keeps
-  the 0/1 masks of the rows whose ellipse touches it, and the block of a
-  tile pair is one product over the rows touching both, so
-  the products of zero (row, tile) blocks, about five sixths of a dense
-  WᵀW's flops at the reference deployments, are never computed. No W
-  exists in any form.
-  A is then Cholesky-factored and inverted in place, and the lower
-  triangle of M = A⁻¹ is stored, N × N, the other exactly zero, applied
-  as x̂ = M·(Wᵀy). Wᵀy is the weights' band back-projection U·(S·y): S
-  sums each link's nested ellipse rows from the widest down and U adds
-  one of those sums per (link, voxel), so it reads about a sixth of the
-  nonzeros of W. A symmetric product with M follows. Besides M the build
-  holds the tiles' masks (a byte per row and voxel of each tile a row
-  touches), a few (_BLOCK, _TILE²) buffers and the compact term, which
-  depends only on the grid and the parameters and is kept for the next
-  build on them (see `prior_precision_term`).
-- otherwise (the fixed-width weights, one row per link): Π itself,
-  N × rows, in the push-through form Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹,
-  which is the same matrix. C_x Wᵀ is formed from the sparse W times
-  _PUSH_BLOCK columns of C_x at a time, and only the rows × rows matrix
-  W C_x Wᵀ + σ_N² I is factored, so the build holds no N × N array and
-  takes no inverse of the ill-conditioned C_x. This form's error grows with the
-  condition number of that rows × rows matrix, so when LAPACK estimates it
-  above _PUSH_THROUGH_MAX_COND, Π is instead solved from A, formed in the
-  same buffer as for a tall W.
-W is about one sixth nonzero at the reference deployments, where the
-sparse WᵀW took four to eight times as long as a dense one; the tile
-pairs keep the dense products and drop the zero ones.
+The build, `build_operator`, is the expensive step and happens once per
+weight matrix; each frame is then one or two products, `reconstruct`. The
+build is dense LAPACK/BLAS throughout and stores whichever is smaller: for
+W with more rows than voxels (the multi-scale weights), the lower triangle
+of M = (WᵀW + σ_N² C_x⁻¹)⁻¹, applied as M·(Wᵀy); otherwise Π itself, in
+the push-through form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, or solved from
+A = WᵀW + σ_N² C_x⁻¹ when that form's rows × rows matrix is too
+ill-conditioned. Neither forms the whole C_x. The precision term
+σ_N² C_x⁻¹ depends only on the grid and the parameters, and
+`prior_precision_term` inverts it block by block through the grid's
+mirrors and keeps it. WᵀW is summed over pairs of voxel tiles from the
+weights' ellipses, and no W exists in any form: W is about one sixth
+nonzero at the reference deployments, where the sparse WᵀW took four to
+eight times as long as a dense one, so the tile pairs keep the dense
+products and drop the zero ones.
 """
 
 import functools
 import mmap
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import linalg
@@ -115,19 +82,24 @@ _PRIOR_MEMO_SIZE = 2
 class ReconstructionParams:
     """Regularization parameters.
 
+    The prior is C_x = σ_x² exp(−d / δ_c), and Π reads σ_N and σ_x only
+    through their ratio σ_N/σ_x: scaling both by one factor leaves Π
+    unchanged. So σ_x is the class constant `sigma_x`, not a field, and
+    σ_N alone sets the regularization's strength; the Π of a prior
+    deviation s is the Π of σ_N·sigma_x/s.
+
     Attributes:
-        sigma_x: prior per-voxel standard deviation, dB.
         sigma_n: measurement noise standard deviation, dB.
         delta_c: prior correlation distance, meters.
+        sigma_x: prior per-voxel standard deviation, dB (a constant).
     """
 
-    sigma_x: float = 0.0316
+    sigma_x: ClassVar[float] = 0.0316
     sigma_n: float = 1.4142
     delta_c: float = 4.0
 
     def __post_init__(self):
-        check_bounds(self, sigma_x="finite and > 0", sigma_n="finite and > 0",
-                     delta_c="finite and > 0")
+        check_bounds(self, sigma_n="finite and > 0", delta_c="finite and > 0")
 
 
 def _covariance(distances: np.ndarray,
@@ -301,16 +273,19 @@ class PrecisionTerm:
                             quarter_cols_y, quarter_cols_x]
 
 
-def prior_precision_term(grid: VoxelGrid,
-                         params: ReconstructionParams) -> PrecisionTerm:
+@functools.lru_cache(maxsize=_PRIOR_MEMO_SIZE)
+def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams,
+                         /) -> PrecisionTerm:
     """σ_N² C_x⁻¹, inverted block by block through the grid's mirrors and
     kept in that compact form.
 
     This is the regularization term of every tall operator built on the
     same grid and parameters, and it depends on nothing else: a
     recalibration changes the weights, not the term. So the terms of the
-    last _PRIOR_MEMO_SIZE (grid, params) pairs are kept, and equal
-    arguments give the same term, its blocks read-only: a build on a grid
+    last _PRIOR_MEMO_SIZE (grid, params) pairs are kept, by the value of
+    the two frozen arguments, which are positional-only so that equal
+    arguments always make one key. Equal arguments give the same term, its
+    blocks read-only: a build on a grid
     it has seen expands the kept term and inverts nothing. Callers may also
     pass the term to each `build_operator`.
 
@@ -326,15 +301,6 @@ def prior_precision_term(grid: VoxelGrid,
         LinAlgError: C_x is not SPD to working precision (one of its blocks
             is not); the message carries N and δ_c. Nothing is kept then.
     """
-    return _precision_term(grid, params)
-
-
-@functools.lru_cache(maxsize=_PRIOR_MEMO_SIZE)
-def _precision_term(grid: VoxelGrid,
-                    params: ReconstructionParams) -> PrecisionTerm:
-    """prior_precision_term's computation, kept by the value of its two
-    frozen arguments; always called positionally, so equal arguments are
-    one key."""
     blocks = _mirror_blocks(grid, params)
     for sy in (0, 1):
         for sx in (0, 1):

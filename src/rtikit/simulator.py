@@ -105,7 +105,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        channels = np.asarray(self.channels, dtype=int)
+        channels = np.asarray(self.channels)
         if channels.size == 0:
             raise ValueError("need at least one channel")
         check_channels(channels)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rtikit import geometry
-from rtikit.calibration import PathLossFit
+from rtikit.calibration import PathLossFit, RssFrame
 from rtikit.geometry import VoxelGrid
 from rtikit.harness import PipelineConfig
 from rtikit.measurement_model import HoldBuffer, MeasurementModelParams
@@ -20,6 +20,7 @@ from rtikit.spatial_model import EllipseModelParams
 
 POSITIVE, NON_NEGATIVE = "finite and > 0", "finite and >= 0"
 NEGATIVE, FINITE, FINITE_OR_NONE = "finite and < 0", "finite", "finite or None"
+INTEGER = "an integer"
 COUNT, SIZE, NODES = "an integer >= 0", "an integer >= 1", "an integer >= 3"
 
 
@@ -38,8 +39,7 @@ FIELDS = {
     MeasurementModelParams: {
         "beta_minus": POSITIVE, "k_beta_plus": POSITIVE, "b_beta_plus": POSITIVE,
         "hold_frames": COUNT},
-    ReconstructionParams: {
-        "sigma_x": POSITIVE, "sigma_n": POSITIVE, "delta_c": POSITIVE},
+    ReconstructionParams: {"sigma_n": POSITIVE, "delta_c": POSITIVE},
     PipelineConfig: {
         "voxel_width": POSITIVE, "grid_margin": FINITE_OR_NONE,
         "calibration_frames": SIZE, "flrti_m": SIZE, "classic_lambda": NON_NEGATIVE,
@@ -53,6 +53,8 @@ FIELDS = {
         "calibration_frames": SIZE, "eta": FINITE, "p0": FINITE,
         "noise_sigma": NON_NEGATIVE, "fade_sigma": NON_NEGATIVE, "seed": COUNT},
     perimeter_layout_args: {"n_nodes": NODES, "width": POSITIVE, "height": POSITIVE},
+    functools.partial(RssFrame, rss=np.zeros((1, 1)), channels=[11]): {
+        "k": INTEGER},
 }
 CASES = [(build, name, bound) for build, fields in FIELDS.items()
          for name, bound in fields.items()]
@@ -80,6 +82,7 @@ VALUES = {
     FINITE: (NON_FINITE, floats()),
     FINITE_OR_NONE: (NON_FINITE, st.none() | floats()),
     # a float breaks an integer bound, whole or not
+    INTEGER: (NON_FINITE | floats(), integers()),
     COUNT: (NON_FINITE | floats() | integers(max_value=-1), integers(min_value=0)),
     SIZE: (NON_FINITE | floats() | integers(max_value=0), integers(min_value=1)),
     # a layout holds a row per node, so the sizes drawn inside are a
@@ -109,3 +112,16 @@ def test_value_outside_the_bound_names_field_bound_and_value(build, name, bound,
 def test_value_inside_the_bound_constructs(build, name, bound, data):
     value = data.draw(VALUES[bound][1], label=name)
     assert getattr(build(**{name: value}), name) == value
+
+
+INTEGER_CASES = [(case, id_) for case, id_ in zip(CASES, IDS)
+                 if case[2].startswith("an integer")]
+
+
+@pytest.mark.parametrize("build, name, bound", [c for c, _ in INTEGER_CASES],
+                         ids=[i for _, i in INTEGER_CASES])
+def test_true_breaks_an_integer_bound(build, name, bound):
+    """bool is an Integral to Python, but True is no count, size or seed."""
+    with pytest.raises(ValueError) as info:
+        build(**{name: True})
+    assert str(info.value) == f"{name} must be {bound}, got True"

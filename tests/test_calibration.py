@@ -335,6 +335,45 @@ def test_rss_frame_validation():
         RssFrame(k=0, rss=np.array([[np.inf, 0.0]]), channels=channels)
 
 
+def test_non_integral_channels_and_k_are_rejected_not_truncated():
+    """A channel or a k that is not a whole number is an error wherever it
+    enters, before any cast to int could truncate it; a whole float is the
+    integer it equals."""
+    table = enumerate_links(ring_layout())
+    rss = np.zeros((table.n_links, 1))
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.7$"):
+        RssFrame(k=2.7, rss=rss, channels=[11])
+    with pytest.raises(ValueError, match=r"^k must be an integer, got True$"):
+        RssFrame(k=True, rss=rss, channels=[11])
+    with pytest.raises(ValueError, match=r"^channels must be whole numbers, got \[11\.5\]$"):
+        RssFrame(k=2, rss=rss, channels=[11.5])
+    for bad in ([np.nan], [11.0, 16.2]):
+        with pytest.raises(ValueError, match="^channels must be whole numbers"):
+            RssFrame(k=2, rss=np.zeros((table.n_links, len(bad))), channels=bad)
+    frame = RssFrame(k=np.int64(2), rss=rss, channels=np.array([11.0]))
+    assert type(frame.k) is int and frame.channels.dtype.kind == "i"
+    mean = np.random.default_rng(1).uniform(-70, -40, (table.n_links, 1))
+    with pytest.raises(ValueError, match="^channels must be whole numbers"):
+        calibrate_means(mean, [11.5], table)
+    assert calibrate_means(mean, [11.0], table).channels.dtype.kind == "i"
+    fit = PathLossFit(p0=40.0, eta=2.0, n_pairs=2, rmse=0.0)
+    with pytest.raises(ValueError, match="^channels must be whole numbers"):
+        FadeLevelTable(values=mean, mean_rss=mean, channels=np.array([11.5]),
+                       fit=fit)
+    with pytest.raises(ValueError, match=r"^channel 11\.7 is not a whole number$"):
+        channel_frequency(11.7)
+    with pytest.raises(ValueError, match=r"^channel 11\.9 is not a whole number$"):
+        normalized_tx_power(11.9)
+    with pytest.raises(ValueError, match="is not a whole number"):
+        normalized_tx_power([11, 12.5])
+    with pytest.raises(ValueError, match="is not a whole number"):
+        channel_frequency(np.nan)
+    with pytest.raises(ValueError, match="outside"):
+        channel_frequency(np.inf)
+    assert channel_frequency(12.0) == 2410.0
+    assert normalized_tx_power(12.0) == normalized_tx_power(12)
+
+
 @pytest.mark.parametrize("hole", ["values", "mean_rss"])
 def test_fade_table_needs_one_nan_mask(hole):
     """A pair is uncalibrated in both arrays or in neither: a fade level

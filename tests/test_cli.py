@@ -146,6 +146,28 @@ def test_rti_images_the_first_channel_that_channels_names(workspace):
     np.testing.assert_array_equal(load_track_csv(out), want)
 
 
+@pytest.mark.parametrize("command, out", [("track", "--out"),
+                                          ("reconstruct", "--out-dir")])
+def test_trace_no_longer_than_the_prefix_exits_2(workspace, capsys, command, out):
+    tmp_path, _, layout_path, _, _ = workspace
+    trace_path, _ = _simulate(workspace)
+    config = tmp_path / "prefix.txt"
+    config.write_text("calibration_frames 38\n")
+    assert main([command, "--layout", str(layout_path), "--trace", str(trace_path),
+                 "--config", str(config), out, str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: trace has 38 frames; needs more than the 38-frame "
+        "calibration prefix\n")
+
+
+def test_sigma_x_is_no_config_key(tmp_path, capsys):
+    config = tmp_path / "c.txt"
+    config.write_text("sigma_x 0.05\n")
+    assert main(["crosscheck", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: unknown config key 'sigma_x'\n")
+
+
 def test_removed_rti_channel_key_and_seed_flag_are_errors(workspace, capsys):
     tmp_path, _, layout_path, scenario, _ = workspace
     trace_path, _ = _simulate(workspace)
@@ -312,11 +334,11 @@ def test_bad_config_key_reported(workspace, capsys):
 @pytest.mark.parametrize("line", [
     "dt 0", "kalman_q -1", "kalman_r_scale nan", "voxel_width nan",
     "kalman true", "b_lambda_minus nan", "b_lambda_plus nan", "lambda_max nan",
-    "sigma_x nan", "sigma_n nan", "delta_c nan", "beta_minus nan",
+    "sigma_n nan", "delta_c nan", "beta_minus nan",
     "k_beta_plus nan", "b_beta_plus nan", "k_lambda_minus nan",
     "k_lambda_plus nan", "b_lambda_minus inf", "b_lambda_plus inf",
     "lambda_max inf", "k_lambda_minus -inf", "k_lambda_plus inf",
-    "sigma_x inf", "sigma_n inf", "delta_c inf", "beta_minus inf",
+    "sigma_n inf", "delta_c inf", "beta_minus inf",
     "k_beta_plus inf", "b_beta_plus inf",
 ])
 def test_bad_config_value_reported(workspace, capsys, line):
@@ -344,7 +366,7 @@ def test_bad_config_value_reported(workspace, capsys, line):
 ])
 def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     bad = tmp_path / "c.txt"
-    bad.write_text(f"sigma_x 0.03\n{line}\n")
+    bad.write_text(f"sigma_n 1.4\n{line}\n")
     assert main(["crosscheck", "--config", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
@@ -369,8 +391,7 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--variants", ","], "--variants needs at least one variant"),
     (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
     (["track", "--trace", "{trace}"],
-     "trace has 38 frames but the first 100 are needed for calibration; "
-     "pass --fades to use every frame"),
+     "trace has 38 frames; needs more than the 100-frame calibration prefix"),
 ], ids=["seeds", "no seeds", "negative seed", "channels", "channel below",
         "channel above", "descending channels", "repeated channel", "variant",
         "no variants", "no frames", "few frames"])

@@ -70,6 +70,17 @@ def test_link_lengths_and_lookup():
         table.link_index(1, 99)
 
 
+def test_an_id_that_is_not_whole_is_unknown():
+    table = enumerate_links(square_layout(4.0))
+    assert table.link_index(1.0, 2.0) == table.link_index(1, 2)
+    with pytest.raises(KeyError, match="no link between nodes 1.9 and 2.2"):
+        table.link_index(1.9, 2.2)
+    np.testing.assert_array_equal(
+        table.link_indices([1.0, 1.9, 1.0, np.nan, np.inf, -np.inf, 1e30, -2.0**63],
+                           [2.0, 2.2, 2.5, 2.0, 2.0, 2.0, 2.0, 2.0]),
+        [table.link_index(1, 2), -1, -1, -1, -1, -1, -1, -1])
+
+
 INT64 = st.integers(-2**63, 2**63 - 1)
 
 

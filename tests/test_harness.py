@@ -15,6 +15,7 @@ from rtikit.harness import (
     VariantPipeline,
     _flrti_selection,
     benchmark,
+    calibrated_pipeline,
     crosscheck_models,
     run_pipeline,
 )
@@ -79,8 +80,27 @@ def test_run_pipeline_row_shapes():
 def test_run_pipeline_needs_frames_beyond_prefix():
     layout, trace = _small_trace()
     config = PipelineConfig(calibration_frames=len(trace.frames))
-    with pytest.raises(ValueError, match="calibration prefix"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"trace has {len(trace.frames)} frames; needs more than the "
+            f"{len(trace.frames)}-frame calibration prefix")):
         run_pipeline("rti", trace.frames, layout, config)
+
+
+def test_calibrated_pipeline_splits_the_prefix_unless_given_fades():
+    layout, trace = _small_trace()
+    n = trace.calibration_frames
+    config = PipelineConfig(calibration_frames=n, voxel_width=0.3)
+    want = calibrate(trace.frames[:n], enumerate_links(layout))
+    pipeline, frames = calibrated_pipeline("msrti", iter(trace.frames),
+                                           layout, config)
+    assert frames == list(trace.frames[n:])
+    for name in ("values", "mean_rss", "channels"):
+        assert np.array_equal(getattr(pipeline.fades, name),
+                              getattr(want, name), equal_nan=True)
+    assert pipeline.grid == VoxelGrid.from_layout(layout, 0.3)
+    pipeline, frames = calibrated_pipeline("msrti", trace.frames, layout,
+                                           config, want)
+    assert frames == list(trace.frames) and pipeline.fades is want
 
 
 def test_unknown_variant_rejected():
@@ -621,7 +641,7 @@ def _two_calibrations():
 
 
 def _clear_memos():
-    reconstruction._precision_term.cache_clear()
+    reconstruction.prior_precision_term.cache_clear()
     harness._fixed_width_operator.cache_clear()
 
 
@@ -675,8 +695,7 @@ def test_fixed_width_operator_is_keyed_by_every_input_of_its_pi():
         "classic_lambda": dict(config=replace(config, classic_lambda=0.05)),
         **{f"reconstruction.{name}": dict(config=replace(
             config, reconstruction=replace(params, **{name: value})))
-           for name, value in (("sigma_x", 0.05), ("sigma_n", 1.0),
-                               ("delta_c", 2.0))},
+           for name, value in (("sigma_n", 1.0), ("delta_c", 2.0))},
     }
     for name, change in changes.items():
         new = operator(**change)
@@ -753,7 +772,7 @@ def test_fade_table_from_another_layout_is_rejected_at_construction(variant):
                        match="fade table covers 28 links, table has 45"):
         VariantPipeline(variant, fades, layout, grid, config)
     assert harness._fixed_width_operator.cache_info().currsize == 0
-    assert reconstruction._precision_term.cache_info().currsize == 0
+    assert reconstruction.prior_precision_term.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -770,7 +789,7 @@ def test_operator_for_another_grid_is_rejected_at_construction(variant):
             f"operator was built for grid {grid}, not the pipeline's grid {moved}")):
         VariantPipeline(variant, fades, layout, moved, config, operator=operator)
     assert harness._fixed_width_operator.cache_info().currsize == 0
-    assert reconstruction._precision_term.cache_info().currsize == 0
+    assert reconstruction.prior_precision_term.cache_info().currsize == 0
     assert VariantPipeline(variant, fades, layout, grid, config,
                            operator=operator).operator is operator
 
@@ -794,7 +813,7 @@ def test_operator_for_another_variants_rows_is_rejected_at_construction(built, g
             f"not the {rows} that {given} measures")):
         VariantPipeline(given, fades, layout, grid, config, operator=operator)
     assert harness._fixed_width_operator.cache_info().currsize == 0
-    assert reconstruction._precision_term.cache_info().currsize == 0
+    assert reconstruction.prior_precision_term.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -874,7 +893,7 @@ def test_config_from_dict_roundtrip():
         "lambda_max": [["2.5"]],
         "beta_minus": [["0.2"]],
         "hold_frames": [["8"]],
-        "sigma_x": [["0.05"]],
+        "sigma_n": [["0.3"]],
         "delta_c": [["3.0"]],
     }
     config = PipelineConfig.from_dict(kv)
@@ -887,7 +906,7 @@ def test_config_from_dict_roundtrip():
     assert config.ellipse.lambda_max == 2.5
     assert config.measurement.beta_minus == 0.2
     assert config.measurement.hold_frames == 8
-    assert config.reconstruction.sigma_x == 0.05
+    assert config.reconstruction.sigma_n == 0.3
     assert config.reconstruction.delta_c == 3.0
 
 
@@ -932,12 +951,14 @@ def test_config_from_dict_rejects_unknown_key():
         PipelineConfig.from_dict({"dead_zone_db": [["0"]]})
     with pytest.raises(ValueError, match="unknown config key 'kalman'"):
         PipelineConfig.from_dict({"kalman": [["true"]]})
-    with pytest.raises(ValueError, match="'sigma_x' needs exactly one value"):
-        PipelineConfig.from_dict({"sigma_x": [["1.0", "2.0"]]})
-    with pytest.raises(ValueError, match="'sigma_x' needs exactly one value"):
-        PipelineConfig.from_dict({"sigma_x": [[]]})
-    with pytest.raises(ValueError, match="'sigma_x' appears more than once"):
-        PipelineConfig.from_dict({"sigma_x": [["1.0"], ["2.0"]]})
+    with pytest.raises(ValueError, match="unknown config key 'sigma_x'"):
+        PipelineConfig.from_dict({"sigma_x": [["0.05"]]})
+    with pytest.raises(ValueError, match="'sigma_n' needs exactly one value"):
+        PipelineConfig.from_dict({"sigma_n": [["1.0", "2.0"]]})
+    with pytest.raises(ValueError, match="'sigma_n' needs exactly one value"):
+        PipelineConfig.from_dict({"sigma_n": [[]]})
+    with pytest.raises(ValueError, match="'sigma_n' appears more than once"):
+        PipelineConfig.from_dict({"sigma_n": [["1.0"], ["2.0"]]})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -959,7 +980,6 @@ def test_config_rejects_out_of_range_values(key, value):
     ("k_lambda_minus", "finite and < 0"),
     ("k_lambda_plus", "finite and > 0"),
     ("lambda_max", "finite and > 0"),
-    ("sigma_x", "finite and > 0"),
     ("sigma_n", "finite and > 0"),
     ("delta_c", "finite and > 0"),
     ("beta_minus", "finite and > 0"),

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,15 +65,36 @@ def octagon_forms():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ReconstructionParams(sigma_x=0.0)
-    with pytest.raises(ValueError):
         ReconstructionParams(sigma_n=-1.0)
     with pytest.raises(ValueError):
         ReconstructionParams(delta_c=0.0)
-    for name in ("sigma_x", "sigma_n", "delta_c"):
+    for name in ("sigma_n", "delta_c"):
         with pytest.raises(ValueError,
                            match=f"^{name} must be finite and > 0, got inf$"):
             ReconstructionParams(**{name: np.inf})
+
+
+def test_sigma_x_is_a_constant_not_a_field():
+    assert ReconstructionParams().sigma_x == 0.0316
+    assert [f.name for f in fields(ReconstructionParams)] == ["sigma_n", "delta_c"]
+    with pytest.raises(TypeError):
+        ReconstructionParams(sigma_x=0.05)
+
+
+@pytest.mark.parametrize("form", ["tall", "short"])
+def test_pi_reads_sigma_n_over_sigma_x_only(form, monkeypatch):
+    """The Π of a prior deviation s is the Π of σ_N·sigma_x/s: scaling σ_N
+    and σ_x by one factor leaves (WᵀW + σ_N² C_x⁻¹)⁻¹ Wᵀ unchanged."""
+    _, grid, _, weights = octagon_forms()
+    sigma_n, s = 1.4142, 0.05
+    want = build_operator(weights[form], grid, ReconstructionParams(
+        sigma_n=sigma_n * ReconstructionParams.sigma_x / s)).pi
+    monkeypatch.setattr(ReconstructionParams, "sigma_x", s)
+    prior_precision_term.cache_clear()
+    got = build_operator(weights[form], grid,
+                         ReconstructionParams(sigma_n=sigma_n)).pi
+    prior_precision_term.cache_clear()
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_operator_matches_dense_oracle_classic():
@@ -292,22 +313,22 @@ def assembled_precision_term(term):
 @settings(max_examples=120, deadline=None)
 @given(nx=st.integers(1, 16), ny=st.integers(1, 16),
        p=st.floats(0.05, 1.0), delta_c=st.floats(0.1, 10.0),
-       sigma_x=st.floats(0.01, 1.0))
-@example(nx=1, ny=1, p=0.5, delta_c=4.0, sigma_x=0.0316)
-@example(nx=1, ny=16, p=0.15, delta_c=4.0, sigma_x=0.0316)
-@example(nx=15, ny=1, p=0.15, delta_c=4.0, sigma_x=0.0316)
-@example(nx=16, ny=15, p=0.05, delta_c=10.0, sigma_x=0.0316)
-@example(nx=15, ny=16, p=1.0, delta_c=0.1, sigma_x=0.0316)
-@example(nx=15, ny=15, p=0.15, delta_c=4.0, sigma_x=1.0)
-@example(nx=16, ny=16, p=0.15, delta_c=4.0, sigma_x=0.0316)
+       sigma_n=st.floats(0.0447, 4.47))
+@example(nx=1, ny=1, p=0.5, delta_c=4.0, sigma_n=1.4142)
+@example(nx=1, ny=16, p=0.15, delta_c=4.0, sigma_n=1.4142)
+@example(nx=15, ny=1, p=0.15, delta_c=4.0, sigma_n=1.4142)
+@example(nx=16, ny=15, p=0.05, delta_c=10.0, sigma_n=1.4142)
+@example(nx=15, ny=16, p=1.0, delta_c=0.1, sigma_n=1.4142)
+@example(nx=15, ny=15, p=0.15, delta_c=4.0, sigma_n=0.0447)
+@example(nx=16, ny=16, p=0.15, delta_c=4.0, sigma_n=1.4142)
 def test_precision_term_matches_whole_matrix_inverse(nx, ny, p, delta_c,
-                                                     sigma_x):
+                                                     sigma_n):
     """Even and odd axes, 1-wide ones and 1 × 1, to δ_c/p = 200 (where C_x's
     condition number on 16 × 16 is about 1.2e5 and the two routes differ
     by about 4e-13). The expansion is also exactly the entry-by-entry
     assembly of the compact term's blocks."""
     grid = VoxelGrid(origin=(-1.0, 2.0), p=p, nx=nx, ny=ny)
-    params = ReconstructionParams(sigma_x=sigma_x, delta_c=delta_c)
+    params = ReconstructionParams(sigma_n=sigma_n, delta_c=delta_c)
     compact = prior_precision_term(grid, params)
     assert (compact.grid, compact.params) == (grid, params)
     term = expanded(compact)
@@ -458,7 +479,7 @@ def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
 
 def _cold_precision_term(grid, params):
     """prior_precision_term computed anew: the kept terms are dropped first."""
-    reconstruction._precision_term.cache_clear()
+    prior_precision_term.cache_clear()
     return prior_precision_term(grid, params)
 
 
@@ -503,7 +524,6 @@ def test_precision_term_is_kept_per_grid_and_params():
     for other_grid, other_params in (
             (replace(grid, nx=8), params),
             (replace(grid, p=0.4), params),
-            (grid, replace(params, sigma_x=0.05)),
             (grid, replace(params, sigma_n=1.0)),
             (grid, replace(params, delta_c=2.0))):
         other = prior_precision_term(other_grid, other_params)
@@ -519,8 +539,8 @@ def test_precision_memo_stays_within_its_bound():
     first = prior_precision_term(grids[0], params)
     for grid in grids[1:]:
         prior_precision_term(grid, params)
-        assert reconstruction._precision_term.cache_info().currsize <= bound
-    assert reconstruction._precision_term.cache_info().currsize == bound
+        assert prior_precision_term.cache_info().currsize <= bound
+    assert prior_precision_term.cache_info().currsize == bound
     assert prior_precision_term(grids[0], params) is not first
     last = prior_precision_term(grids[-1], params)
     assert prior_precision_term(grids[-1], params) is last

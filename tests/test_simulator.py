@@ -87,6 +87,12 @@ def test_fractional_trajectory_times_are_rejected():
     with pytest.raises(ValueError,
                        match=r"^start_k must be an integer >= 0, got 10\.5$"):
         stationary_trajectory((1, 1), 10.5, 2)
+    with pytest.raises(ValueError,
+                       match=r"^start_k must be an integer >= 0, got True$"):
+        stationary_trajectory((0, 0), True, True)
+    with pytest.raises(ValueError,
+                       match=r"^n_frames must be an integer >= 1, got True$"):
+        stationary_trajectory((0, 0), 0, True)
     whole = ScenarioSpec(layout=layout, calibration_frames=5,
                          trajectory=np.floor(waypoints[::2]))
     trace = generate_trace(whole)
@@ -100,6 +106,10 @@ def test_spec_validation():
         ScenarioSpec(layout=layout, channels=())
     with pytest.raises(ValueError):
         ScenarioSpec(layout=layout, channels=(10, 11))
+    with pytest.raises(ValueError, match=r"^channels must be whole numbers, "
+                                         r"got \[11\.5, 16\.2\]$"):
+        ScenarioSpec(layout=layout, channels=(11.5, 16.2))
+    assert ScenarioSpec(layout=layout, channels=(11.0, 16.0)).channels == (11, 16)
     with pytest.raises(ValueError):
         ScenarioSpec(layout=layout, calibration_frames=0)
     with pytest.raises(ValueError):
