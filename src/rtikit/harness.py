@@ -363,7 +363,9 @@ def calibrated_pipeline(variant: str, frames, layout: NodeLayout,
     Without fades, the first config.calibration_frames frames, which must
     be person-free, are calibrated on and dropped, and a recording no
     longer than that prefix raises ValueError; given fades, every frame is
-    imaged. The pipeline images on the node-bounding-box grid of config's
+    imaged. The first frame to image is checked against the fade table
+    (`check_frame`) before the pipeline's weights and operator are built.
+    The pipeline images on the node-bounding-box grid of config's
     voxel_width and grid_margin.
     """
     frames = list(frames)
@@ -376,6 +378,8 @@ def calibrated_pipeline(variant: str, frames, layout: NodeLayout,
         fades = calibrate(frames[:config.calibration_frames],
                           enumerate_links(layout))
         frames = frames[config.calibration_frames:]
+    if frames:
+        check_frame(frames[0], fades.channels, fades.n_links, "the fade table")
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
     return VariantPipeline(variant, fades, layout, grid, config), frames
 
@@ -459,9 +463,9 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         inner; summary is None for a run with no detected frame.
 
     Raises:
-        ValueError: an empty trajectory, an unknown variant or a seed that
-            ScenarioSpec rejects (not an integer >= 0), before any trace is
-            made.
+        ValueError: an empty trajectory, an unknown or repeated variant, or
+            a seed that ScenarioSpec rejects (not an integer >= 0) or that
+            is repeated, before any trace is made.
     """
     if config is None:
         config = PipelineConfig()
@@ -471,6 +475,12 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
     for variant in variants:
         _check_variant(variant)
     specs = [replace(spec, seed=seed) for seed in seeds]
+    for kind, values in (("variant", variants),
+                         ("seed", [seeded.seed for seeded in specs])):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"benchmark is given {kind} {repeated[0]} "
+                             f"more than once")
     table = enumerate_links(spec.layout)
 
     rows = []

@@ -11,16 +11,14 @@ weight matrix; each frame is then one or two products, `reconstruct`. The
 build is dense LAPACK/BLAS throughout and stores whichever is smaller: for
 W with more rows than voxels (the multi-scale weights), the lower triangle
 of M = (WᵀW + σ_N² C_x⁻¹)⁻¹, applied as M·(Wᵀy); otherwise Π itself, in
-the push-through form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, or solved from
-A = WᵀW + σ_N² C_x⁻¹ when that form's rows × rows matrix is too
-ill-conditioned. Neither forms the whole C_x. The precision term
-σ_N² C_x⁻¹ depends only on the grid and the parameters, and
-`prior_precision_term` inverts it block by block through the grid's
-mirrors and keeps it. WᵀW is summed over pairs of voxel tiles from the
-weights' ellipses, and no W exists in any form: W is about one sixth
-nonzero at the reference deployments, where the sparse WᵀW took four to
-eight times as long as a dense one, so the tile pairs keep the dense
-products and drop the zero ones.
+the push-through form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹. Neither forms the
+whole C_x. The precision term σ_N² C_x⁻¹ of a tall build depends only on
+the grid and the parameters, and `prior_precision_term` inverts it block
+by block through the grid's mirrors and keeps it. WᵀW is summed over
+pairs of voxel tiles from the weights' ellipses, and no W exists in any
+form: W is about one sixth nonzero at the reference deployments, where
+the sparse WᵀW took four to eight times as long as a dense one, so the
+tile pairs keep the dense products and drop the zero ones.
 """
 
 import functools
@@ -58,19 +56,6 @@ _PUSH_BLOCK = 64
 # at the grid's edges): a row's ellipse touches about a third of them at
 # the reference deployments.
 _TILE = 12
-
-# The largest condition number of W C_x Wᵀ + σ_N² I, as LAPACK's pocon
-# estimates it (1-norm), at which a short W is built in push-through form.
-# On random W that form's relative error stayed below 0.3·cond·eps (3.4e-13
-# at an estimate of 1.2e4, 1.1e-12 at 2.4e5), while the A route stayed
-# near 1e-14. The shipped fixed-width weights estimate 40 to 3200 only at
-# the defaults σ_N 1.4142 and λ 0.02: on the 30-node benchmark deployments
-# at 0.15 m voxels, σ_N 0.3 gives 1.4e4 to 8.6e4, σ_N 0.7 up to 1.4e4,
-# and λ 0.1 at σ_N 0.3 reaches 4.5e5, so those settings build Π from A
-# (cdrti's at σ_N 0.3 on the 7 m square, N = 2304: 0.3 s, not 0.13 s, and
-# peak RSS 150 -> 180 MB with msrti's operator held, A's buffer resident
-# in the triangle potrf reads only).
-_PUSH_THROUGH_MAX_COND = 1e4
 
 # How many (grid, params) precision terms prior_precision_term keeps, least
 # recently used dropped first: one deployment's grid, and a second so that
@@ -216,7 +201,7 @@ class PrecisionTerm:
     its four mirror blocks: about a quarter of the N × N term's memory.
 
     Made by `prior_precision_term`, which keeps it, and shared by the
-    builds through A on the same grid and parameters, each of which
+    tall builds on the same grid and parameters, each of which
     expands it with `expand` into its own buffer: only into the triangle
     that the Cholesky factorization reads, so that the other half of the
     buffer is never written and its pages never become resident. The
@@ -365,8 +350,7 @@ class ReconstructionOperator:
             only the pages holding the lower triangle, about N²·4 bytes
             and a 4 KiB page per column, are resident. Otherwise Π,
             (N, rows), Fortran order, built as C_x Wᵀ (W C_x Wᵀ +
-            σ_N² I)⁻¹, or from A when that rows × rows matrix is too
-            ill-conditioned.
+            σ_N² I)⁻¹.
         weights: the WeightMatrix the operator inverts; measurement vectors
             must use its row ordering.
         grid: voxel grid of the image space.
@@ -399,9 +383,8 @@ def _not_spd(n: int, rows: int, info: int) -> linalg.LinAlgError:
 
 
 def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
-                     params: ReconstructionParams) -> np.ndarray | None:
-    """Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, (N, rows) in Fortran order, or
-    None when that matrix is too ill-conditioned for this form.
+                     params: ReconstructionParams) -> np.ndarray:
+    """Π = C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, (N, rows) in Fortran order.
 
     By the push-through identity (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ = C_x Wᵀ (W C_x Wᵀ +
     σ_N² I)⁻¹. C_x Wᵀ is formed in the result's buffer, _PUSH_BLOCK of its
@@ -411,9 +394,7 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     times the C-order copy of a block of the buffer's columns, and
     Cholesky-factored, and two triangular solves from the right overwrite
     the buffer with Π. Each entry sums the same products in the same order
-    at any block size. None is returned, before the solves,
-    when LAPACK's estimate of K's condition number exceeds
-    _PUSH_THROUGH_MAX_COND.
+    at any block size.
     """
     n, rows = grid.n_voxels, weights.n_rows
     w = weights.matrix
@@ -432,15 +413,11 @@ def _push_through_pi(weights: WeightMatrix, grid: VoxelGrid,
     for start in range(0, rows, _PUSH_BLOCK):
         gram[:, start:start + _PUSH_BLOCK] = w @ pi[:, start:start + _PUSH_BLOCK]
     gram.flat[::rows + 1] += params.sigma_n**2
-    norm = np.abs(gram).sum(axis=0).max()  # K's 1-norm, for pocon
     # gram.T is the Fortran-order view that LAPACK factors in place; potrf
     # reads its lower triangle, which is gram's upper one.
     factor, info = lapack.dpotrf(gram.T, lower=1, overwrite_a=1)
     if info != 0:
         raise _not_spd(n, rows, info)
-    rcond, _ = lapack.dpocon(factor, norm, uplo="L")
-    if rcond * _PUSH_THROUGH_MAX_COND < 1.0:
-        return None
     # Π L Lᵀ = C_x Wᵀ: solve against Lᵀ, then against L.
     pi = blas.dtrsm(1.0, factor, pi, side=1, lower=1, trans_a=1,
                     overwrite_b=1)
@@ -585,17 +562,14 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     term's four quarter-size blocks are held by the caller or kept by
     `prior_precision_term`.
 
-    Short W: Π is stored in the push-through form C_x Wᵀ (W C_x Wᵀ +
-    σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed in Π's buffer from the
-    sparse W and blocks of _PUSH_BLOCK columns of C_x, W C_x Wᵀ from
-    blocks of _PUSH_BLOCK of its columns, and only that rows × rows matrix
-    plus σ_N² I is Cholesky-factored: no N × N array is formed, C_x is
-    not inverted, the precision term is not read, and besides Π the build
-    holds one (N, _PUSH_BLOCK) block and the rows × rows matrix. When
-    LAPACK's estimate of that matrix's condition number exceeds
-    _PUSH_THROUGH_MAX_COND, where this form loses accuracy, A is formed and
-    factored in the same buffer as for a tall W and Π is its Cholesky
-    solve against the dense Wᵀ.
+    Short W (no more rows than voxels): Π is stored in the push-through
+    form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed
+    in Π's buffer from the sparse W and blocks of _PUSH_BLOCK columns of
+    C_x, W C_x Wᵀ from blocks of _PUSH_BLOCK of its columns, and only that
+    rows × rows matrix plus σ_N² I is Cholesky-factored: no N × N array is
+    formed, C_x is not inverted, the precision term is not read, and
+    besides Π the build holds one (N, _PUSH_BLOCK) block and the rows ×
+    rows matrix.
 
     The stored array is in Fortran order. Neither `weights` nor
     `precision_term` is written to.
@@ -606,9 +580,9 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         params: regularization parameters (defaults are the standard set).
         precision_term: optional σ_N² C_x⁻¹ from `prior_precision_term`.
             A given term is checked (`check_precision_term`) on every
-            build, and a build through A uses it; without one, a build
-            through A uses the term `prior_precision_term` keeps for this
-            grid and params. A build in push-through form reads neither.
+            build, and a tall build uses it; without one, a tall build
+            uses the term `prior_precision_term` keeps for this grid and
+            params. A short build reads neither.
 
     Raises:
         TypeError: precision_term is not a PrecisionTerm.
@@ -626,11 +600,10 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
         )
     if precision_term is not None:
         check_precision_term(precision_term, grid, params)
-    tall = weights.n_rows > n
-    if not tall:
-        pi = _push_through_pi(weights, grid, params)
-        if pi is not None:
-            return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
+    if weights.n_rows <= n:
+        return ReconstructionOperator(
+            stored=_push_through_pi(weights, grid, params), weights=weights,
+            grid=grid)
 
     # The buffer is C-order, so that its transpose is a Fortran-order view
     # of A that LAPACK factors in place, and its upper triangle is the
@@ -647,16 +620,11 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     for row in range(grid.ny):
         images[row, :, row][below] = 0.0
     factor, info = lapack.dpotrf(term.T, lower=1, clean=0, overwrite_a=1)
-    if info == 0 and tall:
+    if info == 0:
         factor, info = lapack.dpotri(factor, lower=1, overwrite_c=1)
     if info != 0:
         raise _not_spd(n, weights.n_rows, info)
-    if tall:
-        return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
-    w_t = weights.matrix.T.toarray(order="F")
-    pi = linalg.cho_solve((factor, True), w_t, overwrite_b=True,
-                          check_finite=False)
-    return ReconstructionOperator(stored=pi, weights=weights, grid=grid)
+    return ReconstructionOperator(stored=factor, weights=weights, grid=grid)
 
 
 def reconstruct(op: ReconstructionOperator, y: np.ndarray) -> np.ndarray:

@@ -185,7 +185,9 @@ def test_removed_rti_channel_key_and_seed_flag_are_errors(workspace, capsys):
     assert "unrecognized arguments: --seed 9" in capsys.readouterr().err
 
 
-def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys):
+def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys,
+                                                           monkeypatch):
+    """Rejected before msrti's weights are built."""
     tmp_path, _, layout_path, _, config = workspace
     trace_path, _ = _simulate(workspace)
     fades_path = tmp_path / "fades.txt"
@@ -193,6 +195,8 @@ def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys):
                  "--trace", str(trace_path), "--channels", "11,16",
                  "--out", str(fades_path)]) == 0
     capsys.readouterr()
+    monkeypatch.setattr("rtikit.harness.build_multiscale_weights",
+                        lambda *a, **kw: pytest.fail("weights were built"))
     rc = main(["track", "--layout", str(layout_path), "--trace", str(trace_path),
                "--fades", str(fades_path), "--config", str(config),
                "--out", str(tmp_path / "track.csv")])
@@ -389,12 +393,16 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--variants", "msrti,nope"],
      "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
     (["benchmark", "--variants", ","], "--variants needs at least one variant"),
+    (["benchmark", "--seeds", "1,1", "--variants", "msrti,msrti"],
+     "benchmark is given variant msrti more than once"),
+    (["benchmark", "--seeds", "2,1,2"], "benchmark is given seed 2 more than once"),
     (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
     (["track", "--trace", "{trace}"],
      "trace has 38 frames; needs more than the 100-frame calibration prefix"),
 ], ids=["seeds", "no seeds", "negative seed", "channels", "channel below",
         "channel above", "descending channels", "repeated channel", "variant",
-        "no variants", "no frames", "few frames"])
+        "no variants", "repeated variant", "repeated seed", "no frames",
+        "few frames"])
 def test_input_errors_exit_2(workspace, capsys, argv, message):
     tmp_path, _, layout_path, scenario, _ = workspace
     trace_path, _ = _simulate(workspace)
@@ -407,6 +415,7 @@ def test_input_errors_exit_2(workspace, capsys, argv, message):
                "--out", str(tmp_path / "out.csv")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("line, message", [

@@ -593,6 +593,11 @@ def test_benchmark_needs_a_trajectory():
     ((1, -1), ("msrti",), "seed must be an integer >= 0, got -1"),
     ((1,), ("msrti", "nope"),
      "unknown variant 'nope'; pick from ('rti', 'cdrti', 'flrti', 'msrti')"),
+    # a repeat used to run again and write the same rows twice
+    ((1, 2, 1), ("msrti",), "benchmark is given seed 1 more than once"),
+    (np.array([3, 3]), ("cdrti",), "benchmark is given seed 3 more than once"),
+    ((1, 1), ("msrti", "cdrti", "msrti"),
+     "benchmark is given variant msrti more than once"),
 ])
 def test_benchmark_checks_seeds_and_variants_before_any_trace(
         monkeypatch, seeds, variants, message):

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import linalg
 
 from rtikit import reconstruction
@@ -213,19 +213,17 @@ def expanded(term):
     return np.where(written, out, out.T)
 
 
-@pytest.mark.parametrize("rows, nx, ny, scale", [
-    (1300, 25, 25, 1.0), (600, 27, 19, 1.0), (48, 1, 30, 1.0),
-    (512, 25, 25, 1.0), (140, 13, 13, 10.0), (28, 1, 30, 300.0),
-], ids=["tall-25", "tall-27x19", "tall-1x30", "A-25", "A-13", "A-1x30"])
+@pytest.mark.parametrize("rows, nx, ny", [
+    (1300, 25, 25), (600, 27, 19), (48, 1, 30),
+], ids=["tall-25", "tall-27x19", "tall-1x30"])
 def test_build_writes_only_the_triangle_potrf_reads(monkeypatch, rows, nx,
-                                                    ny, scale):
-    """Built into a NaN-filled buffer, on tall W and on short W built
-    through A: the entries of the buffer's upper triangle outside the grid
-    rows' diagonal nx × nx blocks are never written (still NaN), those
-    inside are zero, and the lower triangle is exactly what the build into
-    an anonymous mapping stores."""
+                                                    ny):
+    """Built into a NaN-filled buffer: the entries of the buffer's upper
+    triangle outside the grid rows' diagonal nx × nx blocks are never
+    written (still NaN), those inside are zero, and the lower triangle is
+    exactly what the build into an anonymous mapping stores."""
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
-    wm = _random_weights(grid, rows, seed=rows + nx, scale=scale)
+    wm = _random_weights(grid, rows, seed=rows + nx)
     term = prior_precision_term(grid, ReconstructionParams())
     want = build_operator(wm, grid, precision_term=term)
     buffers = []
@@ -233,7 +231,7 @@ def test_build_writes_only_the_triangle_potrf_reads(monkeypatch, rows, nx,
                         lambda n: buffers.append(np.full((n, n), np.nan))
                         or buffers[-1])
     op = build_operator(wm, grid, precision_term=term)
-    assert op.tall == (rows > grid.n_voxels)
+    assert op.tall
     [buffer] = buffers
     normal = buffer.T  # the Fortran-order A that LAPACK factored
     written = _grid_row_upper(grid).T  # (r, c): r's grid row at or above c's
@@ -242,11 +240,8 @@ def test_build_writes_only_the_triangle_potrf_reads(monkeypatch, rows, nx,
     assert np.isnan(normal[~written]).all()
     assert np.all(normal[same_row & ~lower] == 0.0)
     assert not np.isnan(normal[lower]).any()
-    if op.tall:
-        assert np.shares_memory(op.stored, buffer)
-        assert np.array_equal(np.tril(op.stored), want.stored)
-    else:
-        assert np.array_equal(op.stored, want.stored)
+    assert np.shares_memory(op.stored, buffer)
+    assert np.array_equal(np.tril(op.stored), want.stored)
 
 
 def test_build_rejects_a_term_for_another_grid_or_params():
@@ -363,7 +358,7 @@ def test_normal_matrix_not_spd_raises(monkeypatch):
                        match=rf"regularized normal matrix is not SPD.*"
                              rf"N={n}, rows={tall.n_rows}"):
         build_operator(tall, grid, precision_term=negated)
-    # A well-conditioned short build does not read the precision term ...
+    # A short build does not read the precision term ...
     assert np.array_equal(
         build_operator(short, grid, precision_term=negated).stored,
         build_operator(short, grid).stored)
@@ -546,18 +541,15 @@ def test_precision_memo_stays_within_its_bound():
     assert prior_precision_term(grids[-1], params) is last
 
 
-@pytest.mark.parametrize("rows, nx", [(112, 8), (512, 33)],
-                         ids=["tall", "short-through-A"])
-def test_build_with_shared_or_computed_term_is_bit_identical(rows, nx):
-    """A build given the compact term stores exactly what a build that
-    computes its own stores, on a tall W and on a short W whose push-through
-    system is too ill-conditioned (so it is built through A)."""
-    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=nx)
-    wm = _random_weights(grid, rows, seed=rows)
+def test_build_with_shared_or_computed_term_is_bit_identical():
+    """A tall build given the compact term stores exactly what a build that
+    computes its own stores."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=8, ny=8)
+    wm = _random_weights(grid, 112, seed=112)
     term = prior_precision_term(grid, ReconstructionParams())
     shared = build_operator(wm, grid, precision_term=term)
     computed = build_operator(wm, grid)
-    assert shared.tall == (rows > grid.n_voxels)
+    assert shared.tall
     assert np.array_equal(shared.stored, computed.stored)
 
 
@@ -640,11 +632,57 @@ def test_short_build_memory_holds_no_n_by_n_array():
     assert peak < n * n * 8, peak / 2**20
 
 
-def _random_weights(grid, n_rows, seed, scale=1.0, per_link=4):
+def _forbid_normal_matrix(monkeypatch):
+    def buffer(n):
+        raise AssertionError("build_operator formed A = WᵀW + σ_N² C_x⁻¹")
+    monkeypatch.setattr(reconstruction, "_anonymous_buffer", buffer)
+
+
+def test_short_build_is_push_through_where_w_c_wt_is_ill_conditioned(
+        monkeypatch):
+    """cdrti on the criterion-5 grid (N = 2304, 435 rows) at σ_N 0.3 and
+    λ 0.1, where W C_x Wᵀ + σ_N² I has a 1-norm condition number of 4.6e5:
+    the build is still in push-through form and forms no N × N buffer for
+    A."""
+    layout = perimeter_layout(30, 7.0, 7.0)
+    table = enumerate_links(layout)
+    config = PipelineConfig(classic_lambda=0.1,
+                            reconstruction=ReconstructionParams(sigma_n=0.3))
+    grid = VoxelGrid.from_layout(layout, config.voxel_width)
+    values = np.random.default_rng(3).uniform(-8, 8, (table.n_links, 4))
+    fades = FadeLevelTable(values=values, mean_rss=np.zeros_like(values),
+                           channels=np.arange(11, 15),
+                           fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=8,
+                                           rmse=0.0))
+    _forbid_normal_matrix(monkeypatch)
+    op = VariantPipeline("cdrti", fades, layout, grid, config).operator
+    assert not op.tall
+    assert op.stored.shape == (grid.n_voxels, table.n_links) == (2304, 435)
+
+
+def test_push_through_pi_matches_dense_oracle_at_small_noise(monkeypatch):
+    """Criterion 3's deployment (8 nodes, a 3 m square, 0.3 m voxels) with
+    the fixed-width weights at λ 0.1 scaled by 2, as cdrti scales four
+    channels, and σ_N 0.003: Π in push-through form is within criterion 3's
+    1e-8 of the dense solve with A (8.5e-13 here)."""
+    layout = perimeter_layout(8, 3.0, 3.0)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.3, nx=10, ny=10)
+    params = ReconstructionParams(sigma_n=0.003)
+    classic = build_classic_weights(enumerate_links(layout), layout, grid, 0.1)
+    _forbid_normal_matrix(monkeypatch)
+    op = build_operator(replace(classic, value=2.0 * classic.value), grid,
+                        params)
+    want = reference_pipeline.pi(
+        2.0 * reference_pipeline.classic_weights(layout, grid, 0.1), grid,
+        params)
+    assert np.abs(op.pi - want).max() <= 1e-8
+
+
+def _random_weights(grid, n_rows, seed, per_link=4):
     """Seeded random ellipses of n_rows rows, a multiple of per_link: each
     link gives the voxels of a random window of the grid a random band
     each, and each of its rows reaches a random band with a random value
-    in [0.5, 2)·scale; about one row in five is empty.
+    in [0.5, 2); one row in per_link + 1 is empty.
     The windows leave tiles untouched by some rows, and W is well
     conditioned enough for a 1e-12 comparison against a dense solve."""
     rng = np.random.default_rng(seed)
@@ -656,88 +694,66 @@ def _random_weights(grid, n_rows, seed, scale=1.0, per_link=4):
         window[y0:y1, x0:x1] = rng.integers(0, per_link, (y1 - y0, x1 - x0))
     return WeightMatrix(band=band.reshape(n_links, grid.n_voxels),
                         reach=rng.integers(-1, per_link, n_rows),
-                        value=rng.uniform(0.5, 2.0, n_rows) * scale)
+                        value=rng.uniform(0.5, 2.0, n_rows))
 
 
-def _edge_case(rows, nx, ny=None, route="tall", scale=1.0):
+def _edge_case(rows, nx, ny=None):
+    """Random weights of `rows` rows on an nx × ny grid of 0.5 m voxels."""
     ny = nx if ny is None else ny
-    return pytest.param(rows, nx, ny, route, scale,
-                        id=f"{route}-{rows}-{nx}" if nx == ny
-                        else f"{route}-{rows}-{nx}x{ny}")
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
+    route = "tall" if rows > grid.n_voxels else "push"
+    return pytest.param(
+        grid, lambda: _random_weights(grid, rows, seed=rows + nx),
+        id=f"{route}-{rows}-{nx}" if nx == ny else f"{route}-{rows}-{nx}x{ny}")
 
 
-@pytest.mark.parametrize("rows, nx, ny, route, scale", [
+def _near_square_case():
+    """Fixed-width weights of 780 rows over N = 841 voxels (40 nodes, a 7 m
+    square, λ = 2). W C_x Wᵀ + σ_N² I has a 1-norm condition number of
+    2.4e4, against 4e2 to 7e2 for the random short cases, and the
+    push-through Π is 2.3e-13 of max |Π| from the dense solve with A."""
+    layout = perimeter_layout(40, 7.0, 7.0)
+    grid = VoxelGrid(origin=(0.0, 0.0), p=7.0 / 29, nx=29, ny=29)
+    return pytest.param(
+        grid, lambda: build_classic_weights(enumerate_links(layout), layout,
+                                            grid, lam=2.0),
+        id="push-780-29-classic")
+
+
+@pytest.mark.parametrize("grid, make_weights", [
     # tall: grid sides below, at and one past a multiple of the 12-voxel
     # tile, and a grid one voxel wide; on 25 × 25, pairs of tiles touched
     # by more than 512 rows
     _edge_case(160, 11), _edge_case(160, 12), _edge_case(200, 13),
     _edge_case(1300, 25), _edge_case(600, 27, 19), _edge_case(48, 1, 30),
-    # short, N = 400, 1089, 512 and 513: C_x's 64-column blocks in push-
-    # through form (estimated condition 2.4e3 to 3.5e3)
-    _edge_case(100, 20, route="push"), _edge_case(52, 33, route="push"),
-    _edge_case(100, 32, 16, route="push"),
-    _edge_case(100, 27, 19, route="push"),
-    # short, but W C_x Wᵀ + σ_N² I is too ill-conditioned for the push-
-    # through form (estimated condition above 1e4): the tiles of the tall
-    # cases on the A route
-    _edge_case(100, 11, route="A", scale=30.0),
-    _edge_case(120, 12, route="A", scale=10.0),
-    _edge_case(140, 13, route="A", scale=10.0),
-    _edge_case(512, 25, route="A"), _edge_case(512, 27, 19, route="A"),
-    _edge_case(28, 1, 30, route="A", scale=300.0),
+    # short, N = 400, 1089, 512, 513 and 841: C_x's 64-column blocks in
+    # push-through form, and a near-square W
+    _edge_case(100, 20), _edge_case(52, 33), _edge_case(100, 32, 16),
+    _edge_case(100, 27, 19), _near_square_case(),
 ])
-def test_operator_tile_edges_match_dense_oracle(monkeypatch, rows, nx, ny,
-                                                route, scale):
+def test_operator_tile_edges_match_dense_oracle(monkeypatch, grid,
+                                                make_weights):
     assert (reconstruction._TILE, reconstruction._PUSH_BLOCK,
             reconstruction._BLOCK) == (12, 64, 512)
-    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     params = ReconstructionParams()
-    wm = _random_weights(grid, rows, seed=rows + nx, scale=scale)
+    wm = make_weights()
     dense = (wm.bands @ wm.band_sums).T.toarray()  # W from its factors
     term = prior_precision_term(grid, params)
-    pushed = []
-    push_through = reconstruction._push_through_pi
-    monkeypatch.setattr(reconstruction, "_push_through_pi",
-                        lambda *args: pushed.append(push_through(*args))
-                        or pushed[-1])
-    if route == "tall":  # a short build reads the sparse W by design
+    tall = wm.n_rows > grid.n_voxels
+    if tall:  # a short build reads the sparse W by design
         _forbid_formed_w(monkeypatch)
     op = build_operator(wm, grid, params, precision_term=term)
-    assert op.tall == (route == "tall")
-    assert [pi is not None for pi in pushed] == {
-        "tall": [], "push": [True], "A": [False]}[route]
+    assert op.tall == tall
     if op.tall:
         wants = [np.tril(np.linalg.inv(
             dense.T @ dense + reference_pipeline.precision(grid, params)))]
     else:
-        # (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ, about 1e-14 from an extended-precision
-        # reference on all of these inputs, and in push-through form that
-        # form's own dense solve
-        wants = [reference_pipeline.pi(dense, grid, params)]
-        if route == "push":
-            w_c = dense @ reference_pipeline.covariance(grid, params)
-            wants.append(np.linalg.solve(
-                w_c @ dense.T + params.sigma_n**2 * np.eye(rows), w_c).T)
+        # (WᵀW + σ_N² C_x⁻¹)⁻¹Wᵀ, and the push-through form's own dense solve
+        w_c = dense @ reference_pipeline.covariance(grid, params)
+        wants = [reference_pipeline.pi(dense, grid, params), np.linalg.solve(
+            w_c @ dense.T + params.sigma_n**2 * np.eye(wm.n_rows), w_c).T]
     for want in wants:
         assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def _ill_conditioned_short_weights(grid, rows, seed, params):
-    """Seeded random short weights, one row per link, whose first row is
-    empty and second is not, doubled until W C_x Wᵀ + σ_N² I is too
-    ill-conditioned for the push-through form: the empty row keeps σ_N² as
-    an eigenvalue of that matrix while its largest grows with the square
-    of the scale, so the build goes through A at an estimated condition
-    number of 1e4 to about 4e4."""
-    wm = _random_weights(grid, rows, seed, per_link=1)
-    reach = wm.reach.copy()
-    reach[:2] = (-1, 0)  # row 1 covers its link's whole window
-    value = wm.value
-    while True:
-        wm = WeightMatrix(band=wm.band, reach=reach, value=value)
-        if reconstruction._push_through_pi(wm, grid, params) is None:
-            return wm
-        value = 2.0 * value
 
 
 @settings(max_examples=25, deadline=None)
@@ -747,12 +763,13 @@ def _ill_conditioned_short_weights(grid, rows, seed, params):
 @example(nx=13, ny=25, tall=True, seed=1)
 @example(nx=24, ny=23, tall=False, seed=2)
 @example(nx=1, ny=30, tall=False, seed=3)
-def test_build_through_a_on_any_grid(nx, ny, tall, seed):
+def test_build_on_any_grid(nx, ny, tall, seed):
     """Grids of 1 to 30 cells a side, odd and even, so that the 12-voxel
     tiles are ragged and an odd axis's mirror line falls on a cell. On a
     tall W, the stored lower triangle is M within the tolerance of the
-    tile-edge cases and the upper one exactly zero; on a short W built
-    through A, the stored Π is the reference's."""
+    tile-edge cases and the upper one exactly zero; on a short W, one row
+    per link and up to one row per voxel, the push-through Π is the
+    reference's."""
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     n = grid.n_voxels
     params = ReconstructionParams()
@@ -760,9 +777,8 @@ def test_build_through_a_on_any_grid(nx, ny, tall, seed):
     if tall:
         wm = _random_weights(grid, 4 * (n // 4 + rng.integers(1, 9)), seed)
     else:
-        assume(n >= 3)
-        wm = _ill_conditioned_short_weights(grid, int(rng.integers(2, n)),
-                                            seed, params)
+        wm = _random_weights(grid, int(rng.integers(1, n + 1)), seed,
+                             per_link=1)
     op = build_operator(wm, grid, params)
     assert op.tall == tall
     dense = (wm.bands @ wm.band_sums).T.toarray()  # W from its factors
@@ -774,25 +790,6 @@ def test_build_through_a_on_any_grid(nx, ny, tall, seed):
     else:
         got, want = op.stored, reference_pipeline.pi(dense, grid, params)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_near_square_short_operator_is_built_through_a():
-    """Fixed-width weights of 780 rows over N = 841 voxels (40 nodes, a
-    7 m square, λ = 2): W C_x Wᵀ + σ_N² I has an estimated condition number
-    of 1.9e4, and the build goes through A = WᵀW + σ_N² C_x⁻¹, which keeps Π
-    about 5e-15 from the dense solve with A. The push-through form would
-    be 2.1e-13 from it."""
-    layout = perimeter_layout(40, 7.0, 7.0)
-    table = enumerate_links(layout)
-    grid = VoxelGrid(origin=(0.0, 0.0), p=7.0 / 29, nx=29, ny=29)
-    params = ReconstructionParams()
-    wm = build_classic_weights(table, layout, grid, lam=2.0)
-    assert (grid.n_voxels, wm.n_rows) == (841, 780)
-    op = build_operator(wm, grid, params)
-    assert not op.tall and op.stored.flags.f_contiguous
-    want = reference_pipeline.pi(
-        reference_pipeline.classic_weights(layout, grid, 2.0), grid, params)
-    assert np.abs(op.stored - want).max() <= 5e-14 * np.abs(want).max()
 
 
 def test_operator_grid_mismatch():
