@@ -541,15 +541,18 @@ def test_precision_memo_stays_within_its_bound():
     assert prior_precision_term(grids[-1], params) is last
 
 
-def test_build_with_shared_or_computed_term_is_bit_identical():
-    """A tall build given the compact term stores exactly what a build that
-    computes its own stores."""
-    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=8, ny=8)
-    wm = _random_weights(grid, 112, seed=112)
+@pytest.mark.parametrize("rows, nx", [(112, 8), (512, 33)],
+                         ids=["tall", "short"])
+def test_build_with_shared_or_computed_term_is_bit_identical(rows, nx):
+    """A build given the compact term stores exactly what a build that
+    computes its own stores, on a tall W and on a short W (which is built in
+    push-through form and reads no term)."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=nx)
+    wm = _random_weights(grid, rows, seed=rows)
     term = prior_precision_term(grid, ReconstructionParams())
     shared = build_operator(wm, grid, precision_term=term)
     computed = build_operator(wm, grid)
-    assert shared.tall
+    assert shared.tall == (rows > grid.n_voxels)
     assert np.array_equal(shared.stored, computed.stored)
 
 
@@ -678,11 +681,11 @@ def test_push_through_pi_matches_dense_oracle_at_small_noise(monkeypatch):
     assert np.abs(op.pi - want).max() <= 1e-8
 
 
-def _random_weights(grid, n_rows, seed, per_link=4):
+def _random_weights(grid, n_rows, seed, scale=1.0, per_link=4):
     """Seeded random ellipses of n_rows rows, a multiple of per_link: each
     link gives the voxels of a random window of the grid a random band
     each, and each of its rows reaches a random band with a random value
-    in [0.5, 2); one row in per_link + 1 is empty.
+    in [0.5, 2)·scale; one row in per_link + 1 is empty.
     The windows leave tiles untouched by some rows, and W is well
     conditioned enough for a 1e-12 comparison against a dense solve."""
     rng = np.random.default_rng(seed)
@@ -694,16 +697,18 @@ def _random_weights(grid, n_rows, seed, per_link=4):
         window[y0:y1, x0:x1] = rng.integers(0, per_link, (y1 - y0, x1 - x0))
     return WeightMatrix(band=band.reshape(n_links, grid.n_voxels),
                         reach=rng.integers(-1, per_link, n_rows),
-                        value=rng.uniform(0.5, 2.0, n_rows))
+                        value=rng.uniform(0.5, 2.0, n_rows) * scale)
 
 
-def _edge_case(rows, nx, ny=None):
-    """Random weights of `rows` rows on an nx × ny grid of 0.5 m voxels."""
+def _edge_case(rows, nx, ny=None, scale=1.0):
+    """Random weights of `rows` rows on an nx × ny grid of 0.5 m voxels,
+    their values scaled by `scale`."""
     ny = nx if ny is None else ny
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=nx, ny=ny)
     route = "tall" if rows > grid.n_voxels else "push"
     return pytest.param(
-        grid, lambda: _random_weights(grid, rows, seed=rows + nx),
+        grid, lambda: _random_weights(grid, rows, seed=rows + nx,
+                                      scale=scale),
         id=f"{route}-{rows}-{nx}" if nx == ny else f"{route}-{rows}-{nx}x{ny}")
 
 
@@ -730,6 +735,11 @@ def _near_square_case():
     # push-through form, and a near-square W
     _edge_case(100, 20), _edge_case(52, 33), _edge_case(100, 32, 16),
     _edge_case(100, 27, 19), _near_square_case(),
+    # short on the tall cases' grids, scaled so that W C_x Wᵀ + σ_N² I has a
+    # 1-norm condition number of 1e4 to 9e4
+    _edge_case(100, 11, scale=30.0), _edge_case(120, 12, scale=10.0),
+    _edge_case(140, 13, scale=10.0), _edge_case(512, 25),
+    _edge_case(512, 27, 19),
 ])
 def test_operator_tile_edges_match_dense_oracle(monkeypatch, grid,
                                                 make_weights):
@@ -754,6 +764,28 @@ def test_operator_tile_edges_match_dense_oracle(monkeypatch, grid,
             w_c @ dense.T + params.sigma_n**2 * np.eye(wm.n_rows), w_c).T]
     for want in wants:
         assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_push_through_pi_on_one_voxel_wide_grid_within_condition_bound(
+        monkeypatch):
+    """28 random rows scaled by 300 on a 1 × 30 grid: W C_x Wᵀ + σ_N² I has
+    a 1-norm condition number of 2.2e5, and Π in push-through form is
+    within that condition number times machine epsilon (4.9e-11) of max |Π|
+    from both dense solves (1.9e-12 here)."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=1, ny=30)
+    params = ReconstructionParams()
+    wm = _random_weights(grid, 28, seed=29, scale=300.0)
+    dense = (wm.bands @ wm.band_sums).T.toarray()  # W from its factors
+    _forbid_normal_matrix(monkeypatch)
+    op = build_operator(wm, grid, params)
+    assert not op.tall
+    w_c = dense @ reference_pipeline.covariance(grid, params)
+    system = w_c @ dense.T + params.sigma_n**2 * np.eye(wm.n_rows)
+    bound = np.linalg.cond(system, 1) * np.finfo(float).eps
+    assert bound < 1e-10
+    for want in (reference_pipeline.pi(dense, grid, params),
+                 np.linalg.solve(system, w_c).T):
+        assert np.abs(op.stored - want).max() <= bound * np.abs(want).max()
 
 
 @settings(max_examples=25, deadline=None)
