@@ -23,6 +23,7 @@ __all__ = [
     "path_loss",
     "check_channels",
     "check_frame",
+    "check_ascending_k",
     "RssFrame",
     "FadeLevelTable",
     "PathLossFit",
@@ -138,6 +139,15 @@ def check_frame(frame: RssFrame, channels: np.ndarray, n_links: int,
             f"frame k={frame.k} has channels {frame.channels.tolist()} over "
             f"{frame.rss.shape[0]} links, not the channels "
             f"{channels.tolist()} over {n_links} links of {against}")
+
+
+def check_ascending_k(frames) -> None:
+    """Raise ValueError at the first frame of a list whose k is not above
+    the k of the frame before it, naming both k."""
+    for before, frame in zip(frames, frames[1:]):
+        if frame.k <= before.k:
+            raise ValueError(f"frame k={frame.k} follows k={before.k}; "
+                             f"k must strictly ascend")
 
 
 @dataclass(frozen=True)

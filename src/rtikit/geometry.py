@@ -32,6 +32,9 @@ def _integer(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
+# Links per block of the RX distances excess_path_field adds.
+_LINK_BLOCK = 64
+
 # bound -> its test; each test is False for NaN
 _BOUNDS = {
     "finite and > 0": lambda v: 0 < v < np.inf,
@@ -114,7 +117,7 @@ class LinkTable:
         """Index of the undirected link between two node ids; KeyError for
         an unknown id or a self-pair."""
         try:
-            link = int(self.link_indices(node_a, node_b))
+            link = int(self.link_indices([node_a], [node_b])[0])
         except OverflowError:  # an id outside int64 names no node
             link = -1
         if link < 0:
@@ -139,15 +142,18 @@ class LinkTable:
         ranks = []
         for nodes in (node_a, node_b):
             nodes = np.asarray(nodes)
-            known = True
+            whole = None
             if nodes.dtype.kind == "f":  # an id that is not whole is unknown
-                known = ((nodes == np.trunc(nodes)) & (nodes >= -2.0**63)
+                whole = ((nodes == np.trunc(nodes)) & (nodes >= -2.0**63)
                          & (nodes < 2.0**63))
-                nodes = np.where(known, nodes, 0)
-            nodes = nodes.astype(np.int64)
+                nodes = np.where(whole, nodes, 0)
+            nodes = nodes.astype(np.int64, copy=False)
             rank = np.searchsorted(ids, nodes)
-            ranks.append(np.where(known & (np.append(ids, 0)[rank] == nodes),
-                                  rank, n))
+            unknown = np.append(ids, 0)[rank] != nodes
+            if whole is not None:
+                unknown |= ~whole
+            rank[unknown] = n
+            ranks.append(rank)
         return lookup[ranks[0], ranks[1]]
 
 
@@ -191,10 +197,16 @@ def excess_path_field(table: LinkTable, layout: NodeLayout,
         cannot produce negative values for on-segment points.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    # One node-to-point distance table; each link gathers its two rows.
+    # One node-to-point distance table; each link gathers its two rows,
+    # the TX rows into the result and the RX rows _LINK_BLOCK links at a
+    # time, so that no other (L, M) array is formed.
     dist = cdist(layout.xy, points)
-    return np.maximum(dist[table.tx_idx] + dist[table.rx_idx]
-                      - table.lengths[:, None], 0.0)
+    field = dist[table.tx_idx]
+    for start in range(0, table.n_links, _LINK_BLOCK):
+        stop = start + _LINK_BLOCK
+        field[start:stop] += dist[table.rx_idx[start:stop]]
+    field -= table.lengths[:, None]
+    return np.maximum(field, 0.0, out=field)
 
 
 @dataclass(frozen=True)

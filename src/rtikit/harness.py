@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .calibration import FadeLevelTable, calibrate, check_frame
+from .calibration import FadeLevelTable, calibrate, check_ascending_k, check_frame
 from .geometry import NodeLayout, VoxelGrid, check_bounds, enumerate_links
 from .measurement_model import (
     HoldBuffer,
@@ -364,7 +364,9 @@ def calibrated_pipeline(variant: str, frames, layout: NodeLayout,
     be person-free, are calibrated on and dropped, and a recording no
     longer than that prefix raises ValueError; given fades, every frame is
     imaged. The first frame to image is checked against the fade table
-    (`check_frame`) before the pipeline's weights and operator are built.
+    (`check_frame`), and the frames to image for strictly ascending k
+    (`check_ascending_k`), before the pipeline's weights and operator are
+    built.
     The pipeline images on the node-bounding-box grid of config's
     voxel_width and grid_margin.
     """
@@ -380,6 +382,7 @@ def calibrated_pipeline(variant: str, frames, layout: NodeLayout,
         frames = frames[config.calibration_frames:]
     if frames:
         check_frame(frames[0], fades.channels, fades.n_links, "the fade table")
+    check_ascending_k(frames)
     grid = VoxelGrid.from_layout(layout, config.voxel_width, config.grid_margin)
     return VariantPipeline(variant, fades, layout, grid, config), frames
 

@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 
 from .calibration import (CHANNEL_MAX, CHANNEL_MIN, FadeLevelTable, PathLossFit,
-                          RssFrame, check_channels, check_frame)
+                          RssFrame, check_ascending_k, check_channels, check_frame)
 from .geometry import LinkTable, NodeLayout, VoxelGrid, enumerate_links
 from .simulator import DEFAULT_CHANNELS, ScenarioSpec, stationary_trajectory
 
@@ -242,19 +242,28 @@ def load_trace(path, table: LinkTable) -> list[RssFrame]:
     if not rec.size:
         return []
     link = table.link_indices(rec["tx"], rec["rx"])
-    channel, rss = rec["channel"], rec["rss"]
+    # the fields are copied out, so that the 40-byte records are freed
+    # before the sort and the scatter
+    k, offset, rss = rec["k"].copy(), rec["channel"] - CHANNEL_MIN, rec["rss"].copy()
+    del rec
     if (link < 0).any() or np.isinf(rss).any() or not (
-            CHANNEL_MIN <= channel.min() and channel.max() <= CHANNEL_MAX):
+            0 <= offset.min() and offset.max() <= CHANNEL_MAX - CHANNEL_MIN):
         _trace_fault(path, table)
-    ks, frame_of = np.unique(rec["k"], return_inverse=True)
-    offset = channel - CHANNEL_MIN
+    ks, flat = np.unique(k, return_inverse=True)
+    del k
     seen = np.zeros(CHANNEL_MAX - CHANNEL_MIN + 1, dtype=bool)
     seen[offset] = True
     channels = np.flatnonzero(seen) + CHANNEL_MIN
-    column = (np.cumsum(seen) - 1)[offset]
-    flat = (frame_of * table.n_links + link) * channels.size + column
-    if np.bincount(flat).max() > 1:  # a repeated key
+    # flat becomes each record's (frame, link, channel) cell, in place
+    flat *= table.n_links
+    flat += link
+    flat *= channels.size
+    flat += (np.cumsum(seen) - 1)[offset]
+    cells = np.zeros(ks.size * table.n_links * channels.size, dtype=bool)
+    cells[flat] = True
+    if np.count_nonzero(cells) < flat.size:  # a repeated key
         _trace_fault(path, table)
+    del cells
     block = np.full((ks.size, table.n_links, channels.size), np.nan)
     block.reshape(-1)[flat] = rss
     return [RssFrame(k=int(k), rss=r, channels=channels)
@@ -300,19 +309,17 @@ def _trace_fault(path, table: LinkTable):
 def save_trace(frames, table: LinkTable, path) -> None:
     """Write frames as trace records, including explicit NA rows so the
     frame shape survives a round trip. A frame load_trace would not read
-    back unchanged (k not above the last frame's, channels other than the
-    first frame's) or with another link count raises ValueError naming its
-    k (check_frame), before the file is opened. Each frame is formatted as
-    one string: the `tx rx channel ` middles are built once, and each value
-    is `repr` of the float or `NA`.
+    back unchanged (channels other than the first frame's, or k not above
+    the last frame's) or with another link count raises ValueError naming
+    its k (check_frame, check_ascending_k), before the file is opened.
+    Each frame is formatted as one string: the `tx rx channel ` middles
+    are built once, and each value is `repr` of the float or `NA`.
     """
     frames = list(frames)
     channels = frames[0].channels if frames else ()
-    for i, frame in enumerate(frames):
+    for frame in frames:
         check_frame(frame, channels, table.n_links, "the first frame and link table")
-        if i and frame.k <= frames[i - 1].k:
-            raise ValueError(f"frame k={frame.k} follows k={frames[i - 1].k}; "
-                             f"k must strictly ascend")
+    check_ascending_k(frames)
     middles = [f" {int(tx)} {int(rx)} {int(c)} "
                for tx, rx in zip(table.tx_ids, table.rx_ids) for c in channels]
     with open(path, "w") as fh:

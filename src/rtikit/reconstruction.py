@@ -14,11 +14,11 @@ of M = (WᵀW + σ_N² C_x⁻¹)⁻¹, applied as M·(Wᵀy); otherwise Π itsel
 the push-through form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹. Neither forms the
 whole C_x. The precision term σ_N² C_x⁻¹ of a tall build depends only on
 the grid and the parameters, and `prior_precision_term` inverts it block
-by block through the grid's mirrors and keeps it. WᵀW is summed over
-pairs of voxel tiles from the weights' ellipses, and no W exists in any
-form: W is about one sixth nonzero at the reference deployments, where
-the sparse WᵀW took four to eight times as long as a dense one, so the
-tile pairs keep the dense products and drop the zero ones.
+by block through the grid's mirrors and keeps it, packed. WᵀW is summed
+over pairs of voxel tiles from the weights' ellipses, and no W exists in
+any form: W is about one sixth nonzero at the reference deployments,
+where the sparse WᵀW took four to eight times as long as a dense one, so
+the tile pairs keep the dense products and drop the zero ones.
 """
 
 import functools
@@ -51,6 +51,10 @@ _BLOCK = 512
 # C_x Wᵀ per block of W C_x Wᵀ: bounds that form's transients to
 # (N, _PUSH_BLOCK) besides Π.
 _PUSH_BLOCK = 64
+
+# Rows per strip in which `_unfold` mirror-copies a packed sign combination
+# of the precision term, which bounds its transposed reads to _STRIP rows.
+_STRIP = 64
 
 # The side, in voxels, of the square tiles of the Gram update WᵀW (ragged
 # at the grid's edges): a row's ellipse touches about a third of them at
@@ -197,30 +201,40 @@ def _upper_row_pairs(n: int) -> tuple[list, list]:
 
 @dataclass(frozen=True, eq=False)
 class PrecisionTerm:
-    """σ_N² C_x⁻¹ for one grid and parameter set, held as the inverses of
-    its four mirror blocks: about a quarter of the N × N term's memory.
+    """σ_N² C_x⁻¹ for one grid and parameter set, held as its four sign
+    combinations of the inverted mirror blocks, packed two to an array:
+    2M² + 2M values, about an eighth of the N × N term's memory.
 
     Made by `prior_precision_term`, which keeps it, and shared by the
     tall builds on the same grid and parameters, each of which
     expands it with `expand` into its own buffer: only into the triangle
     that the Cholesky factorization reads, so that the other half of the
     buffer is never written and its pages never become resident. The
-    term's blocks are read-only, as every caller is handed the same term.
-    Compared by identity (eq=False), since it holds an array.
+    term's arrays are read-only, as every caller is handed the same term.
+    Compared by identity (eq=False), since it holds arrays.
+
+    The combination (flip_y, flip_x) is ¼σ_N²(B₀₀ ± B₀₁ ± B₁₀ ± B₁₁) of
+    the inverses B[sy, sx] of the diagonal blocks of ¼ QᵀC_xQ (see
+    `_mirror_blocks`), with a minus on B[sy, sx] where (sy & flip_y) ^
+    (sx & flip_x). Each is an M × M symmetric matrix over the M =
+    ⌈ny/2⌉⌈nx/2⌉ quarter voxels, and is stored as one triangle. Each B
+    is zero on the rows and columns of the quarter voxels whose vector of
+    Q is zero in its parity.
 
     Attributes:
         grid: the voxel grid the term is for.
         params: the regularization parameters it is for.
-        blocks: (2, 2, M, M), indexed [sy, sx]: the inverses of the
-            diagonal blocks of ¼ QᵀC_xQ (see `_mirror_blocks`) over the
-            M = ⌈ny/2⌉⌈nx/2⌉ quarter voxels, each exactly symmetric and
-            stored whole, zero on the rows and columns of the quarter
-            voxels whose vector of Q is zero.
+        sums: (2, M, M), indexed [flip_y]: the lower triangle, diagonal
+            included, holds combination (flip_y, 0), and the strict upper
+            triangle holds combination (flip_y, 1).
+        diagonals: (2, M), indexed [flip_y]: the diagonal of combination
+            (flip_y, 1).
     """
 
     grid: VoxelGrid
     params: ReconstructionParams
-    blocks: np.ndarray
+    sums: np.ndarray
+    diagonals: np.ndarray
 
     def expand(self, out: np.ndarray) -> None:
         """Write σ_N² C_x⁻¹ into the C-order N × N array out, entry (i, j)
@@ -229,28 +243,28 @@ class PrecisionTerm:
         transpose that potrf reads, and the whole of each grid row's
         diagonal nx × nx block. No other entry of out is written.
 
-        C_x⁻¹ = ¼ Q diag(blocks) Qᵀ. Entry (i, j) is ¼ Σ ±block[i', j']
-        over the four parities, with i', j' the quarter voxels of which i
-        and j are images, and a minus for each odd parity whose axis has i
-        and j on opposite sides of the centre. The entries are written from
-        views, some reversed, of the four signed combinations of the blocks,
-        one quarter-size combination at a time: for each grid row, its
-        cells at or above it on its own side of the centre, and for the
-        grid rows below the centre, the rows above it at once.
+        C_x⁻¹ = ¼ Q diag(blocks) Qᵀ. Entry (i, j) is entry (i', j') of the
+        combination (flip_y, flip_x), with i', j' the quarter voxels of
+        which i and j are images, and flip_y, flip_x set where the axis
+        has i and j on opposite sides of the centre. The entries are written
+        from views, some reversed, of one combination at a time, unpacked
+        whole into one quarter-size scratch: for each grid row, its cells
+        at or above it on its own side of the centre, and for the grid rows
+        below the centre, the rows above it at once.
         """
-        grid, blocks = self.grid, self.blocks
+        grid = self.grid
         images = out.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
         pairs_y, pairs_x = _upper_row_pairs(grid.ny), _side_pairs(grid.nx)
-        combined = np.empty_like(blocks[0, 0])
+        combined = np.empty_like(self.sums[0])
         quarter = combined.reshape(2 * ((grid.ny + 1) // 2, (grid.nx + 1) // 2))
         for flip_y in (0, 1):
             for flip_x in (0, 1):
-                np.copyto(combined, blocks[0, 0])
-                for sy, sx in ((0, 1), (1, 0), (1, 1)):
-                    sign = (np.subtract if (sy & flip_y) ^ (sx & flip_x)
-                            else np.add)
-                    sign(combined, blocks[sy, sx], out=combined)
-                combined *= self.params.sigma_n**2 / 4
+                # combination (flip_y, flip_x) is in the lower triangle of
+                # this view, its diagonal apart for flip_x 1
+                _unfold(self.sums[flip_y].T if flip_x else self.sums[flip_y],
+                        combined)
+                if flip_x:
+                    np.fill_diagonal(combined, self.diagonals[flip_y])
                 for rows_y, cols_y, quarter_rows_y, quarter_cols_y in pairs_y[flip_y]:
                     for rows_x, cols_x, quarter_rows_x, quarter_cols_x in pairs_x[flip_x]:
                         images[rows_y, rows_x, cols_y, cols_x] = quarter[
@@ -258,11 +272,28 @@ class PrecisionTerm:
                             quarter_cols_y, quarter_cols_x]
 
 
+def _unfold(lower: np.ndarray, out: np.ndarray) -> None:
+    """Write into the M × M out the symmetric matrix whose lower triangle,
+    diagonal included, the M × M lower holds; its strict upper triangle is
+    not read. _STRIP rows at a time: a strip's entries left of its
+    diagonal block are read in place, those right of it from the transpose
+    of the strip's columns below it, and its diagonal block from both."""
+    m = len(out)
+    above = ~np.tri(_STRIP, dtype=bool)
+    for start in range(0, m, _STRIP):
+        stop = min(start + _STRIP, m)
+        out[start:stop, :stop] = lower[start:stop, :stop]
+        out[start:stop, stop:] = lower[stop:, start:stop].T
+        size = stop - start
+        np.copyto(out[start:stop, start:stop], lower[start:stop, start:stop].T,
+                  where=above[:size, :size])
+
+
 @functools.lru_cache(maxsize=_PRIOR_MEMO_SIZE)
 def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams,
                          /) -> PrecisionTerm:
     """σ_N² C_x⁻¹, inverted block by block through the grid's mirrors and
-    kept in that compact form.
+    kept as its four sign combinations, packed two to an array.
 
     This is the regularization term of every tall operator built on the
     same grid and parameters, and it depends on nothing else: a
@@ -270,17 +301,21 @@ def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams,
     last _PRIOR_MEMO_SIZE (grid, params) pairs are kept, by the value of
     the two frozen arguments, which are positional-only so that equal
     arguments always make one key. Equal arguments give the same term, its
-    blocks read-only: a build on a grid
-    it has seen expands the kept term and inverts nothing. Callers may also
-    pass the term to each `build_operator`.
+    arrays read-only: a build on a grid it has seen expands the kept term
+    and inverts nothing. Callers may also pass the term to each
+    `build_operator`.
 
     C_x does not change when the grid is mirrored in x or in y, and in the
     basis Q of `_mirror_blocks` it is block diagonal: four blocks of about
     N/4 voxels. Each block is Cholesky-factored and inverted (potrf, potri),
     about N³/16 flops in all, against N³ for C_x itself, and C_x⁻¹ =
     ¼ Q diag(blocks⁻¹) Qᵀ. C_x is never formed, and neither is the N × N
-    term: the result holds the four inverted blocks, about N²/4 values,
-    and `PrecisionTerm.expand` writes them into a build's buffer.
+    term. `PrecisionTerm.expand` reads the inverted blocks only through
+    the four sign combinations of `PrecisionTerm`, so these are formed
+    once, each as B₀₀ plus or minus B₀₁, B₁₀ and B₁₁ in turn, then scaled
+    by σ_N²/4, and packed two to an M × M array over the M quarter voxels:
+    the result holds 2M² + 2M values, about N²/8, an eighth of the N × N
+    term, and the blocks are dropped.
 
     Raises:
         LinAlgError: C_x is not SPD to working precision (one of its blocks
@@ -301,14 +336,32 @@ def prior_precision_term(grid: VoxelGrid, params: ReconstructionParams,
                     f"LAPACK info {info}"
                 )
             # potri wrote the upper triangle of factor and potrf zeroed the
-            # lower one: the block's lower triangle holds its inverse.
-            block = blocks[sy, sx]
-            upper = np.triu_indices(len(block), 1)
-            block[upper] = block.T[upper]
+            # lower one: the block's lower triangle holds its inverse, the
+            # one triangle the sums below are read from.
             lone = _lone_cells(grid, sy, sx)
             blocks[sy, sx, lone, lone] = 0.0
-    blocks.flags.writeable = False
-    return PrecisionTerm(grid=grid, params=params, blocks=blocks)
+    m = blocks.shape[-1]
+    sums = np.empty((2, m, m))
+    diagonals = np.empty((2, m))
+    combined = np.empty((m, m))
+    above = ~np.tri(m, dtype=bool)
+    for flip_y in (0, 1):
+        for flip_x in (0, 1):
+            # (flip_y, 0) is formed in place and (flip_y, 1) beside it; the
+            # lower triangle of each is right, and by symmetry the
+            # transpose of (flip_y, 1)'s is its strict upper triangle
+            total = combined if flip_x else sums[flip_y]
+            np.copyto(total, blocks[0, 0])
+            for sy, sx in ((0, 1), (1, 0), (1, 1)):
+                sign = (np.subtract if (sy & flip_y) ^ (sx & flip_x)
+                        else np.add)
+                sign(total, blocks[sy, sx], out=total)
+            total *= params.sigma_n**2 / 4
+        np.copyto(sums[flip_y], combined.T, where=above)
+        diagonals[flip_y] = combined.diagonal()
+    sums.flags.writeable = diagonals.flags.writeable = False
+    return PrecisionTerm(grid=grid, params=params, sums=sums,
+                         diagonals=diagonals)
 
 
 def check_precision_term(precision_term, grid: VoxelGrid,
@@ -558,9 +611,9 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     factor into M = A⁻¹ in place, so M's upper triangle is exactly zero;
     `pi` is computed on demand. Besides the buffer, the build holds the
     tiles' masks (a byte per voxel of each (row, tile) pair that touches),
-    three (_BLOCK, _TILE²) gather buffers and one block of the Gram; the
-    term's four quarter-size blocks are held by the caller or kept by
-    `prior_precision_term`.
+    three (_BLOCK, _TILE²) gather buffers, one block of the Gram and the
+    quarter-size scratch of `PrecisionTerm.expand`; the packed term is
+    held by the caller or kept by `prior_precision_term`.
 
     Short W (no more rows than voxels): Π is stored in the push-through
     form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed

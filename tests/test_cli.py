@@ -12,6 +12,7 @@ from rtikit.geometry import VoxelGrid, enumerate_links
 from rtikit.harness import PipelineConfig, VariantPipeline, benchmark, run_pipeline
 from rtikit.ingest import (
     load_fade_table,
+    load_layout,
     load_image,
     load_scenario,
     load_track_csv,
@@ -204,6 +205,29 @@ def test_fades_of_other_channels_than_the_trace_is_an_error(workspace, capsys,
     assert capsys.readouterr().err == (
         "error: frame k=0 has channels [11, 16, 21, 26] over 45 links, not the "
         "channels [11, 16] over 45 links of the fade table\n")
+
+
+@pytest.mark.parametrize("command", ["track", "reconstruct"])
+def test_repeated_k_among_frames_to_image_is_an_error(workspace, capsys,
+                                                      monkeypatch, command):
+    """A trace file cannot repeat a k, as load_trace groups its records by
+    k, so the frames it gives are edited to: the repeat is rejected before
+    msrti's weights are built, and nothing is written."""
+    tmp_path, _, layout_path, _, config = workspace
+    trace_path, _ = _simulate(workspace)
+    frames = load_trace(trace_path, enumerate_links(load_layout(layout_path)))
+    frames[32] = replace(frames[32], k=frames[31].k)
+    monkeypatch.setattr("rtikit.cli.load_trace", lambda path, table: frames)
+    monkeypatch.setattr("rtikit.harness.build_multiscale_weights",
+                        lambda *a, **kw: pytest.fail("weights were built"))
+    out = tmp_path / "out"
+    rc = main([command, "--layout", str(layout_path), "--trace", str(trace_path),
+               "--config", str(config), "--variant", "msrti",
+               "--out" if command == "track" else "--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: frame k=31 follows k=31; k must strictly ascend\n")
+    assert not out.exists()
 
 
 def test_negative_seed_names_the_file(workspace, capsys):

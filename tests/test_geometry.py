@@ -1,5 +1,6 @@
 """Geometry: link enumeration, excess path length, ellipse membership, grids."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from rtikit.geometry import (
     enumerate_links,
     excess_path_field,
 )
+from rtikit.simulator import perimeter_layout
 from rtikit.spatial_model import build_classic_weights
 import reference_pipeline
 
@@ -166,6 +168,24 @@ def test_excess_path_field_matches_reference(seed, n_nodes, n_points, scale):
     single = excess_path_field(table, layout, point)
     assert single.shape == (table.n_links, 1)
     assert np.array_equal(single, got[:, :1])
+
+
+def test_excess_path_field_memory_is_its_result():
+    """On the 30-node, 7 m deployment's grid (435 links, 48 × 48 voxels,
+    an 8 MB field), the traced peak is the field, the node-to-point
+    distances and one block of RX rows: about 1.22 times the field, where
+    summing the two gathered (L, M) arrays would take about 2.1 times."""
+    layout = perimeter_layout(30, 7.0, 7.0)
+    table = enumerate_links(layout)
+    points = VoxelGrid.from_layout(layout, 0.1524).centers()
+    tracemalloc.start()
+    try:
+        field = excess_path_field(table, layout, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.shape == (435, 2304)
+    assert peak <= 1.3 * field.nbytes, peak / field.nbytes
 
 
 def _support(table, layout, grid, lam):

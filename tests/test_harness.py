@@ -103,6 +103,32 @@ def test_calibrated_pipeline_splits_the_prefix_unless_given_fades():
     assert frames == list(trace.frames) and pipeline.fades is want
 
 
+@pytest.mark.parametrize("kalman", [True, False], ids=["kalman", "raw"])
+@pytest.mark.parametrize("given_fades", [False, True],
+                         ids=["prefix", "fades"])
+def test_frames_to_image_must_strictly_ascend_in_k(monkeypatch, kalman,
+                                                   given_fades):
+    """A frame to image that repeats the k of the one before it is rejected,
+    naming both k, before any weights are built. It used to fail after the
+    build with a zero Kalman step, or, without Kalman, give two rows for
+    one k."""
+    layout, trace = _small_trace(n_nodes=8)
+    cal = trace.calibration_frames
+    frames = list(trace.frames)
+    k = frames[cal].k
+    frames[cal + 1] = replace(frames[cal + 1], k=k)
+    config = PipelineConfig(calibration_frames=cal, kalman=kalman)
+    fades = None
+    if given_fades:
+        fades = calibrate(frames[:cal], enumerate_links(layout))
+        frames = frames[cal:]
+    monkeypatch.setattr(harness, "build_multiscale_weights",
+                        lambda *a, **kw: pytest.fail("weights were built"))
+    with pytest.raises(ValueError, match=rf"^frame k={k} follows k={k}; "
+                                         rf"k must strictly ascend$"):
+        run_pipeline("msrti", frames, layout, config, fades=fades)
+
+
 def test_unknown_variant_rejected():
     layout, trace = _small_trace()
     config = PipelineConfig(calibration_frames=trace.calibration_frames)

@@ -405,7 +405,7 @@ def test_load_trace_raises_for_a_rejection_no_line_check_names(tmp_path, monkeyp
 def test_load_trace_peak_memory_per_record(tmp_path):
     """load_trace holds the text a read at a time: on a 261 000-record
     trace (150 frames of 435 links and 4 channels, 2 % NA) the traced peak
-    is about 89 bytes a record on numpy 2.4; a whole-file read adds at
+    is about 73 bytes a record on numpy 2.4; a whole-file read adds at
     least the text, about 18 bytes a record."""
     table = enumerate_links(perimeter_layout(30, 7.0, 7.0))
     rng = np.random.default_rng(7)

@@ -279,12 +279,15 @@ def test_precision_term_is_symmetric_inverse_of_prior():
 
 
 def assembled_precision_term(term):
-    """σ_N² C_x⁻¹ from the term's blocks entry by entry, by the same
-    floating-point operations in the same order as `PrecisionTerm.expand`:
-    the reference for its views. Voxel i takes block row qy·⌈nx/2⌉ + qx,
-    with qy, qx its cells' distances in cells from the centre line (rounded
-    down), and i, j use a minus for an odd parity whose axis has them on opposite
-    sides (the centre cell of an odd axis is on the upper side)."""
+    """σ_N² C_x⁻¹ entry by entry from the term's packed sign combinations:
+    the reference for the unpacking and the views of `PrecisionTerm.expand`.
+    Voxel i takes quarter voxel qy·⌈nx/2⌉ + qx, with qy, qx its cells'
+    distances in cells from the centre line (rounded down), and i, j read
+    combination (flip_y, flip_x), with a flip for an axis that has them on
+    opposite sides (the centre cell of an odd axis is on the upper side):
+    (flip_y, 0) from the lower triangle of sums[flip_y], (flip_y, 1) from
+    its strict upper triangle and, on the diagonal, from
+    diagonals[flip_y]."""
     grid = term.grid
 
     def quarter_and_lower(n, cells):
@@ -295,14 +298,13 @@ def assembled_precision_term(term):
     qx, lower_x = quarter_and_lower(grid.nx, ix)
     q = qy * ((grid.nx + 1) // 2) + qx
     i, j = q[:, None], q[None, :]
-    opposite_y = lower_y[:, None] != lower_y[None, :]
-    opposite_x = lower_x[:, None] != lower_x[None, :]
-    total = term.blocks[0, 0][i, j]
-    for sy, sx in ((0, 1), (1, 0), (1, 1)):
-        part = term.blocks[sy, sx][i, j]
-        minus = (opposite_y & bool(sy)) ^ (opposite_x & bool(sx))
-        total = np.where(minus, total - part, total + part)
-    return total * (term.params.sigma_n**2 / 4)
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    flip_y = (lower_y[:, None] != lower_y[None, :]).astype(int)
+    flip_x = lower_x[:, None] != lower_x[None, :]
+    even_x = term.sums[flip_y, high, low]
+    odd_x = np.where(i == j, term.diagonals[flip_y, i],
+                     term.sums[flip_y, low, high])
+    return np.where(flip_x, odd_x, even_x)
 
 
 @settings(max_examples=120, deadline=None)
@@ -316,12 +318,15 @@ def assembled_precision_term(term):
 @example(nx=15, ny=16, p=1.0, delta_c=0.1, sigma_n=1.4142)
 @example(nx=15, ny=15, p=0.15, delta_c=4.0, sigma_n=0.0447)
 @example(nx=16, ny=16, p=0.15, delta_c=4.0, sigma_n=1.4142)
+@example(nx=25, ny=23, p=0.3, delta_c=4.0, sigma_n=1.4142)
 def test_precision_term_matches_whole_matrix_inverse(nx, ny, p, delta_c,
                                                      sigma_n):
     """Even and odd axes, 1-wide ones and 1 × 1, to δ_c/p = 200 (where C_x's
     condition number on 16 × 16 is about 1.2e5 and the two routes differ
-    by about 4e-13). The expansion is also exactly the entry-by-entry
-    assembly of the compact term's blocks."""
+    by about 4e-13), and 25 × 23, whose 156 quarter voxels are unpacked in
+    three strips, the last one ragged. The expansion is also exactly the
+    entry-by-entry assembly of the compact term's packed sign
+    combinations."""
     grid = VoxelGrid(origin=(-1.0, 2.0), p=p, nx=nx, ny=ny)
     params = ReconstructionParams(sigma_n=sigma_n, delta_c=delta_c)
     compact = prior_precision_term(grid, params)
@@ -353,7 +358,8 @@ def test_normal_matrix_not_spd_raises(monkeypatch):
     # −σ_N² C_x⁻¹, negative definite
     term = prior_precision_term(grid, ReconstructionParams())
     negated = reconstruction.PrecisionTerm(grid=term.grid, params=term.params,
-                                           blocks=-term.blocks)
+                                           sums=-term.sums,
+                                           diagonals=-term.diagonals)
     with pytest.raises(linalg.LinAlgError,
                        match=rf"regularized normal matrix is not SPD.*"
                              rf"N={n}, rows={tall.n_rows}"):
@@ -401,7 +407,7 @@ def test_shared_build_leaves_inputs_untouched():
         replace(classic, value=classic.value * np.sqrt(2)),
     ]
     term = prior_precision_term(grid, params)
-    term_before = term.blocks.copy()
+    term_before = [term.sums.copy(), term.diagonals.copy()]
 
     def buffers(wm):
         return [wm.band.copy(), wm.reach.copy(), wm.value.copy()] + [
@@ -418,7 +424,8 @@ def test_shared_build_leaves_inputs_untouched():
         assert op.pi.shape == (n, wm.n_rows)
         for got, want in zip(buffers(wm), snapshot):
             assert np.array_equal(got, want)
-        assert np.array_equal(term.blocks, term_before)
+        assert np.array_equal(term.sums, term_before[0])
+        assert np.array_equal(term.diagonals, term_before[1])
 
 
 def _forbid_formed_w(monkeypatch):
@@ -481,7 +488,7 @@ def _cold_precision_term(grid, params):
 def test_precision_term_memory_is_the_result_and_quarters():
     """N = 1024: the traced peak of computing the term and expanding it
     into a build's buffer, an anonymous mapping that tracemalloc does not
-    see, is quarter-size arrays, about 0.4·N²·8 bytes. Forming C_x or an
+    see, is quarter-size arrays, about 0.45·N²·8 bytes. Forming C_x or an
     N × N array of the term would take N²·8 bytes."""
     _, grid = _tall_weights_n1024()
     n = grid.n_voxels
@@ -492,19 +499,23 @@ def test_precision_term_memory_is_the_result_and_quarters():
 
 
 def test_precision_term_holds_its_blocks_only():
-    """N = 1024: the compact term holds its four blocks, N²/4 values, and
-    computing it forms no N × N array (the expanded term is N²·8 bytes)."""
+    """N = 1024: the compact term holds its four sign combinations packed
+    two to an array, 2M² + 2M values for M = N/4 quarter voxels, about
+    N²/8, in two arrays of its own, and computing it forms no N × N array
+    (the expanded term is N²·8 bytes)."""
     _, grid = _tall_weights_n1024()
-    n = grid.n_voxels
-    _, current, peak = _traced_memory(
+    n, m = grid.n_voxels, grid.n_voxels // 4
+    term, current, peak = _traced_memory(
         lambda: _cold_precision_term(grid, ReconstructionParams()))
-    assert current <= 0.3 * n * n * 8, current / 2**20
+    assert (term.sums.shape, term.diagonals.shape) == ((2, m, m), (2, m))
+    assert term.sums.base is None and term.diagonals.base is None
+    assert current <= 0.15 * n * n * 8, current / 2**20
     assert peak <= 0.5 * n * n * 8, peak / 2**20
 
 
 def test_precision_term_is_kept_per_grid_and_params():
     """Equal (grid, params), also in new objects, give the same term, whose
-    blocks are read-only; a change to the grid or to any one parameter
+    arrays are read-only; a change to the grid or to any one parameter
     gives a new term."""
     grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7)
     params = ReconstructionParams()
@@ -512,9 +523,10 @@ def test_precision_term_is_kept_per_grid_and_params():
     assert prior_precision_term(
         VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=9, ny=7),
         ReconstructionParams()) is term
-    assert not term.blocks.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        term.blocks[0, 0, 0, 0] = 1.0
+    for packed in (term.sums, term.diagonals):
+        assert not packed.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            packed[(0,) * packed.ndim] = 1.0
     whole = expanded(term)
     for other_grid, other_params in (
             (replace(grid, nx=8), params),
