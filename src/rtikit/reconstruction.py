@@ -489,65 +489,103 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
     _TILE × _TILE-voxel tiles at a time. No other entry is written.
 
     W[r, v] is v_r where voxel v is inside row r's ellipse (see
-    `WeightMatrix`). Row r touches a tile when its ellipse holds a
-    voxel of the tile; each tile keeps the 0/1 membership mask of the rows
-    R_a that touch it, |R_a| × t bytes. The (a, b) block of WᵀW sums over
-    the rows touching both tiles, W[R_ab, a]ᵀ·W[R_ab, b]: for each pair
-    a <= b, _BLOCK rows of the two masks at a time are gathered into float
-    buffers, scaled by v_r, and multiplied (gemm), and the block is added
-    through the term's (ny, nx, ny, nx) view. The factorization reads only
-    the term's upper triangle, which holds the whole block of a pair in
-    different rows of tiles and none of its mirror. A pair in one row of
+    `WeightMatrix`). Row r touches a tile when its ellipse holds a voxel of
+    the tile, which its link's narrowest band in the tile tells. Each tile
+    keeps the 0/1 membership mask of the rows R_a that touch it, |R_a| × t
+    bytes. The (a, b) block of WᵀW sums over the rows touching both tiles,
+    W[R_ab, a]ᵀ·W[R_ab, b]. The tiles are taken in turn as a: tile a's mask
+    becomes its float block W[R_a, a], scaled by v_r, in one buffer sized
+    for the largest, and is dropped, since every pair that reads it as its
+    second tile came before. For each pair a <= b, _BLOCK rows of R_ab at a
+    time are gathered from the float block and from b's mask, which is
+    cast and scaled, and multiplied (gemm); a diagonal pair (a, a) takes
+    the float block's own rows on both sides, with no gather. The block is
+    added through the term's (ny, nx, ny, nx) view. The factorization reads
+    only the term's upper triangle, which holds the whole block of a pair
+    in different rows of tiles and none of its mirror. A pair in one row of
     tiles has its voxels interleaved: its block and its mirror are added
-    from each of their grid rows up, one grid row at a time. A row
-    touches about a third of the tiles at the reference deployments, so the
-    pairs skip about five sixths of the flops of a dense WᵀW.
+    from each of their grid rows up, one grid row at a time. A row touches
+    about a third of the tiles at the reference deployments, so the pairs
+    skip about five sixths of the flops of a dense WᵀW.
+
+    A diagonal pair stays a gemm: syrk's triangle differs from gemm's in
+    the last bits on ragged tiles (49 and 84 voxels on the `stream` grid),
+    which M would inherit.
+
+    Besides the term, this holds the masks of the tiles not yet taken as
+    a, the float block's buffer, two (_BLOCK, _TILE²) gather buffers and
+    one block of the Gram.
     """
     band, reach, value = weights.band, weights.reach, weights.value
-    link = np.arange(reach.size) % len(band)
+    n_links = len(band)
+    link = np.arange(reach.size) % n_links
+    # band <= reach as band < limit, a compare within band's own dtype
+    # wherever that dtype holds R
+    limit = (reach + 1).astype(np.promote_types(
+        band.dtype, np.min_scalar_type(reach.size // n_links)))
     images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
-    voxels = np.arange(grid.n_voxels).reshape(grid.ny, grid.nx)
+    cells = band.reshape(n_links, grid.ny, grid.nx)
     tiles = [(ys, xs) for ys in _tiles(grid.ny) for xs in _tiles(grid.nx)]
-    touches = np.empty((len(tiles), len(link)), dtype=bool)
-    masks = []
-    for a, tile in enumerate(tiles):
-        tile_band = band[:, voxels[tile].ravel()]
-        touches[a] = tile_band.min(axis=1)[link] <= reach
-        rows = np.flatnonzero(touches[a])
-        masks.append(tile_band[link[rows]] <= reach[rows, np.newaxis])
-    # position[a, r]: row r's row in masks[a], where it touches tile a
-    position = np.cumsum(touches, axis=1, dtype=np.int32) - 1
+    touches = np.empty((len(tiles), reach.size), dtype=bool)
+    tile_bands = []
+    for a, (ys, xs) in enumerate(tiles):
+        tile_bands.append(
+            np.ascontiguousarray(cells[:, ys, xs]).reshape(n_links, -1))
+        # a row touches the tile where its link's narrowest band there is
+        # within its reach
+        np.less_equal(tile_bands[a].min(axis=1)[link], reach, out=touches[a])
+    row_bands = np.empty(_BLOCK * _TILE**2, dtype=band.dtype)
     flags = np.empty(_BLOCK * _TILE**2, dtype=bool)
     gathered = np.empty((2, _BLOCK * _TILE**2))
     grams = np.empty(_TILE**4)
+    # one float block at a time, in one buffer: a fresh array per tile
+    # would take fresh pages from the system each time
+    blocks = np.empty(touches.sum(axis=1).max() * _TILE**2)
 
-    def scaled(a, rows, out):
-        """W[rows, tile a], (rows, voxels of tile a), in the buffer out."""
-        shape = (rows.size, masks[a].shape[1])
-        inside = flags[:shape[0] * shape[1]].reshape(shape)
-        # The positions are in range by construction, and "clip" writes
-        # to out directly, where "raise" goes through a temporary.
-        np.take(masks[a], position[a, rows], axis=0, out=inside, mode="clip")
+    def scaled(b, rows, out):
+        """W[rows, tile b], (rows, voxels of tile b), in the buffer out."""
+        shape = (rows.size, tile_bands[b].shape[1])
+        # The links are in range, and "clip" writes to out directly, where
+        # "raise" goes through a temporary.
+        taken = np.take(tile_bands[b], link[rows], axis=0, mode="clip",
+                        out=row_bands[:shape[0] * shape[1]].reshape(shape))
+        inside = np.less(taken, limit[rows, np.newaxis],
+                         out=flags[:taken.size].reshape(shape))
         members = out[:inside.size].reshape(shape)
         np.copyto(members, inside)  # a cast, faster than a mixed multiply
         return np.multiply(members, value[rows, np.newaxis], out=members)
 
     for a, (ys_a, xs_a) in enumerate(tiles):
+        rows_a = np.flatnonzero(touches[a])
+        size = tile_bands[a].shape[1]
+        block_a = blocks[:rows_a.size * size].reshape(rows_a.size, size)
+        for start in range(0, rows_a.size, _BLOCK):  # W[R_a, a]
+            scaled(a, rows_a[start:start + _BLOCK], blocks[start * size:])
+        tile_bands[a] = None
+        touching = touches[:, rows_a]
         for b in range(a, len(tiles)):
             ys_b, xs_b = tiles[b]
-            rows = np.flatnonzero(touches[a] & touches[b])
-            if not rows.size:
-                continue
             target = images[ys_a, xs_a, ys_b, xs_b]
             shape = target.shape
+            size_a, size_b = shape[0] * shape[1], shape[2] * shape[3]
+            in_a = (np.arange(rows_a.size) if a == b
+                    else np.flatnonzero(touching[b]))
+            if not in_a.size:
+                continue
+            rows = rows_a[in_a]
             # W[R_ab, b]ᵀW[R_ab, a] in Fortran order: its transpose is the
             # block (a, b) in C order, as the view of it reads
-            gram = grams[:np.prod(shape)].reshape(
-                (np.prod(shape[2:]), np.prod(shape[:2])), order="F")
+            gram = grams[:size_a * size_b].reshape((size_b, size_a), order="F")
             for start in range(0, rows.size, _BLOCK):
-                block = rows[start:start + _BLOCK]
-                left = scaled(a, block, gathered[0])
-                right = left if a == b else scaled(b, block, gathered[1])
+                stop = min(start + _BLOCK, rows.size)
+                if a == b:  # the float block's own rows, on both sides
+                    left = right = block_a[start:stop]
+                else:
+                    left = gathered[0, :(stop - start) * size_a].reshape(
+                        stop - start, size_a)
+                    np.take(block_a, in_a[start:stop], axis=0, out=left,
+                            mode="clip")
+                    right = scaled(b, rows[start:stop], gathered[1])
                 gram = blas.dgemm(1.0, right.T, left.T, beta=float(start > 0),
                                   c=gram, trans_b=1, overwrite_c=1)
             gram = gram.T.reshape(shape)
@@ -600,20 +638,23 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     `prior_precision_term` keeps for this grid and params, expanded by
     `PrecisionTerm.expand`. WᵀW is added one pair of _TILE × _TILE-voxel
     tiles (ragged at the grid's edges) at a time, from the weights'
-    ellipses: for each tile, the 0/1 masks of the rows R_a whose ellipse
-    touches it, and for each pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the
-    rows touching both, the masks' rows gathered and scaled by the rows'
-    values _BLOCK rows at a time. No W is formed, as CSR or dense, and no
-    float block of W outlives its product. The entries of each grid row's
-    diagonal nx × nx block above the diagonal, which both wrote and
+    ellipses (`_add_gram`): for each tile, the 0/1 masks of the rows R_a
+    whose ellipse touches it; the tiles are taken in turn, each one's mask
+    becomes its float block W[R_a, a] and is dropped, and for each pair
+    a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the rows touching both, _BLOCK
+    rows at a time, gathered from the float block and from b's mask, cast
+    and scaled by the rows' values. No W is formed, as CSR or dense, and
+    one tile's float block of W at most is held. The entries of each grid
+    row's diagonal nx × nx block above the diagonal, which both wrote and
     nothing reads, are zeroed; A is then Cholesky-factored (potrf with
     clean=0, which leaves the upper triangle as it is) and potri turns the
     factor into M = A⁻¹ in place, so M's upper triangle is exactly zero;
     `pi` is computed on demand. Besides the buffer, the build holds the
-    tiles' masks (a byte per voxel of each (row, tile) pair that touches),
-    three (_BLOCK, _TILE²) gather buffers, one block of the Gram and the
-    quarter-size scratch of `PrecisionTerm.expand`; the packed term is
-    held by the caller or kept by `prior_precision_term`.
+    quarter-size scratch of `PrecisionTerm.expand`, then the masks of the
+    tiles not yet taken (a byte per voxel of each (row, tile) pair that
+    touches), one buffer for the largest tile's float block, two
+    (_BLOCK, _TILE²) gather buffers and one block of the Gram; the packed
+    term is held by the caller or kept by `prior_precision_term`.
 
     Short W (no more rows than voxels): Π is stored in the push-through
     form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed

@@ -11,8 +11,12 @@ uncalibrated (link, channel) pair keeps its two rows, all zero.
 
 The rows of a link are nested ellipses around one line, so both builders
 hold W as its ellipses: each voxel's band on each link, and each row's
-reach and value (see WeightMatrix). The two sparse factors of Wᵀ = U·S,
-about a sixth of the multi-scale W's nonzeros, are derived from them once.
+reach and value (see WeightMatrix). A band is counted from the link's
+widths in ascending order, over the voxels inside its widest ellipse
+alone, and a row's member count is read from its link's band histogram,
+so no (R, L, N) membership mask is formed. The two sparse factors of
+Wᵀ = U·S, about a sixth of the multi-scale W's nonzeros, are derived from
+the ellipses once.
 """
 
 from dataclasses import dataclass, field
@@ -109,7 +113,10 @@ class WeightMatrix:
     reach; an empty row has an empty column. So a row of S sums v_r·y_r
     over the link's rows that hold band b, and U adds each voxel's band
     sums over the links. U has one nonzero per (link, voxel) pair inside
-    any ellipse, where W has one per (row, voxel) pair.
+    any ellipse, where W has one per (row, voxel) pair. U is read from a
+    contiguous voxel-major (N, L) copy of band, which lists its nonzeros in
+    CSR order; besides the weights, construction holds that copy and a few
+    arrays over U's nonzeros.
 
     Compared by identity (eq=False), since it holds arrays. Construction
     marks the given band, reach and value read-only, so U and S cannot go
@@ -150,12 +157,20 @@ class WeightMatrix:
         if not np.all((value >= 0) & (value < np.inf)):
             raise ValueError("value must be finite and >= 0")
 
-        # U: one band per (voxel, link) held by any of the link's rows
-        voxel, link = np.nonzero(band.T < per_link)  # voxel-major
+        # U: one band per (voxel, link) held by any of the link's rows, from
+        # a contiguous voxel-major copy of band
+        n_voxels = band.shape[1]
+        by_voxel = band.T.copy()
+        held = np.flatnonzero(by_voxel < per_link)
+        indptr = np.searchsorted(held, np.arange(n_voxels + 1) * n_links)
+        # column l·R + band of each held (voxel, link), in place over the
+        # voxel offsets
+        column = np.repeat(np.arange(n_voxels) * n_links, np.diff(indptr))
+        np.subtract(held, column, out=column)
+        column *= per_link
+        column += by_voxel.ravel()[held]
         object.__setattr__(self, "bands", sparse.csr_matrix(
-            (np.ones(voxel.size), link * per_link + band[link, voxel],
-             np.searchsorted(voxel, np.arange(band.shape[1] + 1))),
-            shape=(band.shape[1], rows)))
+            (np.ones(held.size), column, indptr), shape=(n_voxels, rows)))
         # S: band b of link l sums the link's rows reaching b, by reach
         row, step = np.nonzero(np.arange(per_link) <= reach[:, np.newaxis])
         sums = row % n_links * per_link + step
@@ -186,6 +201,52 @@ class WeightMatrix:
         return self.bands @ (self.band_sums @ y)
 
 
+def _bands(excess: np.ndarray, widths: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's band on each link, and each link's members per rank.
+
+    Args:
+        excess: (L, N) excess path length of every voxel center per link.
+        widths: (R, L) each link's ellipse widths in ascending order, −∞
+            for an empty row.
+
+    Returns:
+        band: (L, N) unsigned, the number of the link's widths at or below
+            the voxel's excess, which is R minus the number of its rows
+            holding the voxel.
+        members: (L, R), the voxels whose band on the link is at most each
+            rank: the link's band histogram, cumulated.
+
+    Only the voxels inside each link's widest ellipse, about a fifth of
+    the (link, voxel) pairs at the reference deployments, are counted; a
+    voxel outside it has band R. Besides the results, this holds the (L, N)
+    compare with the widest ellipse and four arrays over the voxels inside
+    it, all dropped on return.
+    """
+    per_link, n_links = widths.shape
+    n_voxels = excess.shape[1]
+    inside = np.flatnonzero(excess < widths[-1, :, np.newaxis])  # link-major
+    per_inside = np.diff(np.searchsorted(inside,
+                                         np.arange(n_links + 1) * n_voxels))
+    link = np.repeat(np.arange(n_links), per_inside)
+    reached = excess.ravel()[inside]
+    # the narrowest unsigned dtype that holds R
+    dtype = np.min_scalar_type(per_link)
+    inner = np.zeros(inside.size, dtype=dtype)
+    step, beyond = np.empty(inside.size), np.empty(inside.size, dtype=bool)
+    for widths_k in widths[:-1]:  # no voxel inside is beyond the widest
+        # "clip" writes to step directly, where "raise" goes through a
+        # temporary; the links are in range
+        np.take(widths_k, link, out=step, mode="clip")
+        inner += np.less_equal(step, reached, out=beyond)
+    band = np.full((n_links, n_voxels), per_link, dtype=dtype)
+    band.ravel()[inside] = inner
+    link *= per_link
+    link += inner
+    members = np.bincount(link, minlength=n_links * per_link)
+    return band, members.reshape(n_links, per_link).cumsum(axis=1)
+
+
 def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
     """Ellipse weights over the links of `excess`, each link repeated R
     times.
@@ -198,22 +259,23 @@ def _ellipse_rows(excess: np.ndarray, lam: np.ndarray, value) -> WeightMatrix:
             puts on its members.
 
     Returns:
-        WeightMatrix from one (R, L, N) membership mask; no W is built. A
-        voxel inside `count` of a link's rows is inside its widest ones, so
-        its band is R − count, and a row's reach is its rank by width among
-        its link's rows (NaN first, in stable order), or -1 where it holds
-        no voxel.
+        WeightMatrix from each link's widths in ascending order (NaN first,
+        as −∞, in stable order); no (R, L, N) membership mask is formed. A
+        row holds the voxels whose excess is below its width, so a voxel's
+        band is the number of its link's widths at or below its excess
+        (`_bands`). A row's reach is its rank among its link's widths, and
+        it holds exactly the voxels whose band is at most that rank, so its
+        member count is its link's cumulative band histogram there; its
+        reach is -1 where that count is 0.
     """
-    n_links, n_voxels = excess.shape
-    lam = lam.reshape(-1, n_links)
-    mask = excess < lam[:, :, np.newaxis]  # (R, L, N)
-    counts = np.count_nonzero(mask.reshape(-1, n_voxels), axis=1)
-    # unsigned R − count in one dtype under numpy 1.x and 2.x casting alike
-    dtype = np.min_scalar_type(lam.shape[0])
-    band = dtype.type(lam.shape[0]) - mask.sum(axis=0, dtype=dtype)
-    order = np.argsort(np.nan_to_num(lam, nan=-np.inf), axis=0, kind="stable")
-    rank = np.argsort(order, axis=0).ravel()
-    return WeightMatrix(band=band, reach=np.where(counts > 0, rank, -1),
+    n_links = excess.shape[0]
+    widths = lam.reshape(-1, n_links)
+    widths = np.where(np.isnan(widths), -np.inf, widths)  # (R, L)
+    order = np.argsort(widths, axis=0, kind="stable")
+    band, members = _bands(excess, np.take_along_axis(widths, order, axis=0))
+    rank = np.argsort(order, axis=0)
+    counts = members[np.arange(n_links), rank].ravel()
+    return WeightMatrix(band=band, reach=np.where(counts > 0, rank.ravel(), -1),
                         value=value(counts))
 
 

@@ -9,11 +9,17 @@ direction, link) with the hold rule applied per sample, and an argmax.
 
 It reuses only the two model equations that the published anchors check,
 `lambda_for` and `beta_plus`; `tests/test_package.py` holds it to that.
+
+One step is kept in its earlier vectorized form rather than from the
+definition: `mask_ellipses`, the weights' ellipses and band factors from one
+(R, L, N) membership mask, against which the library's construction is held
+to be equal array for array.
 """
 
 from itertools import combinations
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial.distance import cdist
 
 from rtikit.measurement_model import beta_plus
@@ -78,6 +84,59 @@ def multiscale_weights(layout, grid, fades, ellipse):
                     w[row(c, direction, l, n_links), inside] = (
                         1.0 / (inside.sum() * grid.p**2))
     return w
+
+
+def mask_ellipses(excess, lam, value):
+    """(band, reach, value, U, S) of ellipse weights, each link repeated R
+    times, from one (R, L, N) membership mask: excess < width. excess is
+    (L, N), lam (R·L,) with row r on link r mod L (NaN holds nothing), and
+    value maps the (R·L,) member counts to the rows' weights. A voxel's
+    band is R minus the number of its link's rows holding it; a row's reach
+    is its rank by width among its link's rows (NaN first, stable), or -1
+    where it holds nothing. U (N, R·L) marks each held voxel's band on each
+    link at column l·R + band; S (R·L, R·L) holds v_r at column r of row
+    l·R + b for each row r of link l reaching b, in ascending reach."""
+    n_links, n_voxels = excess.shape
+    lam = lam.reshape(-1, n_links)
+    per_link = lam.shape[0]
+    mask = excess < lam[:, :, np.newaxis]
+    counts = np.count_nonzero(mask.reshape(-1, n_voxels), axis=1)
+    dtype = np.min_scalar_type(per_link)
+    band = dtype.type(per_link) - mask.sum(axis=0, dtype=dtype)
+    order = np.argsort(np.nan_to_num(lam, nan=-np.inf), axis=0, kind="stable")
+    rank = np.argsort(order, axis=0).ravel()
+    reach = np.where(counts > 0, rank, -1)
+    value = value(counts)
+    rows = reach.size
+    voxel, link = np.nonzero(band.T < per_link)
+    u = sparse.csr_matrix(
+        (np.ones(voxel.size), link * per_link + band[link, voxel],
+         np.searchsorted(voxel, np.arange(n_voxels + 1))),
+        shape=(n_voxels, rows))
+    row, step = np.nonzero(np.arange(per_link) <= reach[:, np.newaxis])
+    sums = row % n_links * per_link + step
+    order = np.lexsort((reach[row], sums))
+    row, sums = row[order], sums[order]
+    s = sparse.csr_matrix(
+        (value[row], row, np.searchsorted(sums, np.arange(rows + 1))),
+        shape=(rows, rows))
+    return band, reach, value, u, s
+
+
+def multiscale_ellipses(excess, fades, ellipse, p):
+    """`mask_ellipses` of the multi-scale weights: widths λ^δ(F) in (channel,
+    direction, link) row order, and 1/(n·p²) on the n voxels of a row."""
+    lam = np.stack([lambda_for(fades.values.T, d, ellipse)
+                    for d in DIRECTIONS], axis=1)
+    return mask_ellipses(excess, lam,
+                         lambda counts: 1.0 / p**2 / np.maximum(counts, 1))
+
+
+def classic_ellipses(excess, lengths, lam):
+    """`mask_ellipses` of the fixed-width weights: width lam on every link,
+    and 1/√d on its voxels."""
+    return mask_ellipses(excess, np.full(len(lengths), lam),
+                         lambda counts: 1.0 / np.sqrt(lengths))
 
 
 def weights(variant, layout, grid, fades, config):

@@ -448,8 +448,9 @@ def _traced_memory(build):
     return result, current, peak
 
 
-def _tall_weights_n1024():
-    """N = 1024 and a tall multi-scale W of 3024 rows."""
+def _tall_deployment_n1024():
+    """(table, layout, grid, fades) of N = 1024 with 4 channels: 378
+    links, so a multi-scale W of 3024 rows."""
     layout = perimeter_layout(28, 5.0, 5.0)
     table = enumerate_links(layout)
     grid = VoxelGrid(origin=(0.0, 0.0), p=5.0 / 32, nx=32, ny=32)
@@ -459,15 +460,34 @@ def _tall_weights_n1024():
         channels=np.arange(11, 15),
         fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=8, rmse=0.0),
     )
+    return table, layout, grid, fades
+
+
+def _tall_weights_n1024():
+    """N = 1024 and a tall multi-scale W of 3024 rows."""
+    table, layout, grid, fades = _tall_deployment_n1024()
     wm = build_multiscale_weights(table, layout, grid, fades)
     assert (grid.n_voxels, wm.n_rows) == (1024, 3024)
     return wm, grid
 
 
+def test_multiscale_weights_memory_holds_no_membership_mask():
+    """N = 1024, 3024 rows: the traced peak of building the weights is
+    about 7.4 MiB, the (L, N) excess field (3.0 MiB) and arrays over the
+    (link, voxel) pairs inside each link's widest ellipse while U is
+    derived. An (R, L, N) membership mask (3.0 MiB) beside them, as the
+    weights were built before, takes the peak to about 10 MiB."""
+    table, layout, grid, fades = _tall_deployment_n1024()
+    _, _, peak = _traced_memory(
+        lambda: build_multiscale_weights(table, layout, grid, fades))
+    assert peak <= 8.5 * 2**20, peak / 2**20
+
+
 def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
     """With a shared precision term, the build's traced peak is the tiles'
-    masks and the gather buffers, about 3 MB here: the N × N buffer that
-    becomes M is an anonymous mapping, which tracemalloc does not see.
+    masks, one tile's float block and the gather buffers, about 4.6 MiB
+    here: the N × N buffer that becomes M is an anonymous mapping, which
+    tracemalloc does not see.
     Neither a whole W (24.8 MB dense, about 7.6 MB as CSR) nor an N × N
     array (8 MB) fits under the bound."""
     wm, grid = _tall_weights_n1024()
@@ -776,6 +796,28 @@ def test_operator_tile_edges_match_dense_oracle(monkeypatch, grid,
             w_c @ dense.T + params.sigma_n**2 * np.eye(wm.n_rows), w_c).T]
     for want in wants:
         assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_tall_build_with_a_tile_no_row_touches(monkeypatch):
+    """A tile that no row's ellipse reaches adds nothing: every voxel of
+    the 25 × 25 grid's middle 12 × 12 tile lies outside all ellipses, and
+    M matches the dense oracle."""
+    grid = VoxelGrid(origin=(0.0, 0.0), p=0.5, nx=25, ny=25)
+    params = ReconstructionParams()
+    wm = _random_weights(grid, 1300, seed=7)
+    band = wm.band.reshape(-1, grid.ny, grid.nx).copy()
+    band[:, 12:24, 12:24] = 4  # R: held by none of the link's rows
+    wm = WeightMatrix(band=band.reshape(len(band), -1), reach=wm.reach,
+                      value=wm.value)
+    dense = (wm.bands @ wm.band_sums).T.toarray()
+    assert not dense.reshape(-1, grid.ny, grid.nx)[:, 12:24, 12:24].any()
+    _forbid_formed_w(monkeypatch)
+    op = build_operator(wm, grid, params,
+                        precision_term=prior_precision_term(grid, params))
+    assert op.tall
+    want = np.tril(np.linalg.inv(
+        dense.T @ dense + reference_pipeline.precision(grid, params)))
+    assert np.abs(op.stored - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_push_through_pi_on_one_voxel_wide_grid_within_condition_bound(

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rtikit import spatial_model
 from rtikit.calibration import FadeLevelTable, PathLossFit, calibrate, path_loss
-from rtikit.geometry import NodeLayout, VoxelGrid, enumerate_links
+from rtikit.geometry import (NodeLayout, VoxelGrid, enumerate_links,
+                             excess_path_field)
 from rtikit.spatial_model import (
     DIR_DOWN,
     DIR_UP,
@@ -318,6 +320,77 @@ def test_classic_band_factors_back_project_like_w(lam, seed):
     reference = reference_pipeline.classic_weights(PROPERTY_LAYOUT,
                                                    PROPERTY_GRID, lam)
     assert_back_projection(wm, reference, seed, 2)
+
+
+def assert_same_ellipses(wm, reference):
+    """band, reach, value, U and S equal the reference's (`mask_ellipses`)
+    exactly: every array of U and S too, and each dtype."""
+    band, reach, value, u, s = reference
+    for got, want in ((wm.band, band), (wm.reach, reach), (wm.value, value)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for got, want in ((wm.bands, u), (wm.band_sums, s)):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@st.composite
+def property_grids(draw):
+    """Grids from 1 × 9 to 13 × 11 voxels, centred on PROPERTY_LAYOUT."""
+    nx, ny = draw(st.integers(1, 13)), draw(st.integers(9, 11))
+    p = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    return VoxelGrid(origin=(-nx * p / 2, -ny * p / 2), p=p, nx=nx, ny=ny)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fades=fade_tables(), lambda_max=st.sampled_from([0.3, 3.0]),
+       grid=property_grids())
+def test_multiscale_ellipses_equal_the_mask_reference(fades, lambda_max, grid):
+    """Without the (R, L, N) membership mask, the multi-scale weights are
+    those of the mask, array for array: NaN pairs, widths clamped at
+    lambda_max, tied widths and rows that hold no voxel included."""
+    params = EllipseModelParams(lambda_max=lambda_max)
+    wm = build_multiscale_weights(PROPERTY_TABLE, PROPERTY_LAYOUT, grid,
+                                  fades, params)
+    excess = excess_path_field(PROPERTY_TABLE, PROPERTY_LAYOUT, grid.centers())
+    assert_same_ellipses(wm, reference_pipeline.multiscale_ellipses(
+        excess, fades, params, grid.p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.sampled_from([0.0, 1e-4, 0.3, 2.0]) | st.floats(0.0, 2.0),
+       grid=property_grids())
+def test_classic_ellipses_equal_the_mask_reference(lam, grid):
+    wm = build_classic_weights(PROPERTY_TABLE, PROPERTY_LAYOUT, grid, lam)
+    excess = excess_path_field(PROPERTY_TABLE, PROPERTY_LAYOUT, grid.centers())
+    assert_same_ellipses(wm, reference_pipeline.classic_ellipses(
+        excess, PROPERTY_TABLE.lengths, lam))
+
+
+TIE_VALUES = (0.0, 0.1, 0.25, 0.5, 3.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), per_link=st.integers(1, 4), n_links=st.integers(1, 5),
+       n_voxels=st.integers(1, 20))
+def test_ellipse_rows_equal_the_mask_reference_on_exact_ties(
+        data, per_link, n_links, n_voxels):
+    """Excess lengths and widths drawn from a few values, so that a voxel's
+    excess often equals a width exactly (it is outside: excess < width
+    holds it), widths tie and NaN widths hold nothing."""
+    excess = np.array(data.draw(st.lists(
+        st.sampled_from(TIE_VALUES), min_size=n_links * n_voxels,
+        max_size=n_links * n_voxels))).reshape(n_links, n_voxels)
+    lam = np.array(data.draw(st.lists(
+        st.sampled_from(TIE_VALUES + (np.nan,)), min_size=per_link * n_links,
+        max_size=per_link * n_links)))
+    def value(counts):
+        return 1.0 / np.maximum(counts, 1)
+
+    assert_same_ellipses(spatial_model._ellipse_rows(excess, lam, value),
+                         reference_pipeline.mask_ellipses(excess, lam, value))
 
 
 def test_weight_matrix_checks_shapes_and_ranges():
