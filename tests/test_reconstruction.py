@@ -485,11 +485,10 @@ def test_multiscale_weights_memory_holds_no_membership_mask():
 
 def test_tall_build_memory_is_one_buffer_and_one_block(monkeypatch):
     """With a shared precision term, the build's traced peak is the tiles'
-    masks, one tile's float block and the gather buffers, about 4.6 MiB
-    here: the N × N buffer that becomes M is an anonymous mapping, which
-    tracemalloc does not see.
-    Neither a whole W (24.8 MB dense, about 7.6 MB as CSR) nor an N × N
-    array (8 MB) fits under the bound."""
+    band tables, one tile's float block and the gather buffers, about
+    3.6 MiB here: the N × N buffer that becomes M is an anonymous mapping,
+    which tracemalloc does not see. Neither a whole W (24.8 MB dense, about
+    7.6 MB as CSR) nor an N × N array (8 MB) fits under the bound."""
     wm, grid = _tall_weights_n1024()
     term = prior_precision_term(grid, ReconstructionParams())
     _forbid_formed_w(monkeypatch)
