@@ -489,16 +489,17 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
     _TILE × _TILE-voxel tiles at a time. No other entry is written.
 
     W[r, v] is v_r where voxel v is inside row r's ellipse (see
-    `WeightMatrix`). Row r touches a tile when its ellipse holds a voxel of
-    the tile, which its link's narrowest band in the tile tells. Each tile
-    keeps the 0/1 membership mask of the rows R_a that touch it, |R_a| × t
-    bytes. The (a, b) block of WᵀW sums over the rows touching both tiles,
-    W[R_ab, a]ᵀ·W[R_ab, b]. The tiles are taken in turn as a: tile a's mask
-    becomes its float block W[R_a, a], scaled by v_r, in one buffer sized
-    for the largest, and is dropped, since every pair that reads it as its
-    second tile came before. For each pair a <= b, _BLOCK rows of R_ab at a
-    time are gathered from the float block and from b's mask, which is
-    cast and scaled, and multiplied (gemm); a diagonal pair (a, a) takes
+    `WeightMatrix`): where band[r mod L, v] <= reach[r]. Each tile keeps
+    its own (L, t) copy of the band table, t bytes per link, and row r
+    touches the tile when its link's narrowest band there is within its
+    reach. The (a, b) block of WᵀW sums over the rows R_ab touching both
+    tiles, W[R_ab, a]ᵀ·W[R_ab, b]. The tiles are taken in turn as a: tile
+    a's float block W[R_a, a] over the rows touching it is made once, in
+    one buffer sized for the largest, and its band table is dropped, since
+    every pair that reads it as its second tile came before. For each pair
+    a <= b, _BLOCK rows of R_ab at a time are gathered from the float block
+    and, for tile b, from its band table (compared with the rows' reaches,
+    cast and scaled), and multiplied (gemm); a diagonal pair (a, a) takes
     the float block's own rows on both sides, with no gather. The block is
     added through the term's (ny, nx, ny, nx) view. The factorization reads
     only the term's upper triangle, which holds the whole block of a pair
@@ -512,9 +513,10 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
     the last bits on ragged tiles (49 and 84 voxels on the `stream` grid),
     which M would inherit.
 
-    Besides the term, this holds the masks of the tiles not yet taken as
-    a, the float block's buffer, two (_BLOCK, _TILE²) gather buffers and
-    one block of the Gram.
+    Besides the term, this holds the band tables of the tiles not yet
+    taken as a (L·N bytes at first), the float block's buffer, two
+    (_BLOCK, _TILE²) float gather buffers and their band and flag
+    buffers, and one block of the Gram.
     """
     band, reach, value = weights.band, weights.reach, weights.value
     n_links = len(band)
@@ -638,23 +640,24 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
     `prior_precision_term` keeps for this grid and params, expanded by
     `PrecisionTerm.expand`. WᵀW is added one pair of _TILE × _TILE-voxel
     tiles (ragged at the grid's edges) at a time, from the weights'
-    ellipses (`_add_gram`): for each tile, the 0/1 masks of the rows R_a
-    whose ellipse touches it; the tiles are taken in turn, each one's mask
-    becomes its float block W[R_a, a] and is dropped, and for each pair
-    a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the rows touching both, _BLOCK
-    rows at a time, gathered from the float block and from b's mask, cast
-    and scaled by the rows' values. No W is formed, as CSR or dense, and
-    one tile's float block of W at most is held. The entries of each grid
+    ellipses (`_add_gram`): each tile keeps its copy of the band table;
+    the tiles are taken in turn, each one's float block W[R_a, a] over the
+    rows R_a touching it is made and its band table dropped, and for each
+    pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the rows touching both,
+    _BLOCK rows at a time, gathered from the float block and from b's band
+    table, compared with the rows' reaches, cast and scaled by their
+    values. No W is formed, as CSR or dense, and one tile's float block of
+    W at most is held. The entries of each grid
     row's diagonal nx × nx block above the diagonal, which both wrote and
     nothing reads, are zeroed; A is then Cholesky-factored (potrf with
     clean=0, which leaves the upper triangle as it is) and potri turns the
     factor into M = A⁻¹ in place, so M's upper triangle is exactly zero;
     `pi` is computed on demand. Besides the buffer, the build holds the
-    quarter-size scratch of `PrecisionTerm.expand`, then the masks of the
-    tiles not yet taken (a byte per voxel of each (row, tile) pair that
-    touches), one buffer for the largest tile's float block, two
-    (_BLOCK, _TILE²) gather buffers and one block of the Gram; the packed
-    term is held by the caller or kept by `prior_precision_term`.
+    quarter-size scratch of `PrecisionTerm.expand`, then the band tables
+    of the tiles not yet taken (at most L·N bytes, the band table's own
+    size), one buffer for the largest tile's float block, the gather
+    buffers and one block of the Gram; the packed term is held by the
+    caller or kept by `prior_precision_term`.
 
     Short W (no more rows than voxels): Π is stored in the push-through
     form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed
