@@ -11,15 +11,16 @@ reads the JSON object on the last line of its output; a run that exits
 nonzero, is not correct or failed a frame stops the recording, and nothing
 is written. At --seconds 0 a run does exactly the workload's minimum number
 of rounds, so mean_error_m and peak_rss_mb do not depend on the host's
-speed; the timings do. So the recording also holds a fixed host probe: the
-median of PROBE_REPEATS timings each of one 1024² dgemm and of one dsymv
-over a 3025² lower triangle (the `stream` grid's M), run in a subprocess
-with the workloads' environment (one BLAS thread). A timing compared across
-recordings can then be quoted both raw and divided by the probe's ratio.
-The result is BENCH_<tag>.json at the repository root: for each workload
-and end-to-end metric, the runs in seed order, their median and their
-quartiles, with the probe, the git revision, os.cpu_count() and the numpy
-and scipy versions.
+speed; the timings do. So each workload also holds a fixed host probe,
+timed just before its runs, as the host's speed drifts over a recording:
+the median of PROBE_REPEATS timings each of one 1024² dgemm and of one
+dsymv over a 3025² lower triangle (the `stream` grid's M), run in a
+subprocess with the workloads' environment (one BLAS thread). A timing
+compared across recordings can then be quoted both raw and divided by the
+ratio of its workload's probes. The result is BENCH_<tag>.json at the
+repository root: for each workload, its probe and, for each end-to-end
+metric, the runs in seed order, their median and their quartiles; with
+the git revision, os.cpu_count() and the numpy and scipy versions.
 
 Errors (a malformed or repeated seed, a failed run) print one `error:` line
 on standard error and write no file: exit 2 for bad arguments, 1 for a
@@ -117,15 +118,15 @@ def record(seeds, workloads=None) -> dict:
     metrics = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
     recorded = {}
     for workload in workloads:
+        recorded[workload] = {"probe": probe(), "metrics": {}}
         runs = {name: [] for name in metrics}
         for seed in seeds:
             result = run_once(workload, seed)["metrics"]
             for name in metrics:
                 runs[name].append(result[name]["value"])
-        recorded[workload] = {}
         for name, unit in metrics.items():
             q1, median, q3 = np.percentile(runs[name], [25, 50, 75])
-            recorded[workload][name] = {
+            recorded[workload]["metrics"][name] = {
                 "unit": unit, "runs": runs[name], "median": float(median),
                 "q1": float(q1), "q3": float(q3)}
     return {
@@ -135,7 +136,6 @@ def record(seeds, workloads=None) -> dict:
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "probe": probe(),
         "seconds": 0,
         "seeds": list(seeds),
         "workloads": recorded,

@@ -197,8 +197,6 @@ def _cmd_benchmark(args) -> int:
     if not variants:
         raise ValueError("--variants needs at least one variant")
     seeds = _parse_ints(args.seeds, "--seeds")
-    if min(seeds) < 0:
-        raise ValueError(f"--seeds must be >= 0, got {min(seeds)}")
     rows = benchmark(spec, seeds, config=config, variants=variants)
     save_benchmark_csv(rows, args.out)
     for variant in variants:

@@ -441,24 +441,24 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
               variants=("msrti", "cdrti")):
     """Score estimator variants over seeded synthetic runs of one scenario.
 
-    For each seed, one trace of `spec` with that seed, drawn with config's
-    ellipse and measurement models, is calibrated on its own person-free
-    prefix; each variant then runs on the rest of that identical trace
-    through run_pipeline, given that calibration as its fades, Kalman
+    For each seed, one trace of `spec` with that seed is drawn with
+    config's ellipse and measurement models, and each variant runs on the
+    whole trace through run_pipeline, which calibrates it through
+    `calibrated_pipeline` on the trace's person-free prefix, Kalman
     smoothing included when config.kalman is set, and is scored against
-    the trace's truth. Per seed, the calibration, every variant's measure
-    and msrti's multi-scale weights and operator are built anew. What does
-    not depend on the calibration is built once for the scenario's
-    deployment: the prior precision term σ_N² C_x⁻¹ of msrti's builds
-    (kept by `prior_precision_term`) and the fixed-width operators of rti,
-    flrti and cdrti (kept by `_fixed_width_operator`).
+    the trace's truth. Per seed and variant, the calibration, the
+    variant's measure and msrti's multi-scale weights and operator are
+    built anew. What does not depend on the calibration is built once for
+    the scenario's deployment: the prior precision term σ_N² C_x⁻¹ of
+    msrti's builds (kept by `prior_precision_term`) and the fixed-width
+    operators of rti, flrti and cdrti (kept by `_fixed_width_operator`).
 
     Args:
         spec: the scenario; its trajectory must not be empty, and its seed
             is replaced by each of `seeds`.
         seeds: iterable of RNG seeds, one trace per seed.
         config: pipeline configuration (defaults if None); its
-            calibration_frames is not read, the trace's prefix is.
+            calibration_frames is replaced by the trace's prefix.
         variants: iterable of estimator variants to compare.
 
     Returns:
@@ -484,18 +484,17 @@ def benchmark(spec: ScenarioSpec, seeds, config: PipelineConfig | None = None,
         if repeated:
             raise ValueError(f"benchmark is given {kind} {repeated[0]} "
                              f"more than once")
-    table = enumerate_links(spec.layout)
 
     rows = []
     for seeded in specs:
         trace = generate_trace(seeded, ellipse=config.ellipse,
                                measurement=config.measurement)
-        fades = calibrate(trace.frames[:trace.calibration_frames], table)
+        trace_config = replace(config,
+                               calibration_frames=trace.calibration_frames)
         truth = {int(k): (x, y) for k, x, y in trace.truth}
-        person_frames = trace.frames[trace.calibration_frames:]
         for variant in variants:
-            result = run_pipeline(variant, person_frames, spec.layout, config,
-                                  truth, fades)
+            result = run_pipeline(variant, trace.frames, spec.layout,
+                                  trace_config, truth)
             rows.append((variant, int(seeded.seed), result.summary))
     return rows
 

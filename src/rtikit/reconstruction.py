@@ -164,39 +164,49 @@ def _mirror_blocks(grid: VoxelGrid, params: ReconstructionParams) -> np.ndarray:
     return blocks
 
 
-def _side_pairs(n: int) -> tuple[list, list]:
-    """(row cells, column cells, their quarter rows, quarter columns) for
-    each pair of sides of an axis of n cells: pairs on the same side, then
-    pairs on opposite sides. The upper side's cells are the quarter's in
-    order; the lower side's, where there is one, are the mirror images of
-    the quarter's last ⌊n/2⌋, and so reversed."""
+def _sides(n: int) -> list[tuple[slice, slice]]:
+    """The sides of an axis of n cells about its centre, each as (its
+    cells, ascending, and the quarter cells they are the images of): the
+    upper side, whose cells are the quarter's in order, then the lower
+    side, where there is one, whose cells are the mirror images of the
+    quarter's last ⌊n/2⌋, so that its quarter slice runs in reverse (to
+    quarter cell 0 on an even axis, where its stop is None)."""
     h, m = n // 2, (n + 1) // 2
     sides = [(slice(h, n), slice(0, m))]
     if h:
-        sides.append((slice(h - 1, None, -1), slice(m - h, m)))
-    pairs = ([], [])
-    for i, (rows, quarter_rows) in enumerate(sides):
-        for j, (cols, quarter_cols) in enumerate(sides):
-            pairs[i != j].append((rows, cols, quarter_rows, quarter_cols))
-    return pairs
+        sides.append((slice(0, h), slice(m - 1, m - h - 1 if m > h else None,
+                                          -1)))
+    return sides
 
 
-def _upper_row_pairs(n: int) -> tuple[list, list]:
-    """`_side_pairs` for the grid rows of an axis of n cells, cut to the
-    pairs (i, j) with j >= i: for each cell i of a side, the cells from i
-    away from the centre on the upper side and towards it on the lower one
-    (row cells and quarter rows are single indices); then the lower side's
-    cells against the whole upper side, all above them. The upper side's
-    cells against the lower side's lie below them and are left out."""
-    h, m = n // 2, (n + 1) // 2
-    same = [(h + q, slice(h + q, n), q, slice(q, m)) for q in range(m)]
-    # lower cell h − 1 − k is quarter row m − h + k, and the cells from it
-    # up to h − 1 are quarter rows m − h + k down to m − h
-    stop = m - h - 1 if m > h else None
-    same += [(h - 1 - k, slice(h - 1 - k, h), m - h + k,
-              slice(m - h + k, stop, -1)) for k in range(h)]
-    opposite = _side_pairs(n)[1][1:]
-    return same, opposite
+def _write_upper(images: np.ndarray, ys_a: slice, xs_a: slice, ys_b: slice,
+                 xs_b: slice, block: np.ndarray, add: bool) -> None:
+    """Set (add false) or add to images[ys_a, xs_a, ys_b, xs_b] the block
+    of its shape, only where the column voxel's grid row is at or above
+    the row voxel's: the whole block when the grid rows ys_b lie above
+    ys_a, nothing when they lie below, and when they are the same rows,
+    row i of the block from column row i on. ys_a and ys_b are equal or
+    disjoint runs of grid rows.
+
+    This is the one rule by which A's buffer is written. images is the
+    (ny, nx, ny, nx) view of the C-order N × N buffer, whose upper
+    triangle is the lower triangle of its Fortran-order transpose that
+    potrf, potri and the products with M read. The rule writes that
+    triangle at grid-row granularity, so it also writes the entries below
+    the diagonal of each grid row's diagonal nx × nx block, which nothing
+    reads: `build_operator` zeroes them before potrf. No other entry is
+    written, so the pages of the unread triangle never become resident.
+    """
+    if ys_b.start < ys_a.start:
+        return
+    target = images[ys_a, xs_a, ys_b, xs_b]
+    parts = ([...] if ys_b.start > ys_a.start
+             else [(i, slice(None), slice(i, None)) for i in range(len(target))])
+    for part in parts:
+        if add:
+            target[part] += block[part]
+        else:
+            target[part] = block[part]
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,12 +216,10 @@ class PrecisionTerm:
     2M² + 2M values, about an eighth of the N × N term's memory.
 
     Made by `prior_precision_term`, which keeps it, and shared by the
-    tall builds on the same grid and parameters, each of which
-    expands it with `expand` into its own buffer: only into the triangle
-    that the Cholesky factorization reads, so that the other half of the
-    buffer is never written and its pages never become resident. The
-    term's arrays are read-only, as every caller is handed the same term.
-    Compared by identity (eq=False), since it holds arrays.
+    tall builds on the same grid and parameters, each of which expands it
+    with `expand` into its own buffer. The term's arrays are read-only, as
+    every caller is handed the same term. Compared by identity (eq=False),
+    since it holds arrays.
 
     The combination (flip_y, flip_x) is ¼σ_N²(B₀₀ ± B₀₁ ± B₁₀ ± B₁₁) of
     the inverses B[sy, sx] of the diagonal blocks of ¼ QᵀC_xQ (see
@@ -237,26 +245,27 @@ class PrecisionTerm:
     diagonals: np.ndarray
 
     def expand(self, out: np.ndarray) -> None:
-        """Write σ_N² C_x⁻¹ into the C-order N × N array out, entry (i, j)
-        only where voxel j's grid row is at or above voxel i's: the upper
-        triangle of out, which is the lower triangle of its Fortran-order
-        transpose that potrf reads, and the whole of each grid row's
-        diagonal nx × nx block. No other entry of out is written.
+        """Write σ_N² C_x⁻¹ into the C-order N × N array out, through
+        `_write_upper`; no other entry of out is written.
 
         C_x⁻¹ = ¼ Q diag(blocks) Qᵀ. Entry (i, j) is entry (i', j') of the
         combination (flip_y, flip_x), with i', j' the quarter voxels of
         which i and j are images, and flip_y, flip_x set where the axis
-        has i and j on opposite sides of the centre. The entries are written
-        from views, some reversed, of one combination at a time, unpacked
-        whole into one quarter-size scratch: for each grid row, its cells
-        at or above it on its own side of the centre, and for the grid rows
-        below the centre, the rows above it at once.
+        has i and j on opposite sides of the centre (`_sides`). One
+        combination at a time is unpacked whole into one quarter-size
+        scratch, and each pair of sides is written from its view of it.
         """
         grid = self.grid
         images = out.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
-        pairs_y, pairs_x = _upper_row_pairs(grid.ny), _side_pairs(grid.nx)
         combined = np.empty_like(self.sums[0])
         quarter = combined.reshape(2 * ((grid.ny + 1) // 2, (grid.nx + 1) // 2))
+
+        def pairs(n, flip):
+            """The pairs of sides of an axis of n cells: the same side for
+            flip 0, opposite sides for flip 1."""
+            sides = _sides(n)
+            return [(a, b) for a in sides for b in sides if (a is b) != flip]
+
         for flip_y in (0, 1):
             for flip_x in (0, 1):
                 # combination (flip_y, flip_x) is in the lower triangle of
@@ -265,11 +274,11 @@ class PrecisionTerm:
                         combined)
                 if flip_x:
                     np.fill_diagonal(combined, self.diagonals[flip_y])
-                for rows_y, cols_y, quarter_rows_y, quarter_cols_y in pairs_y[flip_y]:
-                    for rows_x, cols_x, quarter_rows_x, quarter_cols_x in pairs_x[flip_x]:
-                        images[rows_y, rows_x, cols_y, cols_x] = quarter[
-                            quarter_rows_y, quarter_rows_x,
-                            quarter_cols_y, quarter_cols_x]
+                for (ys_a, quarter_ys_a), (ys_b, quarter_ys_b) in pairs(grid.ny, flip_y):
+                    for (xs_a, quarter_xs_a), (xs_b, quarter_xs_b) in pairs(grid.nx, flip_x):
+                        _write_upper(images, ys_a, xs_a, ys_b, xs_b, quarter[
+                            quarter_ys_a, quarter_xs_a, quarter_ys_b,
+                            quarter_xs_b], add=False)
 
 
 def _unfold(lower: np.ndarray, out: np.ndarray) -> None:
@@ -400,8 +409,8 @@ class ReconstructionOperator:
             as an (N, N) Fortran-order array whose lower triangle holds M
             and whose upper triangle is exactly zero. It lies in the
             build's anonymous mapping (see `build_operator`), of which
-            only the pages holding the lower triangle, about N²·4 bytes
-            and a 4 KiB page per column, are resident. Otherwise Π,
+            only the pages `_write_upper` wrote, about N²·4 bytes and a
+            4 KiB page per column, are resident. Otherwise Π,
             (N, rows), Fortran order, built as C_x Wᵀ (W C_x Wᵀ +
             σ_N² I)⁻¹.
         weights: the WeightMatrix the operator inverts; measurement vectors
@@ -483,10 +492,8 @@ def _tiles(n: int) -> list[slice]:
 
 
 def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
-    """Add WᵀW to the upper triangle of the C-order N × N array term, the
-    one the Cholesky factorization reads, at grid-row granularity (entry
-    (i, j) where voxel j's grid row is at or above voxel i's), one pair of
-    _TILE × _TILE-voxel tiles at a time. No other entry is written.
+    """Add WᵀW to the C-order N × N array term through `_write_upper`, one
+    pair of _TILE × _TILE-voxel tiles at a time. No other entry is written.
 
     W[r, v] is v_r where voxel v is inside row r's ellipse (see
     `WeightMatrix`): where band[r mod L, v] <= reach[r]. Each tile keeps
@@ -500,14 +507,11 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
     a <= b, _BLOCK rows of R_ab at a time are gathered from the float block
     and, for tile b, from its band table (compared with the rows' reaches,
     cast and scaled), and multiplied (gemm); a diagonal pair (a, a) takes
-    the float block's own rows on both sides, with no gather. The block is
-    added through the term's (ny, nx, ny, nx) view. The factorization reads
-    only the term's upper triangle, which holds the whole block of a pair
-    in different rows of tiles and none of its mirror. A pair in one row of
-    tiles has its voxels interleaved: its block and its mirror are added
-    from each of their grid rows up, one grid row at a time. A row touches
-    about a third of the tiles at the reference deployments, so the pairs
-    skip about five sixths of the flops of a dense WᵀW.
+    the float block's own rows on both sides, with no gather. The block,
+    and for a ≠ b its mirror (b, a), is added through the term's
+    (ny, nx, ny, nx) view. A row touches about a third of the tiles at the
+    reference deployments, so the pairs skip about five sixths of the
+    flops of a dense WᵀW.
 
     A diagonal pair stays a gemm: syrk's triangle differs from gemm's in
     the last bits on ragged tiles (49 and 84 voxels on the `stream` grid),
@@ -567,8 +571,7 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
         touching = touches[:, rows_a]
         for b in range(a, len(tiles)):
             ys_b, xs_b = tiles[b]
-            target = images[ys_a, xs_a, ys_b, xs_b]
-            shape = target.shape
+            shape = images[ys_a, xs_a, ys_b, xs_b].shape
             size_a, size_b = shape[0] * shape[1], shape[2] * shape[3]
             in_a = (np.arange(rows_a.size) if a == b
                     else np.flatnonzero(touching[b]))
@@ -591,20 +594,10 @@ def _add_gram(term: np.ndarray, weights: WeightMatrix, grid: VoxelGrid) -> None:
                 gram = blas.dgemm(1.0, right.T, left.T, beta=float(start > 0),
                                   c=gram, trans_b=1, overwrite_c=1)
             gram = gram.T.reshape(shape)
-            # a < b in different rows of tiles: every grid row of b is above
-            # every one of a, and the mirror lies wholly in the triangle
-            # potrf does not read
-            if ys_a != ys_b:
-                target += gram
-                continue
-            # one row of tiles: grid row i of the block and its mirror
-            # from grid row i up (a masked add would touch the rest)
-            mirror = images[ys_b, xs_b, ys_a, xs_a]
-            mirrored = gram.transpose(2, 3, 0, 1)
-            for i in range(shape[0]):
-                target[i, :, i:] += gram[i, :, i:]
-                if a != b:
-                    mirror[i, :, i:] += mirrored[i, :, i:]
+            _write_upper(images, ys_a, xs_a, ys_b, xs_b, gram, add=True)
+            if a != b:
+                _write_upper(images, ys_b, xs_b, ys_a, xs_a,
+                             gram.transpose(2, 3, 0, 1), add=True)
 
 
 def _anonymous_buffer(n: int) -> np.ndarray:
@@ -629,35 +622,23 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
 
     Tall W: A = WᵀW + σ_N² C_x⁻¹ lives in one Fortran-order N × N buffer
     over an anonymous mapping, advised against huge pages (MADV_NOHUGEPAGE)
-    where the platform has that advice, and only its lower triangle, the
-    one potrf, potri and the products with M read, is written, at
-    grid-row granularity: entry (j, i) where voxel j's grid row is at or
-    above voxel i's. A page of the mapping becomes resident on its first
-    write, so the upper half stays out of memory: M holds about N²·4
+    where the platform has that advice, and is written only through
+    `_write_upper`. A page of the mapping becomes resident on its first
+    write, so the unread half stays out of memory: M holds about N²·4
     bytes plus about a 4 KiB page per column, where a numpy array, which
     numpy advises onto 2 MiB pages, would be resident whole. The buffer
     starts as the precision term, given or else the one
     `prior_precision_term` keeps for this grid and params, expanded by
-    `PrecisionTerm.expand`. WᵀW is added one pair of _TILE × _TILE-voxel
-    tiles (ragged at the grid's edges) at a time, from the weights'
-    ellipses (`_add_gram`): each tile keeps its copy of the band table;
-    the tiles are taken in turn, each one's float block W[R_a, a] over the
-    rows R_a touching it is made and its band table dropped, and for each
-    pair a <= b, W[R_ab, a]ᵀ·W[R_ab, b] over the rows touching both,
-    _BLOCK rows at a time, gathered from the float block and from b's band
-    table, compared with the rows' reaches, cast and scaled by their
-    values. No W is formed, as CSR or dense, and one tile's float block of
-    W at most is held. The entries of each grid
-    row's diagonal nx × nx block above the diagonal, which both wrote and
-    nothing reads, are zeroed; A is then Cholesky-factored (potrf with
+    `PrecisionTerm.expand`, and WᵀW is added from the weights' ellipses
+    one pair of voxel tiles at a time by `_add_gram`: no W is formed, as
+    CSR or dense. The entries that `_write_upper`'s rule writes and
+    nothing reads are zeroed; A is then Cholesky-factored (potrf with
     clean=0, which leaves the upper triangle as it is) and potri turns the
     factor into M = A⁻¹ in place, so M's upper triangle is exactly zero;
     `pi` is computed on demand. Besides the buffer, the build holds the
-    quarter-size scratch of `PrecisionTerm.expand`, then the band tables
-    of the tiles not yet taken (at most L·N bytes, the band table's own
-    size), one buffer for the largest tile's float block, the gather
-    buffers and one block of the Gram; the packed term is held by the
-    caller or kept by `prior_precision_term`.
+    quarter-size scratch of `PrecisionTerm.expand`, then `_add_gram`'s
+    band tables and buffers; the packed term is held by the caller or
+    kept by `prior_precision_term`.
 
     Short W (no more rows than voxels): Π is stored in the push-through
     form C_x Wᵀ (W C_x Wᵀ + σ_N² I)⁻¹, the same matrix. C_x Wᵀ is formed
@@ -703,15 +684,15 @@ def build_operator(weights: WeightMatrix, grid: VoxelGrid,
             grid=grid)
 
     # The buffer is C-order, so that its transpose is a Fortran-order view
-    # of A that LAPACK factors in place, and its upper triangle is the
-    # triangle of A that potrf reads; the compact term stays unwritten.
+    # of A that LAPACK factors in place; the compact term stays unwritten.
     term = _anonymous_buffer(n)
     (prior_precision_term(grid, params) if precision_term is None
      else precision_term).expand(term)
     _add_gram(term, weights, grid)
-    # Both wrote each grid row's diagonal nx × nx block whole; its entries
-    # below the diagonal are unread, and zeroed so that M's other triangle
-    # is zero throughout (clean=0: the rest of it was never written).
+    # The entries of each grid row's diagonal nx × nx block below its
+    # diagonal, which `_write_upper` wrote, are zeroed so that M's other
+    # triangle is zero throughout (clean=0: the rest of it was never
+    # written).
     images = term.reshape(grid.ny, grid.nx, grid.ny, grid.nx)
     below = np.tril_indices(grid.nx, -1)
     for row in range(grid.ny):

@@ -85,7 +85,9 @@ class ScenarioSpec:
         trajectory: (T, 3) finite rows (k, x, y), whole k ascending past
             the calibration segment; empty for a person-free trace.
         fade_offsets: explicit finite (L, C) per-link/channel dB offsets,
-            or None to draw them Gaussian(0, fade_sigma) from the seed.
+            over the layout's L links and the C channels, kept as a float
+            array, or None to draw them Gaussian(0, fade_sigma) from the
+            seed.
         fade_sigma: std of generated fade offsets, dB.
         noise_sigma: sensor noise std, dB.
         quantize: round final RSS to whole dB steps.
@@ -126,9 +128,14 @@ class ScenarioSpec:
                 raise ValueError(
                     "trajectory must start after the calibration segment"
                 )
-        if (self.fade_offsets is not None
-                and not np.isfinite(self.fade_offsets).all()):
-            raise ValueError("fade_offsets must be finite")
+        if self.fade_offsets is not None:
+            offsets = np.asarray(self.fade_offsets, dtype=float)
+            shape = (enumerate_links(self.layout).n_links, channels.size)
+            if offsets.shape != shape:
+                raise ValueError(f"fade_offsets shape {offsets.shape} != {shape}")
+            if not np.isfinite(offsets).all():
+                raise ValueError("fade_offsets must be finite")
+            object.__setattr__(self, "fade_offsets", offsets)
         object.__setattr__(self, "channels", tuple(int(c) for c in channels))
         object.__setattr__(self, "trajectory", traj.reshape(-1, 3))
 
@@ -188,11 +195,8 @@ def generate_trace(spec: ScenarioSpec,
     channels = np.asarray(spec.channels, dtype=int)
     shape = (table.n_links, channels.size)
 
-    if spec.fade_offsets is not None:
-        offsets = np.asarray(spec.fade_offsets, dtype=float)
-        if offsets.shape != shape:
-            raise ValueError(f"fade_offsets shape {offsets.shape} != {shape}")
-    else:
+    offsets = spec.fade_offsets
+    if offsets is None:
         offsets = rng.normal(0.0, spec.fade_sigma, size=shape)
 
     baseline = (path_loss(table.lengths[:, None], channels, spec.p0, spec.eta)

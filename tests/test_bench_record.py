@@ -19,21 +19,22 @@ def _record_module():
 
 
 def test_record_keeps_each_metric_of_a_workload_run():
-    """One `files` run at --seconds 0 on one seed: every end-to-end metric
-    of BENCHMARK.json, its one run and its median and quartiles, the host
-    and revision keys, and the host probe's two median timings."""
+    """One `files` run at --seconds 0 on one seed: the host and revision
+    keys, and for the workload the host probe's two median timings and
+    every end-to-end metric of BENCHMARK.json, its one run and its median
+    and quartiles."""
     result = _record_module().record([1], ["files"])
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(result) == {"revision", "tracked_files_modified", "cpu_count",
-                           "numpy", "scipy", "probe", "seconds", "seeds",
-                           "workloads"}
+                           "numpy", "scipy", "seconds", "seeds", "workloads"}
     assert (result["seconds"], result["seeds"]) == (0, [1])
-    probe = result["probe"]
+    assert list(result["workloads"]) == ["files"]
+    assert list(result["workloads"]["files"]) == ["probe", "metrics"]
+    probe = result["workloads"]["files"]["probe"]
     assert set(probe) == {"dgemm_1024_s", "dsymv_3025_s", "repeats"}
     assert probe["repeats"] == 21
     assert 0 < probe["dsymv_3025_s"] and 0 < probe["dgemm_1024_s"]
-    assert list(result["workloads"]) == ["files"]
-    metrics = result["workloads"]["files"]
+    metrics = result["workloads"]["files"]["metrics"]
     assert list(metrics) == [m["name"] for m in benchmark["end_to_end"]]
     for spec in benchmark["end_to_end"]:
         metric = metrics[spec["name"]]
@@ -50,6 +51,7 @@ def test_record_keeps_each_metric_of_a_workload_run():
 def test_record_stops_at_a_run_that_is_not_correct_or_failed(monkeypatch,
                                                              last_line):
     record = _record_module()
+    monkeypatch.setattr(record, "probe", lambda: {})
     monkeypatch.setattr(record.subprocess, "run", lambda *a, **kw:
                         subprocess.CompletedProcess(a, 0, f"log\n{last_line}\n"))
     with pytest.raises(RuntimeError, match=r"^files seed 4: correct "):
@@ -78,6 +80,7 @@ def test_main_reports_a_failed_run(monkeypatch, capsys):
     """A run.py that exits nonzero is one error line naming the workload,
     the seed and the exit code, exit 1, and no file is written."""
     record = _record_module()
+    monkeypatch.setattr(record, "probe", lambda: {})
     monkeypatch.setattr(record.subprocess, "run", lambda *a, **kw:
                         subprocess.CompletedProcess(a, 3, "", "Traceback\n"))
     assert record.main(["--tag", "never", "--seeds", "4"]) == 1

@@ -161,6 +161,8 @@ def test_calibrate_errors():
     channels = np.arange(11, 15)
     with pytest.raises(ValueError):
         calibrate_means(np.zeros((3, channels.size)), channels, table)
+    with pytest.raises(ValueError, match="^mean_rss columns must match channels$"):
+        calibrate_means(np.zeros((table.n_links, 3)), channels, table)
     full = np.full((table.n_links, channels.size), np.nan)
     with pytest.raises(ValueError):
         calibrate_means(full, channels, table)
@@ -333,6 +335,10 @@ def test_rss_frame_validation():
         RssFrame(k=0, rss=np.zeros((2, 2)), channels=np.array([12, 11]))
     with pytest.raises(ValueError):
         RssFrame(k=0, rss=np.array([[np.inf, 0.0]]), channels=channels)
+    for rss in (np.zeros((2, 3)), np.zeros(2), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError,
+                           match=r"^rss must be \(L, C\) matching channels$"):
+            RssFrame(k=0, rss=rss, channels=channels)
 
 
 def test_non_integral_channels_and_k_are_rejected_not_truncated():
@@ -383,6 +389,17 @@ def test_fade_table_needs_one_nan_mask(hole):
     with pytest.raises(ValueError, match="NaN on the same pairs"):
         FadeLevelTable(**arrays, channels=np.array([11, 12]),
                        fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=5, rmse=0.0))
+
+
+@pytest.mark.parametrize("values, mean_rss, match", [
+    ((3, 2), (2, 2), "^values and mean_rss must have matching shapes$"),
+    ((3, 3), (3, 3), "^channel axis mismatch$"),
+])
+def test_fade_table_rejects_mismatched_shapes(values, mean_rss, match):
+    with pytest.raises(ValueError, match=match):
+        FadeLevelTable(values=np.zeros(values), mean_rss=np.zeros(mean_rss),
+                       channels=np.array([11, 12]),
+                       fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=6, rmse=0.0))
 
 
 @pytest.mark.parametrize("channels, match", [

@@ -403,7 +403,7 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
     (["benchmark", "--seeds", "x"],
      "bad --seeds value 'x': expected e.g. 1,2,3"),
     (["benchmark", "--seeds", ","], "--seeds needs at least one seed"),
-    (["benchmark", "--seeds=1,-2"], "--seeds must be >= 0, got -2"),
+    (["benchmark", "--seeds=1,-2"], "seed must be an integer >= 0, got -2"),
     (["calibrate", "--trace", "{trace}", "--channels", "11,a"],
      "bad --channels value '11,a': expected e.g. 11,16,21,26"),
     (["track", "--trace", "{trace}", "--channels", "5"],
@@ -421,12 +421,14 @@ def test_bad_config_value_names_file_and_key(tmp_path, capsys, line, message):
      "benchmark is given variant msrti more than once"),
     (["benchmark", "--seeds", "2,1,2"], "benchmark is given seed 2 more than once"),
     (["calibrate", "--trace", "{empty}"], "no frames in {empty}"),
+    (["calibrate", "--trace", "{empty}", "--channels", "11"],
+     "no frames in {empty}"),
     (["track", "--trace", "{trace}"],
      "trace has 38 frames; needs more than the 100-frame calibration prefix"),
 ], ids=["seeds", "no seeds", "negative seed", "channels", "channel below",
         "channel above", "descending channels", "repeated channel", "variant",
         "no variants", "repeated variant", "repeated seed", "no frames",
-        "few frames"])
+        "no frames, channels", "few frames"])
 def test_input_errors_exit_2(workspace, capsys, argv, message):
     tmp_path, _, layout_path, scenario, _ = workspace
     trace_path, _ = _simulate(workspace)

@@ -29,6 +29,17 @@ def test_layout_validates_duplicates_and_count():
         NodeLayout(ids=np.array([1, 1, 2]), xy=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         NodeLayout(ids=np.array([1, 2]), xy=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    for ids, xy in ((np.array([[1, 2, 3]]), np.zeros((3, 2))),
+                    (np.array([1, 2, 3]), np.zeros((3, 3))),
+                    (np.array([1, 2, 3]), np.zeros((4, 2)))):
+        with pytest.raises(ValueError,
+                           match=r"^ids must be shape \(n,\) and xy shape \(n, 2\)$"):
+            NodeLayout(ids=ids, xy=xy)
+    for bad in (np.nan, np.inf):
+        xy = np.zeros((3, 2))
+        xy[1, 0] = bad
+        with pytest.raises(ValueError, match="^node coordinates must be finite$"):
+            NodeLayout(ids=np.array([1, 2, 3]), xy=xy)
 
 
 def test_all_pairs_count_and_order():

@@ -21,7 +21,8 @@ from rtikit.harness import (
 )
 from rtikit.measurement_model import MeasurementModelParams
 from rtikit.reconstruction import ReconstructionParams
-from rtikit.tracking import PositionEstimate, init_track, kalman_step, localize
+from rtikit.tracking import (PositionEstimate, error_summary, init_track,
+                             kalman_step, localize)
 from rtikit.simulator import (
     ScenarioSpec,
     generate_trace,
@@ -75,6 +76,16 @@ def test_run_pipeline_row_shapes():
     assert all(len(r) == 3 for r in without.rows)
     assert without.summary is None
     assert len(with_truth.rows) == trace.truth.shape[0]
+    # truth over the first half only: NaN truth and error on the rest, and
+    # a summary over the covered frames
+    half = len(truth) // 2
+    covered = dict(list(truth.items())[:half])
+    partial = run_pipeline("rti", trace.frames, layout, config, truth=covered)
+    assert partial.rows[:half] == with_truth.rows[:half]
+    for got, plain in zip(partial.rows[half:], without.rows[half:]):
+        assert got[:3] == plain and np.isnan(got[3:]).all()
+    assert partial.summary == error_summary(
+        [r[5] for r in with_truth.rows[:half] if np.isfinite(r[1])])
 
 
 def test_run_pipeline_needs_frames_beyond_prefix():

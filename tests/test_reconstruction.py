@@ -214,8 +214,8 @@ def expanded(term):
 
 
 @pytest.mark.parametrize("rows, nx, ny", [
-    (1300, 25, 25), (600, 27, 19), (48, 1, 30),
-], ids=["tall-25", "tall-27x19", "tall-1x30"])
+    (1300, 25, 25), (600, 27, 19), (48, 1, 30), (1000, 24, 20),
+], ids=["tall-25", "tall-27x19", "tall-1x30", "tall-24x20"])
 def test_build_writes_only_the_triangle_potrf_reads(monkeypatch, rows, nx,
                                                     ny):
     """Built into a NaN-filled buffer: the entries of the buffer's upper

@@ -1,5 +1,7 @@
 """Simulator: determinism, forward-model behavior, calibration round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,19 @@ def test_spec_validation():
         offsets[3, 2] = bad
         with pytest.raises(ValueError, match="fade_offsets must be finite"):
             ScenarioSpec(layout=layout, fade_offsets=offsets)
+    for bad in (np.zeros((4, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(ValueError, match=r"^trajectory must be \(T, 3\)"):
+            ScenarioSpec(layout=layout, trajectory=bad)
+    # 15 links and 4 channels: a larger table was written in part by
+    # save_scenario, and a smaller one made it raise IndexError
+    for shape in ((20, 5), (2, 2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"fade_offsets shape {shape} != (15, 4)")):
+            ScenarioSpec(layout=layout, fade_offsets=np.zeros(shape))
+    # kept as an array, which save_scenario indexes by (link, channel)
+    listed = ScenarioSpec(layout=layout, fade_offsets=[[1, 2, 3, 4]] * 15)
+    assert listed.fade_offsets.dtype == float
+    np.testing.assert_array_equal(listed.fade_offsets, [[1, 2, 3, 4]] * 15)
 
 
 def test_deterministic_given_seed():

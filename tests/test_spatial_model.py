@@ -206,6 +206,9 @@ def test_multiscale_excluded_pairs():
         channels=channels, fit=PathLossFit(p0=40.0, eta=2.0, n_pairs=10, rmse=0.0),
     )
     wm = build_multiscale_weights(table, layout, grid, fades)
+    with pytest.raises(ValueError,
+                       match="^fade table covers 15 links, table has 10$"):
+        build_multiscale_weights(enumerate_links(ring(5)), ring(5), grid, fades)
     # uncalibrated pairs keep their two rows, all zero; the row layout
     # stays (channel, direction, link)
     n = table.n_links
